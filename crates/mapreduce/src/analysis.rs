@@ -14,9 +14,10 @@
 //!   ([`check_antichain`] for the generic relation, [`check_skyline`] for
 //!   the workspace's [`Tuple`] dominance).
 //!
-//! [`run_job`](crate::run_job) calls the first two after its shuffle in
-//! debug builds (`debug_assertions`), so every unit/integration test run
-//! exercises them for free; release benchmarks pay nothing.
+//! [`run_job`](crate::run_job) checks the first two after its fetch stage
+//! in debug builds (`debug_assertions`), over the runs it is about to hand
+//! to the reducers — in memory or spilled — so every unit/integration
+//! test run exercises them for free; release benchmarks pay nothing.
 //!
 //! # The schedule shaker
 //!
@@ -37,6 +38,7 @@ use skymr_common::dominance::dominates;
 use skymr_common::Tuple;
 
 use crate::cluster::{ClusterConfig, Placement};
+use crate::storage::RunSource;
 
 // ---------------------------------------------------------------------
 // Invariant checkers.
@@ -145,13 +147,42 @@ pub fn check_skyline(skyline: &[Tuple]) -> InvariantResult {
     })
 }
 
-/// Debug-build hook used by the job driver after the shuffle: panics with
-/// the violation if the shuffle lost, duplicated, or double-routed pairs.
+/// Debug-build hook used by the job driver after fetch/verify, over the
+/// runs actually handed to the reducers. Every run — memory or disk —
+/// must account for its share of the `produced` map output records (for a
+/// disk run that is its manifest's record count, so a dropped, duplicated,
+/// or mis-sized spill partition shows up without reading it); memory runs
+/// are additionally checked pair by pair against the per-key counts the
+/// mappers `emitted` into unspilled buckets, and for key-disjointness
+/// across reducers. Panics with the violation.
 pub(crate) fn assert_shuffle_invariants<K: Ord + Clone + fmt::Debug, V>(
     emitted: &BTreeMap<K, u64>,
-    groups: &[BTreeMap<K, Vec<V>>],
+    produced: u64,
+    inputs: &[Vec<RunSource<K, V>>],
 ) {
-    if let Err(v) = check_shuffle_partition(emitted, groups) {
+    let delivered: u64 = inputs.iter().flatten().map(RunSource::records).sum();
+    if delivered != produced {
+        let v = Violation {
+            invariant: "shuffle-partition",
+            detail: format!("mappers produced {produced} record(s), reducer runs hold {delivered}"),
+        };
+        panic!("{v}");
+    }
+    let groups: Vec<BTreeMap<K, Vec<&V>>> = inputs
+        .iter()
+        .map(|runs| {
+            let mut group: BTreeMap<K, Vec<&V>> = BTreeMap::new();
+            for run in runs {
+                if let RunSource::Mem(pairs) = run {
+                    for (k, v) in pairs {
+                        group.entry(k.clone()).or_default().push(v);
+                    }
+                }
+            }
+            group
+        })
+        .collect();
+    if let Err(v) = check_shuffle_partition(emitted, &groups) {
         panic!("{v}");
     }
 }

@@ -3,22 +3,24 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use skymr_common::{decode_pairs, encode_pairs, Counters};
+use skymr_common::{decode_pairs, encode_pairs, Counters, Wire};
 
 use crate::cluster::{makespan, ClusterConfig, JobMetrics, Placement};
 use crate::combiner::{Combiner, NoCombiner};
 use crate::fault::{
-    run_attempts, BlacklistPolicy, CorruptFetch, FailureCause, FaultPlan, FaultTolerance, Inject,
-    JobError, RetryPolicy, SpeculationPolicy, TaskExecution, TaskFault, TaskKind,
+    run_attempts, AttemptFailure, BlacklistPolicy, CorruptFetch, FailureCause, FaultPlan,
+    FaultTolerance, Inject, JobError, RetryPolicy, SpeculationPolicy, TaskExecution, TaskFault,
+    TaskKind,
 };
 use crate::partitioner::Partitioner;
 use crate::pool::run_indexed;
 use crate::splits::{SliceSplits, SplitSource};
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
-    segment::{flip_bit, verify_frames, write_segment, Segment},
+    segment::{flip_bit, verify_frames, write_segment, Segment, StorageError},
     SpillSession,
 };
 use crate::task::{
@@ -138,32 +140,77 @@ impl<Out> JobOutcome<Out> {
     }
 }
 
-/// Where one map task's partitioned output lives: in memory (the default
-/// engine) or on disk as spill segments (the out-of-core storage plane,
-/// engaged when [`crate::StorageConfig::memory_budget`] is set).
-enum MapBuckets<K, V> {
-    Memory(Vec<Vec<(K, V)>>),
-    Spilled(Vec<Segment>),
-}
-
+/// One map task's partitioned output at rest: the spill segments it wrote
+/// (in spill order) plus the in-memory tail batch. Under a memory budget
+/// the tail goes to disk too and `tail` stays empty; without one nothing
+/// spills and `segments` stays empty.
 struct MapResult<K, V> {
-    buckets: MapBuckets<K, V>,
+    segments: Vec<Segment>,
+    /// Per-reducer, key-sorted buckets of the unspilled tail.
+    tail: Vec<Vec<(K, V)>>,
     /// Wire-size accounting per reducer ([`skymr_common::ByteSized`]) —
-    /// identical between the memory and spilled representations, so the
+    /// the same whether a pair sits in a segment or in the tail, so the
     /// shuffle traffic model never notices spilling.
     bucket_bytes: Vec<u64>,
     records: u64,
 }
 
-/// A reducer's input group, handed off to its reduce task's attempts.
-type GroupSlot<K, V> = parking_lot::Mutex<Option<BTreeMap<K, Vec<V>>>>;
+/// One fetched shuffle partition at rest. Every reduce attempt opens its
+/// partitions afresh — a frame is CRC-checked and decoded, a spill
+/// partition gets a chunked reader — so retries and speculative backups
+/// replay from the same bytes and no input is ever cloned or handed off.
+enum Fetched {
+    /// The checksummed frame of a map bucket that never spilled.
+    Frame(Vec<u8>),
+    /// One partition of a spill segment.
+    Spill { segment: Segment, part: usize },
+}
+
+/// One reducer's input: its fetched partitions in run priority order (map
+/// index, then spill sequence, the unspilled tail last) plus the facts
+/// the model reads off them.
+#[derive(Default)]
+struct ReduceInput {
+    parts: Vec<Fetched>,
+    /// Values across all partitions.
+    records: u64,
+    /// Distinct keys — a by-product of the first attempt that streams
+    /// every group; [`Job::keys_in`] counts on demand before that.
+    keys: OnceLock<u64>,
+    /// Closed-form merge-cascade cost of the disk runs (jobs under a
+    /// memory budget only) — a pure function of the manifests, identical
+    /// for every attempt of the reducer.
+    merge: Option<MergeStats>,
+}
+
+impl ReduceInput {
+    /// Opens every partition as a merge run.
+    fn open<K: Wire, V: Wire>(&self) -> Vec<RunSource<K, V>> {
+        let open = |p: &Fetched| match p {
+            Fetched::Frame(frame) => match decode_pairs(frame) {
+                Ok(pairs) => RunSource::Mem(pairs),
+                Err(e) => unreachable!("a freshly encoded frame always verifies: {e}"),
+            },
+            Fetched::Spill { segment, part } => RunSource::Disk {
+                segment: segment.clone(),
+                part: *part,
+            },
+        };
+        self.parts.iter().map(open).collect()
+    }
+}
 
 /// One combined, partitioned batch of map output: per-reducer buckets,
 /// their wire-byte sizes, and the post-combiner record count.
 type RoutedBatch<K, V> = (Vec<Vec<(K, V)>>, Vec<u64>, u64);
 
+/// One task's execution with the fault it ran under.
+type Exec<T> = (TaskExecution<T>, TaskFault);
+
 /// Per-phase fault-tolerance accounting, folded from each task's
-/// [`TaskExecution`].
+/// [`TaskExecution`] — the measured half of a job's books (the
+/// deterministic half is the [`JobRecord`]).
+#[derive(Default)]
 struct PhaseStats {
     /// Modeled per-task durations as placed on slots: winner compute plus
     /// lost attempts, scaled by the task's straggler slowdown, plus
@@ -174,17 +221,12 @@ struct PhaseStats {
     wasted: Duration,
     backoff: Duration,
     speculative_wins: u64,
+    /// The phase's duration on the simulated clock, once priced.
+    phase: Duration,
 }
 
-fn phase_stats<T>(execs: &[(TaskExecution<T>, TaskFault)], overhead: Duration) -> PhaseStats {
-    let mut stats = PhaseStats {
-        effective: Vec::with_capacity(execs.len()),
-        retries: 0,
-        attempts: 0,
-        wasted: Duration::ZERO,
-        backoff: Duration::ZERO,
-        speculative_wins: 0,
-    };
+fn phase_stats<T>(execs: &[Exec<T>], overhead: Duration) -> PhaseStats {
+    let mut stats = PhaseStats::default();
     for (exec, fault) in execs {
         let slowdown = fault.slowdown.max(1.0);
         let busy = (exec.winner_duration + exec.lost_time).mul_f64(slowdown);
@@ -198,16 +240,68 @@ fn phase_stats<T>(execs: &[(TaskExecution<T>, TaskFault)], overhead: Duration) -
     stats
 }
 
-/// Slots still schedulable once `excluded` nodes (dead or blacklisted) are
-/// gone: each slot lives on node `slot % nodes`
-/// ([`Placement::node_of_slot`]). At least one slot always survives so the
-/// job can limp home rather than deadlock.
-fn surviving_slots(total: usize, nodes: usize, excluded: &BTreeSet<usize>) -> usize {
-    let n = nodes.max(1);
-    (0..total)
-        .filter(|&s| !excluded.contains(&Placement::node_of_slot(s, n)))
-        .count()
-        .max(1)
+/// What the stages hand down the line — the driver's mutable state: the
+/// deterministic [`JobRecord`] they accumulate into, the measured phase
+/// stats, the map outputs until fetch consumes them, and the node
+/// failure-domain state.
+struct Run<'a, K, V> {
+    record: JobRecord<'a>,
+    map: PhaseStats,
+    reduce: PhaseStats,
+    /// Materialized map outputs: patched by the re-execution waves,
+    /// consumed by fetch.
+    outputs: Vec<MapResult<K, V>>,
+    /// Attempts each map task has used — the attempt number its next
+    /// re-execution runs under.
+    attempts: Vec<u32>,
+    /// Records retired by the skip protocol, per map task.
+    skips: Vec<BTreeSet<usize>>,
+    all_nodes: Vec<usize>,
+    /// Home node of each map task's materialized output (placed clusters).
+    map_homes: Vec<usize>,
+    dead: BTreeSet<usize>,
+    strikes: BTreeMap<usize, u32>,
+    blacklisted: BTreeSet<usize>,
+    /// Heartbeat timeouts plus the node-loss re-execution wave.
+    reexecution_time: Duration,
+}
+
+impl<K, V> Run<'_, K, V> {
+    fn survivors(&self) -> Vec<usize> {
+        let alive = |n: &usize| !self.dead.contains(n);
+        self.all_nodes.iter().copied().filter(alive).collect()
+    }
+
+    /// Slots of `total` still schedulable once dead and blacklisted nodes
+    /// are gone: each slot lives on node `slot % nodes`
+    /// ([`Placement::node_of_slot`]). At least one slot always survives so
+    /// the job can limp home rather than deadlock.
+    fn surviving_slots(&self, total: usize) -> usize {
+        let node = |s: usize| Placement::node_of_slot(s, self.all_nodes.len());
+        let gone = |n: usize| self.dead.contains(&n) || self.blacklisted.contains(&n);
+        (0..total).filter(|&s| !gone(node(s))).count().max(1)
+    }
+}
+
+/// The winning values of a phase whose failures already aborted the job.
+fn winners<T>(execs: &mut [Exec<T>]) -> Vec<T> {
+    let win = |(exec, _): &mut Exec<T>| match exec.value.take() {
+        Some(value) => value,
+        None => unreachable!("task failures abort the job before their phase's values are read"),
+    };
+    execs.iter_mut().map(win).collect()
+}
+
+fn fail_kinds<T>(exec: &TaskExecution<T>) -> Vec<FailKind> {
+    let kind = |f: &AttemptFailure| FailKind::from_cause(&f.cause);
+    exec.failures.iter().map(kind).collect()
+}
+
+/// A storage-plane failure inside a task attempt. Unwinding *is* the
+/// recovery path: `run_attempts` catches the panic per attempt and the
+/// retry ladder replays the task.
+fn storage_fault(doing: &str, e: StorageError) -> ! {
+    panic!("storage plane: {doing} failed: {e}")
 }
 
 /// Nodes whose strike count has reached the blacklist budget.
@@ -235,7 +329,7 @@ fn median(durations: &[Duration]) -> Duration {
 /// straggling original; ties go to the original. Either loser's slot time
 /// is charged to `wasted`.
 fn speculate_phase<T: Send>(
-    execs: &mut [(TaskExecution<T>, TaskFault)],
+    execs: &mut [Exec<T>],
     stats: &mut PhaseStats,
     policy: &SpeculationPolicy,
     cluster: &ClusterConfig,
@@ -365,48 +459,14 @@ where
     RF::Task: ReduceTask<K = K, V = V, Out = Out>,
     P: Partitioner<K>,
 {
-    run_job_with_combiner(
+    let source = SliceSplits::new(splits);
+    run_job_from(
         cluster,
         config,
-        splits,
+        &source,
         map_factory,
         reduce_factory,
         partitioner,
-        &NoCombiner,
-    )
-}
-
-/// Runs one MapReduce job with a map-side [`Combiner`] applied to each map
-/// task's output before the shuffle.
-pub fn run_job_with_combiner<In, K, V, Out, MF, RF, P, C>(
-    cluster: &ClusterConfig,
-    config: &JobConfig,
-    splits: &[Vec<In>],
-    map_factory: &MF,
-    reduce_factory: &RF,
-    partitioner: &P,
-    combiner: &C,
-) -> Result<JobOutcome<Out>, JobError>
-where
-    In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
-    Out: Send,
-    MF: MapFactory,
-    MF::Task: MapTask<In = In, K = K, V = V>,
-    RF: ReduceFactory,
-    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
-    P: Partitioner<K>,
-    C: Combiner<K, V>,
-{
-    run_job_with_combiner_from(
-        cluster,
-        config,
-        &SliceSplits::new(splits),
-        map_factory,
-        reduce_factory,
-        partitioner,
-        combiner,
     )
 }
 
@@ -448,7 +508,13 @@ where
 }
 
 /// The fully general driver: [`SplitSource`] input plus a map-side
-/// [`Combiner`]. Everything else delegates here.
+/// [`Combiner`] applied to each map task's output before the shuffle.
+/// Everything else delegates here.
+///
+/// The body is the job's table of contents (DESIGN.md §3): each stage is
+/// one [`Job`] method, the stages accumulate the job's deterministic facts
+/// into one [`JobRecord`], and every exit — success or abort — reports
+/// them through [`Job::close`].
 pub fn run_job_with_combiner_from<In, K, V, Out, S, MF, RF, P, C>(
     cluster: &ClusterConfig,
     config: &JobConfig,
@@ -472,48 +538,153 @@ where
     C: Combiner<K, V>,
 {
     assert!(config.num_reducers > 0, "a job needs at least one reducer");
-    let started = Instant::now(); // xtask: allow(clock-discipline) — feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model
-    let counters = Counters::new();
-    let m = source.num_splits();
-    // Split lengths are model facts (skip-bad-records bounds, per-task
-    // records_in); sources report them without materializing any records.
-    let split_lens: Vec<usize> = (0..m).map(|i| source.split_len(i)).collect();
-    let r = config.num_reducers;
-    let plan = &config.faults;
-
-    // The cache broadcast happens before any task launches; failed
-    // transfers are re-sent in full, multiplying the charge.
-    let broadcast_attempts = plan.broadcast_failures_for(&config.name) + 1;
-    let broadcast_time = cluster.broadcast_time(config.cache_bytes) * broadcast_attempts;
-
-    // ---- Storage plane ----------------------------------------------------
-    // With a memory budget set, map output spills to sorted on-disk
-    // segments and reducers stream their input through an external merge;
-    // the session owns the job's spill directory and removes it on every
-    // exit path. Failing to create it is an environment fault the job
-    // cannot work around.
-    let spill_session: Option<SpillSession> = if cluster.storage.enabled() {
-        Some(
+    // Input: the context every stage shares. With a memory budget set, map
+    // output spills to sorted on-disk segments; the session owns the job's
+    // spill directory and removes it on every exit path. Failing to create
+    // it is an environment fault the job cannot work around.
+    let job = Job {
+        cluster,
+        config,
+        source,
+        map_factory,
+        reduce_factory,
+        partitioner,
+        combiner,
+        counters: Counters::new(),
+        started: Instant::now(), // xtask: allow(clock-discipline) — feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model
+        spill: cluster.storage.enabled().then(|| {
             SpillSession::create(&cluster.storage, &config.name)
-                .expect("storage plane: cannot create spill directory"), // xtask: allow(no-unwrap) — an unusable spill root is an environment fault with no in-job recovery
-        )
-    } else {
-        None
+                .expect("storage plane: cannot create spill directory") // xtask: allow(no-unwrap) — an unusable spill root is an environment fault with no in-job recovery
+        }),
     };
-    let spill_budget = cluster.storage.memory_budget;
+    let mut run = job.start();
+    // Map: every split through the attempt ladder, the skip-bad-records
+    // protocol, and speculation.
+    job.map_stage(&mut run)?;
+    // Map-output recovery: lost partitions and dead nodes re-execute their
+    // producers before the shuffle can start.
+    job.recover_map_outputs(&mut run);
+    // Fetch/verify: every partition crosses to its reducer as checksummed
+    // bytes; corruption re-fetches or re-executes the producer.
+    let inputs = job.fetch(&mut run);
+    // Reduce: each attempt merges its reducer's runs and streams the
+    // groups through the UDF.
+    let outputs = job.reduce_stage(&inputs, &mut run)?;
+    // Commit: registry, trace, metrics.
+    Ok(job.commit(run, outputs))
+}
 
-    // ---- Map phase -------------------------------------------------------
-    // Scripted poison records: the UDF deterministically dies on these on
-    // every attempt, so only the skip-bad-records protocol below can get
-    // the task past them.
-    let map_poison: Vec<Vec<usize>> = (0..m)
-        .map(|i| plan.poison_records_for(&config.name, i))
-        .collect();
-    // Groups one batch of emitted pairs per key, applies the combiner,
-    // and partitions the result — the shared kernel of the in-memory path
-    // and of each spill (spilling combines per spill batch, exactly as
-    // Hadoop runs the combiner on each spill).
-    let route_batch = |pairs: Vec<(K, V)>| -> RoutedBatch<K, V> {
+/// One job in flight: the read-only context every stage shares. The
+/// stages are its methods, in execution order.
+struct Job<'a, S, MF, RF, P, C> {
+    cluster: &'a ClusterConfig,
+    config: &'a JobConfig,
+    source: &'a S,
+    map_factory: &'a MF,
+    reduce_factory: &'a RF,
+    partitioner: &'a P,
+    combiner: &'a C,
+    counters: Counters,
+    started: Instant,
+    /// The job's spill directory, present iff a memory budget is set.
+    spill: Option<SpillSession>,
+}
+
+impl<'a, In, K, V, Out, S, MF, RF, P, C> Job<'a, S, MF, RF, P, C>
+where
+    In: Send + Sync,
+    K: crate::task::JobKey,
+    V: crate::task::JobValue,
+    Out: Send,
+    S: SplitSource<In>,
+    MF: MapFactory,
+    MF::Task: MapTask<In = In, K = K, V = V>,
+    RF: ReduceFactory,
+    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
+    P: Partitioner<K>,
+    C: Combiner<K, V>,
+{
+    /// The state the stages start from. The cache broadcast happens before
+    /// any task launches (failed transfers are re-sent in full, multiplying
+    /// the charge), and with a placement every map task's materialized
+    /// output has a home node — a pure hash of (seed, job, kind, index),
+    /// never the measured LPT schedule.
+    fn start(&self) -> Run<'a, K, V> {
+        let config = self.config;
+        let transfers = config.faults.broadcast_failures_for(&config.name) + 1;
+        let all_nodes: Vec<usize> = (0..self.cluster.nodes.max(1)).collect();
+        let home = |p: &Placement, i| p.task_home(&config.name, TaskKind::Map, i, &all_nodes);
+        let map_homes = match &self.cluster.placement {
+            Some(p) => (0..self.source.num_splits()).map(|i| home(p, i)).collect(),
+            None => Vec::new(),
+        };
+        let record = JobRecord {
+            name: &config.name,
+            cluster: self.cluster,
+            retry: &config.retry,
+            cache_bytes: config.cache_bytes,
+            broadcast_attempts: transfers,
+            broadcast_time: self.cluster.broadcast_time(config.cache_bytes) * transfers,
+            shuffle_time: Duration::ZERO,
+            per_reducer_bytes: Vec::new(),
+            map: Vec::new(),
+            reduce: Vec::new(),
+            recovery: Vec::new(),
+            lost: Vec::new(),
+            corrupt: Vec::new(),
+            skipped: Vec::new(),
+            node_losses: Vec::new(),
+            reexecuted: Vec::new(),
+            maps_reexecuted: 0,
+            nodes_blacklisted: 0,
+            map_attempts: 0,
+            map_retries: 0,
+            reduce_attempts: 0,
+            reduce_retries: 0,
+            map_spec_wins: 0,
+            reduce_spec_wins: 0,
+            user_counters: Vec::new(),
+        };
+        Run {
+            record,
+            map: PhaseStats::default(),
+            reduce: PhaseStats::default(),
+            outputs: Vec::new(),
+            attempts: Vec::new(),
+            skips: Vec::new(),
+            all_nodes,
+            map_homes,
+            dead: BTreeSet::new(),
+            strikes: BTreeMap::new(),
+            blacklisted: BTreeSet::new(),
+            reexecution_time: Duration::ZERO,
+        }
+    }
+
+    fn task_context(&self, task_index: usize, num_tasks: usize, attempt: u32) -> TaskContext {
+        TaskContext {
+            task_index,
+            num_tasks,
+            num_reducers: self.config.num_reducers,
+            attempt,
+            counters: self.counters.clone(),
+        }
+    }
+
+    /// A phase's makespan over `slots`.
+    fn price(&self, stats: &PhaseStats, slots: usize) -> Duration {
+        makespan(&stats.effective, slots, self.cluster.task_overhead)
+    }
+
+    // ---- Map -------------------------------------------------------------
+
+    /// Groups one batch of emitted pairs per key, applies the combiner,
+    /// and partitions the result — the shared kernel of the unspilled
+    /// tail and of each spill (spilling combines per spill batch, exactly
+    /// as Hadoop runs the combiner on each spill). The key-sorted order
+    /// keeps the downstream pipeline deterministic.
+    fn route(&self, pairs: Vec<(K, V)>) -> RoutedBatch<K, V> {
+        let r = self.config.num_reducers;
         let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
         for (k, v) in pairs {
             grouped.entry(k).or_default().push(v);
@@ -522,8 +693,8 @@ where
         let mut bucket_bytes = vec![0u64; r];
         let mut records = 0u64;
         for (k, vs) in grouped {
-            let combined = combiner.combine(&k, vs);
-            let dest = partitioner.partition(&k, r);
+            let combined = self.combiner.combine(&k, vs);
+            let dest = self.partitioner.partition(&k, r);
             assert!(dest < r, "partitioner returned reducer {dest} of {r}");
             for v in combined {
                 records += 1;
@@ -532,50 +703,46 @@ where
             }
         }
         (buckets, bucket_bytes, records)
-    };
-    let run_map_attempt = |i: usize,
-                           attempt: u32,
-                           inject: Inject,
-                           skips: &BTreeSet<usize>,
-                           progress: &AtomicUsize|
-     -> MapResult<K, V> {
-        let ctx = TaskContext {
-            task_index: i,
-            num_tasks: m,
-            num_reducers: r,
-            attempt,
-            counters: counters.clone(),
-        };
-        let mut task = map_factory.create(&ctx);
+    }
+
+    fn map_attempt(
+        &self,
+        i: usize,
+        attempt: u32,
+        inject: Inject,
+        skips: &BTreeSet<usize>,
+        progress: &AtomicUsize,
+    ) -> MapResult<K, V> {
+        let ctx = self.task_context(i, self.source.num_splits(), attempt);
+        let mut task = self.map_factory.create(&ctx);
         let mut emitter = Emitter::new();
         // Materialized for this attempt only; dropped when it returns.
-        let split = source.load(i);
+        let split = self.source.load(i);
         let split: &[In] = &split;
-        // Out-of-core state for this attempt. The spill trigger compares
-        // the emitter's wire-size accounting against the budget — a pure
-        // function of the emitted data, so spill points are identical on
-        // every host and every replay of this attempt.
-        let mut spilled: Vec<Segment> = Vec::new();
-        let mut bucket_bytes = vec![0u64; r];
-        let mut records = 0u64;
-        let spill_now = |emitter: &mut Emitter<K, V>,
-                         spilled: &mut Vec<Segment>,
-                         bucket_bytes: &mut Vec<u64>,
-                         records: &mut u64| {
-            let session = spill_session.as_ref().expect("spilling without a session"); // xtask: allow(no-unwrap) — spill_now only runs under a budget, which creates the session
-            let (pairs, _) = emitter.drain();
-            let (buckets, batch_bytes, batch_records) = route_batch(pairs);
-            let segment = write_segment(
-                session.segment_path(i, attempt),
-                &buckets,
-                cluster.storage.io_chunk,
-            )
-            .expect("storage plane: spill write failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder, the storage plane's recovery path
-            for (dest, b) in batch_bytes.into_iter().enumerate() {
-                bucket_bytes[dest] += b;
-            }
-            *records += batch_records;
-            spilled.push(segment);
+        let mut result = MapResult {
+            segments: Vec::new(),
+            tail: Vec::new(),
+            bucket_bytes: vec![0u64; self.config.num_reducers],
+            records: 0,
+        };
+        // Routes the buffered pairs into one more spill segment.
+        let spill =
+            |session: &SpillSession, emitter: &mut Emitter<K, V>, result: &mut MapResult<K, V>| {
+                let (pairs, _) = emitter.drain();
+                let (buckets, batch_bytes, batch_records) = self.route(pairs);
+                let path = session.segment_path(i, attempt);
+                let segment = write_segment(path, &buckets, self.cluster.storage.io_chunk)
+                    .unwrap_or_else(|e| storage_fault("spill write", e));
+                for (total, b) in result.bucket_bytes.iter_mut().zip(batch_bytes) {
+                    *total += b;
+                }
+                result.records += batch_records;
+                result.segments.push(segment);
+            };
+        let crash = || -> ! {
+            crate::pool::raise_injected_panic(format!(
+                "[fault-injection] map task {i} attempt {attempt} crashed mid-task"
+            ))
         };
         // An injected mid-task crash fires halfway through the split — the
         // attempt genuinely unwinds with part of its work done.
@@ -584,81 +751,87 @@ where
             Inject::None => None,
         };
         if crash_at.is_some() && split.is_empty() {
-            crate::pool::raise_injected_panic(format!(
-                "[fault-injection] map task {i} attempt {attempt} crashed mid-task"
-            ));
+            crash();
         }
+        // Scripted poison records: the UDF deterministically dies on these
+        // on every attempt, so only the skip-bad-records protocol can get
+        // the task past them.
+        let poison = self.config.faults.poison_records_for(&self.config.name, i);
+        // The spill trigger compares the emitter's wire-size accounting
+        // against the budget — a pure function of the emitted data, so
+        // spill points are identical on every host and every replay.
+        let budget = self.spill.as_ref().zip(self.cluster.storage.memory_budget);
         for (n, record) in split.iter().enumerate() {
             // The tracker's per-attempt progress report: if this attempt
             // dies, record `n` is the suspect the skip protocol narrows to.
             progress.store(n, Ordering::Relaxed);
             if crash_at == Some(n) {
-                crate::pool::raise_injected_panic(format!(
-                    "[fault-injection] map task {i} attempt {attempt} crashed mid-task"
-                ));
+                crash();
             }
             if skips.contains(&n) {
                 continue;
             }
-            if map_poison[i].binary_search(&n).is_ok() {
+            if poison.contains(&n) {
                 crate::pool::raise_injected_panic(format!(
                     "[fault-injection] map task {i} attempt {attempt} poisoned at record {n}"
                 ));
             }
             task.map(record, &mut emitter);
-            if let Some(budget) = spill_budget {
+            if let Some((session, budget)) = budget {
                 if emitter.buffered_bytes() >= budget {
-                    spill_now(&mut emitter, &mut spilled, &mut bucket_bytes, &mut records);
+                    spill(session, &mut emitter, &mut result);
                 }
             }
         }
         task.finish(&mut emitter);
-        if spill_budget.is_some() {
+        match budget {
             // The tail batch always goes to disk too — with a budget set,
             // map RAM never holds the task's full output.
-            if !emitter.is_empty() {
-                spill_now(&mut emitter, &mut spilled, &mut bucket_bytes, &mut records);
+            Some((session, _)) if !emitter.is_empty() => spill(session, &mut emitter, &mut result),
+            Some(_) => {}
+            None => {
+                let (pairs, _) = emitter.into_parts();
+                (result.tail, result.bucket_bytes, result.records) = self.route(pairs);
             }
-            return MapResult {
-                buckets: MapBuckets::Spilled(spilled),
-                bucket_bytes,
-                records,
-            };
         }
-        let (pairs, _) = emitter.into_parts();
-        // Group this task's output per key and apply the combiner (the
-        // identity combiner leaves values untouched); the key-sorted order
-        // keeps the downstream pipeline deterministic.
-        let (buckets, bucket_bytes, records) = route_batch(pairs);
-        MapResult {
-            buckets: MapBuckets::Memory(buckets),
-            bucket_bytes,
-            records,
-        }
-    };
+        result
+    }
 
-    let map_runs = run_indexed(m, cluster.host_threads, |i| {
-        let fault = plan.task_fault(&config.name, TaskKind::Map, i);
+    /// A clean replay of map task `i` (speculative backups and the
+    /// re-execution waves): no injection, the task's skip set honoured.
+    fn replay_map(&self, i: usize, attempt: u32, skips: &BTreeSet<usize>) -> MapResult<K, V> {
+        let progress = AtomicUsize::new(usize::MAX);
+        self.map_attempt(i, attempt, Inject::None, skips, &progress)
+    }
+
+    /// One map task through the retry ladder, then Hadoop's
+    /// skip-bad-records protocol: when the budget exhausts with a panic,
+    /// the tracker's last progress report names the suspect record; it
+    /// enters the skip set and the task re-runs without it. Scripted
+    /// attempt failures were consumed by the first round, so later rounds
+    /// face only the data. Each round retires one record, bounding the
+    /// loop by the split length.
+    fn run_map_task(&self, i: usize) -> (Exec<MapResult<K, V>>, BTreeSet<usize>) {
+        let (config, cluster) = (self.config, self.cluster);
+        let fault = config.faults.task_fault(&config.name, TaskKind::Map, i);
+        let split_len = self.source.split_len(i);
         let mut skips: BTreeSet<usize> = BTreeSet::new();
         let progress = AtomicUsize::new(usize::MAX);
         // Map inputs are immutable splits, so every attempt can replay.
-        progress.store(usize::MAX, Ordering::Relaxed);
-        let mut exec = run_attempts(
-            &fault,
-            &config.retry,
-            None,
-            cluster.progress_timeout,
-            |attempt, inject| run_map_attempt(i, attempt, inject, &skips, &progress),
-        );
-        // Hadoop's skip-bad-records protocol: when the budget exhausts
-        // with a panic, the tracker's last progress report names the
-        // suspect record; it enters the skip set and the task re-runs
-        // without it. Scripted attempt failures were consumed by the
-        // first round, so later rounds face only the data. Each round
-        // retires one record, bounding the loop by the split length.
+        let round = |fault: &TaskFault, skips: &BTreeSet<usize>| {
+            progress.store(usize::MAX, Ordering::Relaxed);
+            run_attempts(
+                fault,
+                &config.retry,
+                None,
+                cluster.progress_timeout,
+                |attempt, inject| self.map_attempt(i, attempt, inject, skips, &progress),
+            )
+        };
+        let mut exec = round(&fault, &skips);
         let mut round_fault = fault;
         round_fault.failures = 0;
-        for _round in 0..split_lens[i] {
+        for _round in 0..split_len {
             if exec.succeeded() || !cluster.skip_bad_records {
                 break;
             }
@@ -669,17 +842,10 @@ where
                 Some(FailureCause::Panic { .. })
             );
             let suspect = progress.load(Ordering::Relaxed);
-            if !panicked || suspect >= split_lens[i] || !skips.insert(suspect) {
+            if !panicked || suspect >= split_len || !skips.insert(suspect) {
                 break;
             }
-            progress.store(usize::MAX, Ordering::Relaxed);
-            let next = run_attempts(
-                &round_fault,
-                &config.retry,
-                None,
-                cluster.progress_timeout,
-                |attempt, inject| run_map_attempt(i, attempt, inject, &skips, &progress),
-            );
+            let next = round(&round_fault, &skips);
             exec.attempts += next.attempts;
             exec.failures.extend(next.failures);
             exec.lost_time += next.lost_time;
@@ -691,936 +857,638 @@ where
             }
         }
         ((exec, fault), skips)
-    });
-    let mut map_execs: Vec<(TaskExecution<MapResult<K, V>>, TaskFault)> = Vec::with_capacity(m);
-    let mut map_skips: Vec<BTreeSet<usize>> = Vec::with_capacity(m);
-    for ((pair, skips), _) in map_runs {
-        map_execs.push(pair);
-        map_skips.push(skips);
-    }
-    // Records retired by the skip protocol, as (task, record) pairs —
-    // the job completes without them and reports itself degraded.
-    let skipped: Vec<(usize, usize)> = map_skips
-        .iter()
-        .enumerate()
-        .flat_map(|(i, s)| s.iter().map(move |&n| (i, n)))
-        .collect();
-
-    let mut map_stats = phase_stats(&map_execs, cluster.task_overhead);
-
-    if let Some(index) = map_execs.iter().position(|(e, _)| !e.succeeded()) {
-        let (exec, _) = map_execs.swap_remove(index);
-        let mut metrics = JobMetrics::empty(&config.name, m, r);
-        metrics.map_phase = makespan(
-            &map_stats.effective,
-            cluster.map_slots,
-            cluster.task_overhead,
-        );
-        metrics.cache_bytes = config.cache_bytes;
-        metrics.broadcast_time = broadcast_time;
-        metrics.startup_time = cluster.job_startup;
-        metrics.map_retries = map_stats.retries;
-        metrics.attempts = map_stats.attempts;
-        metrics.wasted_task_time = map_stats.wasted;
-        metrics.backoff_time = map_stats.backoff;
-        metrics.map_task_durations = map_stats.effective;
-        metrics.records_skipped = skipped.len() as u64;
-        metrics.degraded = !skipped.is_empty();
-        metrics.sim_runtime = cluster.job_startup + broadcast_time + metrics.map_phase;
-        metrics.host_wall = started.elapsed();
-        return Err(JobError {
-            job: config.name.clone(),
-            task: TaskKind::Map,
-            index,
-            attempts: exec.attempts,
-            history: exec.failures,
-            counters,
-            metrics: Box::new(metrics),
-            payload: exec.payload,
-        });
     }
 
-    if let Some(spec) = &config.speculation {
-        speculate_phase(
-            &mut map_execs,
-            &mut map_stats,
-            spec,
-            cluster,
-            |i, attempt| {
-                let progress = AtomicUsize::new(usize::MAX);
-                run_map_attempt(i, attempt, Inject::None, &map_skips[i], &progress)
-            },
-        );
-    }
-
-    let mut map_outputs: Vec<MapResult<K, V>> = Vec::with_capacity(m);
-    for (exec, _) in &mut map_execs {
-        match exec.value.take() {
-            Some(result) => map_outputs.push(result),
-            None => unreachable!("map failures were handled above"),
-        }
-    }
-
-    // Lost shuffle partitions: the affected map tasks re-execute (their
-    // inputs are replayable) in a second wave, and the regenerated buckets
-    // replace the lost ones — byte-identical because UDFs are pure.
-    let lost = plan.lost_partitions_for(&config.name, m, r);
-    let mut recovery_wave: Vec<Duration> = Vec::new();
-    let mut recovery_tasks: Vec<usize> = Vec::new();
-    if !lost.is_empty() {
-        let affected: Vec<usize> = lost
+    fn map_stage(&self, run: &mut Run<'a, K, V>) -> Result<(), JobError> {
+        let cluster = self.cluster;
+        let m = self.source.num_splits();
+        let (mut execs, skips): (Vec<_>, Vec<BTreeSet<usize>>) =
+            run_indexed(m, cluster.host_threads, |i| self.run_map_task(i))
+                .into_iter()
+                .map(|(task, _)| task)
+                .unzip();
+        // Records retired by the skip protocol, as (task, record) pairs —
+        // the job completes without them and reports itself degraded.
+        run.record.skipped = skips
             .iter()
-            .map(|&(i, _)| i)
-            .collect::<BTreeSet<usize>>()
-            .into_iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.iter().map(move |&n| (i, n)))
             .collect();
-        let next_attempts: Vec<u32> = affected.iter().map(|&i| map_execs[i].0.attempts).collect();
-        let reruns = run_indexed(affected.len(), cluster.host_threads, |c| {
-            let i = affected[c];
-            let progress = AtomicUsize::new(usize::MAX);
-            run_map_attempt(i, next_attempts[c], Inject::None, &map_skips[i], &progress)
-        });
-        let mut regenerated: BTreeMap<usize, MapResult<K, V>> = BTreeMap::new();
-        for (c, (result, duration)) in reruns.into_iter().enumerate() {
-            recovery_wave.push(duration);
-            regenerated.insert(affected[c], result);
-        }
-        if spill_session.is_some() {
-            // Spilled outputs are whole segment files; the regenerated
-            // output replaces the lost task's segments wholesale —
-            // equivalent to patching one bucket because pure UDFs
-            // regenerate byte-identical output.
-            for (i, regen) in regenerated {
-                if let Some(original) = map_outputs.get_mut(i) {
-                    *original = regen;
-                }
-            }
-        } else {
-            for &(i, j) in &lost {
-                if let (
-                    Some(MapResult {
-                        buckets: MapBuckets::Memory(regen_buckets),
-                        bucket_bytes: regen_bytes,
-                        ..
-                    }),
-                    Some(MapResult {
-                        buckets: MapBuckets::Memory(buckets),
-                        bucket_bytes,
-                        ..
-                    }),
-                ) = (regenerated.get_mut(&i), map_outputs.get_mut(i))
-                {
-                    buckets[j] = std::mem::take(&mut regen_buckets[j]);
-                    bucket_bytes[j] = regen_bytes[j];
-                }
-            }
-        }
-        map_stats.retries += affected.len() as u64;
-        map_stats.attempts += affected.len() as u64;
-        recovery_tasks = affected;
-    }
-
-    let map_output_records: u64 = map_outputs.iter().map(|res| res.records).sum();
-    // Per-task I/O facts for the trace model, captured before the shuffle
-    // consumes the map outputs: (records_out, shuffle bytes emitted).
-    let map_io: Vec<(u64, u64)> = map_outputs
-        .iter()
-        .map(|res| (res.records, res.bucket_bytes.iter().sum::<u64>()))
-        .collect();
-    // Spill accounting: on-disk bytes per spill file backing the final
-    // shuffle (failed and superseded attempts' files are dropped unread).
-    // Each task's spill traffic is charged to its modeled duration through
-    // the disk cost model *before* the phase makespan and the node-loss
-    // timeline consume those durations, so spilling slows the simulated
-    // job exactly where Hadoop pays for it.
-    let map_spills: Vec<Vec<u64>> = map_outputs
-        .iter()
-        .map(|res| match &res.buckets {
-            MapBuckets::Spilled(segments) => segments.iter().map(Segment::disk_bytes).collect(),
-            MapBuckets::Memory(_) => Vec::new(),
-        })
-        .collect();
-    for (i, spills) in map_spills.iter().enumerate() {
-        if !spills.is_empty() {
-            let bytes: u64 = spills.iter().sum();
-            map_stats.effective[i] += cluster.storage.io_time(bytes, spills.len() as u64);
-        }
-    }
-    let map_models: Vec<TaskModel> = split_lens
-        .iter()
-        .zip(map_execs.iter().zip(map_io.iter().zip(&map_spills)))
-        .map(
-            |(&split_len, ((exec, fault), (&(records_out, bytes), spills)))| TaskModel {
-                records_in: split_len as u64,
+        // Per-task facts for the trace model. Split lengths are model
+        // facts the source reports without materializing records. UDFs are
+        // pure, so whichever attempt ends up backing the shuffle (a
+        // speculative backup, a re-execution) reproduces the output facts
+        // byte for byte; a task that never succeeded contributes only its
+        // failures.
+        let disk_bytes = |o: &MapResult<K, V>| o.segments.iter().map(Segment::disk_bytes).collect();
+        let model = |(i, (exec, fault)): (usize, &Exec<MapResult<K, V>>)| {
+            let output = exec.value.as_ref();
+            TaskModel {
+                records_in: self.source.split_len(i) as u64,
                 keys_in: 0,
-                records_out,
-                bytes,
-                failures: exec
-                    .failures
-                    .iter()
-                    .map(|f| FailKind::from_cause(&f.cause))
-                    .collect(),
+                records_out: output.map_or(0, |o| o.records),
+                bytes: output.map_or(0, |o| o.bucket_bytes.iter().sum()),
+                failures: fail_kinds(exec),
                 slowdown: fault.slowdown,
-                spills: spills.clone(),
+                spills: output.map_or_else(Vec::new, disk_bytes),
                 merge: None,
-            },
-        )
-        .collect();
+            }
+        };
+        run.record.map = execs.iter().enumerate().map(model).collect();
+        self.strike_nodes(TaskKind::Map, &execs, run);
+        run.map = phase_stats(&execs, cluster.task_overhead);
+        if let Some(index) = execs.iter().position(|(e, _)| !e.succeeded()) {
+            run.map.phase = self.price(&run.map, cluster.map_slots);
+            return Err(self.fail(TaskKind::Map, index, execs.swap_remove(index).0, run));
+        }
+        if let Some(spec) = &self.config.speculation {
+            speculate_phase(&mut execs, &mut run.map, spec, cluster, |i, attempt| {
+                self.replay_map(i, attempt, &skips[i])
+            });
+        }
+        run.attempts = execs.iter().map(|(exec, _)| exec.attempts).collect();
+        run.outputs = winners(&mut execs);
+        run.skips = skips;
+        Ok(())
+    }
 
-    // ---- Node failure domains --------------------------------------------
-    // With a placement, every map task's materialized output has a home
-    // node — a pure hash of (seed, job, kind, index), never the measured
-    // LPT schedule. Node losses are resolved on the deterministic
-    // model-tick timeline: completed map outputs on a dead node are
-    // invalidated and re-execute before the shuffle can finish, in-flight
-    // attempts die and retry, and the heartbeat timeout plus the
-    // re-execution wave are charged to the simulated clock (folded into
-    // the map phase).
-    let node_losses = match &cluster.placement {
-        Some(_) => plan.node_losses_for(&config.name, cluster.nodes),
-        None => Vec::new(),
-    };
-    let node_partitions = match &cluster.placement {
-        Some(_) => plan.node_partitions_for(&config.name, cluster.nodes),
-        None => Vec::new(),
-    };
-    let all_nodes: Vec<usize> = (0..cluster.nodes.max(1)).collect();
-    let mut map_homes: Vec<usize> = match &cluster.placement {
-        Some(p) => (0..m)
-            .map(|i| p.task_home(&config.name, TaskKind::Map, i, &all_nodes))
-            .collect(),
-        None => Vec::new(),
-    };
-    // Map-phase blacklist pass: failed attempts are attributed to the node
-    // they ran on; nodes over the strike budget leave scheduling before
-    // the re-execution wave and the reduce phase launch.
-    let mut strikes: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut blacklisted: BTreeSet<usize> = BTreeSet::new();
-    if let (Some(placement), Some(policy)) = (&cluster.placement, &config.blacklist) {
-        for (i, (exec, _)) in map_execs.iter().enumerate() {
+    /// Blacklist pass: attributes the phase's failed attempts to the nodes
+    /// they ran on; nodes over the strike budget leave scheduling for the
+    /// rest of the job.
+    fn strike_nodes<T>(&self, kind: TaskKind, execs: &[Exec<T>], run: &mut Run<'a, K, V>) {
+        let (Some(placement), Some(policy)) = (&self.cluster.placement, &self.config.blacklist)
+        else {
+            return;
+        };
+        for (i, (exec, _)) in execs.iter().enumerate() {
             for f in &exec.failures {
                 let node =
-                    placement.attempt_home(&config.name, TaskKind::Map, i, f.attempt, &all_nodes);
-                *strikes.entry(node).or_insert(0) += 1;
+                    placement.attempt_home(&self.config.name, kind, i, f.attempt, &run.all_nodes);
+                *run.strikes.entry(node).or_insert(0) += 1;
             }
         }
-        blacklisted = over_budget(&strikes, policy);
+        run.blacklisted = over_budget(&run.strikes, policy);
+        run.record.nodes_blacklisted = run.blacklisted.len() as u64;
     }
-    let mut dead_nodes: BTreeSet<usize> = BTreeSet::new();
-    let mut node_loss_events: Vec<NodeLossEvent> = Vec::new();
-    let mut reexec_tasks: Vec<usize> = Vec::new();
-    let mut reexecution_time = Duration::ZERO;
-    let mut maps_reexecuted = 0u64;
-    if let Some(placement) = &cluster.placement {
-        if !node_losses.is_empty() {
-            let overhead_ticks = crate::trace::ticks_of(cluster.task_overhead);
-            let map_ticks: Vec<u64> = map_models
-                .iter()
-                .map(|t| t.total_ticks(&config.retry, overhead_ticks))
-                .collect();
-            let (map_places, map_model_end) =
-                skymr_telemetry::place::place(&map_ticks, cluster.map_slots, overhead_ticks);
-            let heartbeat = crate::trace::ticks_of(cluster.heartbeat_timeout);
-            let mut affected: BTreeSet<usize> = BTreeSet::new();
-            for loss in &node_losses {
-                dead_nodes.insert(loss.node);
-                // Losses past the end of the map phase land at the shuffle
-                // barrier — the moment the missing outputs are discovered.
-                let at = loss.at_tick.min(map_model_end);
-                node_loss_events.push(NodeLossEvent {
-                    node: loss.node,
-                    at_tick: at,
-                    detect_tick: at.saturating_add(heartbeat),
-                });
-                // Detection is charged once per loss, unconditionally: the
-                // tracker waits out the heartbeat timeout before declaring
-                // the node dead and rescheduling its work.
-                reexecution_time += cluster.heartbeat_timeout;
-                for (i, p) in map_places.iter().enumerate() {
-                    if map_homes[i] != loss.node {
-                        continue;
-                    }
-                    if p.end <= at {
-                        // Completed: the materialized output is gone.
-                        maps_reexecuted += 1;
-                        affected.insert(i);
-                    } else if p.start < at {
-                        // In-flight: the attempt dies with the node.
-                        map_stats.retries += 1;
-                        map_stats.wasted += Duration::from_micros(at - p.start);
-                        affected.insert(i);
-                    }
-                    // Pending tasks simply launch on a surviving node.
-                }
-            }
-            let survivors: Vec<usize> = all_nodes
-                .iter()
-                .copied()
-                .filter(|n| !dead_nodes.contains(n))
-                .collect();
-            reexec_tasks = affected.into_iter().collect();
-            // Replacement outputs materialize on surviving nodes.
-            for &i in &reexec_tasks {
-                map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
-            }
-            let next_attempts: Vec<u32> = reexec_tasks
-                .iter()
-                .map(|&i| map_execs[i].0.attempts)
-                .collect();
-            let reruns = run_indexed(reexec_tasks.len(), cluster.host_threads, |c| {
-                let i = reexec_tasks[c];
-                let progress = AtomicUsize::new(usize::MAX);
-                run_map_attempt(i, next_attempts[c], Inject::None, &map_skips[i], &progress)
-            });
-            let mut reexec_wave: Vec<Duration> = Vec::with_capacity(reexec_tasks.len());
-            for (c, (result, duration)) in reruns.into_iter().enumerate() {
-                reexec_wave.push(duration);
-                map_outputs[reexec_tasks[c]] = result;
-            }
-            map_stats.attempts += reexec_tasks.len() as u64;
-            let mut excluded = dead_nodes.clone();
-            excluded.extend(blacklisted.iter().copied());
-            let slots = surviving_slots(cluster.map_slots, cluster.nodes, &excluded);
-            reexecution_time += makespan(&reexec_wave, slots, cluster.task_overhead);
+
+    // ---- Map-output recovery ---------------------------------------------
+
+    /// Re-executes `tasks` — one clean attempt each, skip sets honoured —
+    /// and replaces their materialized outputs wholesale (byte-identical
+    /// because UDFs are pure). Returns the wave's measured durations for
+    /// the caller to price on whatever slots its recovery runs on. Serves
+    /// the lost-partition, node-loss, and at-rest-corruption waves.
+    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K, V>) -> Vec<Duration> {
+        if tasks.is_empty() {
+            return Vec::new();
         }
-    }
-    let nodes_lost = node_losses.len() as u64;
-
-    let map_phase = makespan(
-        &map_stats.effective,
-        cluster.map_slots,
-        cluster.task_overhead,
-    ) + makespan(&recovery_wave, cluster.map_slots, cluster.task_overhead)
-        + reexecution_time;
-
-    // Dead and blacklisted nodes take their slots with them for the rest
-    // of the job: the reduce phase runs on what survives.
-    let mut excluded_nodes = dead_nodes.clone();
-    excluded_nodes.extend(blacklisted.iter().copied());
-    let reduce_slots_alive = surviving_slots(cluster.reduce_slots, cluster.nodes, &excluded_nodes);
-
-    // ---- Shuffle ---------------------------------------------------------
-    // With a placement, reducers get homes too (over surviving nodes), and
-    // only buckets whose producing map task is homed elsewhere cross the
-    // network; without one, the closed-form remote fraction applies.
-    let survivors: Vec<usize> = all_nodes
-        .iter()
-        .copied()
-        .filter(|n| !dead_nodes.contains(n))
-        .collect();
-    let reducer_homes: Option<Vec<usize>> = cluster.placement.as_ref().map(|p| {
-        (0..r)
-            .map(|j| p.task_home(&config.name, TaskKind::Reduce, j, &survivors))
-            .collect()
-    });
-    let mut remote_per_node = vec![0u64; cluster.nodes.max(1)];
-    let mut per_reducer_bytes = vec![0u64; r];
-    let mut groups: Vec<BTreeMap<K, Vec<V>>> = (0..r).map(|_| BTreeMap::new()).collect();
-    // Spill mode: each reducer's input is a priority-ordered list of runs
-    // (map index, then spill sequence) merged lazily in the reduce phase;
-    // nothing is materialized here.
-    let mut reducer_runs: Vec<Vec<(Segment, usize)>> = (0..r).map(|_| Vec::new()).collect();
-
-    // ---- Data-plane integrity --------------------------------------------
-    // Partition fetches whose frames arrive corrupted, keyed by
-    // (map, reducer). One bad fetch is transient: the reducer re-fetches
-    // and the second copy verifies. Two bad fetches mean the materialized
-    // map output itself is rotten: the producer re-executes (pure UDFs
-    // regenerate byte-identical output) before the merge below consumes
-    // it, and the wave is charged to the shuffle clock where the
-    // corruption was discovered.
-    let corrupt_plan: BTreeMap<(usize, usize), CorruptFetch> = plan
-        .corrupt_fetches_for(&config.name, m, r)
-        .into_iter()
-        .map(|c| ((c.map, c.reducer), c))
-        .collect();
-    let corrupt_reexec: Vec<usize> = corrupt_plan
-        .values()
-        .filter(|c| c.fetches >= 2)
-        .map(|c| c.map)
-        .collect::<BTreeSet<usize>>()
-        .into_iter()
-        .collect();
-    let mut corrupt_reexec_time = Duration::ZERO;
-    if !corrupt_reexec.is_empty() {
-        let next_attempts: Vec<u32> = corrupt_reexec
-            .iter()
-            .map(|&i| map_execs[i].0.attempts)
-            .collect();
-        let reruns = run_indexed(corrupt_reexec.len(), cluster.host_threads, |c| {
-            let i = corrupt_reexec[c];
-            let progress = AtomicUsize::new(usize::MAX);
-            run_map_attempt(i, next_attempts[c], Inject::None, &map_skips[i], &progress)
+        let (attempts, skips) = (&run.attempts, &run.skips);
+        let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
+            let i = tasks[c];
+            self.replay_map(i, attempts[i], &skips[i])
         });
-        let mut wave: Vec<Duration> = Vec::with_capacity(corrupt_reexec.len());
-        for (c, (result, duration)) in reruns.into_iter().enumerate() {
+        run.map.attempts += tasks.len() as u64;
+        let mut wave = Vec::with_capacity(tasks.len());
+        for (&i, (result, duration)) in tasks.iter().zip(reruns) {
+            run.outputs[i] = result;
             wave.push(duration);
-            map_outputs[corrupt_reexec[c]] = result;
         }
-        map_stats.retries += corrupt_reexec.len() as u64;
-        map_stats.attempts += corrupt_reexec.len() as u64;
-        corrupt_reexec_time = makespan(&wave, cluster.map_slots, cluster.task_overhead);
+        wave
     }
 
-    // Debug builds tally the mapper-emitted pairs per key so the shuffle
-    // can be checked as an exact partition of the map output below.
-    let mut emitted: BTreeMap<K, u64> = BTreeMap::new();
-    let mut corrupt_events: Vec<CorruptEvent> = Vec::new();
-    let mut refetch_bytes = 0u64;
-    for (i, result) in map_outputs.into_iter().enumerate() {
-        for j in 0..r {
-            per_reducer_bytes[j] += result.bucket_bytes[j];
-            if let Some(homes) = &reducer_homes {
-                if map_homes[i] != homes[j] {
-                    remote_per_node[homes[j]] += result.bucket_bytes[j];
-                }
+    fn recover_map_outputs(&self, run: &mut Run<'a, K, V>) {
+        let (cluster, config) = (self.cluster, self.config);
+        // Each task's spill traffic is charged to its modeled duration
+        // through the disk cost model *before* the phase makespan and the
+        // node-loss timeline consume those durations, so spilling slows
+        // the simulated job exactly where Hadoop pays for it.
+        for (effective, model) in run.map.effective.iter_mut().zip(&run.record.map) {
+            if !model.spills.is_empty() {
+                let bytes: u64 = model.spills.iter().sum();
+                *effective += cluster.storage.io_time(bytes, model.spills.len() as u64);
             }
         }
-        match result.buckets {
-            MapBuckets::Memory(buckets) => {
-                for (j, bucket) in buckets.into_iter().enumerate() {
-                    // Every partition crosses the shuffle boundary as one
-                    // checksummed frame; the reduce side verifies before it
-                    // consumes a single record, so the codec is load-bearing.
-                    let frame = encode_pairs(&bucket);
-                    drop(bucket);
-                    if let Some(c) = corrupt_plan.get(&(i, j)) {
-                        // Deliver the corrupted copy first: flip one seeded bit
-                        // and require verification to reject it, then charge the
-                        // re-fetch traffic. At-rest corruption (two bad fetches)
-                        // already escalated to re-executing the producer above,
-                        // so the frame in hand is clean either way.
-                        let failed = c.fetches.min(2);
-                        let bit = c.bit_seed % (frame.len() as u64 * 8);
-                        let byte = (bit / 8) as usize;
-                        let mut bad = frame.clone();
-                        bad[byte] ^= 1 << (bit % 8);
-                        assert!(
-                            decode_pairs::<K, V>(&bad).is_err(),
-                            "a single-bit flip must never pass frame verification"
-                        );
-                        refetch_bytes += frame.len() as u64 * u64::from(failed);
-                        corrupt_events.push(CorruptEvent {
-                            map: i,
-                            reducer: j,
-                            fetches: failed,
-                            reexecuted: c.fetches >= 2,
-                        });
+        // Lost shuffle partitions: the affected map tasks re-execute
+        // (their inputs are replayable) in a second wave.
+        let (m, r) = (self.source.num_splits(), config.num_reducers);
+        run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
+        let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
+        let affected: Vec<usize> = affected.into_iter().collect();
+        let recovery_wave = self.rerun_maps(&affected, run);
+        run.map.retries += affected.len() as u64;
+        run.record.recovery = affected;
+
+        self.resolve_node_losses(run);
+        run.map.phase = self.price(&run.map, cluster.map_slots)
+            + makespan(&recovery_wave, cluster.map_slots, cluster.task_overhead)
+            + run.reexecution_time;
+    }
+
+    /// Node losses are resolved on the deterministic model-tick timeline:
+    /// completed map outputs on a dead node are invalidated and re-execute
+    /// before the shuffle can finish, in-flight attempts die and retry,
+    /// and the heartbeat timeout plus the re-execution wave are charged to
+    /// the simulated clock (folded into the map phase).
+    fn resolve_node_losses(&self, run: &mut Run<'a, K, V>) {
+        let (cluster, config) = (self.cluster, self.config);
+        let Some(placement) = &cluster.placement else {
+            return;
+        };
+        let losses = config.faults.node_losses_for(&config.name, cluster.nodes);
+        if losses.is_empty() {
+            return;
+        }
+        let overhead_ticks = crate::trace::ticks_of(cluster.task_overhead);
+        let ticks = |t: &TaskModel| t.total_ticks(&config.retry, overhead_ticks);
+        let map_ticks: Vec<u64> = run.record.map.iter().map(ticks).collect();
+        let (map_places, map_model_end) =
+            skymr_telemetry::place::place(&map_ticks, cluster.map_slots, overhead_ticks);
+        let heartbeat = crate::trace::ticks_of(cluster.heartbeat_timeout);
+        let mut affected: BTreeSet<usize> = BTreeSet::new();
+        for loss in &losses {
+            run.dead.insert(loss.node);
+            // Losses past the end of the map phase land at the shuffle
+            // barrier — the moment the missing outputs are discovered.
+            let at = loss.at_tick.min(map_model_end);
+            run.record.node_losses.push(NodeLossEvent {
+                node: loss.node,
+                at_tick: at,
+                detect_tick: at.saturating_add(heartbeat),
+            });
+            // Detection is charged once per loss, unconditionally: the
+            // tracker waits out the heartbeat timeout before declaring
+            // the node dead and rescheduling its work.
+            run.reexecution_time += cluster.heartbeat_timeout;
+            for (i, p) in map_places.iter().enumerate() {
+                if run.map_homes[i] != loss.node {
+                    continue;
+                }
+                if p.end <= at {
+                    // Completed: the materialized output is gone.
+                    run.record.maps_reexecuted += 1;
+                    affected.insert(i);
+                } else if p.start < at {
+                    // In-flight: the attempt dies with the node.
+                    run.map.retries += 1;
+                    run.map.wasted += Duration::from_micros(at - p.start);
+                    affected.insert(i);
+                }
+                // Pending tasks simply launch on a surviving node.
+            }
+        }
+        let affected: Vec<usize> = affected.into_iter().collect();
+        // Replacement outputs materialize on surviving nodes.
+        let survivors = run.survivors();
+        for &i in &affected {
+            run.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
+        }
+        let wave = self.rerun_maps(&affected, run);
+        let slots = run.surviving_slots(cluster.map_slots);
+        run.reexecution_time += makespan(&wave, slots, cluster.task_overhead);
+        run.record.reexecuted = affected;
+    }
+
+    // ---- Fetch/verify ----------------------------------------------------
+
+    /// Delivers one corrupted copy of partition `j` of a map output and
+    /// requires verification to reject it; returns the partition's bytes
+    /// at rest (what each failed fetch re-transfers). A frame is flipped
+    /// in a scratch copy. A spill partition is flipped on disk, and the
+    /// clean re-fetch is modeled by flipping the same bit back (XOR
+    /// restores the byte).
+    fn deliver_corrupt_copy(
+        &self,
+        frame: Option<&[u8]>,
+        segments: &[Segment],
+        j: usize,
+        bit_seed: u64,
+    ) -> u64 {
+        if let Some(frame) = frame {
+            let bit = bit_seed % (frame.len() as u64 * 8);
+            let byte = (bit / 8) as usize;
+            let mut bad = frame.to_vec();
+            bad[byte] ^= 1 << (bit % 8);
+            assert!(
+                decode_pairs::<K, V>(&bad).is_err(),
+                "a single-bit flip must never pass frame verification"
+            );
+            return frame.len() as u64;
+        }
+        let holds_bytes = |s: &&Segment| s.parts.get(j).is_some_and(|p| p.len > 0);
+        if let Some(seg) = segments.iter().find(holds_bytes) {
+            let meta = &seg.parts[j];
+            flip_bit(&seg.path, meta.offset, meta.len, bit_seed)
+                .expect("storage plane: corruption injection failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing injection must abort the experiment loudly
+            let err = verify_frames(seg, j)
+                .expect_err("a flipped bit must never pass frame verification"); // xtask: allow(no-unwrap) — asserts the CRC invariant the chaos test exists to prove
+            let restored = flip_bit(&seg.path, meta.offset, meta.len, bit_seed);
+            restored.expect("storage plane: corruption restore failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing restore must abort the experiment loudly
+            assert!(err.is_corruption(), "flip must read as corruption: {err}");
+        }
+        let part_len = |s: &Segment| s.parts.get(j).map(|p| p.len);
+        segments.iter().filter_map(part_len).sum()
+    }
+
+    fn fetch(&self, run: &mut Run<'a, K, V>) -> Vec<ReduceInput> {
+        let (cluster, config) = (self.cluster, self.config);
+        let (m, r) = (self.source.num_splits(), config.num_reducers);
+        // With a placement, reducers get homes too (over surviving nodes),
+        // and only buckets whose producing map task is homed elsewhere
+        // cross the network; without one, the closed-form remote fraction
+        // applies.
+        let survivors = run.survivors();
+        let reducer_homes: Option<Vec<usize>> = cluster.placement.as_ref().map(|p| {
+            (0..r)
+                .map(|j| p.task_home(&config.name, TaskKind::Reduce, j, &survivors))
+                .collect()
+        });
+        // Partition fetches whose frames arrive corrupted, keyed by
+        // (map, reducer). One bad fetch is transient: the reducer
+        // re-fetches and the second copy verifies. Two bad fetches mean
+        // the materialized map output itself is rotten: the producer
+        // re-executes before anything below consumes it, and the wave is
+        // charged to the shuffle clock where the corruption was found.
+        let corrupt_plan: BTreeMap<(usize, usize), CorruptFetch> = config
+            .faults
+            .corrupt_fetches_for(&config.name, m, r)
+            .into_iter()
+            .map(|c| ((c.map, c.reducer), c))
+            .collect();
+        let at_rest = corrupt_plan.values().filter(|c| c.fetches >= 2);
+        let rotten: BTreeSet<usize> = at_rest.map(|c| c.map).collect();
+        let rotten: Vec<usize> = rotten.into_iter().collect();
+        let wave = self.rerun_maps(&rotten, run);
+        run.map.retries += rotten.len() as u64;
+        let corrupt_reexec_time = makespan(&wave, cluster.map_slots, cluster.task_overhead);
+
+        let mut remote_per_node = vec![0u64; run.all_nodes.len()];
+        let mut per_reducer_bytes = vec![0u64; r];
+        let mut inputs: Vec<ReduceInput> = (0..r).map(|_| ReduceInput::default()).collect();
+        // Debug builds tally the mapper-side pairs per key so the shuffle
+        // can be checked as an exact partition of the map output below.
+        let mut emitted: BTreeMap<K, u64> = BTreeMap::new();
+        let mut produced = 0u64;
+        let mut refetch_bytes = 0u64;
+        for (i, result) in std::mem::take(&mut run.outputs).into_iter().enumerate() {
+            produced += result.records;
+            let mut tail = result.tail.into_iter();
+            for (j, input) in inputs.iter_mut().enumerate() {
+                per_reducer_bytes[j] += result.bucket_bytes[j];
+                if let Some(homes) = &reducer_homes {
+                    if run.map_homes[i] != homes[j] {
+                        remote_per_node[homes[j]] += result.bucket_bytes[j];
                     }
-                    let Ok(pairs) = decode_pairs::<K, V>(&frame) else {
-                        unreachable!("a freshly encoded frame always verifies");
-                    };
-                    for (k, v) in pairs {
-                        if cfg!(debug_assertions) {
+                }
+                // Every partition crosses the shuffle boundary as
+                // checksummed bytes: the unspilled tail as one frame, so
+                // the codec is load-bearing even when nothing spills.
+                let frame = tail.next().map(|bucket| {
+                    if cfg!(debug_assertions) {
+                        for (k, _) in &bucket {
                             *emitted.entry(k.clone()).or_insert(0) += 1;
                         }
-                        groups[j].entry(k).or_default().push(v);
                     }
+                    input.records += bucket.len() as u64;
+                    encode_pairs(&bucket)
+                });
+                if let Some(c) = corrupt_plan.get(&(i, j)) {
+                    // At-rest corruption (two bad fetches) already
+                    // escalated to re-executing the producer above, so the
+                    // bytes in hand are clean either way.
+                    let failed = c.fetches.min(2);
+                    let segments = &result.segments;
+                    let at_rest =
+                        self.deliver_corrupt_copy(frame.as_deref(), segments, j, c.bit_seed);
+                    refetch_bytes += at_rest * u64::from(failed);
+                    run.record.corrupt.push(CorruptEvent {
+                        map: i,
+                        reducer: j,
+                        fetches: failed,
+                        reexecuted: c.fetches >= 2,
+                    });
                 }
-            }
-            MapBuckets::Spilled(segments) => {
-                // The shuffle-phase integrity scan: every partition's
-                // frames are checksum-verified at rest before the merge
-                // consumes a single record. Corruption injection flips a
-                // real bit in the segment file, and verification must
-                // reject it; the re-fetch is modeled by flipping the bit
-                // back (XOR restores the byte) and re-verifying clean.
-                // Two bad fetches already escalated to re-executing the
-                // producer above, so the files in hand regenerate clean.
-                debug_assert_eq!(
-                    segments
-                        .iter()
-                        .flat_map(|s| s.parts.iter())
-                        .map(|p| p.records)
-                        .sum::<u64>(),
-                    result.records,
-                    "spill manifests must account for every map output record"
-                );
-                for j in 0..r {
-                    if let Some(c) = corrupt_plan.get(&(i, j)) {
-                        let failed = c.fetches.min(2);
-                        let target = segments
-                            .iter()
-                            .find(|s| s.parts.get(j).is_some_and(|p| p.len > 0));
-                        if let Some(seg) = target {
-                            let meta = &seg.parts[j];
-                            flip_bit(&seg.path, meta.offset, meta.len, c.bit_seed)
-                                .expect("storage plane: corruption injection failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing injection must abort the experiment loudly
-                            let err = verify_frames(seg, j)
-                                .expect_err("a flipped bit must never pass frame verification"); // xtask: allow(no-unwrap) — asserts the CRC invariant the chaos test exists to prove
-                            let restored = flip_bit(&seg.path, meta.offset, meta.len, c.bit_seed);
-                            restored.expect("storage plane: corruption restore failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing restore must abort the experiment loudly
-                            assert!(err.is_corruption(), "flip must read as corruption: {err}");
-                        }
-                        let part_bytes: u64 = segments
-                            .iter()
-                            .filter_map(|s| s.parts.get(j))
-                            .map(|p| p.len)
-                            .sum();
-                        refetch_bytes += part_bytes * u64::from(failed);
-                        corrupt_events.push(CorruptEvent {
-                            map: i,
-                            reducer: j,
-                            fetches: failed,
-                            reexecuted: c.fetches >= 2,
+                // The shuffle-phase integrity scan: spill partitions are
+                // checksum-verified at rest before any merge opens them.
+                for seg in &result.segments {
+                    if let Err(e) = verify_frames(seg, j) {
+                        panic!("storage plane: spill segment failed the shuffle integrity scan after recovery: {e}");
+                    }
+                    if let Some(p) = seg.parts.get(j).filter(|p| p.records > 0) {
+                        input.records += p.records;
+                        input.parts.push(Fetched::Spill {
+                            segment: seg.clone(),
+                            part: j,
                         });
                     }
-                    for seg in &segments {
-                        if let Err(e) = verify_frames(seg, j) {
-                            panic!("storage plane: spill segment failed the shuffle integrity scan after recovery: {e}");
-                        }
-                    }
                 }
-                for seg in segments {
-                    for (j, runs) in reducer_runs.iter_mut().enumerate() {
-                        if seg.parts.get(j).is_some_and(|p| p.records > 0) {
-                            runs.push((seg.clone(), j));
-                        }
-                    }
-                }
+                input.parts.extend(frame.map(Fetched::Frame));
             }
         }
-    }
-    if cfg!(debug_assertions) {
-        crate::analysis::assert_shuffle_invariants(&emitted, &groups);
-    }
-    drop(emitted);
-    let shuffle_bytes: u64 = per_reducer_bytes.iter().sum();
-    // Per-reducer group facts for the trace model: (distinct keys, values),
-    // plus (spill mode) the closed-form merge-cascade cost the model
-    // charges — a pure function of the manifests, identical for every
-    // attempt of the reducer.
-    let (reduce_io, merge_models): (Vec<(u64, u64)>, Vec<Option<MergeStats>>) =
-        if spill_session.is_some() {
-            let counted = run_indexed(r, cluster.host_threads, |j| {
-                let sources: Vec<RunSource<K, V>> = reducer_runs[j]
-                    .iter()
-                    .map(|(segment, part)| RunSource::Disk {
-                        segment: segment.clone(),
-                        part: *part,
-                    })
-                    .collect();
-                let run_bytes: Vec<u64> = reducer_runs[j]
-                    .iter()
-                    .map(|(segment, part)| segment.parts[*part].len)
-                    .collect();
-                let stats = cascade_stats(&run_bytes, cluster.storage.merge_fan_in);
-                // Counting pass: distinct keys and total values, so the
-                // trace model and mid-task crash injection see the same
-                // figures the in-memory engine reads off its group maps.
-                let mut merge =
-                    KWayMerge::open(sources).expect("storage plane: cannot open runs for counting"); // xtask: allow(no-unwrap) — every segment passed the shuffle integrity scan just above
-                let mut keys = 0u64;
-                let mut values = 0u64;
-                let mut last: Option<K> = None;
-                loop {
-                    let next = merge.next_pair().expect("counting merge failed"); // xtask: allow(no-unwrap) — every segment passed the integrity scan above
-                    let Some((k, _v)) = next else { break };
-                    values += 1;
-                    if last.as_ref() != Some(&k) {
-                        keys += 1;
-                        last = Some(k);
-                    }
-                }
-                ((keys, values), stats)
-            });
-            counted
-                .into_iter()
-                .map(|(((keys, values), stats), _)| ((keys, values), Some(stats)))
-                .unzip()
-        } else {
-            let io: Vec<(u64, u64)> = groups
-                .iter()
-                .map(|g| {
-                    let values: usize = g.values().map(Vec::len).sum();
-                    (g.len() as u64, values as u64)
-                })
-                .collect();
-            let none = vec![None; r];
-            (io, none)
-        };
-    let reduce_input_keys: u64 = reduce_io.iter().map(|&(keys, _)| keys).sum();
-
-    // ---- Reduce phase ----------------------------------------------------
-    let group_slots: Vec<GroupSlot<K, V>> = groups
-        .into_iter()
-        .map(|g| parking_lot::Mutex::new(Some(g)))
-        .collect();
-
-    let run_reduce_attempt =
-        |j: usize, attempt: u32, input: BTreeMap<K, Vec<V>>, inject: Inject| -> Vec<Out> {
-            let ctx = TaskContext {
-                task_index: j,
-                num_tasks: r,
-                num_reducers: r,
-                attempt,
-                counters: counters.clone(),
+        if self.spill.is_some() {
+            let disk_len = |p: &Fetched| match p {
+                Fetched::Spill { segment, part } => segment.parts.get(*part).map(|m| m.len),
+                Fetched::Frame(_) => None,
             };
-            let mut task = reduce_factory.create(&ctx);
-            let mut out = OutputCollector::new();
-            let crash_at = match inject {
-                Inject::MidTaskPanic => Some(input.len() / 2),
-                Inject::None => None,
-            };
-            if crash_at.is_some() && input.is_empty() {
-                crate::pool::raise_injected_panic(format!(
-                    "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
-                ));
+            for input in &mut inputs {
+                let run_bytes: Vec<u64> = input.parts.iter().filter_map(disk_len).collect();
+                input.merge = Some(cascade_stats(&run_bytes, cluster.storage.merge_fan_in));
             }
-            for (n, (k, vs)) in input.into_iter().enumerate() {
-                if crash_at == Some(n) {
-                    crate::pool::raise_injected_panic(format!(
-                        "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
-                    ));
-                }
-                task.reduce(k, vs, &mut out);
-            }
-            task.finish(&mut out);
-            out.into_records()
-        };
+        }
+        if cfg!(debug_assertions) {
+            let runs: Vec<Vec<RunSource<K, V>>> = inputs.iter().map(ReduceInput::open).collect();
+            crate::analysis::assert_shuffle_invariants(&emitted, produced, &runs);
+        }
 
-    // Spill-mode reduce attempt: the input is never materialized — the
-    // external merge streams `(key, values)` groups straight off the spill
-    // segments in exactly the order the in-memory engine's group map
-    // produces. Mid-task crash injection counts key groups, so crash
-    // points match the in-memory engine group for group.
-    let run_reduce_attempt_spilled = |j: usize, attempt: u32, inject: Inject| -> Vec<Out> {
-        let session = spill_session
-            .as_ref()
-            .expect("spill-mode reduce without a session"); // xtask: allow(no-unwrap) — this closure is only entered when the session exists
-        let ctx = TaskContext {
-            task_index: j,
-            num_tasks: r,
-            num_reducers: r,
-            attempt,
-            counters: counters.clone(),
+        // Transient node partitions stall the shuffle barrier for their
+        // duration (model ticks); folding the stall into `shuffle_time`
+        // shifts everything downstream — trace, sim clock — consistently.
+        // Corrupted fetches charge the same way: each failed fetch
+        // re-transfers its whole partition (always remote — the local copy
+        // is the bad one), and an escalated producer re-execution wave
+        // runs before the barrier lifts.
+        let stalls = match &cluster.placement {
+            Some(_) => config
+                .faults
+                .node_partitions_for(&config.name, cluster.nodes),
+            None => Vec::new(),
         };
-        let mut task = reduce_factory.create(&ctx);
+        let partition_stall = Duration::from_micros(stalls.iter().map(|p| p.for_ticks).sum());
+        let refetch_stall =
+            Duration::from_secs_f64(refetch_bytes as f64 / cluster.network_bytes_per_sec);
+        let transfer = match reducer_homes {
+            Some(_) => self.cluster.shuffle_time_placed(&remote_per_node),
+            None => self.cluster.shuffle_time(&per_reducer_bytes),
+        };
+        run.record.shuffle_time = transfer + partition_stall + refetch_stall + corrupt_reexec_time;
+        run.record.per_reducer_bytes = per_reducer_bytes;
+        inputs
+    }
+
+    // ---- Reduce ----------------------------------------------------------
+
+    /// Distinct keys in a reducer's input. Free once any attempt has
+    /// streamed every group; before that (an injected mid-task crash
+    /// needs the midpoint up front, an abort reports the figure without a
+    /// finished attempt) one counting pass over the runs supplies it.
+    fn keys_in(&self, input: &ReduceInput) -> u64 {
+        *input.keys.get_or_init(|| {
+            let mut merge = KWayMerge::<K, V>::open(input.open())
+                .unwrap_or_else(|e| storage_fault("opening runs to count keys", e));
+            let mut keys = 0u64;
+            while let Some(_group) = merge
+                .next_group()
+                .unwrap_or_else(|e| storage_fault("counting merge", e))
+            {
+                keys += 1;
+            }
+            keys
+        })
+    }
+
+    /// The one reduce-attempt body: open the reducer's runs, merge them
+    /// (cascading through disk first when more spill runs than the fan-in
+    /// are open), and stream `(key, values)` groups through the UDF in
+    /// key order, values in run priority order.
+    fn reduce_attempt(
+        &self,
+        j: usize,
+        input: &ReduceInput,
+        attempt: u32,
+        inject: Inject,
+    ) -> Vec<Out> {
+        let ctx = self.task_context(j, self.config.num_reducers, attempt);
+        let mut task = self.reduce_factory.create(&ctx);
         let mut out = OutputCollector::new();
-        let crash_at = match inject {
-            Inject::MidTaskPanic => Some((reduce_io[j].0 / 2) as usize),
-            Inject::None => None,
-        };
-        if crash_at.is_some() && reduce_io[j].0 == 0 {
+        let crash = || -> ! {
             crate::pool::raise_injected_panic(format!(
                 "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
-            ));
+            ))
+        };
+        // An injected mid-task crash fires halfway through the key groups.
+        let crash_at = match inject {
+            Inject::MidTaskPanic => Some(self.keys_in(input) / 2),
+            Inject::None => None,
+        };
+        if crash_at.is_some() && self.keys_in(input) == 0 {
+            crash();
         }
-        let sources: Vec<RunSource<K, V>> = reducer_runs[j]
-            .iter()
-            .map(|(segment, part)| RunSource::Disk {
-                segment: segment.clone(),
-                part: *part,
-            })
-            .collect();
-        let (mut merge, _stats) = external_merge(
-            session,
-            j,
-            sources,
-            cluster.storage.merge_fan_in,
-            cluster.storage.io_chunk,
-        )
-        .expect("storage plane: external merge failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder, the storage plane's recovery path
-        let mut n = 0usize;
-        loop {
-            let group = merge
-                .next_group()
-                .expect("storage plane: merge read failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder
-            let Some((k, vs)) = group else { break };
-            if crash_at == Some(n) {
-                crate::pool::raise_injected_panic(format!(
-                    "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
-                ));
+        let storage = &self.cluster.storage;
+        let mut merge = match &self.spill {
+            // Disk runs exist only under a budget, and so does the session
+            // their cascade writes into; memory runs never cascade.
+            Some(session) => external_merge(
+                session,
+                j,
+                input.open(),
+                storage.merge_fan_in,
+                storage.io_chunk,
+            )
+            .map(|(merge, _stats)| merge),
+            None => KWayMerge::open(input.open()),
+        }
+        .unwrap_or_else(|e| storage_fault("external merge", e));
+        let mut keys = 0u64;
+        while let Some((k, vs)) = merge
+            .next_group()
+            .unwrap_or_else(|e| storage_fault("merge read", e))
+        {
+            if crash_at == Some(keys) {
+                crash();
             }
-            n += 1;
+            keys += 1;
             task.reduce(k, vs, &mut out);
         }
+        let counted = *input.keys.get_or_init(|| keys);
+        debug_assert_eq!(
+            counted, keys,
+            "reducer {j}: counted and streamed groups disagree"
+        );
         task.finish(&mut out);
         out.into_records()
-    };
+    }
 
-    // Reduce inputs are single-consumer: attempts expected to fail get a
-    // clone, the expected winner consumes the original. With speculation
-    // on, the input is retained (cloned per attempt) so backup attempts
-    // can replay it. Spill mode streams from disk instead, but keeps the
-    // same replay budget so the fault ladder behaves identically in both
-    // modes.
-    let keep_input = config.speculation.is_some();
-    let mut reduce_execs: Vec<(TaskExecution<Vec<Out>>, TaskFault)> =
-        run_indexed(r, cluster.host_threads, |j| {
-            let fault = plan.task_fault(&config.name, TaskKind::Reduce, j);
+    fn reduce_stage(
+        &self,
+        inputs: &[ReduceInput],
+        run: &mut Run<'a, K, V>,
+    ) -> Result<Vec<Vec<Out>>, JobError> {
+        let (cluster, config) = (self.cluster, self.config);
+        let r = config.num_reducers;
+        let mut execs: Vec<Exec<Vec<Out>>> = run_indexed(r, cluster.host_threads, |j| {
+            let fault = config.faults.task_fault(&config.name, TaskKind::Reduce, j);
             let scheduled = fault.failures.min(config.retry.attempt_budget());
-            // An attempt whose input was consumed cannot be replayed: an
-            // *unscheduled* failure of the consuming attempt (a genuine UDF
-            // panic) therefore aborts immediately — unlike map tasks, whose
-            // splits replay forever.
-            let replay_limit = if keep_input {
-                None
-            } else {
-                Some(scheduled + 1)
+            // Hadoop's reduce input is single-consumer: the attempt after
+            // the scheduled failures is the last one that gets to run, so
+            // an *unscheduled* failure there (a genuine UDF panic) aborts
+            // immediately — unlike map tasks, whose splits replay for the
+            // whole budget. With speculation on the input is retained for
+            // backups, and retries get the whole budget too.
+            let replay_limit = match config.speculation {
+                Some(_) => None,
+                None => Some(scheduled + 1),
             };
             let exec = run_attempts(
                 &fault,
                 &config.retry,
                 replay_limit,
                 cluster.progress_timeout,
-                |attempt, inject| {
-                    if spill_session.is_some() {
-                        return run_reduce_attempt_spilled(j, attempt, inject);
-                    }
-                    let input = {
-                        let mut slot = group_slots[j].lock();
-                        if keep_input || attempt < scheduled {
-                            (*slot).clone().unwrap_or_default()
-                        } else {
-                            slot.take().unwrap_or_default()
-                        }
-                    };
-                    run_reduce_attempt(j, attempt, input, inject)
-                },
+                |attempt, inject| self.reduce_attempt(j, &inputs[j], attempt, inject),
             );
             (exec, fault)
         })
         .into_iter()
-        .map(|(v, _)| v)
+        .map(|(task, _)| task)
         .collect();
 
-    let mut reduce_stats = phase_stats(&reduce_execs, cluster.task_overhead);
-    // Spill mode: the external-merge cascade's disk traffic (reads of
-    // every run, intermediate-run writes, one seek per file open) is
-    // charged to each reducer's modeled duration before the makespan —
-    // the model pays for the merge once, with the closed-form cost every
-    // attempt of the reducer incurs identically.
-    for (j, model) in merge_models.iter().enumerate() {
-        if let Some(s) = model {
-            reduce_stats.effective[j] += cluster
-                .storage
-                .io_time(s.bytes_read + s.bytes_written, s.seeks);
+        run.reduce = phase_stats(&execs, cluster.task_overhead);
+        // The external-merge cascade's disk traffic (reads of every run,
+        // intermediate-run writes, one seek per file open) is charged to
+        // each reducer's modeled duration before the makespan — the model
+        // pays for the merge once, with the closed-form cost every attempt
+        // of the reducer incurs identically.
+        for (effective, input) in run.reduce.effective.iter_mut().zip(inputs) {
+            if let Some(s) = &input.merge {
+                *effective += cluster
+                    .storage
+                    .io_time(s.bytes_read + s.bytes_written, s.seeks);
+            }
         }
+        let model =
+            |(((exec, fault), input), &bytes): ((&Exec<Vec<Out>>, &ReduceInput), &u64)| TaskModel {
+                records_in: input.records,
+                keys_in: self.keys_in(input),
+                records_out: exec.value.as_ref().map_or(0, |o| o.len() as u64),
+                bytes,
+                failures: fail_kinds(exec),
+                slowdown: fault.slowdown,
+                spills: Vec::new(),
+                merge: input.merge,
+            };
+        let bytes = &run.record.per_reducer_bytes;
+        run.record.reduce = execs.iter().zip(inputs).zip(bytes).map(model).collect();
+        // Dead and blacklisted nodes took their slots with them: the
+        // reduce phase runs on what survived the map side. (This phase's
+        // own strikes only reach the final blacklist count.)
+        let slots = run.surviving_slots(cluster.reduce_slots);
+        self.strike_nodes(TaskKind::Reduce, &execs, run);
+        if let Some(index) = execs.iter().position(|(e, _)| !e.succeeded()) {
+            run.reduce.phase = self.price(&run.reduce, slots);
+            return Err(self.fail(TaskKind::Reduce, index, execs.swap_remove(index).0, run));
+        }
+        if let Some(spec) = &config.speculation {
+            speculate_phase(&mut execs, &mut run.reduce, spec, cluster, |j, attempt| {
+                self.reduce_attempt(j, &inputs[j], attempt, Inject::None)
+            });
+        }
+        run.reduce.phase = self.price(&run.reduce, slots);
+        Ok(winners(&mut execs))
     }
-    // Transient node partitions stall the shuffle barrier for their
-    // duration (model ticks); folding the stall into `shuffle_time` shifts
-    // everything downstream — trace, sim clock — consistently. Corrupted
-    // fetches charge the same way: each failed fetch re-transfers its
-    // whole frame (always remote — the local copy is the bad one), and an
-    // escalated producer re-execution wave runs before the barrier lifts.
-    let partition_stall =
-        Duration::from_micros(node_partitions.iter().map(|p| p.for_ticks).sum::<u64>());
-    let refetch_stall =
-        Duration::from_secs_f64(refetch_bytes as f64 / cluster.network_bytes_per_sec);
-    let shuffle_time = if reducer_homes.is_some() {
-        cluster.shuffle_time_placed(&remote_per_node)
-    } else {
-        cluster.shuffle_time(&per_reducer_bytes)
-    } + partition_stall
-        + refetch_stall
-        + corrupt_reexec_time;
 
-    if let Some(index) = reduce_execs.iter().position(|(e, _)| !e.succeeded()) {
-        let (exec, _) = reduce_execs.swap_remove(index);
-        let mut metrics = JobMetrics::empty(&config.name, m, r);
-        metrics.map_phase = map_phase;
-        metrics.reduce_phase = makespan(
-            &reduce_stats.effective,
-            reduce_slots_alive,
-            cluster.task_overhead,
-        );
-        metrics.nodes_lost = nodes_lost;
-        metrics.maps_reexecuted = maps_reexecuted;
-        metrics.reexecution_time = reexecution_time;
-        metrics.shuffle_bytes = shuffle_bytes;
-        metrics.per_reducer_bytes = per_reducer_bytes;
-        metrics.shuffle_time = shuffle_time;
-        metrics.cache_bytes = config.cache_bytes;
-        metrics.broadcast_time = broadcast_time;
-        metrics.startup_time = cluster.job_startup;
-        metrics.map_output_records = map_output_records;
-        metrics.reduce_input_keys = reduce_input_keys;
-        metrics.map_retries = map_stats.retries;
-        metrics.reduce_retries = reduce_stats.retries;
-        metrics.attempts = map_stats.attempts + reduce_stats.attempts;
-        metrics.wasted_task_time = map_stats.wasted + reduce_stats.wasted;
-        metrics.speculative_wins = map_stats.speculative_wins;
-        metrics.backoff_time = map_stats.backoff + reduce_stats.backoff;
-        metrics.map_task_durations = map_stats.effective;
-        metrics.reduce_task_durations = reduce_stats.effective;
-        metrics.corrupt_fetches = corrupt_events.iter().map(|c| u64::from(c.fetches)).sum();
-        metrics.records_skipped = skipped.len() as u64;
-        metrics.degraded = !skipped.is_empty();
-        metrics.spill_files = map_spills.iter().map(|s| s.len() as u64).sum();
-        metrics.spilled_bytes = map_spills.iter().flatten().sum();
-        metrics.merge_passes = merge_models.iter().flatten().map(|s| s.passes).sum();
-        metrics.sim_runtime =
-            cluster.job_startup + broadcast_time + map_phase + shuffle_time + metrics.reduce_phase;
-        metrics.host_wall = started.elapsed();
-        return Err(JobError {
-            job: config.name.clone(),
-            task: TaskKind::Reduce,
+    // ---- Commit ----------------------------------------------------------
+
+    /// The one place a [`JobMetrics`] is built, for the success exit and
+    /// both abort exits alike: folds the phase counts into the record,
+    /// derives the registry from it, and reads the countable fields off
+    /// the registry (they are a facade over its counters), so an abort
+    /// reports every fact the stages before it established.
+    fn close(&self, run: &mut Run<'a, K, V>) -> (MetricsRegistry, JobMetrics) {
+        let Run {
+            record,
+            map,
+            reduce,
+            reexecution_time,
+            ..
+        } = run;
+        record.map_attempts = map.attempts;
+        record.map_retries = map.retries;
+        record.map_spec_wins = map.speculative_wins;
+        record.reduce_attempts = reduce.attempts;
+        record.reduce_retries = reduce.retries;
+        record.reduce_spec_wins = reduce.speculative_wins;
+        record.user_counters = self.counters.snapshot().into_iter().collect();
+        let registry = JobRecord::build_registry(record);
+        let startup_time = self.cluster.job_startup;
+        let metrics = JobMetrics {
+            name: self.config.name.clone(),
+            map_tasks: self.source.num_splits(),
+            reduce_tasks: self.config.num_reducers,
+            map_phase: map.phase,
+            reduce_phase: reduce.phase,
+            shuffle_bytes: registry.counter("shuffle.bytes"),
+            per_reducer_bytes: record.per_reducer_bytes.clone(),
+            shuffle_time: record.shuffle_time,
+            cache_bytes: record.cache_bytes,
+            broadcast_time: record.broadcast_time,
+            startup_time,
+            sim_runtime: startup_time
+                + record.broadcast_time
+                + map.phase
+                + record.shuffle_time
+                + reduce.phase,
+            host_wall: self.started.elapsed(),
+            map_output_records: registry.counter("map.records_out"),
+            reduce_input_keys: registry.counter("reduce.input_keys"),
+            output_records: registry.counter("reduce.records_out"),
+            map_retries: registry.counter("map.retries"),
+            reduce_retries: registry.counter("reduce.retries"),
+            attempts: registry.counter("task.attempts"),
+            wasted_task_time: map.wasted + reduce.wasted,
+            speculative_wins: registry.counter("task.speculative_wins"),
+            backoff_time: map.backoff + reduce.backoff,
+            nodes_lost: registry.counter("node.lost"),
+            maps_reexecuted: registry.counter("map.reexecuted"),
+            reexecution_time: *reexecution_time,
+            nodes_blacklisted: registry.counter("node.blacklisted"),
+            corrupt_fetches: registry.counter("shuffle.corrupt_fetches"),
+            records_skipped: registry.counter("map.records_skipped"),
+            spill_files: registry.counter("storage.spill_files"),
+            spilled_bytes: registry.counter("storage.spilled_bytes"),
+            merge_passes: registry.counter("storage.merge_passes"),
+            degraded: registry.counter("map.records_skipped") > 0,
+            map_task_durations: std::mem::take(&mut map.effective),
+            reduce_task_durations: std::mem::take(&mut reduce.effective),
+            // Scheduling charges belong to the executor a job ran under,
+            // not to the job itself; `sched::ClusterExecutor` fills them in.
+            queue_wait_time: Duration::ZERO,
+            preemptions: 0,
+        };
+        (registry, metrics)
+    }
+
+    /// The abort exit: task `index` of phase `task` exhausted its budget.
+    fn fail<T>(
+        &self,
+        task: TaskKind,
+        index: usize,
+        exec: TaskExecution<T>,
+        run: &mut Run<'a, K, V>,
+    ) -> JobError {
+        JobError {
+            job: self.config.name.clone(),
+            task,
             index,
             attempts: exec.attempts,
             history: exec.failures,
-            counters,
-            metrics: Box::new(metrics),
+            counters: self.counters.clone(),
+            metrics: Box::new(self.close(run).1),
             payload: exec.payload,
-        });
-    }
-
-    if let Some(spec) = &config.speculation {
-        speculate_phase(
-            &mut reduce_execs,
-            &mut reduce_stats,
-            spec,
-            cluster,
-            |j, attempt| {
-                if spill_session.is_some() {
-                    return run_reduce_attempt_spilled(j, attempt, Inject::None);
-                }
-                let input = (*group_slots[j].lock()).clone().unwrap_or_default();
-                run_reduce_attempt(j, attempt, input, Inject::None)
-            },
-        );
-    }
-
-    let mut outputs: Vec<Vec<Out>> = Vec::with_capacity(r);
-    for (exec, _) in &mut reduce_execs {
-        match exec.value.take() {
-            Some(records) => outputs.push(records),
-            None => unreachable!("reduce failures were handled above"),
         }
     }
-    // ---- Simulated clock -------------------------------------------------
-    let reduce_phase = makespan(
-        &reduce_stats.effective,
-        reduce_slots_alive,
-        cluster.task_overhead,
-    );
-    let sim_runtime =
-        cluster.job_startup + broadcast_time + map_phase + shuffle_time + reduce_phase;
 
-    // Reduce-phase blacklist pass: attribute reduce failures to their
-    // nodes, so the final blacklist state covers the whole job.
-    if let (Some(placement), Some(policy)) = (&cluster.placement, &config.blacklist) {
-        for (j, (exec, _)) in reduce_execs.iter().enumerate() {
-            for f in &exec.failures {
-                let node = placement.attempt_home(
-                    &config.name,
-                    TaskKind::Reduce,
-                    j,
-                    f.attempt,
-                    &all_nodes,
-                );
-                *strikes.entry(node).or_insert(0) += 1;
-            }
+    /// The success exit: the registry is built either way; the span
+    /// timeline is emitted only if a collector is attached.
+    fn commit(&self, mut run: Run<'a, K, V>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
+        let (registry, metrics) = self.close(&mut run);
+        if let Some(collector) = &self.config.collector {
+            JobRecord::emit(&run.record, collector, registry.clone());
         }
-        blacklisted = over_budget(&strikes, policy);
+        JobOutcome {
+            outputs,
+            metrics,
+            counters: self.counters.clone(),
+            registry,
+        }
     }
-    let nodes_blacklisted = blacklisted.len() as u64;
-
-    // ---- Telemetry -------------------------------------------------------
-    // Assemble the deterministic execution record, derive the metrics
-    // registry from it, and emit the span timeline if a collector is
-    // attached. The registry is built either way: the countable
-    // `JobMetrics` fields below are a facade over its counters.
-    let reduce_models: Vec<TaskModel> = reduce_execs
-        .iter()
-        .zip(reduce_io.iter().zip(&merge_models))
-        .zip(per_reducer_bytes.iter().zip(&outputs))
-        .map(
-            |(((exec, fault), (&(keys, values), merge)), (&bytes, output))| TaskModel {
-                records_in: values,
-                keys_in: keys,
-                records_out: output.len() as u64,
-                bytes,
-                failures: exec
-                    .failures
-                    .iter()
-                    .map(|f| FailKind::from_cause(&f.cause))
-                    .collect(),
-                slowdown: fault.slowdown,
-                spills: Vec::new(),
-                merge: *merge,
-            },
-        )
-        .collect();
-    let record = JobRecord {
-        name: &config.name,
-        cluster,
-        retry: &config.retry,
-        cache_bytes: config.cache_bytes,
-        broadcast_attempts,
-        broadcast_time,
-        shuffle_time,
-        per_reducer_bytes: &per_reducer_bytes,
-        map: map_models,
-        reduce: reduce_models,
-        recovery: recovery_tasks,
-        lost,
-        corrupt: corrupt_events,
-        skipped,
-        node_losses: node_loss_events,
-        reexecuted: reexec_tasks,
-        maps_reexecuted,
-        nodes_blacklisted,
-        map_attempts: map_stats.attempts,
-        map_retries: map_stats.retries,
-        reduce_attempts: reduce_stats.attempts,
-        reduce_retries: reduce_stats.retries,
-        map_spec_wins: map_stats.speculative_wins,
-        reduce_spec_wins: reduce_stats.speculative_wins,
-        user_counters: counters.snapshot().into_iter().collect(),
-    };
-    let registry = record.build_registry();
-    if let Some(collector) = &config.collector {
-        record.emit(collector, registry.clone());
-    }
-
-    let metrics = JobMetrics {
-        name: config.name.clone(),
-        map_tasks: m,
-        reduce_tasks: r,
-        map_phase,
-        reduce_phase,
-        shuffle_bytes,
-        per_reducer_bytes,
-        shuffle_time,
-        cache_bytes: config.cache_bytes,
-        broadcast_time,
-        startup_time: cluster.job_startup,
-        sim_runtime,
-        host_wall: started.elapsed(),
-        map_output_records: registry.counter("map.records_out"),
-        reduce_input_keys: registry.counter("reduce.input_keys"),
-        output_records: registry.counter("reduce.records_out"),
-        map_retries: registry.counter("map.retries"),
-        reduce_retries: registry.counter("reduce.retries"),
-        attempts: registry.counter("task.attempts"),
-        wasted_task_time: map_stats.wasted + reduce_stats.wasted,
-        speculative_wins: registry.counter("task.speculative_wins"),
-        backoff_time: map_stats.backoff + reduce_stats.backoff,
-        nodes_lost: registry.counter("node.lost"),
-        maps_reexecuted: registry.counter("map.reexecuted"),
-        reexecution_time,
-        nodes_blacklisted: registry.counter("node.blacklisted"),
-        corrupt_fetches: registry.counter("shuffle.corrupt_fetches"),
-        records_skipped: registry.counter("map.records_skipped"),
-        spill_files: registry.counter("storage.spill_files"),
-        spilled_bytes: registry.counter("storage.spilled_bytes"),
-        merge_passes: registry.counter("storage.merge_passes"),
-        degraded: registry.counter("map.records_skipped") > 0,
-        map_task_durations: map_stats.effective,
-        reduce_task_durations: reduce_stats.effective,
-        // Scheduling charges belong to the executor a job ran under, not
-        // to the job itself; `sched::ClusterExecutor` fills them in.
-        queue_wait_time: Duration::ZERO,
-        preemptions: 0,
-    };
-
-    Ok(JobOutcome {
-        outputs,
-        metrics,
-        counters,
-        registry,
-    })
 }
 
 #[cfg(test)]
@@ -1649,8 +1517,13 @@ mod tests {
         }
     }
 
+    /// Sums each word's counts, and tallies every group it is handed in
+    /// the `wc.groups` job counter — failed attempts included, so the
+    /// counter pins where an injected mid-task crash fires.
     struct WcReduce;
-    struct WcReduceTask;
+    struct WcReduceTask {
+        counters: Counters,
+    }
     impl ReduceTask for WcReduceTask {
         type K = String;
         type V = u64;
@@ -1661,13 +1534,16 @@ mod tests {
             values: Vec<u64>,
             out: &mut OutputCollector<(String, u64)>,
         ) {
+            self.counters.add("wc.groups", 1);
             out.collect((key, values.iter().sum()));
         }
     }
     impl ReduceFactory for WcReduce {
         type Task = WcReduceTask;
-        fn create(&self, _ctx: &TaskContext) -> WcReduceTask {
-            WcReduceTask
+        fn create(&self, ctx: &TaskContext) -> WcReduceTask {
+            WcReduceTask {
+                counters: ctx.counters.clone(),
+            }
         }
     }
 
@@ -2120,10 +1996,10 @@ mod tests {
             &HashPartitioner,
         )
         .expect("plain run");
-        let combined = run_job_with_combiner(
+        let combined = run_job_with_combiner_from(
             &cluster,
             &config,
-            &splits(),
+            &SliceSplits::new(&splits()),
             &WcMap,
             &WcReduce,
             &HashPartitioner,
@@ -2417,6 +2293,20 @@ mod tests {
             out.registry.counter("node.blacklisted"),
             out.metrics.nodes_blacklisted
         );
+        // A reduce-phase abort reports the blacklist the map phase already
+        // established (it used to report zero), plus its own strikes.
+        let doomed = config
+            .clone()
+            .with_faults(
+                config
+                    .faults
+                    .clone()
+                    .with_reduce_fault(0, TaskFault::lost(u32::MAX)),
+            )
+            .with_retry(RetryPolicy::new().with_max_attempts(3));
+        let err = word_count_on(&cluster, &doomed).expect_err("reduce 0 must abort the job");
+        assert_eq!((err.task, err.index), (TaskKind::Reduce, 0));
+        assert!(err.metrics.nodes_blacklisted >= out.metrics.nodes_blacklisted);
         assert_eq!(sorted_counts(out), expected_counts());
     }
 
@@ -2478,31 +2368,175 @@ mod tests {
         assert_eq!(clean.metrics.spilled_bytes, 0);
         assert_eq!(clean.metrics.merge_passes, 0);
         assert_eq!(sorted_counts(out), sorted_counts(clean));
+
+        // Memory runs never cascade: with more map tasks than the merge
+        // fan-in and no budget there is no pass, no file, and not even a
+        // spill directory — while the same job under a budget cascades.
+        let spill_root =
+            std::env::temp_dir().join(format!("skymr-job-test-{}-unspilled", std::process::id()));
+        let mut narrow = ClusterConfig::test();
+        narrow.storage.merge_fan_in = 2;
+        narrow.storage.spill_dir = Some(spill_root.clone());
+        let unspilled = word_count_on(&narrow, &JobConfig::new("wc", 1)).expect("memory run");
+        assert_eq!(
+            unspilled.metrics.map_tasks, 3,
+            "three runs over a fan-in of two"
+        );
+        assert_eq!(unspilled.metrics.spill_files, 0);
+        assert_eq!(unspilled.metrics.merge_passes, 0);
+        assert!(
+            !spill_root.exists(),
+            "an unspilled job creates no spill directory"
+        );
+        narrow.storage.memory_budget = Some(1);
+        let cascaded = word_count_on(&narrow, &JobConfig::new("wc", 1)).expect("spill run");
+        assert!(
+            cascaded.metrics.merge_passes >= 2,
+            "disk runs over the fan-in cascade"
+        );
+        assert_eq!(sorted_counts(cascaded), sorted_counts(unspilled));
+        std::fs::remove_dir_all(&spill_root).expect("the budgeted run created the spill root");
+
+        // A map-phase abort still reports the segments its surviving map
+        // tasks wrote (it used to report zero).
+        let doomed = JobConfig::new("wc", 2)
+            .with_faults(FaultPlan::none().with_map_fault(1, TaskFault::lost(u32::MAX)))
+            .with_retry(RetryPolicy::new().with_max_attempts(2));
+        let err = word_count_on(&cluster, &doomed).expect_err("map 1 must abort the job");
+        assert_eq!((err.task, err.index), (TaskKind::Map, 1));
+        assert!(err.metrics.spill_files > 0 && err.metrics.spilled_bytes > 0);
+        assert_eq!(err.metrics.map_output_records, 6, "splits 0 and 2 finished");
     }
 
+    /// The in-memory engine is the zero-disk case of the storage plane:
+    /// under every fault the recovery ladder knows, a job with no budget
+    /// and one whose every pair spills run the same reduce path, and must
+    /// agree on outputs, user counters, `reduce_input_keys`, and every
+    /// registry counter that is not storage traffic.
     #[test]
     fn spill_mode_survives_faults_and_chaos() {
-        let clean = sorted_counts(word_count(&splits(), 2, FaultPlan::none()));
-        let cluster = spill_cluster(1);
-        let run = |plan: FaultPlan| {
-            word_count_on(&cluster, &JobConfig::new("wc", 2).with_faults(plan))
-                .expect("spill run must survive")
-        };
-        let retried = run(FaultPlan::fail_maps([0, 2]));
-        assert_eq!(retried.metrics.map_retries, 2);
-        assert_eq!(sorted_counts(retried), clean);
-
-        let panicky = run(FaultPlan::none().with_reduce_fault(0, TaskFault::panics(1)));
-        assert_eq!(panicky.metrics.reduce_retries, 1);
-        assert_eq!(sorted_counts(panicky), clean);
-
-        let regenerated = run(FaultPlan::none().with_lost_partition(0, 0));
-        assert_eq!(regenerated.metrics.map_retries, 1);
-        assert_eq!(sorted_counts(regenerated), clean);
-
+        /// (case, plan, speculate, expected (map, reduce) retries)
+        type Case = (String, FaultPlan, bool, Option<(u64, u64)>);
+        let placed = ClusterConfig::test_placed(0xBEEF);
+        let alive: Vec<usize> = (0..placed.nodes).collect();
+        let victim = Placement::new(0xBEEF).task_home("wc", TaskKind::Map, 0, &alive);
+        let none = FaultPlan::none;
+        let mut cases: Vec<Case> = vec![
+            ("fault-free".into(), none(), false, Some((0, 0))),
+            (
+                "failed maps".into(),
+                FaultPlan::fail_maps([0, 2]),
+                false,
+                Some((2, 0)),
+            ),
+            (
+                "scheduled reduce retry".into(),
+                FaultPlan::fail_reduces([1]),
+                false,
+                Some((0, 1)),
+            ),
+            (
+                "reduce mid-task panics".into(),
+                none()
+                    .with_reduce_fault(0, TaskFault::panics(1))
+                    .with_reduce_fault(1, TaskFault::panics(2))
+                    .with_reduce_fault(2, TaskFault::panics(1)),
+                false,
+                Some((0, 4)),
+            ),
+            (
+                "speculation".into(),
+                none().with_reduce_fault(0, TaskFault::straggler(1000.0)),
+                true,
+                None,
+            ),
+            (
+                "lost partition".into(),
+                none().with_lost_partition(0, 0),
+                false,
+                Some((1, 0)),
+            ),
+            (
+                "corrupt fetch x1".into(),
+                none().with_corrupt_shuffle(0, 0, 1),
+                false,
+                Some((0, 0)),
+            ),
+            (
+                "corrupt fetch x2".into(),
+                none().with_corrupt_shuffle(1, 0, 2),
+                false,
+                Some((1, 0)),
+            ),
+            (
+                "node loss".into(),
+                none().with_node_loss(victim, u64::MAX / 2),
+                false,
+                Some((0, 0)),
+            ),
+        ];
         for seed in 0..4 {
-            let out = run(FaultPlan::seeded(seed));
-            assert_eq!(sorted_counts(out), clean, "seed {seed} changed the output");
+            cases.push((
+                format!("chaos seed {seed}"),
+                FaultPlan::seeded(seed),
+                false,
+                None,
+            ));
+        }
+        let engine_counters = |out: &JobOutcome<(String, u64)>| -> Vec<(String, u64)> {
+            let counters = out.registry.counters();
+            let engine = counters.filter(|(name, _)| !name.starts_with("storage."));
+            engine.map(|(name, v)| (name.to_owned(), v)).collect()
+        };
+        for (case, plan, speculate, retries) in cases {
+            let run = |budget: Option<u64>| {
+                let mut cluster = placed.clone();
+                cluster.storage.memory_budget = budget;
+                let mut config = JobConfig::new("wc", 3).with_faults(plan.clone());
+                if speculate {
+                    config = config.with_speculation(SpeculationPolicy::new());
+                }
+                word_count_on(&cluster, &config).expect("the job must survive")
+            };
+            let (memory, spilled) = (run(None), run(Some(1)));
+            assert_eq!(memory.metrics.spill_files, 0, "{case}");
+            assert!(spilled.metrics.spill_files > 0, "{case}");
+            assert_eq!(
+                memory.metrics.reduce_input_keys, spilled.metrics.reduce_input_keys,
+                "{case}"
+            );
+            assert_eq!(memory.metrics.reduce_input_keys, 3, "{case}");
+            if !speculate {
+                // Which backups launch depends on measured durations.
+                assert_eq!(
+                    memory.counters.snapshot(),
+                    spilled.counters.snapshot(),
+                    "{case}"
+                );
+                assert_eq!(
+                    engine_counters(&memory),
+                    engine_counters(&spilled),
+                    "{case}"
+                );
+            }
+            if let Some(expected) = retries {
+                let got = |out: &JobOutcome<(String, u64)>| {
+                    (out.metrics.map_retries, out.metrics.reduce_retries)
+                };
+                assert_eq!(
+                    (got(&memory), got(&spilled)),
+                    (expected, expected),
+                    "{case}"
+                );
+            }
+            if case == "node loss" {
+                assert!(
+                    memory.metrics.maps_reexecuted >= 1,
+                    "map 0 lived on the victim"
+                );
+            }
+            assert_eq!(sorted_counts(memory), expected_counts(), "{case}");
+            assert_eq!(sorted_counts(spilled), expected_counts(), "{case}");
         }
     }
 

@@ -60,9 +60,7 @@ pub use fault::{
     BlacklistPolicy, CorruptFetch, FaultKind, FaultPlan, FaultProfile, FaultTolerance, JobError,
     NodeLoss, NodePartition, RetryPolicy, SpeculationPolicy, TaskFault, TaskKind,
 };
-pub use job::{
-    run_job, run_job_from, run_job_with_combiner, run_job_with_combiner_from, JobConfig, JobOutcome,
-};
+pub use job::{run_job, run_job_from, run_job_with_combiner_from, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};
 pub use pipeline::{Checkpoint, JobSnapshot, PipelineMetrics, Runner, Snapshot};
 pub use sched::{

@@ -1,19 +1,24 @@
-//! K-way external merge: feeds reducers from spilled runs in streaming
-//! sorted order.
+//! K-way merge: feeds every reducer from its runs in streaming sorted
+//! order.
 //!
-//! Every spilled partition is a *run* — pairs sorted by key, values in
-//! map-emission order. The merge consumes runs in a fixed priority order
-//! (map index, then spill sequence) and breaks key ties by run priority,
-//! so the `(key, value-list)` stream a reducer sees is byte-for-byte the
-//! stream the in-memory engine builds with `BTreeMap` grouping: spilling
-//! is a memory-footprint change, never an output change.
+//! A reducer's input is a list of *runs* — pairs sorted by key, values in
+//! map-emission order. A run is either in memory (the decoded frame of a
+//! map bucket that never spilled) or one partition of an on-disk spill
+//! segment; the merge does not care which. It consumes runs in a fixed
+//! priority order (map index, then spill sequence) and breaks key ties by
+//! run priority, so the `(key, value-list)` stream a reducer sees is
+//! byte-for-byte what appending the runs into a `BTreeMap` in priority
+//! order would group (the reference the property tests compare against):
+//! spilling is a memory-footprint change, never an output change.
 //!
-//! When the run count exceeds the configured fan-in (Hadoop's
-//! `io.sort.factor`), intermediate passes merge the first `fan_in` runs
-//! into a new on-disk run (prepended, preserving global priority order)
-//! until one final streaming pass suffices — the classic external
-//! merge-sort cascade, with every pass's bytes and seeks charged to the
-//! disk cost model.
+//! Disk runs each hold an open file, so when more of them than the
+//! configured fan-in (Hadoop's `io.sort.factor`) feed one reducer,
+//! intermediate passes merge a prefix of the list into a new on-disk run
+//! (prepended, preserving global priority order) until one final
+//! streaming pass suffices — the classic external merge-sort cascade,
+//! with every pass's bytes and seeks charged to the disk cost model.
+//! Memory runs hold no handle and never count against the fan-in: a job
+//! that never spilled merges all its runs in one pass and touches no disk.
 
 use skymr_common::{ByteSized, Wire};
 
@@ -23,8 +28,8 @@ use super::SpillSession;
 /// One input run for the merge, in priority order.
 #[derive(Debug)]
 pub enum RunSource<K, V> {
-    /// An in-memory run (a map output that never spilled), already
-    /// sorted by key.
+    /// An in-memory run (the decoded frame of a map bucket that never
+    /// spilled), already sorted by key.
     Mem(Vec<(K, V)>),
     /// One partition of an on-disk spill segment.
     Disk {
@@ -36,6 +41,14 @@ pub enum RunSource<K, V> {
 }
 
 impl<K, V> RunSource<K, V> {
+    /// Pairs in the run (for a disk run a manifest fact — nothing is read).
+    pub(crate) fn records(&self) -> u64 {
+        match self {
+            RunSource::Mem(pairs) => pairs.len() as u64,
+            RunSource::Disk { segment, part } => segment.parts.get(*part).map_or(0, |m| m.records),
+        }
+    }
+
     fn disk_bytes(&self) -> u64 {
         match self {
             RunSource::Mem(_) => 0,
@@ -207,9 +220,12 @@ fn take_head<K, V>(r: &mut RunState<K, V>) -> (K, V) {
     }
 }
 
-/// Cascades `sources` down to at most `fan_in` runs (writing intermediate
-/// merged runs into the spill session), then returns the final streaming
-/// merge plus the full cost accounting.
+/// Cascades `sources` down to at most `fan_in` disk runs (writing
+/// intermediate merged runs into the spill session), then returns the
+/// final streaming merge plus the full cost accounting. Only disk runs
+/// count against the fan-in; a memory run inside a merged prefix rides
+/// along, and a list with no more than `fan_in` disk runs never touches
+/// the session.
 pub fn external_merge<K: Wire + Ord + ByteSized, V: Wire + ByteSized>(
     session: &SpillSession,
     reduce: usize,
@@ -223,8 +239,8 @@ pub fn external_merge<K: Wire + Ord + ByteSized, V: Wire + ByteSized>(
         ..MergeStats::default()
     };
     let mut pass = 0u64;
-    while sources.len() > fan_in {
-        let batch: Vec<RunSource<K, V>> = sources.drain(..fan_in).collect();
+    while let Some(cut) = cascade_cut(&sources, fan_in) {
+        let batch: Vec<RunSource<K, V>> = sources.drain(..cut).collect();
         stats.bytes_read += batch.iter().map(RunSource::disk_bytes).sum::<u64>();
         stats.seeks += batch.iter().filter(|s| s.is_disk()).count() as u64 + 1;
         let path = session.merge_run_path(reduce, pass);
@@ -250,6 +266,17 @@ pub fn external_merge<K: Wire + Ord + ByteSized, V: Wire + ByteSized>(
         stats.passes += 1;
     }
     Ok((KWayMerge::open(sources)?, stats))
+}
+
+/// Where the next cascade pass cuts `sources`: the end of the shortest
+/// prefix holding `fan_in` disk runs, or `None` once no more than `fan_in`
+/// remain. Merging a prefix (never a gapped selection) is what keeps
+/// priority order intact; memory runs inside it ride along.
+fn cascade_cut<K, V>(sources: &[RunSource<K, V>], fan_in: usize) -> Option<usize> {
+    let disk_runs = sources.iter().enumerate().filter(|(_, s)| s.is_disk());
+    let mut ends = disk_runs.map(|(i, _)| i + 1).skip(fan_in - 1);
+    let cut = ends.next()?;
+    ends.next().map(|_| cut)
 }
 
 /// The cost accounting [`external_merge`] will produce for all-disk runs
@@ -306,8 +333,8 @@ mod tests {
         pairs
     }
 
-    /// The in-memory engine's grouping: append runs in priority order
-    /// into a BTreeMap.
+    /// The reference grouping: append runs in priority order into a
+    /// BTreeMap.
     fn reference_groups(runs: &[Vec<(u64, u64)>]) -> BTreeMap<u64, Vec<u64>> {
         let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for run in runs {
@@ -366,6 +393,15 @@ mod tests {
         assert_eq!(stats.passes, 0);
         assert_eq!(stats.bytes_read, 0);
         assert_eq!(drain_groups(merge), reference_groups(&[run]));
+        // Nor do many: only disk runs count against the fan-in, so five
+        // memory runs over a fan-in of two have nothing to cascade.
+        let runs: Vec<Vec<(u64, u64)>> = (0..5).map(|s| scramble(25 + s, s)).collect();
+        let sources = runs.iter().cloned().map(RunSource::Mem).collect();
+        let (merge, stats) = external_merge(&session, 0, sources, 2, 128).expect("merge");
+        assert_eq!((stats.runs, stats.passes, stats.seeks), (5, 0, 0));
+        let written = std::fs::read_dir(session.dir()).expect("spill dir").count();
+        assert_eq!(written, 0, "no intermediate run may be written");
+        assert_eq!(drain_groups(merge), reference_groups(&runs));
     }
 
     #[test]

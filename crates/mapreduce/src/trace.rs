@@ -193,7 +193,10 @@ impl TaskModel {
     }
 }
 
-/// Everything `run_job` hands over for one completed job.
+/// Everything the job driver establishes about one job — the
+/// deterministic half of its books. The driver's stages fill the record in
+/// as they run (`job.rs`), so an aborted job still hands over whatever its
+/// finished stages established.
 #[derive(Debug)]
 pub struct JobRecord<'a> {
     /// Job name.
@@ -211,7 +214,7 @@ pub struct JobRecord<'a> {
     /// Modeled shuffle transfer time (bottleneck node).
     pub shuffle_time: Duration,
     /// Shuffle bytes routed to each reducer.
-    pub per_reducer_bytes: &'a [u64],
+    pub per_reducer_bytes: Vec<u64>,
     /// Per-map-task facts.
     pub map: Vec<TaskModel>,
     /// Per-reduce-task facts.
@@ -757,7 +760,7 @@ mod tests {
     fn test_record<'a>(
         cluster: &'a ClusterConfig,
         retry: &'a RetryPolicy,
-        per_reducer_bytes: &'a [u64],
+        per_reducer_bytes: &[u64],
     ) -> JobRecord<'a> {
         JobRecord {
             name: "wc",
@@ -767,7 +770,7 @@ mod tests {
             broadcast_attempts: 1,
             broadcast_time: Duration::ZERO,
             shuffle_time: Duration::from_micros(40),
-            per_reducer_bytes,
+            per_reducer_bytes: per_reducer_bytes.to_vec(),
             map: vec![
                 TaskModel {
                     records_in: 10,

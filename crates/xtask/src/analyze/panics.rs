@@ -37,6 +37,11 @@ const UNWRAP_FAMILY: &[&str] = &[
     "unwrap_unchecked",
 ];
 
+/// The engine's job entry points: reachability roots alongside the UDF
+/// impls. `run_job_with_combiner_from` is the driver proper — its stage
+/// methods are reached from here through the resolved call graph.
+const JOB_DRIVERS: &[&str] = &["run_job", "run_job_from", "run_job_with_combiner_from"];
+
 const UNWRAP_HELP: &str = "engine code must route errors through skymr_common::error \
                            (or state the invariant with assert!/unreachable!)";
 
@@ -86,7 +91,7 @@ pub fn check_reachability(ws: &Workspace<'_>) -> Vec<Diagnostic> {
         if g.is_test || g.body.is_none() || !in_engine_crates(&ws.file_of(id).path) {
             continue;
         }
-        if ws.is_udf_impl(id) || g.name == "run_job" || g.name == "run_job_with_combiner" {
+        if ws.is_udf_impl(id) || JOB_DRIVERS.contains(&g.name.as_str()) {
             *seed = true;
             work.push(id);
         }
