@@ -8,25 +8,10 @@
 //! skyline once it has been compared against every tuple after it —
 //! [`bnl_skyline_windowed`] reproduces that multi-pass behaviour in memory.
 
-use skymr_common::dominance::{compare, DomOrdering};
-use skymr_common::Tuple;
+use std::borrow::Borrow;
 
-/// Single joint dominance check for the window update. Returns what to do
-/// with the incoming tuple relative to one window entry.
-#[inline]
-fn window_step(window: &mut Vec<(usize, Tuple)>, i: &mut usize, t: &Tuple) -> bool {
-    match compare(&window[*i].1, t) {
-        DomOrdering::Dominates => false,
-        DomOrdering::DominatedBy => {
-            window.swap_remove(*i);
-            true
-        }
-        DomOrdering::Incomparable => {
-            *i += 1;
-            true
-        }
-    }
-}
+use skymr_common::dominance::Window;
+use skymr_common::Tuple;
 
 /// BNL with an unbounded window: the skyline in one pass, sorted by id.
 ///
@@ -43,19 +28,28 @@ fn window_step(window: &mut Vec<(usize, Tuple)>, i: &mut usize, t: &Tuple) -> bo
 /// assert_eq!(ids, vec![0, 1]);
 /// ```
 pub fn bnl_skyline(tuples: &[Tuple]) -> Vec<Tuple> {
-    let mut window: Vec<(usize, Tuple)> = Vec::with_capacity(tuples.len().min(64));
-    'next: for t in tuples {
-        let mut i = 0;
-        while i < window.len() {
-            if !window_step(&mut window, &mut i, t) {
-                continue 'next;
-            }
-        }
-        window.push((0, t.clone())); // xtask: allow(hot-path-alloc) — the window owns its tuples; cloning each survivor out of the borrowed input is BNL's contract
+    // The window borrows from the input; only the survivors are cloned.
+    let mut window: Window<&Tuple> = Window::with_capacity(tuples.len().min(64));
+    let mut examined = 0;
+    for t in tuples {
+        window.insert(t, &mut examined);
     }
-    let mut skyline: Vec<Tuple> = window.into_iter().map(|(_, t)| t).collect();
+    let mut skyline: Vec<Tuple> = window.into_iter().cloned().collect();
     skyline.sort_by_key(|t| t.id);
     skyline
+}
+
+/// A window entry of the bounded BNL: a tuple of the current pass and its
+/// position in that pass's input.
+struct Entered<'a> {
+    pos: usize,
+    tuple: &'a Tuple,
+}
+
+impl Borrow<Tuple> for Entered<'_> {
+    fn borrow(&self) -> &Tuple {
+        self.tuple
+    }
 }
 
 /// The original bounded-window BNL: at most `window_capacity` tuples are
@@ -73,31 +67,29 @@ pub fn bnl_skyline_windowed(tuples: &[Tuple], window_capacity: usize) -> Vec<Tup
     assert!(window_capacity > 0, "window capacity must be at least 1");
     let mut skyline: Vec<Tuple> = Vec::new();
     let mut input: Vec<Tuple> = tuples.to_vec();
+    let mut examined = 0;
     while !input.is_empty() {
-        let mut window: Vec<(usize, Tuple)> = Vec::new();
+        let mut window: Window<Entered<'_>> = Window::default();
         let mut overflow: Vec<Tuple> = Vec::new();
         let mut first_spill: Option<usize> = None;
-        'next: for (pos, t) in input.iter().enumerate() {
-            let mut i = 0;
-            while i < window.len() {
-                if !window_step(&mut window, &mut i, t) {
-                    continue 'next;
-                }
+        for (pos, tuple) in input.iter().enumerate() {
+            if !window.admit(tuple, &mut examined) {
+                continue;
             }
             if window.len() < window_capacity {
-                window.push((pos, t.clone()));
+                window.push(Entered { pos, tuple });
             } else {
                 first_spill.get_or_insert(pos);
-                overflow.push(t.clone());
+                overflow.push(tuple.clone());
             }
         }
         let confirm_before = first_spill.unwrap_or(usize::MAX);
         let mut carried: Vec<Tuple> = Vec::new();
-        for (pos, t) in window {
+        for Entered { pos, tuple } in window {
             if pos < confirm_before {
-                skyline.push(t);
+                skyline.push(tuple.clone());
             } else {
-                carried.push(t);
+                carried.push(tuple.clone());
             }
         }
         // Unconfirmed window tuples go first: they have already survived

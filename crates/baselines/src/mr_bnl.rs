@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use skymr_common::dominance::{compare, dominates, DomOrdering};
+use skymr_common::dominance::{compare, DomOrdering, Window};
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
     run_job, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner, OutputCollector,
@@ -52,7 +52,8 @@ pub fn cell_may_dominate(a: u32, b: u32) -> bool {
     a != b && a & !b == 0
 }
 
-/// BNL window insert shared by the MapReduce baselines.
+/// Scalar BNL window insert of MR-Angle and SKY-MR, which have not moved
+/// to the signature-filtered [`Window`] that MR-BNL's reducers use.
 pub(crate) fn window_insert(window: &mut Vec<Tuple>, t: Tuple) {
     let mut i = 0;
     while i < window.len() {
@@ -78,7 +79,21 @@ pub(crate) fn window_insert(window: &mut Vec<Tuple>, t: Tuple) {
 /// ablation variant, quantifying how much a content-aware merge would have
 /// helped the baseline.
 pub fn eliminate_across_cells(cells: &mut CellSkylines) {
+    let mut windows: BTreeMap<u32, Window> = std::mem::take(cells)
+        .into_iter()
+        .map(|(code, tuples)| (code, Window::from(tuples)))
+        .collect();
+    eliminate_across_windows(&mut windows);
+    *cells = windows
+        .into_iter()
+        .map(|(code, window)| (code, window.into_vec()))
+        .collect();
+}
+
+/// [`eliminate_across_cells`] over signed windows.
+fn eliminate_across_windows(cells: &mut BTreeMap<u32, Window>) {
     let codes: Vec<u32> = cells.keys().copied().collect();
+    let mut examined = 0;
     for &b in &codes {
         let Some(mut sb) = cells.remove(&b) else {
             continue;
@@ -87,7 +102,7 @@ pub fn eliminate_across_cells(cells: &mut CellSkylines) {
             if !cell_may_dominate(a, b) {
                 continue;
             }
-            sb.retain(|t| !sa.iter().any(|ta| dominates(ta, t)));
+            sb.prune_by(sa, &mut examined);
             if sb.is_empty() {
                 break;
             }
@@ -141,11 +156,12 @@ impl ReduceTask for LocalSkylineReduceTask {
     type Out = CellEntry;
 
     fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<CellEntry>) {
-        let mut window = Vec::new();
+        let mut window = Window::default();
+        let mut examined = 0;
         for t in values {
-            window_insert(&mut window, t);
+            window.insert(t, &mut examined);
         }
-        out.collect((key, window));
+        out.collect((key, window.into_vec()));
     }
 }
 
@@ -224,12 +240,13 @@ impl ReduceTask for MergeReduceTask {
     type Out = Tuple;
 
     fn reduce(&mut self, _key: u8, values: Vec<CellEntry>, out: &mut OutputCollector<Tuple>) {
+        let mut examined = 0;
         match self.strategy {
             MergeStrategy::PlainBnl => {
-                let mut window: Vec<Tuple> = Vec::new();
+                let mut window = Window::default();
                 for (_, tuples) in values {
                     for t in tuples {
-                        window_insert(&mut window, t);
+                        window.insert(t, &mut examined);
                     }
                 }
                 for t in window {
@@ -237,16 +254,16 @@ impl ReduceTask for MergeReduceTask {
                 }
             }
             MergeStrategy::CellCodePruning => {
-                let mut cells = CellSkylines::new();
+                let mut cells: BTreeMap<u32, Window> = BTreeMap::new();
                 for (code, tuples) in values {
                     let window = cells.entry(code).or_default();
                     for t in tuples {
-                        window_insert(window, t);
+                        window.insert(t, &mut examined);
                     }
                 }
-                eliminate_across_cells(&mut cells);
-                for tuples in cells.into_values() {
-                    for t in tuples {
+                eliminate_across_windows(&mut cells);
+                for window in cells.into_values() {
+                    for t in window {
                         out.collect(t);
                     }
                 }

@@ -1,8 +1,9 @@
 //! Dominance-kernel micro-benchmark with a machine-readable baseline.
 //!
 //! Times the two `skymr_common::dominance` primitives, the BNL
-//! local-skyline kernel — the paper's §6 cost-model bottleneck — and the
-//! grid/bitstring assignment kernels (§4's per-tuple partition mapping
+//! local-skyline kernel and the cross-partition `ComparePartitions` sweep
+//! — the paper's §6 cost-model bottleneck — and the grid/bitstring
+//! assignment kernels (§4's per-tuple partition mapping
 //! and the `BitGrid` merge the MR-GPMRS reducers hammer) on correlated,
 //! independent, and anti-correlated data, then writes the
 //! per-distribution means to `BENCH_dominance.json` at the repo root
@@ -11,9 +12,12 @@
 //! this bench and checks the document parses, and `bench-gate` compares
 //! fresh medians against the committed baseline.
 
-use criterion::{black_box, BenchmarkId, Criterion};
+use criterion::{black_box, BatchSize, BenchmarkId, Criterion};
 use skymr::grid::Grid;
-use skymr::local::{local_skyline, CmpStats, LocalAlgo};
+use skymr::local::{
+    compare_all_partitions, insert_into_partition, local_skyline, CmpStats, LocalAlgo,
+    LocalSkylines,
+};
 use skymr_bench::{render_kernel_bench_json, KernelTiming};
 use skymr_common::bitgrid::BitGrid;
 use skymr_common::dominance::{compare, dominates};
@@ -90,9 +94,30 @@ fn bench_kernels(c: &mut Criterion) {
             },
         );
     }
+    // Algorithm 5 over a mapper's per-partition windows: the packed
+    // partition-pair ADR test plus the signature-filtered prune. Anti-
+    // correlated data leaves the most partitions occupied and the most
+    // false positives to remove; building the windows is set-up.
+    let grid = Grid::new(DIM, PPD).expect("valid grid");
+    let mut windows = LocalSkylines::new();
+    for t in generate(Distribution::Anticorrelated, DIM, KERNEL_TUPLES, SEED).tuples() {
+        let p = grid.partition_of(t) as u32;
+        insert_into_partition(&mut windows, p, t.clone(), &mut CmpStats::default());
+    }
+    group.bench_function("compare_all_partitions/anticorrelated", |bench| {
+        bench.iter_batched(
+            || windows.clone(),
+            |mut skylines| {
+                let mut stats = CmpStats::default();
+                compare_all_partitions(&grid, &mut skylines, &mut stats);
+                (skylines, stats)
+            },
+            BatchSize::SmallInput,
+        );
+    });
     // The bitstring merge the MR-GPMRS reducers hammer: OR-fold of
     // per-mapper bitstrings. Data-independent, so a single series.
-    let words = Grid::new(DIM, PPD).expect("valid grid").num_partitions();
+    let words = grid.num_partitions();
     let mut lhs = BitGrid::zeros(words);
     let mut rhs = BitGrid::zeros(words);
     for i in (0..words).step_by(3) {

@@ -7,13 +7,13 @@ use std::hint::black_box;
 
 use skymr::bitstring::Bitstring;
 use skymr::groups::{generate_independent_groups, plan_groups, MergePolicy};
-use skymr::local::{insert_tuple, local_skyline, CmpStats, LocalAlgo};
+use skymr::local::{local_skyline, CmpStats, LocalAlgo};
 use skymr::skyband::band_insert;
 use skymr::{mr_gpmrs, mr_gpsrs, Countstring, Grid, SkylineConfig};
 use skymr_baselines::{
     bnl_skyline, dnc_skyline, mr_bnl, sfs_skyline, BaselineConfig, SfsOrder, SkyQuadtree,
 };
-use skymr_common::dominance::{compare, dominates};
+use skymr_common::dominance::{compare, dominates, Window};
 use skymr_datagen::{generate, Distribution};
 
 fn bench_dominance(c: &mut Criterion) {
@@ -41,10 +41,10 @@ fn bench_bnl_window(c: &mut Criterion) {
         let ds = generate(dist, 5, 2_000, 11);
         group.bench_function(BenchmarkId::new("window_2000", label), |bench| {
             bench.iter(|| {
-                let mut window = Vec::new();
-                let mut stats = CmpStats::default();
+                let mut window = Window::default();
+                let mut examined = 0;
                 for t in ds.tuples() {
-                    insert_tuple(&mut window, t.clone(), &mut stats);
+                    window.insert(t.clone(), &mut examined);
                 }
                 black_box(window.len())
             });

@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use skymr_common::dataset::canonicalize;
+use skymr_common::dominance::Window;
 use skymr_common::{Counters, Dataset, Tuple};
 use skymr_mapreduce::{
     run_job, ByteSized, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner,
@@ -28,7 +29,7 @@ use crate::checkpoint::BitstringStage;
 use crate::config::SkylineConfig;
 use crate::gpsrs::{record_task_stats, GpsrsMapTask, PartitionSkylines};
 use crate::groups::{plan_groups, GroupPlan};
-use crate::local::{insert_into_partition, CmpStats, CoordScratch, LocalSkylines};
+use crate::local::{eliminate_false_positives, insert_into_partition, CmpStats, LocalSkylines};
 use crate::result::{RunInfo, SkylineRun};
 
 /// Map side of MR-GPMRS (Algorithm 8).
@@ -77,12 +78,29 @@ impl MapTask for GpmrsMapTask {
         let skylines = self.inner.finalize();
         // … lines 11–19: split the local skyline along the bucket partition
         // sets and send each piece to its reducer. A partition lying in
-        // several buckets is replicated, exactly as the paper requires.
-        for (bucket_index, bucket) in self.plan.buckets.iter().enumerate() {
-            let payload: PartitionSkylines = skylines
-                .iter()
-                .filter(|(p, _)| bucket.partitions.contains(p))
-                .map(|(p, s)| (*p, s.clone()))
+        // several buckets is replicated, exactly as the paper requires:
+        // its skyline moves into the last bucket holding it and only the
+        // earlier, genuinely replicated copies are cloned.
+        let buckets = &self.plan.buckets;
+        let mut pending: Vec<(u32, Option<usize>, Vec<Tuple>)> = skylines
+            .into_iter()
+            .map(|(p, window)| {
+                let last = buckets.iter().rposition(|b| b.partitions.contains(&p));
+                (p, last, window.into_vec())
+            })
+            .collect();
+        for (bucket_index, bucket) in buckets.iter().enumerate() {
+            let payload: PartitionSkylines = pending
+                .iter_mut()
+                .filter(|(p, _, _)| bucket.partitions.contains(p))
+                .map(|(p, last, s)| {
+                    let tuples = if *last == Some(bucket_index) {
+                        std::mem::take(s)
+                    } else {
+                        s.clone()
+                    };
+                    (*p, tuples)
+                })
                 .collect();
             // Empty payloads are still emitted: every reducer must hear
             // from every mapper so merge order stays deterministic.
@@ -187,27 +205,11 @@ impl ReduceTask for GpmrsReduceTask {
         // Every designated partition's surviving ADR lies inside its own
         // independent group, hence inside this bucket (Lemma 2) — no other
         // data is needed.
-        let mut scratch = CoordScratch::new(&grid);
-        let finalized: Vec<u32> = skylines.keys().copied().collect();
-        for p in finalized {
-            let Some(mut sp) = skylines.remove(&p) else {
-                continue;
-            };
-            crate::local::compare_partitions_scratch(
-                &grid,
-                p,
-                &mut sp,
-                sources
-                    .iter()
-                    .map(|(&q, s)| (q, s.as_slice()))
-                    .chain(skylines.iter().map(|(&q, s)| (q, s.as_slice()))),
-                &mut stats,
-                &mut scratch,
-            );
-            if !sp.is_empty() {
-                skylines.insert(p, sp);
-            }
-        }
+        let sources: LocalSkylines = sources
+            .into_iter()
+            .map(|(q, tuples)| (q, Window::from(tuples)))
+            .collect();
+        eliminate_false_positives(&grid, &mut skylines, &sources, &mut stats);
         record_task_stats(&self.counters, "reduce", stats);
         // Per-bucket (partition-group) comparison counts: each bucket is an
         // ADR-closed set of partitions, so these expose the per-group

@@ -25,8 +25,7 @@ use crate::checkpoint::BitstringStage;
 use crate::config::SkylineConfig;
 use crate::grid::Grid;
 use crate::local::{
-    compare_all_partitions, insert_into_partition, local_skyline, CmpStats, LocalAlgo,
-    LocalSkylines,
+    compare_all_partitions, insert_into_partition, local_window, CmpStats, LocalAlgo, LocalSkylines,
 };
 use crate::result::{RunInfo, SkylineRun};
 
@@ -35,7 +34,10 @@ use crate::result::{RunInfo, SkylineRun};
 pub type PartitionSkylines = Vec<(u32, Vec<Tuple>)>;
 
 pub(crate) fn skylines_to_payload(skylines: LocalSkylines) -> PartitionSkylines {
-    skylines.into_iter().collect()
+    skylines
+        .into_iter()
+        .map(|(p, window)| (p, window.into_vec()))
+        .collect()
 }
 
 pub(crate) fn record_task_stats(counters: &Counters, side: &str, stats: CmpStats) {
@@ -120,7 +122,7 @@ impl GpsrsMapTask {
     /// kernels) and cross-partition false-positive elimination.
     pub(crate) fn finalize(&mut self) -> LocalSkylines {
         for (p, tuples) in std::mem::take(&mut self.buffers) {
-            let skyline = local_skyline(tuples, self.local_algo, &mut self.stats);
+            let skyline = local_window(tuples, self.local_algo, &mut self.stats);
             if !skyline.is_empty() {
                 self.skylines.insert(p, skyline);
             }

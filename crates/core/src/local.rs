@@ -2,19 +2,25 @@
 //! `ComparePartitions` (Algorithm 5).
 //!
 //! Both MR-GPSRS and MR-GPMRS maintain, per grid partition, the skyline of
-//! the tuples seen so far ([`insert_tuple`], a BNL-style window update) and
-//! then eliminate *false positives* — local skyline tuples dominated by a
-//! tuple of another partition — by comparing each partition only against
-//! the partitions in its anti-dominating region ([`compare_partitions`]).
+//! the tuples seen so far ([`insert_into_partition`], a BNL-style
+//! [`Window`] update) and then eliminate *false positives* — local skyline
+//! tuples dominated by a tuple of another partition — by comparing each
+//! partition only against the partitions in its anti-dominating region
+//! ([`eliminate_false_positives`]).
+//!
+//! The ADR test runs at both granularities with the same primitive
+//! ([`CellQuantizer::le`] over packed cell coordinates): per partition
+//! pair on the job's grid, and per tuple pair on the fine virtual grid
+//! inside [`Window`].
 //!
 //! The module also tracks the two comparison counts the paper's cost model
 //! and Figure 11 are about: partition-wise comparisons (executions of
 //! Algorithm 5's line 3 body, one per `(p, p_i ∈ ADR(p))` pair) and
-//! tuple-wise dominance checks.
+//! tuple-wise candidate pairs.
 
 use std::collections::BTreeMap;
 
-use skymr_common::dominance::{compare, dominates, DomOrdering};
+use skymr_common::dominance::{compare, CellQuantizer, DomOrdering, Window};
 use skymr_common::Tuple;
 
 use crate::grid::Grid;
@@ -25,7 +31,9 @@ pub struct CmpStats {
     /// Partition-wise comparisons: pairs `(p, p_i)` with `p_i ∈ ADR(p)`
     /// whose skylines were compared (the paper's κ unit).
     pub partition_cmps: u64,
-    /// Tuple-dominance checks performed.
+    /// Candidate pairs examined: every (window tuple, tuple) pair a
+    /// dominance scan visited, whether the cell signatures settled it or
+    /// the full dominance test ran.
     pub tuple_cmps: u64,
 }
 
@@ -42,158 +50,118 @@ impl CmpStats {
 /// A `BTreeMap` keeps partition order deterministic, which in turn makes
 /// emitted MapReduce values — and therefore the whole pipeline — exactly
 /// reproducible across runs and retries.
-pub type LocalSkylines = BTreeMap<u32, Vec<Tuple>>;
+pub type LocalSkylines = BTreeMap<u32, Window>;
 
-/// Algorithm 4 (`InsertTuple`): BNL window update of a local skyline.
-///
-/// Adds `t` to `s` unless some tuple of `s` dominates it; removes tuples of
-/// `s` that `t` dominates. Returns `true` iff `t` was inserted. Each window
-/// tuple is examined once with a single joint comparison.
-pub fn insert_tuple(s: &mut Vec<Tuple>, t: Tuple, stats: &mut CmpStats) -> bool {
-    let mut i = 0;
-    while i < s.len() {
-        stats.tuple_cmps += 1;
-        match compare(&s[i], &t) {
-            // An existing tuple dominates t: t is discarded. No earlier
-            // removals can have happened (s was a skyline and dominance is
-            // transitive), so returning here is safe.
-            DomOrdering::Dominates => return false,
-            // t dominates an existing tuple: evict it.
-            DomOrdering::DominatedBy => {
-                s.swap_remove(i);
-            }
-            DomOrdering::Incomparable => i += 1,
-        }
-    }
-    s.push(t); // xtask: allow(hot-path-alloc) — amortized window growth; skyline size is data-dependent, callers pre-size when a bound is known
-    true
-}
-
-/// Inserts `t` into the local skyline of its grid partition, respecting the
-/// bitstring filter the caller applied (Algorithm 3 / 8, lines 2–8).
+/// Inserts `t` into the local skyline of its grid partition (Algorithm 4),
+/// respecting the bitstring filter the caller applied (Algorithm 3 / 8,
+/// lines 2–8).
 pub fn insert_into_partition(
     skylines: &mut LocalSkylines,
     partition: u32,
     t: Tuple,
     stats: &mut CmpStats,
 ) {
-    insert_tuple(skylines.entry(partition).or_default(), t, stats);
+    skylines
+        .entry(partition)
+        .or_default()
+        .insert(t, &mut stats.tuple_cmps);
 }
 
-/// Reusable coordinate buffers for [`compare_partitions_scratch`]: two
-/// allocations per *task* instead of two per compared partition — the
-/// `hot-path-alloc` pass flags the per-call version at loop depth ≥ 1.
-#[derive(Debug)]
-pub struct CoordScratch {
-    p: Vec<usize>,
-    q: Vec<usize>,
-}
-
-impl CoordScratch {
-    /// Scratch sized for `grid`'s dimensionality.
-    pub fn new(grid: &Grid) -> Self {
-        Self {
-            p: vec![0usize; grid.dim()],
-            q: vec![0usize; grid.dim()],
-        }
-    }
-}
-
-/// Algorithm 5 (`ComparePartitions`): removes from partition `p`'s local
-/// skyline every tuple dominated by a tuple of another partition's skyline,
-/// considering only partitions in `ADR(p)`.
+/// Algorithm 5 (`ComparePartitions`) for every partition of `skylines`:
+/// removes from partition `p`'s local skyline every tuple dominated by a
+/// tuple of another partition in `ADR(p)` — first the ADR partitions of
+/// `sources` (comparison-only skylines that are not themselves pruned),
+/// then those of `skylines`, each in key order. Partitions emptied by the
+/// comparison are dropped from the map.
 ///
-/// `others` yields `(partition, skyline)` pairs; entries not in `ADR(p)`
-/// are skipped (and not counted). Returns the number of tuples removed.
-/// Allocating convenience wrapper over [`compare_partitions_scratch`] —
-/// hot callers comparing many partitions hoist the scratch instead.
-pub fn compare_partitions<'a>(
+/// Each partition's cell coordinates are packed once, so the ADR test
+/// `q.c ≤ p.c` is one integer comparison per partition pair.
+///
+/// # Panics
+///
+/// Panics if a cell coordinate of `grid` does not fit the packed layout.
+/// That takes more than 2^32 cells, which `u32` partition keys cannot
+/// address in the first place.
+pub fn eliminate_false_positives(
     grid: &Grid,
-    p: u32,
-    sp: &mut Vec<Tuple>,
-    others: impl Iterator<Item = (u32, &'a [Tuple])>,
+    skylines: &mut LocalSkylines,
+    sources: &LocalSkylines,
     stats: &mut CmpStats,
-) -> usize {
-    compare_partitions_scratch(grid, p, sp, others, stats, &mut CoordScratch::new(grid))
-}
-
-/// [`compare_partitions`] with caller-owned coordinate scratch; the body
-/// is allocation-free.
-pub fn compare_partitions_scratch<'a>(
-    grid: &Grid,
-    p: u32,
-    sp: &mut Vec<Tuple>,
-    others: impl Iterator<Item = (u32, &'a [Tuple])>,
-    stats: &mut CmpStats,
-    scratch: &mut CoordScratch,
-) -> usize {
-    let before = sp.len();
-    grid.coords_into(p as usize, &mut scratch.p);
-    for (q, sq) in others {
-        if q == p {
-            continue;
-        }
-        grid.coords_into(q as usize, &mut scratch.q);
-        // q ∈ ADR(p) ⟺ q.c ≤ p.c componentwise.
-        if !scratch
-            .q
+) {
+    let quantizer = CellQuantizer::new(grid.dim());
+    assert!(
+        grid.ppd() as u64 - 1 <= quantizer.max_level(),
+        "grid cell coordinates overflow the packed ADR test"
+    );
+    let mut coords = vec![0usize; grid.dim()];
+    let mut cell = |p: u32| {
+        grid.coords_into(p as usize, &mut coords);
+        quantizer.pack(coords.iter().map(|&c| c as u64))
+    };
+    let sources: Vec<(u32, u64, &Window)> =
+        sources.iter().map(|(&q, sq)| (q, cell(q), sq)).collect();
+    let mut own: Vec<(u32, u64, Window)> = std::mem::take(skylines)
+        .into_iter()
+        .map(|(p, sp)| (p, cell(p), sp))
+        .collect();
+    for i in 0..own.len() {
+        // q ∈ ADR(p) has q.c ≤ p.c, hence a smaller column-major index:
+        // p's own-side ADR lies entirely in the prefix already swept, where
+        // an empty window is one this sweep emptied.
+        let (swept, rest) = own.split_at_mut(i);
+        let (p, p_cell, sp) = &mut rest[0];
+        let swept = swept
             .iter()
-            .zip(scratch.p.iter())
-            .all(|(&b, &a)| b <= a)
-        {
-            continue;
-        }
-        stats.partition_cmps += 1;
-        sp.retain(|t| {
-            for tq in sq {
-                stats.tuple_cmps += 1;
-                if dominates(tq, t) {
-                    return false;
-                }
+            .filter(|(_, _, sq)| !sq.is_empty())
+            .map(|(q, q_cell, sq)| (*q, *q_cell, sq));
+        let adr = sources
+            .iter()
+            .copied()
+            .chain(swept)
+            .filter(|&(q, q_cell, _)| q != *p && quantizer.le(q_cell, *p_cell));
+        for (_, _, sq) in adr {
+            stats.partition_cmps += 1;
+            sp.prune_by(sq, &mut stats.tuple_cmps);
+            if sp.is_empty() {
+                break;
             }
-            true
-        });
-        if sp.is_empty() {
-            break;
         }
     }
-    before - sp.len()
+    *skylines = own
+        .into_iter()
+        .filter(|(_, _, sp)| !sp.is_empty())
+        .map(|(p, _, sp)| (p, sp))
+        .collect();
 }
 
-/// Applies [`compare_partitions`] to every partition of `skylines` against
-/// all the others (Algorithm 3 lines 9–10 and Algorithm 6 lines 7–8).
-/// Partitions emptied by the comparison are dropped from the map.
+/// [`eliminate_false_positives`] with no outside sources: every partition
+/// of `skylines` against all the others (Algorithm 3 lines 9–10 and
+/// Algorithm 6 lines 7–8).
 pub fn compare_all_partitions(grid: &Grid, skylines: &mut LocalSkylines, stats: &mut CmpStats) {
-    let partitions: Vec<u32> = skylines.keys().copied().collect();
-    let mut scratch = CoordScratch::new(grid);
-    for &p in &partitions {
-        let Some(mut sp) = skylines.remove(&p) else {
-            continue;
-        };
-        compare_partitions_scratch(
-            grid,
-            p,
-            &mut sp,
-            skylines.iter().map(|(&q, sq)| (q, sq.as_slice())),
-            stats,
-            &mut scratch,
-        );
-        if !sp.is_empty() {
-            skylines.insert(p, sp);
-        }
-    }
+    eliminate_false_positives(grid, skylines, &LocalSkylines::new(), stats);
 }
 
-/// Computes the skyline of `tuples` with plain BNL — the reference used by
-/// unit tests in this crate (the full baseline lives in `skymr-baselines`).
+/// Computes the skyline of `tuples` with plain BNL over [`compare`],
+/// sorted by id — the reference used by unit tests in this crate (the full
+/// baseline lives in `skymr-baselines`). Deliberately independent of the
+/// signature-filtered windows it is used to check.
 pub fn bnl_reference(tuples: &[Tuple]) -> Vec<Tuple> {
-    let mut window: Vec<Tuple> = Vec::new();
-    let mut stats = CmpStats::default();
-    for t in tuples {
-        insert_tuple(&mut window, t.clone(), &mut stats);
+    let mut skyline: Vec<Tuple> = Vec::new();
+    'next: for t in tuples {
+        let mut i = 0;
+        while i < skyline.len() {
+            match compare(&skyline[i], t) {
+                DomOrdering::Dominates => continue 'next,
+                DomOrdering::DominatedBy => {
+                    skyline.swap_remove(i);
+                }
+                DomOrdering::Incomparable => i += 1,
+            }
+        }
+        skyline.push(t.clone());
     }
-    window.sort_by_key(|t| t.id);
-    window
+    skyline.sort_by_key(|t| t.id);
+    skyline
 }
 
 /// The algorithm a mapper uses for its per-partition local skylines.
@@ -222,16 +190,26 @@ pub enum LocalAlgo {
 const WINDOW_CAPACITY_HINT: usize = 64;
 
 /// Computes one partition's local skyline with the chosen kernel,
-/// counting tuple comparisons into `stats`.
-pub fn local_skyline(mut tuples: Vec<Tuple>, algo: LocalAlgo, stats: &mut CmpStats) -> Vec<Tuple> {
+/// counting candidate pairs into `stats`.
+pub fn local_skyline(tuples: Vec<Tuple>, algo: LocalAlgo, stats: &mut CmpStats) -> Vec<Tuple> {
+    local_window(tuples, algo, stats).into_vec()
+}
+
+/// [`local_skyline`] as a signed [`Window`], ready to join a
+/// [`LocalSkylines`] map.
+pub(crate) fn local_window(
+    mut tuples: Vec<Tuple>,
+    algo: LocalAlgo,
+    stats: &mut CmpStats,
+) -> Window {
     // The window can only hold incomparable tuples, so it is bounded by
     // the input; cap the hint so huge splits don't over-reserve.
     let window_hint = tuples.len().min(WINDOW_CAPACITY_HINT);
     match algo {
         LocalAlgo::Bnl => {
-            let mut window = Vec::with_capacity(window_hint);
+            let mut window = Window::with_capacity(window_hint);
             for t in tuples {
-                insert_tuple(&mut window, t, stats);
+                window.insert(t, &mut stats.tuple_cmps);
             }
             window
         }
@@ -241,15 +219,11 @@ pub fn local_skyline(mut tuples: Vec<Tuple>, algo: LocalAlgo, stats: &mut CmpSta
                     .total_cmp(&b.score_entropy())
                     .then(a.id.cmp(&b.id))
             });
-            let mut window: Vec<Tuple> = Vec::with_capacity(window_hint);
-            'next: for t in tuples {
-                for w in &window {
-                    stats.tuple_cmps += 1;
-                    if dominates(w, &t) {
-                        continue 'next;
-                    }
+            let mut window = Window::with_capacity(window_hint);
+            for t in tuples {
+                if !window.dominates(&t, &mut stats.tuple_cmps) {
+                    window.push(t);
                 }
-                window.push(t);
             }
             window
         }
@@ -258,14 +232,14 @@ pub fn local_skyline(mut tuples: Vec<Tuple>, algo: LocalAlgo, stats: &mut CmpSta
 }
 
 /// Median-split divide and conquer over one partition's tuples.
-fn dnc_local(tuples: &mut Vec<Tuple>, depth: usize, stats: &mut CmpStats) -> Vec<Tuple> {
+fn dnc_local(tuples: &mut Vec<Tuple>, depth: usize, stats: &mut CmpStats) -> Window {
     const BASE_CASE: usize = 48;
     if tuples.is_empty() {
-        return Vec::new();
+        return Window::default();
     }
     let dim = tuples[0].dim();
     if tuples.len() <= BASE_CASE || depth >= 2 * dim {
-        return local_skyline(std::mem::take(tuples), LocalAlgo::Bnl, stats);
+        return local_window(std::mem::take(tuples), LocalAlgo::Bnl, stats);
     }
     let split_dim = depth % dim; // xtask: allow(panic-reachability) — dim == 0 hits the base case above (depth >= 2 * dim)
     let mid = tuples.len() / 2;
@@ -276,26 +250,15 @@ fn dnc_local(tuples: &mut Vec<Tuple>, depth: usize, stats: &mut CmpStats) -> Vec
     });
     let mut upper = tuples.split_off(mid);
     let mut sky_lower = dnc_local(tuples, depth + 1, stats);
-    let sky_upper = dnc_local(&mut upper, depth + 1, stats);
+    let mut survivors = dnc_local(&mut upper, depth + 1, stats);
     let boundary = sky_lower
+        .as_slice()
         .iter()
         .map(|t| t.values[split_dim])
         .fold(f64::NEG_INFINITY, f64::max);
-    let survivors: Vec<Tuple> = sky_upper
-        .into_iter()
-        .filter(|u| {
-            !sky_lower.iter().any(|l| {
-                stats.tuple_cmps += 1;
-                dominates(l, u)
-            })
-        })
-        .collect();
+    survivors.prune_by(&sky_lower, &mut stats.tuple_cmps);
     sky_lower.retain(|l| {
-        l.values[split_dim] < boundary
-            || !survivors.iter().any(|u| {
-                stats.tuple_cmps += 1;
-                dominates(u, l)
-            })
+        l.values[split_dim] < boundary || !survivors.dominates(l, &mut stats.tuple_cmps)
     });
     sky_lower.extend(survivors);
     sky_lower
@@ -309,40 +272,44 @@ mod tests {
         Tuple::new(id, vals.to_vec())
     }
 
+    fn window(tuples: Vec<Tuple>) -> Window {
+        Window::from(tuples)
+    }
+
     #[test]
     fn insert_keeps_incomparable_tuples() {
-        let mut s = vec![];
-        let mut stats = CmpStats::default();
-        assert!(insert_tuple(&mut s, t(0, &[0.1, 0.9]), &mut stats));
-        assert!(insert_tuple(&mut s, t(1, &[0.9, 0.1]), &mut stats));
+        let mut s = Window::default();
+        let mut cmps = 0;
+        assert!(s.insert(t(0, &[0.1, 0.9]), &mut cmps));
+        assert!(s.insert(t(1, &[0.9, 0.1]), &mut cmps));
         assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn insert_rejects_dominated_tuple() {
-        let mut s = vec![t(0, &[0.1, 0.1])];
-        let mut stats = CmpStats::default();
-        assert!(!insert_tuple(&mut s, t(1, &[0.5, 0.5]), &mut stats));
+        let mut s = window(vec![t(0, &[0.1, 0.1])]);
+        let mut cmps = 0;
+        assert!(!s.insert(t(1, &[0.5, 0.5]), &mut cmps));
         assert_eq!(s.len(), 1);
-        assert_eq!(stats.tuple_cmps, 1);
+        assert_eq!(cmps, 1);
     }
 
     #[test]
     fn insert_evicts_dominated_window_tuples() {
-        let mut s = vec![t(0, &[0.5, 0.5]), t(1, &[0.4, 0.9])];
-        let mut stats = CmpStats::default();
-        assert!(insert_tuple(&mut s, t(2, &[0.1, 0.1]), &mut stats));
+        let mut s = window(vec![t(0, &[0.5, 0.5]), t(1, &[0.4, 0.9])]);
+        let mut cmps = 0;
+        assert!(s.insert(t(2, &[0.1, 0.1]), &mut cmps));
         assert_eq!(s.len(), 1);
-        assert_eq!(s[0].id, 2);
+        assert_eq!(s.as_slice()[0].id, 2);
     }
 
     #[test]
     fn insert_keeps_duplicates() {
         // Equal vectors do not dominate each other (Definition 1 requires a
         // strictly better dimension), so both stay — consistent with BNL.
-        let mut s = vec![t(0, &[0.3, 0.3])];
-        let mut stats = CmpStats::default();
-        assert!(insert_tuple(&mut s, t(1, &[0.3, 0.3]), &mut stats));
+        let mut s = window(vec![t(0, &[0.3, 0.3])]);
+        let mut cmps = 0;
+        assert!(s.insert(t(1, &[0.3, 0.3]), &mut cmps));
         assert_eq!(s.len(), 2);
     }
 
@@ -366,21 +333,17 @@ mod tests {
         // p4 (center) vs p0 (origin): p0's tuple dominates one of p4's.
         let p0 = grid.index_of(&[0, 0]) as u32;
         let p4 = grid.index_of(&[1, 1]) as u32;
-        let s0 = vec![t(0, &[0.1, 0.4])];
-        let mut s4 = vec![t(1, &[0.4, 0.5]), t(2, &[0.6, 0.35])];
+        let sources = LocalSkylines::from([(p0, window(vec![t(0, &[0.1, 0.4])]))]);
+        let mut skylines =
+            LocalSkylines::from([(p4, window(vec![t(1, &[0.4, 0.5]), t(2, &[0.6, 0.35])]))]);
         let mut stats = CmpStats::default();
-        let removed = compare_partitions(
-            &grid,
-            p4,
-            &mut s4,
-            std::iter::once((p0, s0.as_slice())),
-            &mut stats,
-        );
+        eliminate_false_positives(&grid, &mut skylines, &sources, &mut stats);
         // t1 = (0.4,0.5) is dominated by (0.1,0.4); t2 = (0.6,0.35) is not.
-        assert_eq!(removed, 1);
+        let s4 = skylines[&p4].as_slice();
         assert_eq!(s4.len(), 1);
         assert_eq!(s4[0].id, 2);
         assert_eq!(stats.partition_cmps, 1);
+        assert_eq!(stats.tuple_cmps, 2);
     }
 
     #[test]
@@ -388,27 +351,69 @@ mod tests {
         let grid = Grid::new(2, 3).unwrap();
         let p4 = grid.index_of(&[1, 1]) as u32;
         let p2 = grid.index_of(&[2, 0]) as u32; // not in ADR(p4)
-        let s2 = vec![t(0, &[0.7, 0.01])];
-        let mut s4 = vec![t(1, &[0.4, 0.4])];
+        let sources = LocalSkylines::from([(p2, window(vec![t(0, &[0.7, 0.01])]))]);
+        let mut skylines = LocalSkylines::from([(p4, window(vec![t(1, &[0.4, 0.4])]))]);
         let mut stats = CmpStats::default();
-        compare_partitions(
-            &grid,
-            p4,
-            &mut s4,
-            std::iter::once((p2, s2.as_slice())),
-            &mut stats,
+        eliminate_false_positives(&grid, &mut skylines, &sources, &mut stats);
+        assert_eq!(
+            skylines[&p4].len(),
+            1,
+            "non-ADR partition must not affect p4"
         );
-        assert_eq!(s4.len(), 1, "non-ADR partition must not affect p4");
         assert_eq!(stats.partition_cmps, 0, "non-ADR pairs are not counted");
+    }
+
+    #[test]
+    fn partitions_emptied_by_the_sweep_are_not_compared_against() {
+        // p0 empties p1; p3 then has ADR {p0, p1} but only p0 is left.
+        let grid = Grid::new(2, 2).unwrap();
+        let [p0, p1, p3] = [[0, 0], [1, 0], [1, 1]].map(|c| grid.index_of(&c) as u32);
+        let mut skylines = LocalSkylines::from([
+            (p0, window(vec![t(0, &[0.1, 0.1])])),
+            (p1, window(vec![t(1, &[0.6, 0.2])])),
+            (p3, window(vec![t(2, &[0.7, 0.05 + 0.5])])),
+        ]);
+        let mut stats = CmpStats::default();
+        compare_all_partitions(&grid, &mut skylines, &mut stats);
+        assert_eq!(skylines.keys().copied().collect::<Vec<_>>(), vec![p0]);
+        assert_eq!(
+            stats.partition_cmps, 2,
+            "p1 vs p0, p3 vs p0 — never p3 vs p1"
+        );
+    }
+
+    #[test]
+    fn packed_adr_test_covers_every_addressable_grid() {
+        // Any grid whose cells fit `u32` keys fits the packed layout: the
+        // largest such PPD per dimensionality stays within the field.
+        for dim in 1..=64usize {
+            let mut ppd = 1u64;
+            while (ppd + 1)
+                .checked_pow(dim as u32)
+                .is_some_and(|n| n <= 1 << 32)
+            {
+                ppd += 1;
+            }
+            assert!(
+                ppd - 1 <= CellQuantizer::new(dim).max_level(),
+                "d = {dim}, ppd = {ppd}"
+            );
+        }
     }
 
     #[test]
     fn compare_all_drops_emptied_partitions() {
         let grid = Grid::new(2, 2).unwrap();
         let mut skylines = LocalSkylines::new();
-        skylines.insert(grid.index_of(&[0, 0]) as u32, vec![t(0, &[0.05, 0.05])]);
+        skylines.insert(
+            grid.index_of(&[0, 0]) as u32,
+            window(vec![t(0, &[0.05, 0.05])]),
+        );
         // Partition (1,1): its only tuple is dominated by p0's.
-        skylines.insert(grid.index_of(&[1, 1]) as u32, vec![t(1, &[0.8, 0.8])]);
+        skylines.insert(
+            grid.index_of(&[1, 1]) as u32,
+            window(vec![t(1, &[0.8, 0.8])]),
+        );
         let mut stats = CmpStats::default();
         compare_all_partitions(&grid, &mut skylines, &mut stats);
         assert_eq!(skylines.len(), 1);

@@ -1,14 +1,26 @@
 //! Property tests for the paper's core machinery: grid geometry,
-//! bitstring pruning, independent groups, and the cost model.
+//! bitstring pruning, independent groups, the cost model, and the
+//! signature-filtered local-skyline kernels against their scalar
+//! predecessors.
 
 use proptest::prelude::*;
 
+use skymr::bitstring::job::generate_bitstring;
 use skymr::bitstring::Bitstring;
 use skymr::cost::{kappa_mapper, kappa_reducer, kappa_surface, rho_dom, rho_rem};
+use skymr::gpsrs::PartitionSkylines;
 use skymr::groups::{generate_independent_groups, plan_groups, MergePolicy};
-use skymr::local::{bnl_reference, compare_all_partitions, insert_into_partition, CmpStats};
-use skymr::Grid;
-use skymr_common::{dominance::dominates, BitGrid, Tuple};
+use skymr::local::{
+    bnl_reference, compare_all_partitions, eliminate_false_positives, insert_into_partition,
+    local_skyline, CmpStats, LocalAlgo, LocalSkylines,
+};
+use skymr::{mr_gpmrs, Grid, SkylineConfig};
+use skymr_common::dataset::canonicalize;
+use skymr_common::dominance::{dominates, Window};
+use skymr_common::{BitGrid, Dataset, Tuple};
+use skymr_datagen::{generate, Distribution};
+
+mod scalar;
 
 /// A random small grid (d, n) with n^d capped to keep cases fast.
 fn arb_grid() -> impl Strategy<Value = Grid> {
@@ -204,7 +216,7 @@ proptest! {
             .map(|(i, v)| Tuple::new(i as u64, v))
             .collect();
         let grid = Grid::new(3, ppd).expect("valid grid");
-        let mut skylines = skymr::local::LocalSkylines::new();
+        let mut skylines = LocalSkylines::new();
         let mut stats = CmpStats::default();
         for t in &tuples {
             let p = grid.partition_of(t) as u32;
@@ -220,10 +232,10 @@ proptest! {
     fn window_is_always_an_antichain(
         rows in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 2), 0..100),
     ) {
-        let mut window = Vec::new();
-        let mut stats = CmpStats::default();
+        let mut window = Window::default();
+        let mut examined = 0;
         for (i, v) in rows.into_iter().enumerate() {
-            skymr::local::insert_tuple(&mut window, Tuple::new(i as u64, v), &mut stats);
+            window.insert(Tuple::new(i as u64, v), &mut examined);
             for a in &window {
                 for b in &window {
                     prop_assert!(!dominates(a, b), "window holds a dominated tuple");
@@ -254,5 +266,177 @@ proptest! {
         for j in 1..=d {
             prop_assert!(kappa_surface(n, d, j) <= kappa_reducer(n, d));
         }
+    }
+}
+
+/// Inputs for the kernel-parity properties: `(d, rows)` from the three
+/// paper distributions at 1–6 dimensions, in the plain shape or one of the
+/// degenerate ones — empty, every row equal, every row twice, or snapped to
+/// a coarse lattice (ties on every dimension, many equal rows).
+fn arb_rows() -> impl Strategy<Value = (usize, Vec<Tuple>)> {
+    (0usize..3, 1usize..=6, 1usize..220, any::<u64>(), 0u8..8).prop_map(
+        |(dist, dim, card, seed, shape)| {
+            let dist = [
+                Distribution::Independent,
+                Distribution::Correlated,
+                Distribution::Anticorrelated,
+            ][dist];
+            let mut rows: Vec<Vec<f64>> = generate(dist, dim, card, seed)
+                .tuples()
+                .iter()
+                .map(|t| t.values.to_vec())
+                .collect();
+            match shape {
+                0 => rows.clear(),
+                1 => rows = vec![rows[0].clone(); card],
+                2 => rows.extend(rows.clone()),
+                3 => rows
+                    .iter_mut()
+                    .flatten()
+                    .for_each(|v| *v = (*v * 4.0).floor() / 4.0),
+                _ => {}
+            }
+            let tuples = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| Tuple::new(i as u64, v))
+                .collect();
+            (dim, tuples)
+        },
+    )
+}
+
+/// A windowed task state with the signatures dropped, for comparison with
+/// the scalar one — partition by partition, in window order.
+fn unsigned(skylines: &LocalSkylines) -> scalar::LocalSkylines {
+    skylines
+        .iter()
+        .map(|(&p, window)| (p, window.as_slice().to_vec()))
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn windowed_insert_and_compare_equal_scalar((dim, rows) in arb_rows(), ppd in 1usize..5) {
+        let grid = Grid::new(dim, ppd).expect("valid grid");
+        let (mut windowed, mut reference) = (LocalSkylines::new(), scalar::LocalSkylines::new());
+        let (mut stats, mut want) = (CmpStats::default(), CmpStats::default());
+        for t in &rows {
+            let p = grid.partition_of(t) as u32;
+            insert_into_partition(&mut windowed, p, t.clone(), &mut stats);
+            scalar::insert_into_partition(&mut reference, p, t.clone(), &mut want);
+        }
+        prop_assert_eq!(unsigned(&windowed), reference.clone());
+        prop_assert_eq!(stats, want);
+        compare_all_partitions(&grid, &mut windowed, &mut stats);
+        scalar::compare_all_partitions(&grid, &mut reference, &mut want);
+        prop_assert_eq!(unsigned(&windowed), reference);
+        prop_assert_eq!(stats, want);
+    }
+
+    #[test]
+    fn windowed_local_kernels_equal_scalar((_, rows) in arb_rows()) {
+        for algo in [LocalAlgo::Bnl, LocalAlgo::Sfs, LocalAlgo::Dnc] {
+            let (mut stats, mut want) = (CmpStats::default(), CmpStats::default());
+            let got = local_skyline(rows.clone(), algo, &mut stats);
+            let reference = scalar::local_skyline(rows.clone(), algo, &mut want);
+            prop_assert_eq!(got, reference, "{:?} output or order differs", algo);
+            prop_assert_eq!(stats, want, "{:?} counters differ", algo);
+        }
+    }
+
+    #[test]
+    fn windowed_compare_against_sources_equals_scalar(
+        (dim, rows) in arb_rows(),
+        ppd in 1usize..5,
+    ) {
+        // Odd partitions are raw comparison sources (unions, not skylines),
+        // even ones are merged and pruned — the MR-GPMRS reducer's shape.
+        let grid = Grid::new(dim, ppd).expect("valid grid");
+        let (mut windowed, mut reference) = (LocalSkylines::new(), scalar::LocalSkylines::new());
+        let mut sources = scalar::LocalSkylines::new();
+        let (mut stats, mut want) = (CmpStats::default(), CmpStats::default());
+        for t in &rows {
+            let p = grid.partition_of(t) as u32;
+            if p % 2 == 1 {
+                sources.entry(p).or_default().push(t.clone());
+            } else {
+                insert_into_partition(&mut windowed, p, t.clone(), &mut stats);
+                scalar::insert_into_partition(&mut reference, p, t.clone(), &mut want);
+            }
+        }
+        let signed_sources: LocalSkylines = sources
+            .iter()
+            .map(|(&q, tuples)| (q, Window::from(tuples.clone())))
+            .collect();
+        eliminate_false_positives(&grid, &mut windowed, &signed_sources, &mut stats);
+        scalar::compare_against_sources(&grid, &mut reference, &sources, &mut want);
+        prop_assert_eq!(unsigned(&windowed), reference);
+        prop_assert_eq!(stats, want);
+    }
+}
+
+proptest! {
+    // Each case runs the bitstring job twice and the skyline job once.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn gpmrs_job_counters_equal_scalar_replay(
+        (dim, rows) in arb_rows(),
+        reducers in 1usize..5,
+        ppd in 1usize..4,
+    ) {
+        let data = Dataset::new(dim, rows).expect("rows lie in the unit cube");
+        let config = SkylineConfig::test().with_reducers(reducers).with_ppd(ppd);
+        let run = mr_gpmrs(&data, &config).expect("pipeline runs");
+
+        // Algorithms 8–9 replayed outside the engine with the scalar kernels.
+        let splits = data.split(config.mappers);
+        let (bitstring, _, _) =
+            generate_bitstring(&splits, dim, data.len(), &config).expect("bitstring job runs");
+        let grid = *bitstring.grid();
+        let plan = plan_groups(&bitstring, config.reducers, config.merge_policy);
+        let mut map_stats = CmpStats::default();
+        let mut inbox: Vec<Vec<PartitionSkylines>> = vec![Vec::new(); plan.num_buckets()];
+        for split in &splits {
+            let mut skylines = scalar::LocalSkylines::new();
+            for t in split {
+                let p = grid.partition_of(t);
+                if bitstring.is_set(p) {
+                    scalar::insert_into_partition(&mut skylines, p as u32, t.clone(), &mut map_stats);
+                }
+            }
+            scalar::compare_all_partitions(&grid, &mut skylines, &mut map_stats);
+            for (bucket, values) in plan.buckets.iter().zip(inbox.iter_mut()) {
+                values.push(
+                    skylines
+                        .iter()
+                        .filter(|(p, _)| bucket.partitions.contains(p))
+                        .map(|(&p, s)| (p, s.clone()))
+                        .collect(),
+                );
+            }
+        }
+        let counter = |key: &str| run.counters.get(key).copied().unwrap_or(0);
+        let mut reduce_stats = CmpStats::default();
+        let mut skyline = Vec::new();
+        for (bucket_index, values) in inbox.into_iter().enumerate() {
+            let mut stats = CmpStats::default();
+            skyline.extend(scalar::gpmrs_reduce(&grid, &plan, bucket_index, values, &mut stats));
+            prop_assert_eq!(
+                counter(&format!("gpmrs.reduce.bucket.{bucket_index}.tuple_cmps")),
+                stats.tuple_cmps
+            );
+            prop_assert_eq!(
+                counter(&format!("gpmrs.reduce.bucket.{bucket_index}.partition_cmps")),
+                stats.partition_cmps
+            );
+            reduce_stats.absorb(stats);
+        }
+        prop_assert_eq!(run.skyline, canonicalize(skyline));
+        prop_assert_eq!(counter("gpmrs.map.tuple_cmps"), map_stats.tuple_cmps);
+        prop_assert_eq!(counter("gpmrs.map.partition_cmps"), map_stats.partition_cmps);
+        prop_assert_eq!(counter("gpmrs.reduce.tuple_cmps"), reduce_stats.tuple_cmps);
+        prop_assert_eq!(counter("gpmrs.reduce.partition_cmps"), reduce_stats.partition_cmps);
     }
 }

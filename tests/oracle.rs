@@ -94,3 +94,35 @@ fn all_algorithms_handle_boundary_values() {
     let data = Dataset::new(2, tuples).unwrap();
     assert_all_agree(&data, &SkylineConfig::test(), "boundary values");
 }
+
+/// The oracles must decide dominance with `dominates` / `compare` alone:
+/// they are what the signature-filtered `Window` kernels are checked
+/// against, so they must not come to share its code.
+#[test]
+fn oracles_stay_independent_of_the_signature_filter() {
+    let local = include_str!("../crates/core/src/local.rs");
+    let start = local
+        .find("pub fn bnl_reference")
+        .expect("local.rs defines bnl_reference");
+    let len = local[start..].find("\n}\n").expect("fn body closes");
+    let oracles = [
+        ("sfs.rs", include_str!("../crates/baselines/src/sfs.rs")),
+        (
+            "analysis.rs (check_skyline)",
+            include_str!("../crates/mapreduce/src/analysis.rs"),
+        ),
+        ("local.rs::bnl_reference", &local[start..start + len]),
+    ];
+    for (name, source) in oracles {
+        assert!(
+            source.contains("dominates") || source.contains("compare("),
+            "{name} no longer tests dominance directly"
+        );
+        for filtered in ["Window", "CellQuantizer", "signature", "prune_by"] {
+            assert!(
+                !source.contains(filtered),
+                "{name} references `{filtered}`: oracles must bypass the cell-signature prefilter"
+            );
+        }
+    }
+}
