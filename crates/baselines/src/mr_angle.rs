@@ -114,7 +114,7 @@ impl ReduceTask for AngleLocalReduceTask {
     fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<CellEntry>) {
         let mut window = Vec::new();
         for t in values {
-            window_insert(&mut window, t);
+            out.charge(window_insert(&mut window, t));
         }
         out.collect((key, window));
     }
@@ -144,7 +144,7 @@ impl ReduceTask for AngleMergeReduceTask {
         let mut window: Vec<Tuple> = Vec::new();
         for (_, tuples) in values {
             for t in tuples {
-                window_insert(&mut window, t);
+                out.charge(window_insert(&mut window, t));
             }
         }
         for t in window {

@@ -54,11 +54,14 @@ pub fn cell_may_dominate(a: u32, b: u32) -> bool {
 
 /// Scalar BNL window insert of MR-Angle and SKY-MR, which have not moved
 /// to the signature-filtered [`Window`] that MR-BNL's reducers use.
-pub(crate) fn window_insert(window: &mut Vec<Tuple>, t: Tuple) {
+/// Returns the pairs examined.
+pub(crate) fn window_insert(window: &mut Vec<Tuple>, t: Tuple) -> u64 {
+    let mut examined = 0;
     let mut i = 0;
     while i < window.len() {
+        examined += 1;
         match compare(&window[i], &t) {
-            DomOrdering::Dominates => return,
+            DomOrdering::Dominates => return examined,
             DomOrdering::DominatedBy => {
                 window.swap_remove(i);
             }
@@ -66,6 +69,7 @@ pub(crate) fn window_insert(window: &mut Vec<Tuple>, t: Tuple) {
         }
     }
     window.push(t);
+    examined
 }
 
 /// Cross-cell false-positive elimination with cell-code skipping: remove
@@ -90,8 +94,9 @@ pub fn eliminate_across_cells(cells: &mut CellSkylines) {
         .collect();
 }
 
-/// [`eliminate_across_cells`] over signed windows.
-fn eliminate_across_windows(cells: &mut BTreeMap<u32, Window>) {
+/// [`eliminate_across_cells`] over signed windows; returns the pairs
+/// examined.
+fn eliminate_across_windows(cells: &mut BTreeMap<u32, Window>) -> u64 {
     let codes: Vec<u32> = cells.keys().copied().collect();
     let mut examined = 0;
     for &b in &codes {
@@ -111,6 +116,7 @@ fn eliminate_across_windows(cells: &mut BTreeMap<u32, Window>) {
             cells.insert(b, sb);
         }
     }
+    examined
 }
 
 // ---------------------------------------------------------------------
@@ -161,6 +167,7 @@ impl ReduceTask for LocalSkylineReduceTask {
         for t in values {
             window.insert(t, &mut examined);
         }
+        out.charge(examined);
         out.collect((key, window.into_vec()));
     }
 }
@@ -261,7 +268,7 @@ impl ReduceTask for MergeReduceTask {
                         window.insert(t, &mut examined);
                     }
                 }
-                eliminate_across_windows(&mut cells);
+                examined += eliminate_across_windows(&mut cells);
                 for window in cells.into_values() {
                     for t in window {
                         out.collect(t);
@@ -269,6 +276,7 @@ impl ReduceTask for MergeReduceTask {
                 }
             }
         }
+        out.charge(examined);
     }
 }
 

@@ -20,7 +20,7 @@ use crate::mr_bnl::{
     phase1_reducers, CellEntry, ForwardMapFactory, MergeReduceFactory, MergeStrategy,
     PartitionMapFactory,
 };
-use crate::sfs::{sfs_skyline, SfsOrder};
+use crate::sfs::{sfs_skyline_counted, SfsOrder};
 
 /// Phase-1 reducer factory: SFS local skyline per cell.
 #[derive(Debug)]
@@ -47,7 +47,10 @@ impl ReduceTask for SfsLocalReduceTask {
     type Out = CellEntry;
 
     fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<CellEntry>) {
-        out.collect((key, sfs_skyline(&values, self.order)));
+        let mut examined = 0;
+        let skyline = sfs_skyline_counted(&values, self.order, &mut examined);
+        out.charge(examined);
+        out.collect((key, skyline));
     }
 }
 

@@ -31,6 +31,15 @@ impl SfsOrder {
 
 /// Computes the skyline with SFS, sorted by tuple id.
 pub fn sfs_skyline(tuples: &[Tuple], order: SfsOrder) -> Vec<Tuple> {
+    sfs_skyline_counted(tuples, order, &mut 0)
+}
+
+/// [`sfs_skyline`], adding the pairs examined to `examined`.
+pub(crate) fn sfs_skyline_counted(
+    tuples: &[Tuple],
+    order: SfsOrder,
+    examined: &mut u64,
+) -> Vec<Tuple> {
     let mut sorted: Vec<&Tuple> = tuples.iter().collect();
     // Ties broken by id for determinism; score is NaN-free on valid data.
     sorted.sort_by(|a, b| {
@@ -42,6 +51,7 @@ pub fn sfs_skyline(tuples: &[Tuple], order: SfsOrder) -> Vec<Tuple> {
     let mut window: Vec<Tuple> = Vec::new();
     'next: for t in sorted {
         for w in &window {
+            *examined += 1;
             if dominates(w, t) {
                 continue 'next;
             }

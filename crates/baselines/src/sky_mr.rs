@@ -151,9 +151,10 @@ impl MapTask for SkyMrMapTask {
     type K = u32;
     type V = LeafPayload;
 
-    fn map(&mut self, input: &Tuple, _out: &mut Emitter<u32, LeafPayload>) {
+    fn map(&mut self, input: &Tuple, out: &mut Emitter<u32, LeafPayload>) {
         if let Some(leaf) = self.plan.tree.locate(input) {
-            window_insert(self.leaves.entry(leaf as u32).or_default(), input.clone());
+            let window = self.leaves.entry(leaf as u32).or_default();
+            out.charge(window_insert(window, input.clone()));
         }
     }
 
@@ -213,7 +214,7 @@ impl ReduceTask for SkyMrReduceTask {
                 if self.plan.owner(leaf as usize) == me {
                     let window = owned.entry(leaf).or_default();
                     for t in tuples {
-                        window_insert(window, t);
+                        out.charge(window_insert(window, t));
                     }
                 } else {
                     sources.entry(leaf).or_default().extend(tuples);
@@ -232,7 +233,11 @@ impl ReduceTask for SkyMrReduceTask {
                     .map(Vec::as_slice)
                     .or_else(|| sources.get(&a).map(Vec::as_slice));
                 if let Some(dominators) = dominators {
-                    window.retain(|t| !dominators.iter().any(|d| dominates(d, t)));
+                    window.retain(|t| {
+                        let hit = dominators.iter().position(|d| dominates(d, t));
+                        out.charge(hit.map_or(dominators.len(), |i| i + 1) as u64);
+                        hit.is_none()
+                    });
                     if window.is_empty() {
                         break;
                     }
@@ -405,7 +410,6 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
         },
         &ModuloPartitioner,
     ))?;
-    metrics.push(outcome.metrics.clone());
     Ok(BaselineRun {
         skyline: canonicalize(outcome.into_flat_output()),
         metrics,
@@ -501,6 +505,7 @@ mod tests {
         );
         let failed = sky_mr(&ds, &config).unwrap();
         assert_eq!(failed.skyline_ids(), clean.skyline_ids());
+        assert_eq!(failed.metrics.jobs.len(), 2, "sampling job + skyline job");
         assert_eq!(failed.metrics.jobs[1].map_retries, 1);
         assert_eq!(failed.metrics.jobs[1].reduce_retries, 1);
     }

@@ -413,8 +413,9 @@ impl PhaseLog {
         self.entries.push((label.into(), m.clone()));
     }
 
-    /// Renders the log as a JSON document (all durations in integer
-    /// microseconds; key order fixed, so output is reproducible).
+    /// Renders the log as a JSON document of model outputs only (all
+    /// durations in integer microseconds of simulated time; key order
+    /// fixed), so the file is byte-identical across runs and hosts.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"runs\":[\n");
         for (i, (label, m)) in self.entries.iter().enumerate() {
@@ -423,8 +424,6 @@ impl PhaseLog {
             }
             out.push_str(&format!("{{\"label\":\"{}\",", json_escape(label)));
             push_json_duration(&mut out, "sim_runtime_us", m.sim_runtime);
-            out.push(',');
-            push_json_duration(&mut out, "host_wall_us", m.host_wall);
             out.push_str(&format!(
                 ",\"skyline_size\":{},\"ppd\":{},\"phases\":[",
                 m.skyline_size, m.ppd
@@ -628,6 +627,101 @@ mod tests {
             sizes.insert(m.skyline_size);
         }
         assert_eq!(sizes.len(), 1, "algorithms disagree on skyline size");
+    }
+
+    // The qualitative claims EXPERIMENTS.md makes per figure, at quick
+    // scale. They are assertable because the simulated clock is a pure
+    // function of what each job counted: these numbers never move.
+
+    fn secs(m: &Measurement) -> f64 {
+        m.sim_runtime.as_secs_f64()
+    }
+
+    /// Within 1 % of the two-job floor: 2 s startup plus a 0.2 s launch
+    /// per phase, twice.
+    fn within_floor(s: f64) -> bool {
+        (4.8..4.8 * 1.01).contains(&s)
+    }
+
+    /// Figure 8 (anti-correlated, high cardinality): the grid algorithms
+    /// in front from d = 6, MR-GPMRS ahead of MR-GPSRS, and no series
+    /// falls while the comparisons on its critical path grow.
+    #[test]
+    fn fig8_quick_scale_keeps_its_shape() {
+        let (_, card) = Scale::Quick.cardinalities();
+        let dims = [4usize, 6, 8];
+        let mut series: Vec<Vec<Measurement>> = Algo::all().iter().map(|_| Vec::new()).collect();
+        for dim in dims {
+            let ds = dataset(Distribution::Anticorrelated, dim, card, 42);
+            for (column, algo) in series.iter_mut().zip(Algo::all()) {
+                column.push(run_algo(algo, &ds, 13));
+            }
+        }
+        let [gpsrs, gpmrs, bnl, angle] = &series[..] else {
+            unreachable!("four algorithms");
+        };
+        for (i, dim) in dims.iter().enumerate().filter(|(_, &d)| d >= 6) {
+            assert!(secs(&gpmrs[i]) <= secs(&gpsrs[i]), "d={dim}");
+            for baseline in [bnl, angle] {
+                assert!(secs(&baseline[i]) > secs(&gpsrs[i]), "d={dim}");
+            }
+        }
+        // The busiest mapper's and the busiest reducer's counted
+        // comparisons (`*.max` user counters) bound the critical path.
+        let critical = |m: &Measurement, job: &str| -> (u64, u64) {
+            let side = |side: &str| -> u64 {
+                ["partition_cmps.max", "tuple_cmps.max"]
+                    .iter()
+                    .map(|c| m.counters[&format!("{job}.{side}.{c}")])
+                    .sum()
+            };
+            (side("map"), side("reduce"))
+        };
+        for (column, job) in [(gpsrs, "gpsrs"), (gpmrs, "gpmrs")] {
+            for (pair, dim) in column.windows(2).zip(&dims[1..]) {
+                let (before, after) = (critical(&pair[0], job), critical(&pair[1], job));
+                if after.0 >= before.0 && after.1 >= before.1 {
+                    assert!(secs(&pair[1]) >= secs(&pair[0]), "{job} fell at d={dim}");
+                }
+            }
+        }
+        // The baselines' single merge reducer only ever sees more, and
+        // longer, tuples as d grows.
+        for (column, name) in [(bnl, "MR-BNL"), (angle, "MR-Angle")] {
+            for (pair, dim) in column.windows(2).zip(&dims[1..]) {
+                assert!(secs(&pair[1]) >= secs(&pair[0]), "{name} fell at d={dim}");
+            }
+        }
+    }
+
+    /// Figure 7 (independent): every curve within the floor at d ≤ 4.
+    #[test]
+    fn fig7_quick_scale_keeps_its_shape() {
+        let (_, card) = Scale::Quick.cardinalities();
+        for dim in [2usize, 4] {
+            let ds = dataset(Distribution::Independent, dim, card, 42);
+            for algo in Algo::all() {
+                let s = secs(&run_algo(algo, &ds, 13));
+                assert!(within_floor(s), "{} d={dim}: {s}", algo.name());
+            }
+        }
+    }
+
+    /// Figure 10 (8-d): on anti-correlated data five reducers beat one; on
+    /// independent data the whole sweep stays within the floor.
+    #[test]
+    fn fig10_quick_scale_keeps_its_shape() {
+        let (_, card) = Scale::Quick.cardinalities();
+        let anti = dataset(Distribution::Anticorrelated, 8, card, 42);
+        let one = secs(&run_algo(Algo::MrGpsrs, &anti, 1));
+        let five = secs(&run_algo(Algo::MrGpmrs, &anti, 5));
+        assert!(five < one, "{five} vs {one}");
+        let indep = dataset(Distribution::Independent, 8, card, 42);
+        assert!(within_floor(secs(&run_algo(Algo::MrGpsrs, &indep, 1))));
+        for reducers in [3, 5, 9, 13, 17] {
+            let s = secs(&run_algo(Algo::MrGpmrs, &indep, reducers));
+            assert!(within_floor(s), "independent r={reducers}: {s}");
+        }
     }
 
     #[test]

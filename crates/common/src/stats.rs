@@ -10,13 +10,21 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+/// One named counter: its value, and whether it aggregates as a maximum
+/// ([`Counters::record_max`]) rather than a sum.
+#[derive(Debug)]
+struct Slot {
+    value: Arc<AtomicU64>,
+    max: bool,
+}
+
 /// A set of named monotonically increasing counters.
 ///
 /// Counter handles are cheap `Arc<AtomicU64>` clones; taking a handle once
 /// and bumping it in a hot loop avoids the map lookup per increment.
 #[derive(Debug, Default, Clone)]
 pub struct Counters {
-    inner: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,
+    inner: Arc<Mutex<BTreeMap<String, Slot>>>,
 }
 
 impl Counters {
@@ -25,15 +33,20 @@ impl Counters {
         Self::default()
     }
 
+    fn slot(&self, name: &str, max: bool) -> Arc<AtomicU64> {
+        let mut map = self.inner.lock();
+        if !map.contains_key(name) {
+            let value = Arc::new(AtomicU64::new(0));
+            map.insert(name.to_owned(), Slot { value, max });
+        }
+        let slot = map.get_mut(name).expect("present or just inserted");
+        slot.max |= max;
+        Arc::clone(&slot.value)
+    }
+
     /// Returns the counter named `name`, creating it at zero if absent.
     pub fn handle(&self, name: &str) -> Arc<AtomicU64> {
-        let mut map = self.inner.lock();
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let counter = Arc::new(AtomicU64::new(0));
-        map.insert(name.to_owned(), Arc::clone(&counter));
-        counter
+        self.slot(name, false)
     }
 
     /// Adds `delta` to the counter named `name`.
@@ -45,20 +58,37 @@ impl Counters {
     /// current value — a max-aggregation used for "busiest task" metrics
     /// (Figure 11 reports the mapper/reducer with the most comparisons).
     pub fn record_max(&self, name: &str, value: u64) {
-        self.handle(name).fetch_max(value, Ordering::Relaxed);
+        self.slot(name, true).fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Folds `other` into `self`: sums add, maxima ([`Self::record_max`])
+    /// take the larger. This is how the engine commits one task attempt's
+    /// counters to its job's — once, for the attempt whose output counts.
+    pub fn absorb(&self, other: &Counters) {
+        let read = |(name, slot): (&String, &Slot)| {
+            (name.clone(), slot.value.load(Ordering::Relaxed), slot.max)
+        };
+        let entries: Vec<(String, u64, bool)> = other.inner.lock().iter().map(read).collect();
+        for (name, value, max) in entries {
+            if max {
+                self.record_max(&name, value);
+            } else {
+                self.add(&name, value);
+            }
+        }
     }
 
     /// Current value of the counter named `name` (0 if it was never touched).
     pub fn get(&self, name: &str) -> u64 {
         let map = self.inner.lock();
-        map.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
+        map.get(name).map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 
     /// Snapshot of all counters, sorted by name.
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
         let map = self.inner.lock();
         map.iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|(k, v)| (k.clone(), v.value.load(Ordering::Relaxed)))
             .collect()
     }
 }
@@ -99,6 +129,23 @@ mod tests {
         c.record_max("m", 3);
         c.record_max("m", 9);
         assert_eq!(c.get("m"), 9);
+    }
+
+    #[test]
+    fn absorb_sums_counts_and_maxes_maxima() {
+        let job = Counters::new();
+        for (cmps, busiest) in [(5, 5), (3, 3)] {
+            let attempt = Counters::new();
+            attempt.add("cmps", cmps);
+            attempt.record_max("cmps.max", busiest);
+            job.absorb(&attempt);
+        }
+        assert_eq!((job.get("cmps"), job.get("cmps.max")), (8, 5));
+        // The max marker travels: a job folded into a pipeline keeps it.
+        let pipeline = Counters::new();
+        pipeline.record_max("cmps.max", 4);
+        pipeline.absorb(&job);
+        assert_eq!(pipeline.get("cmps.max"), 5);
     }
 
     #[test]

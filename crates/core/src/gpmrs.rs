@@ -75,7 +75,8 @@ impl MapTask for GpmrsMapTask {
 
     fn finish(&mut self, out: &mut Emitter<u32, PartitionSkylines>) {
         // Algorithm 8 lines 9–10 (false-positive elimination) …
-        let skylines = self.inner.finalize();
+        let (skylines, stats) = self.inner.finalize();
+        out.charge(stats.total());
         // … lines 11–19: split the local skyline along the bucket partition
         // sets and send each piece to its reducer. A partition lying in
         // several buckets is replicated, exactly as the paper requires:
@@ -211,6 +212,7 @@ impl ReduceTask for GpmrsReduceTask {
             .collect();
         eliminate_false_positives(&grid, &mut skylines, &sources, &mut stats);
         record_task_stats(&self.counters, "reduce", stats);
+        out.charge(stats.total());
         // Per-bucket (partition-group) comparison counts: each bucket is an
         // ADR-closed set of partitions, so these expose the per-group
         // balance the merge policy aimed for.

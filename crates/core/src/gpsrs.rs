@@ -119,8 +119,9 @@ impl GpsrsMapTask {
     }
 
     /// Algorithm 3 lines 9–10: per-partition skylines (for buffered
-    /// kernels) and cross-partition false-positive elimination.
-    pub(crate) fn finalize(&mut self) -> LocalSkylines {
+    /// kernels) and cross-partition false-positive elimination. Returns
+    /// the local skyline and the comparisons the whole split cost.
+    pub(crate) fn finalize(&mut self) -> (LocalSkylines, CmpStats) {
         for (p, tuples) in std::mem::take(&mut self.buffers) {
             let skyline = local_window(tuples, self.local_algo, &mut self.stats);
             if !skyline.is_empty() {
@@ -135,7 +136,7 @@ impl GpsrsMapTask {
         self.counters.add("map.dr_pruned_tuples", self.dr_pruned);
         self.counters
             .add("map.adr_removed_tuples", before.saturating_sub(after));
-        std::mem::take(&mut self.skylines)
+        (std::mem::take(&mut self.skylines), self.stats)
     }
 }
 
@@ -149,7 +150,8 @@ impl MapTask for GpsrsMapTask {
     }
 
     fn finish(&mut self, out: &mut Emitter<u8, PartitionSkylines>) {
-        let skylines = self.finalize();
+        let (skylines, stats) = self.finalize();
+        out.charge(stats.total());
         out.emit(0, skylines_to_payload(skylines));
     }
 }
@@ -213,6 +215,7 @@ impl ReduceTask for GpsrsReduceTask {
         compare_all_partitions(&self.grid, &mut skylines, &mut stats);
         let after: u64 = skylines.values().map(|s| s.len() as u64).sum();
         record_task_stats(&self.counters, "reduce", stats);
+        out.charge(stats.total());
         self.counters
             .add("reduce.adr_removed_tuples", before.saturating_sub(after));
         // Line 9: output the union.

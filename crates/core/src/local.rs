@@ -43,6 +43,12 @@ impl CmpStats {
         self.partition_cmps += other.partition_cmps;
         self.tuple_cmps += other.tuple_cmps;
     }
+
+    /// Every comparison counted — the work a task charges to the
+    /// simulated clock.
+    pub fn total(&self) -> u64 {
+        self.partition_cmps + self.tuple_cmps
+    }
 }
 
 /// The local skylines of one task, keyed by partition index.

@@ -210,15 +210,18 @@ impl Wire for Countstring {
 pub type BandEntry = (Tuple, u32);
 
 /// Inserts `t` into a BNL-k window: discarded once `k` dominators have
-/// been observed; evicts entries whose tally reaches `k`.
-pub fn band_insert(window: &mut Vec<BandEntry>, t: Tuple, k: u32) {
+/// been observed; evicts entries whose tally reaches `k`. Returns the
+/// window entries examined.
+pub fn band_insert(window: &mut Vec<BandEntry>, t: Tuple, k: u32) -> u64 {
     let mut incoming_count = 0u32;
+    let mut examined = 0;
     let mut i = 0;
     while i < window.len() {
+        examined += 1;
         if dominates(&window[i].0, &t) {
             incoming_count += 1;
             if incoming_count >= k {
-                return;
+                return examined;
             }
         }
         if dominates(&t, &window[i].0) {
@@ -231,6 +234,7 @@ pub fn band_insert(window: &mut Vec<BandEntry>, t: Tuple, k: u32) {
         i += 1;
     }
     window.push((t, incoming_count));
+    examined
 }
 
 /// Centralized k-skyband by exhaustive counting — the oracle for tests
@@ -381,14 +385,11 @@ impl MapTask for BandMapTask {
     type K = u8;
     type V = BandPayload;
 
-    fn map(&mut self, input: &Tuple, _out: &mut Emitter<u8, BandPayload>) {
+    fn map(&mut self, input: &Tuple, out: &mut Emitter<u8, BandPayload>) {
         let p = self.grid.partition_of(input);
         if self.countstring.is_active(p) {
-            band_insert(
-                self.windows.entry(p as u32).or_default(),
-                input.clone(),
-                self.k,
-            );
+            let window = self.windows.entry(p as u32).or_default();
+            out.charge(band_insert(window, input.clone(), self.k));
         }
     }
 
@@ -450,6 +451,7 @@ impl ReduceTask for BandReduceTask {
             for t in tuples {
                 let mut count = 0u32;
                 'outer: for (&q, others) in &candidates {
+                    out.charge(1);
                     self.grid.coords_into(q as usize, &mut q_coords);
                     let relevant =
                         q == p || q_coords.iter().zip(p_coords.iter()).all(|(&b, &a)| b <= a);
@@ -457,6 +459,7 @@ impl ReduceTask for BandReduceTask {
                         continue;
                     }
                     for o in others {
+                        out.charge(1);
                         if dominates(o, t) {
                             count += 1;
                             if count >= self.k {
@@ -503,14 +506,11 @@ impl MapTask for BandMultiMapTask {
     type K = u32;
     type V = BandPayload;
 
-    fn map(&mut self, input: &Tuple, _out: &mut Emitter<u32, BandPayload>) {
+    fn map(&mut self, input: &Tuple, out: &mut Emitter<u32, BandPayload>) {
         let p = self.inner.grid.partition_of(input);
         if self.inner.countstring.is_active(p) {
-            band_insert(
-                self.inner.windows.entry(p as u32).or_default(),
-                input.clone(),
-                self.inner.k,
-            );
+            let window = self.inner.windows.entry(p as u32).or_default();
+            out.charge(band_insert(window, input.clone(), self.inner.k));
         }
     }
 
@@ -587,6 +587,7 @@ impl ReduceTask for BandMultiReduceTask {
             for t in tuples {
                 let mut count = 0u32;
                 'outer: for (&q, others) in &candidates {
+                    out.charge(1);
                     self.grid.coords_into(q as usize, &mut q_coords);
                     let relevant =
                         q == p || q_coords.iter().zip(p_coords.iter()).all(|(&b, &a)| b <= a);
@@ -594,6 +595,7 @@ impl ReduceTask for BandMultiReduceTask {
                         continue;
                     }
                     for o in others {
+                        out.charge(1);
                         if dominates(o, t) {
                             count += 1;
                             if count >= self.k {

@@ -236,6 +236,7 @@ impl ReduceTask for TopKReduceTask {
                 (t.clone(), dr_sum + shell_score)
             })
             .collect();
+        out.charge(ranked.len() as u64 * values.len() as u64);
         // Only this reducer's local top-k can matter globally.
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.id.cmp(&b.0.id)));
         ranked.truncate(self.k);

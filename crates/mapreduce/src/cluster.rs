@@ -12,9 +12,9 @@ use crate::storage::StorageConfig;
 /// ran the task, so losing a *machine* invalidates the outputs stored
 /// there. To model that, every task (and every retry attempt) gets a home
 /// node derived purely from `(seed, job, kind, index[, attempt])` over the
-/// list of currently-alive nodes — never from the measured LPT schedule,
-/// which depends on host timing. The same seed therefore always produces
-/// the same task→node map, making node-loss recovery replayable.
+/// list of currently-alive nodes — never from where the LPT schedule put
+/// the attempt, so a home survives re-placement. The same seed always
+/// produces the same task→node map, making node-loss recovery replayable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Seed from which every assignment is derived.
@@ -113,9 +113,8 @@ pub struct ClusterConfig {
     pub job_startup: Duration,
     /// Per-task launch overhead (Hadoop-1 spawns a JVM per task).
     pub task_overhead: Duration,
-    /// Maximum OS threads used to execute tasks concurrently. Task *timing*
-    /// is derived from per-task measured durations placed onto slots, so
-    /// this only bounds host parallelism, not the simulated clock.
+    /// Maximum OS threads used to execute tasks concurrently. This only
+    /// bounds host parallelism; the simulated clock never sees it.
     pub host_threads: usize,
     /// Deterministic task→node placement. `None` (the default) keeps the
     /// pre-placement behaviour: nodes stay a pure cost-model scalar and
@@ -241,38 +240,6 @@ impl ClusterConfig {
     }
 }
 
-/// Places measured task durations onto `slots` machines with longest-
-/// processing-time-first list scheduling and returns each slot's total
-/// load. The slot occupancy the telemetry layer gauges comes from here;
-/// [`makespan`] is the maximum over these loads.
-pub fn slot_loads(
-    durations: &[Duration],
-    slots: usize,
-    per_task_overhead: Duration,
-) -> Vec<Duration> {
-    assert!(slots > 0, "placement requires at least one slot");
-    let mut sorted: Vec<Duration> = durations.iter().map(|d| *d + per_task_overhead).collect();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut loads = vec![Duration::ZERO; slots];
-    for d in sorted {
-        // Place on the least-loaded slot (`loads` is non-empty: slots > 0).
-        if let Some(min) = loads.iter_mut().min() {
-            *min += d;
-        }
-    }
-    loads
-}
-
-/// Places measured task durations onto `slots` machines with longest-
-/// processing-time-first list scheduling and returns the makespan. This is
-/// the simulated duration of a task phase (a "wave" of Hadoop tasks).
-pub fn makespan(durations: &[Duration], slots: usize, per_task_overhead: Duration) -> Duration {
-    slot_loads(durations, slots, per_task_overhead)
-        .into_iter()
-        .max()
-        .unwrap_or(Duration::ZERO)
-}
-
 /// Metrics for one executed MapReduce job.
 #[derive(Debug, Clone)]
 pub struct JobMetrics {
@@ -323,10 +290,10 @@ pub struct JobMetrics {
     pub speculative_wins: u64,
     /// Total retry backoff charged to the simulated clock.
     pub backoff_time: Duration,
-    /// Modeled per-map-task durations as placed on the cluster: measured
-    /// compute, scaled by any straggler slowdown, plus lost attempts,
-    /// backoff, and extra per-attempt overheads (equals the measured
-    /// compute duration in a fault-free run).
+    /// Modeled per-map-task durations as placed on the cluster: the
+    /// committed attempt priced from its counted work, scaled by any
+    /// straggler slowdown, plus lost attempts, backoff, and extra
+    /// per-attempt overheads.
     pub map_task_durations: Vec<Duration>,
     /// Modeled per-reduce-task durations (see `map_task_durations`).
     pub reduce_task_durations: Vec<Duration>,
@@ -449,6 +416,24 @@ mod tests {
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
+    }
+
+    /// A wave's makespan and per-slot loads under the engine's one list
+    /// scheduler, in the `Duration` terms `JobMetrics` reports.
+    fn slot_loads(durations: &[Duration], slots: usize, overhead: Duration) -> Vec<Duration> {
+        use crate::trace::{from_ticks, ticks_of};
+        let ticks: Vec<u64> = durations.iter().map(|d| ticks_of(*d)).collect();
+        let (placed, _) = skymr_telemetry::place::place(&ticks, slots, ticks_of(overhead));
+        let mut loads = vec![Duration::ZERO; slots];
+        for p in placed {
+            loads[p.slot] = loads[p.slot].max(from_ticks(p.end));
+        }
+        loads
+    }
+
+    fn makespan(durations: &[Duration], slots: usize, overhead: Duration) -> Duration {
+        let loads = slot_loads(durations, slots, overhead);
+        loads.into_iter().max().unwrap_or(Duration::ZERO)
     }
 
     #[test]

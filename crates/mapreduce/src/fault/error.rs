@@ -12,7 +12,7 @@ use super::plan::TaskKind;
 /// not be replayed).
 ///
 /// Carries the failed task's identity, its full attempt history, the
-/// counters accumulated by every attempt that ran, and partial metrics
+/// counters of every task attempt committed before the abort, and partial metrics
 /// covering the work the job completed before aborting — enough for a
 /// caller to report *and* for the simulated clock to stay honest about the
 /// time the failed run consumed.
@@ -27,7 +27,7 @@ pub struct JobError {
     pub attempts: u32,
     /// Every failed attempt of the failed task, in order.
     pub history: Vec<AttemptFailure>,
-    /// Counters accumulated by all attempts that ran (partial).
+    /// Counters of the task attempts committed before the abort (partial).
     pub counters: Counters,
     /// Metrics of the work completed before the abort (boxed to keep the
     /// error small on the `Result` fast path).
@@ -109,7 +109,6 @@ impl From<JobError> for skymr_common::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn sample(payload: Option<Box<dyn std::any::Any + Send>>) -> JobError {
         let metrics = JobMetrics::empty("wc", 2, 1);
@@ -123,7 +122,6 @@ mod tests {
                 cause: FailureCause::Panic {
                     message: "bad record".into(),
                 },
-                duration: Duration::from_millis(1),
             }],
             counters: Counters::new(),
             metrics: Box::new(metrics),

@@ -1,7 +1,7 @@
 //! The per-task retry executor: runs attempts under a fault plan until one
 //! succeeds or the retry budget is exhausted.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::pool::catch_attempt;
 
@@ -68,24 +68,18 @@ pub struct AttemptFailure {
     pub attempt: u32,
     /// How it failed.
     pub cause: FailureCause,
-    /// Real measured duration of the failed attempt.
-    pub duration: Duration,
 }
 
-/// The outcome of executing one task under the retry scheduler.
+/// The outcome of executing one task under the retry scheduler: what
+/// happened, attempt by attempt. What it cost on the simulated clock is
+/// priced from this history by [`crate::trace::TaskModel`].
 pub struct TaskExecution<T> {
     /// Output of the successful attempt (`None` = budget exhausted).
     pub value: Option<T>,
-    /// Real measured duration of the successful attempt.
-    pub winner_duration: Duration,
     /// Attempts actually executed (≥ 1).
     pub attempts: u32,
     /// Every failed attempt, in order.
     pub failures: Vec<AttemptFailure>,
-    /// Total real duration burnt by failed attempts.
-    pub lost_time: Duration,
-    /// Total backoff charged between attempts.
-    pub backoff: Duration,
     /// Original payload of the last panic, if any — re-raised or attached
     /// to the `JobError` when the task ultimately fails.
     pub payload: Option<Box<dyn std::any::Any + Send>>,
@@ -97,8 +91,6 @@ impl<T> std::fmt::Debug for TaskExecution<T> {
             .field("succeeded", &self.succeeded())
             .field("attempts", &self.attempts)
             .field("failures", &self.failures)
-            .field("lost_time", &self.lost_time)
-            .field("backoff", &self.backoff)
             .finish_non_exhaustive()
     }
 }
@@ -132,10 +124,8 @@ impl<T> TaskExecution<T> {
 ///   here, since an attempt without input cannot be replayed. `None`
 ///   means the input is always re-readable (map tasks).
 /// * A [`FaultKind::Hang`] attempt never runs at all: the progress-timeout
-///   detector waits out `hang_timeout` of simulated time, kills it, and
-///   charges the whole window as lost slot time before the retry launches.
-/// * Exponential backoff is charged after every failed attempt that is
-///   followed by another one.
+///   detector waits out `hang_timeout` of simulated time and kills it
+///   before the retry launches.
 pub fn run_attempts<T>(
     fault: &TaskFault,
     policy: &RetryPolicy,
@@ -146,8 +136,6 @@ pub fn run_attempts<T>(
     let budget = policy.attempt_budget();
     let cap = replay_limit.map_or(budget, |l| l.min(budget)).max(1);
     let mut failures = Vec::new();
-    let mut lost_time = Duration::ZERO;
-    let mut backoff = Duration::ZERO;
     let mut payload = None;
     for attempt in 0..cap {
         let scheduled = attempt < fault.failures;
@@ -159,12 +147,7 @@ pub fn run_attempts<T>(
                 cause: FailureCause::Hang {
                     timeout: hang_timeout,
                 },
-                duration: hang_timeout,
             });
-            lost_time += hang_timeout;
-            if attempt + 1 < cap {
-                backoff += policy.backoff_after(attempt);
-            }
             continue;
         }
         let inject = if scheduled && fault.kind == FaultKind::MidTaskPanic {
@@ -172,54 +155,36 @@ pub fn run_attempts<T>(
         } else {
             Inject::None
         };
-        let started = Instant::now(); // xtask: allow(clock-discipline) — attempt host duration feeds winner_duration reporting only; retry/speculation decisions run on injected fault plans, not wall time
-        let outcome = catch_attempt(|| run(attempt, inject));
-        let duration = started.elapsed();
-        match outcome {
+        match catch_attempt(|| run(attempt, inject)) {
             Ok(value) if !scheduled => {
                 return TaskExecution {
                     value: Some(value),
-                    winner_duration: duration,
                     attempts: attempt + 1,
                     failures,
-                    lost_time,
-                    backoff,
                     payload,
                 };
             }
-            Ok(_) => {
-                // Scheduled lost-output failure: the work happened, the
-                // result is gone.
-                failures.push(AttemptFailure {
-                    attempt,
-                    cause: FailureCause::LostOutput,
-                    duration,
-                });
-                lost_time += duration;
-            }
+            // Scheduled lost-output failure: the work happened, the
+            // result is gone.
+            Ok(_) => failures.push(AttemptFailure {
+                attempt,
+                cause: FailureCause::LostOutput,
+            }),
             Err(caught) => {
                 failures.push(AttemptFailure {
                     attempt,
                     cause: FailureCause::Panic {
                         message: caught.message,
                     },
-                    duration,
                 });
-                lost_time += duration;
                 payload = Some(caught.payload);
             }
-        }
-        if attempt + 1 < cap {
-            backoff += policy.backoff_after(attempt);
         }
     }
     TaskExecution {
         value: None,
-        winner_duration: Duration::ZERO,
         attempts: cap,
         failures,
-        lost_time,
-        backoff,
         payload,
     }
 }
@@ -257,10 +222,7 @@ mod tests {
         assert!(exec
             .failures
             .iter()
-            .all(|f| f.cause == FailureCause::Hang { timeout: HANG } && f.duration == HANG));
-        assert_eq!(exec.lost_time, HANG * 2, "each kill charges the timeout");
-        // Backoff after each of the two kills: 100 + 200 ms.
-        assert_eq!(exec.backoff, Duration::from_millis(300));
+            .all(|f| f.cause == FailureCause::Hang { timeout: HANG }));
         assert!(exec.payload.is_none(), "a hang carries no panic payload");
     }
 
@@ -281,7 +243,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 0, "every attempt hung");
         assert_eq!(exec.attempts, 2);
         assert_eq!(exec.failures.len(), 2);
-        assert_eq!(exec.lost_time, HANG * 2);
     }
 
     #[test]
@@ -300,7 +261,6 @@ mod tests {
         assert_eq!(exec.attempts, 1);
         assert_eq!(exec.retries(), 0);
         assert!(exec.failures.is_empty());
-        assert_eq!(exec.backoff, Duration::ZERO);
     }
 
     #[test]
@@ -329,8 +289,6 @@ mod tests {
             .failures
             .iter()
             .all(|f| f.cause == FailureCause::LostOutput));
-        // Backoff after each of the two failures: 100 + 200 ms.
-        assert_eq!(exec.backoff, Duration::from_millis(300));
     }
 
     #[test]
@@ -371,8 +329,6 @@ mod tests {
         assert_eq!(exec.attempts, 3);
         assert_eq!(exec.failures.len(), 3);
         assert!(exec.payload.is_some());
-        // No backoff after the final failure — nothing follows it.
-        assert_eq!(exec.backoff, Duration::from_millis(300));
     }
 
     #[test]
@@ -391,7 +347,6 @@ mod tests {
         assert!(!exec.succeeded());
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no replay without input");
         assert_eq!(exec.attempts, 1);
-        assert_eq!(exec.backoff, Duration::ZERO);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * **What it costs** — every failed attempt, backoff interval, straggler
 //!   slowdown, re-execution, and speculative loser is folded into
 //!   [`crate::cluster::JobMetrics`] (`attempts`, `wasted_task_time`,
-//!   `speculative_wins`, `backoff_time`, and the phase makespans), so
+//!   `speculative_wins`, `backoff_time`, and the phase durations), so
 //!   recovery work is visible in `sim_runtime` exactly like the paper's
 //!   overhead accounting demands.
 //!

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use skymr_common::{decode_pairs, encode_pairs, Counters, Wire};
 
-use crate::cluster::{makespan, ClusterConfig, JobMetrics, Placement};
+use crate::cluster::{ClusterConfig, JobMetrics, Placement};
 use crate::combiner::{Combiner, NoCombiner};
 use crate::fault::{
     run_attempts, AttemptFailure, BlacklistPolicy, CorruptFetch, FailureCause, FaultPlan,
@@ -26,7 +26,9 @@ use crate::storage::{
 use crate::task::{
     Emitter, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask, TaskContext,
 };
-use crate::trace::{CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel};
+use crate::trace::{
+    from_ticks, ticks_of, CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel,
+};
 use skymr_telemetry::{Collector, MetricsRegistry};
 
 /// Per-job configuration.
@@ -124,7 +126,7 @@ impl JobConfig {
 pub struct JobOutcome<Out> {
     /// Output records, indexed by reducer.
     pub outputs: Vec<Vec<Out>>,
-    /// Simulated and measured execution metrics.
+    /// Simulated execution metrics (plus the host-measured `host_wall`).
     pub metrics: JobMetrics,
     /// Job counters populated by tasks.
     pub counters: Counters,
@@ -153,6 +155,19 @@ struct MapResult<K, V> {
     /// shuffle traffic model never notices spilling.
     bucket_bytes: Vec<u64>,
     records: u64,
+    /// Work the attempt charged ([`Emitter::charge`]).
+    work: u64,
+    /// The attempt's own counters.
+    counters: Counters,
+}
+
+/// One reduce attempt's output.
+struct ReduceResult<Out> {
+    records: Vec<Out>,
+    /// Work the attempt charged ([`OutputCollector::charge`]).
+    work: u64,
+    /// The attempt's own counters.
+    counters: Counters,
 }
 
 /// One fetched shuffle partition at rest. Every reduce attempt opens its
@@ -200,6 +215,18 @@ impl ReduceInput {
     }
 }
 
+impl<K, V> AsRef<Counters> for MapResult<K, V> {
+    fn as_ref(&self) -> &Counters {
+        &self.counters
+    }
+}
+
+impl<Out> AsRef<Counters> for ReduceResult<Out> {
+    fn as_ref(&self) -> &Counters {
+        &self.counters
+    }
+}
+
 /// One combined, partitioned batch of map output: per-reducer buckets,
 /// their wire-byte sizes, and the post-combiner record count.
 type RoutedBatch<K, V> = (Vec<Vec<(K, V)>>, Vec<u64>, u64);
@@ -207,47 +234,20 @@ type RoutedBatch<K, V> = (Vec<Vec<(K, V)>>, Vec<u64>, u64);
 /// One task's execution with the fault it ran under.
 type Exec<T> = (TaskExecution<T>, TaskFault);
 
-/// Per-phase fault-tolerance accounting, folded from each task's
-/// [`TaskExecution`] — the measured half of a job's books (the
-/// deterministic half is the [`JobRecord`]).
-#[derive(Default)]
-struct PhaseStats {
-    /// Modeled per-task durations as placed on slots: winner compute plus
-    /// lost attempts, scaled by the task's straggler slowdown, plus
-    /// backoff and the extra per-attempt launch overheads.
-    effective: Vec<Duration>,
-    retries: u64,
-    attempts: u64,
-    wasted: Duration,
-    backoff: Duration,
-    speculative_wins: u64,
-    /// The phase's duration on the simulated clock, once priced.
-    phase: Duration,
-}
-
-fn phase_stats<T>(execs: &[Exec<T>], overhead: Duration) -> PhaseStats {
-    let mut stats = PhaseStats::default();
-    for (exec, fault) in execs {
-        let slowdown = fault.slowdown.max(1.0);
-        let busy = (exec.winner_duration + exec.lost_time).mul_f64(slowdown);
-        let extra_launches = overhead * exec.attempts.saturating_sub(1);
-        stats.effective.push(busy + exec.backoff + extra_launches);
-        stats.retries += u64::from(exec.retries());
-        stats.attempts += u64::from(exec.attempts);
-        stats.wasted += exec.lost_time.mul_f64(slowdown);
-        stats.backoff += exec.backoff;
-    }
-    stats
+/// Attempts executed and failures retried by a phase's first pass
+/// through the retry ladder.
+fn tally<T>(execs: &[Exec<T>]) -> (u64, u64) {
+    let attempts = execs.iter().map(|(e, _)| u64::from(e.attempts)).sum();
+    let retries = execs.iter().map(|(e, _)| u64::from(e.retries())).sum();
+    (attempts, retries)
 }
 
 /// What the stages hand down the line — the driver's mutable state: the
-/// deterministic [`JobRecord`] they accumulate into, the measured phase
-/// stats, the map outputs until fetch consumes them, and the node
-/// failure-domain state.
+/// [`JobRecord`] of facts they accumulate into (everything timed is derived
+/// from it, [`JobRecord::timeline`]), the map outputs until fetch consumes
+/// them, and the node failure-domain state.
 struct Run<'a, K, V> {
     record: JobRecord<'a>,
-    map: PhaseStats,
-    reduce: PhaseStats,
     /// Materialized map outputs: patched by the re-execution waves,
     /// consumed by fetch.
     outputs: Vec<MapResult<K, V>>,
@@ -262,8 +262,6 @@ struct Run<'a, K, V> {
     dead: BTreeSet<usize>,
     strikes: BTreeMap<usize, u32>,
     blacklisted: BTreeSet<usize>,
-    /// Heartbeat timeouts plus the node-loss re-execution wave.
-    reexecution_time: Duration,
 }
 
 impl<K, V> Run<'_, K, V> {
@@ -311,70 +309,6 @@ fn over_budget(strikes: &BTreeMap<usize, u32>, policy: &BlacklistPolicy) -> BTre
         .filter(|&(_, &count)| count >= policy.max_failures.max(1))
         .map(|(&node, _)| node)
         .collect()
-}
-
-fn median(durations: &[Duration]) -> Duration {
-    let mut sorted = durations.to_vec();
-    sorted.sort_unstable();
-    let mid = sorted.len() / 2;
-    sorted.get(mid).copied().unwrap_or(Duration::ZERO)
-}
-
-/// Runs speculative backup attempts for one phase.
-///
-/// Any task whose modeled duration exceeds `policy.slowdown_threshold` ×
-/// the phase median gets a backup attempt, really re-executed at full
-/// speed (`rerun`). The winner rule is deterministic in simulated time: a
-/// backup launched at the median mark wins iff it commits before the
-/// straggling original; ties go to the original. Either loser's slot time
-/// is charged to `wasted`.
-fn speculate_phase<T: Send>(
-    execs: &mut [Exec<T>],
-    stats: &mut PhaseStats,
-    policy: &SpeculationPolicy,
-    cluster: &ClusterConfig,
-    rerun: impl Fn(usize, u32) -> T + Sync,
-) {
-    if stats.effective.len() < policy.min_phase_tasks {
-        return;
-    }
-    let med = median(&stats.effective);
-    if med == Duration::ZERO {
-        return;
-    }
-    let threshold = med.mul_f64(policy.slowdown_threshold.max(1.0));
-    let candidates: Vec<usize> = stats
-        .effective
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| **d > threshold)
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        return;
-    }
-    let next_attempts: Vec<u32> = candidates.iter().map(|&i| execs[i].0.attempts).collect();
-    let backups = run_indexed(candidates.len(), cluster.host_threads, |c| {
-        rerun(candidates[c], next_attempts[c])
-    });
-    for (c, (value, backup_duration)) in backups.into_iter().enumerate() {
-        let i = candidates[c];
-        let original = stats.effective[i];
-        let backup_finish = med + backup_duration + cluster.task_overhead;
-        stats.attempts += 1;
-        if backup_finish < original {
-            // Backup commits first; the original is killed at that moment,
-            // having burnt its slot since the phase started.
-            stats.speculative_wins += 1;
-            stats.wasted += backup_finish;
-            stats.effective[i] = backup_finish;
-            execs[i].0.value = Some(value);
-        } else {
-            // Original commits; the backup ran from the median mark until
-            // then (or to completion, whichever came first) for nothing.
-            stats.wasted += (original - med).min(backup_duration + cluster.task_overhead);
-        }
-    }
 }
 
 /// Runs one MapReduce job (no combiner).
@@ -608,7 +542,7 @@ where
     /// any task launches (failed transfers are re-sent in full, multiplying
     /// the charge), and with a placement every map task's materialized
     /// output has a home node — a pure hash of (seed, job, kind, index),
-    /// never the measured LPT schedule.
+    /// never the slot the LPT schedule put it on.
     fn start(&self) -> Run<'a, K, V> {
         let config = self.config;
         let transfers = config.faults.broadcast_failures_for(&config.name) + 1;
@@ -632,23 +566,22 @@ where
             recovery: Vec::new(),
             lost: Vec::new(),
             corrupt: Vec::new(),
+            rotten: Vec::new(),
             skipped: Vec::new(),
             node_losses: Vec::new(),
             reexecuted: Vec::new(),
             maps_reexecuted: 0,
             nodes_blacklisted: 0,
+            surviving_map_slots: self.cluster.map_slots,
+            surviving_reduce_slots: self.cluster.reduce_slots,
             map_attempts: 0,
             map_retries: 0,
             reduce_attempts: 0,
             reduce_retries: 0,
-            map_spec_wins: 0,
-            reduce_spec_wins: 0,
             user_counters: Vec::new(),
         };
         Run {
             record,
-            map: PhaseStats::default(),
-            reduce: PhaseStats::default(),
             outputs: Vec::new(),
             attempts: Vec::new(),
             skips: Vec::new(),
@@ -657,23 +590,56 @@ where
             dead: BTreeSet::new(),
             strikes: BTreeMap::new(),
             blacklisted: BTreeSet::new(),
-            reexecution_time: Duration::ZERO,
         }
     }
 
+    /// The context of one attempt, with counters of its own: the engine
+    /// folds them into the job's only for the attempt whose output is
+    /// committed ([`Self::settle`]).
     fn task_context(&self, task_index: usize, num_tasks: usize, attempt: u32) -> TaskContext {
         TaskContext {
             task_index,
             num_tasks,
             num_reducers: self.config.num_reducers,
             attempt,
-            counters: self.counters.clone(),
+            counters: Counters::new(),
         }
     }
 
-    /// A phase's makespan over `slots`.
-    fn price(&self, stats: &PhaseStats, slots: usize) -> Duration {
-        makespan(&stats.effective, slots, self.cluster.task_overhead)
+    /// The tail both phases share once every task has been through the
+    /// retry ladder. Backups: planned on model ticks
+    /// ([`JobRecord::plan_backups`]), then really re-executed — at full
+    /// speed, under the next attempt number — which is what proves under
+    /// test that UDFs are pure, since a winning backup's value is the one
+    /// committed. Counters: the committed attempts' are folded into the
+    /// job's — Hadoop's semantics: a failed attempt, a discarded
+    /// `LostOutput` run, a backup and a re-execution never count twice, so
+    /// user counters under any fault plan equal the clean run's. Returns
+    /// the first task that exhausted its budget, if any.
+    fn settle<T: Send + AsRef<Counters>>(
+        &self,
+        kind: TaskKind,
+        execs: &mut [Exec<T>],
+        record: &mut JobRecord<'a>,
+        rerun: impl Fn(usize, u32) -> T + Sync,
+    ) -> Option<usize> {
+        let failed = execs.iter().position(|(e, _)| !e.succeeded());
+        if let (None, Some(spec)) = (failed, &self.config.speculation) {
+            let planned = record.plan_backups(kind, spec);
+            let next: Vec<u32> = planned.iter().map(|&(i, _)| execs[i].0.attempts).collect();
+            let backups = run_indexed(planned.len(), self.cluster.host_threads, |c| {
+                rerun(planned[c].0, next[c])
+            });
+            for (&(i, wins), value) in planned.iter().zip(backups) {
+                if wins {
+                    execs[i].0.value = Some(value);
+                }
+            }
+        }
+        for value in execs.iter().filter_map(|(e, _)| e.value.as_ref()) {
+            self.counters.absorb(value.as_ref());
+        }
+        failed
     }
 
     // ---- Map -------------------------------------------------------------
@@ -724,6 +690,8 @@ where
             tail: Vec::new(),
             bucket_bytes: vec![0u64; self.config.num_reducers],
             records: 0,
+            work: 0,
+            counters: ctx.counters.clone(),
         };
         // Routes the buffered pairs into one more spill segment.
         let spill =
@@ -784,6 +752,7 @@ where
             }
         }
         task.finish(&mut emitter);
+        result.work = emitter.work();
         match budget {
             // The tail batch always goes to disk too — with a budget set,
             // map RAM never holds the task's full output.
@@ -848,9 +817,6 @@ where
             let next = round(&round_fault, &skips);
             exec.attempts += next.attempts;
             exec.failures.extend(next.failures);
-            exec.lost_time += next.lost_time;
-            exec.backoff += next.backoff;
-            exec.winner_duration = next.winner_duration;
             exec.value = next.value;
             if next.payload.is_some() {
                 exec.payload = next.payload;
@@ -865,7 +831,6 @@ where
         let (mut execs, skips): (Vec<_>, Vec<BTreeSet<usize>>) =
             run_indexed(m, cluster.host_threads, |i| self.run_map_task(i))
                 .into_iter()
-                .map(|(task, _)| task)
                 .unzip();
         // Records retired by the skip protocol, as (task, record) pairs —
         // the job completes without them and reports itself degraded.
@@ -874,7 +839,7 @@ where
             .enumerate()
             .flat_map(|(i, s)| s.iter().map(move |&n| (i, n)))
             .collect();
-        // Per-task facts for the trace model. Split lengths are model
+        // Per-task facts for the clock. Split lengths are model
         // facts the source reports without materializing records. UDFs are
         // pure, so whichever attempt ends up backing the shuffle (a
         // speculative backup, a re-execution) reproduces the output facts
@@ -888,23 +853,21 @@ where
                 keys_in: 0,
                 records_out: output.map_or(0, |o| o.records),
                 bytes: output.map_or(0, |o| o.bucket_bytes.iter().sum()),
+                work: output.map_or(0, |o| o.work),
                 failures: fail_kinds(exec),
                 slowdown: fault.slowdown,
                 spills: output.map_or_else(Vec::new, disk_bytes),
                 merge: None,
+                backup: None,
             }
         };
         run.record.map = execs.iter().enumerate().map(model).collect();
+        (run.record.map_attempts, run.record.map_retries) = tally(&execs);
         self.strike_nodes(TaskKind::Map, &execs, run);
-        run.map = phase_stats(&execs, cluster.task_overhead);
-        if let Some(index) = execs.iter().position(|(e, _)| !e.succeeded()) {
-            run.map.phase = self.price(&run.map, cluster.map_slots);
+        let rerun = |i, attempt| self.replay_map(i, attempt, &skips[i]);
+        let failed = self.settle(TaskKind::Map, &mut execs, &mut run.record, rerun);
+        if let Some(index) = failed {
             return Err(self.fail(TaskKind::Map, index, execs.swap_remove(index).0, run));
-        }
-        if let Some(spec) = &self.config.speculation {
-            speculate_phase(&mut execs, &mut run.map, spec, cluster, |i, attempt| {
-                self.replay_map(i, attempt, &skips[i])
-            });
         }
         run.attempts = execs.iter().map(|(exec, _)| exec.attempts).collect();
         run.outputs = winners(&mut execs);
@@ -935,60 +898,44 @@ where
 
     /// Re-executes `tasks` — one clean attempt each, skip sets honoured —
     /// and replaces their materialized outputs wholesale (byte-identical
-    /// because UDFs are pure). Returns the wave's measured durations for
-    /// the caller to price on whatever slots its recovery runs on. Serves
-    /// the lost-partition, node-loss, and at-rest-corruption waves.
-    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K, V>) -> Vec<Duration> {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
+    /// because UDFs are pure, so the tasks' models stand). Serves the
+    /// lost-partition, node-loss, and at-rest-corruption waves; the caller
+    /// names the wave in the record and the timeline prices it.
+    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K, V>) {
         let (attempts, skips) = (&run.attempts, &run.skips);
         let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
             let i = tasks[c];
             self.replay_map(i, attempts[i], &skips[i])
         });
-        run.map.attempts += tasks.len() as u64;
-        let mut wave = Vec::with_capacity(tasks.len());
-        for (&i, (result, duration)) in tasks.iter().zip(reruns) {
+        run.record.map_attempts += tasks.len() as u64;
+        for (&i, result) in tasks.iter().zip(reruns) {
             run.outputs[i] = result;
-            wave.push(duration);
         }
-        wave
     }
 
     fn recover_map_outputs(&self, run: &mut Run<'a, K, V>) {
         let (cluster, config) = (self.cluster, self.config);
-        // Each task's spill traffic is charged to its modeled duration
-        // through the disk cost model *before* the phase makespan and the
-        // node-loss timeline consume those durations, so spilling slows
-        // the simulated job exactly where Hadoop pays for it.
-        for (effective, model) in run.map.effective.iter_mut().zip(&run.record.map) {
-            if !model.spills.is_empty() {
-                let bytes: u64 = model.spills.iter().sum();
-                *effective += cluster.storage.io_time(bytes, model.spills.len() as u64);
-            }
-        }
         // Lost shuffle partitions: the affected map tasks re-execute
         // (their inputs are replayable) in a second wave.
         let (m, r) = (self.source.num_splits(), config.num_reducers);
         run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
         let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
         let affected: Vec<usize> = affected.into_iter().collect();
-        let recovery_wave = self.rerun_maps(&affected, run);
-        run.map.retries += affected.len() as u64;
+        self.rerun_maps(&affected, run);
+        run.record.map_retries += affected.len() as u64;
         run.record.recovery = affected;
 
         self.resolve_node_losses(run);
-        run.map.phase = self.price(&run.map, cluster.map_slots)
-            + makespan(&recovery_wave, cluster.map_slots, cluster.task_overhead)
-            + run.reexecution_time;
+        // Dead and blacklisted nodes took their slots with them: whatever
+        // re-executes from here on runs on what survived.
+        run.record.surviving_map_slots = run.surviving_slots(cluster.map_slots);
     }
 
-    /// Node losses are resolved on the deterministic model-tick timeline:
-    /// completed map outputs on a dead node are invalidated and re-execute
-    /// before the shuffle can finish, in-flight attempts die and retry,
-    /// and the heartbeat timeout plus the re-execution wave are charged to
-    /// the simulated clock (folded into the map phase).
+    /// Node losses are resolved against the map wave of the job's
+    /// timeline: completed map outputs on a dead node are invalidated and
+    /// re-execute before the shuffle can finish, in-flight attempts die
+    /// and retry, and the timeline charges the heartbeat timeout plus the
+    /// re-execution wave (folded into the map phase).
     fn resolve_node_losses(&self, run: &mut Run<'a, K, V>) {
         let (cluster, config) = (self.cluster, self.config);
         let Some(placement) = &cluster.placement else {
@@ -998,28 +945,16 @@ where
         if losses.is_empty() {
             return;
         }
-        let overhead_ticks = crate::trace::ticks_of(cluster.task_overhead);
-        let ticks = |t: &TaskModel| t.total_ticks(&config.retry, overhead_ticks);
-        let map_ticks: Vec<u64> = run.record.map.iter().map(ticks).collect();
-        let (map_places, map_model_end) =
-            skymr_telemetry::place::place(&map_ticks, cluster.map_slots, overhead_ticks);
-        let heartbeat = crate::trace::ticks_of(cluster.heartbeat_timeout);
+        let map_wave = JobRecord::timeline(&run.record).map;
+        let heartbeat = ticks_of(cluster.heartbeat_timeout);
         let mut affected: BTreeSet<usize> = BTreeSet::new();
         for loss in &losses {
             run.dead.insert(loss.node);
             // Losses past the end of the map phase land at the shuffle
             // barrier — the moment the missing outputs are discovered.
-            let at = loss.at_tick.min(map_model_end);
-            run.record.node_losses.push(NodeLossEvent {
-                node: loss.node,
-                at_tick: at,
-                detect_tick: at.saturating_add(heartbeat),
-            });
-            // Detection is charged once per loss, unconditionally: the
-            // tracker waits out the heartbeat timeout before declaring
-            // the node dead and rescheduling its work.
-            run.reexecution_time += cluster.heartbeat_timeout;
-            for (i, p) in map_places.iter().enumerate() {
+            let at = loss.at_tick.min(map_wave.end - map_wave.start);
+            let mut wasted = 0;
+            for (i, p) in map_wave.slots.iter().enumerate() {
                 if run.map_homes[i] != loss.node {
                     continue;
                 }
@@ -1029,12 +964,21 @@ where
                     affected.insert(i);
                 } else if p.start < at {
                     // In-flight: the attempt dies with the node.
-                    run.map.retries += 1;
-                    run.map.wasted += Duration::from_micros(at - p.start);
+                    run.record.map_retries += 1;
+                    wasted += at - p.start;
                     affected.insert(i);
                 }
                 // Pending tasks simply launch on a surviving node.
             }
+            // Detection is charged once per loss, unconditionally: the
+            // tracker waits out the heartbeat timeout before declaring
+            // the node dead and rescheduling its work.
+            run.record.node_losses.push(NodeLossEvent {
+                node: loss.node,
+                at_tick: at,
+                detect_tick: at.saturating_add(heartbeat),
+                wasted,
+            });
         }
         let affected: Vec<usize> = affected.into_iter().collect();
         // Replacement outputs materialize on surviving nodes.
@@ -1042,9 +986,7 @@ where
         for &i in &affected {
             run.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
         }
-        let wave = self.rerun_maps(&affected, run);
-        let slots = run.surviving_slots(cluster.map_slots);
-        run.reexecution_time += makespan(&wave, slots, cluster.task_overhead);
+        self.rerun_maps(&affected, run);
         run.record.reexecuted = affected;
     }
 
@@ -1106,8 +1048,8 @@ where
         // (map, reducer). One bad fetch is transient: the reducer
         // re-fetches and the second copy verifies. Two bad fetches mean
         // the materialized map output itself is rotten: the producer
-        // re-executes before anything below consumes it, and the wave is
-        // charged to the shuffle clock where the corruption was found.
+        // re-executes before anything below consumes it, in a wave of its
+        // own ahead of the shuffle, where the corruption was found.
         let corrupt_plan: BTreeMap<(usize, usize), CorruptFetch> = config
             .faults
             .corrupt_fetches_for(&config.name, m, r)
@@ -1117,9 +1059,9 @@ where
         let at_rest = corrupt_plan.values().filter(|c| c.fetches >= 2);
         let rotten: BTreeSet<usize> = at_rest.map(|c| c.map).collect();
         let rotten: Vec<usize> = rotten.into_iter().collect();
-        let wave = self.rerun_maps(&rotten, run);
-        run.map.retries += rotten.len() as u64;
-        let corrupt_reexec_time = makespan(&wave, cluster.map_slots, cluster.task_overhead);
+        self.rerun_maps(&rotten, run);
+        run.record.map_retries += rotten.len() as u64;
+        run.record.rotten = rotten;
 
         let mut remote_per_node = vec![0u64; run.all_nodes.len()];
         let mut per_reducer_bytes = vec![0u64; r];
@@ -1200,12 +1142,9 @@ where
         }
 
         // Transient node partitions stall the shuffle barrier for their
-        // duration (model ticks); folding the stall into `shuffle_time`
-        // shifts everything downstream — trace, sim clock — consistently.
-        // Corrupted fetches charge the same way: each failed fetch
-        // re-transfers its whole partition (always remote — the local copy
-        // is the bad one), and an escalated producer re-execution wave
-        // runs before the barrier lifts.
+        // duration (model ticks). Corrupted fetches charge the same way:
+        // each failed fetch re-transfers its whole partition (always
+        // remote — the local copy is the bad one).
         let stalls = match &cluster.placement {
             Some(_) => config
                 .faults
@@ -1219,7 +1158,7 @@ where
             Some(_) => self.cluster.shuffle_time_placed(&remote_per_node),
             None => self.cluster.shuffle_time(&per_reducer_bytes),
         };
-        run.record.shuffle_time = transfer + partition_stall + refetch_stall + corrupt_reexec_time;
+        run.record.shuffle_time = transfer + partition_stall + refetch_stall;
         run.record.per_reducer_bytes = per_reducer_bytes;
         inputs
     }
@@ -1255,7 +1194,7 @@ where
         input: &ReduceInput,
         attempt: u32,
         inject: Inject,
-    ) -> Vec<Out> {
+    ) -> ReduceResult<Out> {
         let ctx = self.task_context(j, self.config.num_reducers, attempt);
         let mut task = self.reduce_factory.create(&ctx);
         let mut out = OutputCollector::new();
@@ -1304,7 +1243,12 @@ where
             "reducer {j}: counted and streamed groups disagree"
         );
         task.finish(&mut out);
-        out.into_records()
+        let (records, work) = out.into_parts();
+        ReduceResult {
+            records,
+            work,
+            counters: ctx.counters,
+        }
     }
 
     fn reduce_stage(
@@ -1314,7 +1258,7 @@ where
     ) -> Result<Vec<Vec<Out>>, JobError> {
         let (cluster, config) = (self.cluster, self.config);
         let r = config.num_reducers;
-        let mut execs: Vec<Exec<Vec<Out>>> = run_indexed(r, cluster.host_threads, |j| {
+        let mut execs: Vec<Exec<ReduceResult<Out>>> = run_indexed(r, cluster.host_threads, |j| {
             let fault = config.faults.task_fault(&config.name, TaskKind::Reduce, j);
             let scheduled = fault.failures.min(config.retry.attempt_budget());
             // Hadoop's reduce input is single-consumer: the attempt after
@@ -1335,96 +1279,72 @@ where
                 |attempt, inject| self.reduce_attempt(j, &inputs[j], attempt, inject),
             );
             (exec, fault)
-        })
-        .into_iter()
-        .map(|(task, _)| task)
-        .collect();
+        });
 
-        run.reduce = phase_stats(&execs, cluster.task_overhead);
-        // The external-merge cascade's disk traffic (reads of every run,
-        // intermediate-run writes, one seek per file open) is charged to
-        // each reducer's modeled duration before the makespan — the model
-        // pays for the merge once, with the closed-form cost every attempt
-        // of the reducer incurs identically.
-        for (effective, input) in run.reduce.effective.iter_mut().zip(inputs) {
-            if let Some(s) = &input.merge {
-                *effective += cluster
-                    .storage
-                    .io_time(s.bytes_read + s.bytes_written, s.seeks);
-            }
-        }
-        let model =
-            |(((exec, fault), input), &bytes): ((&Exec<Vec<Out>>, &ReduceInput), &u64)| TaskModel {
+        let model = |j: usize| {
+            let ((exec, fault), input) = (&execs[j], &inputs[j]);
+            let output = exec.value.as_ref();
+            TaskModel {
                 records_in: input.records,
                 keys_in: self.keys_in(input),
-                records_out: exec.value.as_ref().map_or(0, |o| o.len() as u64),
-                bytes,
+                records_out: output.map_or(0, |o| o.records.len() as u64),
+                bytes: run.record.per_reducer_bytes[j],
+                work: output.map_or(0, |o| o.work),
                 failures: fail_kinds(exec),
                 slowdown: fault.slowdown,
                 spills: Vec::new(),
+                // The external-merge cascade's disk traffic: a closed-form
+                // cost every attempt of the reducer incurs identically.
                 merge: input.merge,
-            };
-        let bytes = &run.record.per_reducer_bytes;
-        run.record.reduce = execs.iter().zip(inputs).zip(bytes).map(model).collect();
+                backup: None,
+            }
+        };
+        run.record.reduce = (0..r).map(model).collect();
+        (run.record.reduce_attempts, run.record.reduce_retries) = tally(&execs);
         // Dead and blacklisted nodes took their slots with them: the
         // reduce phase runs on what survived the map side. (This phase's
         // own strikes only reach the final blacklist count.)
-        let slots = run.surviving_slots(cluster.reduce_slots);
+        run.record.surviving_reduce_slots = run.surviving_slots(cluster.reduce_slots);
         self.strike_nodes(TaskKind::Reduce, &execs, run);
-        if let Some(index) = execs.iter().position(|(e, _)| !e.succeeded()) {
-            run.reduce.phase = self.price(&run.reduce, slots);
+        let rerun = |j, attempt| self.reduce_attempt(j, &inputs[j], attempt, Inject::None);
+        let failed = self.settle(TaskKind::Reduce, &mut execs, &mut run.record, rerun);
+        if let Some(index) = failed {
             return Err(self.fail(TaskKind::Reduce, index, execs.swap_remove(index).0, run));
         }
-        if let Some(spec) = &config.speculation {
-            speculate_phase(&mut execs, &mut run.reduce, spec, cluster, |j, attempt| {
-                self.reduce_attempt(j, &inputs[j], attempt, Inject::None)
-            });
-        }
-        run.reduce.phase = self.price(&run.reduce, slots);
-        Ok(winners(&mut execs))
+        let records = |result: ReduceResult<Out>| result.records;
+        Ok(winners(&mut execs).into_iter().map(records).collect())
     }
 
     // ---- Commit ----------------------------------------------------------
 
     /// The one place a [`JobMetrics`] is built, for the success exit and
-    /// both abort exits alike: folds the phase counts into the record,
-    /// derives the registry from it, and reads the countable fields off
-    /// the registry (they are a facade over its counters), so an abort
-    /// reports every fact the stages before it established.
+    /// both abort exits alike: lays the record out on its timeline and
+    /// reads every simulated time off it, derives the registry from the
+    /// record, and reads the countable fields off the registry (they are a
+    /// facade over its counters), so an abort reports every fact the
+    /// stages before it established.
     fn close(&self, run: &mut Run<'a, K, V>) -> (MetricsRegistry, JobMetrics) {
-        let Run {
-            record,
-            map,
-            reduce,
-            reexecution_time,
-            ..
-        } = run;
-        record.map_attempts = map.attempts;
-        record.map_retries = map.retries;
-        record.map_spec_wins = map.speculative_wins;
-        record.reduce_attempts = reduce.attempts;
-        record.reduce_retries = reduce.retries;
-        record.reduce_spec_wins = reduce.speculative_wins;
+        let record = &mut run.record;
         record.user_counters = self.counters.snapshot().into_iter().collect();
+        let timeline = JobRecord::timeline(record);
         let registry = JobRecord::build_registry(record);
-        let startup_time = self.cluster.job_startup;
+        let durations = |tasks: &[TaskModel]| -> Vec<Duration> {
+            let held = |t| from_ticks(record.slot_ticks(t));
+            tasks.iter().map(held).collect()
+        };
         let metrics = JobMetrics {
             name: self.config.name.clone(),
             map_tasks: self.source.num_splits(),
             reduce_tasks: self.config.num_reducers,
-            map_phase: map.phase,
-            reduce_phase: reduce.phase,
+            map_phase: from_ticks(timeline.map_phase()),
+            reduce_phase: from_ticks(timeline.reduce.span()),
             shuffle_bytes: registry.counter("shuffle.bytes"),
             per_reducer_bytes: record.per_reducer_bytes.clone(),
-            shuffle_time: record.shuffle_time,
+            shuffle_time: from_ticks(timeline.shuffle_phase()),
             cache_bytes: record.cache_bytes,
-            broadcast_time: record.broadcast_time,
-            startup_time,
-            sim_runtime: startup_time
-                + record.broadcast_time
-                + map.phase
-                + record.shuffle_time
-                + reduce.phase,
+            broadcast_time: from_ticks(timeline.broadcast),
+            startup_time: from_ticks(timeline.startup),
+            sim_runtime: from_ticks(timeline.total()),
             host_wall: self.started.elapsed(),
             map_output_records: registry.counter("map.records_out"),
             reduce_input_keys: registry.counter("reduce.input_keys"),
@@ -1432,12 +1352,12 @@ where
             map_retries: registry.counter("map.retries"),
             reduce_retries: registry.counter("reduce.retries"),
             attempts: registry.counter("task.attempts"),
-            wasted_task_time: map.wasted + reduce.wasted,
+            wasted_task_time: from_ticks(timeline.wasted),
             speculative_wins: registry.counter("task.speculative_wins"),
-            backoff_time: map.backoff + reduce.backoff,
+            backoff_time: from_ticks(timeline.backoff),
             nodes_lost: registry.counter("node.lost"),
             maps_reexecuted: registry.counter("map.reexecuted"),
-            reexecution_time: *reexecution_time,
+            reexecution_time: from_ticks(timeline.reexecution()),
             nodes_blacklisted: registry.counter("node.blacklisted"),
             corrupt_fetches: registry.counter("shuffle.corrupt_fetches"),
             records_skipped: registry.counter("map.records_skipped"),
@@ -1445,8 +1365,8 @@ where
             spilled_bytes: registry.counter("storage.spilled_bytes"),
             merge_passes: registry.counter("storage.merge_passes"),
             degraded: registry.counter("map.records_skipped") > 0,
-            map_task_durations: std::mem::take(&mut map.effective),
-            reduce_task_durations: std::mem::take(&mut reduce.effective),
+            map_task_durations: durations(&record.map),
+            reduce_task_durations: durations(&record.reduce),
             // Scheduling charges belong to the executor a job ran under,
             // not to the job itself; `sched::ClusterExecutor` fills them in.
             queue_wait_time: Duration::ZERO,
@@ -1480,7 +1400,12 @@ where
     fn commit(&self, mut run: Run<'a, K, V>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
         let (registry, metrics) = self.close(&mut run);
         if let Some(collector) = &self.config.collector {
-            JobRecord::emit(&run.record, collector, registry.clone());
+            let drawn = JobRecord::emit(&run.record, collector, registry.clone());
+            debug_assert_eq!(
+                drawn,
+                ticks_of(metrics.sim_runtime),
+                "the trace and the metrics disagree about the job's length"
+            );
         }
         JobOutcome {
             outputs,
@@ -1517,9 +1442,8 @@ mod tests {
         }
     }
 
-    /// Sums each word's counts, and tallies every group it is handed in
-    /// the `wc.groups` job counter — failed attempts included, so the
-    /// counter pins where an injected mid-task crash fires.
+    /// Sums each word's counts, tallies every group it is handed in the
+    /// `wc.groups` counter, and charges one unit of work per value.
     struct WcReduce;
     struct WcReduceTask {
         counters: Counters,
@@ -1535,6 +1459,7 @@ mod tests {
             out: &mut OutputCollector<(String, u64)>,
         ) {
             self.counters.add("wc.groups", 1);
+            out.charge(values.len() as u64);
             out.collect((key, values.iter().sum()));
         }
     }
@@ -1706,9 +1631,7 @@ mod tests {
             .with_speculation(SpeculationPolicy::new());
         let speculative = word_count_config(&splits(), &config).expect("job must succeed");
         let plain = word_count(&splits(), 2, plan);
-        // Timing noise on the tiny test tasks can occasionally add wins
-        // beyond the scripted straggler's, so pin a lower bound only.
-        assert!(speculative.metrics.speculative_wins >= 1);
+        assert_eq!(speculative.metrics.speculative_wins, 1);
         assert!(speculative.metrics.wasted_task_time > Duration::ZERO);
         assert!(
             speculative.metrics.map_phase < plain.metrics.map_phase,
@@ -1787,16 +1710,9 @@ mod tests {
             .with_speculation(SpeculationPolicy::new());
         let speculative = word_count_config(&splits(), &config).expect("job must succeed");
         let plain = word_count(&splits(), 3, plan);
-        // Hash-partition skew can make more than one reduce task clear the
-        // 3x-median bar, and host timing noise on the tiny test maps can
-        // occasionally add a map-side win too — so pin only "some backup
-        // won on the reduce side" plus the map/reduce/total consistency.
-        assert!(speculative.registry.counter("reduce.speculative_wins") >= 1);
-        assert_eq!(
-            speculative.registry.counter("map.speculative_wins")
-                + speculative.registry.counter("reduce.speculative_wins"),
-            speculative.metrics.speculative_wins
-        );
+        assert_eq!(speculative.registry.counter("map.speculative_wins"), 0);
+        assert_eq!(speculative.registry.counter("reduce.speculative_wins"), 1);
+        assert_eq!(speculative.metrics.speculative_wins, 1);
         assert!(
             speculative.metrics.wasted_task_time > Duration::ZERO,
             "the losing reduce attempt's time must be charged as waste"
@@ -2125,9 +2041,13 @@ mod tests {
 
     #[test]
     fn transient_corruption_is_detected_refetched_and_output_preserving() {
-        let clean = word_count(&splits(), 2, FaultPlan::none());
+        // A link slow enough that one frame takes whole ticks to re-fetch.
+        let mut cluster = ClusterConfig::test();
+        cluster.network_bytes_per_sec = 1e6;
+        let run = |plan| word_count_on(&cluster, &JobConfig::new("wc", 2).with_faults(plan));
+        let clean = run(FaultPlan::none()).expect("clean run");
         let plan = FaultPlan::none().with_corrupt_shuffle(0, 0, 1);
-        let out = word_count(&splits(), 2, plan);
+        let out = run(plan).expect("re-fetch recovers");
         assert_eq!(
             out.metrics.corrupt_fetches, 1,
             "one bad fetch, one re-fetch"
@@ -2320,10 +2240,9 @@ mod tests {
         for seed in 0..6 {
             let a = run(seed);
             let b = run(seed);
-            // The deterministic counters replay exactly; only measured
-            // durations may differ between runs.
             assert_eq!(a.metrics.nodes_lost, b.metrics.nodes_lost);
             assert_eq!(a.metrics.maps_reexecuted, b.metrics.maps_reexecuted);
+            assert_eq!(a.metrics.sim_runtime, b.metrics.sim_runtime);
             assert_eq!(sorted_counts(a), expected_counts(), "seed {seed}");
             assert_eq!(sorted_counts(b), expected_counts(), "seed {seed}");
         }
@@ -2506,13 +2425,14 @@ mod tests {
                 "{case}"
             );
             assert_eq!(memory.metrics.reduce_input_keys, 3, "{case}");
+            assert_eq!(
+                memory.counters.snapshot(),
+                spilled.counters.snapshot(),
+                "{case}"
+            );
             if !speculate {
-                // Which backups launch depends on measured durations.
-                assert_eq!(
-                    memory.counters.snapshot(),
-                    spilled.counters.snapshot(),
-                    "{case}"
-                );
+                // Spill I/O is part of a task's priced duration, so a
+                // budget can move a task across the backup threshold.
                 assert_eq!(
                     engine_counters(&memory),
                     engine_counters(&spilled),
@@ -2562,6 +2482,66 @@ mod tests {
         assert_eq!(at_rest.metrics.corrupt_fetches, 2);
         assert_eq!(at_rest.metrics.map_retries, 1);
         assert_eq!(sorted_counts(at_rest), expected_counts());
+    }
+
+    /// The trace and the metrics are read off one timeline, so the drawn
+    /// job is exactly as long as the reported one — in every mode that
+    /// adds a wave or takes slots away.
+    #[test]
+    fn the_trace_is_as_long_as_sim_runtime_in_every_mode() {
+        let placed = ClusterConfig::test_placed(0xBEEF);
+        let alive: Vec<usize> = (0..placed.nodes).collect();
+        let victim = Placement::new(0xBEEF).task_home("wc", TaskKind::Map, 0, &alive);
+        let none = FaultPlan::none;
+        let cases: Vec<(&str, ClusterConfig, FaultPlan)> = vec![
+            ("clean", ClusterConfig::test(), none()),
+            (
+                "lost partition",
+                ClusterConfig::test(),
+                none().with_lost_partition(0, 0),
+            ),
+            (
+                "node loss",
+                placed.clone(),
+                none().with_node_loss(victim, u64::MAX / 2),
+            ),
+            (
+                "corrupt x1",
+                ClusterConfig::test(),
+                none().with_corrupt_shuffle(0, 0, 1),
+            ),
+            (
+                "corrupt x2",
+                ClusterConfig::test(),
+                none().with_corrupt_shuffle(1, 0, 2),
+            ),
+            ("memory budget", spill_cluster(1), none()),
+        ];
+        let mut runtimes = BTreeMap::new();
+        for (case, cluster, plan) in cases {
+            let collector = Collector::new();
+            let config = JobConfig::new("wc", 3)
+                .with_faults(plan)
+                .with_collector(Some(collector.clone()));
+            let out = word_count_on(&cluster, &config).expect("the job must survive");
+            let m = &out.metrics;
+            assert_eq!(collector.cursor(), ticks_of(m.sim_runtime), "{case}");
+            assert_eq!(
+                m.sim_runtime,
+                m.startup_time + m.broadcast_time + m.map_phase + m.shuffle_time + m.reduce_phase,
+                "{case}"
+            );
+            let trace = skymr_telemetry::export::chrome_trace(&collector.finish());
+            assert_eq!(
+                trace.contains("(re-exec)"),
+                matches!(case, "node loss" | "corrupt x2"),
+                "{case}: every re-execution wave is drawn"
+            );
+            runtimes.insert(case, m.sim_runtime);
+        }
+        for case in ["lost partition", "node loss", "corrupt x2", "memory budget"] {
+            assert!(runtimes[case] > runtimes["clean"], "{case} costs time");
+        }
     }
 
     #[test]

@@ -2,16 +2,23 @@
 //!
 //! This crate is the reproduction's stand-in for the Hadoop 1.1.0 cluster
 //! used in the paper's evaluation (13 commodity machines on a 100 Mbit/s
-//! LAN). It executes map and reduce tasks on bounded thread pools and tracks
-//! a *simulated wall clock* alongside real compute time:
+//! LAN). It executes map and reduce tasks on bounded thread pools and prices
+//! the job on a *simulated clock* that never reads the host's:
 //!
-//! * **compute** — each task's real CPU time is measured, and a phase's
-//!   duration is the makespan of placing those measured durations onto the
-//!   configured number of task slots (LPT list scheduling), which mirrors
-//!   how Hadoop schedules a wave of tasks onto a fixed slot pool;
+//! * **compute** — each task is priced from what it counted: records in
+//!   and out, bytes serialised, and the work its UDF charged
+//!   ([`Emitter::charge`] — dominance comparisons, the paper's §6 cost
+//!   unit), by the cost table in [`telemetry::model`]. A phase's duration
+//!   is the makespan of placing those task prices onto the configured
+//!   number of task slots (LPT list scheduling), which mirrors how Hadoop
+//!   schedules a wave of tasks onto a fixed slot pool;
 //! * **communication** — shuffle traffic, distributed-cache broadcast, and
 //!   job startup are charged analytically from byte counts
 //!   ([`skymr_common::ByteSized`]) and the configured link bandwidth.
+//!
+//! One function lays the whole job out ([`trace::JobRecord::timeline`]);
+//! the metrics and the trace are both read off it, so every simulated
+//! number is byte-identical across runs, hosts and host thread counts.
 //!
 //! The resulting [`JobMetrics::sim_runtime`] plays the role of the paper's
 //! measured "runtime" (Section 7.1: elapsed time from computation start to

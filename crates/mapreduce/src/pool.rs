@@ -1,21 +1,20 @@
 //! A minimal work-stealing-free slot pool for executing indexed tasks.
 //!
-//! The engine needs exact per-task durations (for the makespan model) and
-//! deterministic result placement (results indexed by task id), which a
-//! hand-rolled pool over `std::thread::scope` provides with no surprises
-//! about task placement.
+//! The engine needs deterministic result placement (results indexed by
+//! task id), which a hand-rolled pool over `std::thread::scope` provides
+//! with no surprises about task placement. It takes no timings: simulated
+//! time is priced from what tasks count ([`crate::trace`]), never from how
+//! long the host took to run them.
 //!
 //! This module is the **only** place in the workspace allowed to spawn
 //! threads (`cargo xtask lint` enforces it): funnelling every worker through
-//! one pool keeps panic propagation, duration accounting, and the
-//! schedule-shaker's thread-count sweeps ([`crate::analysis`]) all in one
-//! auditable spot.
+//! one pool keeps panic propagation and the schedule-shaker's thread-count
+//! sweeps ([`crate::analysis`]) in one auditable spot.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -141,8 +140,8 @@ mod placement {
 /// Runs `num_tasks` closures concurrently on at most `threads` workers.
 ///
 /// `run(task_index)` is invoked exactly once per index (unless a task
-/// panics). Returns per-task `(result, measured_duration)` in task-index
-/// order regardless of which worker executed which task.
+/// panics). Returns the results in task-index order regardless of which
+/// worker executed which task.
 ///
 /// # Panics
 ///
@@ -154,18 +153,22 @@ mod placement {
 /// completed before the panic are discarded wholesale — no partially
 /// poisoned output can escape because the panic is re-raised before the
 /// results vector is returned.
-pub fn run_indexed<T, F>(num_tasks: usize, threads: usize, run: F) -> Vec<(T, Duration)>
+pub fn run_indexed<T, F>(num_tasks: usize, threads: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     assert!(threads > 0, "pool requires at least one thread");
-    let results: Mutex<Vec<Option<(T, Duration)>>> =
-        Mutex::new((0..num_tasks).map(|_| None).collect());
+    if num_tasks == 0 {
+        // Nothing to run: not worth a worker thread (the empty
+        // re-execution waves of a clean job come through here).
+        return Vec::new();
+    }
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..num_tasks).map(|_| None).collect());
     let next = AtomicUsize::new(0);
     let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-    let workers = threads.min(num_tasks.max(1));
+    let workers = threads.min(num_tasks);
     let spread = (workers > 1).then(Spread::from_caller).flatten();
     let worker = |k: usize| {
         if let Some(spread) = &spread {
@@ -176,12 +179,8 @@ where
             if i >= num_tasks {
                 break;
             }
-            let started = Instant::now(); // xtask: allow(clock-discipline) — per-task host duration lands in the worker's result slot as an advisory metric; sim time comes from the cost model
             match catch_unwind(AssertUnwindSafe(|| run(i))) {
-                Ok(value) => {
-                    let elapsed = started.elapsed();
-                    results.lock()[i] = Some((value, elapsed));
-                }
+                Ok(value) => results.lock()[i] = Some(value),
                 Err(payload) => {
                     let mut slot = panic_slot.lock();
                     if slot.is_none() {
@@ -307,36 +306,23 @@ mod tests {
             i * 2
         });
         assert_eq!(calls.load(Ordering::Relaxed), 100);
-        let values: Vec<usize> = results.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn results_are_in_task_order_despite_concurrency() {
         let results = run_indexed(50, 8, |i| {
             if i % 7 == 0 {
-                std::thread::sleep(Duration::from_micros(200));
+                std::thread::sleep(std::time::Duration::from_micros(200));
             }
             i
         });
-        for (i, (v, _)) in results.iter().enumerate() {
-            assert_eq!(*v, i);
-        }
-    }
-
-    #[test]
-    fn durations_are_measured() {
-        let results = run_indexed(2, 2, |_| {
-            std::thread::sleep(Duration::from_millis(5));
-        });
-        for (_, d) in results {
-            assert!(d >= Duration::from_millis(4), "duration {d:?} too small");
-        }
+        assert_eq!(results, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_tasks_is_fine() {
-        let results: Vec<((), Duration)> = run_indexed(0, 4, |_| ());
+        let results: Vec<()> = run_indexed(0, 4, |_| ());
         assert!(results.is_empty());
     }
 
@@ -373,7 +359,7 @@ mod tests {
         });
         let cpus: Vec<usize> = seen
             .iter()
-            .filter_map(|((cpu, bound), _)| cpu.filter(|_| *bound))
+            .filter_map(|(cpu, bound)| cpu.filter(|_| *bound))
             .collect();
         if let [first, second] = cpus[..] {
             assert_ne!(first, second, "workers share a CPU");
@@ -471,8 +457,7 @@ mod tests {
             16,
             "no sibling was poisoned"
         );
-        let values: Vec<usize> = results.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, (0..16).collect::<Vec<_>>());
+        assert_eq!(results, (0..16).collect::<Vec<_>>());
     }
 
     /// The payload captured by `catch_attempt` is the *original* one, so

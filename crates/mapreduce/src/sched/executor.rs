@@ -22,7 +22,7 @@ use skymr_telemetry::{Collector, JobTrace, MetricsRegistry, Span};
 
 use crate::cluster::{ClusterConfig, JobMetrics};
 use crate::fault::{AttemptFailure, FailureCause, JobError, RetryPolicy, TaskKind};
-use crate::trace::ticks_of;
+use crate::trace::{from_ticks, ticks_of};
 
 use super::admission::{AdmissionConfig, AdmissionController, Reservation};
 use super::scheduler::{AttemptView, CandidateView, FifoScheduler, SchedView, Scheduler};
@@ -31,10 +31,6 @@ use super::scheduler::{AttemptView, CandidateView, FifoScheduler, SchedView, Sch
 /// modeled metrics of the MapReduce jobs it ran.
 type Plane =
     Box<dyn FnOnce(&ClusterConfig) -> Result<(Box<dyn Any + Send>, Vec<JobMetrics>), Error> + Send>;
-
-fn from_ticks(t: u64) -> Duration {
-    Duration::from_micros(t)
-}
 
 /// Everything the scheduler needs to know about a job besides its data
 /// plane: identity, tenancy, timing, and resource demands.
@@ -1033,17 +1029,9 @@ impl Engine {
         };
         let sim = &mut self.sims[j];
         sim.state = SimState::Terminal;
-        let (task, index, attempts, duration) =
-            killed
-                .first()
-                .map_or((TaskKind::Map, 0, 0, Duration::ZERO), |a| {
-                    (
-                        a.kind,
-                        a.task,
-                        a.attempt_no + 1,
-                        from_ticks(now.saturating_sub(a.started)),
-                    )
-                });
+        let (task, index, attempts) = killed.first().map_or((TaskKind::Map, 0, 0), |a| {
+            (a.kind, a.task, a.attempt_no + 1)
+        });
         let metrics = if started {
             let mut m = sim
                 .jobs
@@ -1067,7 +1055,6 @@ impl Engine {
                 cause: FailureCause::Cancelled {
                     reason: reason.to_owned(),
                 },
-                duration,
             }],
             counters: Counters::new(),
             metrics: Box::new(metrics),

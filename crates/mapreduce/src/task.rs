@@ -25,7 +25,7 @@ pub trait JobValue: Send + ByteSized + Wire + 'static {}
 impl<T: Send + ByteSized + Wire + 'static> JobValue for T {}
 
 /// Per-task context handed to factories: which task this is, the job shape,
-/// and the job's shared counters.
+/// and the attempt's counters.
 #[derive(Clone, Debug)]
 pub struct TaskContext {
     /// Index of this task within its phase (0-based).
@@ -36,7 +36,9 @@ pub struct TaskContext {
     pub num_reducers: usize,
     /// Attempt number (0 on first execution; >0 after injected failures).
     pub attempt: u32,
-    /// Shared job counters (Hadoop-style).
+    /// This attempt's counters (Hadoop-style): the engine folds them into
+    /// the job's only if this attempt's output is the one committed, so a
+    /// failed attempt, a losing backup, and a re-execution never count twice.
     pub counters: Counters,
 }
 
@@ -100,11 +102,13 @@ pub trait ReduceFactory: Sync {
 }
 
 /// Collects intermediate key-value pairs from a map task and accounts their
-/// wire size for the shuffle-traffic model.
+/// wire size for the shuffle-traffic model, plus the work the attempt
+/// charges to the simulated clock.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     pairs: Vec<(K, V)>,
     bytes: u64,
+    work: u64,
 }
 
 impl<K: ByteSized, V: ByteSized> Emitter<K, V> {
@@ -112,7 +116,20 @@ impl<K: ByteSized, V: ByteSized> Emitter<K, V> {
         Self {
             pairs: Vec::new(),
             bytes: 0,
+            work: 0,
         }
+    }
+
+    /// Charges `units` of UDF work — dominance comparisons, for the
+    /// skyline algorithms — to this attempt. The simulated clock prices
+    /// the attempt from what it counted (records, bytes, charged work),
+    /// never from host time; a failed attempt's charge dies with it.
+    pub fn charge(&mut self, units: u64) {
+        self.work += units;
+    }
+
+    pub(crate) fn work(&self) -> u64 {
+        self.work
     }
 
     /// Emits one intermediate pair.
@@ -153,17 +170,26 @@ impl<K: ByteSized, V: ByteSized> Emitter<K, V> {
     }
 }
 
-/// Collects final output records from a reduce task.
+/// Collects final output records from a reduce task, plus the work the
+/// attempt charges to the simulated clock.
 #[derive(Debug)]
 pub struct OutputCollector<T> {
     records: Vec<T>,
+    work: u64,
 }
 
 impl<T> OutputCollector<T> {
     pub(crate) fn new() -> Self {
         Self {
             records: Vec::new(),
+            work: 0,
         }
+    }
+
+    /// Charges `units` of UDF work to this attempt (see
+    /// [`Emitter::charge`]).
+    pub fn charge(&mut self, units: u64) {
+        self.work += units;
     }
 
     /// Emits one output record.
@@ -181,8 +207,9 @@ impl<T> OutputCollector<T> {
         self.records.is_empty()
     }
 
-    pub(crate) fn into_records(self) -> Vec<T> {
-        self.records
+    /// The collected records and the charged work.
+    pub(crate) fn into_parts(self) -> (Vec<T>, u64) {
+        (self.records, self.work)
     }
 }
 
@@ -196,7 +223,8 @@ mod tests {
         assert!(e.is_empty());
         e.emit(1, 10);
         e.emit(2, 20);
-        assert_eq!(e.len(), 2);
+        e.charge(5);
+        assert_eq!((e.len(), e.work()), (2, 5));
         let (pairs, bytes) = e.into_parts();
         assert_eq!(pairs, vec![(1, 10), (2, 20)]);
         assert_eq!(bytes, 2 * (4 + 8));
@@ -207,7 +235,9 @@ mod tests {
         let mut c: OutputCollector<&'static str> = OutputCollector::new();
         c.collect("a");
         c.collect("b");
+        c.charge(3);
+        c.charge(4);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.into_records(), vec!["a", "b"]);
+        assert_eq!(c.into_parts(), (vec!["a", "b"], 7));
     }
 }

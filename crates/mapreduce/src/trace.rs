@@ -1,30 +1,31 @@
-//! Driver-side trace assembly: turns one finished job's execution record
-//! into deterministic spans and a metrics registry.
+//! The job's one clock: prices every task from what it counted, lays the
+//! job out once on the simulated cluster, and draws the trace from that
+//! layout.
 //!
-//! Span assembly happens *after* the phases complete, on the driver
-//! thread — worker threads never touch the collector, so recording can't
-//! perturb scheduling and UDFs can't observe ambient time. Exported span
-//! times come from the deterministic model timebase
-//! ([`skymr_telemetry::model`]): a pure function of record counts, byte
-//! counts, the configured cluster `Duration`s, and the fault plan. The
-//! engine's *measured* durations stay in [`crate::cluster::JobMetrics`];
-//! they never reach an export, which is what makes traces byte-identical
-//! across host thread counts and schedule shakes.
-//!
-//! The one exception is speculative execution: which tasks get backups
-//! (and who wins) depends on measured host durations, so traces of
-//! speculative runs carry the outcome only as registry counters and make
-//! no byte-identity promise (see DESIGN.md §8).
+//! The driver's stages (`job.rs`) establish *facts* — record, byte and
+//! comparison counts per task, attempt histories, which outputs were lost
+//! and re-executed — and put them in a [`JobRecord`]. Everything timed is
+//! derived here, after the fact, on the driver thread:
+//! [`TaskModel`] prices a task's attempts with the
+//! [`skymr_telemetry::model`] cost table and the cluster's configured
+//! hardware rates, [`JobRecord::timeline`] places the priced tasks wave by
+//! wave with [`skymr_telemetry::place`], and both consumers read that one
+//! [`Timeline`]: `Job::close` takes `sim_runtime` and every phase duration
+//! of [`crate::cluster::JobMetrics`] off it, [`JobRecord::emit`] draws its
+//! spans from it. No host clock is involved, so the metrics and the
+//! exports are byte-identical across runs, host thread counts and schedule
+//! shakes — speculative runs included: backups are planned and won on
+//! model ticks ([`JobRecord::plan_backups`]).
 
 use std::time::Duration;
 
 use skymr_telemetry::model;
-use skymr_telemetry::place::place;
+use skymr_telemetry::place::{place, Placement as Slot};
 use skymr_telemetry::registry::TICK_BUCKETS;
 use skymr_telemetry::{ArgValue, Collector, JobTrace, MetricsRegistry, Span, Ticks};
 
 use crate::cluster::{ClusterConfig, Placement};
-use crate::fault::{FailureCause, RetryPolicy};
+use crate::fault::{FailureCause, RetryPolicy, SpeculationPolicy, TaskKind};
 use crate::storage::MergeStats;
 
 /// Lane 0 of every job: startup, broadcast, and shuffle-wide spans.
@@ -46,7 +47,11 @@ pub(crate) fn ticks_of(d: Duration) -> Ticks {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// One node loss as resolved by the driver on the model-tick timeline:
+pub(crate) fn from_ticks(t: Ticks) -> Duration {
+    Duration::from_micros(t)
+}
+
+/// One node loss as resolved by the driver on the map wave's timeline:
 /// when the node died and when the heartbeat detector declared it dead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLossEvent {
@@ -56,6 +61,8 @@ pub struct NodeLossEvent {
     pub at_tick: Ticks,
     /// Model tick the heartbeat timeout expired and recovery began.
     pub detect_tick: Ticks,
+    /// Slot ticks of the in-flight map attempts that died with the node.
+    pub wasted: Ticks,
 }
 
 /// How one failed attempt failed (the deterministic projection of
@@ -64,7 +71,8 @@ pub struct NodeLossEvent {
 pub enum FailKind {
     /// Ran to completion, output discarded — costs a full attempt.
     LostOutput,
-    /// Crashed mid-task — costs roughly half the input scan.
+    /// Crashed mid-task — costs roughly half the attempt's input scan and
+    /// charged work, with nothing emitted.
     Panic,
     /// Made no progress; killed after the carried timeout (model ticks).
     /// The cost is the timeout itself, never scaled by a straggler factor —
@@ -113,8 +121,20 @@ pub struct CorruptEvent {
     pub reexecuted: bool,
 }
 
-/// The deterministic facts about one task: its I/O volume and its attempt
-/// history. Everything the model timebase needs, nothing measured.
+/// A speculative backup attempt, planned on model ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backup {
+    /// When the backup launched: the phase's median task duration.
+    pub launch: Ticks,
+    /// When it commits: one launch overhead and one clean attempt later.
+    pub finish: Ticks,
+    /// `true` iff the backup commits before the straggling original
+    /// (ties go to the original).
+    pub wins: bool,
+}
+
+/// The deterministic facts about one task: what it counted and its attempt
+/// history. Everything the clock needs, nothing measured.
 #[derive(Debug, Clone, Default)]
 pub struct TaskModel {
     /// Input records consumed (map: split length; reduce: values).
@@ -126,7 +146,14 @@ pub struct TaskModel {
     /// Bytes through the task (map: emitted shuffle bytes; reduce: shuffle
     /// bytes consumed).
     pub bytes: u64,
-    /// Failed attempts, in order. The winning attempt follows them.
+    /// Work units the committed attempt charged through
+    /// [`Emitter::charge`](crate::Emitter::charge) /
+    /// [`OutputCollector::charge`](crate::OutputCollector::charge) — for
+    /// the skyline algorithms, dominance comparisons.
+    pub work: u64,
+    /// Failed attempts, in order. The winning attempt follows them (a task
+    /// that exhausted its budget is priced with the attempt it was denied,
+    /// at zero output — partial metrics of an aborted job).
     pub failures: Vec<FailKind>,
     /// Straggler slowdown from the fault plan (deterministic).
     pub slowdown: f64,
@@ -136,67 +163,85 @@ pub struct TaskModel {
     /// External-merge cascade cost (reduce tasks in spill mode; `None`
     /// otherwise) — the closed-form accounting from the run manifests.
     pub merge: Option<MergeStats>,
+    /// The speculative backup the task was given, if any.
+    pub backup: Option<Backup>,
 }
 
-impl TaskModel {
-    fn winner_ticks(&self) -> Ticks {
-        model::scaled(
-            model::attempt_ticks(self.records_in, self.records_out, self.bytes),
-            self.slowdown,
-        )
-    }
+/// One wave of tasks placed on slots: placements are relative to `start`.
+#[derive(Debug, Clone, Default)]
+pub struct Wave {
+    /// Tick the wave's first task may launch.
+    pub start: Ticks,
+    /// Tick the wave's last task finishes (`start` for an empty wave).
+    pub end: Ticks,
+    /// Where each task landed, indexed like the wave's task list.
+    pub slots: Vec<Slot>,
+}
 
-    fn failure_ticks(&self, kind: FailKind) -> Ticks {
-        match kind {
-            FailKind::LostOutput => self.winner_ticks(),
-            // The injected crash fires halfway through the input, before
-            // any output is emitted.
-            FailKind::Panic => model::scaled(
-                model::attempt_ticks(self.records_in / 2, 0, 0),
-                self.slowdown,
-            ),
-            // A hung attempt occupies its slot for the full progress
-            // timeout before the tracker kills it.
-            FailKind::Hang(timeout) => timeout,
-            // Elapsed slot time is charged by the executor at kill time.
-            FailKind::Cancelled => 0,
-        }
-    }
-
-    /// Model ticks of the task's storage-plane I/O: one charge per spill
-    /// file written plus the external-merge cascade. Zero unless the job
-    /// ran under a memory budget, which keeps unspilled traces
-    /// byte-identical to the pre-storage-plane engine.
-    fn storage_ticks(&self) -> Ticks {
-        let mut total = 0;
-        for &bytes in &self.spills {
-            total += model::storage_ticks(bytes, 1);
-        }
-        if let Some(m) = &self.merge {
-            total += model::storage_ticks(m.bytes_read + m.bytes_written, m.seeks);
-        }
-        total
-    }
-
-    /// Total model ticks the task occupies its slot: all attempts,
-    /// backoff gaps, the extra launch overheads of retries, and (spill
-    /// mode) the storage-plane I/O. (The first attempt's launch overhead
-    /// is charged by placement.)
-    pub(crate) fn total_ticks(&self, retry: &RetryPolicy, overhead: Ticks) -> Ticks {
-        let mut total =
-            self.winner_ticks() + self.storage_ticks() + overhead * self.failures.len() as u64;
-        for (k, &kind) in self.failures.iter().enumerate() {
-            total += self.failure_ticks(kind);
-            total += ticks_of(retry.backoff_after(k as u32));
-        }
-        total
+impl Wave {
+    /// The wave's makespan.
+    pub fn span(&self) -> Ticks {
+        self.end - self.start
     }
 }
 
-/// Everything the job driver establishes about one job — the
-/// deterministic half of its books. The driver's stages fill the record in
-/// as they run (`job.rs`), so an aborted job still hands over whatever its
-/// finished stages established.
+/// A job laid out on the simulated cluster, start to finish — the single
+/// source of every simulated time the engine reports or draws.
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    /// Job startup: `[0, startup)`.
+    pub startup: Ticks,
+    /// Cache broadcast, right after startup.
+    pub broadcast: Ticks,
+    /// Every map task's attempts, on the map slots.
+    pub map: Wave,
+    /// Producers of lost shuffle partitions, re-executed.
+    pub recovery: Wave,
+    /// Heartbeat timeouts waited out before node-loss recovery starts.
+    pub heartbeat: Ticks,
+    /// Map outputs that died with their node, re-executed on the
+    /// surviving map slots.
+    pub reexec: Wave,
+    /// Producers of partitions found corrupt at rest, re-executed on the
+    /// surviving map slots before the shuffle barrier lifts.
+    pub corrupt: Wave,
+    /// Shuffle transfers, stalls and re-fetches, right after `corrupt`.
+    pub shuffle: Ticks,
+    /// Every reduce task's attempts, on the surviving reduce slots.
+    pub reduce: Wave,
+    /// Slot ticks that produced no surviving output.
+    pub wasted: Ticks,
+    /// Retry backoff charged across all tasks.
+    pub backoff: Ticks,
+}
+
+impl Timeline {
+    /// The job's simulated runtime.
+    pub fn total(&self) -> Ticks {
+        self.reduce.end
+    }
+
+    /// Map phase as `JobMetrics` reports it: the map wave plus both
+    /// map-output recovery waves and the heartbeat wait.
+    pub fn map_phase(&self) -> Ticks {
+        self.reexec.end - self.map.start
+    }
+
+    /// Node-loss detection plus re-execution (folded into the map phase).
+    pub fn reexecution(&self) -> Ticks {
+        self.reexec.end - self.recovery.end
+    }
+
+    /// Shuffle as `JobMetrics` reports it: the at-rest-corruption wave
+    /// plus transfers, stalls and re-fetches.
+    pub fn shuffle_phase(&self) -> Ticks {
+        self.reduce.start - self.reexec.end
+    }
+}
+
+/// Everything the job driver establishes about one job. The driver's
+/// stages fill the record in as they run (`job.rs`), so an aborted job
+/// still hands over whatever its finished stages established.
 #[derive(Debug)]
 pub struct JobRecord<'a> {
     /// Job name.
@@ -211,7 +256,8 @@ pub struct JobRecord<'a> {
     pub broadcast_attempts: u32,
     /// Modeled broadcast charge.
     pub broadcast_time: Duration,
-    /// Modeled shuffle transfer time (bottleneck node).
+    /// Modeled shuffle time: bottleneck-node transfer, partition stalls
+    /// and corrupt re-fetches.
     pub shuffle_time: Duration,
     /// Shuffle bytes routed to each reducer.
     pub per_reducer_bytes: Vec<u64>,
@@ -226,6 +272,9 @@ pub struct JobRecord<'a> {
     /// Shuffle partitions whose frames failed checksum verification, in
     /// `(map, reducer)` order.
     pub corrupt: Vec<CorruptEvent>,
+    /// Map tasks re-executed because a partition of theirs was corrupt at
+    /// rest.
+    pub rotten: Vec<usize>,
     /// Records skipped by the skip-bad-records policy, as
     /// `(map_task, record)` pairs in increasing order.
     pub skipped: Vec<(usize, usize)>,
@@ -239,53 +288,235 @@ pub struct JobRecord<'a> {
     pub maps_reexecuted: u64,
     /// Nodes blacklisted by the end of the job.
     pub nodes_blacklisted: u64,
-    /// Final phase-level attempt count (includes recovery and backups).
+    /// Map slots still schedulable once the map phase's dead and
+    /// blacklisted nodes are gone.
+    pub surviving_map_slots: usize,
+    /// Reduce slots still schedulable, likewise.
+    pub surviving_reduce_slots: usize,
+    /// Map attempts executed (recovery waves and backups included).
     pub map_attempts: u64,
     /// Failed-and-retried map executions.
     pub map_retries: u64,
-    /// Final reduce attempt count.
+    /// Reduce attempts executed.
     pub reduce_attempts: u64,
     /// Failed-and-retried reduce executions.
     pub reduce_retries: u64,
-    /// Map-side speculative wins (measured decision; counters only).
-    pub map_spec_wins: u64,
-    /// Reduce-side speculative wins.
-    pub reduce_spec_wins: u64,
     /// Snapshot of the job's user counters (already sorted).
     pub user_counters: Vec<(String, u64)>,
 }
 
 impl JobRecord<'_> {
+    fn overhead(&self) -> Ticks {
+        ticks_of(self.cluster.task_overhead)
+    }
+
+    /// CPU ticks of one full, unslowed attempt of `task`.
+    fn cpu_ticks(&self, task: &TaskModel) -> Ticks {
+        model::attempt_ticks(task.records_in, task.records_out, task.bytes, task.work)
+    }
+
+    /// Ticks of the storage-plane I/O one full attempt performs: a create
+    /// per spill file written plus the external-merge cascade, on the
+    /// configured disk. Zero unless the job ran under a memory budget.
+    fn io_ticks(&self, bytes: u64, seeks: u64) -> Ticks {
+        ticks_of(self.cluster.storage.io_time(bytes, seeks))
+    }
+
+    /// One full attempt at full speed: what a re-execution or a backup
+    /// costs.
+    fn clean_ticks(&self, task: &TaskModel) -> Ticks {
+        let spills: Ticks = task.spills.iter().map(|&b| self.io_ticks(b, 1)).sum();
+        let merge = task.merge.as_ref().map_or(0, |m| {
+            self.io_ticks(m.bytes_read + m.bytes_written, m.seeks)
+        });
+        self.cpu_ticks(task) + spills + merge
+    }
+
+    /// The committed attempt: a full attempt under the task's straggler
+    /// slowdown, which stretches compute and I/O alike.
+    fn winner_ticks(&self, task: &TaskModel) -> Ticks {
+        model::scaled(self.clean_ticks(task), task.slowdown)
+    }
+
+    fn failure_ticks(&self, task: &TaskModel, kind: FailKind) -> Ticks {
+        match kind {
+            FailKind::LostOutput => self.winner_ticks(task),
+            FailKind::Panic => model::scaled(
+                model::attempt_ticks(task.records_in / 2, 0, 0, task.work / 2),
+                task.slowdown,
+            ),
+            FailKind::Hang(timeout) => timeout,
+            FailKind::Cancelled => 0,
+        }
+    }
+
+    fn lost_ticks(&self, task: &TaskModel) -> Ticks {
+        let lost = |&kind| self.failure_ticks(task, kind);
+        task.failures.iter().map(lost).sum()
+    }
+
+    fn backoff_ticks(&self, task: &TaskModel) -> Ticks {
+        let after = |k| ticks_of(self.retry.backoff_after(k as u32));
+        (0..task.failures.len()).map(after).sum()
+    }
+
+    /// Ticks the task's own attempts occupy its slot: every attempt, the
+    /// backoff gaps between them, and the extra launch overheads of
+    /// retries. (The first attempt's launch overhead is charged by
+    /// placement.)
+    fn attempts_ticks(&self, task: &TaskModel) -> Ticks {
+        self.winner_ticks(task)
+            + self.lost_ticks(task)
+            + self.backoff_ticks(task)
+            + self.overhead() * task.failures.len() as u64
+    }
+
+    /// Ticks the task holds its slot on the timeline: its own attempts,
+    /// or — when a speculative backup beat them — up to the moment the
+    /// backup commits and the original is killed.
+    pub fn slot_ticks(&self, task: &TaskModel) -> Ticks {
+        match task.backup {
+            Some(backup) if backup.wins => backup.finish,
+            _ => self.attempts_ticks(task),
+        }
+    }
+
+    /// Slot ticks of the task that produced no surviving output: failed
+    /// attempts, and the losing half of a speculative pair — the killed
+    /// original's whole run, or the backup's run from its launch until
+    /// the original committed (or to completion, whichever came first).
+    fn wasted_ticks(&self, task: &TaskModel) -> Ticks {
+        let speculation = match task.backup {
+            Some(backup) if backup.wins => backup.finish,
+            Some(backup) => self
+                .attempts_ticks(task)
+                .min(backup.finish)
+                .saturating_sub(backup.launch),
+            None => 0,
+        };
+        self.lost_ticks(task) + speculation
+    }
+
+    /// Plans the phase's speculative backups on model ticks, records them
+    /// on the tasks and counts them as attempts; returns the tasks to back
+    /// up and whether each backup wins. Any task whose attempts run longer
+    /// than `policy.slowdown_threshold` × the phase median gets a backup
+    /// launched at the median mark; it wins iff it commits strictly before
+    /// the original would have.
+    pub(crate) fn plan_backups(
+        &mut self,
+        kind: TaskKind,
+        policy: &SpeculationPolicy,
+    ) -> Vec<(usize, bool)> {
+        let mut tasks = std::mem::take(self.phase_mut(kind));
+        let ticks: Vec<Ticks> = tasks.iter().map(|t| self.attempts_ticks(t)).collect();
+        let launch = model::median(&ticks);
+        let threshold = model::scaled(launch, policy.slowdown_threshold);
+        let mut planned = Vec::new();
+        if tasks.len() >= policy.min_phase_tasks && launch > 0 {
+            for (i, task) in tasks.iter_mut().enumerate() {
+                let finish = model::backup_finish(launch, self.clean_ticks(task), self.overhead());
+                if ticks[i] > threshold {
+                    let wins = finish < ticks[i];
+                    task.backup = Some(Backup {
+                        launch,
+                        finish,
+                        wins,
+                    });
+                    planned.push((i, wins));
+                }
+            }
+        }
+        *self.phase_mut(kind) = tasks;
+        match kind {
+            TaskKind::Map => self.map_attempts += planned.len() as u64,
+            TaskKind::Reduce => self.reduce_attempts += planned.len() as u64,
+        }
+        planned
+    }
+
+    fn phase_mut(&mut self, kind: TaskKind) -> &mut Vec<TaskModel> {
+        match kind {
+            TaskKind::Map => &mut self.map,
+            TaskKind::Reduce => &mut self.reduce,
+        }
+    }
+
+    /// Lays the job out on the simulated cluster: startup → broadcast →
+    /// map wave → lost-partition wave → heartbeat wait + node-loss wave →
+    /// at-rest-corruption wave → shuffle → reduce wave. The only place
+    /// wave start and end times are computed.
+    pub fn timeline(&self) -> Timeline {
+        let cluster = self.cluster;
+        // A phase wave places every task's slot time; a re-execution wave
+        // one clean attempt per task.
+        let held = |tasks: &[TaskModel]| tasks.iter().map(|t| self.slot_ticks(t)).collect();
+        let rerun = |wave: &[usize]| {
+            let clean = |&i: &usize| self.map.get(i).map_or(0, |t| self.clean_ticks(t));
+            wave.iter().map(clean).collect()
+        };
+        let lay = |start, ticks: Vec<Ticks>, slots| {
+            let (placed, makespan) = place(&ticks, slots, self.overhead());
+            Wave {
+                start,
+                end: start + makespan,
+                slots: placed,
+            }
+        };
+        let (map_slots, reduce_slots) = (self.surviving_map_slots, self.surviving_reduce_slots);
+        let startup = ticks_of(cluster.job_startup);
+        let broadcast = ticks_of(self.broadcast_time);
+        let map = lay(startup + broadcast, held(&self.map), cluster.map_slots);
+        let recovery = lay(map.end, rerun(&self.recovery), cluster.map_slots);
+        let heartbeat = ticks_of(cluster.heartbeat_timeout) * self.node_losses.len() as u64;
+        let reexec = lay(recovery.end + heartbeat, rerun(&self.reexecuted), map_slots);
+        let corrupt = lay(reexec.end, rerun(&self.rotten), map_slots);
+        let shuffle = ticks_of(self.shuffle_time);
+        let reduce = lay(corrupt.end + shuffle, held(&self.reduce), reduce_slots);
+        let tasks = || self.map.iter().chain(&self.reduce);
+        let killed: Ticks = self.node_losses.iter().map(|l| l.wasted).sum();
+        Timeline {
+            startup,
+            broadcast,
+            map,
+            recovery,
+            heartbeat,
+            reexec,
+            corrupt,
+            shuffle,
+            reduce,
+            wasted: tasks().map(|t| self.wasted_ticks(t)).sum::<Ticks>() + killed,
+            backoff: tasks().map(|t| self.backoff_ticks(t)).sum(),
+        }
+    }
+
     /// Builds the job's metrics registry — the structured source of truth
     /// the legacy `JobMetrics` count fields are derived from.
     pub fn build_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let overhead = ticks_of(self.cluster.task_overhead);
         for task in &self.map {
             reg.add("map.records_in", task.records_in);
             reg.add("map.records_out", task.records_out);
             reg.add("map.bytes_out", task.bytes);
+            reg.add("map.work", task.work);
             for &kind in &task.failures {
                 reg.add(&format!("map.failures.{}", kind.label()), 1);
             }
             // Storage-plane counters exist only for jobs that spilled, so
-            // unspilled registries (and their exports) stay byte-identical.
+            // unspilled registries (and their exports) carry none.
             if !task.spills.is_empty() {
                 reg.add("storage.spill_files", task.spills.len() as u64);
                 reg.add("storage.spilled_bytes", task.spills.iter().sum());
                 reg.add("storage.seeks", task.spills.len() as u64);
             }
-            reg.record(
-                "map.task_ticks",
-                TICK_BUCKETS,
-                task.total_ticks(self.retry, overhead),
-            );
+            reg.record("map.task_ticks", TICK_BUCKETS, self.slot_ticks(task));
         }
         for task in &self.reduce {
             reg.add("reduce.records_in", task.records_in);
             reg.add("reduce.input_keys", task.keys_in);
             reg.add("reduce.records_out", task.records_out);
             reg.add("reduce.bytes_in", task.bytes);
+            reg.add("reduce.work", task.work);
             for &kind in &task.failures {
                 reg.add(&format!("reduce.failures.{}", kind.label()), 1);
             }
@@ -296,23 +527,21 @@ impl JobRecord<'_> {
                 reg.add("storage.merge_bytes_written", m.bytes_written);
                 reg.add("storage.seeks", m.seeks);
             }
-            reg.record(
-                "reduce.task_ticks",
-                TICK_BUCKETS,
-                task.total_ticks(self.retry, overhead),
-            );
+            reg.record("reduce.task_ticks", TICK_BUCKETS, self.slot_ticks(task));
         }
+        let wins = |tasks: &[TaskModel]| {
+            let won = |t: &&TaskModel| t.backup.is_some_and(|b| b.wins);
+            tasks.iter().filter(won).count() as u64
+        };
+        let (map_wins, reduce_wins) = (wins(&self.map), wins(&self.reduce));
         reg.add("map.attempts", self.map_attempts);
         reg.add("map.retries", self.map_retries);
         reg.add("reduce.attempts", self.reduce_attempts);
         reg.add("reduce.retries", self.reduce_retries);
         reg.add("task.attempts", self.map_attempts + self.reduce_attempts);
-        reg.add("map.speculative_wins", self.map_spec_wins);
-        reg.add("reduce.speculative_wins", self.reduce_spec_wins);
-        reg.add(
-            "task.speculative_wins",
-            self.map_spec_wins + self.reduce_spec_wins,
-        );
+        reg.add("map.speculative_wins", map_wins);
+        reg.add("reduce.speculative_wins", reduce_wins);
+        reg.add("task.speculative_wins", map_wins + reduce_wins);
         reg.add("map.recovery_tasks", self.recovery.len() as u64);
         reg.add("shuffle.lost_partitions", self.lost.len() as u64);
         reg.add("shuffle.corrupt_partitions", self.corrupt.len() as u64);
@@ -335,257 +564,145 @@ impl JobRecord<'_> {
         reg
     }
 
-    /// Assembles the job's span timeline and commits it (with `registry`
-    /// attached) to `collector`, advancing the pipeline model clock.
-    pub fn emit(&self, collector: &Collector, registry: MetricsRegistry) {
+    /// Draws the job's [`Timeline`] as spans and commits them (with
+    /// `registry` attached) to `collector`, advancing the pipeline model
+    /// clock by the timeline's total, which it returns.
+    pub fn emit(&self, collector: &Collector, registry: MetricsRegistry) -> Ticks {
+        let timeline = self.timeline();
         let mut job = JobTrace::new(self.name);
         *job.registry_mut() = registry;
         let cluster = self.cluster;
         job.name_lane(DRIVER_LANE, "driver");
         // With a placement, slot lanes carry their home node so node-loss
-        // instants can be read against the lanes they hit. Unplaced
-        // clusters keep the historical names (byte-identity).
+        // instants can be read against the lanes they hit.
         let placed_nodes = cluster.placement.as_ref().map(|_| cluster.nodes.max(1));
+        let home = |slot| match placed_nodes {
+            Some(n) => format!(" @n{}", Placement::node_of_slot(slot, n)),
+            None => String::new(),
+        };
         for slot in 0..cluster.map_slots {
-            let name = match placed_nodes {
-                Some(n) => format!("map slot {slot} @n{}", Placement::node_of_slot(slot, n)),
-                None => format!("map slot {slot}"),
-            };
-            job.name_lane(map_lane(slot), name);
+            job.name_lane(map_lane(slot), format!("map slot {slot}{}", home(slot)));
         }
         for slot in 0..cluster.reduce_slots {
-            let name = match placed_nodes {
-                Some(n) => format!("reduce slot {slot} @n{}", Placement::node_of_slot(slot, n)),
-                None => format!("reduce slot {slot}"),
-            };
+            let name = format!("reduce slot {slot}{}", home(slot));
             job.name_lane(reduce_lane(cluster, slot), name);
         }
 
         // Driver lane: startup, then the cache broadcast.
-        let startup = ticks_of(cluster.job_startup);
-        let broadcast = ticks_of(self.broadcast_time);
-        job.span(
-            Span::new(
-                &[self.name, "startup"],
-                "startup",
-                "driver",
-                DRIVER_LANE,
-                0,
-                startup,
-            )
-            .with_arg("job", self.name),
-        );
-        if broadcast > 0 {
-            job.span(
-                Span::new(
-                    &[self.name, "broadcast"],
-                    "broadcast",
-                    "driver",
-                    DRIVER_LANE,
-                    startup,
-                    broadcast,
-                )
-                .with_arg("bytes", self.cache_bytes)
-                .with_arg("transfers", u64::from(self.broadcast_attempts)),
-            );
+        let driver =
+            |tag, at, dur| Span::new(&[self.name, tag], tag, "driver", DRIVER_LANE, at, dur);
+        job.span(driver("startup", 0, timeline.startup).with_arg("job", self.name));
+        if timeline.broadcast > 0 {
+            let span = driver("broadcast", timeline.startup, timeline.broadcast);
+            let span = span.with_arg("bytes", self.cache_bytes);
+            job.span(span.with_arg("transfers", u64::from(self.broadcast_attempts)));
         }
 
-        // Map wave.
-        let overhead = ticks_of(cluster.task_overhead);
-        let map_start = startup + broadcast;
-        let map_ticks: Vec<Ticks> = self
-            .map
-            .iter()
-            .map(|t| t.total_ticks(self.retry, overhead))
-            .collect();
-        let (placed, map_makespan) = place(&map_ticks, cluster.map_slots, overhead);
-        let mut occupancy: Vec<(Ticks, i64)> = Vec::new();
-        for (i, (task, p)) in self.map.iter().zip(&placed).enumerate() {
-            let lane = map_lane(p.slot);
-            self.emit_task(
-                &mut job,
-                "map",
-                i,
-                task,
-                lane,
-                map_start + p.start,
-                overhead,
-            );
-            occupancy.push((map_start + p.start, 1));
-            occupancy.push((map_start + p.end, -1));
-        }
-        emit_occupancy(&mut job, "map running", occupancy);
+        self.emit_wave(&mut job, "map", &self.map, &timeline.map, map_lane);
 
         // Skip-bad-records outcomes: one instant per skipped record, at
         // the map phase start (the narrowing happened inside the map wave).
+        let at = timeline.map.start;
         for &(task, record) in &self.skipped {
-            job.instant(
-                "skip-record",
-                "fault",
-                DRIVER_LANE,
-                map_start,
-                vec![
-                    ("task".to_owned(), ArgValue::U64(task as u64)),
-                    ("record".to_owned(), ArgValue::U64(record as u64)),
-                ],
-            );
+            let args = [("task", task as u64), ("record", record as u64)];
+            fault_instant(&mut job, "skip-record", DRIVER_LANE, at, &args);
         }
-
-        // Lost-partition recovery wave: affected map tasks re-execute in a
-        // second wave, one clean attempt each.
-        let recovery_ticks: Vec<Ticks> = self
-            .recovery
-            .iter()
-            .map(|&i| self.map.get(i).map_or(0, TaskModel::winner_ticks))
-            .collect();
-        let (replaced, recovery_makespan) = place(&recovery_ticks, cluster.map_slots, overhead);
-        let recovery_start = map_start + map_makespan;
-        for (&i, p) in self.recovery.iter().zip(&replaced) {
-            job.span(
-                Span::new(
-                    &[self.name, "map-recovery", &i.to_string()],
-                    format!("map[{i}] (recovery)"),
-                    "map",
-                    map_lane(p.slot),
-                    recovery_start + p.start,
-                    p.end - p.start,
-                )
-                .with_arg("recovered_task", i as u64),
-            );
-        }
-
-        // Node-loss re-execution wave: each loss fires a `node-loss`
-        // instant when detected, then the invalidated map tasks re-run
-        // (one clean attempt each) after the heartbeat timeouts expire.
-        let heartbeat = ticks_of(cluster.heartbeat_timeout);
-        let heartbeat_total = heartbeat * self.node_losses.len() as u64;
+        // Each loss fires a `node-loss` instant when detected; the
+        // invalidated map tasks re-run after the heartbeat timeouts expire.
         for loss in &self.node_losses {
-            job.instant(
-                "node-loss",
-                "fault",
-                DRIVER_LANE,
-                map_start.saturating_add(loss.detect_tick),
-                vec![
-                    ("node".to_owned(), ArgValue::U64(loss.node as u64)),
-                    ("at_tick".to_owned(), ArgValue::U64(loss.at_tick)),
-                ],
-            );
+            let at = timeline.map.start.saturating_add(loss.detect_tick);
+            let args = [("node", loss.node as u64), ("at_tick", loss.at_tick)];
+            fault_instant(&mut job, "node-loss", DRIVER_LANE, at, &args);
         }
-        let reexec_ticks: Vec<Ticks> = self
-            .reexecuted
-            .iter()
-            .map(|&i| self.map.get(i).map_or(0, TaskModel::winner_ticks))
-            .collect();
-        let (replaced, reexec_makespan) = place(&reexec_ticks, cluster.map_slots, overhead);
-        let reexec_start = recovery_start + recovery_makespan + heartbeat_total;
-        for (&i, p) in self.reexecuted.iter().zip(&replaced) {
-            job.span(
-                Span::new(
-                    &[self.name, "map-reexec", &i.to_string()],
-                    format!("map[{i}] (re-exec)"),
-                    "reexec",
-                    map_lane(p.slot),
-                    reexec_start + p.start,
-                    p.end - p.start,
-                )
-                .with_arg("reexecuted_task", i as u64),
-            );
+        // The three re-execution waves: one clean attempt per task.
+        let reruns = [
+            (&self.recovery, &timeline.recovery, "recovery", "map"),
+            (&self.reexecuted, &timeline.reexec, "re-exec", "reexec"),
+            (&self.rotten, &timeline.corrupt, "re-exec", "reexec"),
+        ];
+        for (wave_no, (tasks, wave, label, cat)) in reruns.into_iter().enumerate() {
+            for (&i, p) in tasks.iter().zip(&wave.slots) {
+                let path = [self.name, "map-rerun", &wave_no.to_string(), &i.to_string()];
+                let name = format!("map[{i}] ({label})");
+                let (at, dur) = (wave.start + p.start, p.end - p.start);
+                let span = Span::new(&path, name, cat, map_lane(p.slot), at, dur);
+                job.span(span.with_arg("rerun_task", i as u64));
+            }
         }
-        let reexec_shift = if self.reexecuted.is_empty() && self.node_losses.is_empty() {
-            0
-        } else {
-            heartbeat_total + reexec_makespan
-        };
 
+        // Corrupted partition fetches: one instant per partition whose
+        // frame failed checksum verification, when the scan found it.
+        for c in &self.corrupt {
+            let fetches = ("fetches", u64::from(c.fetches));
+            let args = [
+                ("map", c.map as u64),
+                ("reducer", c.reducer as u64),
+                fetches,
+            ];
+            fault_instant(
+                &mut job,
+                "fault:corrupt",
+                DRIVER_LANE,
+                timeline.reexec.end,
+                &args,
+            );
+        }
         // Shuffle: reducers pull their partitions; reducer j's transfer
         // lands on node j % nodes, transfers on one node are sequential,
         // and the phase ends at the bottleneck node's finish — the same
         // accounting as `ClusterConfig::shuffle_time`.
-        let shuffle_start = recovery_start + recovery_makespan + reexec_shift;
-        // Corrupted partition fetches: one instant per partition whose
-        // frame failed checksum verification, at the shuffle start (the
-        // re-fetch/re-execution cost is already folded into
-        // `shuffle_time` and the re-exec accounting).
-        for c in &self.corrupt {
-            job.instant(
-                "fault:corrupt",
-                "fault",
-                DRIVER_LANE,
-                shuffle_start,
-                vec![
-                    ("map".to_owned(), ArgValue::U64(c.map as u64)),
-                    ("reducer".to_owned(), ArgValue::U64(c.reducer as u64)),
-                    ("fetches".to_owned(), ArgValue::U64(u64::from(c.fetches))),
-                ],
-            );
-        }
-        let shuffle = ticks_of(self.shuffle_time);
-        if shuffle > 0 {
+        if timeline.shuffle > 0 {
             let nodes = cluster.nodes.max(1);
             // Per-node download cursor and whether the lane is named yet.
-            let mut node_state: Vec<(Ticks, bool)> = vec![(shuffle_start, false); nodes];
+            let mut node_state: Vec<(Ticks, bool)> = vec![(timeline.corrupt.end, false); nodes];
             for (j, &bytes) in self.per_reducer_bytes.iter().enumerate() {
                 let node = j % nodes; // xtask: allow(panic-reachability) — nodes is .max(1) two lines up, so the remainder cannot panic
                 let secs = bytes as f64 * cluster.remote_fraction() / cluster.network_bytes_per_sec;
                 let dur = ticks_of(Duration::from_secs_f64(secs));
-                if dur == 0 {
-                    continue;
-                }
-                let Some((cursor, named)) = node_state.get_mut(node) else {
+                let Some((cursor, named)) = node_state.get_mut(node).filter(|_| dur > 0) else {
                     continue;
                 };
+                let lane = network_lane(cluster, node);
                 if !*named {
-                    job.name_lane(network_lane(cluster, node), format!("node {node} downlink"));
+                    job.name_lane(lane, format!("node {node} downlink"));
                     *named = true;
                 }
-                job.span(
-                    Span::new(
-                        &[self.name, "shuffle", &j.to_string()],
-                        format!("shuffle→reduce[{j}]"),
-                        "shuffle",
-                        network_lane(cluster, node),
-                        *cursor,
-                        dur,
-                    )
-                    .with_arg("bytes", bytes)
-                    .with_arg("reducer", j as u64),
-                );
+                let path = [self.name, "shuffle", &j.to_string()];
+                let name = format!("shuffle→reduce[{j}]");
+                let span = Span::new(&path, name, "shuffle", lane, *cursor, dur);
+                job.span(span.with_arg("bytes", bytes).with_arg("reducer", j as u64));
                 *cursor += dur;
             }
         }
 
-        // Reduce wave.
-        let reduce_start = shuffle_start + shuffle;
-        let reduce_ticks: Vec<Ticks> = self
-            .reduce
-            .iter()
-            .map(|t| t.total_ticks(self.retry, overhead))
-            .collect();
-        let (placed, reduce_makespan) = place(&reduce_ticks, cluster.reduce_slots, overhead);
-        let mut occupancy: Vec<(Ticks, i64)> = Vec::new();
-        for (j, (task, p)) in self.reduce.iter().zip(&placed).enumerate() {
-            let lane = reduce_lane(cluster, p.slot);
-            self.emit_task(
-                &mut job,
-                "reduce",
-                j,
-                task,
-                lane,
-                reduce_start + p.start,
-                overhead,
-            );
-            occupancy.push((reduce_start + p.start, 1));
-            occupancy.push((reduce_start + p.end, -1));
-        }
-        emit_occupancy(&mut job, "reduce running", occupancy);
+        let lane = |slot| reduce_lane(cluster, slot);
+        self.emit_wave(&mut job, "reduce", &self.reduce, &timeline.reduce, lane);
 
-        job.set_total(reduce_start + reduce_makespan);
+        job.set_total(timeline.total());
         collector.commit(job);
+        timeline.total()
     }
 
-    /// One task's span with nested attempt children, fault instants, and
-    /// backoff gaps.
-    #[allow(clippy::too_many_arguments)]
+    /// One placed wave of a phase's tasks plus its slot-occupancy counter.
+    fn emit_wave(
+        &self,
+        job: &mut JobTrace,
+        phase: &str,
+        tasks: &[TaskModel],
+        wave: &Wave,
+        lane: impl Fn(usize) -> u64,
+    ) {
+        let mut occupancy: Vec<(Ticks, i64)> = Vec::new();
+        for (i, (task, p)) in tasks.iter().zip(&wave.slots).enumerate() {
+            self.emit_task(job, phase, i, task, lane(p.slot), wave.start + p.start);
+            occupancy.push((wave.start + p.start, 1));
+            occupancy.push((wave.start + p.end, -1));
+        }
+        emit_occupancy(job, &format!("{phase} running"), occupancy);
+    }
+
+    /// One task's span with nested attempt children, fault instants,
+    /// backoff gaps, and the speculative backup if it had one.
     fn emit_task(
         &self,
         job: &mut JobTrace,
@@ -594,142 +711,133 @@ impl JobRecord<'_> {
         task: &TaskModel,
         lane: u64,
         start: Ticks,
-        overhead: Ticks,
     ) {
+        let overhead = self.overhead();
         let idx = index.to_string();
         let task_id = job.id(&[phase, &idx]);
-        let total = overhead + task.total_ticks(self.retry, overhead);
-        job.span(
-            Span::new(
-                &[self.name, phase, &idx],
-                format!("{phase}[{index}]"),
-                phase,
-                lane,
-                start,
-                total,
-            )
-            .with_arg("records_in", task.records_in)
-            .with_arg("records_out", task.records_out)
-            .with_arg("bytes", task.bytes)
-            .with_arg("attempts", task.failures.len() as u64 + 1)
-            .with_arg("slowdown_pct", (task.slowdown.max(1.0) * 100.0) as u64),
-        );
+        let end = start + overhead + self.slot_ticks(task);
+        let name = format!("{phase}[{index}]");
+        let span = Span::new(
+            &[self.name, phase, &idx],
+            name,
+            phase,
+            lane,
+            start,
+            end - start,
+        )
+        .with_arg("records_in", task.records_in)
+        .with_arg("records_out", task.records_out)
+        .with_arg("bytes", task.bytes)
+        .with_arg("work", task.work)
+        .with_arg("attempts", task.failures.len() as u64 + 1)
+        .with_arg("slowdown_pct", (task.slowdown.max(1.0) * 100.0) as u64);
+        job.span(span);
+        // Children are clipped to the task span: when a backup wins, the
+        // original is killed at `end` and what it had left never ran.
+        let nest = |job: &mut JobTrace, mut span: Span| {
+            if span.start < end {
+                span.dur = span.dur.min(end - span.start);
+                job.span(span.with_parent(task_id));
+            }
+        };
+        // A child of kind `tag` (and ordinal `k`, if it has one).
+        let part = |tag: &str, k: &str, name: String, cat: &str, at: Ticks, dur: Ticks| {
+            Span::new(&[self.name, phase, &idx, tag, k], name, cat, lane, at, dur)
+        };
+        let attempt = |k: usize, at: Ticks, dur: Ticks, outcome: &str| {
+            let span = part(
+                "attempt",
+                &k.to_string(),
+                format!("attempt {k}"),
+                "attempt",
+                at,
+                dur,
+            );
+            span.with_arg("outcome", outcome)
+        };
+        let wins = task.backup.is_some_and(|b| b.wins);
+        if let Some(backup) = task.backup {
+            // The backup launches at the median mark of the task's own
+            // run; whichever attempt loses is killed when the other
+            // commits.
+            let launched = start + overhead + backup.launch;
+            let ran = backup.finish - backup.launch;
+            let outcome = if wins { "winner" } else { "killed" };
+            let span = part("backup", "", "backup".to_owned(), "attempt", launched, ran);
+            nest(job, span.with_arg("outcome", outcome));
+        }
         let mut cursor = start;
-        let winner = task.failures.len() as u32;
         for (k, &kind) in task.failures.iter().enumerate() {
             cursor += overhead;
-            let ticks = task.failure_ticks(kind);
-            let attempt = k.to_string();
-            job.span(
-                Span::new(
-                    &[self.name, phase, &idx, "attempt", &attempt],
-                    format!("attempt {k}"),
-                    "attempt",
-                    lane,
-                    cursor,
-                    ticks,
-                )
-                .with_parent(task_id)
-                .with_arg("outcome", kind.label()),
-            );
+            let ticks = self.failure_ticks(task, kind);
+            nest(job, attempt(k, cursor, ticks, kind.label()));
             cursor += ticks;
+            if cursor > end {
+                break;
+            }
             // A hung attempt is killed by the progress-timeout detector,
             // not observed failing; its instant carries the timeout so the
             // kill decision is auditable from the trace alone.
-            if let FailKind::Hang(timeout) = kind {
-                job.instant(
-                    "hang-kill",
-                    "fault",
-                    lane,
-                    cursor,
-                    vec![
-                        ("task".to_owned(), ArgValue::U64(index as u64)),
-                        ("attempt".to_owned(), ArgValue::U64(k as u64)),
-                        ("timeout_ticks".to_owned(), ArgValue::U64(timeout)),
-                    ],
-                );
-            } else {
-                job.instant(
-                    format!("fault:{}", kind.label()),
-                    "fault",
-                    lane,
-                    cursor,
-                    vec![
-                        ("task".to_owned(), ArgValue::U64(index as u64)),
-                        ("attempt".to_owned(), ArgValue::U64(k as u64)),
-                    ],
-                );
+            let args = [("task", index as u64), ("attempt", k as u64)];
+            match kind {
+                FailKind::Hang(timeout) => {
+                    let args = [args[0], args[1], ("timeout_ticks", timeout)];
+                    fault_instant(job, "hang-kill", lane, cursor, &args);
+                }
+                _ => fault_instant(job, &format!("fault:{}", kind.label()), lane, cursor, &args),
             }
             let backoff = ticks_of(self.retry.backoff_after(k as u32));
             if backoff > 0 {
-                job.span(
-                    Span::new(
-                        &[self.name, phase, &idx, "backoff", &attempt],
-                        "backoff",
-                        "backoff",
-                        lane,
-                        cursor,
-                        backoff,
-                    )
-                    .with_parent(task_id),
+                let name = "backoff".to_owned();
+                nest(
+                    job,
+                    part("backoff", &k.to_string(), name, "backoff", cursor, backoff),
                 );
                 cursor += backoff;
             }
         }
         cursor += overhead;
-        let attempt = winner.to_string();
-        job.span(
-            Span::new(
-                &[self.name, phase, &idx, "attempt", &attempt],
-                format!("attempt {winner}"),
-                "attempt",
-                lane,
-                cursor,
-                task.winner_ticks(),
-            )
-            .with_parent(task_id)
-            .with_arg("outcome", "winner"),
+        let outcome = if wins { "killed" } else { "winner" };
+        let last = attempt(
+            task.failures.len(),
+            cursor,
+            self.winner_ticks(task),
+            outcome,
         );
-        cursor += task.winner_ticks();
-        // Storage-plane children (spill mode only): each spill file the
-        // winning attempt wrote, then the reduce-side merge cascade. Their
-        // ticks are exactly what `storage_ticks` folded into the task
-        // span's total, so the children stay inside the parent.
+        nest(job, last);
+        // Storage-plane children (spill mode only), inside the committed
+        // attempt after its compute: each spill file it wrote, then the
+        // reduce-side merge cascade.
+        cursor += self.cpu_ticks(task);
         for (k, &bytes) in task.spills.iter().enumerate() {
-            let ticks = model::storage_ticks(bytes, 1);
-            job.span(
-                Span::new(
-                    &[self.name, phase, &idx, "spill", &k.to_string()],
-                    format!("spill[{k}]"),
-                    "storage",
-                    lane,
-                    cursor,
-                    ticks,
-                )
-                .with_parent(task_id)
-                .with_arg("bytes", bytes),
+            let ticks = self.io_ticks(bytes, 1);
+            let span = part(
+                "spill",
+                &k.to_string(),
+                format!("spill[{k}]"),
+                "storage",
+                cursor,
+                ticks,
             );
+            nest(job, span.with_arg("bytes", bytes));
             cursor += ticks;
         }
         if let Some(m) = &task.merge {
-            let ticks = model::storage_ticks(m.bytes_read + m.bytes_written, m.seeks);
-            job.span(
-                Span::new(
-                    &[self.name, phase, &idx, "merge"],
-                    "merge",
-                    "storage",
-                    lane,
-                    cursor,
-                    ticks,
-                )
-                .with_parent(task_id)
+            let ticks = self.io_ticks(m.bytes_read + m.bytes_written, m.seeks);
+            let span = part("merge", "", "merge".to_owned(), "storage", cursor, ticks)
                 .with_arg("runs", m.runs)
                 .with_arg("passes", m.passes)
                 .with_arg("bytes_read", m.bytes_read)
-                .with_arg("bytes_written", m.bytes_written),
-            );
+                .with_arg("bytes_written", m.bytes_written);
+            nest(job, span);
         }
     }
+}
+
+/// One `fault`-category instant with integer arguments.
+fn fault_instant(job: &mut JobTrace, name: &str, lane: u64, at: Ticks, args: &[(&str, u64)]) {
+    let arg = |&(key, value): &(&str, u64)| (key.to_owned(), ArgValue::U64(value));
+    job.instant(name, "fault", lane, at, args.iter().map(arg).collect());
 }
 
 /// Turns start/end deltas into counter samples (a stacked-area track in
@@ -799,17 +907,18 @@ mod tests {
             recovery: Vec::new(),
             lost: Vec::new(),
             corrupt: Vec::new(),
+            rotten: Vec::new(),
             skipped: Vec::new(),
             node_losses: Vec::new(),
             reexecuted: Vec::new(),
             maps_reexecuted: 0,
             nodes_blacklisted: 0,
+            surviving_map_slots: cluster.map_slots,
+            surviving_reduce_slots: cluster.reduce_slots,
             map_attempts: 3,
             map_retries: 1,
             reduce_attempts: 1,
             reduce_retries: 0,
-            map_spec_wins: 0,
-            reduce_spec_wins: 0,
             user_counters: vec![("gpsrs.map.tuple_cmps".to_owned(), 99)],
         }
     }
@@ -983,6 +1092,144 @@ mod tests {
         rec.emit(&collector, reg);
         let doc = collector.finish();
         assert!(doc.events.iter().all(|e| e.cat != "storage"));
+    }
+
+    /// A record of `n` identical clean map tasks on the test cluster.
+    fn uniform_record<'a>(
+        cluster: &'a ClusterConfig,
+        retry: &'a RetryPolicy,
+        n: usize,
+    ) -> JobRecord<'a> {
+        let mut rec = test_record(cluster, retry, &[]);
+        let task = TaskModel {
+            records_in: 1_000,
+            records_out: 100,
+            bytes: 4_096,
+            work: 1_000_000,
+            slowdown: 1.0,
+            ..Default::default()
+        };
+        rec.map = vec![task; n];
+        rec.reduce = Vec::new();
+        rec
+    }
+
+    #[test]
+    fn timeline_phases_add_up_to_the_total() {
+        let cluster = ClusterConfig::test();
+        let retry = RetryPolicy::new();
+        let mut rec = test_record(&cluster, &retry, &[384]);
+        rec.recovery = vec![1];
+        rec.reexecuted = vec![0];
+        rec.rotten = vec![0, 1];
+        rec.node_losses = vec![NodeLossEvent {
+            node: 2,
+            at_tick: 5,
+            detect_tick: 2_005,
+            wasted: 3,
+        }];
+        rec.surviving_map_slots = 1;
+        let t = rec.timeline();
+        assert_eq!(
+            t.total(),
+            t.startup + t.broadcast + t.map_phase() + t.shuffle_phase() + t.reduce.span()
+        );
+        assert_eq!(t.heartbeat, 2_000, "one heartbeat timeout per loss");
+        assert_eq!(t.reexecution(), t.heartbeat + t.reexec.span());
+        assert_eq!(t.shuffle_phase(), t.corrupt.span() + t.shuffle);
+        // Two rotten producers on the one surviving slot run back to back.
+        let clean: Vec<Ticks> = rec.map.iter().map(|m| rec.clean_ticks(m)).collect();
+        assert_eq!(t.corrupt.span(), clean[0] + clean[1] + 2 * rec.overhead());
+        // The killed in-flight attempt joins the failed attempt's waste.
+        assert_eq!(t.wasted, rec.winner_ticks(&rec.map[0]) + 3);
+        assert_eq!(t.backoff, ticks_of(retry.backoff_after(0)));
+    }
+
+    #[test]
+    fn sim_runtime_strictly_increases_with_charged_work() {
+        let cluster = ClusterConfig::test();
+        let retry = RetryPolicy::new();
+        let mut rec = uniform_record(&cluster, &retry, 3);
+        let mut last = rec.timeline().total();
+        // One tick's worth of comparisons at a time, on the critical path.
+        let tick = 1_000_000 / model::PS_PER_COMPARISON + 1;
+        for _ in 0..5 {
+            rec.map[1].work += tick;
+            let total = rec.timeline().total();
+            assert!(total > last, "{total} after {last}");
+            last = total;
+        }
+    }
+
+    #[test]
+    fn a_straggler_slows_work_and_io_alike() {
+        let cluster = ClusterConfig::test();
+        let retry = RetryPolicy::new();
+        let mut rec = uniform_record(&cluster, &retry, 1);
+        rec.map[0].spills = vec![1 << 20, 1 << 19];
+        let clean = rec.clean_ticks(&rec.map[0]);
+        assert!(clean > rec.cpu_ticks(&rec.map[0]), "spill I/O is priced");
+        rec.map[0].slowdown = 4.0;
+        assert_eq!(rec.winner_ticks(&rec.map[0]), 4 * clean);
+        assert_eq!(rec.slot_ticks(&rec.map[0]), 4 * clean);
+    }
+
+    #[test]
+    fn backoff_follows_every_failure_and_launches_are_charged() {
+        let cluster = ClusterConfig::test();
+        let retry = RetryPolicy::new();
+        let mut rec = uniform_record(&cluster, &retry, 1);
+        let clean = rec.clean_ticks(&rec.map[0]);
+        rec.map[0].failures = vec![FailKind::LostOutput, FailKind::Hang(700)];
+        // 100 ms then 200 ms of backoff; two extra launches.
+        assert_eq!(rec.backoff_ticks(&rec.map[0]), 300_000);
+        assert_eq!(
+            rec.slot_ticks(&rec.map[0]),
+            clean + (clean + 700) + 300_000 + 2 * rec.overhead()
+        );
+        assert_eq!(rec.wasted_ticks(&rec.map[0]), clean + 700);
+    }
+
+    #[test]
+    fn a_backup_wins_iff_it_commits_strictly_before_the_original() {
+        let cluster = ClusterConfig::test();
+        // No backoff and a low straggler bar, so that a candidate can sit
+        // exactly on the tie.
+        let retry = RetryPolicy {
+            backoff_base: Duration::ZERO,
+            ..RetryPolicy::new()
+        };
+        let policy = SpeculationPolicy::new().with_threshold(1.5);
+        let overhead = ticks_of(cluster.task_overhead);
+        let mut rec = uniform_record(&cluster, &retry, 3);
+        let clean = rec.clean_ticks(&rec.map[0]);
+        // A phase of one task never speculates; neither does a balanced one.
+        assert!(uniform_record(&cluster, &retry, 1)
+            .plan_backups(TaskKind::Map, &policy)
+            .is_empty());
+        assert!(rec.plan_backups(TaskKind::Map, &policy).is_empty());
+        // Stretch task 2 by a hung attempt until its run is exactly the
+        // backup's finish: median + clean + overhead. A tie goes to the
+        // original; one tick more and the backup wins.
+        let finish = model::backup_finish(clean, clean, overhead);
+        let tie = finish - clean - overhead;
+        for (hang, wins) in [(tie, false), (tie + 1, true)] {
+            rec.map[2].failures = vec![FailKind::Hang(hang)];
+            rec.map[2].backup = None;
+            assert_eq!(rec.plan_backups(TaskKind::Map, &policy), vec![(2, wins)]);
+            let backup = rec.map[2].backup.expect("task 2 is backed up");
+            assert_eq!((backup.launch, backup.wins), (clean, wins), "hang {hang}");
+            // Either way the slot is held until the backup's finish: at
+            // the tie the original commits on that very tick.
+            assert_eq!(rec.slot_ticks(&rec.map[2]), finish);
+            // The loser's slot time is waste on top of the hung attempt:
+            // the killed original's whole run, or the backup's full run.
+            let loser = if wins { finish } else { clean + overhead };
+            assert_eq!(rec.wasted_ticks(&rec.map[2]), hang + loser);
+        }
+        let reg = rec.build_registry();
+        assert_eq!(reg.counter("map.speculative_wins"), 1);
+        assert_eq!(reg.counter("task.speculative_wins"), 1);
     }
 
     #[test]

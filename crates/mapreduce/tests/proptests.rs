@@ -4,11 +4,10 @@
 //! bounds.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
-use skymr_mapreduce::cluster::makespan;
+use skymr_mapreduce::telemetry::place::place;
 use skymr_mapreduce::{
     run_job, ClusterConfig, Emitter, FaultPlan, HashPartitioner, JobConfig, MapFactory, MapTask,
     OutputCollector, ReduceFactory, ReduceTask, TaskContext, TaskFault,
@@ -128,22 +127,24 @@ proptest! {
 
     #[test]
     fn makespan_bounds(
-        millis in proptest::collection::vec(0u64..1000, 0..40),
+        ticks in proptest::collection::vec(0u64..1_000_000, 0..40),
         slots in 1usize..16,
     ) {
-        let durations: Vec<Duration> = millis.iter().map(|&m| Duration::from_millis(m)).collect();
-        let span = makespan(&durations, slots, Duration::ZERO);
-        let total: Duration = durations.iter().sum();
-        let max = durations.iter().max().copied().unwrap_or(Duration::ZERO);
+        let (placed, span) = place(&ticks, slots, 0);
+        let total: u64 = ticks.iter().sum();
+        let max = ticks.iter().max().copied().unwrap_or(0);
         // Classic list-scheduling bounds.
         prop_assert!(span >= max, "makespan below the longest task");
-        prop_assert!(span >= total / slots as u32, "makespan below the load bound");
+        prop_assert!(span >= total / slots as u64, "makespan below the load bound");
         prop_assert!(span <= total, "makespan above the serial bound");
         // One slot serializes everything.
-        prop_assert_eq!(makespan(&durations, 1, Duration::ZERO), total);
+        prop_assert_eq!(place(&ticks, 1, 0).1, total);
         // LPT guarantee: within 4/3 of the trivial lower bound + max.
-        let lower = std::cmp::max(max, total / slots as u32);
-        prop_assert!(span.as_nanos() <= lower.as_nanos() * 4 / 3 + max.as_nanos());
+        let lower = std::cmp::max(max, total / slots as u64);
+        prop_assert!(span <= lower * 4 / 3 + max);
+        // The placement is the schedule the makespan was read off.
+        prop_assert_eq!(placed.iter().map(|p| p.end).max().unwrap_or(0), span);
+        prop_assert!(placed.iter().zip(&ticks).all(|(p, &t)| p.end - p.start == t && p.slot < slots));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! # Determinism rules
 //!
 //! Everything that reaches an export must be a pure function of the job's
-//! *logical* execution: record counts, byte counts, configured `Duration`
-//! constants, and the deterministic fault plan. Concretely:
+//! *logical* execution: record, byte and charged-work counts, configured
+//! `Duration` constants, and the deterministic fault plan. Concretely:
 //!
 //! 1. **No wall-clock reads.** Span times are model ticks (microseconds on
 //!    the simulated clock) computed by [`model`], never `Instant::now()`.
@@ -28,10 +28,8 @@
 //!    bounds are `u64`; exported numbers are integers.
 //!
 //! Under those rules the same seeded job produces *byte-identical* exports
-//! regardless of host thread count or schedule shaking. The one documented
-//! exception is speculative execution, whose backup/winner decisions
-//! depend on measured host durations; traces of speculative runs carry the
-//! outcome as counters but make no byte-identity promise.
+//! regardless of host thread count or schedule shaking — speculative runs
+//! included: backups are planned and won on model ticks.
 
 #![forbid(unsafe_code)]
 

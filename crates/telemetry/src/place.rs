@@ -1,11 +1,12 @@
-//! Deterministic LPT placement of model task durations onto slots.
+//! Deterministic LPT placement of model task durations onto slots — the
+//! workspace's one list scheduler.
 //!
-//! This mirrors the engine's `makespan` accounting (longest-processing-
-//! time-first list scheduling) but works in integer ticks and returns the
-//! *placement* — which slot each task landed on and when it started — so
-//! the trace can draw one lane per slot. Ties break on the lowest task
-//! index and lowest slot index, making the layout a pure function of the
-//! input durations.
+//! Longest-processing-time-first list scheduling in integer ticks. It
+//! returns the makespan (what a wave of tasks costs on the simulated
+//! clock) together with the *placement* — which slot each task landed on
+//! and when it started — so the trace draws exactly the schedule the
+//! clock charged. Ties break on the lowest task index and lowest slot
+//! index, making the layout a pure function of the input durations.
 
 use crate::span::Ticks;
 
@@ -107,7 +108,6 @@ mod tests {
 
     #[test]
     fn matches_engine_makespan_semantics() {
-        // Same cases as cluster::makespan's unit tests.
         let (_, m) = place(&[10_000, 20_000, 30_000], 2, 0);
         assert_eq!(m, 30_000);
         let (_, m) = place(&[10_000; 4], 2, 0);

@@ -1,9 +1,8 @@
 //! The plain-text per-job phase summary table.
 //!
 //! This is the human-facing exporter: one row per job with its phase
-//! breakdown and fault-tolerance story. Unlike the Chrome/JSONL exports
-//! (model ticks only), the table may carry *measured* durations — it is a
-//! report for eyeballs, not a byte-stability contract.
+//! breakdown and fault-tolerance story, in the same model time as the
+//! Chrome/JSONL exports.
 
 use std::time::Duration;
 

@@ -153,31 +153,20 @@ fn tenancy_sweep(name: &str, data: &Dataset) {
         .with_scheduler(PriorityScheduler);
 
     // The data plane every tenant runs: the full two-job MR-GPMRS
-    // pipeline. As in the load_generator example, the host-measured task
-    // timings are replaced with a deterministic per-task compute model so
-    // the control plane sees genuinely busy slots.
+    // pipeline, its task durations priced from the work it counted.
     let plane = |data: Arc<Dataset>| {
         move |cluster: &ClusterConfig| {
             let mut config = SkylineConfig::test();
             config.cluster = cluster.clone();
             let run = mr_gpmrs(&data, &config)?;
-            let mut jobs = run.metrics.jobs.clone();
-            for job in &mut jobs {
-                for d in &mut job.map_task_durations {
-                    *d = Duration::from_millis(15);
-                }
-                for d in &mut job.reduce_task_durations {
-                    *d = Duration::from_millis(10);
-                }
-            }
-            Ok((run.skyline.len(), jobs))
+            Ok((run.skyline.len(), run.metrics.jobs.clone()))
         }
     };
 
     let mut handles = Vec::new();
     for (i, tenant) in ["analytics", "batch", "ops"].into_iter().enumerate() {
         let spec = JobSpec::new(format!("gpmrs-{tenant}"), tenant)
-            .arriving_at(Duration::from_millis(i as u64));
+            .arriving_at(Duration::from_micros(100 * i as u64));
         let handle = executor
             .submit(spec, plane(Arc::clone(&data)))
             .expect("minimal reservations are statically feasible");
@@ -187,7 +176,7 @@ fn tenancy_sweep(name: &str, data: &Dataset) {
     // work: under the priority policy it preempts running attempts
     // instead of waiting its turn.
     let urgent = JobSpec::new("gpmrs-urgent", "ops")
-        .arriving_at(Duration::from_millis(40))
+        .arriving_at(Duration::from_micros(700))
         .with_priority(9);
     let handle = executor
         .submit(urgent, plane(Arc::clone(&data)))

@@ -33,10 +33,18 @@ use skymr_mapreduce::{
 };
 
 /// The workload: a coarse grid histogram — every tuple lands in one of
-/// 4^dim cells, reducers sum the per-cell counts. Deterministic, cheap,
-/// and shaped like the paper's bitstring-generation job.
+/// 4^dim cells, reducers sum the per-cell counts. Deterministic, cheap on
+/// the host, and shaped like the paper's bitstring-generation job. On the
+/// simulated clock each record stands for a heavy one: the UDFs charge
+/// the work of ~40 µs per mapped tuple and ~5 µs per reduced value
+/// (8.7 ns a unit), so the slot pool genuinely saturates and the
+/// admission queue, deadlines, and preemption have something to push
+/// against.
 struct CellCount;
 struct CellCountTask;
+
+const MAP_WORK_PER_TUPLE: u64 = 4_600;
+const REDUCE_WORK_PER_VALUE: u64 = 575;
 
 impl MapTask for CellCountTask {
     type In = Tuple;
@@ -47,6 +55,7 @@ impl MapTask for CellCountTask {
         for v in t.values.iter() {
             cell = cell * 4 + (((v * 4.0) as u64).min(3));
         }
+        out.charge(MAP_WORK_PER_TUPLE);
         out.emit(cell, 1);
     }
 }
@@ -66,6 +75,7 @@ impl ReduceTask for SumCellsTask {
     type V = u64;
     type Out = (u64, u64);
     fn reduce(&mut self, cell: u64, counts: Vec<u64>, out: &mut OutputCollector<(u64, u64)>) {
+        out.charge(REDUCE_WORK_PER_VALUE * counts.len() as u64);
         out.collect((cell, counts.iter().sum()));
     }
 }
@@ -146,21 +156,7 @@ fn plane(recipe: JobRecipe, cluster: &ClusterConfig) -> PlaneOutput {
         &HashPartitioner,
     )
     .map_err(Error::from)?;
-    let mut metrics = outcome.metrics.clone();
-    // The host-measured task timings are sub-tick for a workload this
-    // small, so the control plane would see an idle cluster no matter how
-    // many jobs pile up. Charge each task a deterministic per-record
-    // compute model instead (40µs/tuple map, 5µs/tuple reduce): now the
-    // slot pool genuinely saturates and the admission queue, deadlines,
-    // and preemption all have something to push against.
-    let per_map = Duration::from_micros((recipe.cardinality.div_ceil(SPLITS) * 40) as u64);
-    let per_reduce = Duration::from_micros((recipe.cardinality * 5 / 2) as u64);
-    for d in &mut metrics.map_task_durations {
-        *d = per_map;
-    }
-    for d in &mut metrics.reduce_task_durations {
-        *d = per_reduce;
-    }
+    let metrics = outcome.metrics.clone();
     let mut cells = outcome.into_flat_output();
     cells.sort_unstable();
     Ok((cells, vec![metrics]))

@@ -4,11 +4,19 @@
 //! pipelines repeatedly, with and without injected failures, and demand
 //! bit-identical skylines.
 
-use skymr::{mr_gpmrs, mr_gpsrs, SkylineConfig};
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+use skymr::{mr_gpmrs, mr_gpsrs, SkylineConfig, SkylineRun};
 use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig};
+use skymr_common::Dataset;
 use skymr_datagen::Distribution;
 use skymr_integration_tests::scenario;
-use skymr_mapreduce::{FaultPlan, FaultTolerance, TaskFault};
+use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
+use skymr_mapreduce::{
+    ClusterConfig, Collector, FaultPlan, FaultTolerance, JobMetrics, Placement, SpeculationPolicy,
+    TaskFault,
+};
 
 #[test]
 fn repeated_runs_are_identical() {
@@ -183,4 +191,195 @@ fn comparison_counters_are_deterministic() {
         a.counters["gpmrs.reduce.partition_cmps.max"],
         b.counters["gpmrs.reduce.partition_cmps.max"]
     );
+}
+
+/// One engine mode of the byte-identity matrix: a fault-tolerance setup
+/// plus what it needs of the cluster.
+struct Mode {
+    name: &'static str,
+    fault_tolerance: FaultTolerance,
+    placement: Option<Placement>,
+    memory_budget: Option<u64>,
+}
+
+fn matrix() -> Vec<Mode> {
+    let mode = |name, fault_tolerance| Mode {
+        name,
+        fault_tolerance,
+        placement: None,
+        memory_budget: None,
+    };
+    let stragglers = FaultPlan::none()
+        .with_map_fault(0, TaskFault::straggler(50.0))
+        .with_reduce_fault(0, TaskFault::straggler(50.0));
+    vec![
+        mode("clean", FaultTolerance::none()),
+        mode(
+            "seeded",
+            FaultTolerance::with_plan(FaultPlan::seeded(0x5EED)),
+        ),
+        mode(
+            "speculation",
+            FaultTolerance::with_plan(stragglers).with_speculation(SpeculationPolicy::new()),
+        ),
+        Mode {
+            placement: Some(Placement::new(0xBEEF)),
+            // Node 1 dies at the shuffle barrier of every job.
+            ..mode(
+                "node loss",
+                FaultTolerance::with_plan(FaultPlan::none().with_node_loss(1, u64::MAX / 2)),
+            )
+        },
+        mode(
+            "corrupt x2",
+            FaultTolerance::with_plan(FaultPlan::none().with_corrupt_shuffle(1, 0, 2)),
+        ),
+        Mode {
+            memory_budget: Some(64 << 10),
+            ..mode("64 KiB budget", FaultTolerance::none())
+        },
+    ]
+}
+
+fn cluster_for(mode: &Mode, host_threads: usize) -> ClusterConfig {
+    let mut cluster = ClusterConfig::test();
+    cluster.host_threads = host_threads;
+    cluster.placement = mode.placement;
+    if mode.memory_budget.is_some() {
+        cluster.storage.memory_budget = mode.memory_budget;
+    }
+    cluster
+}
+
+/// Every `JobMetrics` field except the host-measured one.
+fn metrics_bytes(jobs: &[JobMetrics]) -> String {
+    let mut out = String::new();
+    for job in jobs {
+        let mut job = job.clone();
+        job.host_wall = Duration::ZERO;
+        out.push_str(&format!("{job:?}\n"));
+    }
+    out
+}
+
+/// Everything a traced core pipeline reports: metrics, user counters, and
+/// both trace exports (which carry the per-job registries).
+fn traced(
+    algo: fn(&Dataset, &SkylineConfig) -> skymr_common::Result<SkylineRun>,
+    data: &Dataset,
+    mode: &Mode,
+    host_threads: usize,
+) -> String {
+    let collector = Collector::new();
+    let mut config = SkylineConfig::test()
+        .with_fault_tolerance(mode.fault_tolerance.clone())
+        .with_telemetry(Some(collector.clone()));
+    config.cluster = cluster_for(mode, host_threads);
+    let run = algo(data, &config).expect("the pipeline survives its mode");
+    let doc = collector.finish();
+    format!(
+        "{}{:?}\n{}{}",
+        metrics_bytes(&run.metrics.jobs),
+        run.counters,
+        chrome_trace(&doc),
+        jsonl(&doc)
+    )
+}
+
+fn baseline(
+    algo: fn(&Dataset, &BaselineConfig) -> skymr_common::Result<skymr_baselines::BaselineRun>,
+    data: &Dataset,
+    mode: &Mode,
+    host_threads: usize,
+) -> String {
+    let mut config = BaselineConfig::test().with_fault_tolerance(mode.fault_tolerance.clone());
+    config.cluster = cluster_for(mode, host_threads);
+    let run = algo(data, &config).expect("the pipeline survives its mode");
+    metrics_bytes(&run.metrics.jobs)
+}
+
+/// The headline determinism claim: for the four paper algorithms, in
+/// every engine mode — speculation included — every simulated number, the
+/// registry and both trace exports are byte-identical run to run and
+/// across host thread counts.
+#[test]
+fn metrics_and_exports_are_byte_identical_in_every_mode() {
+    type Pipeline<'a> = (&'a str, Box<dyn Fn(&Mode, usize) -> String + 'a>);
+    let data = scenario(Distribution::Anticorrelated, 4, 600, 310);
+    let data = &data;
+    let pipelines: Vec<Pipeline<'_>> = vec![
+        ("MR-GPSRS", Box::new(|m, t| traced(mr_gpsrs, data, m, t))),
+        ("MR-GPMRS", Box::new(|m, t| traced(mr_gpmrs, data, m, t))),
+        ("MR-BNL", Box::new(|m, t| baseline(mr_bnl, data, m, t))),
+        ("MR-Angle", Box::new(|m, t| baseline(mr_angle, data, m, t))),
+    ];
+    let modes = matrix();
+    for (name, run) in &pipelines {
+        let mut per_mode = BTreeMap::new();
+        for mode in &modes {
+            let reference = run(mode, 1);
+            for host_threads in [1, 4] {
+                for repeat in 0..3 {
+                    assert!(
+                        run(mode, host_threads) == reference,
+                        "{name}, {}: run {repeat} on {host_threads} host thread(s) differs",
+                        mode.name
+                    );
+                }
+            }
+            per_mode.insert(mode.name, reference);
+        }
+        // The modes are not vacuous: each prices the job differently (the
+        // budget mode by spilling in every job — CI's forced-spill run
+        // makes the clean mode spill too, so it is not compared to that).
+        for mode in modes.iter().filter(|m| m.name != "clean") {
+            let marked = match mode.memory_budget {
+                Some(_) => !per_mode[mode.name].contains("spill_files: 0"),
+                None => per_mode[mode.name] != per_mode["clean"],
+            };
+            assert!(
+                marked,
+                "{name}: mode {} left no mark on the metrics",
+                mode.name
+            );
+        }
+    }
+}
+
+/// User counters count each task once, whatever happened to its attempts:
+/// a failed attempt, a `LostOutput` run to completion, a speculative
+/// backup and a re-execution wave all leave them equal to the clean run's.
+#[test]
+fn user_counters_count_committed_attempts_only() {
+    let data = scenario(Distribution::Anticorrelated, 4, 4_000, 311);
+    let counters = |mode: &Mode| {
+        let mut config = SkylineConfig::test().with_fault_tolerance(mode.fault_tolerance.clone());
+        config.cluster = cluster_for(mode, 2);
+        let run = mr_gpmrs(&data, &config).expect("the pipeline survives its mode");
+        (run.counters, run.metrics.jobs)
+    };
+    let mode = |name, fault_tolerance| Mode {
+        name,
+        fault_tolerance,
+        placement: None,
+        memory_budget: None,
+    };
+    let (clean, _) = counters(&mode("clean", FaultTolerance::none()));
+    assert!(clean["gpmrs.map.tuple_cmps"] > 0 && clean["gpmrs.reduce.tuple_cmps"] > 0);
+    let scripted = FaultPlan::fail_maps([1]).with_reduce_fault(0, TaskFault::lost(1));
+    let mut modes = vec![mode("scripted", FaultTolerance::with_plan(scripted))];
+    modes.extend(matrix().into_iter().filter(|m| m.name != "clean"));
+    for mode in &modes {
+        let (faulty, jobs) = counters(mode);
+        assert_eq!(faulty, clean, "{}", mode.name);
+        let attempts: u64 = jobs.iter().map(|j| j.attempts).sum();
+        let tasks: usize = jobs.iter().map(|j| j.map_tasks + j.reduce_tasks).sum();
+        if mode.memory_budget.is_none() {
+            assert!(
+                attempts > tasks as u64,
+                "{}: no attempt beyond the first",
+                mode.name
+            );
+        }
+    }
 }

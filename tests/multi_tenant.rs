@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use skymr::{mr_gpmrs, mr_gpsrs, SkylineConfig};
 use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig};
-use skymr_common::{Error, Tuple};
+use skymr_common::{Dataset, Error, Tuple};
 use skymr_datagen::{stream, Distribution};
 use skymr_integration_tests::scenario;
 use skymr_mapreduce::{
@@ -63,6 +63,10 @@ fn synthetic_plane(
     }
 }
 
+/// One paper pipeline as a data plane: canonical skyline bytes plus the
+/// metrics of the jobs it ran.
+type Pipeline = fn(&Dataset, &ClusterConfig, u64) -> Result<(Vec<u8>, Vec<JobMetrics>), Error>;
+
 /// A boxed data plane returning canonical skyline bytes.
 type BytesPlane =
     Box<dyn FnOnce(&ClusterConfig) -> Result<(Vec<u8>, Vec<JobMetrics>), Error> + Send>;
@@ -99,83 +103,58 @@ fn four_concurrent_pipelines_match_their_standalone_runs() {
         ),
     ];
 
-    let mut exec = ClusterExecutor::new(cluster);
-    let mut handles = Vec::new();
-    let submit = |exec: &mut ClusterExecutor,
-                  name: &str,
-                  tenant: &str,
-                  arrival_ms: u64,
-                  plane: BytesPlane| {
-        let spec = JobSpec::new(name, tenant).arriving_at(Duration::from_millis(arrival_ms));
-        exec.submit(spec, plane).expect("statically feasible")
+    let pipelines: [(&str, &str, Pipeline); 4] = [
+        ("gpsrs", "core", |data, cl, seed| {
+            let run = mr_gpsrs(data, &core_config(cl, seed))?;
+            Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
+        }),
+        ("gpmrs", "core", |data, cl, seed| {
+            let run = mr_gpmrs(data, &core_config(cl, seed))?;
+            Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
+        }),
+        ("bnl", "baselines", |data, cl, seed| {
+            let run = mr_bnl(data, &baseline_config(cl, seed))?;
+            Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
+        }),
+        ("angle", "baselines", |data, cl, seed| {
+            let run = mr_angle(data, &baseline_config(cl, seed))?;
+            Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
+        }),
+    ];
+    let run_all = || {
+        let mut exec = ClusterExecutor::new(cluster.clone());
+        let mut handles = Vec::new();
+        for (i, (&(name, tenant, pipeline), &seed)) in pipelines.iter().zip(&seeds).enumerate() {
+            let spec = JobSpec::new(name, tenant).arriving_at(Duration::from_millis(i as u64));
+            let data = Arc::clone(&data);
+            let plane: BytesPlane = Box::new(move |cl| pipeline(&data, cl, seed));
+            handles.push(exec.submit(spec, plane).expect("statically feasible"));
+        }
+        let report = exec.run();
+        let take = |handle| exec.take(handle).unwrap().output;
+        let outputs: Vec<Vec<u8>> = handles.into_iter().map(take).collect();
+        (report, outputs)
     };
-    {
-        let data = Arc::clone(&data);
-        handles.push(submit(
-            &mut exec,
-            "gpsrs",
-            "core",
-            0,
-            Box::new(move |cl| {
-                let run = mr_gpsrs(&data, &core_config(cl, seeds[0]))?;
-                Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
-            }),
-        ));
-    }
-    {
-        let data = Arc::clone(&data);
-        handles.push(submit(
-            &mut exec,
-            "gpmrs",
-            "core",
-            1,
-            Box::new(move |cl| {
-                let run = mr_gpmrs(&data, &core_config(cl, seeds[1]))?;
-                Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
-            }),
-        ));
-    }
-    {
-        let data = Arc::clone(&data);
-        handles.push(submit(
-            &mut exec,
-            "bnl",
-            "baselines",
-            2,
-            Box::new(move |cl| {
-                let run = mr_bnl(&data, &baseline_config(cl, seeds[2]))?;
-                Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
-            }),
-        ));
-    }
-    {
-        let data = Arc::clone(&data);
-        handles.push(submit(
-            &mut exec,
-            "angle",
-            "baselines",
-            3,
-            Box::new(move |cl| {
-                let run = mr_angle(&data, &baseline_config(cl, seeds[3]))?;
-                Ok((tuple_bytes(&run.skyline), run.metrics.jobs.clone()))
-            }),
-        ));
-    }
 
-    let report = exec.run();
+    let (report, outputs) = run_all();
     assert_eq!(
         report.completed,
         4,
         "all four pipelines must finish:\n{}",
         report.render()
     );
-    for (handle, expected) in handles.into_iter().zip(expected) {
-        let outcome = exec.take(handle).unwrap();
+    for (output, expected) in outputs.iter().zip(&expected) {
         assert_eq!(
-            outcome.output, expected,
+            output, expected,
             "a pipeline diverged from its standalone run under contention"
         );
     }
+    // The executor replays the durations the real pipelines report, and
+    // those are priced from counted work: a second run over the same
+    // pipelines schedules identically, down to every `sched.*` counter.
+    let (again, outputs_again) = run_all();
+    assert_eq!(format!("{again:?}"), format!("{report:?}"));
+    assert_eq!(outputs_again, outputs);
 }
 
 /// The ISSUE's fairness acceptance: under equal weights and equal demand,

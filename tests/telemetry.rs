@@ -8,7 +8,7 @@ use skymr_datagen::Distribution;
 use skymr_integration_tests::scenario;
 use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::telemetry::json;
-use skymr_mapreduce::{Collector, FaultPlan, FaultTolerance, TaskFault};
+use skymr_mapreduce::{Collector, FaultPlan, FaultTolerance, SpeculationPolicy, TaskFault};
 
 /// Shape of one traced run, for cross-run comparison.
 struct TracedRun {
@@ -18,19 +18,24 @@ struct TracedRun {
     reduce_tasks: usize,
 }
 
-/// Runs a seeded MR-GPMRS pipeline with scripted faults (no speculation —
-/// the one documented byte-identity exception) under `host_threads`.
+/// Runs a seeded MR-GPMRS pipeline with scripted faults, a straggler and
+/// speculation on (backups are planned and won on model ticks, so they
+/// are part of the byte-identity promise) under `host_threads`.
 fn traced_gpmrs(host_threads: usize) -> TracedRun {
     let data = scenario(Distribution::Anticorrelated, 4, 700, 401);
     let collector = Collector::new();
     let mut config = SkylineConfig::default()
         .with_mappers(4)
         .with_reducers(5)
-        .with_fault_tolerance(FaultTolerance::with_plan(
-            FaultPlan::fail_maps([1])
-                .with_reduce_fault(0, TaskFault::lost(1))
-                .for_job("gpmrs"),
-        ))
+        .with_fault_tolerance(
+            FaultTolerance::with_plan(
+                FaultPlan::fail_maps([1])
+                    .with_map_fault(2, TaskFault::straggler(50.0))
+                    .with_reduce_fault(0, TaskFault::lost(1))
+                    .for_job("gpmrs"),
+            )
+            .with_speculation(SpeculationPolicy::new()),
+        )
         .with_telemetry(Some(collector.clone()));
     config.cluster.host_threads = host_threads;
     let run = mr_gpmrs(&data, &config).expect("traced run succeeds");
@@ -93,8 +98,10 @@ fn trace_contains_spans_for_every_task_and_the_pruning_counters() {
          ({attempts} attempt spans for {} tasks)",
         run.map_tasks + run.reduce_tasks
     );
-    // The scripted faults show up as instant markers.
+    // The scripted faults show up as instant markers, the straggler's
+    // speculative backup as an attempt span of its own.
     assert!(names.contains(&"fault:panic") || names.contains(&"fault:lost_output"));
+    assert!(names.contains(&"backup"), "missing the backup attempt span");
 
     // Per-partition pruning counters ride along in the registries: the
     // bitstring job exposes DR partition pruning, the skyline job exposes
