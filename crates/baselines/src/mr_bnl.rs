@@ -24,8 +24,9 @@ use std::collections::BTreeMap;
 use skymr_common::dominance::{compare, DomOrdering, Window};
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner, OutputCollector,
-    PipelineMetrics, ReduceFactory, ReduceTask, SingleReducerPartitioner, TaskContext,
+    run_job, run_job_from, Emitter, FnSplits, JobConfig, MapFactory, MapTask, ModuloPartitioner,
+    OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, SingleReducerPartitioner,
+    TaskContext,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
@@ -307,14 +308,20 @@ pub fn mr_bnl_with_strategy(
     config: &BaselineConfig,
     strategy: MergeStrategy,
 ) -> skymr_common::Result<BaselineRun> {
-    let splits = dataset.split(config.mappers);
+    // Split `i` is cloned out of the dataset inside the map attempt that
+    // runs it and dropped with it: the driver copies nothing, and only the
+    // in-flight splits are resident beside the dataset.
+    let m = config.mappers;
+    assert!(m > 0, "cannot split into zero subsets");
+    let lens = (0..m).map(|i| dataset.split_part(i, m).len()).collect();
+    let splits = FnSplits::new(lens, |i| dataset.split_part(i, m).cloned().collect());
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
 
     // Phase 1: shuffle all tuples to per-cell reducers.
     let r1 = phase1_reducers(dataset.dim(), config.cluster.reduce_slots);
     let job1 = JobConfig::new("mr-bnl-local", r1).with_fault_tolerance(ft);
-    let outcome1 = metrics.track(run_job(
+    let outcome1 = metrics.track(run_job_from(
         &config.cluster,
         &job1,
         &splits,

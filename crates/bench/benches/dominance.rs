@@ -133,9 +133,10 @@ fn bench_kernels(c: &mut Criterion) {
             acc.count_ones()
         });
     });
-    // The shuffle-frame integrity path every partition fetch now runs:
-    // the CRC32C inner loop, framing a partition-sized payload, and the
-    // verify-on-decode. Payload size mirrors one reducer's bucket for a
+    // The shuffle-frame integrity path every partition runs — once in
+    // the map attempt that frames it, once in each reduce attempt that
+    // opens it: the CRC32C inner loop, framing a partition-sized payload,
+    // and the verify-on-decode. Payload size mirrors one reducer's bucket for a
     // KERNEL_TUPLES split (id + DIM values per tuple).
     let payload: Vec<u8> = (0..KERNEL_TUPLES * (8 + DIM * 8))
         .map(|i| (i * 31 % 251) as u8)

@@ -77,6 +77,19 @@ impl Dataset {
         self.tuples
     }
 
+    /// Subset `i` of the round-robin split into `m`: tuples `i`, `i + m`,
+    /// `i + 2m`, … — the one assignment rule behind [`Self::split`] and
+    /// behind jobs that load split `i` only while a map attempt runs it.
+    /// The iterator knows its length, so a split's size costs nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0`.
+    pub fn split_part(&self, i: usize, m: usize) -> impl ExactSizeIterator<Item = &Tuple> {
+        assert!(m > 0, "cannot split into zero subsets");
+        self.tuples.iter().skip(i).step_by(m)
+    }
+
     /// Splits the dataset into `m` disjoint subsets by round-robin
     /// assignment. Subsets differ in size by at most one tuple.
     ///
@@ -85,12 +98,13 @@ impl Dataset {
     /// Panics if `m == 0`.
     pub fn split(&self, m: usize) -> Vec<Vec<Tuple>> {
         assert!(m > 0, "cannot split into zero subsets");
-        let (base, extra) = (self.tuples.len() / m, self.tuples.len() % m); // xtask: allow(panic-reachability) — m > 0 asserted above
-        let mut splits: Vec<Vec<Tuple>> = (0..m)
-            .map(|i| Vec::with_capacity(base + usize::from(i < extra)))
-            .collect();
+        // One pass in dataset order, not `m` strided `split_part` passes
+        // (measured 1.7× slower on 1M × 3-d, m = 13); `split_part` sizes
+        // the subsets, and a test pins that both assign alike.
+        let sized = |i| Vec::with_capacity(self.split_part(i, m).len());
+        let mut splits: Vec<Vec<Tuple>> = (0..m).map(sized).collect();
         for (i, t) in self.tuples.iter().enumerate() {
-            splits[i % m].push(t.clone()); // xtask: allow(panic-reachability) — i % m < m == splits.len()
+            splits[i % m].push(t.clone()); // xtask: allow(panic-reachability) — i % m < m == splits.len(), m > 0 asserted above
         }
         splits
     }
@@ -214,6 +228,21 @@ mod tests {
         let mut all: Vec<u64> = splits.iter().flatten().map(|t| t.id).collect();
         all.sort_unstable();
         assert_eq!(all, ds.sorted_ids());
+    }
+
+    #[test]
+    fn split_part_is_the_rule_split_follows() {
+        for (n, m) in [(0, 3), (1, 1), (2, 5), (10, 3), (13, 13), (40, 7)] {
+            let ds = Dataset::new(2, tuples(n, 2)).unwrap();
+            let splits = ds.split(m);
+            assert_eq!(splits.len(), m);
+            for (i, split) in splits.iter().enumerate() {
+                let part = ds.split_part(i, m);
+                assert_eq!(part.len(), split.len(), "n={n} m={m} part {i}");
+                assert!(part.eq(split.iter()), "n={n} m={m} part {i}");
+                assert_eq!(split.capacity(), split.len(), "sized exactly");
+            }
+        }
     }
 
     #[test]

@@ -173,7 +173,10 @@ impl Countstring {
 
 impl ByteSized for Countstring {
     fn byte_size(&self) -> u64 {
-        8 + self.counts.len() as u64 * 8 + self.pruned.len() as u64
+        // Exactly the `Wire` encoding below — the engine reserves each
+        // shuffle frame from this figure: dim and ppd, then two
+        // length-prefixed vectors.
+        8 + self.counts.byte_size() + self.pruned.byte_size()
     }
 }
 
@@ -815,6 +818,25 @@ mod tests {
 
     fn t(id: u64, vals: &[f64]) -> Tuple {
         Tuple::new(id, vals.to_vec())
+    }
+
+    /// The engine reserves each shuffle frame exactly from `byte_size()`.
+    #[test]
+    fn countstring_byte_size_is_its_encoded_length() {
+        let tuples = [t(0, &[0.1, 0.9]), t(1, &[0.6, 0.6]), t(2, &[0.7, 0.2])];
+        for ppd in [1, 2, 5] {
+            let grid = Grid::new(2, ppd).unwrap();
+            for cs in [
+                Countstring::empty(grid),
+                Countstring::from_tuples(grid, &tuples),
+            ] {
+                let mut bytes = Vec::new();
+                cs.wire_encode(&mut bytes);
+                assert_eq!(cs.byte_size(), bytes.len() as u64, "ppd {ppd}");
+                let decoded = Countstring::wire_decode(&mut WireCursor::new(&bytes));
+                assert_eq!(decoded.map(|d| d.byte_size()), Some(cs.byte_size()));
+            }
+        }
     }
 
     #[test]

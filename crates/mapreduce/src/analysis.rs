@@ -35,10 +35,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use skymr_common::dominance::dominates;
-use skymr_common::Tuple;
+use skymr_common::{Tuple, Wire};
 
 use crate::cluster::{ClusterConfig, Placement};
-use crate::storage::RunSource;
+use crate::storage::{segment::PartitionReader, RunSource, StorageError};
 
 // ---------------------------------------------------------------------
 // Invariant checkers.
@@ -151,14 +151,15 @@ pub fn check_skyline(skyline: &[Tuple]) -> InvariantResult {
 /// runs actually handed to the reducers. Every run — memory or disk —
 /// must account for its share of the `produced` map output records (for a
 /// disk run that is its manifest's record count, so a dropped, duplicated,
-/// or mis-sized spill partition shows up without reading it); memory runs
-/// are additionally checked pair by pair against the per-key counts the
-/// mappers `emitted` into unspilled buckets, and for key-disjointness
-/// across reducers. Panics with the violation.
-pub(crate) fn assert_shuffle_invariants<K: Ord + Clone + fmt::Debug, V>(
+/// or mis-sized spill partition shows up before it is read), and every run
+/// — a decoded frame or a spill partition streamed off disk — is checked
+/// pair by pair against the per-key counts the mappers `emitted` (tallied
+/// in `route`, before anything was encoded or written), and for
+/// key-disjointness across reducers. Panics with the violation.
+pub(crate) fn assert_shuffle_invariants<K: Wire + Ord + Clone + fmt::Debug, V: Wire>(
     emitted: &BTreeMap<K, u64>,
     produced: u64,
-    inputs: &[Vec<RunSource<K, V>>],
+    inputs: Vec<Vec<RunSource<K, V>>>,
 ) {
     let delivered: u64 = inputs.iter().flatten().map(RunSource::records).sum();
     if delivered != produced {
@@ -168,23 +169,41 @@ pub(crate) fn assert_shuffle_invariants<K: Ord + Clone + fmt::Debug, V>(
         };
         panic!("{v}");
     }
-    let groups: Vec<BTreeMap<K, Vec<&V>>> = inputs
-        .iter()
-        .map(|runs| {
-            let mut group: BTreeMap<K, Vec<&V>> = BTreeMap::new();
-            for run in runs {
-                if let RunSource::Mem(pairs) = run {
-                    for (k, v) in pairs {
-                        group.entry(k.clone()).or_default().push(v);
-                    }
-                }
+    let group_of = |runs: Vec<RunSource<K, V>>| {
+        let mut group: BTreeMap<K, Vec<()>> = BTreeMap::new();
+        for run in runs {
+            if let Err(e) = tally_run(run, &mut group) {
+                panic!("shuffle invariant check: a scanned spill run failed to read: {e}");
             }
-            group
-        })
-        .collect();
+        }
+        group
+    };
+    let groups: Vec<BTreeMap<K, Vec<()>>> = inputs.into_iter().map(group_of).collect();
     if let Err(v) = check_shuffle_partition(emitted, &groups) {
         panic!("{v}");
     }
+}
+
+/// Adds one run's pairs to its reducer's per-key tally: a memory run pair
+/// by pair, a disk run streamed off its segment one chunk at a time.
+fn tally_run<K: Wire + Ord, V: Wire>(
+    run: RunSource<K, V>,
+    group: &mut BTreeMap<K, Vec<()>>,
+) -> Result<(), StorageError> {
+    match run {
+        RunSource::Mem(pairs) => {
+            for (k, _) in pairs {
+                group.entry(k).or_default().push(());
+            }
+        }
+        RunSource::Disk { segment, part } => {
+            let mut reader = PartitionReader::<K, V>::open(&segment, part)?;
+            while let Some((k, _)) = reader.next_pair()? {
+                group.entry(k).or_default().push(());
+            }
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use skymr_common::{decode_pairs, encode_pairs, Counters, Wire};
+use skymr_common::bytes::{encode_pairs_into, PAIRS_OVERHEAD};
+use skymr_common::{decode_pairs, Counters, Wire};
 
 use crate::cluster::{ClusterConfig, JobMetrics, Placement};
 use crate::combiner::{Combiner, NoCombiner};
@@ -146,10 +147,11 @@ impl<Out> JobOutcome<Out> {
 /// (in spill order) plus the in-memory tail batch. Under a memory budget
 /// the tail goes to disk too and `tail` stays empty; without one nothing
 /// spills and `segments` stays empty.
-struct MapResult<K, V> {
+struct MapResult<K> {
     segments: Vec<Segment>,
-    /// Per-reducer, key-sorted buckets of the unspilled tail.
-    tail: Vec<Vec<(K, V)>>,
+    /// The unspilled tail as it crosses the shuffle: per reducer, the
+    /// checksummed frame of its key-sorted bucket and its record count.
+    tail: Vec<(Vec<u8>, u64)>,
     /// Wire-size accounting per reducer ([`skymr_common::ByteSized`]) —
     /// the same whether a pair sits in a segment or in the tail, so the
     /// shuffle traffic model never notices spilling.
@@ -159,6 +161,9 @@ struct MapResult<K, V> {
     work: u64,
     /// The attempt's own counters.
     counters: Counters,
+    /// Debug builds: pairs per key, tallied in [`Job::route`] before
+    /// anything is encoded — the shuffle invariant's mapper side.
+    emitted: BTreeMap<K, u64>,
 }
 
 /// One reduce attempt's output.
@@ -175,7 +180,7 @@ struct ReduceResult<Out> {
 /// partition gets a chunked reader — so retries and speculative backups
 /// replay from the same bytes and no input is ever cloned or handed off.
 enum Fetched {
-    /// The checksummed frame of a map bucket that never spilled.
+    /// The frame its map attempt encoded for a bucket that never spilled.
     Frame(Vec<u8>),
     /// One partition of a spill segment.
     Spill { segment: Segment, part: usize },
@@ -201,21 +206,26 @@ struct ReduceInput {
 impl ReduceInput {
     /// Opens every partition as a merge run.
     fn open<K: Wire, V: Wire>(&self) -> Vec<RunSource<K, V>> {
-        let open = |p: &Fetched| match p {
-            Fetched::Frame(frame) => match decode_pairs(frame) {
-                Ok(pairs) => RunSource::Mem(pairs),
-                Err(e) => unreachable!("a freshly encoded frame always verifies: {e}"),
-            },
-            Fetched::Spill { segment, part } => RunSource::Disk {
-                segment: segment.clone(),
-                part: *part,
-            },
+        let open = |p: &Fetched| {
+            match p {
+                Fetched::Frame(frame) => match decode_pairs(frame) {
+                    Ok(pairs) => RunSource::Mem(pairs),
+                    // Injected corruption only ever touches a delivered copy.
+                    Err(e) => {
+                        unreachable!("a frame at rest since its map attempt always verifies: {e}")
+                    }
+                },
+                Fetched::Spill { segment, part } => RunSource::Disk {
+                    segment: segment.clone(),
+                    part: *part,
+                },
+            }
         };
         self.parts.iter().map(open).collect()
     }
 }
 
-impl<K, V> AsRef<Counters> for MapResult<K, V> {
+impl<K> AsRef<Counters> for MapResult<K> {
     fn as_ref(&self) -> &Counters {
         &self.counters
     }
@@ -226,10 +236,6 @@ impl<Out> AsRef<Counters> for ReduceResult<Out> {
         &self.counters
     }
 }
-
-/// One combined, partitioned batch of map output: per-reducer buckets,
-/// their wire-byte sizes, and the post-combiner record count.
-type RoutedBatch<K, V> = (Vec<Vec<(K, V)>>, Vec<u64>, u64);
 
 /// One task's execution with the fault it ran under.
 type Exec<T> = (TaskExecution<T>, TaskFault);
@@ -246,11 +252,11 @@ fn tally<T>(execs: &[Exec<T>]) -> (u64, u64) {
 /// [`JobRecord`] of facts they accumulate into (everything timed is derived
 /// from it, [`JobRecord::timeline`]), the map outputs until fetch consumes
 /// them, and the node failure-domain state.
-struct Run<'a, K, V> {
+struct Run<'a, K> {
     record: JobRecord<'a>,
     /// Materialized map outputs: patched by the re-execution waves,
     /// consumed by fetch.
-    outputs: Vec<MapResult<K, V>>,
+    outputs: Vec<MapResult<K>>,
     /// Attempts each map task has used — the attempt number its next
     /// re-execution runs under.
     attempts: Vec<u32>,
@@ -264,7 +270,7 @@ struct Run<'a, K, V> {
     blacklisted: BTreeSet<usize>,
 }
 
-impl<K, V> Run<'_, K, V> {
+impl<K> Run<'_, K> {
     fn survivors(&self) -> Vec<usize> {
         let alive = |n: &usize| !self.dead.contains(n);
         self.all_nodes.iter().copied().filter(alive).collect()
@@ -543,7 +549,7 @@ where
     /// the charge), and with a placement every map task's materialized
     /// output has a home node — a pure hash of (seed, job, kind, index),
     /// never the slot the LPT schedule put it on.
-    fn start(&self) -> Run<'a, K, V> {
+    fn start(&self) -> Run<'a, K> {
         let config = self.config;
         let transfers = config.faults.broadcast_failures_for(&config.name) + 1;
         let all_nodes: Vec<usize> = (0..self.cluster.nodes.max(1)).collect();
@@ -645,30 +651,31 @@ where
     // ---- Map -------------------------------------------------------------
 
     /// Groups one batch of emitted pairs per key, applies the combiner,
-    /// and partitions the result — the shared kernel of the unspilled
-    /// tail and of each spill (spilling combines per spill batch, exactly
-    /// as Hadoop runs the combiner on each spill). The key-sorted order
-    /// keeps the downstream pipeline deterministic.
-    fn route(&self, pairs: Vec<(K, V)>) -> RoutedBatch<K, V> {
+    /// and partitions the result, counting it into `result` — the shared
+    /// kernel of the unspilled tail and of each spill (spilling combines
+    /// per spill batch, exactly as Hadoop runs the combiner on each
+    /// spill). The key-sorted order keeps the pipeline deterministic.
+    fn route(&self, pairs: Vec<(K, V)>, result: &mut MapResult<K>) -> Vec<Vec<(K, V)>> {
         let r = self.config.num_reducers;
         let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
         for (k, v) in pairs {
             grouped.entry(k).or_default().push(v);
         }
         let mut buckets: Vec<Vec<(K, V)>> = (0..r).map(|_| Vec::new()).collect();
-        let mut bucket_bytes = vec![0u64; r];
-        let mut records = 0u64;
         for (k, vs) in grouped {
             let combined = self.combiner.combine(&k, vs);
             let dest = self.partitioner.partition(&k, r);
             assert!(dest < r, "partitioner returned reducer {dest} of {r}");
+            if cfg!(debug_assertions) {
+                *result.emitted.entry(k.clone()).or_insert(0) += combined.len() as u64;
+            }
             for v in combined {
-                records += 1;
-                bucket_bytes[dest] += k.byte_size() + v.byte_size();
+                result.records += 1;
+                result.bucket_bytes[dest] += k.byte_size() + v.byte_size();
                 buckets[dest].push((k.clone(), v));
             }
         }
-        (buckets, bucket_bytes, records)
+        buckets
     }
 
     fn map_attempt(
@@ -678,13 +685,13 @@ where
         inject: Inject,
         skips: &BTreeSet<usize>,
         progress: &AtomicUsize,
-    ) -> MapResult<K, V> {
+    ) -> MapResult<K> {
         let ctx = self.task_context(i, self.source.num_splits(), attempt);
         let mut task = self.map_factory.create(&ctx);
         let mut emitter = Emitter::new();
-        // Materialized for this attempt only; dropped when it returns.
-        let split = self.source.load(i);
-        let split: &[In] = &split;
+        // Materialized for this attempt only; dropped once it is mapped.
+        let loaded = self.source.load(i);
+        let split: &[In] = &loaded;
         let mut result = MapResult {
             segments: Vec::new(),
             tail: Vec::new(),
@@ -692,19 +699,16 @@ where
             records: 0,
             work: 0,
             counters: ctx.counters.clone(),
+            emitted: BTreeMap::new(),
         };
         // Routes the buffered pairs into one more spill segment.
         let spill =
-            |session: &SpillSession, emitter: &mut Emitter<K, V>, result: &mut MapResult<K, V>| {
+            |session: &SpillSession, emitter: &mut Emitter<K, V>, result: &mut MapResult<K>| {
                 let (pairs, _) = emitter.drain();
-                let (buckets, batch_bytes, batch_records) = self.route(pairs);
+                let buckets = self.route(pairs, result);
                 let path = session.segment_path(i, attempt);
                 let segment = write_segment(path, &buckets, self.cluster.storage.io_chunk)
                     .unwrap_or_else(|e| storage_fault("spill write", e));
-                for (total, b) in result.bucket_bytes.iter_mut().zip(batch_bytes) {
-                    *total += b;
-                }
-                result.records += batch_records;
                 result.segments.push(segment);
             };
         let crash = || -> ! {
@@ -752,15 +756,27 @@ where
             }
         }
         task.finish(&mut emitter);
+        drop(loaded);
         result.work = emitter.work();
         match budget {
             // The tail batch always goes to disk too — with a budget set,
             // map RAM never holds the task's full output.
             Some((session, _)) if !emitter.is_empty() => spill(session, &mut emitter, &mut result),
             Some(_) => {}
+            // The unspilled tail leaves the attempt as it crosses the
+            // shuffle: one checksummed frame per reducer, in a buffer
+            // reserved exactly from the wire size `route` just counted.
             None => {
                 let (pairs, _) = emitter.into_parts();
-                (result.tail, result.bucket_bytes, result.records) = self.route(pairs);
+                let buckets = self.route(pairs, &mut result);
+                let sized = buckets.into_iter().zip(&result.bucket_bytes);
+                let frame = |(bucket, &bytes): (Vec<(K, V)>, &u64)| {
+                    let mut frame = Vec::with_capacity(bytes as usize + PAIRS_OVERHEAD);
+                    encode_pairs_into(&bucket, &mut frame);
+                    debug_assert_eq!(frame.len(), frame.capacity(), "ByteSized ≠ Wire length");
+                    (frame, bucket.len() as u64)
+                };
+                result.tail = sized.map(frame).collect();
             }
         }
         result
@@ -768,7 +784,7 @@ where
 
     /// A clean replay of map task `i` (speculative backups and the
     /// re-execution waves): no injection, the task's skip set honoured.
-    fn replay_map(&self, i: usize, attempt: u32, skips: &BTreeSet<usize>) -> MapResult<K, V> {
+    fn replay_map(&self, i: usize, attempt: u32, skips: &BTreeSet<usize>) -> MapResult<K> {
         let progress = AtomicUsize::new(usize::MAX);
         self.map_attempt(i, attempt, Inject::None, skips, &progress)
     }
@@ -780,7 +796,7 @@ where
     /// attempt failures were consumed by the first round, so later rounds
     /// face only the data. Each round retires one record, bounding the
     /// loop by the split length.
-    fn run_map_task(&self, i: usize) -> (Exec<MapResult<K, V>>, BTreeSet<usize>) {
+    fn run_map_task(&self, i: usize) -> (Exec<MapResult<K>>, BTreeSet<usize>) {
         let (config, cluster) = (self.config, self.cluster);
         let fault = config.faults.task_fault(&config.name, TaskKind::Map, i);
         let split_len = self.source.split_len(i);
@@ -825,7 +841,7 @@ where
         ((exec, fault), skips)
     }
 
-    fn map_stage(&self, run: &mut Run<'a, K, V>) -> Result<(), JobError> {
+    fn map_stage(&self, run: &mut Run<'a, K>) -> Result<(), JobError> {
         let cluster = self.cluster;
         let m = self.source.num_splits();
         let (mut execs, skips): (Vec<_>, Vec<BTreeSet<usize>>) =
@@ -845,8 +861,8 @@ where
         // speculative backup, a re-execution) reproduces the output facts
         // byte for byte; a task that never succeeded contributes only its
         // failures.
-        let disk_bytes = |o: &MapResult<K, V>| o.segments.iter().map(Segment::disk_bytes).collect();
-        let model = |(i, (exec, fault)): (usize, &Exec<MapResult<K, V>>)| {
+        let disk_bytes = |o: &MapResult<K>| o.segments.iter().map(Segment::disk_bytes).collect();
+        let model = |(i, (exec, fault)): (usize, &Exec<MapResult<K>>)| {
             let output = exec.value.as_ref();
             TaskModel {
                 records_in: self.source.split_len(i) as u64,
@@ -878,7 +894,7 @@ where
     /// Blacklist pass: attributes the phase's failed attempts to the nodes
     /// they ran on; nodes over the strike budget leave scheduling for the
     /// rest of the job.
-    fn strike_nodes<T>(&self, kind: TaskKind, execs: &[Exec<T>], run: &mut Run<'a, K, V>) {
+    fn strike_nodes<T>(&self, kind: TaskKind, execs: &[Exec<T>], run: &mut Run<'a, K>) {
         let (Some(placement), Some(policy)) = (&self.cluster.placement, &self.config.blacklist)
         else {
             return;
@@ -901,7 +917,7 @@ where
     /// because UDFs are pure, so the tasks' models stand). Serves the
     /// lost-partition, node-loss, and at-rest-corruption waves; the caller
     /// names the wave in the record and the timeline prices it.
-    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K, V>) {
+    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K>) {
         let (attempts, skips) = (&run.attempts, &run.skips);
         let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
             let i = tasks[c];
@@ -913,7 +929,7 @@ where
         }
     }
 
-    fn recover_map_outputs(&self, run: &mut Run<'a, K, V>) {
+    fn recover_map_outputs(&self, run: &mut Run<'a, K>) {
         let (cluster, config) = (self.cluster, self.config);
         // Lost shuffle partitions: the affected map tasks re-execute
         // (their inputs are replayable) in a second wave.
@@ -936,7 +952,7 @@ where
     /// re-execute before the shuffle can finish, in-flight attempts die
     /// and retry, and the timeline charges the heartbeat timeout plus the
     /// re-execution wave (folded into the map phase).
-    fn resolve_node_losses(&self, run: &mut Run<'a, K, V>) {
+    fn resolve_node_losses(&self, run: &mut Run<'a, K>) {
         let (cluster, config) = (self.cluster, self.config);
         let Some(placement) = &cluster.placement else {
             return;
@@ -1031,7 +1047,32 @@ where
         segments.iter().filter_map(part_len).sum()
     }
 
-    fn fetch(&self, run: &mut Run<'a, K, V>) -> Vec<ReduceInput> {
+    /// The shuffle-phase integrity scan: every frame of every partition of
+    /// every spill segment is checksum-verified at rest before any merge
+    /// opens it — one pool task per map output, and the lowest-indexed
+    /// failing (map, spill, reducer) stops the job, whatever the timing.
+    fn scan_spills(&self, outputs: &[MapResult<K>]) {
+        let spills: Vec<&[Segment]> = outputs.iter().map(|o| &o.segments[..]).collect();
+        let scan = |i: usize| {
+            for (s, seg) in spills[i].iter().enumerate() {
+                for j in 0..self.config.num_reducers {
+                    if let Err(e) = verify_frames(seg, j) {
+                        return Some((s, j, e));
+                    }
+                }
+            }
+            None
+        };
+        let scanned = run_indexed(spills.len(), self.cluster.host_threads, scan);
+        for (i, bad) in scanned.into_iter().enumerate() {
+            if let Some((s, j, e)) = bad {
+                let unit = format!("integrity scan of map {i} spill {s} partition {j}");
+                storage_fault(&unit, e)
+            }
+        }
+    }
+
+    fn fetch(&self, run: &mut Run<'a, K>) -> Vec<ReduceInput> {
         let (cluster, config) = (self.cluster, self.config);
         let (m, r) = (self.source.num_splits(), config.num_reducers);
         // With a placement, reducers get homes too (over surviving nodes),
@@ -1066,14 +1107,17 @@ where
         let mut remote_per_node = vec![0u64; run.all_nodes.len()];
         let mut per_reducer_bytes = vec![0u64; r];
         let mut inputs: Vec<ReduceInput> = (0..r).map(|_| ReduceInput::default()).collect();
-        // Debug builds tally the mapper-side pairs per key so the shuffle
+        // Debug builds fold the mapper-side per-key tallies so the shuffle
         // can be checked as an exact partition of the map output below.
         let mut emitted: BTreeMap<K, u64> = BTreeMap::new();
         let mut produced = 0u64;
         let mut refetch_bytes = 0u64;
-        for (i, result) in std::mem::take(&mut run.outputs).into_iter().enumerate() {
+        for (i, result) in run.outputs.iter_mut().enumerate() {
             produced += result.records;
-            let mut tail = result.tail.into_iter();
+            for (k, n) in std::mem::take(&mut result.emitted) {
+                *emitted.entry(k).or_insert(0) += n;
+            }
+            let mut tail = std::mem::take(&mut result.tail).into_iter();
             for (j, input) in inputs.iter_mut().enumerate() {
                 per_reducer_bytes[j] += result.bucket_bytes[j];
                 if let Some(homes) = &reducer_homes {
@@ -1082,16 +1126,12 @@ where
                     }
                 }
                 // Every partition crosses the shuffle boundary as
-                // checksummed bytes: the unspilled tail as one frame, so
-                // the codec is load-bearing even when nothing spills.
-                let frame = tail.next().map(|bucket| {
-                    if cfg!(debug_assertions) {
-                        for (k, _) in &bucket {
-                            *emitted.entry(k.clone()).or_insert(0) += 1;
-                        }
-                    }
-                    input.records += bucket.len() as u64;
-                    encode_pairs(&bucket)
+                // checksummed bytes: the unspilled tail as the frame its
+                // map attempt encoded (fetch only moves it), so the codec
+                // is load-bearing even when nothing spills.
+                let frame = tail.next().map(|(frame, records)| {
+                    input.records += records;
+                    frame
                 });
                 if let Some(c) = corrupt_plan.get(&(i, j)) {
                     // At-rest corruption (two bad fetches) already
@@ -1109,12 +1149,7 @@ where
                         reexecuted: c.fetches >= 2,
                     });
                 }
-                // The shuffle-phase integrity scan: spill partitions are
-                // checksum-verified at rest before any merge opens them.
                 for seg in &result.segments {
-                    if let Err(e) = verify_frames(seg, j) {
-                        panic!("storage plane: spill segment failed the shuffle integrity scan after recovery: {e}");
-                    }
                     if let Some(p) = seg.parts.get(j).filter(|p| p.records > 0) {
                         input.records += p.records;
                         input.parts.push(Fetched::Spill {
@@ -1126,7 +1161,9 @@ where
                 input.parts.extend(frame.map(Fetched::Frame));
             }
         }
+        let outputs = std::mem::take(&mut run.outputs);
         if self.spill.is_some() {
+            self.scan_spills(&outputs);
             let disk_len = |p: &Fetched| match p {
                 Fetched::Spill { segment, part } => segment.parts.get(*part).map(|m| m.len),
                 Fetched::Frame(_) => None,
@@ -1138,7 +1175,7 @@ where
         }
         if cfg!(debug_assertions) {
             let runs: Vec<Vec<RunSource<K, V>>> = inputs.iter().map(ReduceInput::open).collect();
-            crate::analysis::assert_shuffle_invariants(&emitted, produced, &runs);
+            crate::analysis::assert_shuffle_invariants(&emitted, produced, runs);
         }
 
         // Transient node partitions stall the shuffle barrier for their
@@ -1254,7 +1291,7 @@ where
     fn reduce_stage(
         &self,
         inputs: &[ReduceInput],
-        run: &mut Run<'a, K, V>,
+        run: &mut Run<'a, K>,
     ) -> Result<Vec<Vec<Out>>, JobError> {
         let (cluster, config) = (self.cluster, self.config);
         let r = config.num_reducers;
@@ -1323,7 +1360,7 @@ where
     /// record, and reads the countable fields off the registry (they are a
     /// facade over its counters), so an abort reports every fact the
     /// stages before it established.
-    fn close(&self, run: &mut Run<'a, K, V>) -> (MetricsRegistry, JobMetrics) {
+    fn close(&self, run: &mut Run<'a, K>) -> (MetricsRegistry, JobMetrics) {
         let record = &mut run.record;
         record.user_counters = self.counters.snapshot().into_iter().collect();
         let timeline = JobRecord::timeline(record);
@@ -1381,7 +1418,7 @@ where
         task: TaskKind,
         index: usize,
         exec: TaskExecution<T>,
-        run: &mut Run<'a, K, V>,
+        run: &mut Run<'a, K>,
     ) -> JobError {
         JobError {
             job: self.config.name.clone(),
@@ -1397,7 +1434,7 @@ where
 
     /// The success exit: the registry is built either way; the span
     /// timeline is emitted only if a collector is attached.
-    fn commit(&self, mut run: Run<'a, K, V>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
+    fn commit(&self, mut run: Run<'a, K>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
         let (registry, metrics) = self.close(&mut run);
         if let Some(collector) = &self.config.collector {
             let drawn = JobRecord::emit(&run.record, collector, registry.clone());
@@ -2482,6 +2519,134 @@ mod tests {
         assert_eq!(at_rest.metrics.corrupt_fetches, 2);
         assert_eq!(at_rest.metrics.map_retries, 1);
         assert_eq!(sorted_counts(at_rest), expected_counts());
+    }
+
+    /// A word-count mapper that, once its split is mapped and spilled,
+    /// flips a bit in chosen spill segments of its own — at-rest corruption
+    /// the fault plan knows nothing about, so no recovery is scheduled and
+    /// only the integrity scan stands between it and the reducers.
+    struct Sabotage {
+        root: std::path::PathBuf,
+        /// (map task, spill sequence) pairs to corrupt.
+        targets: Vec<(usize, usize)>,
+        /// (map, spill, partition) actually corrupted.
+        hit: parking_lot::Mutex<Vec<(usize, usize, usize)>>,
+    }
+    struct SaboteurTask<'a> {
+        plan: &'a Sabotage,
+        map: usize,
+    }
+    impl MapTask for SaboteurTask<'_> {
+        type In = String;
+        type K = String;
+        type V = u64;
+        fn map(&mut self, input: &String, out: &mut Emitter<String, u64>) {
+            WcMapTask.map(input, out);
+        }
+        fn finish(&mut self, _out: &mut Emitter<String, u64>) {
+            // This task's segments, in spill order (the session's
+            // sequence number is the last `-`-separated field).
+            let prefix = format!("mrtmp.wc-m{}-a0-", self.map);
+            let mut mine: Vec<(u64, std::path::PathBuf)> = Vec::new();
+            for session in std::fs::read_dir(&self.plan.root).expect("spill root") {
+                for file in std::fs::read_dir(session.expect("entry").path()).expect("session") {
+                    let path = file.expect("entry").path();
+                    let name = path.file_name().and_then(|n| n.to_str()).expect("name");
+                    let seq = name
+                        .strip_prefix(&prefix)
+                        .and_then(|n| n.strip_suffix(".seg"));
+                    if let Some(seq) = seq {
+                        mine.push((seq.parse().expect("sequence number"), path));
+                    }
+                }
+            }
+            mine.sort();
+            for &(_, spill) in self.plan.targets.iter().filter(|t| t.0 == self.map) {
+                let seg = Segment::read_manifest(&mine[spill].1).expect("manifest");
+                let part = seg.parts.iter().position(|p| p.len > 0).expect("bytes");
+                let meta = &seg.parts[part];
+                flip_bit(&seg.path, meta.offset, meta.len, 0xBAD5EED).expect("flip");
+                self.plan.hit.lock().push((self.map, spill, part));
+            }
+        }
+    }
+    struct Saboteur<'a>(&'a Sabotage);
+    impl<'a> MapFactory for Saboteur<'a> {
+        type Task = SaboteurTask<'a>;
+        fn create(&self, ctx: &TaskContext) -> SaboteurTask<'a> {
+            SaboteurTask {
+                plan: self.0,
+                map: ctx.task_index,
+            }
+        }
+    }
+
+    /// Two spill partitions rot on disk behind the plan's back. The pooled
+    /// scan must stop the job before any merge opens them, and name the
+    /// lowest-indexed one — the same message whatever the thread count.
+    #[test]
+    fn the_pooled_integrity_scan_names_the_lowest_corrupt_partition() {
+        let message = |host_threads: usize| {
+            let root = std::env::temp_dir().join(format!(
+                "skymr-scan-test-{}-{host_threads}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&root).expect("spill root");
+            let mut cluster = spill_cluster(1);
+            cluster.host_threads = host_threads;
+            cluster.storage.spill_dir = Some(root.clone());
+            let plan = Sabotage {
+                root: root.clone(),
+                targets: vec![(2, 0), (0, 1)],
+                hit: parking_lot::Mutex::new(Vec::new()),
+            };
+            let job = || {
+                let config = JobConfig::new("wc", 2);
+                let factory = Saboteur(&plan);
+                run_job(
+                    &cluster,
+                    &config,
+                    &splits(),
+                    &factory,
+                    &WcReduce,
+                    &HashPartitioner,
+                )
+            };
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+                .expect_err("rotten spill data must never reach a merge");
+            let _ = std::fs::remove_dir_all(&root);
+            let mut hit = plan.hit.lock().clone();
+            hit.sort_unstable();
+            assert_eq!(hit.len(), 2, "both partitions were corrupted");
+            assert_eq!((hit[0].0, hit[0].1), (0, 1));
+            let (map, spill, part) = hit[0];
+            let text = panic.downcast_ref::<String>().expect("message").clone();
+            let unit = format!("integrity scan of map {map} spill {spill} partition {part} failed");
+            assert!(text.starts_with("storage plane: "), "{text}");
+            assert!(text.contains(&unit), "{text}");
+            assert!(text.contains("spill data corrupt"), "{text}");
+            text
+        };
+        assert_eq!(message(1), message(4));
+    }
+
+    /// Frames sit at rest from the end of their map attempt; scripted
+    /// corruption — transient or escalated — only ever touches a delivered
+    /// copy, so every reduce attempt (retries included) still opens clean
+    /// frames and `ReduceInput::open` stays unreachable-on-error.
+    #[test]
+    fn injected_corruption_never_touches_a_frame_at_rest() {
+        let mut plan = FaultPlan::fail_reduces([0, 1]);
+        for (map, reducer, fetches) in [(0, 0, 1), (1, 1, 2), (2, 0, 1), (2, 1, 2)] {
+            plan = plan.with_corrupt_shuffle(map, reducer, fetches);
+        }
+        let out = word_count(&splits(), 2, plan);
+        assert_eq!(out.metrics.corrupt_fetches, 6);
+        assert_eq!(
+            out.metrics.reduce_retries, 2,
+            "each reducer reopened its frames"
+        );
+        assert_eq!(sorted_counts(out), expected_counts());
     }
 
     /// The trace and the metrics are read off one timeline, so the drawn

@@ -18,7 +18,8 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use skymr_common::bytes::{
-    decode_pairs, frame_decode_exact, frame_encode, FrameError, Wire, WireCursor, FRAME_OVERHEAD,
+    decode_pairs, frame_begin, frame_decode_exact, frame_encode, frame_end, FrameError, Wire,
+    WireCursor, FRAME_OVERHEAD,
 };
 use skymr_common::ByteSized;
 
@@ -119,7 +120,8 @@ impl Segment {
         let mut r = WireCursor::new(payload);
         let parse = |r: &mut WireCursor<'_>| -> Option<Vec<PartitionMeta>> {
             let count = u32::wire_decode(r)? as usize;
-            let mut parts = Vec::with_capacity(count.min(1 << 16));
+            // 36 = the encoded size of one entry below (8 + 8 + 4 + 8 + 8).
+            let mut parts = Vec::with_capacity(r.capacity_for(count, 36));
             for _ in 0..count {
                 parts.push(PartitionMeta {
                     offset: u64::wire_decode(r)?,
@@ -174,12 +176,12 @@ pub struct SegmentWriter<K, V> {
     io_chunk: usize,
     parts: Vec<PartitionMeta>,
     offset: u64,
-    /// Current chunk payload: 4-byte pair-count placeholder, then pair
-    /// encodings. Reused across chunks and partitions.
-    payload: Vec<u8>,
+    /// The current chunk, assembled in place as the frame it is written
+    /// as: length prefix and pair count (both back-patched at flush), then
+    /// pair encodings; the checksum is appended at flush. Reused across
+    /// chunks and partitions.
+    frame: Vec<u8>,
     chunk_pairs: u32,
-    /// Reused frame assembly buffer.
-    framed: Vec<u8>,
     cur: PartitionMeta,
     _kv: PhantomData<(K, V)>,
 }
@@ -188,17 +190,17 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     /// Opens `path` for writing.
     pub fn create(path: PathBuf, io_chunk: usize) -> Result<Self, StorageError> {
         let file = File::create(&path).map_err(|e| StorageError::io("create segment", e))?;
-        let mut payload = Vec::with_capacity(io_chunk + 1024);
-        payload.extend_from_slice(&[0u8; 4]);
+        let mut frame = Vec::with_capacity(io_chunk + 1024);
+        frame_begin(&mut frame);
+        frame.extend_from_slice(&[0u8; 4]);
         Ok(Self {
             file: BufWriter::new(file),
             path,
             io_chunk: io_chunk.max(1),
             parts: Vec::new(),
             offset: 0,
-            payload,
+            frame,
             chunk_pairs: 0,
-            framed: Vec::with_capacity(io_chunk + 1024),
             cur: empty_meta(0),
             _kv: PhantomData,
         })
@@ -210,12 +212,12 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     /// frame flush runs once per `io_chunk` bytes.
     // xtask: hot
     pub fn push(&mut self, k: &K, v: &V) -> Result<(), StorageError> {
-        k.wire_encode(&mut self.payload);
-        v.wire_encode(&mut self.payload);
+        k.wire_encode(&mut self.frame);
+        v.wire_encode(&mut self.frame);
         self.chunk_pairs += 1;
         self.cur.records += 1;
         self.cur.wire_bytes += k.byte_size() + v.byte_size();
-        if self.payload.len() >= self.io_chunk {
+        if self.frame.len() - COUNT_AT >= self.io_chunk {
             self.flush_chunk()?;
         }
         Ok(())
@@ -247,20 +249,23 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     }
 
     fn flush_chunk(&mut self) -> Result<(), StorageError> {
-        self.payload[..4].copy_from_slice(&self.chunk_pairs.to_le_bytes());
-        self.framed.clear();
-        frame_encode(&self.payload, &mut self.framed);
+        self.frame[COUNT_AT..][..4].copy_from_slice(&self.chunk_pairs.to_le_bytes());
+        frame_end(&mut self.frame, 0);
         self.file
-            .write_all(&self.framed)
+            .write_all(&self.frame)
             .map_err(|e| StorageError::io("write segment frame", e))?;
-        self.offset += self.framed.len() as u64;
-        self.cur.len += self.framed.len() as u64;
+        self.offset += self.frame.len() as u64;
+        self.cur.len += self.frame.len() as u64;
         self.cur.frames += 1;
-        self.payload.truncate(4);
+        self.frame.truncate(COUNT_AT + 4);
         self.chunk_pairs = 0;
         Ok(())
     }
 }
+
+/// Offset of the u32 pair count within a chunk's frame: right after the
+/// u32 length prefix, where the payload starts.
+const COUNT_AT: usize = 4;
 
 fn empty_meta(offset: u64) -> PartitionMeta {
     PartitionMeta {
@@ -490,6 +495,57 @@ mod tests {
                 got.push(pair);
             }
             assert_eq!(&got, expect, "partition {j}");
+            verify_frames(&seg, j).expect("verify");
+        }
+    }
+
+    /// The on-disk format is frozen by test: file and manifest bytes were
+    /// captured from the writer as of commit 3b5523e (two buffers per
+    /// chunk, byte-at-a-time CRC) and the single-buffer writer must
+    /// reproduce them — same chunk boundaries, same frames, same manifest.
+    #[test]
+    fn segment_and_manifest_match_golden_bytes_captured_at_the_parent() {
+        use skymr_common::Tuple;
+        let tuple = |i: u32| Tuple::new(u64::from(i), vec![f64::from(i) / 16.0, 0.5]);
+        let parts: Vec<Vec<(u32, Tuple)>> = vec![
+            (0..9u32).map(|i| (i / 3, tuple(i))).collect(),
+            vec![(7, Tuple::new(100, vec![0.875, 0.125]))],
+        ];
+        let seg = write_segment(tmp("golden.seg"), &parts, 96).expect("write");
+        let hex = |bytes: Vec<u8>| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        assert_eq!(
+            hex(std::fs::read(&seg.path).expect("segment")),
+            "6400000003000000000000000000000000000000020000000000000000000000\
+             000000000000e03f00000000010000000000000002000000000000000000b03f\
+             000000000000e03f00000000020000000000000002000000000000000000c03f\
+             000000000000e03f924aafc06400000003000000010000000300000000000000\
+             02000000000000000000c83f000000000000e03f010000000400000000000000\
+             02000000000000000000d03f000000000000e03f010000000500000000000000\
+             02000000000000000000d43f000000000000e03fec21fb046400000003000000\
+             02000000060000000000000002000000000000000000d83f000000000000e03f\
+             02000000070000000000000002000000000000000000dc3f000000000000e03f\
+             02000000080000000000000002000000000000000000e03f000000000000e03f\
+             2a1085fb24000000010000000700000064000000000000000200000000000000\
+             0000ec3f000000000000c03f82140f23"
+        );
+        assert_eq!(
+            hex(std::fs::read(seg.manifest_path()).expect("manifest")),
+            "4c00000002000000000000000000000044010000000000000300000009000000\
+             00000000200100000000000044010000000000002c0000000000000001000000\
+             0100000000000000200000000000000072760a5b"
+        );
+        let meta = |offset, len, frames, records, wire_bytes| PartitionMeta {
+            offset,
+            len,
+            frames,
+            records,
+            wire_bytes,
+        };
+        assert_eq!(
+            seg.parts,
+            [meta(0, 324, 3, 9, 288), meta(324, 44, 1, 1, 32)]
+        );
+        for j in 0..2 {
             verify_frames(&seg, j).expect("verify");
         }
     }

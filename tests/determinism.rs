@@ -8,14 +8,19 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use skymr::{mr_gpmrs, mr_gpsrs, SkylineConfig, SkylineRun};
-use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig};
+use skymr_baselines::mr_bnl::{
+    ForwardMapFactory, LocalSkylineReduceFactory, MergeReduceFactory, PartitionMapFactory,
+};
+use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig, MergeStrategy};
+use skymr_common::dataset::canonicalize;
 use skymr_common::Dataset;
 use skymr_datagen::Distribution;
 use skymr_integration_tests::scenario;
 use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::{
-    ClusterConfig, Collector, FaultPlan, FaultTolerance, JobMetrics, Placement, SpeculationPolicy,
-    TaskFault,
+    run_job, run_job_from, ClusterConfig, Collector, FaultPlan, FaultTolerance, FnSplits,
+    JobConfig, JobMetrics, ModuloPartitioner, Placement, SingleReducerPartitioner,
+    SpeculationPolicy, TaskFault,
 };
 
 #[test]
@@ -344,6 +349,77 @@ fn metrics_and_exports_are_byte_identical_in_every_mode() {
             );
         }
     }
+}
+
+/// MR-BNL's phase-1 job clones split `i` out of the dataset inside the map
+/// attempt that runs it instead of materializing `Dataset::split` up
+/// front. That is a memory-footprint change only: the pipeline assembled
+/// here over materialized splits — same factories, same job names — must
+/// report the same skyline, the same registry and every `JobMetrics` field
+/// but `host_wall`, clean and under a seeded fault plan (where retries,
+/// lost partitions and re-execution waves reload the lazy splits).
+#[test]
+fn mr_bnl_over_lazy_splits_equals_mr_bnl_over_materialized_splits() {
+    let data = scenario(Distribution::Independent, 3, 900, 311);
+    let mappers = 5;
+    let plans = [
+        FaultTolerance::none(),
+        FaultTolerance::with_plan(FaultPlan::seeded(0x5EED)),
+    ];
+    let mut reports = Vec::new();
+    for (ft, host_threads) in plans.iter().flat_map(|ft| [(ft, 1), (ft, 4)]) {
+        let mut config = BaselineConfig::test()
+            .with_mappers(mappers)
+            .with_fault_tolerance(ft.clone());
+        config.cluster.host_threads = host_threads;
+        let lazy = mr_bnl(&data, &config).expect("the pipeline survives its plan");
+
+        let splits = data.split(mappers);
+        let reducers = lazy.metrics.jobs[0].reduce_tasks;
+        let job1 = JobConfig::new("mr-bnl-local", reducers).with_fault_tolerance(ft);
+        let local = |lazily: bool| {
+            let lens = splits.iter().map(Vec::len).collect();
+            let source = FnSplits::new(lens, |i| data.split_part(i, mappers).cloned().collect());
+            let (cluster, map, reduce) = (
+                &config.cluster,
+                &PartitionMapFactory,
+                &LocalSkylineReduceFactory,
+            );
+            match lazily {
+                true => run_job_from(cluster, &job1, &source, map, reduce, &ModuloPartitioner),
+                false => run_job(cluster, &job1, &splits, map, reduce, &ModuloPartitioner),
+            }
+            .expect("phase 1 survives its plan")
+        };
+        let (streamed, local) = (local(true), local(false));
+        assert_eq!(streamed.outputs, local.outputs);
+        assert_eq!(streamed.registry, local.registry);
+        assert_eq!(streamed.counters.snapshot(), local.counters.snapshot());
+
+        let job2 = JobConfig::new("mr-bnl-merge", 1).with_fault_tolerance(ft);
+        let merge = run_job(
+            &config.cluster,
+            &job2,
+            &local.outputs,
+            &ForwardMapFactory,
+            &MergeReduceFactory::new(MergeStrategy::PlainBnl),
+            &SingleReducerPartitioner,
+        )
+        .expect("phase 2 survives its plan");
+        let materialized = [local.metrics, merge.metrics.clone()];
+        assert_eq!(
+            metrics_bytes(&lazy.metrics.jobs),
+            metrics_bytes(&materialized),
+            "{host_threads} host thread(s)"
+        );
+        assert_eq!(
+            metrics_bytes(&[streamed.metrics]),
+            metrics_bytes(&materialized[..1])
+        );
+        assert_eq!(lazy.skyline, canonicalize(merge.into_flat_output()));
+        reports.push(metrics_bytes(&lazy.metrics.jobs));
+    }
+    assert_ne!(reports[0], reports[2], "the seeded plan injected nothing");
 }
 
 /// User counters count each task once, whatever happened to its attempts:
