@@ -1259,7 +1259,13 @@ where
                 storage.merge_fan_in,
                 storage.io_chunk,
             )
-            .map(|(merge, _stats)| merge),
+            .map(|(merge, ran)| {
+                // What fetch priced is what ran (under a budget every run
+                // is a disk run: the map tail spills too).
+                let facts = |m: MergeStats| (m.runs, m.passes, m.seeks);
+                debug_assert_eq!(input.merge.map(facts), Some(facts(ran)));
+                merge
+            }),
             None => KWayMerge::open(input.open()),
         }
         .unwrap_or_else(|e| storage_fault("external merge", e));
@@ -2521,6 +2527,17 @@ mod tests {
         assert_eq!(sorted_counts(at_rest), expected_counts());
     }
 
+    /// Every file in every job-run directory under a spill root.
+    fn files_under(root: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut files = Vec::new();
+        for session in std::fs::read_dir(root).expect("spill root") {
+            for file in std::fs::read_dir(session.expect("entry").path()).expect("session") {
+                files.push(file.expect("entry").path());
+            }
+        }
+        files
+    }
+
     /// A word-count mapper that, once its split is mapped and spilled,
     /// flips a bit in chosen spill segments of its own — at-rest corruption
     /// the fault plan knows nothing about, so no recovery is scheduled and
@@ -2548,16 +2565,13 @@ mod tests {
             // sequence number is the last `-`-separated field).
             let prefix = format!("mrtmp.wc-m{}-a0-", self.map);
             let mut mine: Vec<(u64, std::path::PathBuf)> = Vec::new();
-            for session in std::fs::read_dir(&self.plan.root).expect("spill root") {
-                for file in std::fs::read_dir(session.expect("entry").path()).expect("session") {
-                    let path = file.expect("entry").path();
-                    let name = path.file_name().and_then(|n| n.to_str()).expect("name");
-                    let seq = name
-                        .strip_prefix(&prefix)
-                        .and_then(|n| n.strip_suffix(".seg"));
-                    if let Some(seq) = seq {
-                        mine.push((seq.parse().expect("sequence number"), path));
-                    }
+            for path in files_under(&self.plan.root) {
+                let name = path.file_name().and_then(|n| n.to_str()).expect("name");
+                let seq = name
+                    .strip_prefix(&prefix)
+                    .and_then(|n| n.strip_suffix(".seg"));
+                if let Some(seq) = seq {
+                    mine.push((seq.parse().expect("sequence number"), path));
                 }
             }
             mine.sort();
@@ -2722,6 +2736,151 @@ mod tests {
         assert!(trace.contains("\"spill[0]\""), "spill span missing");
         assert!(trace.contains("\"merge\""), "merge span missing");
         assert_eq!(trace, render(), "spill trace bytes must be reproducible");
+    }
+
+    /// Four maps of six lines: under a 1-byte budget every line is a spill.
+    fn many_spills() -> Vec<Vec<String>> {
+        let line = |m: usize, w: usize| format!("w{} w{}", (m + w) % 5, w % 3);
+        (0..4)
+            .map(|m| (0..6).map(|w| line(m, w)).collect())
+            .collect()
+    }
+
+    /// From 9 to 64 disk runs at fan-in 8 one cascade level reaches the
+    /// final pass, so no spilled byte is rewritten twice — re-merging a
+    /// prefix rewrote 8 + 15 run-units from 16 runs up — and outside the
+    /// storage plane the budget changes nothing.
+    #[test]
+    fn a_one_level_cascade_rewrites_no_spilled_byte_twice() {
+        let run = |budget: Option<u64>| {
+            let mut cluster = ClusterConfig::test();
+            cluster.storage.memory_budget = budget;
+            assert_eq!(cluster.storage.merge_fan_in, 8);
+            run_job(
+                &cluster,
+                &JobConfig::new("wc", 1),
+                &many_spills(),
+                &WcMap,
+                &WcReduce,
+                &HashPartitioner,
+            )
+            .expect("job")
+        };
+        let (memory, spilled) = (run(None), run(Some(1)));
+        let counter = |name: &str| spilled.registry.counter(name);
+        let runs = counter("storage.merge_runs");
+        assert!((16..=64).contains(&runs), "{runs} disk runs");
+        assert_eq!(spilled.metrics.merge_passes, (runs - 8).div_ceil(7) + 1);
+        let rewritten = counter("storage.merge_bytes_written");
+        assert!(0 < rewritten && rewritten <= counter("storage.spilled_bytes"));
+        // Disk traffic is priced into task durations, so the phases and
+        // what is summed from them move with the budget; nothing else may.
+        let engine_facts = |m: &JobMetrics| {
+            let mut m = m.clone();
+            (m.spill_files, m.spilled_bytes, m.merge_passes) = (0, 0, 0);
+            let phases = [&mut m.map_phase, &mut m.reduce_phase];
+            for time in phases
+                .into_iter()
+                .chain([&mut m.sim_runtime, &mut m.host_wall])
+            {
+                *time = Duration::ZERO;
+            }
+            (m.map_task_durations, m.reduce_task_durations) = (Vec::new(), Vec::new());
+            format!("{m:?}")
+        };
+        assert_eq!(
+            engine_facts(&spilled.metrics),
+            engine_facts(&memory.metrics)
+        );
+        assert_eq!(spilled.counters.snapshot(), memory.counters.snapshot());
+        assert_eq!(sorted_counts(spilled), sorted_counts(memory));
+    }
+
+    /// Word-count reducers that take a census of the `.run` files under the
+    /// spill root when an attempt starts (`false`) and when it has streamed
+    /// its last group (`true`); reducer 0's first attempt panics mid-stream.
+    struct Census {
+        root: std::path::PathBuf,
+        seen: parking_lot::Mutex<Vec<(bool, usize)>>,
+    }
+    impl Census {
+        fn take(&self, streaming: bool) {
+            let is_run = |path: &std::path::PathBuf| {
+                let name = path.file_name().expect("name");
+                name.to_string_lossy().contains(".run")
+            };
+            let runs = files_under(&self.root).iter().filter(|p| is_run(p)).count();
+            self.seen.lock().push((streaming, runs));
+        }
+    }
+    struct CensusTask<'a> {
+        census: &'a Census,
+        doomed: bool,
+        inner: WcReduceTask,
+    }
+    impl ReduceTask for CensusTask<'_> {
+        type K = String;
+        type V = u64;
+        type Out = (String, u64);
+        fn reduce(
+            &mut self,
+            key: String,
+            values: Vec<u64>,
+            out: &mut OutputCollector<(String, u64)>,
+        ) {
+            assert!(!self.doomed, "census: reducer 0 fails its first attempt");
+            self.inner.reduce(key, values, out);
+        }
+        fn finish(&mut self, _out: &mut OutputCollector<(String, u64)>) {
+            self.census.take(true);
+        }
+    }
+    impl<'a> ReduceFactory for &'a Census {
+        type Task = CensusTask<'a>;
+        fn create(&self, ctx: &TaskContext) -> CensusTask<'a> {
+            self.take(false);
+            CensusTask {
+                census: self,
+                doomed: ctx.task_index == 0 && ctx.attempt == 0,
+                inner: WcReduce.create(ctx),
+            }
+        }
+    }
+
+    /// An attempt's intermediate merge runs live exactly as long as the
+    /// merge that reads them: none is left when the next attempt or the
+    /// next reducer starts, whether the attempt finished or panicked.
+    #[test]
+    fn intermediate_merge_runs_do_not_outlive_their_attempt() {
+        let root = std::env::temp_dir().join(format!("skymr-census-{}", std::process::id()));
+        let mut cluster = spill_cluster(1);
+        cluster.host_threads = 1;
+        cluster.storage.merge_fan_in = 2;
+        cluster.storage.spill_dir = Some(root.clone());
+        let census = Census {
+            root: root.clone(),
+            seen: parking_lot::Mutex::new(Vec::new()),
+        };
+        // With speculation on a reducer's input is kept for its retries.
+        let config = JobConfig::new("wc", 2).with_speculation(SpeculationPolicy::new());
+        let (splits, map) = (many_spills(), &WcMap);
+        let out =
+            run_job(&cluster, &config, &splits, map, &&census, &HashPartitioner).expect("job");
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(out.metrics.reduce_retries, 1, "the panic was retried");
+        let seen = census.seen.into_inner();
+        let starting: Vec<usize> = seen.iter().filter(|s| !s.0).map(|s| s.1).collect();
+        assert_eq!(
+            starting,
+            [0, 0, 0],
+            "two attempts of reducer 0, one of reducer 1"
+        );
+        let streaming: Vec<usize> = seen.iter().filter(|s| s.0).map(|s| s.1).collect();
+        assert_eq!(streaming.len(), 2);
+        assert!(
+            streaming.iter().all(|&runs| runs > 0),
+            "both reducers cascaded: {streaming:?}"
+        );
     }
 
     struct WcReduceLike;

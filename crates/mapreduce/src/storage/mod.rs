@@ -96,18 +96,32 @@ impl StorageConfig {
     /// overrides, used by CI to force every job in a test suite into
     /// spill mode without touching each call site. Driver-side only —
     /// UDFs never observe the environment.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Ok(v) = std::env::var("SKYMR_MEMORY_BUDGET") {
-            if let Ok(bytes) = parse_byte_size(&v) {
-                self.memory_budget = Some(bytes);
-            }
+    ///
+    /// # Panics
+    ///
+    /// On a `SKYMR_MEMORY_BUDGET` that is not a byte size: a suite asked
+    /// to spill must not quietly run in memory instead.
+    pub fn with_env_overrides(self) -> Self {
+        let var = |name| std::env::var(name).ok();
+        self.with_overrides(var("SKYMR_MEMORY_BUDGET"), var("SKYMR_SPILL_DIR"))
+            .unwrap_or_else(|e| panic!("storage plane: {e}"))
+    }
+
+    /// [`Self::with_env_overrides`] over the two variables' values; an
+    /// empty value counts as unset.
+    fn with_overrides(
+        mut self,
+        budget: Option<String>,
+        spill_dir: Option<String>,
+    ) -> Result<Self, String> {
+        if let Some(v) = budget.filter(|v| !v.is_empty()) {
+            let bytes = parse_byte_size(&v).map_err(|e| format!("SKYMR_MEMORY_BUDGET: {e}"))?;
+            self.memory_budget = Some(bytes);
         }
-        if let Ok(dir) = std::env::var("SKYMR_SPILL_DIR") {
-            if !dir.is_empty() {
-                self.spill_dir = Some(PathBuf::from(dir));
-            }
+        if let Some(dir) = spill_dir.filter(|d| !d.is_empty()) {
+            self.spill_dir = Some(PathBuf::from(dir));
         }
-        self
+        Ok(self)
     }
 
     /// `true` iff map output spills to disk.
@@ -233,6 +247,27 @@ mod tests {
         assert_eq!(parse_byte_size(" 1g "), Ok(1 << 30));
         assert!(parse_byte_size("x").is_err());
         assert!(parse_byte_size("99999999999999999999g").is_err());
+    }
+
+    #[test]
+    fn malformed_budget_override_is_an_error_and_empty_is_unset() {
+        let over = |budget: &str, dir: &str| {
+            StorageConfig::test().with_overrides(Some(budget.into()), Some(dir.into()))
+        };
+        let err = over("1kb", "").expect_err("1kb is not a byte size");
+        assert!(
+            err.starts_with("SKYMR_MEMORY_BUDGET: bad byte size \"1kb\""),
+            "{err}"
+        );
+        let unset = over("", "").expect("empty values are unset");
+        assert_eq!((unset.memory_budget, unset.spill_dir), (None, None));
+        let set = over("1k", "/tmp/x").expect("well-formed");
+        assert_eq!(set.memory_budget, Some(1024));
+        assert_eq!(set.spill_dir, Some(PathBuf::from("/tmp/x")));
+        let none = StorageConfig::test()
+            .with_overrides(None, None)
+            .expect("unset");
+        assert_eq!(none.memory_budget, None);
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl Segment {
     }
 }
 
-fn manifest_path_for(seg_path: &Path) -> PathBuf {
+pub(super) fn manifest_path_for(seg_path: &Path) -> PathBuf {
     let mut os = seg_path.as_os_str().to_owned();
     os.push(".manifest");
     PathBuf::from(os)

@@ -33,11 +33,12 @@ fn reference_groups(runs: &[Vec<(u16, u64)>]) -> Vec<(u16, Vec<u64>)> {
 }
 
 /// Random sorted runs: each inner batch is key-sorted (stably, so a key's
-/// values keep their emission order within the run).
+/// values keep their emission order within the run). Up to 30 of them, so
+/// the smaller fan-ins below need a second cascade level (`n > f²`).
 fn arb_runs() -> impl Strategy<Value = Vec<Vec<(u16, u64)>>> {
     proptest::collection::vec(
         proptest::collection::vec((0u16..12, any::<u64>()), 0..40),
-        0..12,
+        0..30,
     )
     .prop_map(|mut runs| {
         for run in &mut runs {
@@ -71,20 +72,22 @@ proptest! {
 
     /// The external merge over on-disk runs yields exactly the groups (and
     /// per-key value order) of the in-memory engine, for any run shapes and
-    /// any fan-in — including fan-ins small enough to force multi-pass
-    /// cascades through intermediate disk runs.
+    /// any fan-in — including fan-ins small enough to force cascades of
+    /// several levels through intermediate disk runs, with memory runs
+    /// inside and between the merged groups (a set mask bit is a disk run;
+    /// or-ing two masks makes most cases mostly disk).
     #[test]
     fn external_merge_matches_in_memory_grouping(
         runs in arb_runs(),
         fan_in in 2usize..6,
-        disk_mask in any::<u16>(),
+        disk_mask in (any::<u32>(), any::<u32>()).prop_map(|(a, b)| a | b),
     ) {
         let session =
             SpillSession::create(&StorageConfig::test(), "prop").expect("spill session");
         let mut sources: Vec<RunSource<u16, u64>> = Vec::new();
         for (i, run) in runs.iter().enumerate() {
             // Mix disk and in-memory runs: both cross the same merge.
-            if disk_mask & (1 << (i as u16 % 16)) != 0 {
+            if disk_mask & (1 << (i % 32)) != 0 {
                 let segment = write_segment(
                     session.segment_path(i, 0),
                     std::slice::from_ref(run),
