@@ -63,7 +63,7 @@ fn skyline_rec(tuples: &mut Vec<Tuple>, dim: usize, depth: usize) -> Vec<Tuple> 
     if tuples.len() <= BASE_CASE || depth >= 2 * dim {
         return bnl_base(tuples);
     }
-    let split_dim = depth % dim; // xtask: allow(panic-reachability) — dim == 0 takes the depth >= 2*dim base case above
+    let split_dim = depth % dim; // dim == 0 takes the depth >= 2*dim base case above
 
     // Median split by the current dimension (ties broken by id so the
     // split is deterministic and both halves are strictly smaller).

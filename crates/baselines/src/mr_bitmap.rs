@@ -298,7 +298,7 @@ pub fn mr_bitmap(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Re
     let splits: Vec<Vec<(u32, Tuple)>> = {
         let mut s: Vec<Vec<(u32, Tuple)>> = (0..config.mappers).map(|_| Vec::new()).collect();
         for (i, item) in indexed.into_iter().enumerate() {
-            s[i % config.mappers].push(item); // xtask: allow(panic-reachability) — mappers > 0 validated by JobConfig; i % mappers < s.len()
+            s[i % config.mappers].push(item); // mappers > 0 validated by JobConfig; i % mappers < s.len()
         }
         s
     };

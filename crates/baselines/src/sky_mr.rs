@@ -98,7 +98,7 @@ impl SkyMrPlan {
         assert!(reducers > 0, "a plan needs at least one reducer");
         let tree = SkyQuadtree::build(dim, sample, split_threshold);
         let n = tree.num_leaves();
-        let owners: Vec<usize> = (0..n).map(|l| l % reducers).collect(); // xtask: allow(panic-reachability) — reducers > 0 asserted at entry
+        let owners: Vec<usize> = (0..n).map(|l| l % reducers).collect(); // reducers > 0 asserted at entry
         let adr: Vec<Vec<usize>> = (0..n).map(|l| tree.adr_leaves(l)).collect();
         let mut destinations: Vec<Vec<usize>> = (0..n).map(|l| vec![owners[l]]).collect();
         for (b, sources) in adr.iter().enumerate() {
@@ -371,7 +371,7 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
     let stride = if config.sample_size == 0 {
         usize::MAX
     } else {
-        (dataset.len() / config.sample_size.min(dataset.len().max(1))).max(1) // xtask: allow(panic-reachability) — sample_size != 0 in this branch and .min(len.max(1)) keeps it >= 1
+        (dataset.len() / config.sample_size.min(dataset.len().max(1))).max(1) // sample_size != 0 in this branch and .min(len.max(1)) keeps it >= 1
     };
     let sample_job = JobConfig::new("sky-mr-sample", 1).with_fault_tolerance(ft);
     let outcome1 = metrics.track(run_job(

@@ -1,9 +1,8 @@
-//! Dominance-kernel micro-benchmark with a machine-readable baseline.
+//! Kernel micro-benchmark with a machine-readable baseline.
 //!
-//! Times the two `skymr_common::dominance` primitives, the BNL
-//! local-skyline kernel and the cross-partition `ComparePartitions` sweep
-//! — the paper's §6 cost-model bottleneck — and the grid/bitstring
-//! assignment kernels (§4's per-tuple partition mapping
+//! Times the BNL local-skyline kernel and the cross-partition
+//! `ComparePartitions` sweep — the paper's §6 cost-model bottleneck — and
+//! the grid/bitstring assignment kernels (§4's per-tuple partition mapping
 //! and the `BitGrid` merge the MR-GPMRS reducers hammer) on correlated,
 //! independent, and anti-correlated data, then writes the
 //! per-distribution means to `BENCH_dominance.json` at the repo root
@@ -11,6 +10,12 @@
 //! `cargo xtask bench-gate` uses for its sample runs). CI smoke-runs
 //! this bench and checks the document parses, and `bench-gate` compares
 //! fresh medians against the committed baseline.
+//!
+//! Only series that `benchmark/`'s probes do not already measure live
+//! here. The single-pair `dominates` / `compare` timings (5–14 ns, under
+//! `bench-gate`'s 30 ns absolute floor, so they could never fail) are the
+//! `common.dominance.compare_ns` probe; `crc32c`, `frame_encode` and
+//! `frame_decode` are `common.bytes.{crc32c,encode,decode}_mib_per_s`.
 
 use criterion::{black_box, BatchSize, BenchmarkId, Criterion};
 use skymr::grid::Grid;
@@ -20,7 +25,6 @@ use skymr::local::{
 };
 use skymr_bench::{render_kernel_bench_json, KernelTiming};
 use skymr_common::bitgrid::BitGrid;
-use skymr_common::dominance::{compare, dominates};
 use skymr_datagen::{generate, Distribution};
 
 /// Dataset size for the BNL kernel runs: large enough that window
@@ -44,14 +48,6 @@ fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("dominance");
     for (dist, label) in DISTRIBUTIONS {
         let ds = generate(dist, DIM, KERNEL_TUPLES, SEED);
-        let a = &ds.tuples()[0];
-        let b = &ds.tuples()[1];
-        group.bench_with_input(BenchmarkId::new("dominates", label), &dist, |bench, _| {
-            bench.iter(|| dominates(black_box(a), black_box(b)));
-        });
-        group.bench_with_input(BenchmarkId::new("compare", label), &dist, |bench, _| {
-            bench.iter(|| compare(black_box(a), black_box(b)));
-        });
         group.bench_with_input(
             BenchmarkId::new("local_skyline_bnl", label),
             &dist,
@@ -131,33 +127,6 @@ fn bench_kernels(c: &mut Criterion) {
             let mut acc = black_box(&lhs).clone();
             acc.or_assign(black_box(&rhs));
             acc.count_ones()
-        });
-    });
-    // The shuffle-frame integrity path every partition runs — once in
-    // the map attempt that frames it, once in each reduce attempt that
-    // opens it: the CRC32C inner loop, framing a partition-sized payload,
-    // and the verify-on-decode. Payload size mirrors one reducer's bucket for a
-    // KERNEL_TUPLES split (id + DIM values per tuple).
-    let payload: Vec<u8> = (0..KERNEL_TUPLES * (8 + DIM * 8))
-        .map(|i| (i * 31 % 251) as u8)
-        .collect();
-    group.bench_function("crc32c/partition", |bench| {
-        bench.iter(|| skymr_common::crc32c(black_box(&payload)));
-    });
-    group.bench_function("frame_encode/partition", |bench| {
-        bench.iter(|| {
-            let mut out = Vec::new();
-            skymr_common::frame_encode(black_box(&payload), &mut out);
-            out.len()
-        });
-    });
-    let mut framed = Vec::new();
-    skymr_common::frame_encode(&payload, &mut framed);
-    group.bench_function("frame_decode/partition", |bench| {
-        bench.iter(|| {
-            let (body, rest) =
-                skymr_common::frame_decode(black_box(&framed)).expect("frame verifies");
-            body.len() + rest.len()
         });
     });
     group.finish();

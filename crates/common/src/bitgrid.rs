@@ -43,21 +43,21 @@ impl BitGrid {
     #[inline]
     pub fn set(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS); // xtask: allow(panic-reachability) — i < len asserted above, so i/WORD_BITS < words.len()
+        self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS); // i < len asserted above, so i/WORD_BITS < words.len()
     }
 
     /// Clears bit `i` to 0.
     #[inline]
     pub fn clear(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS)); // xtask: allow(panic-reachability) — i < len asserted above, so i/WORD_BITS < words.len()
+        self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS)); // i < len asserted above, so i/WORD_BITS < words.len()
     }
 
     /// Returns bit `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0 // xtask: allow(panic-reachability) — i < len asserted above, so i/WORD_BITS < words.len()
+        self.words[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0 // i < len asserted above, so i/WORD_BITS < words.len()
     }
 
     /// In-place bitwise OR with another bitset of the same length.

@@ -279,8 +279,8 @@ pub fn frame_decode(buf: &[u8]) -> Result<(&[u8], &[u8]), FrameError> {
             got: buf.len(),
         });
     }
-    let payload = &buf[4..4 + len]; // xtask: allow(panic-reachability) — in bounds: `buf.len() >= needed = len + FRAME_OVERHEAD` was checked above
-    let stored = u32::from_le_bytes(buf[4 + len..needed].try_into().expect("4-byte slice")); // xtask: allow(panic-reachability) — same bounds invariant; the trailer is exactly the 4 bytes at `4 + len..needed`
+    let payload = &buf[4..4 + len]; // in bounds: `buf.len() >= needed = len + FRAME_OVERHEAD` was checked above
+    let stored = u32::from_le_bytes(buf[4 + len..needed].try_into().expect("4-byte slice")); // same bounds invariant; the trailer is exactly the 4 bytes at `4 + len..needed`
     let expected = crc32c_update(crc32c(&header), payload);
     if expected != stored {
         return Err(FrameError::Corrupt {

@@ -104,7 +104,7 @@ impl Dataset {
         let sized = |i| Vec::with_capacity(self.split_part(i, m).len());
         let mut splits: Vec<Vec<Tuple>> = (0..m).map(sized).collect();
         for (i, t) in self.tuples.iter().enumerate() {
-            splits[i % m].push(t.clone()); // xtask: allow(panic-reachability) — i % m < m == splits.len(), m > 0 asserted above
+            splits[i % m].push(t.clone()); // i % m < m == splits.len(), m > 0 asserted above
         }
         splits
     }

@@ -171,6 +171,10 @@ mod tests {
     fn concurrent_increments_do_not_lose_updates() {
         let c = Counters::new();
         let h = c.handle("hot");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "skymr_common sits below the pool; this test needs raw contention on one handle"
+        )]
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let h = Arc::clone(&h);

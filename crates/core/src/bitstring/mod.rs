@@ -127,9 +127,9 @@ impl Bitstring {
                 // Cell coordinate on this dimension: n >= 2 (early return
                 // above) and stride >= 1, so the division cannot panic, and
                 // a nonzero coordinate implies idx >= stride.
-                let coord = (idx / stride) % n; // xtask: allow(panic-reachability)
+                let coord = (idx / stride) % n;
                 if coord >= 1 {
-                    reach[idx] |= reach[idx - stride]; // xtask: allow(panic-reachability)
+                    reach[idx] |= reach[idx - stride];
                 }
             }
             stride *= n;
@@ -150,7 +150,7 @@ impl Bitstring {
             if coords.iter().all(|&c| c >= 1) {
                 // Every coordinate >= 1 implies q >= one_offset, the offset
                 // of (1,…,1).
-                let dominated = reach[q - one_offset]; // xtask: allow(panic-reachability)
+                let dominated = reach[q - one_offset];
                 if dominated {
                     self.bits.clear(q);
                 }

@@ -114,7 +114,7 @@ impl Grid {
         assert_eq!(coords.len(), self.dim);
         let mut rest = index;
         for c in coords.iter_mut() {
-            *c = rest % self.ppd; // xtask: allow(panic-reachability) — Grid::new rejects ppd == 0
+            *c = rest % self.ppd; // Grid::new rejects ppd == 0
             rest /= self.ppd;
         }
     }

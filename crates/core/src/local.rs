@@ -247,7 +247,7 @@ fn dnc_local(tuples: &mut Vec<Tuple>, depth: usize, stats: &mut CmpStats) -> Win
     if tuples.len() <= BASE_CASE || depth >= 2 * dim {
         return local_window(std::mem::take(tuples), LocalAlgo::Bnl, stats);
     }
-    let split_dim = depth % dim; // xtask: allow(panic-reachability) — dim == 0 hits the base case above (depth >= 2 * dim)
+    let split_dim = depth % dim; // dim == 0 hits the base case above (depth >= 2 * dim)
     let mid = tuples.len() / 2;
     tuples.select_nth_unstable_by(mid, |a, b| {
         a.values[split_dim]

@@ -116,9 +116,9 @@ impl Countstring {
                 // n >= 2 (early return above) and stride >= 1, so the
                 // division cannot panic, and a nonzero coordinate implies
                 // idx >= stride.
-                let coord = (idx / stride) % n; // xtask: allow(panic-reachability)
+                let coord = (idx / stride) % n;
                 if coord >= 1 {
-                    let below = prefix[idx - stride]; // xtask: allow(panic-reachability)
+                    let below = prefix[idx - stride];
                     prefix[idx] = prefix[idx].saturating_add(below);
                 }
             }
@@ -135,7 +135,7 @@ impl Countstring {
             let mut rest = idx;
             let mut all_ge1 = true;
             for _ in 0..dim {
-                let coord = rest % n; // xtask: allow(panic-reachability) — n >= 2 above
+                let coord = rest % n; // n >= 2 above
                 if coord == 0 {
                     all_ge1 = false;
                     break;
@@ -145,7 +145,7 @@ impl Countstring {
             if all_ge1 {
                 // All coordinates >= 1 implies idx >= one_offset, the
                 // offset of (1,…,1).
-                let dominators = prefix[idx - one_offset]; // xtask: allow(panic-reachability)
+                let dominators = prefix[idx - one_offset];
                 if dominators >= k {
                     self.pruned[idx] = true;
                 }

@@ -36,7 +36,7 @@ impl Placement {
     /// The node that hosts slot `slot`: slots map round-robin onto nodes,
     /// so removing a node from scheduling removes `slots/nodes` slots.
     pub fn node_of_slot(slot: usize, nodes: usize) -> usize {
-        slot % nodes.max(1) // xtask: allow(panic-reachability) — `.max(1)` keeps the divisor nonzero
+        slot % nodes.max(1) // `.max(1)` keeps the divisor nonzero
     }
 
     /// Home node of a task's *materialized output* — attempt-independent,
@@ -219,7 +219,7 @@ impl ClusterConfig {
         let node_count = self.nodes.max(1);
         let mut per_node = vec![0u64; node_count];
         for (r, &b) in per_reducer_bytes.iter().enumerate() {
-            per_node[r % node_count] += b; // xtask: allow(panic-reachability) — node_count = nodes.max(1) >= 1 and r % node_count < per_node.len()
+            per_node[r % node_count] += b; // node_count = nodes.max(1) >= 1 and r % node_count < per_node.len()
         }
         let bottleneck = per_node.into_iter().max().unwrap_or(0);
         Duration::from_secs_f64(

@@ -119,22 +119,16 @@ impl<T> TaskExecution<T> {
 /// * Genuine (uninjected) panics from the UDF are caught the same way and
 ///   consume budget like injected ones, so a deterministic always-failing
 ///   task degrades into a structured failure, never a job-wide unwind.
-/// * `replay_limit` caps how many attempts can actually run, regardless of
-///   budget — the reduce phase passes the number of retained input clones
-///   here, since an attempt without input cannot be replayed. `None`
-///   means the input is always re-readable (map tasks).
 /// * A [`FaultKind::Hang`] attempt never runs at all: the progress-timeout
 ///   detector waits out `hang_timeout` of simulated time and kills it
 ///   before the retry launches.
 pub fn run_attempts<T>(
     fault: &TaskFault,
     policy: &RetryPolicy,
-    replay_limit: Option<u32>,
     hang_timeout: Duration,
     mut run: impl FnMut(u32, Inject) -> T,
 ) -> TaskExecution<T> {
-    let budget = policy.attempt_budget();
-    let cap = replay_limit.map_or(budget, |l| l.min(budget)).max(1);
+    let cap = policy.attempt_budget();
     let mut failures = Vec::new();
     let mut payload = None;
     for attempt in 0..cap {
@@ -201,16 +195,10 @@ mod tests {
     #[test]
     fn hung_attempts_never_run_and_charge_the_timeout() {
         let calls = AtomicU32::new(0);
-        let exec = run_attempts(
-            &TaskFault::hangs(2),
-            &RetryPolicy::new(),
-            None,
-            HANG,
-            |a, _| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                a
-            },
-        );
+        let exec = run_attempts(&TaskFault::hangs(2), &RetryPolicy::new(), HANG, |a, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            a
+        });
         assert_eq!(
             calls.load(Ordering::Relaxed),
             1,
@@ -232,7 +220,6 @@ mod tests {
         let exec = run_attempts(
             &TaskFault::hangs(10),
             &RetryPolicy::new().with_max_attempts(2),
-            None,
             HANG,
             |_, _| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -247,16 +234,10 @@ mod tests {
 
     #[test]
     fn healthy_task_runs_once_with_no_overheads() {
-        let exec = run_attempts(
-            &TaskFault::none(),
-            &RetryPolicy::new(),
-            None,
-            HANG,
-            |a, i| {
-                assert_eq!((a, i), (0, Inject::None));
-                7
-            },
-        );
+        let exec = run_attempts(&TaskFault::none(), &RetryPolicy::new(), HANG, |a, i| {
+            assert_eq!((a, i), (0, Inject::None));
+            7
+        });
         assert_eq!(exec.value, Some(7));
         assert_eq!(exec.attempts, 1);
         assert_eq!(exec.retries(), 0);
@@ -266,16 +247,10 @@ mod tests {
     #[test]
     fn lost_output_failures_burn_attempts_then_succeed() {
         let calls = AtomicU32::new(0);
-        let exec = run_attempts(
-            &TaskFault::lost(2),
-            &RetryPolicy::new(),
-            None,
-            HANG,
-            |a, _| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                a
-            },
-        );
+        let exec = run_attempts(&TaskFault::lost(2), &RetryPolicy::new(), HANG, |a, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            a
+        });
         assert_eq!(
             calls.load(Ordering::Relaxed),
             3,
@@ -296,7 +271,6 @@ mod tests {
         let exec = run_attempts(
             &TaskFault::panics(1),
             &RetryPolicy::new(),
-            None,
             HANG,
             |a, inject| {
                 if inject == Inject::MidTaskPanic {
@@ -321,7 +295,6 @@ mod tests {
         let exec = run_attempts(
             &TaskFault::none(),
             &RetryPolicy::new().with_max_attempts(3),
-            None,
             HANG,
             |_, _| -> u32 { panic!("always broken") },
         );
@@ -332,29 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_limit_stops_retries_early() {
-        let calls = AtomicU32::new(0);
-        let exec = run_attempts(
-            &TaskFault::none(),
-            &RetryPolicy::new(),
-            Some(1),
-            HANG,
-            |_, _| -> u32 {
-                calls.fetch_add(1, Ordering::Relaxed);
-                panic!("input consumed")
-            },
-        );
-        assert!(!exec.succeeded());
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "no replay without input");
-        assert_eq!(exec.attempts, 1);
-    }
-
-    #[test]
     fn injected_failures_beyond_budget_exhaust_the_task() {
         let exec = run_attempts(
             &TaskFault::lost(10),
             &RetryPolicy::new().with_max_attempts(2),
-            None,
             HANG,
             |_, _| 1,
         );

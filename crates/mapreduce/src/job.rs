@@ -492,9 +492,13 @@ where
         combiner,
         counters: Counters::new(),
         started: Instant::now(), // xtask: allow(clock-discipline) — feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model
+        #[expect(
+            clippy::expect_used,
+            reason = "an unusable spill root is an environment fault with no in-job recovery"
+        )]
         spill: cluster.storage.enabled().then(|| {
             SpillSession::create(&cluster.storage, &config.name)
-                .expect("storage plane: cannot create spill directory") // xtask: allow(no-unwrap) — an unusable spill root is an environment fault with no in-job recovery
+                .expect("storage plane: cannot create spill directory")
         }),
     };
     let mut run = job.start();
@@ -802,13 +806,11 @@ where
         let split_len = self.source.split_len(i);
         let mut skips: BTreeSet<usize> = BTreeSet::new();
         let progress = AtomicUsize::new(usize::MAX);
-        // Map inputs are immutable splits, so every attempt can replay.
         let round = |fault: &TaskFault, skips: &BTreeSet<usize>| {
             progress.store(usize::MAX, Ordering::Relaxed);
             run_attempts(
                 fault,
                 &config.retry,
-                None,
                 cluster.progress_timeout,
                 |attempt, inject| self.map_attempt(i, attempt, inject, skips, &progress),
             )
@@ -1035,12 +1037,24 @@ where
         let holds_bytes = |s: &&Segment| s.parts.get(j).is_some_and(|p| p.len > 0);
         if let Some(seg) = segments.iter().find(holds_bytes) {
             let meta = &seg.parts[j];
+            #[expect(
+                clippy::expect_used,
+                reason = "scripted-fault machinery; a failing injection must abort the experiment loudly"
+            )]
             flip_bit(&seg.path, meta.offset, meta.len, bit_seed)
-                .expect("storage plane: corruption injection failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing injection must abort the experiment loudly
+                .expect("storage plane: corruption injection failed");
+            #[expect(
+                clippy::expect_used,
+                reason = "asserts the CRC invariant the chaos test exists to prove"
+            )]
             let err = verify_frames(seg, j)
-                .expect_err("a flipped bit must never pass frame verification"); // xtask: allow(no-unwrap) — asserts the CRC invariant the chaos test exists to prove
+                .expect_err("a flipped bit must never pass frame verification");
             let restored = flip_bit(&seg.path, meta.offset, meta.len, bit_seed);
-            restored.expect("storage plane: corruption restore failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing restore must abort the experiment loudly
+            #[expect(
+                clippy::expect_used,
+                reason = "scripted-fault machinery; a failing restore must abort the experiment loudly"
+            )]
+            restored.expect("storage plane: corruption restore failed");
             assert!(err.is_corruption(), "flip must read as corruption: {err}");
         }
         let part_len = |s: &Segment| s.parts.get(j).map(|p| p.len);
@@ -1303,21 +1317,9 @@ where
         let r = config.num_reducers;
         let mut execs: Vec<Exec<ReduceResult<Out>>> = run_indexed(r, cluster.host_threads, |j| {
             let fault = config.faults.task_fault(&config.name, TaskKind::Reduce, j);
-            let scheduled = fault.failures.min(config.retry.attempt_budget());
-            // Hadoop's reduce input is single-consumer: the attempt after
-            // the scheduled failures is the last one that gets to run, so
-            // an *unscheduled* failure there (a genuine UDF panic) aborts
-            // immediately — unlike map tasks, whose splits replay for the
-            // whole budget. With speculation on the input is retained for
-            // backups, and retries get the whole budget too.
-            let replay_limit = match config.speculation {
-                Some(_) => None,
-                None => Some(scheduled + 1),
-            };
             let exec = run_attempts(
                 &fault,
                 &config.retry,
-                replay_limit,
                 cluster.progress_timeout,
                 |attempt, inject| self.reduce_attempt(j, &inputs[j], attempt, inject),
             );
@@ -1849,6 +1851,38 @@ mod tests {
         assert_eq!(err.metrics.map_tasks, 3);
         assert!(err.metrics.map_phase > Duration::ZERO);
         assert!(err.metrics.shuffle_bytes > 0);
+    }
+
+    /// A genuine (uninjected) reduce-side panic gets the whole retry budget
+    /// whether or not speculation is on, as map tasks always have: every
+    /// attempt re-opens its input from bytes.
+    #[test]
+    fn genuine_reduce_panic_is_retried_with_speculation_off() {
+        struct FlakyReduce;
+        impl ReduceFactory for FlakyReduce {
+            type Task = WcReduceTask;
+            fn create(&self, ctx: &TaskContext) -> WcReduceTask {
+                assert!(ctx.attempt > 0, "every reducer's first attempt is broken");
+                WcReduce.create(ctx)
+            }
+        }
+        let cluster = ClusterConfig::test();
+        let config = JobConfig::new("wc", 2);
+        assert!(config.speculation.is_none());
+        let (splits, map) = (splits(), &WcMap);
+        let flaky = run_job(
+            &cluster,
+            &config,
+            &splits,
+            map,
+            &FlakyReduce,
+            &HashPartitioner,
+        )
+        .expect("the second attempt completes");
+        let clean = word_count(&splits, 2, FaultPlan::none());
+        assert_eq!(flaky.metrics.reduce_retries, 2, "one retry per reducer");
+        assert_eq!(flaky.counters.snapshot(), clean.counters.snapshot());
+        assert_eq!(sorted_counts(flaky), sorted_counts(clean));
     }
 
     /// A genuinely broken UDF (panics on every attempt, nothing injected)
@@ -2861,8 +2895,7 @@ mod tests {
             root: root.clone(),
             seen: parking_lot::Mutex::new(Vec::new()),
         };
-        // With speculation on a reducer's input is kept for its retries.
-        let config = JobConfig::new("wc", 2).with_speculation(SpeculationPolicy::new());
+        let config = JobConfig::new("wc", 2);
         let (splits, map) = (many_spills(), &WcMap);
         let out =
             run_job(&cluster, &config, &splits, map, &&census, &HashPartitioner).expect("job");

@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod analysis;
 pub mod cluster;

@@ -7,7 +7,8 @@
 //! long the host took to run them.
 //!
 //! This module is the **only** place in the workspace allowed to spawn
-//! threads (`cargo xtask lint` enforces it): funnelling every worker through
+//! threads (clippy's `disallowed_methods` list in `clippy.toml` enforces it,
+//! `std::thread::scope` included): funnelling every worker through
 //! one pool keeps panic propagation and the schedule-shaker's thread-count
 //! sweeps ([`crate::analysis`]) in one auditable spot.
 
@@ -193,6 +194,10 @@ where
             }
         }
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the single audited spawn site: every worker of every phase starts here"
+    )]
     std::thread::scope(|s| {
         // Joined by handle, not left to the scope: the scope only waits for
         // the closures to return, and a phase that starts while the last

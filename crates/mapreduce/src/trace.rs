@@ -656,7 +656,7 @@ impl JobRecord<'_> {
             // Per-node download cursor and whether the lane is named yet.
             let mut node_state: Vec<(Ticks, bool)> = vec![(timeline.corrupt.end, false); nodes];
             for (j, &bytes) in self.per_reducer_bytes.iter().enumerate() {
-                let node = j % nodes; // xtask: allow(panic-reachability) — nodes is .max(1) two lines up, so the remainder cannot panic
+                let node = j % nodes; // nodes is .max(1) two lines up, so the remainder cannot panic
                 let secs = bytes as f64 * cluster.remote_fraction() / cluster.network_bytes_per_sec;
                 let dur = ticks_of(Duration::from_secs_f64(secs));
                 let Some((cursor, named)) = node_state.get_mut(node).filter(|_| dur > 0) else {

@@ -1,36 +1,24 @@
-//! `cargo xtask flow` — taint-style interprocedural passes on the
+//! `clock-discipline` — a taint-style interprocedural pass on the
 //! resolved symbol graph.
 //!
 //! The engine's determinism story (ROADMAP north star: byte-identical
-//! shuffles and traces across hosts) survives only if three value
-//! families stay out of the deterministic dataflow:
+//! shuffles and traces across hosts) survives only if wall-clock readings
+//! (`Instant::now()` / `SystemTime::now()`) stay out of the deterministic
+//! dataflow. Two rules. (a) Any wall-clock *acquisition* in the engine
+//! crates (`mapreduce`, `core`) must carry an invariant-citing waiver: the
+//! engine runs on simulated ticks, so a wall read there is advisory
+//! host-side metrics at best and nondeterminism at worst. (b) Everywhere
+//! outside harness code, a wall-tainted value — a binding whose
+//! right-hand side reads the clock, transitively through local `let`s and
+//! through calls to fns that *return* wall time (resolved via the symbol
+//! graph) — must not reach a sink: an emitted pair
+//! (`.collect(…)`/`.emit(…)` args), simulated-clock arithmetic (a
+//! statement also touching tick-named values), trace content
+//! (`.record(…)`/`.event(…)`/`.annotate(…)`), or a scheduling decision (an
+//! `if`/`while`/`match` head).
 //!
-//! * **`clock-discipline`** — wall-clock readings
-//!   (`Instant::now()` / `SystemTime::now()`). Two rules. (a) Any
-//!   wall-clock *acquisition* in the engine crates (`mapreduce`, `core`)
-//!   must carry an invariant-citing waiver: the engine runs on simulated
-//!   ticks, so a wall read there is advisory host-side metrics at best
-//!   and nondeterminism at worst. (b) Everywhere outside harness code, a
-//!   wall-tainted value — a binding whose right-hand side reads the
-//!   clock, transitively through local `let`s and through calls to fns
-//!   that *return* wall time (resolved via the symbol graph) — must not
-//!   reach a sink: an emitted pair (`.collect(…)`/`.emit(…)` args),
-//!   simulated-clock arithmetic (a statement also touching tick-named
-//!   values), trace content (`.record(…)`/`.event(…)`/`.annotate(…)`),
-//!   or a scheduling decision (an `if`/`while`/`match` head).
-//! * **`ambient-io`** — file/env/stdio use in any fn reachable from a
-//!   UDF entry point through the full resolved graph. This generalizes
-//!   `udf-determinism`, which only sees impl bodies: a mapper calling a
-//!   helper that calls `std::fs::read_to_string` is just as
-//!   nondeterministic as one doing it inline.
-//! * **`float-ord`** — `partial_cmp` inside a sort/dedup/search/extremum
-//!   comparator. `partial_cmp(…).expect(…)` panics on NaN and
-//!   `unwrap_or(Equal)` silently breaks total order; comparators must
-//!   route through `total_cmp`, which is total over all bit patterns.
-//!
-//! Like every graph pass, findings are waivable with a trailing
-//! `// xtask: allow(<rule>)` comment, and `--list-stale-waivers` audits
-//! those waivers against these rules too.
+//! Findings are waivable with a trailing
+//! `// xtask: allow(clock-discipline)` comment.
 
 use std::collections::BTreeSet;
 
@@ -39,21 +27,6 @@ use super::{in_engine_crates, AnalyzedFile, Diagnostic};
 use crate::lexer::TokenKind;
 
 pub const CLOCK_RULE: &str = "clock-discipline";
-pub const IO_RULE: &str = "ambient-io";
-pub const FLOAT_RULE: &str = "float-ord";
-
-/// Runs all three flow rules over the workspace graph.
-pub fn check(ws: &Workspace<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    check_clock(ws, &mut out);
-    check_ambient_io(ws, &mut out);
-    check_float_ord(ws, &mut out);
-    out
-}
-
-// ---------------------------------------------------------------------
-// clock-discipline.
-// ---------------------------------------------------------------------
 
 /// `true` when the significant token at `i` starts `Instant::now(` or
 /// `SystemTime::now(`.
@@ -256,7 +229,9 @@ fn expr_start(f: &AnalyzedFile, i: usize, start: usize) -> usize {
     start
 }
 
-fn check_clock(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
+/// Runs the rule over the workspace graph.
+pub fn check(ws: &Workspace<'_>) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
     // Per-fn wall-return summaries, then per-fn taint + sinks.
     let wall_ret: Vec<bool> = (0..ws.nodes.len())
         .map(|id| returns_wall_time(ws.file_of(id), ws.fn_info(id)))
@@ -333,7 +308,7 @@ fn check_clock(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
                 };
                 if let Some(what) = sink {
                     if reads_wall(i + 2, close.saturating_sub(1)) {
-                        flag(i, what, out);
+                        flag(i, what, &mut out);
                     }
                 }
             }
@@ -341,7 +316,7 @@ fn check_clock(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
             if matches!(txt, "if" | "while" | "match") {
                 let head_end = cond_end(f, i + 1, end);
                 if reads_wall(i + 1, head_end) {
-                    flag(i, "a scheduling decision (branch condition)", out);
+                    flag(i, "a scheduling decision (branch condition)", &mut out);
                 }
             }
             // Sink: simulated-clock arithmetic — one expression mixing a
@@ -352,12 +327,13 @@ fn check_clock(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
                 if (lo..hi)
                     .any(|j| f.sig_kind(j) == Some(TokenKind::Ident) && is_ticksish(f.sig_text(j)))
                 {
-                    flag(i, "simulated-clock arithmetic", out);
+                    flag(i, "simulated-clock arithmetic", &mut out);
                 }
             }
             i += 1;
         }
     }
+    out
 }
 
 /// End of a branch head starting at `from`: the `{` at bracket depth 0.
@@ -374,164 +350,16 @@ fn cond_end(f: &AnalyzedFile, from: usize, end: usize) -> usize {
     end
 }
 
-// ---------------------------------------------------------------------
-// ambient-io.
-// ---------------------------------------------------------------------
-
-const IO_TYPES: &[&str] = &["File", "OpenOptions", "Stdin", "Stdout", "Stderr"];
-const IO_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"];
-const IO_MODULES: &[&str] = &["fs", "env"];
-
-fn check_ambient_io(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
-    // Reachability from UDF entry points over the resolved graph.
-    let mut reachable = vec![false; ws.nodes.len()];
-    let mut work: Vec<usize> = Vec::new();
-    for (id, seed) in reachable.iter_mut().enumerate() {
-        let g = ws.fn_info(id);
-        if g.is_test || g.body.is_none() || is_harness_path(&ws.file_of(id).path) {
-            continue;
-        }
-        if ws.is_udf_impl(id) {
-            *seed = true;
-            work.push(id);
-        }
-    }
-    while let Some(id) = work.pop() {
-        for &(_, t) in ws.callees(id) {
-            if !reachable[t] && !ws.fn_info(t).is_test {
-                reachable[t] = true;
-                work.push(t);
-            }
-        }
-    }
-
-    for (id, &hit) in reachable.iter().enumerate() {
-        if !hit {
-            continue;
-        }
-        let f = ws.file_of(id);
-        if is_harness_path(&f.path) {
-            continue;
-        }
-        let g = ws.fn_info(id);
-        let Some(body) = g.body else { continue };
-        let (start, end) = f.sig_range(body);
-        for i in start..end {
-            if f.sig_kind(i) != Some(TokenKind::Ident) {
-                continue;
-            }
-            let name = f.sig_text(i);
-            let flagged: Option<String> =
-                if IO_TYPES.contains(&name) && f.sig_text(i + 1) == ":" && f.sig_text(i + 2) == ":"
-                {
-                    Some(format!("`{name}::…`"))
-                } else if IO_MACROS.contains(&name) && f.sig_text(i + 1) == "!" {
-                    Some(format!("`{name}!(…)`"))
-                } else if IO_MODULES.contains(&name)
-                    && f.sig_text(i + 1) == ":"
-                    && f.sig_text(i + 2) == ":"
-                    && f.sig_text(i - 1) != "use"
-                {
-                    Some(format!("`{name}::…`"))
-                } else {
-                    None
-                };
-            if let Some(what) = flagged {
-                out.push(Diagnostic {
-                    file: f.path.clone(),
-                    line: f.sig_tok(i).map_or(0, |t| t.line),
-                    rule: IO_RULE,
-                    rank: 0,
-                    message: format!(
-                        "{what} in `{}`, which is reachable from a UDF entry point — \
-                         UDFs and their callees must be pure functions of their input \
-                         (ambient I/O breaks replay determinism)",
-                        g.name
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// float-ord.
-// ---------------------------------------------------------------------
-
-/// Comparator-taking methods whose closure must impose a total order.
-const ORDERED_CONTEXTS: &[&str] = &[
-    "sort_by",
-    "sort_unstable_by",
-    "select_nth_unstable_by",
-    "binary_search_by",
-    "max_by",
-    "min_by",
-    "dedup_by",
-];
-
-fn check_float_ord(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
-    for id in 0..ws.nodes.len() {
-        let f = ws.file_of(id);
-        let g = ws.fn_info(id);
-        if g.is_test || is_harness_path(&f.path) {
-            continue;
-        }
-        let Some(body) = g.body else { continue };
-        let (start, end) = f.sig_range(body);
-        for i in start..end {
-            if f.sig_kind(i) != Some(TokenKind::Ident)
-                || !ORDERED_CONTEXTS.contains(&f.sig_text(i))
-                || i == start
-                || f.sig_text(i - 1) != "."
-                || f.sig_text(i + 1) != "("
-            {
-                continue;
-            }
-            let close = f.sig_balanced_end(i + 1, "(", ")");
-            for j in (i + 2)..close.saturating_sub(1) {
-                if f.sig_kind(j) == Some(TokenKind::Ident) && f.sig_text(j) == "partial_cmp" {
-                    out.push(Diagnostic {
-                        file: f.path.clone(),
-                        line: f.sig_tok(j).map_or(0, |t| t.line),
-                        rule: FLOAT_RULE,
-                        rank: 0,
-                        message: format!(
-                            "`partial_cmp` inside `.{}(…)` — NaN makes this partial \
-                             order panic or silently mis-sort; route the comparator \
-                             through `total_cmp`",
-                            f.sig_text(i)
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{apply_waivers, collect_waivers, raw_diagnostics, AnalyzedFile, Mode};
+    use super::super::{active_diagnostics, AnalyzedFile};
 
     const ENGINE: &str = "crates/mapreduce/src/flow_fixture.rs";
     const BASE: &str = "crates/baselines/src/flow_fixture.rs";
 
-    fn flow_multi(sources: &[(&str, &str)]) -> Vec<super::super::Diagnostic> {
-        let files: Vec<AnalyzedFile> = sources
-            .iter()
-            .map(|(p, s)| AnalyzedFile::build(*p, *s))
-            .collect();
-        let waivers: Vec<_> = files.iter().flat_map(collect_waivers).collect();
-        let raw = raw_diagnostics(&files, Mode::Flow);
-        apply_waivers(raw, &waivers).0
-    }
-
     fn flow(path: &str, src: &str) -> Vec<super::super::Diagnostic> {
-        flow_multi(&[(path, src)])
+        active_diagnostics(&[AnalyzedFile::build(path, src)])
     }
-
-    // ------------------------------------------------------------------
-    // clock-discipline.
-    // ------------------------------------------------------------------
 
     #[test]
     fn engine_wall_clock_acquisition_requires_a_waiver() {
@@ -713,138 +541,5 @@ fn refetch_stall_ticks(refetch_bytes: u64, bytes_per_tick: u64) -> u64 {
 }
 ";
         assert!(flow(ENGINE, src).is_empty(), "{:?}", flow(ENGINE, src));
-    }
-
-    // ------------------------------------------------------------------
-    // ambient-io.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn io_in_a_udf_reachable_helper_flags() {
-        let src = "\
-struct M;
-impl MapTask for M {
-    fn map(&mut self, xs: &[u64]) {
-        lookup(xs);
-    }
-}
-fn lookup(xs: &[u64]) {
-    let table = std::fs::read_to_string(\"side_table.txt\");
-    drop(table);
-    drop(xs);
-}
-";
-        let diags = flow(BASE, src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "ambient-io");
-        assert_eq!(diags[0].line, 8);
-        assert!(diags[0].message.contains("lookup"));
-    }
-
-    #[test]
-    fn println_env_and_file_in_reachable_code_flag() {
-        for stmt in [
-            "println!(\"progress {}\", xs.len());",
-            "let home = std::env::var(\"HOME\");",
-            "let f = File::open(\"x\");",
-        ] {
-            let src = format!(
-                "\
-struct M;
-impl MapTask for M {{
-    fn map(&mut self, xs: &[u64]) {{
-        helper(xs);
-    }}
-}}
-fn helper(xs: &[u64]) {{
-    {stmt}
-}}
-"
-            );
-            let diags = flow(BASE, &src);
-            assert_eq!(diags.len(), 1, "{stmt}: {diags:?}");
-            assert_eq!(diags[0].rule, "ambient-io");
-        }
-    }
-
-    #[test]
-    fn unreachable_io_and_iterator_collect_are_clean() {
-        // The same I/O in a fn no UDF reaches: not this rule's business
-        // (driver code loads datasets and writes traces legitimately).
-        let src = "\
-fn driver_load(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_default()
-}
-struct M;
-impl MapTask for M {
-    fn map(&mut self, xs: &[u64]) {
-        let doubled: Vec<u64> = xs.iter().map(|x| x * 2).collect();
-        drop(doubled);
-    }
-}
-";
-        assert!(flow(BASE, src).is_empty(), "{:?}", flow(BASE, src));
-    }
-
-    // ------------------------------------------------------------------
-    // float-ord.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn partial_cmp_in_sort_contexts_flags_with_line() {
-        let src = "\
-fn rank(mut xs: Vec<f64>) -> Vec<f64> {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect(\"no NaN\"));
-    xs
-}
-";
-        let diags = flow(BASE, src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "float-ord");
-        assert_eq!(diags[0].line, 2);
-        assert!(diags[0].message.contains("total_cmp"));
-
-        let src = "\
-fn find(xs: &[f64], v: f64) -> Result<usize, usize> {
-    xs.binary_search_by(|probe| probe.partial_cmp(&v).expect(\"no NaN\"))
-}
-";
-        let diags = flow(BASE, src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "float-ord");
-    }
-
-    #[test]
-    fn total_cmp_comparators_and_uncontexted_partial_cmp_are_clean() {
-        let src = "\
-fn rank(mut xs: Vec<f64>) -> Vec<f64> {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs
-}
-fn weaker(a: f64, b: f64) -> bool {
-    a.partial_cmp(&b) == Some(std::cmp::Ordering::Less)
-}
-";
-        assert!(flow(BASE, src).is_empty(), "{:?}", flow(BASE, src));
-    }
-
-    #[test]
-    fn whole_workspace_is_clean_under_flow() {
-        // The acceptance gate: `cargo xtask flow` exits 0 on this tree —
-        // wall clocks carry audited waivers, UDF-reachable code does no
-        // ambient I/O, and float comparators are total.
-        let files = super::super::load_workspace().expect("workspace root");
-        let waivers: Vec<_> = files.iter().flat_map(collect_waivers).collect();
-        let raw = raw_diagnostics(&files, Mode::Flow);
-        let (active, _) = apply_waivers(raw, &waivers);
-        assert!(
-            active.is_empty(),
-            "workspace has active flow violations:\n{}",
-            active
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
     }
 }

@@ -1,47 +1,32 @@
-//! The token-aware static analysis framework behind `cargo xtask analyze`
-//! (and the legacy-rule subset behind `cargo xtask lint`).
+//! The token-aware static analysis behind `cargo xtask analyze`.
 //!
-//! Architecture: every workspace `.rs` file is lexed once
-//! ([`crate::lexer`]) and parsed once ([`crate::parse`]) into an
-//! [`AnalyzedFile`]; rule passes then run over those shared artifacts:
+//! Every workspace `.rs` file is lexed once ([`crate::lexer`]) and parsed
+//! once ([`crate::parse`]) into an [`AnalyzedFile`]; one resolved symbol
+//! graph ([`resolve`]) is built over them; three rules run on that:
 //!
-//! * [`rules`] — three of PR 1's four line-based rules (`seeded-rng`,
-//!   `no-std-mutex`, `no-thread-spawn`), re-expressed on the token
-//!   backend. The fourth, `no-unwrap`, lives in [`panics`] beside the
-//!   reachability checks that supersede its substring implementation.
 //! * [`udf`] — `udf-determinism`: purity checks inside mapper/reducer/
 //!   combiner/factory bodies and closures passed to combiner builders.
-//! * [`panics`] — `no-unwrap` (crate-wide unwrap-family ban in engine
-//!   code) and `panic-reachability` (suspicious indexing/slicing and
-//!   division in functions reachable from UDF entry points via the
-//!   intra-crate call graph).
-//! * [`rng`] — `seeded-rng-dataflow`: every RNG construction must trace
-//!   to an explicit seed root (a literal seed or a `seed`/`*_seed`
-//!   parameter plumbed down the call graph).
-//! * [`perf`] — `hot-path-alloc` (`cargo xtask perf`): allocation, clone,
-//!   unsized-push, and hash-map findings in fns reachable from the hot
-//!   entry registry, ranked by effective loop depth.
-//! * [`locks`] — `lock-discipline` (`cargo xtask perf`): parking_lot
-//!   guards held across pool dispatch, channel ops, or other lock
-//!   acquisitions, plus lock-order cycle detection.
-//! * [`flow`] — `clock-discipline`, `ambient-io`, `float-ord`
-//!   (`cargo xtask flow`): taint-style dataflow rules on the resolved
-//!   graph — wall-clock values must stay advisory, UDF-reachable code
-//!   must not do ambient I/O, and float comparators must be total.
+//! * [`perf`] — `hot-path-alloc`: allocation, clone, unsized-push, and
+//!   hash-map findings in fns reachable from the hot entry registry,
+//!   ranked by effective loop depth.
+//! * [`flow`] — `clock-discipline`: wall-clock readings must stay
+//!   advisory (never reach emitted pairs, the simulated clock, traces, or
+//!   scheduling decisions).
+//!
+//! What stock tooling can state lives there instead: `clippy.toml` bans
+//! `std::sync::{Mutex, RwLock}` and thread spawning outside the pool, the
+//! engine crates deny `clippy::unwrap_used` / `expect_used`, and the
+//! vendored `rand` has no unseeded constructor to call.
 //!
 //! A diagnostic can be waived for one audited line with a trailing
-//! `// xtask: allow(<rule>)` comment (several rules comma-separated).
-//! Waivers are themselves checked: `cargo xtask lint
-//! --list-stale-waivers` reports waivers whose line no longer triggers
-//! the waived rule, so audited exceptions cannot rot silently.
+//! `// xtask: allow(<rule>)` comment (several rules comma-separated). A
+//! waiver whose line no longer triggers the waived rule — or that names a
+//! rule that does not exist — is itself reported, as `stale-waiver`, so
+//! audited exceptions cannot rot silently.
 
 pub mod flow;
-pub mod locks;
-pub mod panics;
 pub mod perf;
 pub mod resolve;
-pub mod rng;
-pub mod rules;
 pub mod udf;
 
 use std::fmt;
@@ -281,60 +266,22 @@ pub fn in_engine_crates(path: &str) -> bool {
     path.starts_with("crates/mapreduce/src/") || path.starts_with("crates/core/src/")
 }
 
-/// The single audited spawn site.
-pub fn is_pool(path: &str) -> bool {
-    path == "crates/mapreduce/src/pool.rs"
-}
-
 // ---------------------------------------------------------------------
 // Pass orchestration.
 // ---------------------------------------------------------------------
 
-/// Which rule set to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// The four PR-1 rules only (`cargo xtask lint`).
-    Lint,
-    /// Everything: legacy rules plus the three analysis passes
-    /// (`cargo xtask analyze`).
-    Analyze,
-    /// The performance linter: `hot-path-alloc` and `lock-discipline`
-    /// (`cargo xtask perf`).
-    Perf,
-    /// The dataflow linter: `clock-discipline`, `ambient-io`, and
-    /// `float-ord` (`cargo xtask flow`).
-    Flow,
-}
+/// Rule name of the diagnostic a waiver that matches nothing becomes.
+pub const STALE_RULE: &str = "stale-waiver";
 
-/// Runs the selected passes over `files`, returning raw (pre-waiver)
+/// Runs the three rules over `files`, returning raw (pre-waiver)
 /// diagnostics sorted by rank (deepest first), then file, line, rule.
-/// Non-perf rules all rank 0, so lint/analyze ordering is unchanged.
-pub fn raw_diagnostics(files: &[AnalyzedFile], mode: Mode) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // One resolved symbol graph, shared by every graph pass of the mode.
+/// Only `hot-path-alloc` ranks above 0.
+pub fn raw_diagnostics(files: &[AnalyzedFile]) -> Vec<Diagnostic> {
+    // One resolved symbol graph, shared by both graph passes.
     let ws = resolve::Workspace::build(files);
-    match mode {
-        Mode::Lint | Mode::Analyze => {
-            for f in files {
-                out.extend(rules::check_file(f));
-                out.extend(panics::check_unwrap_family(f));
-                if mode == Mode::Analyze {
-                    out.extend(udf::check_file(f));
-                }
-            }
-            if mode == Mode::Analyze {
-                out.extend(panics::check_reachability(&ws));
-                out.extend(rng::check_dataflow(&ws));
-            }
-        }
-        Mode::Perf => {
-            out.extend(perf::check(&ws));
-            out.extend(locks::check(&ws));
-        }
-        Mode::Flow => {
-            out.extend(flow::check(&ws));
-        }
-    }
+    let mut out: Vec<Diagnostic> = files.iter().flat_map(udf::check_file).collect();
+    out.extend(perf::check(&ws));
+    out.extend(flow::check(&ws));
     out.sort_by(|a, b| {
         b.rank.cmp(&a.rank).then_with(|| {
             (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
@@ -342,6 +289,26 @@ pub fn raw_diagnostics(files: &[AnalyzedFile], mode: Mode) -> Vec<Diagnostic> {
     });
     out.dedup();
     out
+}
+
+/// What `cargo xtask analyze` reports for `files`: every unwaived
+/// diagnostic, then one `stale-waiver` per waiver that suppressed nothing.
+pub fn active_diagnostics(files: &[AnalyzedFile]) -> Vec<Diagnostic> {
+    let waivers: Vec<Waiver> = files.iter().flat_map(collect_waivers).collect();
+    let raw = raw_diagnostics(files);
+    let stale = stale_waivers(&waivers, &raw);
+    let (mut active, _waived) = apply_waivers(raw, &waivers);
+    active.extend(stale.into_iter().map(|w| Diagnostic {
+        file: w.file,
+        line: w.line,
+        rule: STALE_RULE,
+        rank: 0,
+        message: format!(
+            "waiver for `{}`, which this line does not trigger — remove the comment",
+            w.rule
+        ),
+    }));
+    active
 }
 
 // ---------------------------------------------------------------------
@@ -423,17 +390,17 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn render(diags: &[Diagnostic], format: Format, task: &str, files_scanned: usize) {
+fn render(diags: &[Diagnostic], format: Format, files_scanned: usize) {
     match format {
         Format::Text => {
             for d in diags {
                 println!("{d}");
             }
             if diags.is_empty() {
-                println!("xtask {task}: OK ({files_scanned} files scanned)");
+                println!("xtask analyze: OK ({files_scanned} files scanned)");
             } else {
                 println!(
-                    "xtask {task}: {} violation(s) across {files_scanned} file(s) scanned",
+                    "xtask analyze: {} violation(s) across {files_scanned} file(s) scanned",
                     diags.len()
                 );
             }
@@ -467,89 +434,39 @@ fn render(diags: &[Diagnostic], format: Format, task: &str, files_scanned: usize
                 );
             }
             if diags.is_empty() {
-                println!("::notice::xtask {task}: OK ({files_scanned} files scanned)");
+                println!("::notice::xtask analyze: OK ({files_scanned} files scanned)");
             }
         }
     }
 }
 
-/// Parsed command-line options for `lint` / `analyze`.
-#[derive(Debug, Default)]
-pub struct Options {
-    format: Format,
-    list_stale_waivers: bool,
-}
-
-impl Options {
-    /// Parses trailing CLI arguments; returns `Err` with a message for
-    /// unknown flags or a bad `--format` value.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = Self::default();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--list-stale-waivers" => opts.list_stale_waivers = true,
-                "--format" => {
-                    let v = it.next().ok_or("--format needs a value")?;
-                    opts.format = Format::parse(v)
-                        .ok_or_else(|| format!("unknown format `{v}` (text|json|github)"))?;
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--format=") {
-                        opts.format = Format::parse(v)
-                            .ok_or_else(|| format!("unknown format `{v}` (text|json|github)"))?;
-                    } else {
-                        return Err(format!("unknown option `{other}`"));
-                    }
-                }
-            }
-        }
-        Ok(opts)
+/// Parses `analyze`'s trailing CLI arguments — `--format <f>` or
+/// `--format=<f>` is the only option; returns `Err` with a message for
+/// anything else.
+pub fn parse_format(args: &[String]) -> Result<Format, String> {
+    let mut format = Format::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let v = match a.as_str() {
+            "--format" => it.next().ok_or("--format needs a value")?,
+            other => other
+                .strip_prefix("--format=")
+                .ok_or_else(|| format!("unknown option `{other}`"))?,
+        };
+        format =
+            Format::parse(v).ok_or_else(|| format!("unknown format `{v}` (text|json|github)"))?;
     }
+    Ok(format)
 }
 
-/// Entry point for `cargo xtask lint` and `cargo xtask analyze`.
-pub fn run(mode: Mode, opts: &Options) -> ExitCode {
+/// Entry point for `cargo xtask analyze`.
+pub fn run(format: Format) -> ExitCode {
     let Some(files) = load_workspace() else {
         eprintln!("xtask: cannot locate the workspace root");
         return ExitCode::from(2);
     };
-    let task = match mode {
-        Mode::Lint => "lint",
-        Mode::Analyze => "analyze",
-        Mode::Perf => "perf",
-        Mode::Flow => "flow",
-    };
-    let waivers: Vec<Waiver> = files.iter().flat_map(collect_waivers).collect();
-
-    if opts.list_stale_waivers {
-        // Staleness is judged against the FULL rule set: a waiver for an
-        // analyze-only or perf-only rule is not stale just because `lint`
-        // runs fewer passes.
-        let mut raw = raw_diagnostics(&files, Mode::Analyze);
-        raw.extend(raw_diagnostics(&files, Mode::Perf));
-        raw.extend(raw_diagnostics(&files, Mode::Flow));
-        let stale = stale_waivers(&waivers, &raw);
-        for w in &stale {
-            println!(
-                "{}:{}: stale waiver: this line no longer triggers `{}`",
-                w.file, w.line, w.rule
-            );
-        }
-        return if stale.is_empty() {
-            println!(
-                "xtask {task}: no stale waivers ({} waiver(s) in tree)",
-                waivers.len()
-            );
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    let raw = raw_diagnostics(&files, mode);
-    let (active, _waived) = apply_waivers(raw, &waivers);
-    render(&active, opts.format, task, files.len());
+    let active = active_diagnostics(&files);
+    render(&active, format, files.len());
     if active.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -622,14 +539,18 @@ mod tests {
 
     #[test]
     fn options_parse_formats_and_flags() {
-        let o = Options::parse(&["--format".into(), "json".into()]).expect("parses");
-        assert_eq!(o.format, Format::Json);
-        let o = Options::parse(&["--format=github".into(), "--list-stale-waivers".into()])
-            .expect("parses");
-        assert_eq!(o.format, Format::Github);
-        assert!(o.list_stale_waivers);
-        assert!(Options::parse(&["--format".into(), "yaml".into()]).is_err());
-        assert!(Options::parse(&["--bogus".into()]).is_err());
+        assert_eq!(parse_format(&[]), Ok(Format::Text));
+        assert_eq!(
+            parse_format(&["--format".into(), "json".into()]),
+            Ok(Format::Json)
+        );
+        assert_eq!(
+            parse_format(&["--format=github".into()]),
+            Ok(Format::Github)
+        );
+        assert!(parse_format(&["--format".into(), "yaml".into()]).is_err());
+        assert!(parse_format(&["--format".into()]).is_err());
+        assert!(parse_format(&["--list-stale-waivers".into()]).is_err());
     }
 
     #[test]
@@ -638,13 +559,32 @@ mod tests {
     }
 
     #[test]
-    fn whole_workspace_is_clean_under_analyze() {
-        // The acceptance gate: `cargo xtask analyze` exits 0 on this tree.
+    fn waiver_for_a_deleted_rule_is_reported_as_stale() {
+        // A waiver naming a rule that no longer exists can never match a
+        // diagnostic, so it cannot linger; a live waiver on the same fn is
+        // consumed silently.
+        let f = file(
+            "crates/mapreduce/src/x.rs",
+            "fn f(v: &[u64], i: usize) -> u64 {\n    \
+             let t = Instant::now(); // xtask: allow(clock-discipline) — advisory\n    \
+             drop(t);\n    \
+             v[i + 1] // xtask: allow(panic-reachability) — i + 1 < v.len()\n}\n",
+        );
+        let diags = active_diagnostics(&[f]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, STALE_RULE);
+        assert_eq!(diags[0].line, 4);
+        assert!(diags[0].message.contains("panic-reachability"));
+    }
+
+    #[test]
+    fn whole_workspace_is_clean() {
+        // The acceptance gate: `cargo xtask analyze` exits 0 on this tree —
+        // no active diagnostic and no stale waiver — and the audited
+        // exceptions are exactly the four the tree is known to carry.
         let files = load_workspace().expect("workspace root");
         assert!(!files.is_empty());
-        let waivers: Vec<Waiver> = files.iter().flat_map(collect_waivers).collect();
-        let raw = raw_diagnostics(&files, Mode::Analyze);
-        let (active, _) = apply_waivers(raw.clone(), &waivers);
+        let active = active_diagnostics(&files);
         assert!(
             active.is_empty(),
             "workspace has active violations:\n{}",
@@ -654,31 +594,16 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        // Staleness is judged against the full rule set, like the CLI.
-        let mut full = raw;
-        full.extend(raw_diagnostics(&files, Mode::Perf));
-        full.extend(raw_diagnostics(&files, Mode::Flow));
-        let stale = stale_waivers(&waivers, &full);
-        assert!(stale.is_empty(), "stale waivers in tree: {stale:?}");
-    }
-
-    #[test]
-    fn whole_workspace_is_clean_under_perf() {
-        // The acceptance gate: `cargo xtask perf` exits 0 on this tree —
-        // hot kernels stay allocation-free (or carry audited waivers) and
-        // the lock graph stays acyclic.
-        let files = load_workspace().expect("workspace root");
-        let waivers: Vec<Waiver> = files.iter().flat_map(collect_waivers).collect();
-        let raw = raw_diagnostics(&files, Mode::Perf);
-        let (active, _) = apply_waivers(raw, &waivers);
-        assert!(
-            active.is_empty(),
-            "workspace has active perf violations:\n{}",
-            active
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+        let mut inventory = std::collections::BTreeMap::new();
+        for w in files.iter().flat_map(collect_waivers) {
+            *inventory.entry(w.rule).or_insert(0usize) += 1;
+        }
+        let inventory: Vec<(&str, usize)> =
+            inventory.iter().map(|(r, &n)| (r.as_str(), n)).collect();
+        assert_eq!(
+            inventory,
+            [("clock-discipline", 1), ("hot-path-alloc", 3)],
+            "a new waiver is a reviewed event: update this inventory with it"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! `hot-path-alloc` — the allocation half of `cargo xtask perf`.
+//! `hot-path-alloc` — no silent heap traffic in the dominance kernels.
 //!
 //! Mullesgaard et al.'s §6 cost model makes dominance comparisons the
 //! dominant term of every MapReduce phase, so the kernels that run them
@@ -392,20 +392,16 @@ fn path_qualifier(f: &AnalyzedFile, i: usize) -> Option<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{apply_waivers, collect_waivers, raw_diagnostics, AnalyzedFile, Mode};
+    use super::super::{active_diagnostics, raw_diagnostics, AnalyzedFile};
     use super::{parse_registry, ConfEntry};
 
     // A path no hot_entries.conf line names, so fixture runs see marker
     // entries only (registry entries check against their own files).
     const KERNEL: &str = "crates/core/src/kernel_fixture.rs";
 
-    /// Full perf-mode pipeline (marker-based entries; no registry).
+    /// Full pipeline (marker-based entries; no registry).
     fn perf(path: &str, src: &str) -> Vec<super::super::Diagnostic> {
-        let f = AnalyzedFile::build(path, src);
-        let waivers = collect_waivers(&f);
-        let files = [f];
-        let raw = raw_diagnostics(&files, Mode::Perf);
-        apply_waivers(raw, &waivers).0
+        active_diagnostics(&[AnalyzedFile::build(path, src)])
     }
 
     #[test]
@@ -620,7 +616,7 @@ pub fn compare_all(w: &[u64]) {
             AnalyzedFile::build(KERNEL, kernel),
             AnalyzedFile::build("crates/common/src/cmp_fixture.rs", helper),
         ];
-        let raw = raw_diagnostics(&files, Mode::Perf);
+        let raw = raw_diagnostics(&files);
         assert_eq!(raw.len(), 1, "{raw:?}");
         assert_eq!(raw[0].file, "crates/common/src/cmp_fixture.rs");
         assert_eq!(raw[0].rank, 2, "kernel loop + helper loop");

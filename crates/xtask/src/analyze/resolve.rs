@@ -25,18 +25,16 @@
 //!    chain can never alias a MapReduce `map` UDF, soundly replacing the
 //!    old denylist.
 //!
-//! The product is [`Workspace`]: one node per `fn`, resolved call edges
-//! `(call-index, callee)` per node, and the inverse caller adjacency —
-//! shared by `hot-path-alloc`, `panic-reachability`,
-//! `seeded-rng-dataflow`, `lock-discipline`, and the `cargo xtask flow`
-//! taint passes. Free calls fall back conservatively: enclosing-module
+//! The product is [`Workspace`]: one node per `fn` and resolved call edges
+//! `(call-index, callee)` per node — shared by `hot-path-alloc` and
+//! `clock-discipline`. Free calls fall back conservatively: enclosing-module
 //! scope, then the use-map, then a same-crate match, then a
 //! workspace-unique match; anything still ambiguous resolves to nothing
 //! rather than to everything.
 
 use std::collections::BTreeMap;
 
-use super::{AnalyzedFile, UDF_TRAITS};
+use super::AnalyzedFile;
 use crate::lexer::TokenKind;
 use crate::parse::FnInfo;
 
@@ -59,8 +57,6 @@ pub struct Workspace<'a> {
     pub nodes: Vec<Node>,
     /// Resolved call edges per node: `(index into FnInfo::calls, callee)`.
     edges: Vec<Vec<(usize, NodeId)>>,
-    /// Inverse adjacency: callers of each node.
-    callers: Vec<Vec<NodeId>>,
     /// `(crate key, module path)` per file.
     file_addr: Vec<(String, Vec<String>)>,
 }
@@ -139,7 +135,6 @@ impl<'a> Workspace<'a> {
             files,
             nodes,
             edges: Vec::new(),
-            callers: Vec::new(),
             file_addr,
         };
         let index = SymbolIndex::build(&ws);
@@ -149,15 +144,6 @@ impl<'a> Workspace<'a> {
             .enumerate()
             .map(|(id, _)| ws.resolve_node(id, &index))
             .collect();
-        ws.callers = vec![Vec::new(); ws.nodes.len()];
-        for (id, edges) in ws.edges.iter().enumerate() {
-            for &(_, callee) in edges {
-                ws.callers[callee].push(id);
-            }
-        }
-        for c in &mut ws.callers {
-            c.dedup();
-        }
         ws
     }
 
@@ -182,11 +168,6 @@ impl<'a> Workspace<'a> {
         &self.edges[id]
     }
 
-    /// Nodes with a resolved call into `id`.
-    pub fn callers(&self, id: NodeId) -> &[NodeId] {
-        &self.callers[id]
-    }
-
     /// Crate key of a node's file.
     pub fn crate_of(&self, id: NodeId) -> &str {
         &self.file_addr[self.nodes[id].file].0
@@ -199,17 +180,6 @@ impl<'a> Workspace<'a> {
         f.model.fns[n.func]
             .impl_idx
             .map(|ii| f.model.impls[ii].self_ty.as_str())
-    }
-
-    /// `true` when the node's fn is defined in an `impl <UDF trait> for …`
-    /// block — a mapper/reducer/combiner/factory body.
-    pub fn is_udf_impl(&self, id: NodeId) -> bool {
-        let n = self.nodes[id];
-        let f = &self.files[n.file];
-        f.model.fns[n.func]
-            .impl_idx
-            .and_then(|ii| f.model.impls[ii].trait_name.as_deref())
-            .is_some_and(|t| UDF_TRAITS.contains(&t))
     }
 
     /// Full module path of a node: file address + inline `mod` path.
@@ -956,23 +926,6 @@ mod stats {
         assert_eq!(callees.len(), 1);
         let callee = callees[0].1;
         assert_eq!(ws.crate_of(callee), "skymr", "same-crate helper wins");
-    }
-
-    #[test]
-    fn callers_are_the_inverse_of_callees() {
-        let files = ws_files(&[(
-            "crates/core/src/x.rs",
-            "fn a() { b(); }\nfn b() { c(); }\nfn c() {}\n",
-        )]);
-        let ws = Workspace::build(&files);
-        let id_of = |n: &str| {
-            (0..ws.nodes.len())
-                .find(|&id| ws.fn_info(id).name == n)
-                .expect("fn exists")
-        };
-        assert_eq!(ws.callers(id_of("c")), [id_of("b")]);
-        assert_eq!(ws.callers(id_of("b")), [id_of("a")]);
-        assert!(ws.callers(id_of("a")).is_empty());
     }
 
     proptest::proptest! {

@@ -144,17 +144,12 @@ fn scan(f: &AnalyzedFile, start: usize, end: usize, ctx: &str, out: &mut Vec<Dia
 
 #[cfg(test)]
 mod tests {
-    use super::super::{apply_waivers, collect_waivers, raw_diagnostics, AnalyzedFile, Mode};
+    use super::super::{active_diagnostics, AnalyzedFile};
 
     const PATH: &str = "crates/core/src/gpsrs.rs";
 
     fn analyze(path: &str, src: &str) -> Vec<super::super::Diagnostic> {
-        let f = AnalyzedFile::build(path, src);
-        let waivers = collect_waivers(&f);
-        let files = [f];
-        let raw = raw_diagnostics(&files, Mode::Analyze);
-        apply_waivers(raw, &waivers)
-            .0
+        active_diagnostics(&[AnalyzedFile::build(path, src)])
             .into_iter()
             .filter(|d| d.rule == "udf-determinism")
             .collect()

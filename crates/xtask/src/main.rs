@@ -1,23 +1,15 @@
 //! `cargo xtask` — repo-specific developer tasks.
 //!
-//! Three tasks. The first two are built on the same token-level analysis
-//! stack (a lossless hand-rolled lexer in `lexer.rs`, a lightweight
-//! item/impl parser in `parse.rs`, rule passes under `analyze/`):
-//!
-//! * `lint` — the four fast legacy rules from PR 1 (`no-unwrap`,
-//!   `seeded-rng`, `no-std-mutex`, `no-thread-spawn`), for tight
-//!   edit-compile loops.
-//! * `analyze` — everything `lint` runs plus the whole-workspace passes:
-//!   `udf-determinism`, `panic-reachability`, and `seeded-rng-dataflow`.
-//! * `perf` — the performance linter: `hot-path-alloc` (allocation,
-//!   clone, unsized-push, and hash-map findings in fns reachable from
-//!   the hot-entry registry, ranked by effective loop depth) and
-//!   `lock-discipline` (guards held across dispatch/channels/locks,
-//!   lock-order cycles).
-//! * `flow` — the dataflow linter on the workspace-resolved symbol
-//!   graph: `clock-discipline` (wall-clock readings must stay advisory),
-//!   `ambient-io` (no file/env/stdio reachable from UDF entry points),
-//!   and `float-ord` (comparators must use `total_cmp`).
+//! * `analyze` — the one static-analysis entry point: three rules on a
+//!   shared token-level stack (a lossless hand-rolled lexer in `lexer.rs`,
+//!   a lightweight item/impl parser in `parse.rs`, a workspace symbol
+//!   graph in `analyze/resolve.rs`) — `udf-determinism` (mapper/reducer/
+//!   combiner bodies are pure functions of their input),
+//!   `hot-path-alloc` (no allocation, clone, unsized push or hash map in a
+//!   loop reachable from the hot-entry registry) and `clock-discipline`
+//!   (wall-clock readings stay advisory) — plus `stale-waiver` for an
+//!   `xtask: allow(...)` comment that suppresses nothing. Everything stock
+//!   tooling can state is in `clippy.toml` and crate-level denies instead.
 //! * `bench-gate` — run the criterion benches and compare medians
 //!   against the committed `BENCH_*.json` baselines with a noise-aware
 //!   (MAD-scaled) threshold; fails on regressions.
@@ -26,7 +18,7 @@
 //!   freshly produced trace.
 //!
 //! Wired up as a cargo alias in `.cargo/config.toml`, so it runs as
-//! `cargo xtask lint` / `cargo xtask analyze`.
+//! `cargo xtask analyze`.
 
 use std::process::ExitCode;
 
@@ -38,23 +30,16 @@ mod parse;
 mod roundtrip;
 mod trace_schema;
 
-use analyze::{Mode, Options};
-
 const USAGE: &str = "\
 usage: cargo xtask <task> [options]
 
 tasks:
-  lint       run the four legacy static rules over the workspace sources
-  analyze    run all rules plus the UDF-determinism, panic-reachability,
-             and seeded-randomness-dataflow passes
-  perf       run the performance linter: hot-path-alloc (allocations,
-             clones, unsized pushes, hash maps reachable from the hot
-             entry registry, ranked by loop depth) and lock-discipline
-             (guards held across dispatch/channels/locks, lock cycles)
-  flow       run the dataflow linter on the resolved symbol graph:
+  analyze    run the static rules over the workspace sources:
+             udf-determinism (map/reduce/combiner bodies are pure),
+             hot-path-alloc (no allocation, clone, unsized push or hash
+             map in a loop reachable from the hot entry registry),
              clock-discipline (wall-clock values stay advisory-only),
-             ambient-io (no file/env/stdio reachable from UDF entry
-             points), float-ord (total_cmp in sort/search comparators)
+             stale-waiver (an `xtask: allow(...)` that suppresses nothing)
   bench-gate re-run the criterion benches and compare against the
              committed BENCH_*.json baselines (median-of-samples with a
              MAD-scaled noise threshold); non-zero exit on regression
@@ -64,10 +49,8 @@ tasks:
              in .jsonl)
   help       show this message
 
-options (lint, analyze, perf, and flow):
+options (analyze):
   --format <text|json|github>   diagnostic output format (default: text)
-  --list-stale-waivers          report `xtask: allow(...)` comments whose
-                                line no longer triggers the waived rule
 
 options (bench-gate):
   --update-baseline             rewrite the BENCH_*.json baselines from
@@ -83,22 +66,13 @@ fn main() -> ExitCode {
         None => ("help", &[][..]),
     };
     match task {
-        "lint" | "analyze" | "perf" | "flow" => {
-            let opts = match Options::parse(rest) {
-                Ok(o) => o,
-                Err(msg) => {
-                    eprintln!("xtask {task}: {msg}\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            let mode = match task {
-                "lint" => Mode::Lint,
-                "analyze" => Mode::Analyze,
-                "perf" => Mode::Perf,
-                _ => Mode::Flow,
-            };
-            analyze::run(mode, &opts)
-        }
+        "analyze" => match analyze::parse_format(rest) {
+            Ok(format) => analyze::run(format),
+            Err(msg) => {
+                eprintln!("xtask analyze: {msg}\n\n{USAGE}");
+                ExitCode::from(2)
+            }
+        },
         "bench-gate" => bench_gate::run(rest),
         "trace-schema" => trace_schema::run(rest),
         "help" | "--help" | "-h" => {

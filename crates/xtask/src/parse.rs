@@ -43,13 +43,6 @@ pub struct FileModel {
     pub mods: Vec<(Vec<String>, String)>,
 }
 
-impl FileModel {
-    /// `true` if byte offset `at` lies inside test-only code.
-    pub fn in_test_region(&self, at: usize) -> bool {
-        self.test_regions.iter().any(|&(s, e)| at >= s && at < e)
-    }
-}
-
 /// One flattened `use` declaration (`use a::{b, c as d};` yields two).
 #[derive(Debug, Clone)]
 pub struct UseDecl {
@@ -114,9 +107,6 @@ pub struct FnInfo {
     pub span: (usize, usize),
     /// `true` when inside `#[cfg(test)]` / `#[test]` code.
     pub is_test: bool,
-    /// The parameter list contains an explicit seed parameter
-    /// (an ident named `seed` or `*_seed`).
-    pub has_seed_param: bool,
     /// Parameters as `(name, type-last-segment)`. `self` receivers are
     /// omitted (the impl context carries the type); parameters with
     /// non-path types (slices, tuples, `impl Trait`, …) record an empty
@@ -167,8 +157,6 @@ pub struct Call {
     /// The path segment immediately before the callee, if any
     /// (`StdRng::seed_from_u64` → `Some("StdRng")`).
     pub qualifier: Option<String>,
-    /// 1-based line of the callee token.
-    pub line: usize,
     /// Index of the callee token into the file's significant-token list
     /// (as built by [`crate::analyze::AnalyzedFile`]); the argument list
     /// opens at `sig_idx + 1` (`(`) or `sig_idx + 2` (macros).
@@ -788,20 +776,10 @@ impl<'a> Parser<'a> {
             self.skip_generics();
         }
         // Parameter list.
-        let mut has_seed_param = false;
         let mut params = Vec::new();
         if self.text(0) == "(" {
             let start = self.pos;
             self.skip_balanced("(", ")");
-            for i in start..self.pos {
-                let t = &self.tokens[self.sig[i]];
-                if t.kind == TokenKind::Ident {
-                    let txt = t.text(self.src);
-                    if txt == "seed" || txt.ends_with("_seed") {
-                        has_seed_param = true;
-                    }
-                }
-            }
             params = self.split_typed_bindings(start + 1, self.pos - 1);
         }
         // Return type / where clause: scan to the body `{` or a `;`.
@@ -834,7 +812,6 @@ impl<'a> Parser<'a> {
             body,
             span: (fn_tok_start, span_end),
             is_test,
-            has_seed_param,
             params,
             module: self.mod_stack.clone(),
             calls,
@@ -964,7 +941,6 @@ impl<'a> Parser<'a> {
             calls.push(Call {
                 name: name.to_owned(),
                 qualifier,
-                line: t.line,
                 sig_idx: i,
                 is_method,
                 is_macro,
@@ -1052,8 +1028,6 @@ fn also_prod() {}
         assert!(t.is_test);
         let also = m.fns.iter().find(|f| f.name == "also_prod").expect("also");
         assert!(!also.is_test);
-        assert!(m.in_test_region(src.find("prod();").expect("call")));
-        assert!(!m.in_test_region(src.find("also_prod").expect("fn2")));
     }
 
     #[test]
@@ -1077,7 +1051,6 @@ fn driver(seed: u64) {
 ";
         let m = model(src);
         let f = &m.fns[0];
-        assert!(f.has_seed_param);
         let by_name = |n: &str| f.calls.iter().find(|c| c.name == n);
         let ctor = by_name("seed_from_u64").expect("ctor call");
         assert_eq!(ctor.qualifier.as_deref(), Some("StdRng"));
@@ -1089,13 +1062,6 @@ fn driver(seed: u64) {
         assert!(by_name("cond").is_some());
         // Keywords never register as calls.
         assert!(by_name("if").is_none() && by_name("loop").is_none());
-    }
-
-    #[test]
-    fn seed_param_detection() {
-        let m = model("fn a(shuffle_seed: u64) {}\nfn b(n: usize) {}\n");
-        assert!(m.fns[0].has_seed_param);
-        assert!(!m.fns[1].has_seed_param);
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn main() {
         "hotel", "price", "beach", "rating", "reviews"
     );
     let mut sample: Vec<&Tuple> = multi.skyline.iter().collect();
-    sample.sort_by(|a, b| a.values[0].partial_cmp(&b.values[0]).unwrap());
+    sample.sort_by(|a, b| a.values[0].total_cmp(&b.values[0]));
     for t in sample.iter().take(12) {
         let h = &hotels[t.id as usize];
         println!(

@@ -73,11 +73,7 @@ fn main() {
     );
     let skyline_ids: std::collections::BTreeSet<u64> = skyline.skyline_ids().into_iter().collect();
     let mut entries: Vec<_> = band.skyline.iter().collect();
-    entries.sort_by(|a, b| {
-        normalizer.to_raw_row(a)[0]
-            .partial_cmp(&normalizer.to_raw_row(b)[0])
-            .expect("no NaNs")
-    });
+    entries.sort_by(|a, b| normalizer.to_raw_row(a)[0].total_cmp(&normalizer.to_raw_row(b)[0]));
     for t in entries.iter().take(15) {
         let raw = normalizer.to_raw_row(t);
         let tier = if skyline_ids.contains(&t.id) {
