@@ -1,6 +1,6 @@
 //! Shared configuration and result types for the baseline drivers.
 
-use skymr_common::Tuple;
+use skymr_common::{Error, Result, Tuple};
 use skymr_mapreduce::{ClusterConfig, FaultTolerance, PipelineMetrics};
 
 /// Configuration for the MapReduce baselines.
@@ -64,6 +64,20 @@ impl BaselineConfig {
     pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cluster.storage.spill_dir = Some(dir.into());
         self
+    }
+
+    /// Rejects a configuration no baseline pipeline can run, before any
+    /// input is split.
+    pub fn validate(&self) -> Result<()> {
+        validate_mappers(self.mappers)
+    }
+}
+
+/// Every baseline splits its input among at least one mapper.
+pub(crate) fn validate_mappers(mappers: usize) -> Result<()> {
+    match mappers {
+        0 => Err(Error::InvalidConfig("mappers must be >= 1".into())),
+        _ => Ok(()),
     }
 }
 

@@ -22,12 +22,12 @@ use std::f64::consts::FRAC_PI_2;
 
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner, OutputCollector,
-    PipelineMetrics, ReduceFactory, ReduceTask, SingleReducerPartitioner, TaskContext,
+    map_fn, reduce_fn, run_job, Emitter, JobConfig, ModuloPartitioner, PipelineMetrics,
+    SingleReducerPartitioner,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
-use crate::mr_bnl::{window_insert, CellEntry, ForwardMapFactory};
+use crate::mr_bnl::{forward_map, window_insert, CellEntry};
 
 /// Per-angle split counts for a `dim`-dimensional space targeting roughly
 /// `target` angular cells: a uniform `⌈target^(1/(d−1))⌉` splits per angle.
@@ -60,109 +60,10 @@ pub fn angular_partition(t: &Tuple, splits: &[usize]) -> u32 {
     id as u32
 }
 
-/// Phase-1 mapper factory: tags tuples with their angular cell.
-#[derive(Debug)]
-pub struct AngleMapFactory {
-    splits: Vec<usize>,
-}
-
-impl AngleMapFactory {
-    /// A factory over the per-angle split counts.
-    pub fn new(splits: Vec<usize>) -> Self {
-        Self { splits }
-    }
-}
-
-/// Phase-1 mapper.
-#[derive(Debug)]
-pub struct AngleMapTask {
-    splits: Vec<usize>,
-}
-
-impl MapTask for AngleMapTask {
-    type In = Tuple;
-    type K = u32;
-    type V = Tuple;
-
-    fn map(&mut self, input: &Tuple, out: &mut Emitter<u32, Tuple>) {
-        out.emit(angular_partition(input, &self.splits), input.clone());
-    }
-}
-
-impl MapFactory for AngleMapFactory {
-    type Task = AngleMapTask;
-    fn create(&self, _ctx: &TaskContext) -> AngleMapTask {
-        AngleMapTask {
-            splits: self.splits.clone(),
-        }
-    }
-}
-
-/// Phase-1 reducer factory: BNL local skyline per angular cell.
-#[derive(Debug)]
-pub struct AngleLocalReduceFactory;
-
-/// Phase-1 reducer.
-#[derive(Debug)]
-pub struct AngleLocalReduceTask;
-
-impl ReduceTask for AngleLocalReduceTask {
-    type K = u32;
-    type V = Tuple;
-    type Out = CellEntry;
-
-    fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<CellEntry>) {
-        let mut window = Vec::new();
-        for t in values {
-            out.charge(window_insert(&mut window, t));
-        }
-        out.collect((key, window));
-    }
-}
-
-impl ReduceFactory for AngleLocalReduceFactory {
-    type Task = AngleLocalReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> AngleLocalReduceTask {
-        AngleLocalReduceTask
-    }
-}
-
-/// Phase-2 reducer factory: plain BNL over all local skylines.
-#[derive(Debug)]
-pub struct AngleMergeReduceFactory;
-
-/// Phase-2 reducer.
-#[derive(Debug)]
-pub struct AngleMergeReduceTask;
-
-impl ReduceTask for AngleMergeReduceTask {
-    type K = u8;
-    type V = CellEntry;
-    type Out = Tuple;
-
-    fn reduce(&mut self, _key: u8, values: Vec<CellEntry>, out: &mut OutputCollector<Tuple>) {
-        let mut window: Vec<Tuple> = Vec::new();
-        for (_, tuples) in values {
-            for t in tuples {
-                out.charge(window_insert(&mut window, t));
-            }
-        }
-        for t in window {
-            out.collect(t);
-        }
-    }
-}
-
-impl ReduceFactory for AngleMergeReduceFactory {
-    type Task = AngleMergeReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> AngleMergeReduceTask {
-        AngleMergeReduceTask
-    }
-}
-
 /// Runs the two-phase MR-Angle pipeline with `config.angular_partitions`
 /// target cells.
 pub fn mr_angle(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Result<BaselineRun> {
+    config.validate()?;
     let splits = dataset.split(config.mappers);
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
@@ -175,8 +76,18 @@ pub fn mr_angle(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Res
         &config.cluster,
         &job1,
         &splits,
-        &AngleMapFactory::new(angle_config),
-        &AngleLocalReduceFactory,
+        // Tag every tuple with its angular cell …
+        &map_fn(|t: &Tuple, out: &mut Emitter<u32, Tuple>| {
+            out.emit(angular_partition(t, &angle_config), t.clone());
+        }),
+        // … and compute a BNL local skyline per cell.
+        &reduce_fn(|key: u32, values: Vec<Tuple>, out| {
+            let mut window = Vec::new();
+            for t in values {
+                out.charge(window_insert(&mut window, t));
+            }
+            out.collect((key, window));
+        }),
         &ModuloPartitioner,
     ))?;
 
@@ -186,8 +97,19 @@ pub fn mr_angle(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Res
         &config.cluster,
         &job2,
         &splits2,
-        &ForwardMapFactory,
-        &AngleMergeReduceFactory,
+        &forward_map(),
+        // Plain BNL over all local skylines.
+        &reduce_fn(|_: u8, values: Vec<CellEntry>, out| {
+            let mut window: Vec<Tuple> = Vec::new();
+            for (_, tuples) in values {
+                for t in tuples {
+                    out.charge(window_insert(&mut window, t));
+                }
+            }
+            for t in window {
+                out.collect(t);
+            }
+        }),
         &SingleReducerPartitioner,
     ))?;
 

@@ -25,12 +25,10 @@
 //! MR-Bitmap with).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use skymr_common::{dataset::canonicalize, BitGrid, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, ByteSized, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner,
-    OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, TaskContext,
+    map_fn, reduce_fn, run_job, ByteSized, Emitter, JobConfig, ModuloPartitioner, PipelineMetrics,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
@@ -130,165 +128,11 @@ impl BitmapIndex {
     }
 }
 
-// ---------------------------------------------------------------------
-// Phase 1: build the per-dimension slices.
-// ---------------------------------------------------------------------
-
-/// Phase-1 mapper factory: emits `(dimension, (tuple index, value))`.
-#[derive(Debug)]
-pub struct SliceMapFactory;
-
-/// Phase-1 mapper.
-#[derive(Debug)]
-pub struct SliceMapTask;
-
-impl MapTask for SliceMapTask {
-    type In = (u32, Tuple);
-    type K = u32;
-    type V = (u32, f64);
-
-    fn map(&mut self, input: &(u32, Tuple), out: &mut Emitter<u32, (u32, f64)>) {
-        for (dim, &v) in input.1.values.iter().enumerate() {
-            out.emit(dim as u32, (input.0, v));
-        }
-    }
-}
-
-impl MapFactory for SliceMapFactory {
-    type Task = SliceMapTask;
-    fn create(&self, _ctx: &TaskContext) -> SliceMapTask {
-        SliceMapTask
-    }
-}
-
-/// Phase-1 reducer factory: builds one dimension's slices.
-#[derive(Debug)]
-pub struct SliceReduceFactory {
-    num_tuples: usize,
-}
-
-/// Phase-1 reducer.
-#[derive(Debug)]
-pub struct SliceReduceTask {
-    num_tuples: usize,
-}
-
-impl ReduceTask for SliceReduceTask {
-    type K = u32;
-    type V = (u32, f64);
-    type Out = (u32, DimSlices);
-
-    fn reduce(
-        &mut self,
-        key: u32,
-        values: Vec<(u32, f64)>,
-        out: &mut OutputCollector<(u32, DimSlices)>,
-    ) {
-        let mut distinct: Vec<f64> = values.iter().map(|&(_, v)| v).collect();
-        distinct.sort_by(f64::total_cmp);
-        distinct.dedup();
-        // One bitmap per rank: tuples with value rank <= r.
-        let mut le: Vec<BitGrid> = (0..distinct.len())
-            .map(|_| BitGrid::zeros(self.num_tuples))
-            .collect();
-        for &(index, v) in &values {
-            let r = distinct
-                .binary_search_by(|probe| probe.total_cmp(&v))
-                .expect("distinct list covers all values");
-            le[r].set(index as usize);
-        }
-        // Make the slices cumulative.
-        for r in 1..le.len() {
-            let (head, tail) = le.split_at_mut(r);
-            tail[0].or_assign(&head[r - 1]);
-        }
-        out.collect((
-            key,
-            DimSlices {
-                values: distinct,
-                le,
-            },
-        ));
-    }
-}
-
-impl ReduceFactory for SliceReduceFactory {
-    type Task = SliceReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> SliceReduceTask {
-        SliceReduceTask {
-            num_tuples: self.num_tuples,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Phase 2: evaluate every tuple against the broadcast index.
-// ---------------------------------------------------------------------
-
-/// Phase-2 mapper factory: routes tuples to evaluation reducers.
-#[derive(Debug)]
-pub struct EvalMapFactory;
-
-/// Phase-2 mapper.
-#[derive(Debug)]
-pub struct EvalMapTask;
-
-impl MapTask for EvalMapTask {
-    type In = (u32, Tuple);
-    type K = u32;
-    type V = Tuple;
-
-    fn map(&mut self, input: &(u32, Tuple), out: &mut Emitter<u32, Tuple>) {
-        out.emit(input.0, input.1.clone());
-    }
-}
-
-impl MapFactory for EvalMapFactory {
-    type Task = EvalMapTask;
-    fn create(&self, _ctx: &TaskContext) -> EvalMapTask {
-        EvalMapTask
-    }
-}
-
-/// Phase-2 reducer factory: holds the broadcast index.
-#[derive(Debug)]
-pub struct EvalReduceFactory {
-    index: Arc<BitmapIndex>,
-}
-
-/// Phase-2 reducer.
-#[derive(Debug)]
-pub struct EvalReduceTask {
-    index: Arc<BitmapIndex>,
-}
-
-impl ReduceTask for EvalReduceTask {
-    type K = u32;
-    type V = Tuple;
-    type Out = Tuple;
-
-    fn reduce(&mut self, _key: u32, values: Vec<Tuple>, out: &mut OutputCollector<Tuple>) {
-        for t in values {
-            if !self.index.is_dominated(&t.values) {
-                out.collect(t);
-            }
-        }
-    }
-}
-
-impl ReduceFactory for EvalReduceFactory {
-    type Task = EvalReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> EvalReduceTask {
-        EvalReduceTask {
-            index: Arc::clone(&self.index),
-        }
-    }
-}
-
 /// Runs the two-phase MR-Bitmap pipeline on a limited-distinct-value
 /// dataset (pass continuous data through [`discretize`] first; the result
 /// is the skyline of the *discretized* tuples).
 pub fn mr_bitmap(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Result<BaselineRun> {
+    config.validate()?;
     let indexed: Vec<(u32, Tuple)> = dataset
         .tuples()
         .iter()
@@ -298,24 +142,56 @@ pub fn mr_bitmap(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Re
     let splits: Vec<Vec<(u32, Tuple)>> = {
         let mut s: Vec<Vec<(u32, Tuple)>> = (0..config.mappers).map(|_| Vec::new()).collect();
         for (i, item) in indexed.into_iter().enumerate() {
-            s[i % config.mappers].push(item); // mappers > 0 validated by JobConfig; i % mappers < s.len()
+            s[i % config.mappers].push(item); // mappers > 0 validated above; i % mappers < s.len()
         }
         s
     };
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
 
-    // Phase 1: per-dimension slice construction.
+    // Phase 1: per-dimension slice construction. Mappers emit
+    // `(dimension, (tuple index, value))`; reducer `dim` builds that
+    // dimension's slices.
     let r1 = dataset.dim().min(config.cluster.reduce_slots).max(1);
     let job1 = JobConfig::new("mr-bitmap-slices", r1).with_fault_tolerance(ft);
     let outcome1 = metrics.track(run_job(
         &config.cluster,
         &job1,
         &splits,
-        &SliceMapFactory,
-        &SliceReduceFactory {
-            num_tuples: dataset.len(),
-        },
+        &map_fn(
+            |(i, t): &(u32, Tuple), out: &mut Emitter<u32, (u32, f64)>| {
+                for (dim, &v) in t.values.iter().enumerate() {
+                    out.emit(dim as u32, (*i, v));
+                }
+            },
+        ),
+        &reduce_fn(|dim: u32, values: Vec<(u32, f64)>, out| {
+            let mut distinct: Vec<f64> = values.iter().map(|&(_, v)| v).collect();
+            distinct.sort_by(f64::total_cmp);
+            distinct.dedup();
+            // One bitmap per rank: tuples with value rank <= r.
+            let mut le: Vec<BitGrid> = (0..distinct.len())
+                .map(|_| BitGrid::zeros(dataset.len()))
+                .collect();
+            for &(index, v) in &values {
+                let r = distinct
+                    .binary_search_by(|probe| probe.total_cmp(&v))
+                    .expect("distinct list covers all values");
+                le[r].set(index as usize);
+            }
+            // Make the slices cumulative.
+            for r in 1..le.len() {
+                let (head, tail) = le.split_at_mut(r);
+                tail[0].or_assign(&head[r - 1]);
+            }
+            out.collect((
+                dim,
+                DimSlices {
+                    values: distinct,
+                    le,
+                },
+            ));
+        }),
         &ModuloPartitioner,
     ))?;
 
@@ -323,12 +199,13 @@ pub fn mr_bitmap(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Re
     for (dim, slices) in outcome1.into_flat_output() {
         dims.insert(dim, slices);
     }
-    let index = Arc::new(BitmapIndex {
+    let index = BitmapIndex {
         num_tuples: dataset.len(),
         dims: dims.into_values().collect(),
-    });
+    };
 
-    // Phase 2: parallel evaluation with the broadcast index.
+    // Phase 2: parallel evaluation of every tuple against the broadcast
+    // index.
     let r2 = config.cluster.reduce_slots.max(1);
     let job2 = JobConfig::new("mr-bitmap-eval", r2)
         .with_cache_bytes(index.byte_size())
@@ -337,8 +214,16 @@ pub fn mr_bitmap(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Re
         &config.cluster,
         &job2,
         &splits,
-        &EvalMapFactory,
-        &EvalReduceFactory { index },
+        &map_fn(|(i, t): &(u32, Tuple), out: &mut Emitter<u32, Tuple>| {
+            out.emit(*i, t.clone());
+        }),
+        &reduce_fn(|_: u32, values: Vec<Tuple>, out| {
+            for t in values {
+                if !index.is_dominated(&t.values) {
+                    out.collect(t);
+                }
+            }
+        }),
         &ModuloPartitioner,
     ))?;
 

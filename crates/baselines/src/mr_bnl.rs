@@ -24,9 +24,9 @@ use std::collections::BTreeMap;
 use skymr_common::dominance::{compare, DomOrdering, Window};
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, run_job_from, Emitter, FnSplits, JobConfig, MapFactory, MapTask, ModuloPartitioner,
-    OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, SingleReducerPartitioner,
-    TaskContext,
+    map_fn, reduce_fn, run_job, run_job_from, Emitter, FnSplits, JobConfig, MapFactory, MapTask,
+    ModuloPartitioner, OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask,
+    SingleReducerPartitioner,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
@@ -124,45 +124,15 @@ fn eliminate_across_windows(cells: &mut BTreeMap<u32, Window>) -> u64 {
 // Phase 1: partition every tuple to its cell, local skyline per cell.
 // ---------------------------------------------------------------------
 
-/// Phase-1 mapper factory: tags tuples with their cell code.
-#[derive(Debug)]
-pub struct PartitionMapFactory;
-
-/// Phase-1 mapper.
-#[derive(Debug)]
-pub struct PartitionMapTask;
-
-impl MapTask for PartitionMapTask {
-    type In = Tuple;
-    type K = u32;
-    type V = Tuple;
-
-    fn map(&mut self, input: &Tuple, out: &mut Emitter<u32, Tuple>) {
-        out.emit(cell_code(input), input.clone());
-    }
+/// Phase-1 mapper: tags every tuple with its cell code.
+pub fn partition_map() -> impl MapFactory<Task = impl MapTask<In = Tuple, K = u32, V = Tuple>> {
+    map_fn(|t: &Tuple, out: &mut Emitter<u32, Tuple>| out.emit(cell_code(t), t.clone()))
 }
 
-impl MapFactory for PartitionMapFactory {
-    type Task = PartitionMapTask;
-    fn create(&self, _ctx: &TaskContext) -> PartitionMapTask {
-        PartitionMapTask
-    }
-}
-
-/// Phase-1 reducer factory: BNL local skyline per cell.
-#[derive(Debug)]
-pub struct LocalSkylineReduceFactory;
-
-/// Phase-1 reducer.
-#[derive(Debug)]
-pub struct LocalSkylineReduceTask;
-
-impl ReduceTask for LocalSkylineReduceTask {
-    type K = u32;
-    type V = Tuple;
-    type Out = CellEntry;
-
-    fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<CellEntry>) {
+/// Phase-1 reducer: BNL local skyline per cell.
+pub fn local_skyline_reduce(
+) -> impl ReduceFactory<Task = impl ReduceTask<K = u32, V = Tuple, Out = CellEntry>> {
+    reduce_fn(|key: u32, values: Vec<Tuple>, out| {
         let mut window = Window::default();
         let mut examined = 0;
         for t in values {
@@ -170,43 +140,18 @@ impl ReduceTask for LocalSkylineReduceTask {
         }
         out.charge(examined);
         out.collect((key, window.into_vec()));
-    }
-}
-
-impl ReduceFactory for LocalSkylineReduceFactory {
-    type Task = LocalSkylineReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> LocalSkylineReduceTask {
-        LocalSkylineReduceTask
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
 // Phase 2: single-reducer global merge.
 // ---------------------------------------------------------------------
 
-/// Phase-2 mapper factory: forwards `(cell, local skyline)` entries.
-#[derive(Debug)]
-pub struct ForwardMapFactory;
-
-/// Phase-2 mapper.
-#[derive(Debug)]
-pub struct ForwardMapTask;
-
-impl MapTask for ForwardMapTask {
-    type In = CellEntry;
-    type K = u8;
-    type V = CellEntry;
-
-    fn map(&mut self, input: &CellEntry, out: &mut Emitter<u8, CellEntry>) {
-        out.emit(0, input.clone());
-    }
-}
-
-impl MapFactory for ForwardMapFactory {
-    type Task = ForwardMapTask;
-    fn create(&self, _ctx: &TaskContext) -> ForwardMapTask {
-        ForwardMapTask
-    }
+/// Phase-2 mapper: forwards `(cell, local skyline)` entries to the single
+/// merge reducer.
+pub fn forward_map() -> impl MapFactory<Task = impl MapTask<In = CellEntry, K = u8, V = CellEntry>>
+{
+    map_fn(|entry: &CellEntry, out: &mut Emitter<u8, CellEntry>| out.emit(0, entry.clone()))
 }
 
 /// How the single merge reducer combines the per-cell local skylines.
@@ -223,71 +168,44 @@ pub enum MergeStrategy {
     CellCodePruning,
 }
 
-/// Phase-2 reducer factory: single-reducer merge.
-#[derive(Debug)]
-pub struct MergeReduceFactory {
+/// Phase-2 reducer: the single-reducer merge under `strategy`.
+pub fn merge_reduce(
     strategy: MergeStrategy,
-}
-
-impl MergeReduceFactory {
-    /// A factory using the given merge strategy.
-    pub fn new(strategy: MergeStrategy) -> Self {
-        Self { strategy }
-    }
-}
-
-/// Phase-2 reducer.
-#[derive(Debug)]
-pub struct MergeReduceTask {
-    strategy: MergeStrategy,
-}
-
-impl ReduceTask for MergeReduceTask {
-    type K = u8;
-    type V = CellEntry;
-    type Out = Tuple;
-
-    fn reduce(&mut self, _key: u8, values: Vec<CellEntry>, out: &mut OutputCollector<Tuple>) {
-        let mut examined = 0;
-        match self.strategy {
-            MergeStrategy::PlainBnl => {
-                let mut window = Window::default();
-                for (_, tuples) in values {
-                    for t in tuples {
-                        window.insert(t, &mut examined);
+) -> impl ReduceFactory<Task = impl ReduceTask<K = u8, V = CellEntry, Out = Tuple>> {
+    reduce_fn(
+        move |_: u8, values: Vec<CellEntry>, out: &mut OutputCollector<Tuple>| {
+            let mut examined = 0;
+            match strategy {
+                MergeStrategy::PlainBnl => {
+                    let mut window = Window::default();
+                    for (_, tuples) in values {
+                        for t in tuples {
+                            window.insert(t, &mut examined);
+                        }
                     }
-                }
-                for t in window {
-                    out.collect(t);
-                }
-            }
-            MergeStrategy::CellCodePruning => {
-                let mut cells: BTreeMap<u32, Window> = BTreeMap::new();
-                for (code, tuples) in values {
-                    let window = cells.entry(code).or_default();
-                    for t in tuples {
-                        window.insert(t, &mut examined);
-                    }
-                }
-                examined += eliminate_across_windows(&mut cells);
-                for window in cells.into_values() {
                     for t in window {
                         out.collect(t);
                     }
                 }
+                MergeStrategy::CellCodePruning => {
+                    let mut cells: BTreeMap<u32, Window> = BTreeMap::new();
+                    for (code, tuples) in values {
+                        let window = cells.entry(code).or_default();
+                        for t in tuples {
+                            window.insert(t, &mut examined);
+                        }
+                    }
+                    examined += eliminate_across_windows(&mut cells);
+                    for window in cells.into_values() {
+                        for t in window {
+                            out.collect(t);
+                        }
+                    }
+                }
             }
-        }
-        out.charge(examined);
-    }
-}
-
-impl ReduceFactory for MergeReduceFactory {
-    type Task = MergeReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> MergeReduceTask {
-        MergeReduceTask {
-            strategy: self.strategy,
-        }
-    }
+            out.charge(examined);
+        },
+    )
 }
 
 /// Number of phase-1 reducers: one per cell, capped by the cluster's
@@ -308,11 +226,11 @@ pub fn mr_bnl_with_strategy(
     config: &BaselineConfig,
     strategy: MergeStrategy,
 ) -> skymr_common::Result<BaselineRun> {
+    config.validate()?;
     // Split `i` is cloned out of the dataset inside the map attempt that
     // runs it and dropped with it: the driver copies nothing, and only the
     // in-flight splits are resident beside the dataset.
     let m = config.mappers;
-    assert!(m > 0, "cannot split into zero subsets");
     let lens = (0..m).map(|i| dataset.split_part(i, m).len()).collect();
     let splits = FnSplits::new(lens, |i| dataset.split_part(i, m).cloned().collect());
     let mut metrics = PipelineMetrics::new();
@@ -325,8 +243,8 @@ pub fn mr_bnl_with_strategy(
         &config.cluster,
         &job1,
         &splits,
-        &PartitionMapFactory,
-        &LocalSkylineReduceFactory,
+        &partition_map(),
+        &local_skyline_reduce(),
         &ModuloPartitioner,
     ))?;
 
@@ -338,8 +256,8 @@ pub fn mr_bnl_with_strategy(
         &config.cluster,
         &job2,
         &splits2,
-        &ForwardMapFactory,
-        &MergeReduceFactory::new(strategy),
+        &forward_map(),
+        &merge_reduce(strategy),
         &SingleReducerPartitioner,
     ))?;
 

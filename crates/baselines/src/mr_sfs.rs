@@ -11,58 +11,18 @@
 
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, JobConfig, ModuloPartitioner, OutputCollector, PipelineMetrics, ReduceFactory,
-    ReduceTask, SingleReducerPartitioner, TaskContext,
+    reduce_fn, run_job, JobConfig, ModuloPartitioner, PipelineMetrics, SingleReducerPartitioner,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
 use crate::mr_bnl::{
-    phase1_reducers, CellEntry, ForwardMapFactory, MergeReduceFactory, MergeStrategy,
-    PartitionMapFactory,
+    forward_map, merge_reduce, partition_map, phase1_reducers, CellEntry, MergeStrategy,
 };
 use crate::sfs::{sfs_skyline_counted, SfsOrder};
 
-/// Phase-1 reducer factory: SFS local skyline per cell.
-#[derive(Debug)]
-pub struct SfsLocalReduceFactory {
-    order: SfsOrder,
-}
-
-impl SfsLocalReduceFactory {
-    /// A factory computing local skylines with the given presort order.
-    pub fn new(order: SfsOrder) -> Self {
-        Self { order }
-    }
-}
-
-/// Phase-1 reducer.
-#[derive(Debug)]
-pub struct SfsLocalReduceTask {
-    order: SfsOrder,
-}
-
-impl ReduceTask for SfsLocalReduceTask {
-    type K = u32;
-    type V = Tuple;
-    type Out = CellEntry;
-
-    fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<CellEntry>) {
-        let mut examined = 0;
-        let skyline = sfs_skyline_counted(&values, self.order, &mut examined);
-        out.charge(examined);
-        out.collect((key, skyline));
-    }
-}
-
-impl ReduceFactory for SfsLocalReduceFactory {
-    type Task = SfsLocalReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> SfsLocalReduceTask {
-        SfsLocalReduceTask { order: self.order }
-    }
-}
-
 /// Runs the two-phase MR-SFS pipeline.
 pub fn mr_sfs(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Result<BaselineRun> {
+    config.validate()?;
     let splits = dataset.split(config.mappers);
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
@@ -73,8 +33,14 @@ pub fn mr_sfs(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Resul
         &config.cluster,
         &job1,
         &splits,
-        &PartitionMapFactory,
-        &SfsLocalReduceFactory::new(SfsOrder::Entropy),
+        &partition_map(),
+        // SFS local skyline per cell.
+        &reduce_fn(|key: u32, values: Vec<Tuple>, out| {
+            let mut examined = 0;
+            let skyline = sfs_skyline_counted(&values, SfsOrder::Entropy, &mut examined);
+            out.charge(examined);
+            out.collect((key, skyline));
+        }),
         &ModuloPartitioner,
     ))?;
 
@@ -84,8 +50,8 @@ pub fn mr_sfs(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Resul
         &config.cluster,
         &job2,
         &splits2,
-        &ForwardMapFactory,
-        &MergeReduceFactory::new(MergeStrategy::PlainBnl),
+        &forward_map(),
+        &merge_reduce(MergeStrategy::PlainBnl),
         &SingleReducerPartitioner,
     ))?;
 

@@ -18,16 +18,16 @@
 //! that its pruning structure needs an up-front sampling pass over the
 //! data, where the bitstring is computed *by* MapReduce.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use skymr_common::dominance::dominates;
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, ClusterConfig, Emitter, FaultTolerance, JobConfig, MapFactory, MapTask,
-    ModuloPartitioner, OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, TaskContext,
+    map_fn, reduce_fn, run_job, ClusterConfig, Emitter, FaultTolerance, JobConfig, MapTask,
+    ModuloPartitioner, PipelineMetrics, TaskContext,
 };
 
-use crate::config::BaselineRun;
+use crate::config::{validate_mappers, BaselineRun};
 use crate::mr_bnl::window_insert;
 use crate::quadtree::SkyQuadtree;
 
@@ -134,19 +134,12 @@ impl SkyMrPlan {
 pub type LeafPayload = Vec<(u32, Vec<Tuple>)>;
 
 /// Map side: quadtree filter + per-leaf local skylines.
-#[derive(Debug)]
-pub struct SkyMrMapFactory {
-    plan: Arc<SkyMrPlan>,
+struct SkyMrMapTask<'a> {
+    plan: &'a SkyMrPlan,
+    leaves: BTreeMap<u32, Vec<Tuple>>,
 }
 
-/// Per-split mapper state.
-#[derive(Debug)]
-pub struct SkyMrMapTask {
-    plan: Arc<SkyMrPlan>,
-    leaves: std::collections::BTreeMap<u32, Vec<Tuple>>,
-}
-
-impl MapTask for SkyMrMapTask {
+impl MapTask for SkyMrMapTask<'_> {
     type In = Tuple;
     type K = u32;
     type V = LeafPayload;
@@ -160,8 +153,7 @@ impl MapTask for SkyMrMapTask {
 
     fn finish(&mut self, out: &mut Emitter<u32, LeafPayload>) {
         // Group the local skylines by destination reducer.
-        let mut per_reducer: std::collections::BTreeMap<usize, LeafPayload> =
-            std::collections::BTreeMap::new();
+        let mut per_reducer: BTreeMap<usize, LeafPayload> = BTreeMap::new();
         for (&leaf, skyline) in &self.leaves {
             for &dest in &self.plan.destinations[leaf as usize] {
                 per_reducer
@@ -172,90 +164,6 @@ impl MapTask for SkyMrMapTask {
         }
         for (dest, payload) in per_reducer {
             out.emit(dest as u32, payload);
-        }
-    }
-}
-
-impl MapFactory for SkyMrMapFactory {
-    type Task = SkyMrMapTask;
-    fn create(&self, _ctx: &TaskContext) -> SkyMrMapTask {
-        SkyMrMapTask {
-            plan: Arc::clone(&self.plan),
-            leaves: Default::default(),
-        }
-    }
-}
-
-/// Reduce side: finalize owned leaves against their ADR sources.
-#[derive(Debug)]
-pub struct SkyMrReduceFactory {
-    plan: Arc<SkyMrPlan>,
-}
-
-/// Per-reducer state.
-#[derive(Debug)]
-pub struct SkyMrReduceTask {
-    plan: Arc<SkyMrPlan>,
-}
-
-impl ReduceTask for SkyMrReduceTask {
-    type K = u32;
-    type V = LeafPayload;
-    type Out = Tuple;
-
-    fn reduce(&mut self, key: u32, values: Vec<LeafPayload>, out: &mut OutputCollector<Tuple>) {
-        let me = key as usize;
-        // Collect per-leaf unions; merge (BNL) only the leaves this
-        // reducer owns, concatenate the rest (sources).
-        let mut owned: std::collections::BTreeMap<u32, Vec<Tuple>> = Default::default();
-        let mut sources: std::collections::BTreeMap<u32, Vec<Tuple>> = Default::default();
-        for payload in values {
-            for (leaf, tuples) in payload {
-                if self.plan.owner(leaf as usize) == me {
-                    let window = owned.entry(leaf).or_default();
-                    for t in tuples {
-                        out.charge(window_insert(window, t));
-                    }
-                } else {
-                    sources.entry(leaf).or_default().extend(tuples);
-                }
-            }
-        }
-        // Finalize each owned leaf against its ADR leaves (owned ones use
-        // their merged windows; foreign ones their concatenations).
-        let leaf_ids: Vec<u32> = owned.keys().copied().collect();
-        for leaf in leaf_ids {
-            let mut window = owned.remove(&leaf).expect("listed leaf present");
-            for &a in &self.plan.adr[leaf as usize] {
-                let a = a as u32;
-                let dominators: Option<&[Tuple]> = owned
-                    .get(&a)
-                    .map(Vec::as_slice)
-                    .or_else(|| sources.get(&a).map(Vec::as_slice));
-                if let Some(dominators) = dominators {
-                    window.retain(|t| {
-                        let hit = dominators.iter().position(|d| dominates(d, t));
-                        out.charge(hit.map_or(dominators.len(), |i| i + 1) as u64);
-                        hit.is_none()
-                    });
-                    if window.is_empty() {
-                        break;
-                    }
-                }
-            }
-            for t in &window {
-                out.collect(t.clone());
-            }
-            owned.insert(leaf, window);
-        }
-    }
-}
-
-impl ReduceFactory for SkyMrReduceFactory {
-    type Task = SkyMrReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> SkyMrReduceTask {
-        SkyMrReduceTask {
-            plan: Arc::clone(&self.plan),
         }
     }
 }
@@ -277,95 +185,18 @@ pub fn stride_sample(dataset: &Dataset, size: usize) -> Vec<Tuple> {
         .collect()
 }
 
-/// Sampling-job mapper: emits every `stride`-th tuple of its split.
-#[derive(Debug)]
-pub struct SampleMapFactory {
-    stride: usize,
-}
-
-/// Per-split sampling state.
-#[derive(Debug)]
-pub struct SampleMapTask {
-    stride: usize,
-    seen: usize,
-}
-
-impl MapTask for SampleMapTask {
-    type In = Tuple;
-    type K = u8;
-    type V = Tuple;
-
-    fn map(&mut self, input: &Tuple, out: &mut Emitter<u8, Tuple>) {
-        if self.seen % self.stride == 0 {
-            out.emit(0, input.clone());
-        }
-        self.seen += 1;
-    }
-}
-
-impl MapFactory for SampleMapFactory {
-    type Task = SampleMapTask;
-    fn create(&self, _ctx: &TaskContext) -> SampleMapTask {
-        SampleMapTask {
-            stride: self.stride.max(1),
-            seen: 0,
-        }
-    }
-}
-
-/// Sampling-job reducer: builds the sky-quadtree plan from the collected
-/// sample.
-#[derive(Debug)]
-pub struct SampleReduceFactory {
-    dim: usize,
-    split_threshold: usize,
-    reducers: usize,
-}
-
-/// The single plan-building reducer.
-#[derive(Debug)]
-pub struct SampleReduceTask {
-    dim: usize,
-    split_threshold: usize,
-    reducers: usize,
-}
-
-impl ReduceTask for SampleReduceTask {
-    type K = u8;
-    type V = Tuple;
-    type Out = SkyMrPlan;
-
-    fn reduce(&mut self, _key: u8, values: Vec<Tuple>, out: &mut OutputCollector<SkyMrPlan>) {
-        out.collect(SkyMrPlan::build(
-            self.dim,
-            &values,
-            self.split_threshold,
-            self.reducers,
-        ));
-    }
-}
-
-impl ReduceFactory for SampleReduceFactory {
-    type Task = SampleReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> SampleReduceTask {
-        SampleReduceTask {
-            dim: self.dim,
-            split_threshold: self.split_threshold,
-            reducers: self.reducers,
-        }
-    }
-}
-
 /// Runs SKY-MR end to end as a two-job pipeline: a sampling job that draws
 /// the sample and builds the sky-quadtree plan (so the pruning structure's
 /// cost is on the clock, comparable to the paper's bitstring job), then
 /// the skyline job. The plan is broadcast like a distributed-cache file.
 pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<BaselineRun> {
+    validate_mappers(config.mappers)?;
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
     let splits = dataset.split(config.mappers);
     let dim = dataset.dim().max(1);
     let reducers = config.reducers.max(1);
+    let split_threshold = config.split_threshold.max(1);
 
     // Job 1: sample + plan construction.
     let stride = if config.sample_size == 0 {
@@ -378,21 +209,27 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
         &config.cluster,
         &sample_job,
         &splits,
-        &SampleMapFactory { stride },
-        &SampleReduceFactory {
-            dim,
-            split_threshold: config.split_threshold.max(1),
-            reducers,
-        },
+        // Every `stride`-th tuple of each split goes to the single reducer,
+        // which builds the sky-quadtree plan from the sample.
+        &map_fn({
+            let mut seen = 0usize;
+            move |t: &Tuple, out: &mut Emitter<u8, Tuple>| {
+                if seen % stride == 0 {
+                    out.emit(0, t.clone());
+                }
+                seen += 1;
+            }
+        }),
+        &reduce_fn(|_: u8, sample: Vec<Tuple>, out| {
+            out.collect(SkyMrPlan::build(dim, &sample, split_threshold, reducers));
+        }),
         &skymr_mapreduce::SingleReducerPartitioner,
     ))?;
-    let plan = Arc::new(
-        outcome1
-            .into_flat_output()
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| SkyMrPlan::build(dim, &[], config.split_threshold.max(1), reducers)),
-    );
+    let plan = outcome1
+        .into_flat_output()
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| SkyMrPlan::build(dim, &[], split_threshold, reducers));
 
     // Job 2: the skyline computation.
     let job = JobConfig::new("sky-mr", reducers)
@@ -402,12 +239,57 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
         &config.cluster,
         &job,
         &splits,
-        &SkyMrMapFactory {
-            plan: Arc::clone(&plan),
+        &|_: &TaskContext| SkyMrMapTask {
+            plan: &plan,
+            leaves: BTreeMap::new(),
         },
-        &SkyMrReduceFactory {
-            plan: Arc::clone(&plan),
-        },
+        // Finalize the owned leaves against their ADR sources.
+        &reduce_fn(|key: u32, values: Vec<LeafPayload>, out| {
+            let me = key as usize;
+            // Collect per-leaf unions; merge (BNL) only the leaves this
+            // reducer owns, concatenate the rest (sources).
+            let mut owned: BTreeMap<u32, Vec<Tuple>> = BTreeMap::new();
+            let mut sources: BTreeMap<u32, Vec<Tuple>> = BTreeMap::new();
+            for payload in values {
+                for (leaf, tuples) in payload {
+                    if plan.owner(leaf as usize) == me {
+                        let window = owned.entry(leaf).or_default();
+                        for t in tuples {
+                            out.charge(window_insert(window, t));
+                        }
+                    } else {
+                        sources.entry(leaf).or_default().extend(tuples);
+                    }
+                }
+            }
+            // Finalize each owned leaf against its ADR leaves (owned ones
+            // use their merged windows; foreign ones their concatenations).
+            let leaf_ids: Vec<u32> = owned.keys().copied().collect();
+            for leaf in leaf_ids {
+                let mut window = owned.remove(&leaf).expect("listed leaf present");
+                for &a in &plan.adr[leaf as usize] {
+                    let a = a as u32;
+                    let dominators: Option<&[Tuple]> = owned
+                        .get(&a)
+                        .map(Vec::as_slice)
+                        .or_else(|| sources.get(&a).map(Vec::as_slice));
+                    if let Some(dominators) = dominators {
+                        window.retain(|t| {
+                            let hit = dominators.iter().position(|d| dominates(d, t));
+                            out.charge(hit.map_or(dominators.len(), |i| i + 1) as u64);
+                            hit.is_none()
+                        });
+                        if window.is_empty() {
+                            break;
+                        }
+                    }
+                }
+                for t in &window {
+                    out.collect(t.clone());
+                }
+                owned.insert(leaf, window);
+            }
+        }),
         &ModuloPartitioner,
     ))?;
     Ok(BaselineRun {

@@ -3,8 +3,8 @@
 
 use skymr_common::{BitGrid, Counters, Tuple};
 use skymr_mapreduce::{
-    run_job, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics, MapFactory,
-    MapTask, OutputCollector, ReduceFactory, ReduceTask, SingleReducerPartitioner, TaskContext,
+    reduce_fn, run_job, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics,
+    MapTask, SingleReducerPartitioner, TaskContext,
 };
 
 use crate::bitstring::ppd::run_ppd_selection_job;
@@ -23,23 +23,9 @@ pub struct BitstringInfo {
     pub surviving: usize,
 }
 
-/// Mapper (Algorithm 1): builds a local bitstring for its split and emits
-/// it once the split is exhausted.
-#[derive(Debug)]
-pub struct BitstringMapFactory {
-    grid: Grid,
-}
-
-impl BitstringMapFactory {
-    /// A factory producing mappers for `grid`.
-    pub fn new(grid: Grid) -> Self {
-        Self { grid }
-    }
-}
-
-/// Per-split mapper state: the local bitstring `BS_{R_i}`.
-#[derive(Debug)]
-pub struct BitstringMapTask {
+/// Mapper (Algorithm 1): builds the split's local bitstring `BS_{R_i}`
+/// and emits it once the split is exhausted.
+struct BitstringMapTask {
     grid: Grid,
     local: BitGrid,
     counters: Counters,
@@ -62,40 +48,6 @@ impl MapTask for BitstringMapTask {
     }
 }
 
-impl MapFactory for BitstringMapFactory {
-    type Task = BitstringMapTask;
-    fn create(&self, ctx: &TaskContext) -> BitstringMapTask {
-        BitstringMapTask {
-            grid: self.grid,
-            local: BitGrid::zeros(self.grid.num_partitions()),
-            counters: ctx.counters.clone(),
-        }
-    }
-}
-
-/// Reducer (Algorithm 2): ORs all local bitstrings and prunes dominated
-/// partitions.
-#[derive(Debug)]
-pub struct BitstringReduceFactory {
-    grid: Grid,
-    prune: bool,
-}
-
-impl BitstringReduceFactory {
-    /// A factory producing the single merge reducer.
-    pub fn new(grid: Grid, prune: bool) -> Self {
-        Self { grid, prune }
-    }
-}
-
-/// The single reducer's state.
-#[derive(Debug)]
-pub struct BitstringReduceTask {
-    grid: Grid,
-    prune: bool,
-    counters: Counters,
-}
-
 /// Reducer output: the global bitstring plus its pre-pruning occupancy.
 #[derive(Debug, Clone)]
 pub struct BitstringJobOutput {
@@ -103,53 +55,6 @@ pub struct BitstringJobOutput {
     pub bits: BitGrid,
     /// Non-empty partition count before pruning.
     pub non_empty: u64,
-}
-
-impl ReduceTask for BitstringReduceTask {
-    type K = u8;
-    type V = BitGrid;
-    type Out = BitstringJobOutput;
-
-    fn reduce(
-        &mut self,
-        _key: u8,
-        values: Vec<BitGrid>,
-        out: &mut OutputCollector<BitstringJobOutput>,
-    ) {
-        let mut merged = BitGrid::zeros(self.grid.num_partitions());
-        for local in &values {
-            merged.or_assign(local);
-        }
-        let non_empty = merged.count_ones() as u64;
-        let mut bs = Bitstring::from_parts(self.grid, merged);
-        if self.prune {
-            bs.prune_dominated();
-        }
-        // Occupancy and DR-pruning effect of the merged global bitstring
-        // (Equation 2): non-empty cells, survivors, and cells pruned.
-        let surviving = bs.count_set() as u64;
-        self.counters.add("reduce.non_empty_partitions", non_empty);
-        self.counters.add("reduce.surviving_partitions", surviving);
-        self.counters.add(
-            "reduce.dr_pruned_partitions",
-            non_empty.saturating_sub(surviving),
-        );
-        out.collect(BitstringJobOutput {
-            bits: bs.bits().clone(),
-            non_empty,
-        });
-    }
-}
-
-impl ReduceFactory for BitstringReduceFactory {
-    type Task = BitstringReduceTask;
-    fn create(&self, ctx: &TaskContext) -> BitstringReduceTask {
-        BitstringReduceTask {
-            grid: self.grid,
-            prune: self.prune,
-            counters: ctx.counters.clone(),
-        }
-    }
 }
 
 /// Runs the bitstring-generation job for a fixed grid.
@@ -171,8 +76,41 @@ pub fn run_bitstring_job(
         cluster,
         &config,
         splits,
-        &BitstringMapFactory::new(grid),
-        &BitstringReduceFactory::new(grid, prune),
+        &|ctx: &TaskContext| BitstringMapTask {
+            grid,
+            local: BitGrid::zeros(grid.num_partitions()),
+            counters: ctx.counters.clone(),
+        },
+        // Reducer (Algorithm 2): ORs all local bitstrings and prunes
+        // dominated partitions.
+        &|ctx: &TaskContext| {
+            let counters = ctx.counters.clone();
+            reduce_fn(move |_: u8, values: Vec<BitGrid>, out| {
+                let mut merged = BitGrid::zeros(grid.num_partitions());
+                for local in &values {
+                    merged.or_assign(local);
+                }
+                let non_empty = merged.count_ones() as u64;
+                let mut bs = Bitstring::from_parts(grid, merged);
+                if prune {
+                    bs.prune_dominated();
+                }
+                // Occupancy and DR-pruning effect of the merged global
+                // bitstring (Equation 2): non-empty cells, survivors, and
+                // cells pruned.
+                let surviving = bs.count_set() as u64;
+                counters.add("reduce.non_empty_partitions", non_empty);
+                counters.add("reduce.surviving_partitions", surviving);
+                counters.add(
+                    "reduce.dr_pruned_partitions",
+                    non_empty.saturating_sub(surviving),
+                );
+                out.collect(BitstringJobOutput {
+                    bits: bs.bits().clone(),
+                    non_empty,
+                });
+            })
+        },
         &SingleReducerPartitioner,
     )?;
     let metrics = outcome.metrics.clone();
@@ -339,20 +277,11 @@ mod tests {
     fn job_survives_injected_map_failures() {
         let ds = dataset();
         let grid = Grid::new(2, 3).unwrap();
-        let cluster = ClusterConfig::test();
-        let config = JobConfig::new("bitstring", 1).with_faults(FaultPlan::fail_maps([0]));
-        let outcome = run_job(
-            &cluster,
-            &config,
-            &ds.split(3),
-            &BitstringMapFactory::new(grid),
-            &BitstringReduceFactory::new(grid, false),
-            &SingleReducerPartitioner,
-        )
-        .unwrap();
-        assert_eq!(outcome.metrics.map_retries, 1);
-        let output = outcome.into_flat_output().pop().unwrap();
-        let bs = Bitstring::from_parts(grid, output.bits);
+        let ft = FaultTolerance::with_plan(FaultPlan::fail_maps([0]));
+        let (bs, _, metrics) =
+            run_bitstring_job(&ClusterConfig::test(), &ds.split(3), grid, false, &ft, None)
+                .unwrap();
+        assert_eq!(metrics.map_retries, 1);
         assert_eq!(bs.count_set(), 5);
     }
 }

@@ -17,8 +17,8 @@
 
 use skymr_common::{BitGrid, Counters, Error, Tuple};
 use skymr_mapreduce::{
-    run_job, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics, MapFactory,
-    MapTask, OutputCollector, ReduceFactory, ReduceTask, SingleReducerPartitioner, TaskContext,
+    run_job, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics, MapTask,
+    OutputCollector, ReduceTask, SingleReducerPartitioner, TaskContext,
 };
 
 use crate::bitstring::job::BitstringInfo;
@@ -48,21 +48,7 @@ pub fn candidate_ppds(
 
 /// Mapper: one local bitstring per candidate PPD, emitted keyed by the
 /// candidate index.
-#[derive(Debug)]
-pub struct MultiPpdMapFactory {
-    grids: Vec<Grid>,
-}
-
-impl MultiPpdMapFactory {
-    /// A factory over the candidate grids.
-    pub fn new(grids: Vec<Grid>) -> Self {
-        Self { grids }
-    }
-}
-
-/// Per-split mapper state: the candidate-indexed local bitstrings.
-#[derive(Debug)]
-pub struct MultiPpdMapTask {
+struct MultiPpdMapTask {
     grids: Vec<Grid>,
     locals: Vec<BitGrid>,
     counters: Counters,
@@ -93,41 +79,6 @@ impl MapTask for MultiPpdMapTask {
     }
 }
 
-impl MapFactory for MultiPpdMapFactory {
-    type Task = MultiPpdMapTask;
-    fn create(&self, ctx: &TaskContext) -> MultiPpdMapTask {
-        MultiPpdMapTask {
-            locals: self
-                .grids
-                .iter()
-                .map(|g| BitGrid::zeros(g.num_partitions()))
-                .collect(),
-            grids: self.grids.clone(),
-            counters: ctx.counters.clone(),
-        }
-    }
-}
-
-/// Reducer: merges per-candidate bitstrings, scores each candidate, and
-/// outputs the winner's (pruned) bitstring.
-#[derive(Debug)]
-pub struct MultiPpdReduceFactory {
-    grids: Vec<Grid>,
-    cardinality: usize,
-    prune: bool,
-}
-
-impl MultiPpdReduceFactory {
-    /// A factory producing the single selection reducer.
-    pub fn new(grids: Vec<Grid>, cardinality: usize, prune: bool) -> Self {
-        Self {
-            grids,
-            cardinality,
-            prune,
-        }
-    }
-}
-
 /// Selection output: the winning candidate and its bitstring.
 #[derive(Debug, Clone)]
 pub struct PpdSelection {
@@ -139,9 +90,9 @@ pub struct PpdSelection {
     pub bits: BitGrid,
 }
 
-/// The selection reducer's state: merged bitstrings per candidate.
-#[derive(Debug)]
-pub struct MultiPpdReduceTask {
+/// Reducer: merges per-candidate bitstrings, scores each candidate, and
+/// outputs the winner's (pruned) bitstring.
+struct MultiPpdReduceTask {
     grids: Vec<Grid>,
     cardinality: usize,
     prune: bool,
@@ -215,19 +166,6 @@ impl ReduceTask for MultiPpdReduceTask {
     }
 }
 
-impl ReduceFactory for MultiPpdReduceFactory {
-    type Task = MultiPpdReduceTask;
-    fn create(&self, ctx: &TaskContext) -> MultiPpdReduceTask {
-        MultiPpdReduceTask {
-            merged: vec![None; self.grids.len()],
-            grids: self.grids.clone(),
-            cardinality: self.cardinality,
-            prune: self.prune,
-            counters: ctx.counters.clone(),
-        }
-    }
-}
-
 /// Runs the multi-PPD bitstring job and returns the winning bitstring.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ppd_selection_job(
@@ -256,8 +194,21 @@ pub fn run_ppd_selection_job(
         cluster,
         &config,
         splits,
-        &MultiPpdMapFactory::new(grids.clone()),
-        &MultiPpdReduceFactory::new(grids.clone(), cardinality, prune),
+        &|ctx: &TaskContext| MultiPpdMapTask {
+            locals: grids
+                .iter()
+                .map(|g| BitGrid::zeros(g.num_partitions()))
+                .collect(),
+            grids: grids.clone(),
+            counters: ctx.counters.clone(),
+        },
+        &|ctx: &TaskContext| MultiPpdReduceTask {
+            merged: vec![None; grids.len()],
+            grids: grids.clone(),
+            cardinality,
+            prune,
+            counters: ctx.counters.clone(),
+        },
         &SingleReducerPartitioner,
     )?;
     let metrics = outcome.metrics.clone();

@@ -29,17 +29,17 @@
 //! threshold test `count < k` over all candidates agrees with the truth.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use skymr_common::dominance::dominates;
 use skymr_common::{dataset::canonicalize, ByteSized, Counters, Dataset, Tuple, Wire, WireCursor};
 use skymr_mapreduce::{
-    run_job, Emitter, JobConfig, JobMetrics, MapFactory, MapTask, OutputCollector, PipelineMetrics,
-    ReduceFactory, ReduceTask, SingleReducerPartitioner, TaskContext,
+    reduce_fn, run_job, Emitter, JobConfig, JobKey, JobMetrics, MapTask, OutputCollector,
+    PipelineMetrics, SingleReducerPartitioner, TaskContext,
 };
 
 use crate::config::{PpdPolicy, SkylineConfig};
 use crate::grid::Grid;
+use crate::groups::GroupPlan;
 use crate::result::{RunInfo, SkylineRun};
 
 // ---------------------------------------------------------------------
@@ -259,10 +259,7 @@ pub fn skyband_reference(tuples: &[Tuple], k: u32) -> Vec<Tuple> {
 // MapReduce jobs.
 // ---------------------------------------------------------------------
 
-struct CountMapFactory {
-    grid: Grid,
-}
-
+/// The countstring job's mapper: per-partition counts of its split.
 struct CountMapTask {
     grid: Grid,
     local: Countstring,
@@ -286,61 +283,9 @@ impl MapTask for CountMapTask {
     }
 }
 
-impl MapFactory for CountMapFactory {
-    type Task = CountMapTask;
-    fn create(&self, _ctx: &TaskContext) -> CountMapTask {
-        CountMapTask {
-            grid: self.grid,
-            local: Countstring::empty(self.grid),
-        }
-    }
-}
-
-struct CountReduceFactory {
-    grid: Grid,
-    /// `Some(k)` marks k-dominated partitions pruned; `None` skips
-    /// pruning (top-k dominating needs raw counts — every tuple is a
-    /// potential dominated target).
-    prune_k: Option<u64>,
-}
-
-struct CountReduceTask {
-    grid: Grid,
-    prune_k: Option<u64>,
-}
-
-impl ReduceTask for CountReduceTask {
-    type K = u8;
-    type V = Countstring;
-    type Out = Countstring;
-
-    fn reduce(
-        &mut self,
-        _key: u8,
-        values: Vec<Countstring>,
-        out: &mut OutputCollector<Countstring>,
-    ) {
-        let mut merged = Countstring::empty(self.grid);
-        for local in &values {
-            merged.merge(local);
-        }
-        if let Some(k) = self.prune_k {
-            merged.prune_dominated(k);
-        }
-        out.collect(merged);
-    }
-}
-
-impl ReduceFactory for CountReduceFactory {
-    type Task = CountReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> CountReduceTask {
-        CountReduceTask {
-            grid: self.grid,
-            prune_k: self.prune_k,
-        }
-    }
-}
-
+/// Runs the countstring job. `Some(k)` marks k-dominated partitions
+/// pruned; `None` skips pruning (top-k dominating needs raw counts —
+/// every tuple is a potential dominated target).
 pub(crate) fn run_countstring_job(
     config: &SkylineConfig,
     splits: &[Vec<Tuple>],
@@ -354,8 +299,20 @@ pub(crate) fn run_countstring_job(
         &config.cluster,
         &job,
         splits,
-        &CountMapFactory { grid },
-        &CountReduceFactory { grid, prune_k },
+        &|_: &TaskContext| CountMapTask {
+            grid,
+            local: Countstring::empty(grid),
+        },
+        &reduce_fn(|_: u8, values: Vec<Countstring>, out| {
+            let mut merged = Countstring::empty(grid);
+            for local in &values {
+                merged.merge(local);
+            }
+            if let Some(k) = prune_k {
+                merged.prune_dominated(k);
+            }
+            out.collect(merged);
+        }),
         &SingleReducerPartitioner,
     )?;
     let metrics = outcome.metrics.clone();
@@ -370,30 +327,35 @@ pub(crate) fn run_countstring_job(
 /// A mapper's emitted value: per-partition BNL-k windows.
 pub type BandPayload = Vec<(u32, Vec<BandEntry>)>;
 
-struct BandMapFactory {
-    countstring: Arc<Countstring>,
-    k: u32,
-}
-
-struct BandMapTask {
-    grid: Grid,
-    countstring: Arc<Countstring>,
+/// The band jobs' mapper state: a BNL-k window per active partition. The
+/// single-reducer job ships the whole split to its reducer and tallies its
+/// candidates; the multi-reducer job wraps it in [`BandMultiMapTask`].
+struct BandMapTask<'a> {
+    countstring: &'a Countstring,
     k: u32,
     windows: BTreeMap<u32, Vec<BandEntry>>,
     counters: Counters,
 }
 
-impl MapTask for BandMapTask {
+impl BandMapTask<'_> {
+    /// The map body of both band jobs: a tuple of an active partition
+    /// enters that partition's window.
+    fn consume<K: JobKey>(&mut self, input: &Tuple, out: &mut Emitter<K, BandPayload>) {
+        let p = self.countstring.grid().partition_of(input);
+        if self.countstring.is_active(p) {
+            let window = self.windows.entry(p as u32).or_default();
+            out.charge(band_insert(window, input.clone(), self.k));
+        }
+    }
+}
+
+impl MapTask for BandMapTask<'_> {
     type In = Tuple;
     type K = u8;
     type V = BandPayload;
 
     fn map(&mut self, input: &Tuple, out: &mut Emitter<u8, BandPayload>) {
-        let p = self.grid.partition_of(input);
-        if self.countstring.is_active(p) {
-            let window = self.windows.entry(p as u32).or_default();
-            out.charge(band_insert(window, input.clone(), self.k));
-        }
+        self.consume(input, out);
     }
 
     fn finish(&mut self, out: &mut Emitter<u8, BandPayload>) {
@@ -406,115 +368,20 @@ impl MapTask for BandMapTask {
     }
 }
 
-impl MapFactory for BandMapFactory {
-    type Task = BandMapTask;
-    fn create(&self, ctx: &TaskContext) -> BandMapTask {
-        BandMapTask {
-            grid: self.countstring.grid(),
-            countstring: Arc::clone(&self.countstring),
-            k: self.k,
-            windows: BTreeMap::new(),
-            counters: ctx.counters.clone(),
-        }
-    }
+/// The multi-reducer band mapper (the MR-GPMRS topology generalized to
+/// bands): the same windows, split along the bucket partition sets.
+struct BandMultiMapTask<'a> {
+    inner: BandMapTask<'a>,
+    plan: &'a GroupPlan,
 }
 
-struct BandReduceFactory {
-    grid: Grid,
-    k: u32,
-}
-
-struct BandReduceTask {
-    grid: Grid,
-    k: u32,
-}
-
-impl ReduceTask for BandReduceTask {
-    type K = u8;
-    type V = BandPayload;
-    type Out = Tuple;
-
-    fn reduce(&mut self, _key: u8, values: Vec<BandPayload>, out: &mut OutputCollector<Tuple>) {
-        // Union of candidates per partition (tallies are re-derived).
-        let mut candidates: BTreeMap<u32, Vec<Tuple>> = BTreeMap::new();
-        for payload in values {
-            for (p, window) in payload {
-                candidates
-                    .entry(p)
-                    .or_default()
-                    .extend(window.into_iter().map(|(t, _)| t));
-            }
-        }
-        // Exact re-count per tuple over candidates in the partition itself
-        // and its anti-dominating region (dominators live nowhere else).
-        let mut p_coords = vec![0usize; self.grid.dim()];
-        let mut q_coords = vec![0usize; self.grid.dim()];
-        for (&p, tuples) in &candidates {
-            self.grid.coords_into(p as usize, &mut p_coords);
-            for t in tuples {
-                let mut count = 0u32;
-                'outer: for (&q, others) in &candidates {
-                    out.charge(1);
-                    self.grid.coords_into(q as usize, &mut q_coords);
-                    let relevant =
-                        q == p || q_coords.iter().zip(p_coords.iter()).all(|(&b, &a)| b <= a);
-                    if !relevant {
-                        continue;
-                    }
-                    for o in others {
-                        out.charge(1);
-                        if dominates(o, t) {
-                            count += 1;
-                            if count >= self.k {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-                if count < self.k {
-                    out.collect(t.clone());
-                }
-            }
-        }
-    }
-}
-
-impl ReduceFactory for BandReduceFactory {
-    type Task = BandReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> BandReduceTask {
-        BandReduceTask {
-            grid: self.grid,
-            k: self.k,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multi-reducer variant (the MR-GPMRS topology generalized to bands).
-// ---------------------------------------------------------------------
-
-struct BandMultiMapFactory {
-    countstring: Arc<Countstring>,
-    plan: Arc<crate::groups::GroupPlan>,
-    k: u32,
-}
-
-struct BandMultiMapTask {
-    inner: BandMapTask,
-    plan: Arc<crate::groups::GroupPlan>,
-}
-
-impl MapTask for BandMultiMapTask {
+impl MapTask for BandMultiMapTask<'_> {
     type In = Tuple;
     type K = u32;
     type V = BandPayload;
 
     fn map(&mut self, input: &Tuple, out: &mut Emitter<u32, BandPayload>) {
-        let p = self.inner.grid.partition_of(input);
-        if self.inner.countstring.is_active(p) {
-            let window = self.inner.windows.entry(p as u32).or_default();
-            out.charge(band_insert(window, input.clone(), self.inner.k));
-        }
+        self.inner.consume(input, out);
     }
 
     fn finish(&mut self, out: &mut Emitter<u32, BandPayload>) {
@@ -533,95 +400,58 @@ impl MapTask for BandMultiMapTask {
     }
 }
 
-impl MapFactory for BandMultiMapFactory {
-    type Task = BandMultiMapTask;
-    fn create(&self, ctx: &TaskContext) -> BandMultiMapTask {
-        BandMultiMapTask {
-            inner: BandMapTask {
-                grid: self.countstring.grid(),
-                countstring: Arc::clone(&self.countstring),
-                k: self.k,
-                windows: BTreeMap::new(),
-                counters: ctx.counters.clone(),
-            },
-            plan: Arc::clone(&self.plan),
+/// The reduce body of both band jobs: the exact re-count of every
+/// candidate in a partition for which `designated` holds — the
+/// single-reducer job designates every partition.
+fn recount_band(
+    grid: Grid,
+    k: u32,
+    values: Vec<BandPayload>,
+    designated: impl Fn(u32) -> bool,
+    out: &mut OutputCollector<Tuple>,
+) {
+    // Union of candidates per partition (tallies are re-derived).
+    let mut candidates: BTreeMap<u32, Vec<Tuple>> = BTreeMap::new();
+    for payload in values {
+        for (p, window) in payload {
+            candidates
+                .entry(p)
+                .or_default()
+                .extend(window.into_iter().map(|(t, _)| t));
         }
     }
-}
-
-struct BandMultiReduceFactory {
-    grid: Grid,
-    plan: Arc<crate::groups::GroupPlan>,
-    k: u32,
-}
-
-struct BandMultiReduceTask {
-    grid: Grid,
-    plan: Arc<crate::groups::GroupPlan>,
-    k: u32,
-}
-
-impl ReduceTask for BandMultiReduceTask {
-    type K = u32;
-    type V = BandPayload;
-    type Out = Tuple;
-
-    fn reduce(&mut self, key: u32, values: Vec<BandPayload>, out: &mut OutputCollector<Tuple>) {
-        let bucket_index = key as usize;
-        let mut candidates: BTreeMap<u32, Vec<Tuple>> = BTreeMap::new();
-        for payload in values {
-            for (p, window) in payload {
-                candidates
-                    .entry(p)
-                    .or_default()
-                    .extend(window.into_iter().map(|(t, _)| t));
-            }
+    // Exact re-count per tuple over candidates in the partition itself
+    // and its anti-dominating region (dominators live nowhere else).
+    let mut p_coords = vec![0usize; grid.dim()];
+    let mut q_coords = vec![0usize; grid.dim()];
+    for (&p, tuples) in &candidates {
+        if !designated(p) {
+            continue;
         }
-        // Exact re-count for designated partitions only (Section 5.4.2
-        // generalized): every candidate dominator of a designated
-        // partition lives in its own group, hence in this bucket.
-        let mut p_coords = vec![0usize; self.grid.dim()];
-        let mut q_coords = vec![0usize; self.grid.dim()];
-        for (&p, tuples) in &candidates {
-            if self.plan.designated.get(&p) != Some(&bucket_index) {
-                continue;
-            }
-            self.grid.coords_into(p as usize, &mut p_coords);
-            for t in tuples {
-                let mut count = 0u32;
-                'outer: for (&q, others) in &candidates {
+        grid.coords_into(p as usize, &mut p_coords);
+        for t in tuples {
+            let mut count = 0u32;
+            'outer: for (&q, others) in &candidates {
+                out.charge(1);
+                grid.coords_into(q as usize, &mut q_coords);
+                let relevant =
+                    q == p || q_coords.iter().zip(p_coords.iter()).all(|(&b, &a)| b <= a);
+                if !relevant {
+                    continue;
+                }
+                for o in others {
                     out.charge(1);
-                    self.grid.coords_into(q as usize, &mut q_coords);
-                    let relevant =
-                        q == p || q_coords.iter().zip(p_coords.iter()).all(|(&b, &a)| b <= a);
-                    if !relevant {
-                        continue;
-                    }
-                    for o in others {
-                        out.charge(1);
-                        if dominates(o, t) {
-                            count += 1;
-                            if count >= self.k {
-                                break 'outer;
-                            }
+                    if dominates(o, t) {
+                        count += 1;
+                        if count >= k {
+                            break 'outer;
                         }
                     }
                 }
-                if count < self.k {
-                    out.collect(t.clone());
-                }
             }
-        }
-    }
-}
-
-impl ReduceFactory for BandMultiReduceFactory {
-    type Task = BandMultiReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> BandMultiReduceTask {
-        BandMultiReduceTask {
-            grid: self.grid,
-            plan: Arc::clone(&self.plan),
-            k: self.k,
+            if count < k {
+                out.collect(t.clone());
+            }
         }
     }
 }
@@ -689,7 +519,6 @@ pub fn mr_skyband(
         buckets: 1,
     };
 
-    let countstring = Arc::new(countstring);
     let job = JobConfig::new("skyband", 1)
         .with_cache_bytes(countstring.byte_size())
         .with_fault_tolerance(&config.fault_tolerance)
@@ -698,11 +527,13 @@ pub fn mr_skyband(
         &config.cluster,
         &job,
         &splits,
-        &BandMapFactory {
-            countstring: Arc::clone(&countstring),
+        &|ctx: &TaskContext| BandMapTask {
+            countstring: &countstring,
             k,
+            windows: BTreeMap::new(),
+            counters: ctx.counters.clone(),
         },
-        &BandReduceFactory { grid, k },
+        &reduce_fn(|_: u8, values, out| recount_band(grid, k, values, |_| true, out)),
         &SingleReducerPartitioner,
     ))?;
     let mut counters = BTreeMap::new();
@@ -776,26 +607,30 @@ pub fn mr_skyband_multi(
         });
     }
 
-    let countstring = Arc::new(countstring);
-    let plan = Arc::new(plan);
     let job = JobConfig::new("skyband-multi", plan.num_buckets())
         .with_cache_bytes(countstring.byte_size())
         .with_fault_tolerance(&config.fault_tolerance)
         .with_collector(config.telemetry.clone());
+    // Section 5.4.2 generalized: reducer `key` re-counts only the
+    // partitions designated to it; every candidate dominator of such a
+    // partition lives in its own group, hence in this bucket.
     let outcome = metrics.track(run_job(
         &config.cluster,
         &job,
         &splits,
-        &BandMultiMapFactory {
-            countstring: Arc::clone(&countstring),
-            plan: Arc::clone(&plan),
-            k,
+        &|ctx: &TaskContext| BandMultiMapTask {
+            inner: BandMapTask {
+                countstring: &countstring,
+                k,
+                windows: BTreeMap::new(),
+                counters: ctx.counters.clone(),
+            },
+            plan: &plan,
         },
-        &BandMultiReduceFactory {
-            grid,
-            plan: Arc::clone(&plan),
-            k,
-        },
+        &reduce_fn(|key: u32, values, out| {
+            let mine = |p| plan.designated.get(&p) == Some(&(key as usize));
+            recount_band(grid, k, values, mine, out);
+        }),
         &skymr_mapreduce::ModuloPartitioner,
     ))?;
     let mut counters = BTreeMap::new();

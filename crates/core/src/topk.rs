@@ -30,13 +30,10 @@
 //! reducer scores its candidate partition's tuples exactly. The driver
 //! merges the per-reducer rankings into the global top-k.
 
-use std::sync::Arc;
-
 use skymr_common::dominance::dominates;
 use skymr_common::{Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner, OutputCollector,
-    PipelineMetrics, ReduceFactory, ReduceTask, TaskContext,
+    map_fn, reduce_fn, run_job, Emitter, JobConfig, ModuloPartitioner, PipelineMetrics,
 };
 
 use crate::config::SkylineConfig;
@@ -73,7 +70,6 @@ pub fn top_k_dominating_reference(tuples: &[Tuple], k: usize) -> Vec<(Tuple, u64
 /// The driver-side plan derived from the countstring.
 #[derive(Debug)]
 pub struct TopKPlan {
-    grid: Grid,
     /// Candidate partitions (sorted ascending) that may hold top-k scorers.
     pub candidates: Vec<u32>,
     /// Guaranteed (DR) score contribution per candidate.
@@ -138,7 +134,6 @@ impl TopKPlan {
             .collect();
         let dr_sums = candidates.iter().map(|&p| lower[p as usize]).collect();
         Self {
-            grid,
             candidates,
             dr_sums,
             threshold,
@@ -160,99 +155,6 @@ impl TopKPlan {
             }
         }
         all_ge && any_eq
-    }
-}
-
-struct TopKMapFactory {
-    plan: Arc<TopKPlan>,
-}
-
-struct TopKMapTask {
-    plan: Arc<TopKPlan>,
-    candidate_coords: Vec<Vec<usize>>,
-    cell_buf: Vec<usize>,
-}
-
-impl MapTask for TopKMapTask {
-    type In = Tuple;
-    type K = u32;
-    type V = Tuple;
-
-    fn map(&mut self, input: &Tuple, out: &mut Emitter<u32, Tuple>) {
-        let cell = self.plan.grid.partition_of(input);
-        let dim = self.plan.grid.dim();
-        self.cell_buf.resize(dim, 0);
-        self.plan.grid.coords_into(cell, &mut self.cell_buf);
-        for (ci, qc) in self.candidate_coords.iter().enumerate() {
-            if self.plan.in_shell(qc, &self.cell_buf) {
-                out.emit(ci as u32, input.clone());
-            }
-        }
-    }
-}
-
-impl MapFactory for TopKMapFactory {
-    type Task = TopKMapTask;
-    fn create(&self, _ctx: &TaskContext) -> TopKMapTask {
-        let candidate_coords = self
-            .plan
-            .candidates
-            .iter()
-            .map(|&q| self.plan.grid.coords_of(q as usize))
-            .collect();
-        TopKMapTask {
-            plan: Arc::clone(&self.plan),
-            candidate_coords,
-            cell_buf: Vec::new(),
-        }
-    }
-}
-
-struct TopKReduceFactory {
-    plan: Arc<TopKPlan>,
-    k: usize,
-}
-
-struct TopKReduceTask {
-    plan: Arc<TopKPlan>,
-    k: usize,
-}
-
-impl ReduceTask for TopKReduceTask {
-    type K = u32;
-    type V = Tuple;
-    type Out = (Tuple, u64);
-
-    fn reduce(&mut self, key: u32, values: Vec<Tuple>, out: &mut OutputCollector<(Tuple, u64)>) {
-        let candidate = self.plan.candidates[key as usize] as usize;
-        let dr_sum = self.plan.dr_sums[key as usize];
-        // Scorers: the received tuples whose own cell IS the candidate
-        // partition; every received tuple is a potential target.
-        let mut ranked: Vec<(Tuple, u64)> = values
-            .iter()
-            .filter(|t| self.plan.grid.partition_of(t) == candidate)
-            .map(|t| {
-                let shell_score = values.iter().filter(|x| dominates(t, x)).count() as u64;
-                (t.clone(), dr_sum + shell_score)
-            })
-            .collect();
-        out.charge(ranked.len() as u64 * values.len() as u64);
-        // Only this reducer's local top-k can matter globally.
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.id.cmp(&b.0.id)));
-        ranked.truncate(self.k);
-        for entry in ranked {
-            out.collect(entry);
-        }
-    }
-}
-
-impl ReduceFactory for TopKReduceFactory {
-    type Task = TopKReduceTask;
-    fn create(&self, _ctx: &TaskContext) -> TopKReduceTask {
-        TopKReduceTask {
-            plan: Arc::clone(&self.plan),
-            k: self.k,
-        }
     }
 }
 
@@ -312,7 +214,7 @@ pub fn mr_top_k_dominating(
         crate::skyband::run_countstring_job(config, &splits, grid, None)?;
     metrics.push(cs_metrics);
 
-    let plan = Arc::new(TopKPlan::build(&countstring, k));
+    let plan = TopKPlan::build(&countstring, k);
     let info = RunInfo {
         ppd: grid.ppd(),
         partitions: grid.num_partitions(),
@@ -339,17 +241,48 @@ pub fn mr_top_k_dominating(
         .with_cache_bytes(skymr_mapreduce::ByteSized::byte_size(&countstring))
         .with_fault_tolerance(&config.fault_tolerance)
         .with_collector(config.telemetry.clone());
+    let candidate_coords: Vec<Vec<usize>> = plan
+        .candidates
+        .iter()
+        .map(|&q| grid.coords_of(q as usize))
+        .collect();
+    let (plan, candidate_coords) = (&plan, &candidate_coords);
+    let mut cell_buf = vec![0usize; grid.dim()];
     let outcome = metrics.track(run_job(
         &config.cluster,
         &job,
         &splits,
-        &TopKMapFactory {
-            plan: Arc::clone(&plan),
-        },
-        &TopKReduceFactory {
-            plan: Arc::clone(&plan),
-            k,
-        },
+        // Route every tuple to each candidate whose ambiguous shell holds
+        // its cell.
+        &map_fn(move |input: &Tuple, out: &mut Emitter<u32, Tuple>| {
+            grid.coords_into(grid.partition_of(input), &mut cell_buf);
+            for (ci, qc) in candidate_coords.iter().enumerate() {
+                if plan.in_shell(qc, &cell_buf) {
+                    out.emit(ci as u32, input.clone());
+                }
+            }
+        }),
+        &reduce_fn(|key: u32, values: Vec<Tuple>, out| {
+            let candidate = plan.candidates[key as usize] as usize;
+            let dr_sum = plan.dr_sums[key as usize];
+            // Scorers: the received tuples whose own cell IS the candidate
+            // partition; every received tuple is a potential target.
+            let mut ranked: Vec<(Tuple, u64)> = values
+                .iter()
+                .filter(|t| grid.partition_of(t) == candidate)
+                .map(|t| {
+                    let shell_score = values.iter().filter(|x| dominates(t, x)).count() as u64;
+                    (t.clone(), dr_sum + shell_score)
+                })
+                .collect();
+            out.charge(ranked.len() as u64 * values.len() as u64);
+            // Only this reducer's local top-k can matter globally.
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.id.cmp(&b.0.id)));
+            ranked.truncate(k);
+            for entry in ranked {
+                out.collect(entry);
+            }
+        }),
         &ModuloPartitioner,
     ))?;
 

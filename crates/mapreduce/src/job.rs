@@ -332,46 +332,19 @@ fn over_budget(strikes: &BTreeMap<usize, u32>, policy: &BlacklistPolicy) -> BTre
 /// ```
 /// use skymr_mapreduce::*;
 ///
-/// // Word count: the canonical MapReduce example.
-/// struct Wc;
-/// struct WcTask;
-/// impl MapTask for WcTask {
-///     type In = String;
-///     type K = String;
-///     type V = u64;
-///     fn map(&mut self, line: &String, out: &mut Emitter<String, u64>) {
-///         for word in line.split_whitespace() {
-///             out.emit(word.to_string(), 1);
-///         }
-///     }
-/// }
-/// impl MapFactory for Wc {
-///     type Task = WcTask;
-///     fn create(&self, _: &TaskContext) -> WcTask { WcTask }
-/// }
-/// struct Sum;
-/// struct SumTask;
-/// impl ReduceTask for SumTask {
-///     type K = String;
-///     type V = u64;
-///     type Out = (String, u64);
-///     fn reduce(&mut self, k: String, vs: Vec<u64>, out: &mut OutputCollector<(String, u64)>) {
-///         out.collect((k, vs.iter().sum()));
-///     }
-/// }
-/// impl ReduceFactory for Sum {
-///     type Task = SumTask;
-///     fn create(&self, _: &TaskContext) -> SumTask { SumTask }
-/// }
-///
+/// // Word count: the canonical MapReduce example, as two closures.
 /// # fn main() -> Result<(), JobError> {
 /// let splits = vec![vec!["a b a".to_string()], vec!["b".to_string()]];
 /// let outcome = run_job(
 ///     &ClusterConfig::test(),
 ///     &JobConfig::new("wc", 2),
 ///     &splits,
-///     &Wc,
-///     &Sum,
+///     &map_fn(|line: &String, out| {
+///         for word in line.split_whitespace() {
+///             out.emit(word.to_string(), 1u64);
+///         }
+///     }),
+///     &reduce_fn(|word, counts: Vec<u64>, out| out.collect((word, counts.iter().sum::<u64>()))),
 ///     &HashPartitioner,
 /// )?;
 /// let mut counts = outcome.into_flat_output();
@@ -1466,6 +1439,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use crate::partitioner::{HashPartitioner, ModuloPartitioner};
+    use crate::task::{map_fn, reduce_fn};
 
     /// Word-count: the canonical MapReduce smoke test.
     struct WcMap;
@@ -1937,6 +1911,77 @@ mod tests {
             let out = word_count(&splits(), 2, FaultPlan::seeded(seed));
             assert_eq!(sorted_counts(out), clean, "seed {seed} changed the output");
         }
+    }
+
+    /// A closure-built job is the trait-built job: the word count written
+    /// with `map_fn` and a closure factory returning a `reduce_fn` reports
+    /// what `WcMap` / `WcReduce` report — output, registry, user counters,
+    /// every metric but `host_wall`, and the Chrome-trace bytes — clean and
+    /// under a seeded fault plan, in memory and spilling under 1 KiB, on one
+    /// host thread and on four.
+    #[test]
+    fn closure_built_word_count_equals_the_struct_quads() {
+        let map = map_fn(|line: &String, out: &mut Emitter<String, u64>| {
+            for word in line.split_whitespace() {
+                out.emit(word.to_owned(), 1);
+            }
+        });
+        let reduce = |ctx: &TaskContext| {
+            let counters = ctx.counters.clone();
+            reduce_fn(move |key: String, values: Vec<u64>, out| {
+                counters.add("wc.groups", 1);
+                out.charge(values.len() as u64);
+                out.collect((key, values.iter().sum::<u64>()));
+            })
+        };
+        let mut reports = Vec::new();
+        for plan in [FaultPlan::none(), FaultPlan::seeded(0x5EED)] {
+            for (budget, host_threads) in [(None, 1), (None, 4), (Some(1024), 1), (Some(1024), 4)] {
+                let mut cluster = ClusterConfig::test();
+                (cluster.storage.memory_budget, cluster.host_threads) = (budget, host_threads);
+                let run = |closures: bool| {
+                    let collector = Collector::new();
+                    let config = JobConfig::new("wc", 3)
+                        .with_faults(plan.clone())
+                        .with_collector(Some(collector.clone()));
+                    let outcome = match closures {
+                        true => run_job(
+                            &cluster,
+                            &config,
+                            &splits(),
+                            &map,
+                            &reduce,
+                            &HashPartitioner,
+                        ),
+                        false => run_job(
+                            &cluster,
+                            &config,
+                            &splits(),
+                            &WcMap,
+                            &WcReduce,
+                            &HashPartitioner,
+                        ),
+                    }
+                    .expect("the word count survives its plan");
+                    let mut metrics = outcome.metrics.clone();
+                    metrics.host_wall = Duration::ZERO;
+                    let trace = skymr_telemetry::export::chrome_trace(&collector.finish());
+                    let facts = (format!("{metrics:?}"), outcome.registry.clone(), trace);
+                    (
+                        facts,
+                        outcome.counters.snapshot(),
+                        outcome.into_flat_output(),
+                    )
+                };
+                let (closures, structs) = (run(true), run(false));
+                assert_eq!(
+                    closures, structs,
+                    "{budget:?} budget, {host_threads} thread(s)"
+                );
+                reports.push(closures.0);
+            }
+        }
+        assert_ne!(reports[0], reports[4], "the seeded plan injected nothing");
     }
 
     #[test]

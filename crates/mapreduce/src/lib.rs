@@ -36,11 +36,13 @@
 //! algorithms use to emit local skylines). Emitted pairs are routed to
 //! reducers by a [`Partitioner`], grouped and key-sorted, and handed to
 //! [`ReduceTask::reduce`] once per distinct key. Jobs can be chained; a
-//! [`pipeline::PipelineMetrics`] accumulates per-job metrics.
+//! [`pipeline::PipelineMetrics`] accumulates per-job metrics. A factory is
+//! usually a closure `|ctx: &TaskContext| task`, and a stateless UDF is a
+//! [`map_fn`] / [`reduce_fn`] closure (see [`task`]).
 //!
 //! A read-only job-wide value (the paper's Hadoop *Distributed Cache*, used
-//! to ship the global bitstring to every node) is modelled by capturing an
-//! `Arc` in the factories and declaring its byte size in
+//! to ship the global bitstring to every node) is modelled by capturing it
+//! in the factories and declaring its byte size in
 //! [`JobConfig::cache_bytes`] so the broadcast is charged to the clock.
 
 #![warn(missing_docs)]
@@ -79,8 +81,8 @@ pub use sched::{
 pub use splits::{FnSplits, SliceSplits, SplitData, SplitSource};
 pub use storage::{parse_byte_size, StorageConfig};
 pub use task::{
-    Emitter, JobKey, JobValue, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask,
-    TaskContext,
+    map_fn, reduce_fn, Emitter, JobKey, JobValue, MapFactory, MapFn, MapTask, OutputCollector,
+    ReduceFactory, ReduceFn, ReduceTask, TaskContext,
 };
 
 pub use skymr_common::{ByteSized, Counters};

@@ -1,4 +1,12 @@
 //! Map and reduce task traits, factories, and output collectors.
+//!
+//! A job is two functions. A stateful task keeps its struct and its
+//! [`MapTask`] / [`ReduceTask`] impl, and its factory is a closure
+//! `|ctx: &TaskContext| task` at the `run_job` call site. A stateless one
+//! needs no struct at all: [`map_fn`] and [`reduce_fn`] wrap a closure as
+//! a task that is its own factory.
+
+use std::marker::PhantomData;
 
 use skymr_common::{ByteSized, Counters, Wire};
 
@@ -99,6 +107,88 @@ pub trait ReduceFactory: Sync {
     type Task: ReduceTask;
     /// Creates the task for the reducer described by `ctx`.
     fn create(&self, ctx: &TaskContext) -> Self::Task;
+}
+
+impl<F: Fn(&TaskContext) -> T + Sync, T: MapTask> MapFactory for F {
+    type Task = T;
+    fn create(&self, ctx: &TaskContext) -> T {
+        self(ctx)
+    }
+}
+
+impl<F: Fn(&TaskContext) -> T + Sync, T: ReduceTask> ReduceFactory for F {
+    type Task = T;
+    fn create(&self, ctx: &TaskContext) -> T {
+        self(ctx)
+    }
+}
+
+/// A per-record map closure that is both task and factory; see [`map_fn`].
+#[derive(Debug)]
+pub struct MapFn<F, In, K, V>(F, PhantomData<fn(In, K, V)>);
+
+/// Wraps `f(record, out)` as a map task with no `finish`. Every split
+/// runs its own clone of `f`, so state it captures by value starts afresh
+/// per split, as a Hadoop `Mapper` instance would.
+pub fn map_fn<F: FnMut(&In, &mut Emitter<K, V>), In, K, V>(f: F) -> MapFn<F, In, K, V> {
+    MapFn(f, PhantomData)
+}
+
+impl<F, In: Send + Sync, K: JobKey, V: JobValue> MapTask for MapFn<F, In, K, V>
+where
+    F: FnMut(&In, &mut Emitter<K, V>) + Send,
+{
+    type In = In;
+    type K = K;
+    type V = V;
+    fn map(&mut self, input: &In, out: &mut Emitter<K, V>) {
+        (self.0)(input, out);
+    }
+}
+
+impl<F: Clone + Sync, In, K, V> MapFactory for MapFn<F, In, K, V>
+where
+    Self: MapTask,
+{
+    type Task = Self;
+    fn create(&self, _: &TaskContext) -> Self {
+        MapFn(self.0.clone(), PhantomData)
+    }
+}
+
+/// A per-group reduce closure that is both task and factory; see
+/// [`reduce_fn`].
+#[derive(Debug)]
+pub struct ReduceFn<F, K, V, Out>(F, PhantomData<fn(K, V) -> Out>);
+
+/// Wraps `f(key, values, out)` as a reduce task with no `finish`; every
+/// reducer runs its own clone of `f`.
+pub fn reduce_fn<F: FnMut(K, Vec<V>, &mut OutputCollector<Out>), K, V, Out>(
+    f: F,
+) -> ReduceFn<F, K, V, Out> {
+    ReduceFn(f, PhantomData)
+}
+
+impl<F, K: JobKey, V: JobValue, Out: Send> ReduceTask for ReduceFn<F, K, V, Out>
+where
+    F: FnMut(K, Vec<V>, &mut OutputCollector<Out>) + Send,
+{
+    type K = K;
+    type V = V;
+    type Out = Out;
+    fn reduce(&mut self, key: K, values: Vec<V>, out: &mut OutputCollector<Out>) {
+        (self.0)(key, values, out);
+    }
+}
+
+impl<F: Clone + Sync, K, V, Out> ReduceFactory for ReduceFn<F, K, V, Out>
+where
+    Self: ReduceTask,
+{
+    type Task = Self;
+    fn create(&self, _: &TaskContext) -> Self {
+        ReduceFn(self.0.clone(), PhantomData)
+    }
 }
 
 /// Collects intermediate key-value pairs from a map task and accounts their

@@ -7,7 +7,9 @@
 //! and the schedule shaker asserts byte-identical job output across all
 //! of that. This pass checks the assumption statically inside every UDF
 //! body — a fn defined in an `impl` of one of [`super::UDF_TRAITS`] — and
-//! inside closures passed to combiner builders (`*Combiner::new(…)`):
+//! inside the closures that are UDFs wherever they are written: those
+//! passed to combiner builders (`*Combiner::new(…)`), to `map_fn(…)` /
+//! `reduce_fn(…)`, and the closure arguments (factories) of `run_job*`:
 //!
 //! * **interior mutability** (`RefCell`, `Cell`, `UnsafeCell`,
 //!   `Atomic*`, `Mutex`, `RwLock`): shared state observable across
@@ -49,28 +51,76 @@ pub fn check_file(f: &AnalyzedFile) -> Vec<Diagnostic> {
         if is_udf {
             scan(f, start, end, "UDF body", &mut out);
         } else {
-            // Closures handed to combiner builders are UDFs too, wherever
-            // the builder call sits (typically job-driver code).
+            // Closures handed to UDF builders are UDFs too, wherever the
+            // call sits (typically job-driver code).
+            let mut regions = Vec::new();
             for call in &g.calls {
-                let is_builder = call.name == "new"
-                    && !call.is_method
-                    && call
-                        .qualifier
-                        .as_deref()
-                        .is_some_and(|q| q.ends_with("Combiner"));
-                if !is_builder || f.sig_text(call.sig_idx + 1) != "(" {
+                let open = call.sig_idx + 1;
+                if call.is_method || f.sig_text(open) != "(" {
                     continue;
                 }
-                let close = f.sig_balanced_end(call.sig_idx + 1, "(", ")");
-                scan(
-                    f,
-                    call.sig_idx + 2,
-                    close.saturating_sub(1),
-                    "combiner closure",
-                    &mut out,
-                );
+                let args = (open + 1, f.sig_balanced_end(open, "(", ")") - 1);
+                let combiner = call
+                    .qualifier
+                    .as_deref()
+                    .is_some_and(|q| q.ends_with("Combiner"));
+                match call.name.as_str() {
+                    "new" if combiner => regions.push((args, "combiner closure")),
+                    "map_fn" => regions.push((args, "`map_fn` closure")),
+                    "reduce_fn" => regions.push((args, "`reduce_fn` closure")),
+                    name if name.starts_with("run_job") => {
+                        let factories = closure_args(f, args).into_iter();
+                        regions.extend(factories.map(|r| (r, "closure factory")));
+                    }
+                    _ => {}
+                }
+            }
+            // A region inside another (a `reduce_fn` that a closure factory
+            // returns) is scanned once, as part of the outer one.
+            for &((start, end), ctx) in &regions {
+                let nested = regions
+                    .iter()
+                    .any(|&((s, e), _)| (s, e) != (start, end) && s <= start && end <= e);
+                if !nested {
+                    scan(f, start, end, ctx, &mut out);
+                }
             }
         }
+    }
+    out
+}
+
+/// The closure arguments among a call's arguments, the significant range
+/// `[start, end)` between its parentheses.
+fn closure_args(f: &AnalyzedFile, (start, end): (usize, usize)) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut arg = start;
+    while arg < end {
+        let mut i = arg;
+        while matches!(f.sig_text(i), "&" | "move") {
+            i += 1;
+        }
+        let is_closure = f.sig_text(i) == "|";
+        if is_closure {
+            // Skip the parameter list: its commas do not end the argument.
+            i += 1;
+            while i < end && f.sig_text(i) != "|" {
+                i += 1;
+            }
+        }
+        let mut depth = 0i64;
+        while i < end && (depth > 0 || f.sig_text(i) != ",") {
+            match f.sig_text(i) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                _ => {}
+            }
+            i += 1;
+        }
+        if is_closure {
+            out.push((arg, i));
+        }
+        arg = i + 1;
     }
     out
 }
@@ -258,6 +308,46 @@ fn build() {
         assert!(diags[0].message.contains("combiner closure"));
         // A pure fold closure is clean.
         let src = "fn build() { let c = FoldCombiner::new(|a: u64, b: u64| a + b); drop(c); }\n";
+        assert!(analyze(PATH, src).is_empty());
+    }
+
+    #[test]
+    fn map_fn_closures_are_scanned_too() {
+        let src = "\
+fn job() -> impl MapFactory {
+    map_fn(|t: &Tuple, out: &mut Emitter<u32, Tuple>| {
+        let seen = HashMap::new();
+        out.emit(seen.len() as u32, t.clone());
+    })
+}
+";
+        let diags = analyze(PATH, src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 3);
+        assert!(diags[0].message.contains("`HashMap` in a `map_fn` closure"));
+    }
+
+    #[test]
+    fn closure_factories_passed_to_run_job_are_scanned_too() {
+        let src = "\
+fn driver(splits: &[Vec<Tuple>]) {
+    let t = run_job(
+        &cluster,
+        &JobConfig::new(\"x\", 1),
+        splits,
+        &|ctx: &TaskContext| Task { started: Instant::now(), ctx: ctx.clone() },
+        &|ctx: &TaskContext| reduce_fn(move |k: u8, vs: Vec<u8>, out| out.collect((k, vs))),
+        &SingleReducerPartitioner,
+    );
+    drop(t);
+}
+";
+        let diags = analyze(PATH, src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 6);
+        assert!(diags[0].message.contains("`Instant` in a closure factory"));
+        // The job's other arguments are driver code, not UDFs.
+        let src = "fn driver() { let t = Instant::now(); run_job(&t, &cfg, &s, &m, &r, &p); }\n";
         assert!(analyze(PATH, src).is_empty());
     }
 }

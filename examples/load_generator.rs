@@ -26,66 +26,21 @@ use skymr_common::{Error, Tuple};
 use skymr_datagen::{stream, Distribution};
 use skymr_mapreduce::telemetry::export::chrome_trace;
 use skymr_mapreduce::{
-    run_job_from, AdmissionConfig, ClusterConfig, ClusterExecutor, Collector, Emitter,
-    FairShareScheduler, FifoScheduler, FnSplits, HashPartitioner, JobCompletion, JobConfig,
-    JobMetrics, JobSpec, MapFactory, MapTask, OutputCollector, PriorityScheduler, ReduceFactory,
-    ReduceTask, Reservation, Scheduler, TaskContext,
+    map_fn, reduce_fn, run_job_from, AdmissionConfig, ClusterConfig, ClusterExecutor, Collector,
+    Emitter, FairShareScheduler, FifoScheduler, FnSplits, HashPartitioner, JobCompletion,
+    JobConfig, JobMetrics, JobSpec, PriorityScheduler, Reservation, Scheduler,
 };
 
-/// The workload: a coarse grid histogram — every tuple lands in one of
-/// 4^dim cells, reducers sum the per-cell counts. Deterministic, cheap on
-/// the host, and shaped like the paper's bitstring-generation job. On the
-/// simulated clock each record stands for a heavy one: the UDFs charge
-/// the work of ~40 µs per mapped tuple and ~5 µs per reduced value
-/// (8.7 ns a unit), so the slot pool genuinely saturates and the
-/// admission queue, deadlines, and preemption have something to push
-/// against.
-struct CellCount;
-struct CellCountTask;
-
+// The workload: a coarse grid histogram — every tuple lands in one of
+// 4^dim cells, reducers sum the per-cell counts. Deterministic, cheap on
+// the host, and shaped like the paper's bitstring-generation job. On the
+// simulated clock each record stands for a heavy one: the UDFs charge
+// the work of ~40 µs per mapped tuple and ~5 µs per reduced value
+// (8.7 ns a unit), so the slot pool genuinely saturates and the
+// admission queue, deadlines, and preemption have something to push
+// against.
 const MAP_WORK_PER_TUPLE: u64 = 4_600;
 const REDUCE_WORK_PER_VALUE: u64 = 575;
-
-impl MapTask for CellCountTask {
-    type In = Tuple;
-    type K = u64;
-    type V = u64;
-    fn map(&mut self, t: &Tuple, out: &mut Emitter<u64, u64>) {
-        let mut cell = 0u64;
-        for v in t.values.iter() {
-            cell = cell * 4 + (((v * 4.0) as u64).min(3));
-        }
-        out.charge(MAP_WORK_PER_TUPLE);
-        out.emit(cell, 1);
-    }
-}
-
-impl MapFactory for CellCount {
-    type Task = CellCountTask;
-    fn create(&self, _: &TaskContext) -> CellCountTask {
-        CellCountTask
-    }
-}
-
-struct SumCells;
-struct SumCellsTask;
-
-impl ReduceTask for SumCellsTask {
-    type K = u64;
-    type V = u64;
-    type Out = (u64, u64);
-    fn reduce(&mut self, cell: u64, counts: Vec<u64>, out: &mut OutputCollector<(u64, u64)>) {
-        out.charge(REDUCE_WORK_PER_VALUE * counts.len() as u64);
-        out.collect((cell, counts.iter().sum()));
-    }
-}
-
-impl ReduceFactory for SumCells {
-    type Task = SumCellsTask;
-    fn create(&self, _: &TaskContext) -> SumCellsTask {
-        SumCellsTask
-    }
-}
 
 /// One job's seeded recipe; everything downstream derives from this.
 #[derive(Clone, Copy)]
@@ -151,8 +106,18 @@ fn plane(recipe: JobRecipe, cluster: &ClusterConfig) -> PlaneOutput {
         cluster,
         &JobConfig::new(format!("cells-{}", recipe.index), 2),
         &source,
-        &CellCount,
-        &SumCells,
+        &map_fn(|t: &Tuple, out: &mut Emitter<u64, u64>| {
+            let mut cell = 0u64;
+            for v in t.values.iter() {
+                cell = cell * 4 + (((v * 4.0) as u64).min(3));
+            }
+            out.charge(MAP_WORK_PER_TUPLE);
+            out.emit(cell, 1);
+        }),
+        &reduce_fn(|cell: u64, counts: Vec<u64>, out| {
+            out.charge(REDUCE_WORK_PER_VALUE * counts.len() as u64);
+            out.collect((cell, counts.iter().sum::<u64>()));
+        }),
         &HashPartitioner,
     )
     .map_err(Error::from)?;

@@ -8,9 +8,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use skymr::{mr_gpmrs, mr_gpsrs, SkylineConfig, SkylineRun};
-use skymr_baselines::mr_bnl::{
-    ForwardMapFactory, LocalSkylineReduceFactory, MergeReduceFactory, PartitionMapFactory,
-};
+use skymr_baselines::mr_bnl::{forward_map, local_skyline_reduce, merge_reduce, partition_map};
 use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig, MergeStrategy};
 use skymr_common::dataset::canonicalize;
 use skymr_common::Dataset;
@@ -380,11 +378,8 @@ fn mr_bnl_over_lazy_splits_equals_mr_bnl_over_materialized_splits() {
         let local = |lazily: bool| {
             let lens = splits.iter().map(Vec::len).collect();
             let source = FnSplits::new(lens, |i| data.split_part(i, mappers).cloned().collect());
-            let (cluster, map, reduce) = (
-                &config.cluster,
-                &PartitionMapFactory,
-                &LocalSkylineReduceFactory,
-            );
+            let (cluster, map, reduce) =
+                (&config.cluster, &partition_map(), &local_skyline_reduce());
             match lazily {
                 true => run_job_from(cluster, &job1, &source, map, reduce, &ModuloPartitioner),
                 false => run_job(cluster, &job1, &splits, map, reduce, &ModuloPartitioner),
@@ -401,8 +396,8 @@ fn mr_bnl_over_lazy_splits_equals_mr_bnl_over_materialized_splits() {
             &config.cluster,
             &job2,
             &local.outputs,
-            &ForwardMapFactory,
-            &MergeReduceFactory::new(MergeStrategy::PlainBnl),
+            &forward_map(),
+            &merge_reduce(MergeStrategy::PlainBnl),
             &SingleReducerPartitioner,
         )
         .expect("phase 2 survives its plan");
