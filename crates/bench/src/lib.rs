@@ -135,7 +135,7 @@ impl HarnessOptions {
 }
 
 /// The algorithms the paper plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Algo {
     /// The paper's multi-reducer algorithm.
     MrGpmrs,
@@ -365,7 +365,7 @@ fn sparkline_char(v: f64, min: f64, max: f64) -> char {
 /// "cannot terminate in a reasonable period of time" curves.
 #[derive(Debug, Default)]
 pub struct DnfTracker {
-    dead: std::collections::HashSet<Algo>,
+    dead: std::collections::BTreeSet<Algo>,
 }
 
 impl DnfTracker {
@@ -619,7 +619,7 @@ mod tests {
     #[test]
     fn run_algo_smoke_all_algorithms() {
         let ds = dataset(Distribution::Independent, 3, 300, 1);
-        let mut sizes = std::collections::HashSet::new();
+        let mut sizes = std::collections::BTreeSet::new();
         for algo in Algo::all() {
             let m = run_algo(algo, &ds, 4);
             assert!(m.sim_runtime > Duration::ZERO);

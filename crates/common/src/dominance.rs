@@ -280,8 +280,10 @@ impl<T: Borrow<Tuple>> Window<T> {
     }
 
     fn push_signed(&mut self, t: T, sig: u64) {
-        self.items.push(t); // xtask: allow(hot-path-alloc) — amortized window growth; skyline size is data-dependent, callers pre-size when a bound is known
-        self.sigs.push(sig); // xtask: allow(hot-path-alloc) — grows in lockstep with `items`
+        // Amortized window growth: the skyline size is data-dependent, and
+        // callers pre-size when a bound is known. `sigs` grows in lockstep.
+        self.items.push(t);
+        self.sigs.push(sig);
     }
 
     /// Algorithm 4 (`InsertTuple`): adds `t` unless a window tuple

@@ -152,7 +152,6 @@ impl ReduceTask for GpmrsReduceTask {
     type V = PartitionSkylines;
     type Out = Tuple;
 
-    // xtask: hot
     fn reduce(
         &mut self,
         key: u32,

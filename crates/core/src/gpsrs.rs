@@ -193,7 +193,6 @@ impl ReduceTask for GpsrsReduceTask {
     type V = PartitionSkylines;
     type Out = Tuple;
 
-    // xtask: hot
     fn reduce(
         &mut self,
         _key: u8,

@@ -26,10 +26,10 @@
 //!   recovery work is visible in `sim_runtime` exactly like the paper's
 //!   overhead accounting demands.
 //!
-//! Because UDFs are pure (enforced by `cargo xtask analyze`), recovery
-//! never changes a job's *output* — the chaos suite (`tests/chaos.rs`)
-//! asserts byte-identical results between faulty and fault-free runs of
-//! every algorithm.
+//! Because UDFs are pure functions of their input, recovery never changes
+//! a job's *output* — the chaos suite (`tests/chaos.rs`) re-executes every
+//! algorithm under seeded faults and speculation and asserts byte-identical
+//! results and user counters against the fault-free run.
 
 mod error;
 mod exec;

@@ -464,7 +464,11 @@ where
         partitioner,
         combiner,
         counters: Counters::new(),
-        started: Instant::now(), // xtask: allow(clock-discipline) — feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model"
+        )]
+        started: Instant::now(),
         #[expect(
             clippy::expect_used,
             reason = "an unusable spill root is an environment fault with no in-job recovery"
@@ -1221,7 +1225,7 @@ where
     ) -> ReduceResult<Out> {
         let ctx = self.task_context(j, self.config.num_reducers, attempt);
         let mut task = self.reduce_factory.create(&ctx);
-        let mut out = OutputCollector::new();
+        let mut out = OutputCollector::default();
         let crash = || -> ! {
             crate::pool::raise_injected_panic(format!(
                 "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"

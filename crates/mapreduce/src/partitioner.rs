@@ -70,7 +70,7 @@ mod tests {
     #[test]
     fn hash_partitioner_spreads_keys() {
         let p = HashPartitioner;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0u64..64 {
             seen.insert(p.partition(&k, 8));
         }

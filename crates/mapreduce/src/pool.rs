@@ -300,7 +300,7 @@ pub fn catch_attempt<T>(run: impl FnOnce() -> T) -> Result<T, CaughtPanic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn single_thread_runs_sequentially() {
-        let seen = Mutex::new(HashSet::new());
+        let seen = Mutex::new(BTreeSet::new());
         run_indexed(10, 1, |i| {
             seen.lock().insert(i);
         });

@@ -112,7 +112,7 @@ enum OpenRun<K, V> {
     Disk(PartitionReader<K, V>),
 }
 
-/// What [`KWayMerge::advance`] observed: the registered-hot buffer-only
+/// What [`KWayMerge::advance`] observed: the allocation-free buffer-only
 /// step either produces a pair, asks the (cold) caller to refill a run
 /// from its chunk reader, or reports exhaustion.
 enum Step<K, V> {
@@ -155,10 +155,9 @@ impl<K: Wire + Ord, V: Wire> KWayMerge<K, V> {
         })
     }
 
-    /// The buffer-only merge step. Registered hot: a linear scan over at
-    /// most `fan_in` run heads, no allocation; chunk decoding happens in
-    /// the caller via [`Self::refill`], amortized once per io-chunk.
-    // xtask: hot
+    /// The buffer-only merge step: a linear scan over at most `fan_in`
+    /// run heads, no allocation (`tests/alloc.rs`); chunk decoding happens
+    /// in the caller via [`Self::refill`], amortized once per io-chunk.
     fn advance(&mut self) -> Step<K, V> {
         let mut best: Option<usize> = None;
         for (i, r) in self.runs.iter().enumerate() {

@@ -207,10 +207,9 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     }
 
     /// Appends one pair to the current partition, flushing a frame when
-    /// the chunk budget fills. Registered hot: per-record work is bounds
-    /// checks and buffer extends into pre-reserved scratch buffers; the
-    /// frame flush runs once per `io_chunk` bytes.
-    // xtask: hot
+    /// the chunk budget fills. Per-record work is bounds checks and buffer
+    /// extends into pre-reserved scratch buffers, no allocation
+    /// (`tests/alloc.rs`); the frame flush runs once per `io_chunk` bytes.
     pub fn push(&mut self, k: &K, v: &V) -> Result<(), StorageError> {
         k.wire_encode(&mut self.frame);
         v.wire_encode(&mut self.frame);
@@ -403,8 +402,8 @@ fn read_frame(
 
 /// Checksum-verifies every frame of one partition without decoding pairs —
 /// the shuffle-phase integrity scan that decides whether a partition
-/// enters the re-fetch → re-execute ladder. Registered hot: the inner
-/// loop is the CRC32C kernel over reused buffers.
+/// enters the re-fetch → re-execute ladder. The inner loop is the CRC32C
+/// kernel over reused buffers; `tests/alloc.rs` pins it allocation-free.
 pub fn verify_frames(segment: &Segment, part: usize) -> Result<(), StorageError> {
     let meta = segment.parts.get(part).ok_or(StorageError::Frame {
         context: "verify partition",

@@ -268,14 +268,18 @@ pub struct OutputCollector<T> {
     work: u64,
 }
 
-impl<T> OutputCollector<T> {
-    pub(crate) fn new() -> Self {
+/// An empty collector: the engine makes one per reduce attempt, and a test
+/// can drive a [`ReduceTask`] directly with one.
+impl<T> Default for OutputCollector<T> {
+    fn default() -> Self {
         Self {
             records: Vec::new(),
             work: 0,
         }
     }
+}
 
+impl<T> OutputCollector<T> {
     /// Charges `units` of UDF work to this attempt (see
     /// [`Emitter::charge`]).
     pub fn charge(&mut self, units: u64) {
@@ -284,7 +288,9 @@ impl<T> OutputCollector<T> {
 
     /// Emits one output record.
     pub fn collect(&mut self, record: T) {
-        self.records.push(record); // xtask: allow(hot-path-alloc) — output size is unknown a priori; amortized doubling is the collector's contract
+        // Output size is unknown a priori; amortized doubling is the
+        // collector's contract.
+        self.records.push(record);
     }
 
     /// Number of records collected so far.
@@ -322,7 +328,7 @@ mod tests {
 
     #[test]
     fn output_collector_preserves_order() {
-        let mut c: OutputCollector<&'static str> = OutputCollector::new();
+        let mut c: OutputCollector<&'static str> = OutputCollector::default();
         c.collect("a");
         c.collect("b");
         c.charge(3);

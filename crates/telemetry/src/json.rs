@@ -3,6 +3,10 @@
 //! this hand-rolled recursive-descent parser covers the subset the
 //! exporters emit — which is all of standard JSON minus exotic number
 //! forms (exponents are accepted; only finite values appear in traces).
+//!
+//! Hostile input ends in a [`ParseError`], never a panic: parsing is linear
+//! in the input, and nesting deeper than 128 levels is rejected before the
+//! recursion can exhaust the stack.
 
 /// A parsed JSON value. Objects preserve key order.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,25 +98,32 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The exporters nest at
+/// most four levels; the bound keeps the recursive descent's stack small.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
 /// content is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing content after the document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Always on a char boundary of `src`.
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -124,7 +135,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -143,7 +154,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -153,8 +164,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -162,6 +173,19 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -238,9 +262,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -254,14 +277,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    if let Some(c) = s.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                    // Copy the run up to the next quote or escape at once.
+                    let rest = self
+                        .src
+                        .get(self.pos..)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    let len = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -278,8 +301,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos]; // ASCII: both ends are char boundaries
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err(format!("invalid number '{text}'")))
@@ -325,6 +347,66 @@ mod tests {
         assert!(parse("{\"a\":1,}").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A string scanned char by char against the whole remaining input
+        // takes minutes at this size.
+        let text: String = "trace é ".repeat(1 << 17);
+        assert!(text.len() >= 1 << 20);
+        let doc = format!(r#"{{"name":"{text}","args":["\u00e9\n"]}}"#);
+        let v = parse(&doc).expect("parses");
+        assert_eq!(v.get("name").and_then(Value::as_str), Some(text.as_str()));
+        let args = v.get("args").and_then(Value::as_array).expect("array");
+        assert_eq!(args[0].as_str(), Some("é\n"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Deep enough to overflow the stack without the bound.
+        assert!(parse(&deep(200_000)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200_000), "}".repeat(200_000));
+        assert!(parse(&objects).is_err());
+    }
+
+    /// Characters that steer the parser: structure, escapes, literals,
+    /// numbers, and a multi-byte scalar.
+    const ALPHABET: [char; 22] = [
+        '[', ']', '{', '}', '"', '\\', ':', ',', 'u', '0', '9', 'a', '-', '.', 'e', 't', 'r', 'n',
+        'l', 'f', ' ', 'é',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Hostile input: any text ends in `Ok` or `Err`, never a panic or
+        /// an abort — raw bytes (decoded lossily, as a file read would be),
+        /// text over the parser's own alphabet, or a trace-shaped document
+        /// with one byte overwritten.
+        #[test]
+        fn arbitrary_input_never_panics(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            mode in 0u8..3,
+            at in proptest::prelude::any::<usize>()
+        ) {
+            let text = match mode {
+                0 => String::from_utf8_lossy(&noise).into_owned(),
+                1 => noise.iter().map(|&b| ALPHABET[b as usize % ALPHABET.len()]).collect(),
+                _ => {
+                    let mut doc = br#"{"traceEvents":[{"name":"map[0]","ph":"X","ts":1.5e0,"args":{"ok":true,"n":null}}]}"#.to_vec();
+                    let at = at % doc.len();
+                    doc[at] = noise.first().copied().unwrap_or(b'[');
+                    String::from_utf8_lossy(&doc).into_owned()
+                }
+            };
+            let _ = parse(&text);
+        }
     }
 
     #[test]

@@ -223,6 +223,11 @@ pub fn gate(baseline: &[Row], runs: &[Vec<Row>]) -> Result<Vec<Verdict>, String>
 // Driver.
 // ---------------------------------------------------------------------
 
+fn workspace_root() -> Option<&'static Path> {
+    // crates/xtask -> crates -> workspace root.
+    Path::new(env!("CARGO_MANIFEST_DIR")).parent()?.parent()
+}
+
 /// Runs one bench target once, exporting its rows via `SKYMR_BENCH_OUT`.
 fn run_bench_once(root: &Path, bench: &str, run_idx: usize) -> Result<Vec<Row>, String> {
     let out_path = std::env::temp_dir().join(format!(
@@ -265,7 +270,7 @@ pub fn run(args: &[String]) -> ExitCode {
             }
         }
     }
-    let Some(root) = crate::analyze::workspace_root() else {
+    let Some(root) = workspace_root() else {
         eprintln!("xtask: cannot locate the workspace root");
         return ExitCode::from(2);
     };
@@ -280,7 +285,7 @@ pub fn run(args: &[String]) -> ExitCode {
         println!("bench-gate: running `{bench}` ×{RUNS}…");
         let mut runs = Vec::with_capacity(RUNS);
         for i in 0..RUNS {
-            match run_bench_once(&root, bench, i) {
+            match run_bench_once(root, bench, i) {
                 Ok(rows) => runs.push(rows),
                 Err(e) => {
                     eprintln!("bench-gate: {e}");

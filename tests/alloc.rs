@@ -1,0 +1,521 @@
+//! The §6 cost model prices a kernel by its comparisons alone, so no
+//! kernel may allocate per tuple. This binary checks that on the code that
+//! runs: a counting `#[global_allocator]` (in its own test binary, so no
+//! production build carries it) counts this thread's allocations, and every
+//! hot entry point must allocate as often in one call at input size `n` as
+//! at `4n`. Inputs are shaped so the output is the same size at both — a
+//! fixed skyline first, then tuples it dominates — so what is left to grow
+//! with `n` is an allocation inside a loop.
+//!
+//! Counts are per thread, so tests running in parallel do not see each
+//! other's allocations. `realloc` counts as an allocation: a `Vec` growing
+//! inside a loop is exactly what the check is for.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::hint::black_box;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use skymr::gpmrs::GpmrsReduceFactory;
+use skymr::gpsrs::{GpsrsReduceFactory, PartitionSkylines};
+use skymr::groups::plan_groups;
+use skymr::local::{
+    eliminate_false_positives, insert_into_partition, local_skyline, CmpStats, LocalSkylines,
+};
+use skymr::{Bitstring, Grid, LocalAlgo, MergePolicy};
+use skymr_baselines::bnl_skyline;
+use skymr_common::bytes::encode_pairs_into;
+use skymr_common::dominance::{compare, CellQuantizer, Window};
+use skymr_common::{
+    crc32c_update, dominates, encode_pairs, frame_decode, frame_encode, BitGrid, Tuple,
+};
+use skymr_mapreduce::storage::segment::{verify_frames, write_segment, SegmentWriter};
+use skymr_mapreduce::storage::{KWayMerge, RunSource};
+use skymr_mapreduce::{Counters, OutputCollector, ReduceFactory, ReduceTask, TaskContext};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread; its result is dropped afterwards.
+fn allocs<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    let out = black_box(f());
+    let count = ALLOCS.with(Cell::get) - before;
+    drop(out);
+    count
+}
+
+/// Input size of the tuple-count rows: large enough that both `n` and `4n`
+/// take std's heap path for sort scratch (small slices sort on the stack).
+const N: usize = 256;
+
+/// Asserts that `per_call(n)` — the allocations of one call at size `n`,
+/// set-up excluded — is the same at `n` and `4n`; returns that count.
+fn assert_flat(entry: &str, n: usize, mut per_call: impl FnMut(usize) -> u64) -> u64 {
+    let (small, large) = (per_call(n), per_call(4 * n));
+    assert_eq!(
+        small,
+        large,
+        "{entry}: {small} allocations at n = {n}, {large} at n = {}",
+        4 * n
+    );
+    small
+}
+
+/// The three skyline tuples every tuple-count row starts with, one per
+/// non-dominated cell of a 2-d grid with 2 partitions per dimension.
+const SKYLINE: [[f64; 2]; 3] = [[0.3, 0.3], [0.1, 0.9], [0.9, 0.1]];
+
+/// `n` tuples: the three of [`SKYLINE`], then tuples each dominated by one
+/// of them and lying in its grid cell, so every window rejects them on
+/// arrival and the skyline stays three tuples at every `n`.
+fn skyline_then_dominated(n: usize) -> Vec<Tuple> {
+    (0..n)
+        .map(|j| {
+            let [x, y] = SKYLINE[j % 3];
+            let values = if j < 3 {
+                vec![x, y]
+            } else {
+                vec![x + 0.05, y + 0.01 * (j % 5 + 1) as f64]
+            };
+            Tuple::new(j as u64, values)
+        })
+        .collect()
+}
+
+/// `n` pairwise-incomparable tuples on the segment from `(x0, y1)` down to
+/// `(x1, y0)`.
+fn antichain(n: usize, (x0, x1): (f64, f64), (y0, y1): (f64, f64)) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| {
+            let f = (i as f64 + 0.5) / n as f64;
+            Tuple::new(i as u64, vec![x0 + f * (x1 - x0), y1 - f * (y1 - y0)])
+        })
+        .collect()
+}
+
+fn grid() -> Grid {
+    Grid::new(2, 2).unwrap()
+}
+
+/// [`skyline_then_dominated`] as two mappers' payloads: contiguous halves,
+/// so the first mapper carries every skyline tuple ahead of what they
+/// dominate. Only partitions `keep` accepts are included.
+fn payloads(n: usize, keep: impl Fn(u32) -> bool) -> Vec<PartitionSkylines> {
+    let grid = grid();
+    let tuples = skyline_then_dominated(n);
+    tuples
+        .chunks(n.div_ceil(2))
+        .map(|half| {
+            let mut by_partition: BTreeMap<u32, Vec<Tuple>> = BTreeMap::new();
+            for t in half {
+                let p = grid.partition_of(t) as u32;
+                if keep(p) {
+                    by_partition.entry(p).or_default().push(t.clone());
+                }
+            }
+            by_partition.into_iter().collect()
+        })
+        .collect()
+}
+
+fn context() -> TaskContext {
+    TaskContext {
+        task_index: 0,
+        num_tasks: 1,
+        num_reducers: 1,
+        attempt: 0,
+        counters: Counters::new(),
+    }
+}
+
+/// A fresh spill file path for one storage row.
+fn spill_path(row: &str, n: usize) -> PathBuf {
+    std::env::temp_dir().join(format!("skymr-alloc-{}-{row}-{n}.seg", std::process::id()))
+}
+
+/// `n` sorted `(key, value)` pairs with fixed-width encodings, so every
+/// full spill frame holds the same number of pairs.
+fn pairs(n: usize) -> Vec<(u32, u64)> {
+    (0..n as u32).map(|k| (k / 4, u64::from(k) * 7)).collect()
+}
+
+// ---------------------------------------------------------------------
+// Dominance tests and the tuple-level ADR test (common::dominance).
+// `n` is the dimensionality for the per-pair kernels.
+// ---------------------------------------------------------------------
+
+#[test]
+fn dominance_dominates() {
+    let count = assert_flat("dominates", 64, |d| {
+        let (a, b) = (Tuple::new(0, vec![0.1; d]), Tuple::new(1, vec![0.2; d]));
+        allocs(|| dominates(&a, &b))
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn dominance_compare() {
+    let count = assert_flat("compare", 64, |d| {
+        let (a, b) = (Tuple::new(0, vec![0.1; d]), Tuple::new(1, vec![0.2; d]));
+        allocs(|| compare(&a, &b))
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn dominance_signature() {
+    // d ≤ 32 keeps the signature filter enabled at both sizes.
+    let count = assert_flat("CellQuantizer::signature", 8, |d| {
+        let q = CellQuantizer::new(d);
+        let values = vec![0.4; d];
+        allocs(|| q.signature(&values))
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn window_insert() {
+    // One insert scans a window of `n` tuples and appends: the new tuple is
+    // incomparable with all of them, and the window has room for it.
+    let count = assert_flat("Window::insert", N, |n| {
+        let mut window = Window::with_capacity(n + 1);
+        window.extend(antichain(n, (0.1, 0.9), (0.1, 0.9)));
+        let t = Tuple::new(n as u64, vec![0.05, 0.95]);
+        let mut examined = 0;
+        let count = allocs(|| window.insert(t, &mut examined));
+        assert_eq!((window.len(), examined), (n + 1, n as u64));
+        count
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn window_prune_by() {
+    // Nothing on the line x + y = 1.4 dominates anything on x + y = 1.
+    let count = assert_flat("Window::prune_by", N, |n| {
+        let mut own = Window::from(antichain(n, (0.1, 0.9), (0.1, 0.9)));
+        let other = Window::from(antichain(n, (0.5, 0.9), (0.5, 0.9)));
+        let mut examined = 0;
+        let count = allocs(|| own.prune_by(&other, &mut examined));
+        assert_eq!(own.len(), n);
+        count
+    });
+    assert_eq!(count, 0);
+}
+
+// ---------------------------------------------------------------------
+// Local-skyline kernels (Algorithms 4–5), core::local.
+// ---------------------------------------------------------------------
+
+#[test]
+fn local_insert_into_partition() {
+    // `n` partitions; the target's window holds `n` tuples with room for one
+    // more, and the inserted tuple is incomparable with all of them.
+    let count = assert_flat("insert_into_partition", N, |n| {
+        let mut skylines = LocalSkylines::new();
+        for p in 0..n as u32 {
+            let mut window = Window::with_capacity(n + 1);
+            window.extend(antichain(n, (0.1, 0.9), (0.1, 0.9)));
+            skylines.insert(p, window);
+        }
+        let t = Tuple::new(n as u64, vec![0.05, 0.95]);
+        let mut stats = CmpStats::default();
+        let target = n as u32 / 2;
+        let count = allocs(|| insert_into_partition(&mut skylines, target, t, &mut stats));
+        assert_eq!(skylines[&target].len(), n + 1);
+        count
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn local_skyline_streaming_kernels() {
+    for algo in [LocalAlgo::Bnl, LocalAlgo::Sfs] {
+        assert_flat(&format!("local_skyline({algo:?})"), N, |n| {
+            let tuples = skyline_then_dominated(n);
+            let mut stats = CmpStats::default();
+            allocs(|| {
+                let sky = local_skyline(tuples, algo, &mut stats);
+                assert_eq!(sky.len(), SKYLINE.len());
+            })
+        });
+    }
+}
+
+/// `LocalAlgo::Dnc` is the one entry whose count grows with `n`, by design:
+/// every internal node of the recursion splits its tuples (`split_off`, one
+/// allocation) and every leaf reserves its window (two), so one call makes
+/// `3 · leaves − 1` allocations. A node is a leaf at 48 tuples or at depth
+/// `2d`, so per tuple that is at most 3/24, and for fixed `d` the leaf count
+/// is bounded (16 for `d = 2`). Pinned at the measured counts so a new
+/// allocation per tuple still shows.
+#[test]
+fn local_skyline_dnc_grows_with_its_leaves() {
+    let counts = [N, 4 * N].map(|n| {
+        let tuples = skyline_then_dominated(n);
+        let mut stats = CmpStats::default();
+        allocs(|| local_skyline(tuples, LocalAlgo::Dnc, &mut stats))
+    });
+    assert_eq!(
+        counts,
+        DNC_ALLOCS,
+        "Dnc allocations at n = {N} and {}",
+        4 * N
+    );
+}
+
+/// Measured allocation counts of one `LocalAlgo::Dnc` call at `n = 256`
+/// (8 leaves) and `n = 1024` (16 leaves, the depth cap for `d = 2`).
+const DNC_ALLOCS: [u64; 2] = [23, 47];
+
+#[test]
+fn local_eliminate_false_positives() {
+    // Cell (0,1) lies in the ADR of cell (1,1); their antichains of `n`
+    // tuples each are placed so that neither prunes the other.
+    let grid = grid();
+    assert_flat("eliminate_false_positives", N, |n| {
+        let mut skylines = LocalSkylines::from([
+            (
+                grid.index_of(&[0, 1]) as u32,
+                Window::from(antichain(n, (0.05, 0.45), (0.9, 0.99))),
+            ),
+            (
+                grid.index_of(&[1, 1]) as u32,
+                Window::from(antichain(n, (0.55, 0.95), (0.55, 0.85))),
+            ),
+        ]);
+        let mut stats = CmpStats::default();
+        let count = allocs(|| {
+            eliminate_false_positives(&grid, &mut skylines, &LocalSkylines::new(), &mut stats);
+        });
+        assert_eq!(stats.partition_cmps, 1);
+        assert_eq!(skylines.values().map(Window::len).sum::<usize>(), 2 * n);
+        count
+    });
+}
+
+// ---------------------------------------------------------------------
+// BNL baseline, grid assignment, bitstring union.
+// ---------------------------------------------------------------------
+
+#[test]
+fn bnl_skyline_window() {
+    assert_flat("bnl_skyline", N, |n| {
+        let tuples = skyline_then_dominated(n);
+        allocs(|| assert_eq!(bnl_skyline(&tuples).len(), SKYLINE.len()))
+    });
+}
+
+#[test]
+fn grid_partition_of() {
+    // `n` is the dimensionality; 2^16 partitions still fit the index.
+    let count = assert_flat("Grid::partition_of", 4, |d| {
+        let grid = Grid::new(d, 2).unwrap();
+        let t = Tuple::new(0, vec![0.7; d]);
+        allocs(|| grid.partition_of(&t))
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn bitgrid_or_assign() {
+    let count = assert_flat("BitGrid::or_assign", N * 64, |bits| {
+        let mut a = BitGrid::zeros(bits);
+        let mut b = BitGrid::zeros(bits);
+        b.set(bits - 1);
+        allocs(|| a.or_assign(&b))
+    });
+    assert_eq!(count, 0);
+}
+
+// ---------------------------------------------------------------------
+// Shuffle-frame codec (common::bytes); `n` is a byte or pair count.
+// ---------------------------------------------------------------------
+
+#[test]
+fn codec_crc32c_update() {
+    let count = assert_flat("crc32c_update", 64 * N, |n| {
+        let data = vec![0xA5u8; n];
+        allocs(|| crc32c_update(0, &data))
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn codec_frame_encode() {
+    // One exact reservation per frame, never a growth per byte.
+    let count = assert_flat("frame_encode", 64 * N, |n| {
+        let payload = vec![0xA5u8; n];
+        let mut out = Vec::new();
+        allocs(|| frame_encode(&payload, &mut out))
+    });
+    assert_eq!(count, 1);
+}
+
+#[test]
+fn codec_frame_decode() {
+    let count = assert_flat("frame_decode", 64 * N, |n| {
+        let mut frame = Vec::new();
+        frame_encode(&vec![0xA5u8; n], &mut frame);
+        allocs(|| frame_decode(&frame).map(|(payload, _)| payload.len()))
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn codec_encode_pairs_into() {
+    // The documented contract: a caller that reserves the frame's size
+    // never sees the buffer grow.
+    let count = assert_flat("encode_pairs_into", N, |n| {
+        let pairs = pairs(n);
+        let mut out = Vec::with_capacity(encode_pairs(&pairs).len());
+        allocs(|| encode_pairs_into(&pairs, &mut out))
+    });
+    assert_eq!(count, 0);
+}
+
+// ---------------------------------------------------------------------
+// Out-of-core storage plane (mapreduce::storage); `n` is a pair count.
+// ---------------------------------------------------------------------
+
+/// Spill frame payload size for the storage rows: `n` and `4n` pairs span
+/// many frames, all full ones the same size.
+const IO_CHUNK: usize = 1024;
+
+#[test]
+fn storage_verify_frames() {
+    assert_flat("verify_frames", 16 * N, |n| {
+        let path = spill_path("verify", n);
+        let segment = write_segment(path.clone(), &[pairs(n)], IO_CHUNK).unwrap();
+        assert!(segment.parts[0].frames > 1);
+        let count = allocs(|| verify_frames(&segment, 0).unwrap());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(segment.manifest_path()).ok();
+        count
+    });
+}
+
+#[test]
+fn storage_segment_writer_push() {
+    // `n` pushes, frame flushes included: nothing per record.
+    let count = assert_flat("SegmentWriter::push", 16 * N, |n| {
+        let path = spill_path("push", n);
+        let pairs = pairs(n);
+        let mut writer = SegmentWriter::create(path.clone(), IO_CHUNK).unwrap();
+        let count = allocs(|| {
+            for (k, v) in &pairs {
+                writer.push(k, v).unwrap();
+            }
+        });
+        drop(writer);
+        std::fs::remove_file(&path).ok();
+        count
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn storage_kway_merge_next_pair() {
+    // Four sorted in-memory runs of `n / 4` pairs, drained through the
+    // merge step. (A disk run adds its reader's decode, once per io-chunk.)
+    let count = assert_flat("KWayMerge::next_pair", 16 * N, |n| {
+        let runs = (0..4)
+            .map(|r| RunSource::Mem(pairs(n).into_iter().skip(r).step_by(4).collect()))
+            .collect();
+        let mut merge: KWayMerge<u32, u64> = KWayMerge::open(runs).unwrap();
+        let mut drained = 0;
+        let count = allocs(|| {
+            while merge.next_pair().unwrap().is_some() {
+                drained += 1;
+            }
+        });
+        assert_eq!(drained, n);
+        count
+    });
+    assert_eq!(count, 0);
+}
+
+// ---------------------------------------------------------------------
+// The paper's reducers (Algorithms 6 and 9), driven directly.
+// ---------------------------------------------------------------------
+
+#[test]
+fn gpsrs_reduce() {
+    assert_flat("GpsrsReduceTask::reduce", N, |n| {
+        let mut task = GpsrsReduceFactory::new(grid()).create(&context());
+        let values = payloads(n, |_| true);
+        let mut out = OutputCollector::default();
+        let count = allocs(|| task.reduce(0, values, &mut out));
+        assert_eq!(out.len(), SKYLINE.len());
+        count
+    });
+}
+
+#[test]
+fn gpmrs_reduce() {
+    // Two buckets share partition (0,0): each bucket's reducer finalizes
+    // its designated partitions, one of them against (0,0) as a
+    // comparison-only source.
+    let grid = grid();
+    let bitstring = Bitstring::from_tuples(grid, &skyline_then_dominated(3));
+    let plan = plan_groups(&bitstring, 2, MergePolicy::ComputationCost);
+    let shared = grid.index_of(&[0, 0]) as u32;
+    assert_eq!(plan.num_buckets(), 2);
+    assert!(plan.buckets.iter().all(|b| b.partitions.contains(&shared)));
+    let (bitstring, plan) = (Arc::new(bitstring), Arc::new(plan));
+    let mut outputs = 0;
+    for (key, bucket) in plan.buckets.iter().enumerate() {
+        assert_flat(&format!("GpmrsReduceTask::reduce (bucket {key})"), N, |n| {
+            let factory = GpmrsReduceFactory::new(Arc::clone(&bitstring), Arc::clone(&plan));
+            let mut task = factory.create(&context());
+            let values = payloads(n, |p| bucket.partitions.contains(&p));
+            let mut out = OutputCollector::default();
+            let count = allocs(|| task.reduce(key as u32, values, &mut out));
+            if n == N {
+                outputs += out.len();
+            }
+            count
+        });
+    }
+    assert_eq!(outputs, SKYLINE.len());
+}

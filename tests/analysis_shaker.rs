@@ -83,7 +83,7 @@ mod raw_engine {
     //! job routed through `HashPartitioner` *with failure injection
     //! active* stays byte-identical across shaken schedules — so any
     //! future `HashMap`-iteration regression in either file trips here
-    //! as well as in the `udf-determinism` static pass.
+    //! as well as in clippy's `disallowed-types` ban on `HashMap`/`HashSet`.
 
     use skymr_mapreduce::{
         run_job, ClusterConfig, Emitter, FaultPlan, HashPartitioner, JobConfig, MapFactory,

@@ -3,12 +3,23 @@
 //! repeated per-attempt failures, mid-task panics, lost shuffle
 //! partitions, failed broadcasts, stragglers — and a task that can never
 //! succeed must surface as a structured [`skymr_common::Error::JobFailed`],
-//! not a panic. Covers MR-GPSRS, MR-GPMRS, MR-BNL, and MR-Angle.
+//! not a panic. The byte-identity table re-executes every public pipeline
+//! under seeded faults and speculation, in memory and spilled — the
+//! dynamic check of the MapReduce contract that map and reduce are
+//! functions of their input alone.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use skymr::{mr_gpmrs, mr_gpsrs, SkylineConfig, SkylineRun};
-use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig, BaselineRun};
+use skymr::{
+    mr_constrained_gpmrs, mr_constrained_gpsrs, mr_gpmrs, mr_gpsrs, mr_hybrid, mr_skyband,
+    mr_skyband_multi, mr_top_k_dominating, Constraint, SkylineConfig, SkylineRun,
+};
+use skymr_baselines::{
+    discretize, mr_angle, mr_bitmap, mr_bnl, mr_sfs, sky_mr, BaselineConfig, BaselineRun,
+    SkyMrConfig,
+};
 use skymr_common::{Dataset, Error, Tuple};
 use skymr_datagen::Distribution;
 use skymr_integration_tests::scenario;
@@ -87,62 +98,157 @@ where
     algo(data, &config).expect("chaos faults are always recoverable within the retry budget")
 }
 
-fn run_baseline<F>(data: &Dataset, ft: FaultTolerance, algo: F) -> BaselineRun
-where
-    F: Fn(&Dataset, &BaselineConfig) -> skymr_common::Result<BaselineRun>,
-{
-    let config = BaselineConfig::test().with_fault_tolerance(ft);
-    algo(data, &config).expect("chaos faults are always recoverable within the retry budget")
+/// What a pipeline reports that no fault may move: its output as bytes and
+/// its user counters (the core pipelines'; the rest report none), plus the
+/// per-job metrics the retry bounds are checked on.
+struct Report {
+    output: Vec<u8>,
+    counters: BTreeMap<String, u64>,
+    jobs: Vec<JobMetrics>,
 }
 
-/// Runs all four pipelines under `ft` and asserts each one reproduces its
-/// fault-free output byte for byte, with retry bounds respected.
-fn assert_chaos_preserves_output(data: &Dataset, ft: &FaultTolerance, label: &str) {
+fn skyline_report(run: SkylineRun) -> Report {
+    Report {
+        output: tuple_bytes(&run.skyline),
+        counters: run.counters,
+        jobs: run.metrics.jobs,
+    }
+}
+
+fn baseline_report(run: BaselineRun) -> Report {
+    Report {
+        output: tuple_bytes(&run.skyline),
+        counters: BTreeMap::new(),
+        jobs: run.metrics.jobs,
+    }
+}
+
+/// The engine a table row runs on: a fault tolerance and a memory budget.
+type Engine = (FaultTolerance, Option<u64>);
+
+fn core_config((ft, budget): &Engine) -> SkylineConfig {
+    SkylineConfig::test()
+        .with_fault_tolerance(ft.clone())
+        .with_memory_budget(*budget)
+}
+
+fn baseline_config((ft, budget): &Engine) -> BaselineConfig {
+    BaselineConfig::test()
+        .with_fault_tolerance(ft.clone())
+        .with_memory_budget(*budget)
+}
+
+type Pipeline = fn(&Dataset, &Engine) -> skymr_common::Result<Report>;
+
+/// Every public pipeline; MR-Bitmap runs on its own (discretized) domain.
+fn pipelines() -> [(&'static str, Pipeline); 13] {
+    fn constraint() -> Constraint {
+        Constraint::new(vec![0.0; 3], vec![0.7; 3]).expect("a non-empty box")
+    }
+    [
+        ("MR-GPSRS", |d, e| {
+            mr_gpsrs(d, &core_config(e)).map(skyline_report)
+        }),
+        ("MR-GPMRS", |d, e| {
+            mr_gpmrs(d, &core_config(e)).map(skyline_report)
+        }),
+        ("hybrid", |d, e| {
+            mr_hybrid(d, &core_config(e)).map(skyline_report)
+        }),
+        ("2-skyband", |d, e| {
+            mr_skyband(d, 2, &core_config(e)).map(skyline_report)
+        }),
+        ("2-skyband multi", |d, e| {
+            mr_skyband_multi(d, 2, &core_config(e)).map(skyline_report)
+        }),
+        ("constrained MR-GPSRS", |d, e| {
+            mr_constrained_gpsrs(d, &constraint(), &core_config(e)).map(skyline_report)
+        }),
+        ("constrained MR-GPMRS", |d, e| {
+            mr_constrained_gpmrs(d, &constraint(), &core_config(e)).map(skyline_report)
+        }),
+        ("top-5 dominating", |d, e| {
+            let run = mr_top_k_dominating(d, 5, &core_config(e))?;
+            let (tuples, scores): (Vec<Tuple>, Vec<u64>) = run.ranked.into_iter().unzip();
+            let mut output = tuple_bytes(&tuples);
+            output.extend(scores.iter().flat_map(|s| s.to_le_bytes()));
+            let jobs = run.metrics.jobs;
+            Ok(Report {
+                output,
+                counters: BTreeMap::new(),
+                jobs,
+            })
+        }),
+        ("MR-BNL", |d, e| {
+            mr_bnl(d, &baseline_config(e)).map(baseline_report)
+        }),
+        ("MR-Angle", |d, e| {
+            mr_angle(d, &baseline_config(e)).map(baseline_report)
+        }),
+        ("MR-SFS", |d, e| {
+            mr_sfs(d, &baseline_config(e)).map(baseline_report)
+        }),
+        ("MR-Bitmap", |d, e| {
+            mr_bitmap(&discretize(d, 8), &baseline_config(e)).map(baseline_report)
+        }),
+        ("SKY-MR", |d, e| {
+            let BaselineConfig {
+                cluster,
+                fault_tolerance,
+                ..
+            } = baseline_config(e);
+            let config = SkyMrConfig {
+                cluster,
+                fault_tolerance,
+                ..SkyMrConfig::test()
+            };
+            sky_mr(d, &config).map(baseline_report)
+        }),
+    ]
+}
+
+/// The byte-identity table: every pipeline, under every plan of `plans`
+/// and every budget of `budgets`, reproduces its fault-free in-memory
+/// output and user counters byte for byte, within the retry bounds.
+/// Returns the spill files the faulty runs wrote.
+fn assert_every_pipeline_reproduces(
+    plans: &[(String, FaultTolerance)],
+    budgets: &[Option<u64>],
+) -> u64 {
+    let data = chaos_data();
     let budget = RetryPolicy::new().max_attempts as u64;
-    let clean_gpsrs = run_core(data, FaultTolerance::none(), mr_gpsrs);
-    let clean_gpmrs = run_core(data, FaultTolerance::none(), mr_gpmrs);
-    let clean_bnl = run_baseline(data, FaultTolerance::none(), mr_bnl);
-    let clean_angle = run_baseline(data, FaultTolerance::none(), mr_angle);
+    let mut spill_files = 0;
+    for (name, run) in pipelines() {
+        let clean = run(&data, &(FaultTolerance::none(), None)).expect("the clean run succeeds");
+        for (label, ft) in plans {
+            for memory in budgets {
+                let faulty = run(&data, &(ft.clone(), *memory))
+                    .expect("chaos faults are always recoverable within the retry budget");
+                let case = format!("{name} under {label}, budget {memory:?}");
+                assert!(faulty.output == clean.output, "{case}: output diverged");
+                assert_eq!(faulty.counters, clean.counters, "{case}: user counters");
+                assert_retry_bounds(&faulty.jobs, budget);
+                spill_files += faulty.jobs.iter().map(|j| j.spill_files).sum::<u64>();
+            }
+        }
+    }
+    spill_files
+}
 
-    let gpsrs = run_core(data, ft.clone(), mr_gpsrs);
-    let gpmrs = run_core(data, ft.clone(), mr_gpmrs);
-    let bnl = run_baseline(data, ft.clone(), mr_bnl);
-    let angle = run_baseline(data, ft.clone(), mr_angle);
-
-    assert_eq!(
-        tuple_bytes(&gpsrs.skyline),
-        tuple_bytes(&clean_gpsrs.skyline),
-        "MR-GPSRS diverged under {label}"
-    );
-    assert_eq!(
-        tuple_bytes(&gpmrs.skyline),
-        tuple_bytes(&clean_gpmrs.skyline),
-        "MR-GPMRS diverged under {label}"
-    );
-    assert_eq!(
-        tuple_bytes(&bnl.skyline),
-        tuple_bytes(&clean_bnl.skyline),
-        "MR-BNL diverged under {label}"
-    );
-    assert_eq!(
-        tuple_bytes(&angle.skyline),
-        tuple_bytes(&clean_angle.skyline),
-        "MR-Angle diverged under {label}"
-    );
-
-    assert_retry_bounds(&gpsrs.metrics.jobs, budget);
-    assert_retry_bounds(&gpmrs.metrics.jobs, budget);
-    assert_retry_bounds(&bnl.metrics.jobs, budget);
-    assert_retry_bounds(&angle.metrics.jobs, budget);
+fn seeded_plans(
+    seeds: &[u64],
+    plan: impl Fn(u64) -> FaultPlan,
+    what: &str,
+) -> Vec<(String, FaultTolerance)> {
+    let ft = |seed| FaultTolerance::with_plan(plan(seed));
+    let label = |seed| format!("{what} seed {seed:#x}");
+    seeds.iter().map(|&seed| (label(seed), ft(seed))).collect()
 }
 
 #[test]
 fn fixed_seed_chaos_preserves_every_algorithm_output() {
-    let data = chaos_data();
-    for seed in REGRESSION_SEEDS {
-        let ft = FaultTolerance::with_plan(FaultPlan::seeded(seed));
-        assert_chaos_preserves_output(&data, &ft, &format!("seed {seed:#x}"));
-    }
+    let plans = seeded_plans(&REGRESSION_SEEDS, FaultPlan::seeded, "chaos");
+    assert_every_pipeline_reproduces(&plans, &[None]);
 }
 
 #[test]
@@ -150,13 +256,13 @@ fn chaos_with_speculation_preserves_every_algorithm_output() {
     // Speculative backups race the original attempt; the deterministic
     // winner rule must keep the output stable, and stragglers in the
     // profile give speculation real work to do.
-    let data = chaos_data();
-    let profile = FaultProfile::default();
-    for seed in [0xBACC_0FF5u64, 7] {
-        let ft = FaultTolerance::with_plan(FaultPlan::chaos(seed, profile.clone()))
-            .with_speculation(SpeculationPolicy::new());
-        assert_chaos_preserves_output(&data, &ft, &format!("speculative chaos seed {seed:#x}"));
-    }
+    let chaos = |seed| FaultPlan::chaos(seed, FaultProfile::default());
+    let plans = seeded_plans(&[0xBACC_0FF5, 7], chaos, "speculative chaos");
+    let plans: Vec<_> = plans
+        .into_iter()
+        .map(|(label, ft)| (label, ft.with_speculation(SpeculationPolicy::new())))
+        .collect();
+    assert_every_pipeline_reproduces(&plans, &[None, Some(SPILL_BUDGET)]);
 }
 
 #[test]
@@ -353,13 +459,10 @@ fn seeded_node_chaos_preserves_core_algorithm_output() {
 #[test]
 fn seeded_data_chaos_preserves_every_algorithm_output() {
     // Seeded data-plane plans (shuffle-frame corruption + hung attempts)
-    // across all four pipelines: the CRC re-fetch/re-execute ladder and the
-    // progress timeout must keep every skyline byte-identical.
-    let data = chaos_data();
-    for seed in [0u64, 1, 2, 0xDA7A] {
-        let ft = FaultTolerance::with_plan(FaultPlan::chaos_data(seed));
-        assert_chaos_preserves_output(&data, &ft, &format!("data chaos seed {seed:#x}"));
-    }
+    // across every pipeline: the CRC re-fetch/re-execute ladder and the
+    // progress timeout must keep every output byte-identical.
+    let plans = seeded_plans(&[0, 1, 2, 0xDA7A], FaultPlan::chaos_data, "data chaos");
+    assert_every_pipeline_reproduces(&plans, &[None, Some(SPILL_BUDGET)]);
 }
 
 #[test]
@@ -554,56 +657,9 @@ fn spilled_chaos_preserves_every_algorithm_output() {
     // spilled runs must reproduce the *in-memory* fault-free bytes, so
     // spilling composes with the whole recovery ladder instead of adding a
     // second source of nondeterminism.
-    let data = chaos_data();
-    let clean_gpsrs = run_core(&data, FaultTolerance::none(), mr_gpsrs);
-    let clean_gpmrs = run_core(&data, FaultTolerance::none(), mr_gpmrs);
-    let clean_bnl = run_baseline(&data, FaultTolerance::none(), mr_bnl);
-    let clean_angle = run_baseline(&data, FaultTolerance::none(), mr_angle);
-
-    let mut spill_files = 0u64;
-    for seed in REGRESSION_SEEDS {
-        let ft = FaultTolerance::with_plan(FaultPlan::seeded(seed));
-        let config = SkylineConfig::test()
-            .with_fault_tolerance(ft.clone())
-            .with_memory_budget(Some(SPILL_BUDGET));
-        let bconfig = BaselineConfig::test()
-            .with_fault_tolerance(ft)
-            .with_memory_budget(Some(SPILL_BUDGET));
-        let gpsrs = mr_gpsrs(&data, &config).expect("spilled chaos is recoverable");
-        let gpmrs = mr_gpmrs(&data, &config).expect("spilled chaos is recoverable");
-        let bnl = mr_bnl(&data, &bconfig).expect("spilled chaos is recoverable");
-        let angle = mr_angle(&data, &bconfig).expect("spilled chaos is recoverable");
-
-        assert_eq!(
-            tuple_bytes(&gpsrs.skyline),
-            tuple_bytes(&clean_gpsrs.skyline),
-            "spilled MR-GPSRS diverged under seed {seed:#x}"
-        );
-        assert_eq!(
-            tuple_bytes(&gpmrs.skyline),
-            tuple_bytes(&clean_gpmrs.skyline),
-            "spilled MR-GPMRS diverged under seed {seed:#x}"
-        );
-        assert_eq!(
-            tuple_bytes(&bnl.skyline),
-            tuple_bytes(&clean_bnl.skyline),
-            "spilled MR-BNL diverged under seed {seed:#x}"
-        );
-        assert_eq!(
-            tuple_bytes(&angle.skyline),
-            tuple_bytes(&clean_angle.skyline),
-            "spilled MR-Angle diverged under seed {seed:#x}"
-        );
-        spill_files += gpsrs
-            .metrics
-            .jobs
-            .iter()
-            .chain(&gpmrs.metrics.jobs)
-            .map(|j| j.spill_files)
-            .sum::<u64>();
-    }
+    let plans = seeded_plans(&REGRESSION_SEEDS, FaultPlan::seeded, "chaos");
     assert!(
-        spill_files > 0,
+        assert_every_pipeline_reproduces(&plans, &[Some(SPILL_BUDGET)]) > 0,
         "the budget never forced a spill — the sweep tested nothing"
     );
 }
