@@ -46,8 +46,6 @@ pub struct JobSpec {
     /// Scheduling priority; larger is more urgent. Consulted only by
     /// [`PriorityScheduler`](super::PriorityScheduler).
     pub priority: i32,
-    /// Fair-share weight of this job's demand (≥ 1; 0 is clamped).
-    pub weight: u64,
     /// When the job arrives, on the simulated clock.
     pub arrival: Duration,
     /// Resources the job asks the admission controller to set aside.
@@ -67,14 +65,13 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with neutral scheduling parameters: priority 0, weight 1,
-    /// arrival at time zero, a minimal reservation, no deadline.
+    /// A spec with neutral scheduling parameters: priority 0, arrival at
+    /// time zero, a minimal reservation, no deadline.
     pub fn new(name: impl Into<String>, tenant: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             tenant: tenant.into(),
             priority: 0,
-            weight: 1,
             arrival: Duration::ZERO,
             reservation: Reservation::default(),
             deadline: None,
@@ -92,12 +89,6 @@ impl JobSpec {
     /// Sets the scheduling priority.
     pub fn with_priority(mut self, priority: i32) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Sets the fair-share weight.
-    pub fn with_weight(mut self, weight: u64) -> Self {
-        self.weight = weight;
         self
     }
 
@@ -1382,7 +1373,6 @@ impl<'a> CandidateView<'a> {
             tenant: self.tenant.to_owned(),
             arrival: self.arrival,
             priority: self.priority,
-            weight: self.weight,
             tenant_used: self.tenant_used,
         }
     }
@@ -1394,7 +1384,6 @@ struct OwnedCandidate {
     tenant: String,
     arrival: u64,
     priority: i32,
-    weight: u64,
     tenant_used: u64,
 }
 
@@ -1406,7 +1395,6 @@ impl OwnedCandidate {
             tenant: &self.tenant,
             arrival: self.arrival,
             priority: self.priority,
-            weight: self.weight,
             tenant_used: self.tenant_used,
         }
     }
@@ -1445,7 +1433,6 @@ fn candidate_views<'a>(
             tenant: &sim.spec.tenant,
             arrival: sim.arrival,
             priority: sim.spec.priority,
-            weight: sim.spec.weight.max(1),
             tenant_used: used.get(sim.spec.tenant.as_str()).copied().unwrap_or(0),
         })
         .collect()
@@ -1717,7 +1704,7 @@ mod tests {
         assert_eq!(report.completed, 6);
         let x = report.tenants["x"].slot_ticks;
         let y = report.tenants["y"].slot_ticks;
-        assert_eq!(x, y, "equal demand, equal weight: equal slot-ticks");
+        assert_eq!(x, y, "equal demand: equal slot-ticks");
         // Conservation: tenant charges add up to the global total, which
         // equals the sum of per-job consumption.
         let per_job: u64 = handles

@@ -7,7 +7,7 @@
 //! reservations checked against capacity, deterministic rejection via
 //! [`skymr_common::Error::AdmissionRejected`]), and interleaves the
 //! admitted jobs' tasks over the cluster's shared map/reduce slot pools
-//! under a pluggable [`Scheduler`] policy — FIFO, deficit-weighted
+//! under a pluggable [`Scheduler`] policy — FIFO, least-served
 //! fair-share across tenants, or priority with preemption.
 //!
 //! # Two planes, one clock

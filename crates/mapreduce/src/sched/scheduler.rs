@@ -30,8 +30,6 @@ pub struct CandidateView<'a> {
     /// Scheduling priority; larger is more urgent. Only
     /// [`PriorityScheduler`] consults it.
     pub priority: i32,
-    /// Fair-share weight of the owning tenant (≥ 1).
-    pub weight: u64,
     /// Slot-ticks already charged to the owning tenant, including
     /// commitments of currently running attempts.
     pub tenant_used: u64,
@@ -123,16 +121,12 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// Deficit-weighted fair share across tenants.
+/// Fair share across tenants.
 ///
 /// Each free slot goes to the candidate whose tenant has consumed the
-/// least slot-ticks *per unit of weight*. Comparing `used_a / weight_a`
-/// against `used_b / weight_b` is done as the cross-multiplication
-/// `used_a · weight_b` vs `used_b · weight_a` in `u128`, so the
-/// discipline is exact integer arithmetic with no rounding drift.
-/// Usage includes the committed ticks of running attempts, which is what
-/// prevents a tenant with many short tasks from starving one with few
-/// long tasks.
+/// fewest slot-ticks, ties broken in FIFO order. Usage includes the
+/// committed ticks of running attempts, which is what prevents a tenant
+/// with many short tasks from starving one with few long tasks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FairShareScheduler;
 
@@ -142,17 +136,10 @@ impl Scheduler for FairShareScheduler {
     }
 
     fn pick(&mut self, view: &SchedView<'_>) -> Option<usize> {
-        let norm = |c: &CandidateView<'_>| (c.tenant_used as u128, c.weight.max(1) as u128);
         view.candidates
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let (ua, wa) = norm(a);
-                let (ub, wb) = norm(b);
-                (ua * wb)
-                    .cmp(&(ub * wa))
-                    .then_with(|| (a.arrival, a.seq).cmp(&(b.arrival, b.seq)))
-            })
+            .min_by_key(|(_, c)| (c.tenant_used, c.arrival, c.seq))
             .map(|(i, _)| i)
     }
 }
@@ -208,20 +195,13 @@ impl Scheduler for PriorityScheduler {
 mod tests {
     use super::*;
 
-    fn cand(
-        seq: usize,
-        arrival: u64,
-        priority: i32,
-        weight: u64,
-        used: u64,
-    ) -> CandidateView<'static> {
+    fn cand(seq: usize, arrival: u64, priority: i32, used: u64) -> CandidateView<'static> {
         CandidateView {
             seq,
             name: "j",
             tenant: "t",
             arrival,
             priority,
-            weight,
             tenant_used: used,
         }
     }
@@ -236,36 +216,24 @@ mod tests {
 
     #[test]
     fn fifo_orders_by_arrival_then_rank() {
-        let cs = [
-            cand(2, 10, 0, 1, 0),
-            cand(0, 5, 0, 1, 0),
-            cand(1, 5, 0, 1, 0),
-        ];
+        let cs = [cand(2, 10, 0, 0), cand(0, 5, 0, 0), cand(1, 5, 0, 0)];
         assert_eq!(FifoScheduler.pick(&view(&cs)), Some(1));
         assert_eq!(FifoScheduler.pick(&view(&[])), None);
     }
 
     #[test]
     fn fair_share_favors_the_most_underserved_tenant_per_weight() {
-        // Tenant usage 300 at weight 3 (ratio 100) vs usage 150 at
-        // weight 1 (ratio 150): the weighted tenant is more underserved.
-        let cs = [cand(0, 0, 0, 1, 150), cand(1, 0, 0, 3, 300)];
+        // Every tenant weighs the same: the least-served one wins.
+        let cs = [cand(0, 0, 0, 300), cand(1, 0, 0, 150)];
         assert_eq!(FairShareScheduler.pick(&view(&cs)), Some(1));
         // Exact ties fall back to FIFO order.
-        let tie = [cand(1, 7, 0, 2, 100), cand(0, 3, 0, 2, 100)];
+        let tie = [cand(1, 7, 0, 100), cand(0, 3, 0, 100)];
         assert_eq!(FairShareScheduler.pick(&view(&tie)), Some(1));
-        // A zero weight is clamped to 1 rather than dividing by zero.
-        let clamped = [cand(0, 0, 0, 0, 10), cand(1, 0, 0, 1, 20)];
-        assert_eq!(FairShareScheduler.pick(&view(&clamped)), Some(0));
     }
 
     #[test]
     fn priority_picks_highest_band_then_fifo() {
-        let cs = [
-            cand(0, 0, 1, 1, 0),
-            cand(1, 9, 5, 1, 0),
-            cand(2, 4, 5, 1, 0),
-        ];
+        let cs = [cand(0, 0, 1, 0), cand(1, 9, 5, 0), cand(2, 4, 5, 0)];
         assert_eq!(PriorityScheduler.pick(&view(&cs)), Some(2));
     }
 
@@ -283,7 +251,7 @@ mod tests {
             started: 0,
             remaining: 10,
         };
-        let claimant = cand(9, 0, 5, 1, 0);
+        let claimant = cand(9, 0, 5, 0);
         // A speculative backup beats an even lower-priority regular attempt.
         let running = [
             attempt(0, 1, 0, false),
