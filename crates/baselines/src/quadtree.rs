@@ -199,15 +199,6 @@ impl SkyQuadtree {
             .filter(|&a| !self.nodes[self.leaves[a]].pruned && self.leaf_may_dominate(a, b))
             .collect()
     }
-
-    /// Iterates over surviving leaf ids.
-    pub fn surviving_leaf_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.leaves
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| !self.nodes[n].pruned)
-            .map(|(id, _)| id)
-    }
 }
 
 #[cfg(test)]

@@ -528,18 +528,6 @@ pub fn measure_cell_logged(
     Some(m.sim_runtime.as_secs_f64())
 }
 
-/// Runs one sweep cell with DNF handling; returns the simulated runtime in
-/// seconds.
-pub fn measure_cell(
-    algo: Algo,
-    ds: &Dataset,
-    reducers: usize,
-    tracker: &mut DnfTracker,
-    budget: Duration,
-) -> Option<f64> {
-    measure_cell_logged(algo, ds, reducers, tracker, budget, "", None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

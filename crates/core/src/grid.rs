@@ -189,12 +189,6 @@ impl Grid {
         let coords = self.coords_of(p);
         coords.iter().map(|&c| (c + 1) as u64).product::<u64>() - 1
     }
-
-    /// Number of d−1-dimensional surfaces touching the origin corner (`d`);
-    /// exposed for the cost model's surface bookkeeping.
-    pub fn origin_surfaces(&self) -> usize {
-        self.dim
-    }
 }
 
 /// Odometer iterator over an axis-aligned box of cell coordinates,

@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use crate::fault::TaskKind;
+use crate::sched::Step;
 use crate::storage::StorageConfig;
 
 /// Deterministic assignment of tasks and attempts to home nodes.
@@ -332,6 +333,10 @@ pub struct JobMetrics {
     /// higher-priority job. Each one's elapsed slot time is charged to
     /// `wasted_task_time` and the task re-enters the retry/backoff ladder.
     pub preemptions: u64,
+    /// The job's priced steps, as [`run_job`](crate::run_job) laid them
+    /// out: what a [`sched::ClusterExecutor`](crate::sched::ClusterExecutor)
+    /// replays. Empty for metrics built by hand.
+    pub(crate) steps: Vec<Step>,
 }
 
 impl JobMetrics {
@@ -375,17 +380,8 @@ impl JobMetrics {
             degraded: false,
             queue_wait_time: Duration::ZERO,
             preemptions: 0,
+            steps: Vec::new(),
         }
-    }
-
-    /// The busiest reducer's modeled compute duration — the bottleneck the
-    /// paper attributes MR-GPSRS's degradation to.
-    pub fn max_reduce_task(&self) -> Duration {
-        self.reduce_task_durations
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Duration::ZERO)
     }
 
     /// This job's row for the telemetry phase table
@@ -422,10 +418,19 @@ mod tests {
     /// scheduler, in the `Duration` terms `JobMetrics` reports.
     fn slot_loads(durations: &[Duration], slots: usize, overhead: Duration) -> Vec<Duration> {
         use crate::trace::{from_ticks, ticks_of};
-        let ticks: Vec<u64> = durations.iter().map(|d| ticks_of(*d)).collect();
-        let (placed, _) = skymr_telemetry::place::place(&ticks, slots, ticks_of(overhead));
+        let cluster = ClusterConfig {
+            map_slots: slots,
+            ..ClusterConfig::test()
+        };
+        let tasks = durations.iter().map(|&d| ticks_of(d + overhead)).collect();
+        let wave = Step::Wave {
+            kind: TaskKind::Map,
+            cap: slots,
+            tasks,
+        };
+        let log = crate::sched::run_alone(&cluster, vec![wave]);
         let mut loads = vec![Duration::ZERO; slots];
-        for p in placed {
+        for p in log.into_iter().flat_map(|w| w.slots) {
             loads[p.slot] = loads[p.slot].max(from_ticks(p.end));
         }
         loads

@@ -28,7 +28,7 @@ use crate::task::{
     Emitter, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask, TaskContext,
 };
 use crate::trace::{
-    from_ticks, ticks_of, CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel,
+    from_ticks, ticks_of, CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel, Timeline,
 };
 use skymr_telemetry::{Collector, MetricsRegistry};
 
@@ -947,20 +947,21 @@ where
             run.dead.insert(loss.node);
             // Losses past the end of the map phase land at the shuffle
             // barrier — the moment the missing outputs are discovered.
-            let at = loss.at_tick.min(map_wave.end - map_wave.start);
+            let at = loss.at_tick.min(map_wave.span());
             let mut wasted = 0;
             for (i, p) in map_wave.slots.iter().enumerate() {
                 if run.map_homes[i] != loss.node {
                     continue;
                 }
-                if p.end <= at {
+                let (start, end) = (p.start - map_wave.start, p.end - map_wave.start);
+                if end <= at {
                     // Completed: the materialized output is gone.
                     run.record.maps_reexecuted += 1;
                     affected.insert(i);
-                } else if p.start < at {
+                } else if start < at {
                     // In-flight: the attempt dies with the node.
                     run.record.map_retries += 1;
-                    wasted += at - p.start;
+                    wasted += at - start;
                     affected.insert(i);
                 }
                 // Pending tasks simply launch on a surviving node.
@@ -1344,8 +1345,9 @@ where
     /// reads every simulated time off it, derives the registry from the
     /// record, and reads the countable fields off the registry (they are a
     /// facade over its counters), so an abort reports every fact the
-    /// stages before it established.
-    fn close(&self, run: &mut Run<'a, K>) -> (MetricsRegistry, JobMetrics) {
+    /// stages before it established. The timeline is returned for the
+    /// trace to be drawn from.
+    fn close(&self, run: &mut Run<'a, K>) -> (MetricsRegistry, JobMetrics, Timeline) {
         let record = &mut run.record;
         record.user_counters = self.counters.snapshot().into_iter().collect();
         let timeline = JobRecord::timeline(record);
@@ -1393,8 +1395,9 @@ where
             // not to the job itself; `sched::ClusterExecutor` fills them in.
             queue_wait_time: Duration::ZERO,
             preemptions: 0,
+            steps: record.steps(),
         };
-        (registry, metrics)
+        (registry, metrics, timeline)
     }
 
     /// The abort exit: task `index` of phase `task` exhausted its budget.
@@ -1420,9 +1423,9 @@ where
     /// The success exit: the registry is built either way; the span
     /// timeline is emitted only if a collector is attached.
     fn commit(&self, mut run: Run<'a, K>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
-        let (registry, metrics) = self.close(&mut run);
+        let (registry, metrics, timeline) = self.close(&mut run);
         if let Some(collector) = &self.config.collector {
-            let drawn = JobRecord::emit(&run.record, collector, registry.clone());
+            let drawn = JobRecord::emit(&run.record, &timeline, collector, registry.clone());
             debug_assert_eq!(
                 drawn,
                 ticks_of(metrics.sim_runtime),
@@ -2869,6 +2872,7 @@ mod tests {
                 *time = Duration::ZERO;
             }
             (m.map_task_durations, m.reduce_task_durations) = (Vec::new(), Vec::new());
+            m.steps = Vec::new();
             format!("{m:?}")
         };
         assert_eq!(

@@ -24,7 +24,8 @@ use skymr_common::{crc32c, Error, Tuple};
 use crate::cluster::JobMetrics;
 use crate::fault::JobError;
 use crate::job::JobOutcome;
-use crate::sched::{AdmissionController, Reservation};
+use crate::sched::{AdmissionController, Reservation, Step};
+use crate::trace::ticks_of;
 
 /// Metrics of a chain of MapReduce jobs executed one after another.
 #[derive(Debug, Clone, Default)]
@@ -420,7 +421,8 @@ impl Runner {
     ///
     /// If the next restored snapshot matches `name`, its value is decoded
     /// and returned without executing `run`; a stub [`JobMetrics`] carrying
-    /// the snapshotted `sim_runtime` keeps the pipeline clock truthful. (A
+    /// the snapshotted `sim_runtime`, as its `sim_runtime` and as one wait
+    /// for an executor to replay, keeps the pipeline clock truthful. (A
     /// replayed stage re-runs no tasks, so it contributes no counters.)
     /// Otherwise `run` executes, and on success its value is snapshotted
     /// (and persisted, when a checkpoint file is configured). A name
@@ -455,6 +457,7 @@ impl Runner {
                     if let Some(snap) = self.pending.pop_front() {
                         let mut stub = JobMetrics::empty(name, 0, 0);
                         stub.sim_runtime = snap.sim_runtime;
+                        stub.steps = vec![Step::Wait(ticks_of(snap.sim_runtime))];
                         metrics.push(stub);
                         self.completed.push(snap);
                         self.persist();

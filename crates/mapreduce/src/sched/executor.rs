@@ -1,16 +1,20 @@
-//! The multi-tenant cluster executor: a deterministic discrete-event
-//! simulation that interleaves many jobs' tasks over shared slot pools.
+//! The cluster executor: the workspace's one list scheduler, a
+//! deterministic discrete-event loop that runs jobs' priced steps over
+//! shared slot pools.
 //!
 //! See the [module docs](super) for the two-plane architecture. The short
 //! version: each submitted job carries a *data plane* closure (typically a
 //! [`run_job`](crate::run_job) call) that is executed lazily, at the
 //! simulated instant the scheduler first grants the job a slot. The
 //! closure returns the job's output bytes plus the [`JobMetrics`] of the
-//! MapReduce jobs it ran; the executor then replays those metrics' modeled
-//! per-task durations as *control-plane* events competing for the shared
-//! map/reduce slots. Queue waits, deadlines, and preemptions all happen on
-//! the simulated clock, so every byte and every `sched.*` counter is a
-//! pure function of the submission set.
+//! MapReduce jobs it ran, each carrying the job's priced steps: waits, and
+//! waves of tasks dispatched longest-first onto the lowest-indexed free
+//! slot. The loop replays those steps as *control-plane* events competing
+//! for the shared map/reduce slots. Queue waits, deadlines, and
+//! preemptions all happen on the simulated clock, so every byte and every
+//! `sched.*` counter is a pure function of the submission set. A job run
+//! alone — what [`JobRecord::timeline`](crate::trace::JobRecord::timeline)
+//! does — is the same loop with one job.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,7 +22,7 @@ use std::marker::PhantomData;
 use std::time::Duration;
 
 use skymr_common::{Counters, Error};
-use skymr_telemetry::{Collector, JobTrace, MetricsRegistry, Span};
+use skymr_telemetry::{Collector, JobTrace, MetricsRegistry, Span, Ticks};
 
 use crate::cluster::{ClusterConfig, JobMetrics};
 use crate::fault::{AttemptFailure, FailureCause, JobError, RetryPolicy, TaskKind};
@@ -181,16 +185,6 @@ impl<T> JobCompletion<T> {
     /// `true` iff the job finished.
     pub fn is_finished(&self) -> bool {
         matches!(self, Self::Finished(_))
-    }
-
-    /// `true` iff admission control rejected the job.
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, Self::Rejected(_))
-    }
-
-    /// `true` iff the scheduler cancelled the job.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, Self::Cancelled(_))
     }
 
     /// Converts to a `Result`, folding every non-finished state into its
@@ -464,56 +458,11 @@ impl ClusterExecutor {
             let Some(Submission { spec, plane }) = drained[idx].take() else {
                 unreachable!("`order` is a permutation, so each index drains exactly once")
             };
-            sims.push(Sim::new(spec, plane, idx));
+            sims.push(Sim::new(spec, Some(plane), idx));
         }
 
-        let mut engine = Engine {
-            cluster: self.cluster.clone(),
-            admission: self.admission.clone(),
-            sims,
-            running: Vec::new(),
-            events: BTreeSet::new(),
-            next_attempt_id: 0,
-            tenant_charged: BTreeMap::new(),
-            tenant_wait: BTreeMap::new(),
-            tenant_jobs: BTreeMap::new(),
-            admitted: 0,
-            rejected: 0,
-            completed: 0,
-            cancelled: 0,
-            failed: 0,
-            preemptions: 0,
-            queue_wait_ticks: 0,
-            slot_ticks: 0,
-            preempt_log: Vec::new(),
-            makespan: 0,
-        };
-        for sim in &engine.sims {
-            engine.events.insert(sim.arrival);
-            if let Some(d) = sim.deadline {
-                engine.events.insert(d);
-            }
-        }
-        while let Some(now) = engine.events.pop_first() {
-            engine.process_completions(now);
-            engine.process_shuffles(now);
-            engine.process_deadlines(now);
-            engine.process_arrivals(now);
-            engine.dispatch(self.scheduler.as_mut(), now);
-        }
-        // A scheduler that refuses to pick can leave admitted jobs
-        // stranded; drain them as cancellations so every handle resolves.
-        let makespan = engine.makespan;
-        for j in 0..engine.sims.len() {
-            if !matches!(engine.sims[j].state, SimState::Terminal) {
-                engine.cancel_job(
-                    j,
-                    makespan,
-                    "executor drained its event queue with the job still waiting",
-                );
-            }
-        }
-
+        let mut engine = Engine::new(&self.cluster, self.admission.clone(), sims);
+        engine.run(self.scheduler.as_mut());
         let report = engine.build_report(self.scheduler.name());
         engine.commit_results(&mut self.results);
         if let Some(collector) = &self.collector {
@@ -523,9 +472,112 @@ impl ClusterExecutor {
     }
 }
 
+/// Runs one job's steps alone through the executor's loop — FIFO,
+/// default admission, arriving at tick 0 — and returns its event log, one
+/// entry per step. [`JobRecord::timeline`](crate::trace::JobRecord::timeline)
+/// is this call.
+///
+/// # Panics
+///
+/// Panics if the job cannot finish: the cluster has no map slot to start
+/// it on, or a wave has tasks and no slot to run them on.
+pub fn run_alone(cluster: &ClusterConfig, steps: Vec<Step>) -> Vec<Wave> {
+    let mut sim = Sim::new(JobSpec::new("", ""), None, 0);
+    sim.steps = steps;
+    sim.output = Some(Box::new(()));
+    let mut engine = Engine::new(cluster, AdmissionController::default(), vec![sim]);
+    engine.run(&mut FifoScheduler);
+    let sim = engine.sims.swap_remove(0);
+    assert!(
+        matches!(sim.result, Some(RawCompletion::Finished { .. })),
+        "a job alone on the cluster finishes unless it has no slot to run on"
+    );
+    sim.log
+}
+
 // ---------------------------------------------------------------------
 // The discrete-event simulation.
 // ---------------------------------------------------------------------
+
+/// One step of a job's priced plan; a job runs its steps in order.
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// Time that passes on no slot: startup and broadcast, heartbeat
+    /// timeouts, the shuffle.
+    Wait(Ticks),
+    /// Tasks on `kind` slots, at most `cap` at once, each dispatched
+    /// longest first onto the lowest-indexed free slot.
+    Wave {
+        /// The slot pool the tasks run on.
+        kind: TaskKind,
+        /// Most of the wave's tasks that may run at once.
+        cap: usize,
+        /// Each task's whole slot time, launch overhead included.
+        tasks: Vec<Ticks>,
+    },
+}
+
+/// Where one task of a wave ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Slot {
+    /// Slot index within its pool.
+    pub slot: usize,
+    /// Tick the task launched.
+    pub start: Ticks,
+    /// Tick it committed.
+    pub end: Ticks,
+}
+
+/// The event log of one step: when it began and ended and, for a wave,
+/// where each task ran (indexed like the wave's tasks).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Wave {
+    /// Tick the step began.
+    pub start: Ticks,
+    /// Tick it ended (`start` for an empty step).
+    pub end: Ticks,
+    /// Each task's committed run; empty for a wait.
+    pub slots: Vec<Slot>,
+}
+
+impl Wave {
+    /// The step's length.
+    pub fn span(&self) -> Ticks {
+        self.end - self.start
+    }
+}
+
+/// The steps of one MapReduce job. A job priced by `run_job` carries its
+/// own; metrics built by hand (`JobMetrics::empty`) are read as their map
+/// durations, a shuffle wait and their reduce durations, with startup and
+/// broadcast riding on the first task.
+fn steps_of(m: &JobMetrics) -> Vec<Step> {
+    if !m.steps.is_empty() {
+        return m.steps.clone();
+    }
+    let ticks =
+        |durations: &[Duration]| -> Vec<Ticks> { durations.iter().map(|d| ticks_of(*d)).collect() };
+    let (mut map, mut reduce) = (
+        ticks(&m.map_task_durations),
+        ticks(&m.reduce_task_durations),
+    );
+    if let Some(first) = map.first_mut().or_else(|| reduce.first_mut()) {
+        *first += ticks_of(m.startup_time) + ticks_of(m.broadcast_time);
+    }
+    let wave = |kind, tasks| Step::Wave {
+        kind,
+        cap: usize::MAX,
+        tasks,
+    };
+    if reduce.is_empty() {
+        return vec![wave(TaskKind::Map, map)];
+    }
+    vec![
+        wave(TaskKind::Map, map),
+        Step::Wait(ticks_of(m.shuffle_time)),
+        wave(TaskKind::Reduce, reduce),
+    ]
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SimState {
@@ -533,17 +585,10 @@ enum SimState {
     Future,
     /// Admitted, waiting for the scheduler's first grant.
     Queued,
-    /// Data plane has run; tasks are competing for slots.
+    /// Started: running its steps.
     Running,
     /// Finished, rejected, cancelled, or failed.
     Terminal,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Map,
-    Shuffle,
-    Reduce,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -559,13 +604,6 @@ struct TaskCell {
     backup: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Stage {
-    map: Vec<u64>,
-    shuffle: u64,
-    reduce: Vec<u64>,
-}
-
 struct Sim {
     spec: JobSpec,
     submit_idx: usize,
@@ -575,10 +613,14 @@ struct Sim {
     state: SimState,
     output: Option<Box<dyn Any + Send>>,
     jobs: Vec<JobMetrics>,
-    stages: Vec<Stage>,
-    stage: usize,
-    phase: Phase,
-    shuffle_end: u64,
+    steps: Vec<Step>,
+    /// Index of the running step.
+    step: usize,
+    /// One entry per step.
+    log: Vec<Wave>,
+    /// When the running wait ends.
+    wait_until: Option<u64>,
+    /// The running wave's tasks.
     tasks: Vec<TaskCell>,
     remaining: usize,
     started_at: u64,
@@ -592,7 +634,7 @@ struct Sim {
 }
 
 impl Sim {
-    fn new(spec: JobSpec, plane: Plane, submit_idx: usize) -> Self {
+    fn new(spec: JobSpec, plane: Option<Plane>, submit_idx: usize) -> Self {
         let arrival = ticks_of(spec.arrival);
         let deadline = spec.deadline.map(ticks_of);
         Self {
@@ -600,14 +642,14 @@ impl Sim {
             submit_idx,
             arrival,
             deadline,
-            plane: Some(plane),
+            plane,
             state: SimState::Future,
             output: None,
             jobs: Vec::new(),
-            stages: Vec::new(),
-            stage: 0,
-            phase: Phase::Map,
-            shuffle_end: 0,
+            steps: Vec::new(),
+            step: 0,
+            log: Vec::new(),
+            wait_until: None,
             tasks: Vec::new(),
             remaining: 0,
             started_at: 0,
@@ -619,25 +661,15 @@ impl Sim {
         }
     }
 
-    fn ready_task(&self, kind: TaskKind, now: u64) -> Option<usize> {
-        let phase_kind = match self.phase {
-            Phase::Map => TaskKind::Map,
-            Phase::Reduce => TaskKind::Reduce,
-            Phase::Shuffle => return None,
-        };
-        if self.state != SimState::Running || phase_kind != kind {
-            return None;
-        }
-        self.tasks
-            .iter()
-            .position(|t| matches!(t.state, TaskState::Pending { ready, .. } if ready <= now))
-    }
-
-    fn task_ticks(&self, kind: TaskKind, task: usize) -> u64 {
-        let stage = &self.stages[self.stage];
-        match kind {
-            TaskKind::Map => stage.map[task],
-            TaskKind::Reduce => stage.reduce[task],
+    /// The running step, if it is a wave of `kind`: its cap and task costs.
+    fn wave(&self, kind: TaskKind) -> Option<(usize, &[Ticks])> {
+        match self.steps.get(self.step) {
+            Some(Step::Wave {
+                kind: k,
+                cap,
+                tasks,
+            }) if *k == kind => Some((*cap, tasks)),
+            _ => None,
         }
     }
 }
@@ -648,6 +680,7 @@ struct Attempt {
     job: usize,
     kind: TaskKind,
     task: usize,
+    slot: usize,
     attempt_no: u32,
     speculative: bool,
     started: u64,
@@ -662,43 +695,8 @@ struct PreemptEvent {
     attempt: u64,
 }
 
-/// Builds the stage ladder from a plane's reported metrics. Startup and
-/// broadcast charges are folded into each stage's first task so a job
-/// granted its first slot immediately occupies it (a deliberate modeling
-/// simplification: setup rides on the slot rather than on a separate
-/// driver lane).
-fn build_stages(jobs: &[JobMetrics]) -> Vec<Stage> {
-    jobs.iter()
-        .filter_map(|m| {
-            let mut map: Vec<u64> = m.map_task_durations.iter().map(|d| ticks_of(*d)).collect();
-            let mut reduce: Vec<u64> = m
-                .reduce_task_durations
-                .iter()
-                .map(|d| ticks_of(*d))
-                .collect();
-            let lead = ticks_of(m.startup_time).saturating_add(ticks_of(m.broadcast_time));
-            if lead > 0 {
-                if let Some(first) = map.first_mut() {
-                    *first += lead;
-                } else if let Some(first) = reduce.first_mut() {
-                    *first += lead;
-                }
-            }
-            if map.is_empty() && reduce.is_empty() {
-                None
-            } else {
-                Some(Stage {
-                    map,
-                    shuffle: ticks_of(m.shuffle_time),
-                    reduce,
-                })
-            }
-        })
-        .collect()
-}
-
-struct Engine {
-    cluster: ClusterConfig,
+struct Engine<'a> {
+    cluster: &'a ClusterConfig,
     admission: AdmissionController,
     sims: Vec<Sim>,
     running: Vec<Attempt>,
@@ -719,7 +717,60 @@ struct Engine {
     makespan: u64,
 }
 
-impl Engine {
+impl<'a> Engine<'a> {
+    fn new(cluster: &'a ClusterConfig, admission: AdmissionController, sims: Vec<Sim>) -> Self {
+        let mut events = BTreeSet::new();
+        for sim in &sims {
+            events.insert(sim.arrival);
+            if let Some(d) = sim.deadline {
+                events.insert(d);
+            }
+        }
+        Self {
+            cluster,
+            admission,
+            sims,
+            running: Vec::new(),
+            events,
+            next_attempt_id: 0,
+            tenant_charged: BTreeMap::new(),
+            tenant_wait: BTreeMap::new(),
+            tenant_jobs: BTreeMap::new(),
+            admitted: 0,
+            rejected: 0,
+            completed: 0,
+            cancelled: 0,
+            failed: 0,
+            preemptions: 0,
+            queue_wait_ticks: 0,
+            slot_ticks: 0,
+            preempt_log: Vec::new(),
+            makespan: 0,
+        }
+    }
+
+    /// Runs the event loop until every job is terminal.
+    fn run(&mut self, scheduler: &mut dyn Scheduler) {
+        while let Some(now) = self.events.pop_first() {
+            self.process_completions(now);
+            self.process_deadlines(now);
+            self.process_arrivals(now);
+            self.dispatch(scheduler, now);
+        }
+        // A scheduler that refuses to pick can leave admitted jobs
+        // stranded; drain them as cancellations so every handle resolves.
+        let makespan = self.makespan;
+        for j in 0..self.sims.len() {
+            if self.sims[j].state != SimState::Terminal {
+                self.cancel_job(
+                    j,
+                    makespan,
+                    "executor drained its event queue with the job still waiting",
+                );
+            }
+        }
+    }
+
     fn pool(&self, kind: TaskKind) -> usize {
         match kind {
             TaskKind::Map => self.cluster.map_slots,
@@ -727,9 +778,51 @@ impl Engine {
         }
     }
 
-    fn free_slots(&self, kind: TaskKind) -> usize {
-        let busy = self.running.iter().filter(|a| a.kind == kind).count();
-        self.pool(kind).saturating_sub(busy)
+    /// Whether an attempt holds its slot at `now`. One that ends at `now`
+    /// has already handed it on, so a zero-tick task leaves its slot free.
+    fn holds(a: &Attempt, now: u64) -> bool {
+        a.finish > now
+    }
+
+    /// The lowest-indexed `kind` slot free at `now`.
+    fn free_slot(&self, kind: TaskKind, now: u64) -> Option<usize> {
+        let taken = |s| {
+            self.running
+                .iter()
+                .any(|a| a.kind == kind && a.slot == s && Self::holds(a, now))
+        };
+        (0..self.pool(kind)).find(|&s| !taken(s))
+    }
+
+    /// Whether job `j` is running a `kind` wave and holds fewer of its
+    /// slots than the wave's cap.
+    fn has_room(&self, j: usize, kind: TaskKind, now: u64) -> bool {
+        let sim = &self.sims[j];
+        let Some((cap, _)) = sim.wave(kind) else {
+            return false;
+        };
+        let held = self
+            .running
+            .iter()
+            .filter(|a| a.job == j && a.kind == kind && Self::holds(a, now));
+        sim.state == SimState::Running && held.count() < cap
+    }
+
+    /// Job `j`'s next task for a free `kind` slot: the longest ready task
+    /// of its running wave, ties on the lower index.
+    fn ready_task(&self, j: usize, kind: TaskKind, now: u64) -> Option<usize> {
+        if !self.has_room(j, kind, now) {
+            return None;
+        }
+        let sim = &self.sims[j];
+        let (_, costs) = sim.wave(kind)?;
+        let ready = |(_, t): &(usize, &TaskCell)| matches!(t.state, TaskState::Pending { ready, .. } if ready <= now);
+        sim.tasks
+            .iter()
+            .enumerate()
+            .filter(ready)
+            .max_by_key(|&(i, _)| (costs[i], std::cmp::Reverse(i)))
+            .map(|(i, _)| i)
     }
 
     /// Charges slot-ticks to a job and its tenant.
@@ -769,6 +862,12 @@ impl Engine {
         for a in done {
             self.complete_attempt(a, now);
         }
+        for j in 0..self.sims.len() {
+            if self.sims[j].state == SimState::Running && self.sims[j].wait_until == Some(now) {
+                self.sims[j].wait_until = None;
+                self.complete_step(j, now);
+            }
+        }
     }
 
     fn complete_attempt(&mut self, a: Attempt, now: u64) {
@@ -790,6 +889,11 @@ impl Engine {
             TaskState::Pending { .. } | TaskState::Running => {
                 sim.tasks[a.task].state = TaskState::Done;
                 sim.remaining -= 1;
+                sim.log[sim.step].slots[a.task] = Slot {
+                    slot: a.slot,
+                    start: a.started,
+                    end: now,
+                };
             }
         }
         // Kill losing duplicates of the now-complete task.
@@ -801,18 +905,7 @@ impl Engine {
             self.kill_attempt(idx, now);
         }
         if self.sims[a.job].remaining == 0 {
-            self.advance_phase(a.job, now);
-        }
-    }
-
-    fn process_shuffles(&mut self, now: u64) {
-        for j in 0..self.sims.len() {
-            if self.sims[j].state == SimState::Running
-                && self.sims[j].phase == Phase::Shuffle
-                && self.sims[j].shuffle_end == now
-            {
-                self.enter_reduce(j, now);
-            }
+            self.complete_step(a.job, now);
         }
     }
 
@@ -854,9 +947,9 @@ impl Engine {
 
     // --- job lifecycle ---------------------------------------------------
 
-    /// Runs a queued job's data plane and enters its first stage. The
-    /// plane executes *now* on the host, at the simulated instant of the
-    /// first grant — a queued job has never run it.
+    /// Runs a queued job's data plane, if it has one, and enters its first
+    /// step. The plane executes *now* on the host, at the simulated
+    /// instant of the first grant — a queued job has never run it.
     fn start_job(&mut self, j: usize, now: u64) {
         debug_assert_eq!(self.sims[j].state, SimState::Queued);
         self.admission.start();
@@ -866,106 +959,80 @@ impl Engine {
         *self.tenant_wait.entry(tenant).or_insert(0) += wait;
         self.sims[j].started_at = now;
         self.sims[j].queued_wait = Some(wait);
-        let Some(plane) = self.sims[j].plane.take() else {
-            unreachable!("start_job runs once per job: only Queued jobs reach it")
-        };
-        match plane(&self.cluster) {
-            Ok((output, jobs)) => {
-                self.sims[j].stages = build_stages(&jobs);
-                self.sims[j].output = Some(output);
-                self.sims[j].jobs = jobs;
-                self.sims[j].state = SimState::Running;
-                self.sims[j].stage = 0;
-                self.enter_stage(j, now);
-            }
-            Err(e) => {
-                self.sims[j].state = SimState::Terminal;
-                self.sims[j].result = Some(RawCompletion::Failed(e));
-                self.failed += 1;
-                let reservation = self.sims[j].spec.reservation;
-                self.admission.release(&reservation, true);
-                self.makespan = self.makespan.max(now);
+        if let Some(plane) = self.sims[j].plane.take() {
+            match plane(self.cluster) {
+                Ok((output, jobs)) => {
+                    self.sims[j].steps = jobs.iter().flat_map(steps_of).collect();
+                    self.sims[j].output = Some(output);
+                    self.sims[j].jobs = jobs;
+                }
+                Err(e) => {
+                    self.sims[j].state = SimState::Terminal;
+                    self.sims[j].result = Some(RawCompletion::Failed(e));
+                    self.failed += 1;
+                    let reservation = self.sims[j].spec.reservation;
+                    self.admission.release(&reservation, true);
+                    self.makespan = self.makespan.max(now);
+                    return;
+                }
             }
         }
+        let sim = &mut self.sims[j];
+        // The job starts on the map slot it was granted: a leading wait
+        // (startup and broadcast) holds that slot, or every queued job
+        // would start in the same tick.
+        if let Some(&Step::Wait(lead)) = sim.steps.first() {
+            if lead > 0 {
+                sim.steps[0] = Step::Wave {
+                    kind: TaskKind::Map,
+                    cap: 1,
+                    tasks: vec![lead],
+                };
+            }
+        }
+        sim.log = vec![Wave::default(); sim.steps.len()];
+        sim.state = SimState::Running;
+        self.enter_step(j, now);
     }
 
-    /// Positions the job at the first schedulable point of `sim.stage`
-    /// (or finishes it if no stages remain).
-    fn enter_stage(&mut self, j: usize, now: u64) {
-        loop {
-            if self.sims[j].stage >= self.sims[j].stages.len() {
-                self.finish_job(j, now);
-                return;
-            }
-            let stage = self.sims[j].stages[self.sims[j].stage].clone();
-            if !stage.map.is_empty() {
-                self.sims[j].phase = Phase::Map;
-                self.sims[j].tasks = stage
-                    .map
-                    .iter()
-                    .map(|_| TaskCell {
+    /// Begins the job's step `sim.step` at `now`, passing over empty
+    /// ones; a job past its last step finishes.
+    fn enter_step(&mut self, j: usize, now: u64) {
+        let sim = &mut self.sims[j];
+        while let Some(step) = sim.steps.get(sim.step) {
+            let log = &mut sim.log[sim.step];
+            (log.start, log.end) = (now, now);
+            match step {
+                Step::Wait(ticks) if *ticks > 0 => {
+                    sim.wait_until = Some(now + ticks);
+                    self.events.insert(now + ticks);
+                    return;
+                }
+                Step::Wave { tasks, .. } if !tasks.is_empty() => {
+                    let pending = TaskCell {
                         state: TaskState::Pending {
                             ready: now,
                             attempt: 0,
                         },
                         backup: false,
-                    })
-                    .collect();
-                self.sims[j].remaining = stage.map.len();
-                return;
-            }
-            if !stage.reduce.is_empty() {
-                if stage.shuffle > 0 {
-                    self.sims[j].phase = Phase::Shuffle;
-                    self.sims[j].shuffle_end = now + stage.shuffle;
-                    self.events.insert(self.sims[j].shuffle_end);
-                } else {
-                    self.enter_reduce(j, now);
+                    };
+                    sim.tasks = vec![pending; tasks.len()];
+                    sim.remaining = tasks.len();
+                    log.slots = vec![Slot::default(); tasks.len()];
+                    return;
                 }
-                return;
+                _ => sim.step += 1,
             }
-            self.sims[j].stage += 1;
         }
+        self.finish_job(j, now);
     }
 
-    fn enter_reduce(&mut self, j: usize, now: u64) {
-        let stage = self.sims[j].stages[self.sims[j].stage].clone();
-        self.sims[j].phase = Phase::Reduce;
-        self.sims[j].tasks = stage
-            .reduce
-            .iter()
-            .map(|_| TaskCell {
-                state: TaskState::Pending {
-                    ready: now,
-                    attempt: 0,
-                },
-                backup: false,
-            })
-            .collect();
-        self.sims[j].remaining = stage.reduce.len();
-    }
-
-    fn advance_phase(&mut self, j: usize, now: u64) {
-        match self.sims[j].phase {
-            Phase::Map => {
-                let stage = self.sims[j].stages[self.sims[j].stage].clone();
-                if stage.reduce.is_empty() {
-                    self.sims[j].stage += 1;
-                    self.enter_stage(j, now);
-                } else if stage.shuffle > 0 {
-                    self.sims[j].phase = Phase::Shuffle;
-                    self.sims[j].shuffle_end = now + stage.shuffle;
-                    self.events.insert(self.sims[j].shuffle_end);
-                } else {
-                    self.enter_reduce(j, now);
-                }
-            }
-            Phase::Reduce => {
-                self.sims[j].stage += 1;
-                self.enter_stage(j, now);
-            }
-            Phase::Shuffle => unreachable!("shuffle has no tasks to complete"),
-        }
+    /// Ends the job's running step at `now` and begins the next.
+    fn complete_step(&mut self, j: usize, now: u64) {
+        let sim = &mut self.sims[j];
+        sim.log[sim.step].end = now;
+        sim.step += 1;
+        self.enter_step(j, now);
     }
 
     fn finish_job(&mut self, j: usize, now: u64) {
@@ -1067,7 +1134,7 @@ impl Engine {
             let mut progress = false;
             for kind in [TaskKind::Map, TaskKind::Reduce] {
                 // Regular fill: offer each free slot to the policy.
-                while self.free_slots(kind) > 0 {
+                while self.free_slot(kind, now).is_some() {
                     let Some(j) = self.pick_candidate(scheduler, kind, now) else {
                         break;
                     };
@@ -1076,7 +1143,7 @@ impl Engine {
                 }
                 // Speculation: duplicate running attempts of opted-in
                 // jobs onto otherwise-idle slots.
-                while self.free_slots(kind) > 0 {
+                while self.free_slot(kind, now).is_some() {
                     if !self.launch_backup(kind, now) {
                         break;
                     }
@@ -1084,7 +1151,7 @@ impl Engine {
                 }
                 // Preemption: a starved candidate may evict lower-value
                 // running work, if the policy allows it.
-                while self.free_slots(kind) == 0 {
+                while self.free_slot(kind, now).is_none() {
                     if !self.try_preempt(scheduler, kind, now) {
                         break;
                     }
@@ -1103,7 +1170,7 @@ impl Engine {
         kind: TaskKind,
         now: u64,
     ) -> Option<usize> {
-        let cands = candidate_views(&self.sims, &self.running, &self.tenant_charged, kind, now);
+        let cands = self.candidate_views(kind, now);
         if cands.is_empty() {
             return None;
         }
@@ -1119,10 +1186,7 @@ impl Engine {
         if self.sims[j].state == SimState::Queued {
             self.start_job(j, now);
         }
-        if self.sims[j].state != SimState::Running {
-            return;
-        }
-        let Some(task) = self.sims[j].ready_task(kind, now) else {
+        let Some(task) = self.ready_task(j, kind, now) else {
             return;
         };
         let TaskState::Pending {
@@ -1133,12 +1197,11 @@ impl Engine {
             unreachable!("ready_task returned a non-pending task");
         };
         self.sims[j].tasks[task].state = TaskState::Running;
-        let ticks = self.sims[j].task_ticks(kind, task);
-        self.place(j, kind, task, attempt_no, false, now, ticks);
+        self.launch(j, kind, task, attempt_no, false, now);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn place(
+    /// Puts an attempt of the job's task on the lowest-indexed free slot.
+    fn launch(
         &mut self,
         job: usize,
         kind: TaskKind,
@@ -1146,8 +1209,13 @@ impl Engine {
         attempt_no: u32,
         speculative: bool,
         now: u64,
-        ticks: u64,
     ) {
+        let Some(slot) = self.free_slot(kind, now) else {
+            unreachable!("attempts launch only onto a free slot")
+        };
+        let ticks = self.sims[job]
+            .wave(kind)
+            .map_or(0, |(_, costs)| costs[task]);
         let id = self.next_attempt_id;
         self.next_attempt_id += 1;
         let finish = now + ticks;
@@ -1156,6 +1224,7 @@ impl Engine {
             job,
             kind,
             task,
+            slot,
             attempt_no,
             speculative,
             started: now,
@@ -1167,8 +1236,9 @@ impl Engine {
 
     fn launch_backup(&mut self, kind: TaskKind, now: u64) -> bool {
         // Candidate backups: running, non-speculative attempts of
-        // speculate-enabled jobs with no dispatchable pending work and no
-        // existing backup for the task. Longest remaining first.
+        // speculate-enabled jobs with room in their wave, no dispatchable
+        // pending work and no existing backup for the task. Longest
+        // remaining first.
         let pick = self
             .running
             .iter()
@@ -1176,9 +1246,10 @@ impl Engine {
                 let sim = &self.sims[a.job];
                 a.kind == kind
                     && !a.speculative
+                    && Self::holds(a, now)
                     && sim.spec.speculate
-                    && sim.state == SimState::Running
-                    && sim.ready_task(kind, now).is_none()
+                    && self.has_room(a.job, kind, now)
+                    && self.ready_task(a.job, kind, now).is_none()
                     && !sim.tasks[a.task].backup
             })
             .max_by_key(|a| {
@@ -1193,40 +1264,30 @@ impl Engine {
             return false;
         };
         self.sims[job].tasks[task].backup = true;
-        let ticks = self.sims[job].task_ticks(kind, task);
-        self.place(job, kind, task, attempt_no, true, now, ticks);
+        self.launch(job, kind, task, attempt_no, true, now);
         true
     }
 
     fn try_preempt(&mut self, scheduler: &mut dyn Scheduler, kind: TaskKind, now: u64) -> bool {
-        let claimant = {
-            let cands = candidate_views(&self.sims, &self.running, &self.tenant_charged, kind, now);
-            if cands.is_empty() {
-                return false;
-            }
-            let view = SchedView {
-                now,
-                kind,
-                candidates: &cands,
-            };
-            let Some(i) = scheduler.pick(&view) else {
-                return false;
-            };
-            cands[i].clone_owned()
+        let cands = self.candidate_views(kind, now);
+        if cands.is_empty() {
+            return false;
+        }
+        let view = SchedView {
+            now,
+            kind,
+            candidates: &cands,
         };
-        let victim_idx = {
-            let (views, indices) = attempt_views(&self.sims, &self.running, kind, now);
-            if views.is_empty() {
-                return false;
-            }
-            let claimant_view = claimant.as_view();
-            match scheduler.preempt(&claimant_view, &views) {
-                Some(i) => indices[i],
-                None => return false,
-            }
+        let Some(claimant) = scheduler.pick(&view).map(|i| &cands[i]) else {
+            return false;
         };
-        self.preempt_attempt(victim_idx, now);
-        self.grant(claimant.seq, kind, now);
+        let (views, indices) = self.attempt_views(kind, now);
+        let Some(victim) = scheduler.preempt(claimant, &views).map(|i| indices[i]) else {
+            return false;
+        };
+        let claimant = claimant.seq;
+        self.preempt_attempt(victim, now);
+        self.grant(claimant, kind, now);
         true
     }
 
@@ -1265,6 +1326,76 @@ impl Engine {
             attempt: next_attempt,
         };
         self.events.insert(ready);
+    }
+
+    /// The policy's view of the schedulable jobs, in canonical order.
+    /// Tenant usage shown to the policy is charged slot-ticks plus the
+    /// full committed duration of running attempts — commitments are what
+    /// stop a tenant with many short tasks from starving one with few long
+    /// tasks.
+    fn candidate_views(&self, kind: TaskKind, now: u64) -> Vec<CandidateView<'_>> {
+        let used = |tenant: &str| {
+            let running = self.running.iter();
+            let committed = running.filter(|a| self.sims[a.job].spec.tenant == tenant);
+            let charged = self.tenant_charged.get(tenant).copied().unwrap_or(0);
+            charged + committed.map(|a| a.ticks).sum::<u64>()
+        };
+        self.sims
+            .iter()
+            .enumerate()
+            .filter(|&(j, sim)| match sim.state {
+                // An unstarted job's task shape is unknown until its plane
+                // runs; it bids for a map slot (jobs here always map first).
+                SimState::Queued => kind == TaskKind::Map,
+                SimState::Running => self.ready_task(j, kind, now).is_some(),
+                _ => false,
+            })
+            .map(|(seq, sim)| CandidateView {
+                seq,
+                name: &sim.spec.name,
+                tenant: &sim.spec.tenant,
+                arrival: sim.arrival,
+                priority: sim.spec.priority,
+                tenant_used: used(&sim.spec.tenant),
+            })
+            .collect()
+    }
+
+    /// The policy's view of the attempts holding `kind` slots, in
+    /// canonical order, alongside each view's index into `running`.
+    fn attempt_views(&self, kind: TaskKind, now: u64) -> (Vec<AttemptView<'_>>, Vec<usize>) {
+        let running = &self.running;
+        let mut order: Vec<usize> = (0..running.len())
+            .filter(|&i| running[i].kind == kind && Self::holds(&running[i], now))
+            .collect();
+        order.sort_by_key(|&i| {
+            (
+                running[i].job,
+                running[i].task,
+                running[i].speculative,
+                running[i].id,
+            )
+        });
+        let views = order
+            .iter()
+            .map(|&i| {
+                let a = &running[i];
+                let sim = &self.sims[a.job];
+                AttemptView {
+                    seq: a.job,
+                    name: &sim.spec.name,
+                    tenant: &sim.spec.tenant,
+                    priority: sim.spec.priority,
+                    kind: a.kind,
+                    task_index: a.task,
+                    attempt: a.attempt_no,
+                    speculative: a.speculative,
+                    started: a.started,
+                    remaining: a.finish.saturating_sub(now),
+                }
+            })
+            .collect();
+        (views, order)
     }
 
     // --- reporting -------------------------------------------------------
@@ -1363,120 +1494,6 @@ impl Engine {
         trace.set_total(self.makespan);
         collector.commit(trace);
     }
-}
-
-impl<'a> CandidateView<'a> {
-    fn clone_owned(&self) -> OwnedCandidate {
-        OwnedCandidate {
-            seq: self.seq,
-            name: self.name.to_owned(),
-            tenant: self.tenant.to_owned(),
-            arrival: self.arrival,
-            priority: self.priority,
-            tenant_used: self.tenant_used,
-        }
-    }
-}
-
-struct OwnedCandidate {
-    seq: usize,
-    name: String,
-    tenant: String,
-    arrival: u64,
-    priority: i32,
-    tenant_used: u64,
-}
-
-impl OwnedCandidate {
-    fn as_view(&self) -> CandidateView<'_> {
-        CandidateView {
-            seq: self.seq,
-            name: &self.name,
-            tenant: &self.tenant,
-            arrival: self.arrival,
-            priority: self.priority,
-            tenant_used: self.tenant_used,
-        }
-    }
-}
-
-/// Builds the policy's view of the schedulable jobs, in canonical order.
-/// Tenant usage shown to the policy is charged slot-ticks plus the full
-/// committed duration of running attempts — commitments are what stop a
-/// tenant with many short tasks from starving one with few long tasks.
-fn candidate_views<'a>(
-    sims: &'a [Sim],
-    running: &[Attempt],
-    charged: &BTreeMap<String, u64>,
-    kind: TaskKind,
-    now: u64,
-) -> Vec<CandidateView<'a>> {
-    let mut used: BTreeMap<&str, u64> = BTreeMap::new();
-    for (tenant, &ticks) in charged {
-        used.insert(tenant.as_str(), ticks);
-    }
-    for a in running {
-        *used.entry(sims[a.job].spec.tenant.as_str()).or_insert(0) += a.ticks;
-    }
-    sims.iter()
-        .enumerate()
-        .filter(|(_, sim)| match sim.state {
-            // An unstarted job's task shape is unknown until its plane
-            // runs; it bids for a map slot (jobs here always map first).
-            SimState::Queued => kind == TaskKind::Map,
-            SimState::Running => sim.ready_task(kind, now).is_some(),
-            _ => false,
-        })
-        .map(|(seq, sim)| CandidateView {
-            seq,
-            name: &sim.spec.name,
-            tenant: &sim.spec.tenant,
-            arrival: sim.arrival,
-            priority: sim.spec.priority,
-            tenant_used: used.get(sim.spec.tenant.as_str()).copied().unwrap_or(0),
-        })
-        .collect()
-}
-
-/// Builds the policy's view of running attempts of the given kind, in
-/// canonical order, alongside each view's index into `running`.
-fn attempt_views<'a>(
-    sims: &'a [Sim],
-    running: &[Attempt],
-    kind: TaskKind,
-    now: u64,
-) -> (Vec<AttemptView<'a>>, Vec<usize>) {
-    let mut order: Vec<usize> = (0..running.len())
-        .filter(|&i| running[i].kind == kind)
-        .collect();
-    order.sort_by_key(|&i| {
-        (
-            running[i].job,
-            running[i].task,
-            running[i].speculative,
-            running[i].id,
-        )
-    });
-    let views = order
-        .iter()
-        .map(|&i| {
-            let a = &running[i];
-            let sim = &sims[a.job];
-            AttemptView {
-                seq: a.job,
-                name: &sim.spec.name,
-                tenant: &sim.spec.tenant,
-                priority: sim.spec.priority,
-                kind: a.kind,
-                task_index: a.task,
-                attempt: a.attempt_no,
-                speculative: a.speculative,
-                started: a.started,
-                remaining: a.finish.saturating_sub(now),
-            }
-        })
-        .collect();
-    (views, order)
 }
 
 #[cfg(test)]
@@ -1727,6 +1744,50 @@ mod tests {
         // Map makespan 5 (two tasks, two slots), shuffle 2, reduce 3.
         assert_eq!(report.makespan, ms(10));
         assert_eq!(exec.take(h).unwrap().stats.finished, ms(10));
+    }
+
+    /// A wave alone runs longest task first, ties on the lower index, onto
+    /// the lowest-indexed free slot, each task charged the launch overhead
+    /// inside its span.
+    #[test]
+    fn one_wave_runs_longest_first_on_the_lowest_free_slot() {
+        let wave = |ticks: &[u64], slots: usize, overhead: u64| {
+            let cluster = ClusterConfig {
+                map_slots: slots,
+                ..ClusterConfig::test()
+            };
+            let tasks = ticks.iter().map(|t| t + overhead).collect();
+            let step = Step::Wave {
+                kind: TaskKind::Map,
+                cap: slots,
+                tasks,
+            };
+            run_alone(&cluster, vec![step]).swap_remove(0)
+        };
+        let at = |w: &Wave, i: usize| (w.slots[i].slot, w.slots[i].start, w.slots[i].end);
+        // An empty wave places nothing.
+        assert_eq!(wave(&[], 1, 5), Wave::default());
+        // One slot runs the tasks back to back, longest first.
+        let w = wave(&[10, 30, 20], 1, 0);
+        assert_eq!(
+            [at(&w, 1), at(&w, 2), at(&w, 0)],
+            [(0, 0, 30), (0, 30, 50), (0, 50, 60)]
+        );
+        // Two slots balance: 30 | 20 + 10.
+        let w = wave(&[10, 20, 30], 2, 0);
+        assert_eq!(
+            [at(&w, 2), at(&w, 1), at(&w, 0)],
+            [(0, 0, 30), (1, 0, 20), (1, 20, 30)]
+        );
+        // The overhead is charged inside each task's span.
+        let w = wave(&[10, 10], 1, 5);
+        assert_eq!((w.span(), at(&w, 0)), (30, (0, 0, 15)));
+        // Equal tasks go to the lower slots in index order.
+        let slots: Vec<usize> = wave(&[10; 3], 3, 0).slots.iter().map(|p| p.slot).collect();
+        assert_eq!(slots, [0, 1, 2]);
+        assert_eq!(wave(&[10_000, 20_000, 30_000], 2, 0).span(), 30_000);
+        assert_eq!(wave(&[10_000; 4], 2, 0).span(), 20_000);
+        assert_eq!(wave(&[10_000, 10_000], 2, 5_000).span(), 15_000);
     }
 
     #[test]

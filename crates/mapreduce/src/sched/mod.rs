@@ -1,10 +1,12 @@
-//! Multi-tenant job scheduling: one simulated cluster, many jobs.
+//! Job scheduling: one simulated cluster, one event loop, one or many
+//! jobs.
 //!
-//! [`run_job`](crate::run_job) owns its whole cluster for exactly one job.
-//! This module adds the production shape on top of it: a
-//! [`ClusterExecutor`] accepts job submissions from many tenants, pushes
-//! them through an [`AdmissionController`] (bounded queue, slot/memory
-//! reservations checked against capacity, deterministic rejection via
+//! [`run_job`](crate::run_job) owns its whole cluster for exactly one job,
+//! and lays that job out with this module's loop run for it alone. The
+//! same loop gives the production shape: a [`ClusterExecutor`] accepts
+//! job submissions from many tenants, pushes them through an
+//! [`AdmissionController`] (bounded queue, slot/memory reservations
+//! checked against capacity, deterministic rejection via
 //! [`skymr_common::Error::AdmissionRejected`]), and interleaves the
 //! admitted jobs' tasks over the cluster's shared map/reduce slot pools
 //! under a pluggable [`Scheduler`] policy — FIFO, least-served
@@ -14,20 +16,23 @@
 //!
 //! Each submission carries a *data plane*: a closure that computes the
 //! job's actual bytes (typically via [`run_job`](crate::run_job) or a
-//! whole skyline pipeline) and reports the per-task modeled durations in
-//! its [`JobMetrics`](crate::JobMetrics). The executor runs that closure
+//! whole skyline pipeline) and reports, in each
+//! [`JobMetrics`](crate::JobMetrics), the job's priced steps: waits, and
+//! capped waves of tasks. The executor runs that closure
 //! lazily — at the simulated instant the scheduler first grants the job a
 //! slot, never while it is only queued — so a queued job pins no input
 //! and a job cancelled before its start never executes at all (with
 //! [`FnSplits`](crate::splits::FnSplits) sources even running jobs
 //! materialize one split at a time).
 //!
-//! The *control plane* is a single-threaded discrete-event simulation
-//! over those modeled task durations: tasks from all admitted jobs
-//! compete for the shared slot pools, queue waits accrue on the simulated
-//! clock, deadlines cancel, and preemptions kill and re-queue attempts
-//! through the same [`RetryPolicy`](crate::RetryPolicy) backoff a
-//! recoverable fault would use. Because the simulation consumes only
+//! The *control plane* is a single-threaded discrete-event loop over
+//! those steps — the workspace's one list scheduler: tasks from all
+//! admitted jobs compete for the shared slot pools, each wave's longest
+//! task first onto the lowest-indexed free slot, queue waits accrue on
+//! the simulated clock, deadlines cancel, and preemptions kill and
+//! re-queue attempts through the same
+//! [`RetryPolicy`](crate::RetryPolicy) backoff a recoverable fault would
+//! use. Because the simulation consumes only
 //! model facts — never host time, thread interleavings, or submission
 //! call order (jobs are ranked by arrival tick, tenant, and name) — every
 //! output byte and every `sched.*` counter is a pure function of the
@@ -47,8 +52,8 @@ mod scheduler;
 
 pub use admission::{AdmissionConfig, AdmissionController, Reservation};
 pub use executor::{
-    ClusterExecutor, JobCompletion, JobHandle, JobSchedStats, JobSpec, SchedOutcome, SchedReport,
-    TenantStats,
+    run_alone, ClusterExecutor, JobCompletion, JobHandle, JobSchedStats, JobSpec, SchedOutcome,
+    SchedReport, Slot, Step, TenantStats, Wave,
 };
 pub use scheduler::{
     AttemptView, CandidateView, FairShareScheduler, FifoScheduler, PriorityScheduler, SchedView,

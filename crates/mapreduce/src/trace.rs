@@ -8,24 +8,29 @@
 //! derived here, after the fact, on the driver thread:
 //! [`TaskModel`] prices a task's attempts with the
 //! [`skymr_telemetry::model`] cost table and the cluster's configured
-//! hardware rates, [`JobRecord::timeline`] places the priced tasks wave by
-//! wave with [`skymr_telemetry::place`], and both consumers read that one
-//! [`Timeline`]: `Job::close` takes `sim_runtime` and every phase duration
-//! of [`crate::cluster::JobMetrics`] off it, [`JobRecord::emit`] draws its
-//! spans from it. No host clock is involved, so the metrics and the
-//! exports are byte-identical across runs, host thread counts and schedule
-//! shakes — speculative runs included: backups are planned and won on
-//! model ticks ([`JobRecord::plan_backups`]).
+//! hardware rates, `JobRecord::steps` turns the priced tasks into waits
+//! and waves, and [`JobRecord::timeline`] runs those steps through the
+//! executor's loop ([`crate::sched`]) with this job alone. Every consumer
+//! reads that one event log: `Job::close` takes `sim_runtime` and every
+//! phase duration of [`crate::cluster::JobMetrics`] off it, node-loss
+//! resolution reads which map tasks had finished or were running, and
+//! [`JobRecord::emit`] draws its spans from it. A multi-tenant
+//! [`ClusterExecutor`](crate::sched::ClusterExecutor) replays the same
+//! steps, so a job run alone and the same job as the executor's only
+//! tenant take the same time. No host clock is involved, so the metrics
+//! and the exports are byte-identical across runs, host thread counts and
+//! schedule shakes — speculative runs included: backups are planned and
+//! won on model ticks ([`JobRecord::plan_backups`]).
 
 use std::time::Duration;
 
 use skymr_telemetry::model;
-use skymr_telemetry::place::{place, Placement as Slot};
 use skymr_telemetry::registry::TICK_BUCKETS;
 use skymr_telemetry::{ArgValue, Collector, JobTrace, MetricsRegistry, Span, Ticks};
 
 use crate::cluster::{ClusterConfig, Placement};
 use crate::fault::{FailureCause, RetryPolicy, SpeculationPolicy, TaskKind};
+use crate::sched::{run_alone, Step, Wave};
 use crate::storage::MergeStats;
 
 /// Lane 0 of every job: startup, broadcast, and shuffle-wide spans.
@@ -167,26 +172,9 @@ pub struct TaskModel {
     pub backup: Option<Backup>,
 }
 
-/// One wave of tasks placed on slots: placements are relative to `start`.
-#[derive(Debug, Clone, Default)]
-pub struct Wave {
-    /// Tick the wave's first task may launch.
-    pub start: Ticks,
-    /// Tick the wave's last task finishes (`start` for an empty wave).
-    pub end: Ticks,
-    /// Where each task landed, indexed like the wave's task list.
-    pub slots: Vec<Slot>,
-}
-
-impl Wave {
-    /// The wave's makespan.
-    pub fn span(&self) -> Ticks {
-        self.end - self.start
-    }
-}
-
 /// A job laid out on the simulated cluster, start to finish — the single
-/// source of every simulated time the engine reports or draws.
+/// source of every simulated time the engine reports or draws. Each wave
+/// is the loop's log of that step, in absolute ticks.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     /// Job startup: `[0, startup)`.
@@ -442,48 +430,59 @@ impl JobRecord<'_> {
         }
     }
 
-    /// Lays the job out on the simulated cluster: startup → broadcast →
-    /// map wave → lost-partition wave → heartbeat wait + node-loss wave →
-    /// at-rest-corruption wave → shuffle → reduce wave. The only place
+    /// The job's priced steps, in order: startup and broadcast (a wait),
+    /// the map wave, the lost-partition wave, the heartbeat wait, the
+    /// node-loss and at-rest-corruption waves on the surviving map slots,
+    /// the shuffle (a wait) and the reduce wave on the surviving reduce
+    /// slots. A phase wave charges each task's slot time, a re-execution
+    /// wave one clean attempt per task, each plus the launch overhead.
+    pub(crate) fn steps(&self) -> Vec<Step> {
+        let cluster = self.cluster;
+        let overhead = self.overhead();
+        let held = |tasks: &[TaskModel]| {
+            let cost = |t| overhead + self.slot_ticks(t);
+            tasks.iter().map(cost).collect()
+        };
+        let rerun = |wave: &[usize]| {
+            let cost = |&i: &usize| overhead + self.map.get(i).map_or(0, |t| self.clean_ticks(t));
+            wave.iter().map(cost).collect()
+        };
+        let wave = |kind, cap, tasks| Step::Wave { kind, cap, tasks };
+        let (map, reduce) = (TaskKind::Map, TaskKind::Reduce);
+        let heartbeat = ticks_of(cluster.heartbeat_timeout) * self.node_losses.len() as u64;
+        vec![
+            Step::Wait(ticks_of(cluster.job_startup) + ticks_of(self.broadcast_time)),
+            wave(map, cluster.map_slots, held(&self.map)),
+            wave(map, cluster.map_slots, rerun(&self.recovery)),
+            Step::Wait(heartbeat),
+            wave(map, self.surviving_map_slots, rerun(&self.reexecuted)),
+            wave(map, self.surviving_map_slots, rerun(&self.rotten)),
+            Step::Wait(ticks_of(self.shuffle_time)),
+            wave(reduce, self.surviving_reduce_slots, held(&self.reduce)),
+        ]
+    }
+
+    /// Lays the job out on the simulated cluster: its [`steps`](Self::steps)
+    /// run through the executor's loop with this job alone. The only place
     /// wave start and end times are computed.
     pub fn timeline(&self) -> Timeline {
-        let cluster = self.cluster;
-        // A phase wave places every task's slot time; a re-execution wave
-        // one clean attempt per task.
-        let held = |tasks: &[TaskModel]| tasks.iter().map(|t| self.slot_ticks(t)).collect();
-        let rerun = |wave: &[usize]| {
-            let clean = |&i: &usize| self.map.get(i).map_or(0, |t| self.clean_ticks(t));
-            wave.iter().map(clean).collect()
+        let log = run_alone(self.cluster, self.steps());
+        let Ok([_, map, recovery, heartbeat, reexec, corrupt, shuffle, reduce]) =
+            <[Wave; 8]>::try_from(log)
+        else {
+            unreachable!("the loop logs each of the job's eight steps")
         };
-        let lay = |start, ticks: Vec<Ticks>, slots| {
-            let (placed, makespan) = place(&ticks, slots, self.overhead());
-            Wave {
-                start,
-                end: start + makespan,
-                slots: placed,
-            }
-        };
-        let (map_slots, reduce_slots) = (self.surviving_map_slots, self.surviving_reduce_slots);
-        let startup = ticks_of(cluster.job_startup);
-        let broadcast = ticks_of(self.broadcast_time);
-        let map = lay(startup + broadcast, held(&self.map), cluster.map_slots);
-        let recovery = lay(map.end, rerun(&self.recovery), cluster.map_slots);
-        let heartbeat = ticks_of(cluster.heartbeat_timeout) * self.node_losses.len() as u64;
-        let reexec = lay(recovery.end + heartbeat, rerun(&self.reexecuted), map_slots);
-        let corrupt = lay(reexec.end, rerun(&self.rotten), map_slots);
-        let shuffle = ticks_of(self.shuffle_time);
-        let reduce = lay(corrupt.end + shuffle, held(&self.reduce), reduce_slots);
         let tasks = || self.map.iter().chain(&self.reduce);
         let killed: Ticks = self.node_losses.iter().map(|l| l.wasted).sum();
         Timeline {
-            startup,
-            broadcast,
+            startup: ticks_of(self.cluster.job_startup),
+            broadcast: ticks_of(self.broadcast_time),
             map,
             recovery,
-            heartbeat,
+            heartbeat: heartbeat.span(),
             reexec,
             corrupt,
-            shuffle,
+            shuffle: shuffle.span(),
             reduce,
             wasted: tasks().map(|t| self.wasted_ticks(t)).sum::<Ticks>() + killed,
             backoff: tasks().map(|t| self.backoff_ticks(t)).sum(),
@@ -564,11 +563,16 @@ impl JobRecord<'_> {
         reg
     }
 
-    /// Draws the job's [`Timeline`] as spans and commits them (with
-    /// `registry` attached) to `collector`, advancing the pipeline model
-    /// clock by the timeline's total, which it returns.
-    pub fn emit(&self, collector: &Collector, registry: MetricsRegistry) -> Ticks {
-        let timeline = self.timeline();
+    /// Draws the job's [`Timeline`] (what [`timeline`](Self::timeline)
+    /// returned) as spans and commits them (with `registry` attached) to
+    /// `collector`, advancing the pipeline model clock by the timeline's
+    /// total, which it returns.
+    pub fn emit(
+        &self,
+        timeline: &Timeline,
+        collector: &Collector,
+        registry: MetricsRegistry,
+    ) -> Ticks {
         let mut job = JobTrace::new(self.name);
         *job.registry_mut() = registry;
         let cluster = self.cluster;
@@ -624,7 +628,7 @@ impl JobRecord<'_> {
             for (&i, p) in tasks.iter().zip(&wave.slots) {
                 let path = [self.name, "map-rerun", &wave_no.to_string(), &i.to_string()];
                 let name = format!("map[{i}] ({label})");
-                let (at, dur) = (wave.start + p.start, p.end - p.start);
+                let (at, dur) = (p.start, p.end - p.start);
                 let span = Span::new(&path, name, cat, map_lane(p.slot), at, dur);
                 job.span(span.with_arg("rerun_task", i as u64));
             }
@@ -694,9 +698,9 @@ impl JobRecord<'_> {
     ) {
         let mut occupancy: Vec<(Ticks, i64)> = Vec::new();
         for (i, (task, p)) in tasks.iter().zip(&wave.slots).enumerate() {
-            self.emit_task(job, phase, i, task, lane(p.slot), wave.start + p.start);
-            occupancy.push((wave.start + p.start, 1));
-            occupancy.push((wave.start + p.end, -1));
+            self.emit_task(job, phase, i, task, lane(p.slot), p.start);
+            occupancy.push((p.start, 1));
+            occupancy.push((p.end, -1));
         }
         emit_occupancy(job, &format!("{phase} running"), occupancy);
     }
@@ -946,7 +950,7 @@ mod tests {
         let rec = test_record(&cluster, &retry, &[384]);
         let collector = Collector::new();
         let registry = rec.build_registry();
-        rec.emit(&collector, registry);
+        rec.emit(&rec.timeline(), &collector, registry);
         let doc = collector.finish();
 
         let span = |name: &str| {
@@ -1007,7 +1011,7 @@ mod tests {
         assert_eq!(reg.counter("map.failures.hang"), 1);
 
         let collector = Collector::new();
-        rec.emit(&collector, reg);
+        rec.emit(&rec.timeline(), &collector, reg);
         let doc = collector.finish();
         let instants = |name: &str| {
             doc.events
@@ -1054,7 +1058,7 @@ mod tests {
         );
 
         let collector = Collector::new();
-        rec.emit(&collector, reg);
+        rec.emit(&rec.timeline(), &collector, reg);
         let doc = collector.finish();
         let storage: Vec<_> = doc
             .events
@@ -1089,7 +1093,7 @@ mod tests {
         let reg = rec.build_registry();
         assert_eq!(reg.counter("storage.spill_files"), 0);
         let collector = Collector::new();
-        rec.emit(&collector, reg);
+        rec.emit(&rec.timeline(), &collector, reg);
         let doc = collector.finish();
         assert!(doc.events.iter().all(|e| e.cat != "storage"));
     }
@@ -1239,7 +1243,7 @@ mod tests {
         let rec = test_record(&cluster, &retry, &[384]);
         let run = || {
             let collector = Collector::new();
-            rec.emit(&collector, rec.build_registry());
+            rec.emit(&rec.timeline(), &collector, rec.build_registry());
             skymr_telemetry::export::chrome_trace(&collector.finish())
         };
         assert_eq!(run(), run());

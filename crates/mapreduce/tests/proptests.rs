@@ -7,11 +7,49 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use skymr_mapreduce::telemetry::place::place;
+use skymr_mapreduce::sched::{run_alone, Slot, Step, Wave};
 use skymr_mapreduce::{
     run_job, ClusterConfig, Emitter, FaultPlan, HashPartitioner, JobConfig, MapFactory, MapTask,
-    OutputCollector, ReduceFactory, ReduceTask, TaskContext, TaskFault,
+    OutputCollector, ReduceFactory, ReduceTask, TaskContext, TaskFault, TaskKind,
 };
+
+/// Reference LPT list scheduler: longest task first (ties on the lower
+/// index) onto the least-loaded of `slots` lanes (ties on the lower lane),
+/// each task charged `overhead` on top of its ticks.
+fn place(ticks: &[u64], slots: usize, overhead: u64) -> (Vec<Slot>, u64) {
+    let mut order: Vec<usize> = (0..ticks.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(ticks[i]), i));
+    let mut loads = vec![0u64; slots];
+    let mut placed = vec![Slot::default(); ticks.len()];
+    for i in order {
+        let slot = (0..slots).min_by_key(|&s| (loads[s], s)).unwrap_or(0);
+        let start = loads[slot];
+        placed[i] = Slot {
+            slot,
+            start,
+            end: start + overhead + ticks[i],
+        };
+        loads[slot] = placed[i].end;
+    }
+    (placed, loads.into_iter().max().unwrap_or(0))
+}
+
+/// One wave of `ticks` alone through the executor's loop, on a pool of
+/// `pool` map slots of which it may use `cap`, each task charged
+/// `overhead` on top of its ticks.
+fn wave(ticks: &[u64], pool: usize, cap: usize, overhead: u64) -> Wave {
+    let cluster = ClusterConfig {
+        map_slots: pool,
+        ..ClusterConfig::test()
+    };
+    let tasks = ticks.iter().map(|t| t + overhead).collect();
+    let step = Step::Wave {
+        kind: TaskKind::Map,
+        cap,
+        tasks,
+    };
+    run_alone(&cluster, vec![step]).swap_remove(0)
+}
 
 /// Sum-by-key: the canonical aggregation job used as the reference model.
 struct SumMap;
@@ -130,7 +168,8 @@ proptest! {
         ticks in proptest::collection::vec(0u64..1_000_000, 0..40),
         slots in 1usize..16,
     ) {
-        let (placed, span) = place(&ticks, slots, 0);
+        let placed = wave(&ticks, slots, slots, 0);
+        let span = placed.span();
         let total: u64 = ticks.iter().sum();
         let max = ticks.iter().max().copied().unwrap_or(0);
         // Classic list-scheduling bounds.
@@ -138,13 +177,32 @@ proptest! {
         prop_assert!(span >= total / slots as u64, "makespan below the load bound");
         prop_assert!(span <= total, "makespan above the serial bound");
         // One slot serializes everything.
-        prop_assert_eq!(place(&ticks, 1, 0).1, total);
+        prop_assert_eq!(wave(&ticks, 1, 1, 0).span(), total);
         // LPT guarantee: within 4/3 of the trivial lower bound + max.
         let lower = std::cmp::max(max, total / slots as u64);
         prop_assert!(span <= lower * 4 / 3 + max);
         // The placement is the schedule the makespan was read off.
-        prop_assert_eq!(placed.iter().map(|p| p.end).max().unwrap_or(0), span);
-        prop_assert!(placed.iter().zip(&ticks).all(|(p, &t)| p.end - p.start == t && p.slot < slots));
+        prop_assert_eq!(placed.slots.iter().map(|p| p.end).max().unwrap_or(0), span);
+        prop_assert!(placed.slots.iter().zip(&ticks).all(|(p, &t)| p.end - p.start == t && p.slot < slots));
+    }
+
+    /// A single job's wave lands exactly where the LPT oracle puts it:
+    /// slot, start and end of every task, on a pool at least as large as
+    /// the wave's cap, zero-tick tasks and launch overheads included.
+    #[test]
+    fn one_wave_matches_the_lpt_oracle(
+        // Half the tasks and half the overheads are zero ticks.
+        ticks in proptest::collection::vec(0u64..1_000, 0..40),
+        cap in 1usize..16,
+        spare in 0usize..4,
+        overhead in 0u64..100,
+    ) {
+        let ticks: Vec<u64> = ticks.iter().map(|t| t.saturating_sub(500)).collect();
+        let overhead = overhead.saturating_sub(50);
+        let placed = wave(&ticks, cap + spare, cap, overhead);
+        let (expected, span) = place(&ticks, cap, overhead);
+        prop_assert_eq!(placed.slots, expected);
+        prop_assert_eq!((placed.start, placed.end), (0, span));
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod collector;
 pub mod export;
 pub mod json;
 pub mod model;
-pub mod place;
 pub mod registry;
 pub mod span;
 pub mod summary;

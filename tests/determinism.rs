@@ -16,9 +16,9 @@ use skymr_datagen::Distribution;
 use skymr_integration_tests::scenario;
 use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::{
-    run_job, run_job_from, ClusterConfig, Collector, FaultPlan, FaultTolerance, FnSplits,
-    JobConfig, JobMetrics, ModuloPartitioner, Placement, SingleReducerPartitioner,
-    SpeculationPolicy, TaskFault,
+    run_job, run_job_from, ClusterConfig, ClusterExecutor, Collector, FaultPlan, FaultTolerance,
+    FnSplits, JobConfig, JobMetrics, JobSpec, ModuloPartitioner, PipelineMetrics, Placement,
+    SingleReducerPartitioner, SpeculationPolicy, TaskFault,
 };
 
 #[test]
@@ -453,4 +453,82 @@ fn user_counters_count_committed_attempts_only() {
             );
         }
     }
+}
+
+/// The makespan of a FIFO executor whose only tenant replays `metrics`.
+fn makespan_alone(cluster: &ClusterConfig, metrics: &PipelineMetrics) -> Duration {
+    let jobs = metrics.jobs.clone();
+    let mut exec = ClusterExecutor::new(cluster.clone());
+    exec.submit(JobSpec::new("alone", "t"), move |_: &ClusterConfig| {
+        Ok(((), jobs))
+    })
+    .expect("a minimal reservation is feasible");
+    exec.run().makespan
+}
+
+/// A job run alone and the same job as the executor's only tenant are
+/// priced by one loop: for the four paper pipelines — clean, under seeded
+/// task faults, and under node chaos — at test and at Hadoop-1 costs,
+/// `sim_runtime` is the single-tenant FIFO makespan to the microsecond.
+#[test]
+fn sim_runtime_is_the_single_tenant_makespan() {
+    let data = scenario(Distribution::Anticorrelated, 3, 2000, 0x5EED);
+    let hadoop = ClusterConfig {
+        host_threads: 4,
+        ..ClusterConfig::default()
+    };
+    for (costs, base) in [("test", ClusterConfig::test()), ("Hadoop-1", hadoop)] {
+        let placed = ClusterConfig {
+            placement: Some(Placement::new(7)),
+            ..base.clone()
+        };
+        let modes = [
+            ("clean", base.clone(), FaultPlan::none()),
+            ("seeded", base.clone(), FaultPlan::seeded(0x5EED)),
+            ("node chaos", placed, FaultPlan::chaos_nodes(7)),
+        ];
+        for (mode, cluster, plan) in modes {
+            let faults = FaultTolerance::with_plan(plan);
+            let mut core = SkylineConfig::test().with_fault_tolerance(faults.clone());
+            core.cluster = cluster.clone();
+            let mut baseline = BaselineConfig::test().with_fault_tolerance(faults);
+            baseline.cluster = cluster.clone();
+            let runs = [
+                ("MR-GPSRS", mr_gpsrs(&data, &core).map(|r| r.metrics)),
+                ("MR-GPMRS", mr_gpmrs(&data, &core).map(|r| r.metrics)),
+                ("MR-BNL", mr_bnl(&data, &baseline).map(|r| r.metrics)),
+                ("MR-Angle", mr_angle(&data, &baseline).map(|r| r.metrics)),
+            ];
+            for (algo, metrics) in runs {
+                let metrics = metrics.expect("the pipeline survives its mode");
+                assert_eq!(
+                    makespan_alone(&cluster, &metrics),
+                    metrics.sim_runtime(),
+                    "{algo}, {mode}, {costs} costs"
+                );
+            }
+        }
+    }
+}
+
+/// A stage replayed from a checkpoint keeps its snapshotted time on the
+/// executor's clock too.
+#[test]
+fn a_resumed_pipeline_is_charged_its_replayed_stage() {
+    let data = scenario(Distribution::Anticorrelated, 3, 500, 31);
+    let path = std::env::temp_dir().join(format!(
+        "skymr-determinism-resume-{}.json",
+        std::process::id()
+    ));
+    let checkpointed = SkylineConfig::test().with_checkpoint_file(&path);
+    mr_gpsrs(&data, &checkpointed.clone().with_kill_after(1))
+        .expect_err("the kill-point fires between the two jobs");
+    let resumed = mr_gpsrs(&data, &checkpointed.with_resume(true));
+    std::fs::remove_file(&path).ok();
+    let metrics = resumed.expect("the resume succeeds").metrics;
+    assert_eq!(metrics.jobs[0].map_tasks, 0, "the bitstring stage replays");
+    assert_eq!(
+        makespan_alone(&ClusterConfig::test(), &metrics),
+        metrics.sim_runtime()
+    );
 }
