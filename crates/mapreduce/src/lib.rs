@@ -91,3 +91,88 @@ pub use skymr_common::{ByteSized, Counters};
 /// direct dependency): span tracing, metrics registry, exporters.
 pub use skymr_telemetry as telemetry;
 pub use skymr_telemetry::{Collector, MetricsRegistry, TraceDocument};
+
+/// How the executor loop places one wave run alone: longest task first,
+/// ties on the lower index, onto the lowest-indexed free slot, each task
+/// charged the launch overhead inside its span.
+#[cfg(test)]
+mod place {
+    #[cfg(test)]
+    mod tests {
+        use crate::fault::TaskKind;
+        use crate::sched::{run_alone, Step, Wave};
+        use crate::ClusterConfig;
+
+        /// Runs `ticks` (each plus `overhead`) as one wave on `slots` map
+        /// slots and returns its log and span.
+        fn place(ticks: &[u64], slots: usize, overhead: u64) -> (Wave, u64) {
+            let cluster = ClusterConfig {
+                map_slots: slots,
+                ..ClusterConfig::test()
+            };
+            let tasks = ticks.iter().map(|t| t + overhead).collect();
+            let step = Step::Wave {
+                kind: TaskKind::Map,
+                cap: slots,
+                tasks,
+            };
+            let wave = run_alone(&cluster, vec![step]).swap_remove(0);
+            let span = wave.span();
+            (wave, span)
+        }
+
+        #[test]
+        fn empty_phase_places_nothing() {
+            // A job cannot start without a map slot, so the empty wave runs
+            // on one.
+            let (w, makespan) = place(&[], 1, 5);
+            assert!(w.slots.is_empty());
+            assert_eq!(makespan, 0);
+        }
+
+        #[test]
+        fn single_slot_is_sequential_longest_first() {
+            let (w, makespan) = place(&[10, 30, 20], 1, 0);
+            assert_eq!(makespan, 60);
+            // LPT order: task 1 (30), task 2 (20), task 0 (10).
+            assert_eq!((w.slots[1].start, w.slots[1].end), (0, 30));
+            assert_eq!((w.slots[2].start, w.slots[2].end), (30, 50));
+            assert_eq!((w.slots[0].start, w.slots[0].end), (50, 60));
+        }
+
+        #[test]
+        fn lpt_balances_two_slots() {
+            let (w, makespan) = place(&[10, 20, 30], 2, 0);
+            assert_eq!(makespan, 30);
+            assert_eq!(w.slots[2].slot, 0);
+            assert_eq!(w.slots[1].slot, 1);
+            assert_eq!(w.slots[0].slot, 1);
+            assert_eq!(w.slots[0].start, 20);
+        }
+
+        #[test]
+        fn overhead_is_charged_inside_the_span() {
+            let (w, makespan) = place(&[10, 10], 1, 5);
+            assert_eq!(makespan, 30);
+            assert_eq!(w.slots[0].end - w.slots[0].start, 15);
+        }
+
+        #[test]
+        fn ties_break_on_task_then_slot_index() {
+            let (w, _) = place(&[10, 10, 10], 3, 0);
+            assert_eq!(w.slots[0].slot, 0);
+            assert_eq!(w.slots[1].slot, 1);
+            assert_eq!(w.slots[2].slot, 2);
+        }
+
+        #[test]
+        fn matches_engine_makespan_semantics() {
+            let (_, m) = place(&[10_000, 20_000, 30_000], 2, 0);
+            assert_eq!(m, 30_000);
+            let (_, m) = place(&[10_000; 4], 2, 0);
+            assert_eq!(m, 20_000);
+            let (_, m) = place(&[10_000, 10_000], 2, 5_000);
+            assert_eq!(m, 15_000);
+        }
+    }
+}

@@ -1746,50 +1746,6 @@ mod tests {
         assert_eq!(exec.take(h).unwrap().stats.finished, ms(10));
     }
 
-    /// A wave alone runs longest task first, ties on the lower index, onto
-    /// the lowest-indexed free slot, each task charged the launch overhead
-    /// inside its span.
-    #[test]
-    fn one_wave_runs_longest_first_on_the_lowest_free_slot() {
-        let wave = |ticks: &[u64], slots: usize, overhead: u64| {
-            let cluster = ClusterConfig {
-                map_slots: slots,
-                ..ClusterConfig::test()
-            };
-            let tasks = ticks.iter().map(|t| t + overhead).collect();
-            let step = Step::Wave {
-                kind: TaskKind::Map,
-                cap: slots,
-                tasks,
-            };
-            run_alone(&cluster, vec![step]).swap_remove(0)
-        };
-        let at = |w: &Wave, i: usize| (w.slots[i].slot, w.slots[i].start, w.slots[i].end);
-        // An empty wave places nothing.
-        assert_eq!(wave(&[], 1, 5), Wave::default());
-        // One slot runs the tasks back to back, longest first.
-        let w = wave(&[10, 30, 20], 1, 0);
-        assert_eq!(
-            [at(&w, 1), at(&w, 2), at(&w, 0)],
-            [(0, 0, 30), (0, 30, 50), (0, 50, 60)]
-        );
-        // Two slots balance: 30 | 20 + 10.
-        let w = wave(&[10, 20, 30], 2, 0);
-        assert_eq!(
-            [at(&w, 2), at(&w, 1), at(&w, 0)],
-            [(0, 0, 30), (1, 0, 20), (1, 20, 30)]
-        );
-        // The overhead is charged inside each task's span.
-        let w = wave(&[10, 10], 1, 5);
-        assert_eq!((w.span(), at(&w, 0)), (30, (0, 0, 15)));
-        // Equal tasks go to the lower slots in index order.
-        let slots: Vec<usize> = wave(&[10; 3], 3, 0).slots.iter().map(|p| p.slot).collect();
-        assert_eq!(slots, [0, 1, 2]);
-        assert_eq!(wave(&[10_000, 20_000, 30_000], 2, 0).span(), 30_000);
-        assert_eq!(wave(&[10_000; 4], 2, 0).span(), 20_000);
-        assert_eq!(wave(&[10_000, 10_000], 2, 5_000).span(), 15_000);
-    }
-
     #[test]
     fn plane_failure_is_isolated_to_its_own_job() {
         let mut exec = ClusterExecutor::new(small_cluster(1, 1));
