@@ -10,7 +10,6 @@ use skymr_common::bytes::{encode_pairs_into, PAIRS_OVERHEAD};
 use skymr_common::{decode_pairs, Counters, Wire};
 
 use crate::cluster::{ClusterConfig, JobMetrics, Placement};
-use crate::combiner::{Combiner, NoCombiner};
 use crate::fault::{
     run_attempts, AttemptFailure, BlacklistPolicy, CorruptFetch, FailureCause, FaultPlan,
     FaultTolerance, Inject, JobError, RetryPolicy, SpeculationPolicy, TaskExecution, TaskFault,
@@ -317,7 +316,7 @@ fn over_budget(strikes: &BTreeMap<usize, u32>, policy: &BlacklistPolicy) -> BTre
         .collect()
 }
 
-/// Runs one MapReduce job (no combiner).
+/// Runs one MapReduce job.
 ///
 /// `splits` is the pre-split input `R_1, …, R_m` — one map task per split,
 /// exactly as the paper's job flows show (Figures 3–5). The reduce phase
@@ -389,6 +388,12 @@ where
 /// [`sched`](crate::sched) executor avoid pinning their whole input in
 /// RAM while they wait, and how datasets larger than memory stream in
 /// from a seeded [`FnSplits`](crate::splits::FnSplits) recipe.
+///
+/// This is the general driver; [`run_job`] delegates here. The body is
+/// the job's table of contents (DESIGN.md §3): each stage is one [`Job`]
+/// method, the stages accumulate the job's deterministic facts into one
+/// [`JobRecord`], and every exit — success or abort — reports them
+/// through [`Job::close`].
 pub fn run_job_from<In, K, V, Out, S, MF, RF, P>(
     cluster: &ClusterConfig,
     config: &JobConfig,
@@ -409,47 +414,6 @@ where
     RF::Task: ReduceTask<K = K, V = V, Out = Out>,
     P: Partitioner<K>,
 {
-    run_job_with_combiner_from(
-        cluster,
-        config,
-        source,
-        map_factory,
-        reduce_factory,
-        partitioner,
-        &NoCombiner,
-    )
-}
-
-/// The fully general driver: [`SplitSource`] input plus a map-side
-/// [`Combiner`] applied to each map task's output before the shuffle.
-/// Everything else delegates here.
-///
-/// The body is the job's table of contents (DESIGN.md §3): each stage is
-/// one [`Job`] method, the stages accumulate the job's deterministic facts
-/// into one [`JobRecord`], and every exit — success or abort — reports
-/// them through [`Job::close`].
-pub fn run_job_with_combiner_from<In, K, V, Out, S, MF, RF, P, C>(
-    cluster: &ClusterConfig,
-    config: &JobConfig,
-    source: &S,
-    map_factory: &MF,
-    reduce_factory: &RF,
-    partitioner: &P,
-    combiner: &C,
-) -> Result<JobOutcome<Out>, JobError>
-where
-    In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
-    Out: Send,
-    S: SplitSource<In>,
-    MF: MapFactory,
-    MF::Task: MapTask<In = In, K = K, V = V>,
-    RF: ReduceFactory,
-    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
-    P: Partitioner<K>,
-    C: Combiner<K, V>,
-{
     assert!(config.num_reducers > 0, "a job needs at least one reducer");
     // Input: the context every stage shares. With a memory budget set, map
     // output spills to sorted on-disk segments; the session owns the job's
@@ -462,7 +426,6 @@ where
         map_factory,
         reduce_factory,
         partitioner,
-        combiner,
         counters: Counters::new(),
         #[expect(
             clippy::disallowed_methods,
@@ -497,21 +460,20 @@ where
 
 /// One job in flight: the read-only context every stage shares. The
 /// stages are its methods, in execution order.
-struct Job<'a, S, MF, RF, P, C> {
+struct Job<'a, S, MF, RF, P> {
     cluster: &'a ClusterConfig,
     config: &'a JobConfig,
     source: &'a S,
     map_factory: &'a MF,
     reduce_factory: &'a RF,
     partitioner: &'a P,
-    combiner: &'a C,
     counters: Counters,
     started: Instant,
     /// The job's spill directory, present iff a memory budget is set.
     spill: Option<SpillSession>,
 }
 
-impl<'a, In, K, V, Out, S, MF, RF, P, C> Job<'a, S, MF, RF, P, C>
+impl<'a, In, K, V, Out, S, MF, RF, P> Job<'a, S, MF, RF, P>
 where
     In: Send + Sync,
     K: crate::task::JobKey,
@@ -523,7 +485,6 @@ where
     RF: ReduceFactory,
     RF::Task: ReduceTask<K = K, V = V, Out = Out>,
     P: Partitioner<K>,
-    C: Combiner<K, V>,
 {
     /// The state the stages start from. The cache broadcast happens before
     /// any task launches (failed transfers are re-sent in full, multiplying
@@ -631,11 +592,10 @@ where
 
     // ---- Map -------------------------------------------------------------
 
-    /// Groups one batch of emitted pairs per key, applies the combiner,
-    /// and partitions the result, counting it into `result` — the shared
-    /// kernel of the unspilled tail and of each spill (spilling combines
-    /// per spill batch, exactly as Hadoop runs the combiner on each
-    /// spill). The key-sorted order keeps the pipeline deterministic.
+    /// Groups one batch of emitted pairs per key and partitions the
+    /// groups, counting them into `result` — the shared kernel of the
+    /// unspilled tail and of each spill. The key-sorted order keeps the
+    /// pipeline deterministic.
     fn route(&self, pairs: Vec<(K, V)>, result: &mut MapResult<K>) -> Vec<Vec<(K, V)>> {
         let r = self.config.num_reducers;
         let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
@@ -644,13 +604,12 @@ where
         }
         let mut buckets: Vec<Vec<(K, V)>> = (0..r).map(|_| Vec::new()).collect();
         for (k, vs) in grouped {
-            let combined = self.combiner.combine(&k, vs);
             let dest = self.partitioner.partition(&k, r);
             assert!(dest < r, "partitioner returned reducer {dest} of {r}");
             if cfg!(debug_assertions) {
-                *result.emitted.entry(k.clone()).or_insert(0) += combined.len() as u64;
+                *result.emitted.entry(k.clone()).or_insert(0) += vs.len() as u64;
             }
-            for v in combined {
+            for v in vs {
                 result.records += 1;
                 result.bucket_bytes[dest] += k.byte_size() + v.byte_size();
                 buckets[dest].push((k.clone(), v));
@@ -2025,40 +1984,6 @@ mod tests {
         let out = word_count(&empty, 2, FaultPlan::none());
         assert_eq!(out.metrics.map_output_records, 0);
         assert!(out.into_flat_output().is_empty());
-    }
-
-    #[test]
-    fn combiner_cuts_shuffle_without_changing_results() {
-        use crate::combiner::FoldCombiner;
-        let cluster = ClusterConfig::test();
-        let config = JobConfig::new("wc", 2);
-        let plain = run_job(
-            &cluster,
-            &config,
-            &splits(),
-            &WcMap,
-            &WcReduce,
-            &HashPartitioner,
-        )
-        .expect("plain run");
-        let combined = run_job_with_combiner_from(
-            &cluster,
-            &config,
-            &SliceSplits::new(&splits()),
-            &WcMap,
-            &WcReduce,
-            &HashPartitioner,
-            &FoldCombiner::new(|a: u64, b: u64| a + b),
-        )
-        .expect("combined run");
-        // Split 0 holds "a b a" + "c": the duplicate 'a' combines away.
-        assert!(combined.metrics.map_output_records < plain.metrics.map_output_records);
-        assert!(combined.metrics.shuffle_bytes < plain.metrics.shuffle_bytes);
-        let mut a = plain.into_flat_output();
-        let mut b = combined.into_flat_output();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner changed the job result");
     }
 
     #[test]

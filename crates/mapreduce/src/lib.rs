@@ -51,7 +51,6 @@
 
 pub mod analysis;
 pub mod cluster;
-pub mod combiner;
 pub mod fault;
 pub mod job;
 pub mod partitioner;
@@ -65,12 +64,11 @@ pub mod trace;
 
 pub use analysis::{assert_schedule_independent, schedule_shake, ShakeCase, ShakeReport};
 pub use cluster::{ClusterConfig, JobMetrics, Placement};
-pub use combiner::{Combiner, FoldCombiner, NoCombiner};
 pub use fault::{
     BlacklistPolicy, CorruptFetch, FaultKind, FaultPlan, FaultProfile, FaultTolerance, JobError,
     NodeLoss, NodePartition, RetryPolicy, SpeculationPolicy, TaskFault, TaskKind,
 };
-pub use job::{run_job, run_job_from, run_job_with_combiner_from, JobConfig, JobOutcome};
+pub use job::{run_job, run_job_from, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};
 pub use pipeline::{Checkpoint, JobSnapshot, PipelineMetrics, Runner, Snapshot};
 pub use sched::{
