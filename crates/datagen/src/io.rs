@@ -112,8 +112,11 @@ pub fn decode_binary(mut data: Bytes) -> io::Result<Dataset> {
     if dim == 0 {
         return Err(invalid("binary dataset header declares zero dimensions"));
     }
-    let record = 8 + 8 * dim;
-    if data.remaining() != record * len {
+    // A hostile header can declare a body no address space holds: the
+    // product is checked, never wrapped into a length that passes.
+    let record = dim.checked_mul(8).and_then(|values| values.checked_add(8));
+    let body = record.and_then(|record| record.checked_mul(len));
+    if body != Some(data.remaining()) {
         return Err(invalid("binary dataset body length disagrees with header"));
     }
     let mut tuples = Vec::with_capacity(len);
@@ -222,6 +225,17 @@ mod tests {
         let full = encode_binary(&ds);
         let truncated = full.slice(0..full.len() - 3);
         assert!(decode_binary(truncated).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_a_header_whose_body_length_overflows() {
+        // Magic, `dim = 1`, `len = 2^60`: 16 · 2^60 overflows usize.
+        let mut bytes = BINARY_MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        assert_eq!(bytes.len(), 18);
+        let err = decode_binary(Bytes::from(bytes)).expect_err("overflowing header");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
