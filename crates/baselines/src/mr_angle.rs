@@ -78,7 +78,7 @@ pub fn mr_angle(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Res
         &splits,
         // Tag every tuple with its angular cell …
         &map_fn(|t: &Tuple, out: &mut Emitter<u32, Tuple>| {
-            out.emit(angular_partition(t, &angle_config), t.clone());
+            out.emit_ref(angular_partition(t, &angle_config), t);
         }),
         // … and compute a BNL local skyline per cell.
         &reduce_fn(|key: u32, values: Vec<Tuple>, out| {

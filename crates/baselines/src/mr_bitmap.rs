@@ -215,7 +215,7 @@ pub fn mr_bitmap(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Re
         &job2,
         &splits,
         &map_fn(|(i, t): &(u32, Tuple), out: &mut Emitter<u32, Tuple>| {
-            out.emit(*i, t.clone());
+            out.emit_ref(*i, t);
         }),
         &reduce_fn(|_: u32, values: Vec<Tuple>, out| {
             for t in values {

@@ -126,7 +126,7 @@ fn eliminate_across_windows(cells: &mut BTreeMap<u32, Window>) -> u64 {
 
 /// Phase-1 mapper: tags every tuple with its cell code.
 pub fn partition_map() -> impl MapFactory<Task = impl MapTask<In = Tuple, K = u32, V = Tuple>> {
-    map_fn(|t: &Tuple, out: &mut Emitter<u32, Tuple>| out.emit(cell_code(t), t.clone()))
+    map_fn(|t: &Tuple, out: &mut Emitter<u32, Tuple>| out.emit_ref(cell_code(t), t))
 }
 
 /// Phase-1 reducer: BNL local skyline per cell.
@@ -151,7 +151,7 @@ pub fn local_skyline_reduce(
 /// merge reducer.
 pub fn forward_map() -> impl MapFactory<Task = impl MapTask<In = CellEntry, K = u8, V = CellEntry>>
 {
-    map_fn(|entry: &CellEntry, out: &mut Emitter<u8, CellEntry>| out.emit(0, entry.clone()))
+    map_fn(|entry: &CellEntry, out: &mut Emitter<u8, CellEntry>| out.emit_ref(0, entry))
 }
 
 /// How the single merge reducer combines the per-cell local skylines.

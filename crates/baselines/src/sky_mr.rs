@@ -215,7 +215,7 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
             let mut seen = 0usize;
             move |t: &Tuple, out: &mut Emitter<u8, Tuple>| {
                 if seen % stride == 0 {
-                    out.emit(0, t.clone());
+                    out.emit_ref(0, t);
                 }
                 seen += 1;
             }

@@ -511,7 +511,9 @@ impl Wire for Tuple {
         out.reserve(12 + 8 * self.values.len());
         self.id.wire_encode(out);
         wire_len(self.values.len()).wire_encode(out);
-        out.extend(self.values.iter().flat_map(|v| v.to_le_bytes()));
+        for v in self.values.iter() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
     fn wire_decode(r: &mut WireCursor<'_>) -> Option<Self> {
         let id = u64::wire_decode(r)?;
@@ -551,6 +553,22 @@ pub fn encode_pairs_into<K: Wire, V: Wire>(pairs: &[(K, V)], out: &mut Vec<u8>) 
     for (k, v) in pairs {
         k.wire_encode(out);
         v.wire_encode(out);
+    }
+    frame_end(out, start);
+}
+
+/// [`encode_pairs_into`] for pairs encoded beforehand: one frame around
+/// `[count: u32]` and the `count` encodings, copied in order — the same
+/// bytes when each encoding is a pair's `Wire` encoding.
+pub fn frame_encoded_pairs_into<'a>(
+    count: usize,
+    encodings: impl IntoIterator<Item = &'a [u8]>,
+    out: &mut Vec<u8>,
+) {
+    let start = frame_begin(out);
+    wire_len(count).wire_encode(out);
+    for pair in encodings {
+        out.extend_from_slice(pair);
     }
     frame_end(out, start);
 }
@@ -712,6 +730,36 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A frame of pairs encoded beforehand, one buffer per pair, is the
+    /// frame `encode_pairs` writes for the typed pairs (whose bytes the
+    /// golden test below pins), for an empty batch too.
+    #[test]
+    fn frames_of_pre_encoded_pairs_equal_typed_frames() {
+        let partition: Vec<(u32, Tuple)> = (0..40u32)
+            .map(|i| {
+                (
+                    i / 3,
+                    Tuple::new(u64::from(i), vec![f64::from(i) / 64.0; (i % 4) as usize]),
+                )
+            })
+            .collect();
+        for len in [0, 1, 7, partition.len()] {
+            let pairs = &partition[..len];
+            let encoded: Vec<Vec<u8>> = pairs
+                .iter()
+                .map(|(k, v)| {
+                    let mut pair = Vec::new();
+                    k.wire_encode(&mut pair);
+                    v.wire_encode(&mut pair);
+                    pair
+                })
+                .collect();
+            let mut framed = Vec::new();
+            frame_encoded_pairs_into(len, encoded.iter().map(Vec::as_slice), &mut framed);
+            assert_eq!(framed, encode_pairs(pairs), "{len} pairs");
+        }
     }
 
     /// The wire format is frozen by test, not by intent: these constants

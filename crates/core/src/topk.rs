@@ -258,7 +258,7 @@ pub fn mr_top_k_dominating(
             grid.coords_into(grid.partition_of(input), &mut cell_buf);
             for (ci, qc) in candidate_coords.iter().enumerate() {
                 if plan.in_shell(qc, &cell_buf) {
-                    out.emit(ci as u32, input.clone());
+                    out.emit_ref(ci as u32, input);
                 }
             }
         }),

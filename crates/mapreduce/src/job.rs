@@ -2,11 +2,12 @@
 //! fault tolerance (bounded retries, backoff, speculative execution).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use skymr_common::bytes::{encode_pairs_into, PAIRS_OVERHEAD};
+use skymr_common::bytes::{frame_encoded_pairs_into, PAIRS_OVERHEAD};
 use skymr_common::{decode_pairs, Counters, Wire};
 
 use crate::cluster::{ClusterConfig, JobMetrics, Placement};
@@ -20,11 +21,12 @@ use crate::pool::run_indexed;
 use crate::splits::{SliceSplits, SplitSource};
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
-    segment::{flip_bit, verify_frames, write_segment, Segment, StorageError},
+    segment::{flip_bit, verify_frames, Segment, SegmentWriter, StorageError},
     SpillSession,
 };
 use crate::task::{
-    Emitter, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask, TaskContext,
+    Emitter, JobKey, JobValue, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask,
+    TaskContext,
 };
 use crate::trace::{
     from_ticks, ticks_of, CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel, Timeline,
@@ -163,6 +165,95 @@ struct MapResult<K> {
     /// Debug builds: pairs per key, tallied in [`Job::route`] before
     /// anything is encoded — the shuffle invariant's mapper side.
     emitted: BTreeMap<K, u64>,
+}
+
+impl<K: JobKey> MapResult<K> {
+    fn new(reducers: usize, counters: Counters) -> Self {
+        Self {
+            segments: Vec::new(),
+            tail: Vec::new(),
+            bucket_bytes: vec![0; reducers],
+            records: 0,
+            work: 0,
+            counters,
+            emitted: BTreeMap::new(),
+        }
+    }
+
+    /// Groups one batch of emitted pairs per key and partitions the
+    /// groups, counting them in — the shared kernel of the unspilled tail
+    /// and of each spill. Returns, per reducer, the runs of `emitter`'s
+    /// key-sorted index its groups occupy: keys ascending, emission order
+    /// within a key, so the pipeline is deterministic and each bucket is
+    /// what grouping the pairs in a `BTreeMap` would give.
+    fn route<V: JobValue>(
+        &mut self,
+        emitter: &mut Emitter<K, V>,
+        partitioner: &impl Partitioner<K>,
+    ) -> Vec<Vec<Range<usize>>> {
+        let r = self.bucket_bytes.len();
+        let mut buckets: Vec<Vec<Range<usize>>> = (0..r).map(|_| Vec::new()).collect();
+        let index = emitter.sorted();
+        let mut at = 0;
+        while let Some((k, _)) = index.get(at) {
+            let len = index[at..].iter().take_while(|(key, _)| key == k).count();
+            let dest = partitioner.partition(k, r);
+            assert!(dest < r, "partitioner returned reducer {dest} of {r}");
+            if cfg!(debug_assertions) {
+                *self.emitted.entry(k.clone()).or_insert(0) += len as u64;
+            }
+            self.records += len as u64;
+            let bytes = index[at..at + len]
+                .iter()
+                .map(|(_, pair)| pair.len() as u64);
+            self.bucket_bytes[dest] += bytes.sum::<u64>();
+            buckets[dest].push(at..at + len);
+            at += len;
+        }
+        buckets
+    }
+
+    /// Routes the buffered pairs into one more spill segment at `path`,
+    /// copied from the emitter's buffer pair by pair, and empties the
+    /// buffer.
+    fn spill<V: JobValue>(
+        &mut self,
+        emitter: &mut Emitter<K, V>,
+        partitioner: &impl Partitioner<K>,
+        path: std::path::PathBuf,
+        io_chunk: usize,
+    ) -> Result<(), StorageError> {
+        let buckets = self.route(emitter, partitioner);
+        let mut w = SegmentWriter::<K, V>::create(path, io_chunk)?;
+        for bucket in &buckets {
+            for pair in emitter.encodings(bucket) {
+                w.push_encoded(pair)?;
+            }
+            w.end_partition()?;
+        }
+        self.segments.push(w.finish()?);
+        emitter.clear();
+        Ok(())
+    }
+
+    /// The unspilled tail as it leaves the attempt to cross the shuffle:
+    /// one checksummed frame per reducer, copied from the emitter's buffer
+    /// into a frame reserved exactly from the wire size `route` counted.
+    fn frame_tail<V: JobValue>(
+        &mut self,
+        emitter: &mut Emitter<K, V>,
+        partitioner: &impl Partitioner<K>,
+    ) {
+        let buckets = self.route(emitter, partitioner);
+        let frame = |(bucket, &bytes): (&Vec<Range<usize>>, &u64)| {
+            let records = bucket.iter().map(Range::len).sum();
+            let mut frame = Vec::with_capacity(bytes as usize + PAIRS_OVERHEAD);
+            frame_encoded_pairs_into(records, emitter.encodings(bucket), &mut frame);
+            debug_assert_eq!(frame.len(), frame.capacity(), "frame outgrew its reserve");
+            (frame, records as u64)
+        };
+        self.tail = buckets.iter().zip(&self.bucket_bytes).map(frame).collect();
+    }
 }
 
 /// One reduce attempt's output.
@@ -362,8 +453,8 @@ pub fn run_job<In, K, V, Out, MF, RF, P>(
 ) -> Result<JobOutcome<Out>, JobError>
 where
     In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
+    K: JobKey,
+    V: JobValue + Clone,
     Out: Send,
     MF: MapFactory,
     MF::Task: MapTask<In = In, K = K, V = V>,
@@ -404,8 +495,8 @@ pub fn run_job_from<In, K, V, Out, S, MF, RF, P>(
 ) -> Result<JobOutcome<Out>, JobError>
 where
     In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
+    K: JobKey,
+    V: JobValue + Clone,
     Out: Send,
     S: SplitSource<In>,
     MF: MapFactory,
@@ -476,8 +567,8 @@ struct Job<'a, S, MF, RF, P> {
 impl<'a, In, K, V, Out, S, MF, RF, P> Job<'a, S, MF, RF, P>
 where
     In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue,
+    K: JobKey,
+    V: JobValue,
     Out: Send,
     S: SplitSource<In>,
     MF: MapFactory,
@@ -592,32 +683,6 @@ where
 
     // ---- Map -------------------------------------------------------------
 
-    /// Groups one batch of emitted pairs per key and partitions the
-    /// groups, counting them into `result` — the shared kernel of the
-    /// unspilled tail and of each spill. The key-sorted order keeps the
-    /// pipeline deterministic.
-    fn route(&self, pairs: Vec<(K, V)>, result: &mut MapResult<K>) -> Vec<Vec<(K, V)>> {
-        let r = self.config.num_reducers;
-        let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        for (k, v) in pairs {
-            grouped.entry(k).or_default().push(v);
-        }
-        let mut buckets: Vec<Vec<(K, V)>> = (0..r).map(|_| Vec::new()).collect();
-        for (k, vs) in grouped {
-            let dest = self.partitioner.partition(&k, r);
-            assert!(dest < r, "partitioner returned reducer {dest} of {r}");
-            if cfg!(debug_assertions) {
-                *result.emitted.entry(k.clone()).or_insert(0) += vs.len() as u64;
-            }
-            for v in vs {
-                result.records += 1;
-                result.bucket_bytes[dest] += k.byte_size() + v.byte_size();
-                buckets[dest].push((k.clone(), v));
-            }
-        }
-        buckets
-    }
-
     fn map_attempt(
         &self,
         i: usize,
@@ -632,24 +697,14 @@ where
         // Materialized for this attempt only; dropped once it is mapped.
         let loaded = self.source.load(i);
         let split: &[In] = &loaded;
-        let mut result = MapResult {
-            segments: Vec::new(),
-            tail: Vec::new(),
-            bucket_bytes: vec![0u64; self.config.num_reducers],
-            records: 0,
-            work: 0,
-            counters: ctx.counters.clone(),
-            emitted: BTreeMap::new(),
-        };
-        // Routes the buffered pairs into one more spill segment.
+        let mut result = MapResult::new(self.config.num_reducers, ctx.counters.clone());
         let spill =
             |session: &SpillSession, emitter: &mut Emitter<K, V>, result: &mut MapResult<K>| {
-                let (pairs, _) = emitter.drain();
-                let buckets = self.route(pairs, result);
                 let path = session.segment_path(i, attempt);
-                let segment = write_segment(path, &buckets, self.cluster.storage.io_chunk)
+                let io_chunk = self.cluster.storage.io_chunk;
+                result
+                    .spill(emitter, self.partitioner, path, io_chunk)
                     .unwrap_or_else(|e| storage_fault("spill write", e));
-                result.segments.push(segment);
             };
         let crash = || -> ! {
             crate::pool::raise_injected_panic(format!(
@@ -703,21 +758,7 @@ where
             // map RAM never holds the task's full output.
             Some((session, _)) if !emitter.is_empty() => spill(session, &mut emitter, &mut result),
             Some(_) => {}
-            // The unspilled tail leaves the attempt as it crosses the
-            // shuffle: one checksummed frame per reducer, in a buffer
-            // reserved exactly from the wire size `route` just counted.
-            None => {
-                let (pairs, _) = emitter.into_parts();
-                let buckets = self.route(pairs, &mut result);
-                let sized = buckets.into_iter().zip(&result.bucket_bytes);
-                let frame = |(bucket, &bytes): (Vec<(K, V)>, &u64)| {
-                    let mut frame = Vec::with_capacity(bytes as usize + PAIRS_OVERHEAD);
-                    encode_pairs_into(&bucket, &mut frame);
-                    debug_assert_eq!(frame.len(), frame.capacity(), "ByteSized ≠ Wire length");
-                    (frame, bucket.len() as u64)
-                };
-                result.tail = sized.map(frame).collect();
-            }
+            None => result.frame_tail(&mut emitter, self.partitioner),
         }
         result
     }
@@ -2312,7 +2353,11 @@ mod tests {
 
     #[test]
     fn spill_mode_is_output_identical_and_reports_storage_metrics() {
-        let clean = word_count(&splits(), 2, FaultPlan::none());
+        // The clean baseline stays in memory whatever budget the
+        // environment sets for the rest of the suite.
+        let mut in_memory = ClusterConfig::test();
+        in_memory.storage.memory_budget = None;
+        let clean = word_count_on(&in_memory, &JobConfig::new("wc", 2)).expect("clean run");
         let cluster = spill_cluster(1);
         let out = word_count_on(&cluster, &JobConfig::new("wc", 2)).expect("spill run");
         assert!(out.metrics.spill_files > 0, "a 1-byte budget must spill");
@@ -2347,7 +2392,7 @@ mod tests {
         // spill directory — while the same job under a budget cascades.
         let spill_root =
             std::env::temp_dir().join(format!("skymr-job-test-{}-unspilled", std::process::id()));
-        let mut narrow = ClusterConfig::test();
+        let mut narrow = in_memory.clone();
         narrow.storage.merge_fan_in = 2;
         narrow.storage.spill_dir = Some(spill_root.clone());
         let unspilled = word_count_on(&narrow, &JobConfig::new("wc", 1)).expect("memory run");
@@ -2909,5 +2954,170 @@ mod tests {
         fn create(&self, _: &TaskContext) -> WcReduceLikeTask {
             WcReduceLikeTask
         }
+    }
+
+    // ---- The map-output buffer against the typed reference -------------
+
+    /// A deterministic scramble (no RNG in unit tests).
+    fn mix(i: u64, salt: u64) -> u64 {
+        (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
+    }
+
+    /// Fills an emitter with `pairs` (through `emit` and `emit_ref` in
+    /// turn) and requires the tail frames and a spill segment built from
+    /// it to equal, byte for byte, `encode_pairs` and `write_segment` over
+    /// the typed pairs grouped in a `BTreeMap` and partitioned per key.
+    fn assert_routes_like_the_reference<K: JobKey, V: JobValue + Clone>(
+        pairs: &[(K, V)],
+        reducers: usize,
+        partitioner: &impl Partitioner<K>,
+        io_chunk: usize,
+        session: &SpillSession,
+        tag: &str,
+    ) {
+        let fill = || {
+            let mut emitter = Emitter::new();
+            for (n, (k, v)) in pairs.iter().enumerate() {
+                if n % 2 == 0 {
+                    emitter.emit(k.clone(), v.clone());
+                } else {
+                    emitter.emit_ref(k.clone(), v);
+                }
+            }
+            emitter
+        };
+        let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
+        for (k, v) in pairs {
+            grouped.entry(k.clone()).or_default().push(v.clone());
+        }
+        let mut buckets: Vec<Vec<(K, V)>> = (0..reducers).map(|_| Vec::new()).collect();
+        for (k, vs) in grouped {
+            let dest = partitioner.partition(&k, reducers);
+            buckets[dest].extend(vs.into_iter().map(|v| (k.clone(), v)));
+        }
+        let wire = |bucket: &Vec<(K, V)>| -> u64 {
+            bucket
+                .iter()
+                .map(|(k, v)| k.byte_size() + v.byte_size())
+                .sum()
+        };
+        let bucket_bytes: Vec<u64> = buckets.iter().map(wire).collect();
+
+        let mut framed = MapResult::new(reducers, Counters::new());
+        framed.frame_tail(&mut fill(), partitioner);
+        let frames: Vec<(Vec<u8>, u64)> = buckets
+            .iter()
+            .map(|b| (skymr_common::encode_pairs(b), b.len() as u64))
+            .collect();
+        assert!(framed.tail == frames, "{tag}: frames differ");
+        assert_eq!(framed.bucket_bytes, bucket_bytes, "{tag}: frame bytes");
+        assert_eq!(framed.records, pairs.len() as u64, "{tag}: records");
+
+        let mut spilled = MapResult::new(reducers, Counters::new());
+        let mut emitter = fill();
+        let path = session.dir().join(format!("{tag}.seg"));
+        spilled
+            .spill(&mut emitter, partitioner, path, io_chunk)
+            .expect("spill");
+        assert!(emitter.is_empty(), "{tag}: a spill empties the buffer");
+        let path = session.dir().join(format!("{tag}-reference.seg"));
+        let reference = crate::storage::segment::write_segment(path, &buckets, io_chunk)
+            .expect("reference segment");
+        let [segment] = &spilled.segments[..] else {
+            panic!("{tag}: one spill writes one segment")
+        };
+        let read = |path: &std::path::Path| std::fs::read(path).expect("segment bytes");
+        assert_eq!(segment.parts, reference.parts, "{tag}: manifest entries");
+        assert!(
+            read(&segment.path) == read(&reference.path),
+            "{tag}: segment bytes"
+        );
+        assert_eq!(
+            read(&segment.manifest_path()),
+            read(&reference.manifest_path()),
+            "{tag}: manifest bytes"
+        );
+        assert_eq!(spilled.bucket_bytes, bucket_bytes, "{tag}: spill bytes");
+    }
+
+    #[test]
+    fn map_output_buffer_frames_and_spills_the_bytes_of_the_typed_reference() {
+        use skymr_common::Tuple;
+        let session =
+            SpillSession::create(&crate::StorageConfig::test(), "emitter-bytes").expect("session");
+        let tuple = |i: u64| Tuple::new(i, vec![(i % 16) as f64 / 16.0, 0.5, 1.0 / 3.0]);
+        // Keys from a sparse set (0, 7, …, 28), so some reducers get
+        // nothing; many pairs per key, so keys repeat across the batch.
+        let key = |i: u64| (mix(i, 1) % 5 * 7) as u32;
+        let word = |i: u64| format!("w{}", mix(i, 2) % 11);
+        let n = 300;
+        let u32_tuple: Vec<(u32, Tuple)> = (0..n).map(|i| (key(i), tuple(i))).collect();
+        let u32_tuples: Vec<(u32, Vec<Tuple>)> = (0..n)
+            .map(|i| (key(i), (0..mix(i, 3) % 4).map(|j| tuple(i + j)).collect()))
+            .collect();
+        let string_u64: Vec<(String, u64)> = (0..n).map(|i| (word(i), mix(i, 4))).collect();
+        let string_tuple: Vec<(String, Tuple)> = (0..n).map(|i| (word(i), tuple(i))).collect();
+        for reducers in 1..=16 {
+            // 64 bytes of payload is two or three pairs: every non-empty
+            // partition above that spans several frames.
+            for io_chunk in [64, 1 << 16] {
+                let tag = |what: &str| format!("{what}-r{reducers}-c{io_chunk}");
+                let modulo = &ModuloPartitioner;
+                let s = &session;
+                assert_routes_like_the_reference(
+                    &u32_tuple,
+                    reducers,
+                    modulo,
+                    io_chunk,
+                    s,
+                    &tag("u32-tuple"),
+                );
+                assert_routes_like_the_reference(
+                    &u32_tuples,
+                    reducers,
+                    modulo,
+                    io_chunk,
+                    s,
+                    &tag("u32-tuples"),
+                );
+                let hash = &HashPartitioner;
+                assert_routes_like_the_reference(
+                    &string_u64,
+                    reducers,
+                    hash,
+                    io_chunk,
+                    s,
+                    &tag("string-u64"),
+                );
+                assert_routes_like_the_reference(
+                    &string_tuple,
+                    reducers,
+                    hash,
+                    io_chunk,
+                    s,
+                    &tag("string-tuple"),
+                );
+                let empty: Vec<(u32, u64)> = Vec::new();
+                assert_routes_like_the_reference(
+                    &empty,
+                    reducers,
+                    modulo,
+                    io_chunk,
+                    s,
+                    &tag("empty"),
+                );
+            }
+        }
+        // The small chunk did split partitions into several frames.
+        let mut spilled = MapResult::new(3, Counters::new());
+        let mut emitter = Emitter::new();
+        for (k, v) in &u32_tuple {
+            emitter.emit_ref(*k, v);
+        }
+        let path = session.dir().join("frames.seg");
+        spilled
+            .spill(&mut emitter, &ModuloPartitioner, path, 64)
+            .expect("spill");
+        assert!(spilled.segments[0].parts.iter().any(|p| p.frames > 1));
     }
 }

@@ -9,7 +9,11 @@
 //! run priority, so the `(key, value-list)` stream a reducer sees is
 //! byte-for-byte what appending the runs into a `BTreeMap` in priority
 //! order would group (the reference the property tests compare against):
-//! spilling is a memory-footprint change, never an output change.
+//! spilling is a memory-footprint change, never an output change. Because
+//! every run is sorted, a key's pairs in one run are one block, and
+//! [`KWayMerge::next_group`] assembles a group by draining the smallest
+//! head key's block from each run in priority order: one scan of the run
+//! heads per group rather than per pair, and the same grouping.
 //!
 //! Disk runs each hold an open file, so when more of them than the
 //! configured fan-in (Hadoop's `io.sort.factor`) feed one reducer,
@@ -125,8 +129,6 @@ enum Step<K, V> {
 #[derive(Debug)]
 pub struct KWayMerge<K, V> {
     runs: Vec<RunState<K, V>>,
-    /// Lookahead pair for group assembly.
-    peeked: Option<(K, V)>,
     /// Guards of the intermediate runs it reads: they go when it does.
     temps: Vec<Option<TempRun>>,
 }
@@ -150,7 +152,6 @@ impl<K: Wire + Ord, V: Wire> KWayMerge<K, V> {
         }
         Ok(Self {
             runs,
-            peeked: None,
             temps: Vec::new(),
         })
     }
@@ -195,11 +196,17 @@ impl<K: Wire + Ord, V: Wire> KWayMerge<K, V> {
         Ok(())
     }
 
+    /// Whether run `i` has a head, pulling one from its source first if
+    /// it has none yet; `false` once the run is exhausted.
+    fn pull(&mut self, i: usize) -> Result<bool, StorageError> {
+        if self.runs[i].head.is_none() && !self.runs[i].exhausted {
+            self.refill(i)?;
+        }
+        Ok(self.runs[i].head.is_some())
+    }
+
     /// Yields the next pair in merged order.
     pub fn next_pair(&mut self) -> Result<Option<(K, V)>, StorageError> {
-        if let Some(pair) = self.peeked.take() {
-            return Ok(Some(pair));
-        }
         loop {
             match self.advance() {
                 Step::Pair(k, v) => return Ok(Some((k, v))),
@@ -210,20 +217,30 @@ impl<K: Wire + Ord, V: Wire> KWayMerge<K, V> {
     }
 
     /// Yields the next `(key, values)` group — the reducer input unit,
-    /// keys in sorted order, values in engine grouping order.
+    /// keys in sorted order, values in engine grouping order. Each run is
+    /// sorted, so a key's pairs in one run form one block: the group is
+    /// the smallest head key's block from every run that has it, drained
+    /// in run priority order. That is one scan of the heads per group, not
+    /// per pair, and the grouping [`Self::next_pair`] would produce.
     pub fn next_group(&mut self) -> Result<Option<(K, Vec<V>)>, StorageError> {
-        let Some((key, first)) = self.next_pair()? else {
+        // The first run holding the smallest head key: strict `<` keeps
+        // the earliest on ties, and every run before it is past the key.
+        let mut first: Option<usize> = None;
+        for i in 0..self.runs.len() {
+            if self.pull(i)?
+                && first.map_or(true, |f| key_of(&self.runs[i]) < key_of(&self.runs[f]))
+            {
+                first = Some(i);
+            }
+        }
+        let Some(first) = first else {
             return Ok(None);
         };
-        let mut values = vec![first];
-        loop {
-            match self.next_pair()? {
-                Some((k, v)) if k == key => values.push(v),
-                Some(pair) => {
-                    self.peeked = Some(pair);
-                    break;
-                }
-                None => break,
+        let (key, value) = take_head(&mut self.runs[first]);
+        let mut values = vec![value];
+        for i in first..self.runs.len() {
+            while self.pull(i)? && *key_of(&self.runs[i]) == key {
+                values.push(take_head(&mut self.runs[i]).1);
             }
         }
         Ok(Some((key, values)))
@@ -432,6 +449,58 @@ mod tests {
         assert!(stats.passes >= 2, "7 runs over fan-in 3 must cascade");
         assert!(stats.bytes_written > 0);
         assert_eq!(drain_groups(merge), reference_groups(&runs));
+    }
+
+    /// `next_group` drains each run's block of the smallest key in run
+    /// priority order; interleaved with `next_pair` calls it must still
+    /// yield exactly the pairs and groups the reference stream does: the
+    /// runs grouped in a `BTreeMap`, flattened, a group taking the rest of
+    /// its key's pairs.
+    #[test]
+    fn next_group_drains_blocks_like_the_reference_across_interleaved_pairs() {
+        let session =
+            SpillSession::create(&StorageConfig::test(), "merge-blocks").expect("session");
+        // Keys 0..17 in every run, so each key's group spans runs.
+        let runs: Vec<Vec<(u64, u64)>> = (0..9).map(|s| scramble(30 + s * 7, s)).collect();
+        for pattern in 0..6u64 {
+            let mut sources = Vec::new();
+            for (i, run) in runs.iter().enumerate() {
+                if (i as u64 + pattern) % 3 == 0 {
+                    sources.push(RunSource::Mem(run.clone()));
+                } else {
+                    let path = session.dir().join(format!("blocks-{pattern}-{i}.seg"));
+                    let segment =
+                        write_segment(path, std::slice::from_ref(run), 64).expect("write");
+                    sources.push(RunSource::Disk { segment, part: 0 });
+                }
+            }
+            let mut merge = KWayMerge::open(sources).expect("open");
+            let mut expect: std::collections::VecDeque<(u64, u64)> = reference_groups(&runs)
+                .into_iter()
+                .flat_map(|(k, vs)| vs.into_iter().map(move |v| (k, v)))
+                .collect();
+            let mut step = 0u64;
+            loop {
+                // A deterministic mix of single pairs and groups.
+                step += 1;
+                if (step * 7 + pattern) % 5 < 2 {
+                    let got = merge.next_pair().expect("pair");
+                    assert_eq!(got, expect.pop_front(), "pattern {pattern} step {step}");
+                    continue;
+                }
+                let Some((key, values)) = merge.next_group().expect("group") else {
+                    assert!(expect.is_empty(), "pattern {pattern}: pairs left over");
+                    break;
+                };
+                let mut want = Vec::new();
+                while let Some(&(_, v)) = expect.front().filter(|(k, _)| *k == key) {
+                    want.push(v);
+                    expect.pop_front();
+                }
+                assert_eq!(values, want, "pattern {pattern} step {step} key {key}");
+            }
+            assert_eq!(merge.next_pair().expect("pair"), None);
+        }
     }
 
     #[test]

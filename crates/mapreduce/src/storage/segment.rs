@@ -211,11 +211,33 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     /// extends into pre-reserved scratch buffers, no allocation
     /// (`tests/alloc.rs`); the frame flush runs once per `io_chunk` bytes.
     pub fn push(&mut self, k: &K, v: &V) -> Result<(), StorageError> {
+        let start = self.frame.len();
         k.wire_encode(&mut self.frame);
         v.wire_encode(&mut self.frame);
+        let len = self.frame.len() - start;
+        debug_assert_eq!(
+            len as u64,
+            k.byte_size() + v.byte_size(),
+            "ByteSized ≠ Wire length"
+        );
+        self.pushed(len)
+    }
+
+    /// [`Self::push`] for a pair already encoded: `pair` is one key's
+    /// `Wire` encoding followed by its value's, as a map attempt's output
+    /// buffer holds them, and lands in the segment byte for byte as
+    /// `push` would have written it.
+    pub fn push_encoded(&mut self, pair: &[u8]) -> Result<(), StorageError> {
+        self.frame.extend_from_slice(pair);
+        self.pushed(pair.len())
+    }
+
+    /// Counts the pair of `len` bytes just appended to the chunk and
+    /// flushes the chunk once it reaches the budget.
+    fn pushed(&mut self, len: usize) -> Result<(), StorageError> {
         self.chunk_pairs += 1;
         self.cur.records += 1;
-        self.cur.wire_bytes += k.byte_size() + v.byte_size();
+        self.cur.wire_bytes += len as u64;
         if self.frame.len() - COUNT_AT >= self.io_chunk {
             self.flush_chunk()?;
         }

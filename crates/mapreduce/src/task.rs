@@ -1,5 +1,11 @@
 //! Map and reduce task traits, factories, and output collectors.
 //!
+//! A map task's [`Emitter`] is its serialized map-output buffer: `emit`
+//! encodes the pair onto one byte buffer and keeps only the key and the
+//! byte range, so what crosses to the shuffle is bytes, never the values
+//! a UDF emitted. [`Emitter::emit_ref`] lets a UDF that forwards its input
+//! record emit it without a clone.
+//!
 //! A job is two functions. A stateful task keeps its struct and its
 //! [`MapTask`] / [`ReduceTask`] impl, and its factory is a closure
 //! `|ctx: &TaskContext| task` at the `run_job` call site. A stateless one
@@ -7,6 +13,7 @@
 //! a task that is its own factory.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use skymr_common::{ByteSized, Counters, Wire};
 
@@ -191,22 +198,30 @@ where
     }
 }
 
-/// Collects intermediate key-value pairs from a map task and accounts their
-/// wire size for the shuffle-traffic model, plus the work the attempt
-/// charges to the simulated clock.
+/// A map attempt's output buffer, as Hadoop's map-output buffer is: each
+/// emitted pair is encoded on the spot onto one byte buffer, and only its
+/// key and the byte range of its encoding are kept, so no value outlives
+/// the call. The buffer's length is the wire-size accounting the
+/// shuffle-traffic model and the spill trigger read; frames and spill
+/// segments are copies of its byte ranges. Also counts the work the
+/// attempt charges to the simulated clock.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
-    pairs: Vec<(K, V)>,
-    bytes: u64,
+    /// The pairs' wire encodings, back to back in emission order.
+    bytes: Vec<u8>,
+    /// Per pair, its key and the range of its encoding in `bytes`.
+    index: Vec<(K, Range<usize>)>,
     work: u64,
+    _value: PhantomData<fn(&V)>,
 }
 
-impl<K: ByteSized, V: ByteSized> Emitter<K, V> {
+impl<K: Wire + ByteSized, V: Wire + ByteSized> Emitter<K, V> {
     pub(crate) fn new() -> Self {
         Self {
-            pairs: Vec::new(),
-            bytes: 0,
+            bytes: Vec::new(),
+            index: Vec::new(),
             work: 0,
+            _value: PhantomData,
         }
     }
 
@@ -224,39 +239,73 @@ impl<K: ByteSized, V: ByteSized> Emitter<K, V> {
 
     /// Emits one intermediate pair.
     pub fn emit(&mut self, key: K, value: V) {
-        self.bytes += key.byte_size() + value.byte_size();
-        self.pairs.push((key, value));
+        self.emit_ref(key, &value);
+    }
+
+    /// Emits one intermediate pair whose value the caller keeps: the value
+    /// is encoded, never cloned, so a map UDF that forwards its input
+    /// record pays for its bytes only.
+    pub fn emit_ref(&mut self, key: K, value: &V) {
+        let start = self.bytes.len();
+        key.wire_encode(&mut self.bytes);
+        value.wire_encode(&mut self.bytes);
+        debug_assert_eq!(
+            (self.bytes.len() - start) as u64,
+            key.byte_size() + value.byte_size(),
+            "ByteSized ≠ Wire length"
+        );
+        self.index.push((key, start..self.bytes.len()));
     }
 
     /// Number of pairs emitted so far.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.index.len()
     }
 
     /// `true` iff nothing has been emitted.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    pub(crate) fn into_parts(self) -> (Vec<(K, V)>, u64) {
-        (self.pairs, self.bytes)
+        self.index.is_empty()
     }
 
     /// Wire size of the currently buffered pairs — the value the
     /// out-of-core engine compares against the memory budget (a pure
     /// function of the emitted data, never host memory).
     pub(crate) fn buffered_bytes(&self) -> u64 {
-        self.bytes
+        self.bytes.len() as u64
     }
 
-    /// Takes the buffered pairs and their wire size, resetting the
-    /// buffer — the spill drain. The emitter itself never touches disk
-    /// (it is called from UDF bodies); the job driver spills what this
-    /// returns.
-    pub(crate) fn drain(&mut self) -> (Vec<(K, V)>, u64) {
-        let bytes = self.bytes;
-        self.bytes = 0;
-        (std::mem::take(&mut self.pairs), bytes)
+    /// The encodings of the pairs at `runs` of the index, in order: the
+    /// positions refer to the index as [`Self::sorted`] left it.
+    pub(crate) fn encodings<'a>(
+        &'a self,
+        runs: &'a [Range<usize>],
+    ) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let pairs = runs.iter().flat_map(|run| &self.index[run.clone()]);
+        pairs.map(|(_, pair)| &self.bytes[pair.clone()])
+    }
+
+    /// The buffered pairs' keys and encoding ranges, sorted by key, in
+    /// emission order within a key — the order grouping into a `BTreeMap`
+    /// would give.
+    pub(crate) fn sorted(&mut self) -> &[(K, Range<usize>)]
+    where
+        K: Ord,
+    {
+        // Starts are distinct and rise with emission order, so the
+        // unstable sort on (key, start) is the stable sort on key.
+        let by_key_then_start = |a: &(K, Range<usize>), b: &(K, Range<usize>)| {
+            a.0.cmp(&b.0).then(a.1.start.cmp(&b.1.start))
+        };
+        self.index.sort_unstable_by(by_key_then_start);
+        &self.index
+    }
+
+    /// Empties the buffer once its pairs have spilled, keeping both
+    /// allocations for the next batch. The emitter itself never touches
+    /// disk (it is called from UDF bodies); the job driver spills.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.index.clear();
     }
 }
 
@@ -317,13 +366,25 @@ mod tests {
     fn emitter_tracks_pairs_and_bytes() {
         let mut e: Emitter<u32, u64> = Emitter::new();
         assert!(e.is_empty());
-        e.emit(1, 10);
         e.emit(2, 20);
+        e.emit_ref(1, &10);
         e.charge(5);
         assert_eq!((e.len(), e.work()), (2, 5));
-        let (pairs, bytes) = e.into_parts();
-        assert_eq!(pairs, vec![(1, 10), (2, 20)]);
-        assert_eq!(bytes, 2 * (4 + 8));
+        assert_eq!(e.buffered_bytes(), 2 * (4 + 8));
+        let index: Vec<_> = e.sorted().to_vec();
+        assert_eq!(index, vec![(1, 12..24), (2, 0..12)]);
+        let pairs: Vec<_> = e
+            .encodings(&[1..2, 0..2])
+            .map(|pair| {
+                let mut r = skymr_common::WireCursor::new(pair);
+                (u32::wire_decode(&mut r), u64::wire_decode(&mut r))
+            })
+            .collect();
+        let (one, two) = ((Some(1), Some(10)), (Some(2), Some(20)));
+        assert_eq!(pairs, vec![two, one, two]);
+        e.clear();
+        assert!(e.is_empty());
+        assert_eq!(e.buffered_bytes(), 0);
     }
 
     #[test]

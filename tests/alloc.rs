@@ -29,7 +29,7 @@ use skymr_baselines::bnl_skyline;
 use skymr_common::bytes::encode_pairs_into;
 use skymr_common::dominance::{compare, CellQuantizer, Window};
 use skymr_common::{
-    crc32c_update, dominates, encode_pairs, frame_decode, frame_encode, BitGrid, Tuple,
+    crc32c_update, dominates, encode_pairs, frame_decode, frame_encode, BitGrid, Tuple, Wire,
 };
 use skymr_mapreduce::storage::segment::{verify_frames, write_segment, SegmentWriter};
 use skymr_mapreduce::storage::{KWayMerge, RunSource};
@@ -445,6 +445,30 @@ fn storage_segment_writer_push() {
         let count = allocs(|| {
             for (k, v) in &pairs {
                 writer.push(k, v).unwrap();
+            }
+        });
+        drop(writer);
+        std::fs::remove_file(&path).ok();
+        count
+    });
+    assert_eq!(count, 0);
+}
+
+#[test]
+fn storage_segment_writer_push_encoded() {
+    // The spill path of the map-output buffer: `n` pre-encoded pairs
+    // appended, frame flushes included, nothing per record.
+    let count = assert_flat("SegmentWriter::push_encoded", 16 * N, |n| {
+        let path = spill_path("push-encoded", n);
+        let mut encoded = Vec::new();
+        for (k, v) in pairs(n) {
+            k.wire_encode(&mut encoded);
+            v.wire_encode(&mut encoded);
+        }
+        let mut writer = SegmentWriter::<u32, u64>::create(path.clone(), IO_CHUNK).unwrap();
+        let count = allocs(|| {
+            for pair in encoded.chunks_exact(12) {
+                writer.push_encoded(pair).unwrap();
             }
         });
         drop(writer);
