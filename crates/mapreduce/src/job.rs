@@ -2,7 +2,6 @@
 //! fault tolerance (bounded retries, backoff, speculative execution).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -182,33 +181,27 @@ impl<K: JobKey> MapResult<K> {
 
     /// Groups one batch of emitted pairs per key and partitions the
     /// groups, counting them in — the shared kernel of the unspilled tail
-    /// and of each spill. Returns, per reducer, the runs of `emitter`'s
-    /// key-sorted index its groups occupy: keys ascending, emission order
-    /// within a key, so the pipeline is deterministic and each bucket is
-    /// what grouping the pairs in a `BTreeMap` would give.
+    /// and of each spill. Returns, per reducer, its groups' pair positions
+    /// in `emitter`: keys ascending, emission order within a key, so the
+    /// pipeline is deterministic and each bucket is what grouping the
+    /// pairs in a `BTreeMap` would give.
     fn route<V: JobValue>(
         &mut self,
-        emitter: &mut Emitter<K, V>,
+        emitter: &Emitter<K, V>,
         partitioner: &impl Partitioner<K>,
-    ) -> Vec<Vec<Range<usize>>> {
+    ) -> Vec<Vec<Vec<usize>>> {
         let r = self.bucket_bytes.len();
-        let mut buckets: Vec<Vec<Range<usize>>> = (0..r).map(|_| Vec::new()).collect();
-        let index = emitter.sorted();
-        let mut at = 0;
-        while let Some((k, _)) = index.get(at) {
-            let len = index[at..].iter().take_while(|(key, _)| key == k).count();
+        let mut buckets: Vec<Vec<Vec<usize>>> = (0..r).map(|_| Vec::new()).collect();
+        for (k, pairs) in emitter.grouped() {
             let dest = partitioner.partition(k, r);
             assert!(dest < r, "partitioner returned reducer {dest} of {r}");
             if cfg!(debug_assertions) {
-                *self.emitted.entry(k.clone()).or_insert(0) += len as u64;
+                *self.emitted.entry(k.clone()).or_insert(0) += pairs.len() as u64;
             }
-            self.records += len as u64;
-            let bytes = index[at..at + len]
-                .iter()
-                .map(|(_, pair)| pair.len() as u64);
+            self.records += pairs.len() as u64;
+            let bytes = emitter.encodings(&pairs).map(|pair| pair.len() as u64);
             self.bucket_bytes[dest] += bytes.sum::<u64>();
-            buckets[dest].push(at..at + len);
-            at += len;
+            buckets[dest].push(pairs);
         }
         buckets
     }
@@ -226,7 +219,7 @@ impl<K: JobKey> MapResult<K> {
         let buckets = self.route(emitter, partitioner);
         let mut w = SegmentWriter::<K, V>::create(path, io_chunk)?;
         for bucket in &buckets {
-            for pair in emitter.encodings(bucket) {
+            for pair in emitter.encodings(bucket.iter().flatten()) {
                 w.push_encoded(pair)?;
             }
             w.end_partition()?;
@@ -241,14 +234,15 @@ impl<K: JobKey> MapResult<K> {
     /// into a frame reserved exactly from the wire size `route` counted.
     fn frame_tail<V: JobValue>(
         &mut self,
-        emitter: &mut Emitter<K, V>,
+        emitter: &Emitter<K, V>,
         partitioner: &impl Partitioner<K>,
     ) {
         let buckets = self.route(emitter, partitioner);
-        let frame = |(bucket, &bytes): (&Vec<Range<usize>>, &u64)| {
-            let records = bucket.iter().map(Range::len).sum();
+        let frame = |(bucket, &bytes): (&Vec<Vec<usize>>, &u64)| {
+            let records = bucket.iter().map(Vec::len).sum();
             let mut frame = Vec::with_capacity(bytes as usize + PAIRS_OVERHEAD);
-            frame_encoded_pairs_into(records, emitter.encodings(bucket), &mut frame);
+            let pairs = emitter.encodings(bucket.iter().flatten());
+            frame_encoded_pairs_into(records, pairs, &mut frame);
             debug_assert_eq!(frame.len(), frame.capacity(), "frame outgrew its reserve");
             (frame, records as u64)
         };
@@ -758,7 +752,7 @@ where
             // map RAM never holds the task's full output.
             Some((session, _)) if !emitter.is_empty() => spill(session, &mut emitter, &mut result),
             Some(_) => {}
-            None => result.frame_tail(&mut emitter, self.partitioner),
+            None => result.frame_tail(&emitter, self.partitioner),
         }
         result
     }
@@ -3004,7 +2998,7 @@ mod tests {
         let bucket_bytes: Vec<u64> = buckets.iter().map(wire).collect();
 
         let mut framed = MapResult::new(reducers, Counters::new());
-        framed.frame_tail(&mut fill(), partitioner);
+        framed.frame_tail(&fill(), partitioner);
         let frames: Vec<(Vec<u8>, u64)> = buckets
             .iter()
             .map(|b| (skymr_common::encode_pairs(b), b.len() as u64))

@@ -1,9 +1,9 @@
 //! Map and reduce task traits, factories, and output collectors.
 //!
 //! A map task's [`Emitter`] is its serialized map-output buffer: `emit`
-//! encodes the pair onto one byte buffer and keeps only the key and the
-//! byte range, so what crosses to the shuffle is bytes, never the values
-//! a UDF emitted. [`Emitter::emit_ref`] lets a UDF that forwards its input
+//! encodes the pair onto one byte buffer and keeps only the key and where
+//! the encoding starts, so what crosses to the shuffle is bytes, never the
+//! values a UDF emitted. [`Emitter::emit_ref`] lets a UDF that forwards its input
 //! record emit it without a clone.
 //!
 //! A job is two functions. A stateful task keeps its struct and its
@@ -12,8 +12,8 @@
 //! needs no struct at all: [`map_fn`] and [`reduce_fn`] wrap a closure as
 //! a task that is its own factory.
 
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::ops::Range;
 
 use skymr_common::{ByteSized, Counters, Wire};
 
@@ -200,17 +200,18 @@ where
 
 /// A map attempt's output buffer, as Hadoop's map-output buffer is: each
 /// emitted pair is encoded on the spot onto one byte buffer, and only its
-/// key and the byte range of its encoding are kept, so no value outlives
-/// the call. The buffer's length is the wire-size accounting the
+/// key and where its encoding starts are kept, so no value outlives the
+/// call. The buffer's length is the wire-size accounting the
 /// shuffle-traffic model and the spill trigger read; frames and spill
-/// segments are copies of its byte ranges. Also counts the work the
+/// segments are copies of its pairs' bytes. Also counts the work the
 /// attempt charges to the simulated clock.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     /// The pairs' wire encodings, back to back in emission order.
     bytes: Vec<u8>,
-    /// Per pair, its key and the range of its encoding in `bytes`.
-    index: Vec<(K, Range<usize>)>,
+    /// Per pair in emission order, its key and where its encoding starts
+    /// in `bytes`; it ends where the next pair's starts.
+    index: Vec<(K, usize)>,
     work: u64,
     _value: PhantomData<fn(&V)>,
 }
@@ -254,7 +255,7 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> Emitter<K, V> {
             key.byte_size() + value.byte_size(),
             "ByteSized ≠ Wire length"
         );
-        self.index.push((key, start..self.bytes.len()));
+        self.index.push((key, start));
     }
 
     /// Number of pairs emitted so far.
@@ -274,30 +275,33 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> Emitter<K, V> {
         self.bytes.len() as u64
     }
 
-    /// The encodings of the pairs at `runs` of the index, in order: the
-    /// positions refer to the index as [`Self::sorted`] left it.
-    pub(crate) fn encodings<'a>(
-        &'a self,
-        runs: &'a [Range<usize>],
-    ) -> impl Iterator<Item = &'a [u8]> + 'a {
-        let pairs = runs.iter().flat_map(|run| &self.index[run.clone()]);
-        pairs.map(|(_, pair)| &self.bytes[pair.clone()])
-    }
-
-    /// The buffered pairs' keys and encoding ranges, sorted by key, in
-    /// emission order within a key — the order grouping into a `BTreeMap`
-    /// would give.
-    pub(crate) fn sorted(&mut self) -> &[(K, Range<usize>)]
+    /// The buffered pairs grouped by key: per key, ascending, the
+    /// positions of its pairs in emission order — what grouping the pairs
+    /// in a `BTreeMap` would give, by position.
+    pub(crate) fn grouped(&self) -> BTreeMap<&K, Vec<usize>>
     where
         K: Ord,
     {
-        // Starts are distinct and rise with emission order, so the
-        // unstable sort on (key, start) is the stable sort on key.
-        let by_key_then_start = |a: &(K, Range<usize>), b: &(K, Range<usize>)| {
-            a.0.cmp(&b.0).then(a.1.start.cmp(&b.1.start))
-        };
-        self.index.sort_unstable_by(by_key_then_start);
-        &self.index
+        let mut groups: BTreeMap<&K, Vec<usize>> = BTreeMap::new();
+        for (n, (key, _)) in self.index.iter().enumerate() {
+            groups.entry(key).or_default().push(n);
+        }
+        groups
+    }
+
+    /// The encodings of the pairs at `positions` (as [`Self::grouped`]
+    /// hands them out), in that order.
+    pub(crate) fn encodings<'a>(
+        &'a self,
+        positions: impl IntoIterator<Item = &'a usize> + 'a,
+    ) -> impl Iterator<Item = &'a [u8]> + 'a {
+        positions.into_iter().map(|&n| {
+            let end = self
+                .index
+                .get(n + 1)
+                .map_or(self.bytes.len(), |&(_, at)| at);
+            &self.bytes[self.index[n].1..end]
+        })
     }
 
     /// Empties the buffer once its pairs have spilled, keeping both
@@ -371,17 +375,17 @@ mod tests {
         e.charge(5);
         assert_eq!((e.len(), e.work()), (2, 5));
         assert_eq!(e.buffered_bytes(), 2 * (4 + 8));
-        let index: Vec<_> = e.sorted().to_vec();
-        assert_eq!(index, vec![(1, 12..24), (2, 0..12)]);
+        let groups: Vec<_> = e.grouped().into_iter().collect();
+        assert_eq!(groups, vec![(&1, vec![1]), (&2, vec![0])]);
         let pairs: Vec<_> = e
-            .encodings(&[1..2, 0..2])
+            .encodings(&[1, 0, 1])
             .map(|pair| {
                 let mut r = skymr_common::WireCursor::new(pair);
                 (u32::wire_decode(&mut r), u64::wire_decode(&mut r))
             })
             .collect();
         let (one, two) = ((Some(1), Some(10)), (Some(2), Some(20)));
-        assert_eq!(pairs, vec![two, one, two]);
+        assert_eq!(pairs, vec![one, two, one]);
         e.clear();
         assert!(e.is_empty());
         assert_eq!(e.buffered_bytes(), 0);
