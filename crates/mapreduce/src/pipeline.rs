@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use skymr_common::{crc32c, Error, Tuple};
+use skymr_common::{crc32c, Error, Tuple, Wire, WireCursor};
 
 use crate::cluster::JobMetrics;
 use crate::fault::JobError;
@@ -129,52 +129,24 @@ impl Snapshot for Vec<Tuple> {
         out
     }
 
+    /// Reservations are capped by what the remaining bytes can hold
+    /// ([`WireCursor::capacity_for`]), so a header that declares more than
+    /// the payload carries costs O(payload) before it is rejected.
     fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let count = usize::try_from(r.u64()?).ok()?;
-        let dim = usize::try_from(r.u64()?).ok()?;
-        let mut tuples = Vec::with_capacity(count.min(1 << 20));
+        let mut r = WireCursor::new(bytes);
+        let count = usize::try_from(u64::wire_decode(&mut r)?).ok()?;
+        let dim = usize::try_from(u64::wire_decode(&mut r)?).ok()?;
+        let tuple_bytes = dim.saturating_add(1).saturating_mul(8);
+        let mut tuples = Vec::with_capacity(r.capacity_for(count, tuple_bytes));
         for _ in 0..count {
-            let id = r.u64()?;
-            let mut values = Vec::with_capacity(dim);
+            let id = u64::wire_decode(&mut r)?;
+            let mut values = Vec::with_capacity(r.capacity_for(dim, 8));
             for _ in 0..dim {
-                values.push(r.f64()?);
+                values.push(f64::wire_decode(&mut r)?);
             }
             tuples.push(Tuple::new(id, values));
         }
-        r.done().then_some(tuples)
-    }
-}
-
-/// Little-endian cursor over a snapshot payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.bytes.len() < n {
-            return None;
-        }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Some(head)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)?.try_into().ok().map(u64::from_le_bytes)
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.take(8)?.try_into().ok().map(f64::from_le_bytes)
-    }
-
-    fn done(&self) -> bool {
-        self.bytes.is_empty()
+        r.is_empty().then_some(tuples)
     }
 }
 
@@ -597,6 +569,24 @@ mod tests {
         let mut padded = bytes;
         padded.push(0);
         assert!(Vec::<Tuple>::decode(&padded).is_none());
+    }
+
+    #[test]
+    fn tuple_snapshot_rejects_headers_its_bytes_cannot_hold() {
+        // One tuple of 2^60 dimensions, carrying only its id: sized from
+        // the header, the value reservation alone overflows.
+        let mut huge_dim = Vec::new();
+        for field in [1u64, 1 << 60, 7] {
+            huge_dim.extend_from_slice(&field.to_le_bytes());
+        }
+        assert_eq!(huge_dim.len(), 24);
+        assert!(Vec::<Tuple>::decode(&huge_dim).is_none());
+        // 2^20 tuples declared, none present.
+        let mut huge_count = Vec::new();
+        for field in [1u64 << 20, 2] {
+            huge_count.extend_from_slice(&field.to_le_bytes());
+        }
+        assert!(Vec::<Tuple>::decode(&huge_count).is_none());
     }
 
     #[test]
