@@ -469,37 +469,6 @@ impl PhaseLog {
     }
 }
 
-/// One kernel timing row for [`render_kernel_bench_json`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelTiming {
-    /// Benchmark label, `kernel/distribution` by convention.
-    pub label: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Number of timed iterations behind the mean.
-    pub iters: u64,
-}
-
-/// Renders kernel micro-benchmark timings as the repo's
-/// `BENCH_dominance.json` document: the bench name plus one
-/// `{label, mean_ns, iters}` object per row, in run order.
-pub fn render_kernel_bench_json(bench: &str, rows: &[KernelTiming]) -> String {
-    let mut out = format!("{{\"bench\":\"{}\",\"results\":[", json_escape(bench));
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"label\":\"{}\",\"mean_ns\":{:.1},\"iters\":{}}}",
-            json_escape(&r.label),
-            r.mean_ns,
-            r.iters
-        ));
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
 /// Generates (and memoizes per process) a dataset.
 pub fn dataset(dist: Distribution, dim: usize, card: usize, seed: u64) -> Dataset {
     generate(dist, dim, card, seed ^ ((dim as u64) << 32) ^ card as u64)
@@ -710,49 +679,6 @@ mod tests {
             let s = secs(&run_algo(Algo::MrGpmrs, &indep, reducers));
             assert!(within_floor(s), "independent r={reducers}: {s}");
         }
-    }
-
-    #[test]
-    fn kernel_bench_json_is_valid_and_ordered() {
-        use skymr_mapreduce::telemetry::json;
-
-        let rows = vec![
-            KernelTiming {
-                label: "dominates/independent".into(),
-                mean_ns: 41.26,
-                iters: 20,
-            },
-            KernelTiming {
-                label: "local_skyline_bnl/anticorrelated".into(),
-                mean_ns: 1.5e6,
-                iters: 20,
-            },
-        ];
-        let text = render_kernel_bench_json("dominance", &rows);
-        let doc = json::parse(&text).expect("kernel bench renders valid JSON");
-        assert_eq!(
-            doc.get("bench").and_then(json::Value::as_str),
-            Some("dominance")
-        );
-        let results = doc
-            .get("results")
-            .and_then(json::Value::as_array)
-            .expect("results array");
-        assert_eq!(results.len(), 2);
-        assert_eq!(
-            results[0].get("label").and_then(json::Value::as_str),
-            Some("dominates/independent")
-        );
-        assert_eq!(
-            results[0].get("mean_ns").and_then(json::Value::as_f64),
-            Some(41.3)
-        );
-        assert_eq!(
-            results[1].get("iters").and_then(json::Value::as_u64),
-            Some(20)
-        );
-        // Byte-reproducible for identical timings.
-        assert_eq!(text, render_kernel_bench_json("dominance", &rows));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use skymr_mapreduce::{
 };
 
 use crate::args::Args;
+use crate::trace_schema;
 
 fn parse_distribution(args: &Args) -> Result<Distribution, String> {
     match args.require("dist")? {
@@ -555,7 +556,9 @@ fn classify_event(
 /// How many registry counters `skymr-cli trace` prints per job.
 const SHOWN: usize = 24;
 
-/// `skymr-cli trace` — summarize a trace file written by `run --trace`.
+/// `skymr-cli trace` — check a trace file written by `run --trace` against
+/// the exporters' schema, then summarize it. A trace that breaks the schema
+/// is an error listing every violation.
 pub fn trace(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[])?;
     let path = args
@@ -563,74 +566,26 @@ pub fn trace(args: &Args) -> Result<(), String> {
         .first()
         .ok_or("usage: skymr-cli trace FILE")?;
     let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let trace = trace_schema::read(path, &raw).map_err(|errors| {
+        format!(
+            "{path}: {} trace schema violation(s)\n  {}",
+            errors.len(),
+            errors.join("\n  ")
+        )
+    })?;
 
     let mut names: std::collections::BTreeMap<u64, String> = std::collections::BTreeMap::new();
     let mut spans: Vec<SpanRow> = Vec::new();
-    let mut registries: Vec<(String, Vec<(String, u64)>)> = Vec::new();
-
-    if path.ends_with(".jsonl") {
-        for (n, line) in raw.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = json::parse(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
-            match value.get("type").and_then(json::Value::as_str) {
-                Some("event") => {
-                    if let Some(event) = value.get("event") {
-                        classify_event(event, &mut names, &mut spans);
-                    }
-                }
-                Some("registry") => {
-                    let job = value
-                        .get("job")
-                        .and_then(json::Value::as_str)
-                        .unwrap_or("?")
-                        .to_string();
-                    let counters = value
-                        .get("counters")
-                        .and_then(json::Value::as_object)
-                        .map(|kv| {
-                            kv.iter()
-                                .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    registries.push((job, counters));
-                }
-                _ => return Err(format!("{path}:{}: unknown record type", n + 1)),
-            }
-        }
-    } else {
-        let doc = json::parse(&raw).map_err(|e| format!("{path}: {e}"))?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| format!("{path}: no traceEvents array — not a Chrome trace?"))?;
-        for event in events {
-            classify_event(event, &mut names, &mut spans);
-        }
-        if let Some(regs) = doc.get("registries").and_then(json::Value::as_array) {
-            for reg in regs {
-                let job = reg
-                    .get("job")
-                    .and_then(json::Value::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                let counters = reg
-                    .get("counters")
-                    .and_then(json::Value::as_object)
-                    .map(|kv| {
-                        kv.iter()
-                            .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                registries.push((job, counters));
-            }
-        }
+    for event in &trace.events {
+        classify_event(event, &mut names, &mut spans);
     }
 
     println!("trace      : {path}");
+    println!(
+        "schema     : OK ({} events, {} registries)",
+        trace.events.len(),
+        trace.registries.len()
+    );
     println!("spans      : {}", spans.len());
     for (pid, name) in &names {
         let mut by_cat: std::collections::BTreeMap<&str, (u64, u64)> =
@@ -650,7 +605,15 @@ pub fn trace(args: &Args) -> Result<(), String> {
             println!("  {cat:<12} {count:>5} spans, {total:>12} ticks total");
         }
     }
-    for (job, counters) in &registries {
+    for reg in &trace.registries {
+        let job = reg.get("job").and_then(json::Value::as_str).unwrap_or("?");
+        let counters: Vec<(&str, u64)> = reg
+            .get("counters")
+            .and_then(json::Value::as_object)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(k, v)| Some((k.as_str(), v.as_u64()?)))
+            .collect();
         println!("registry {job}: {} counters", counters.len());
         for (k, v) in counters.iter().take(SHOWN) {
             println!("  {k:<44} {v}");
@@ -837,6 +800,17 @@ mod tests {
         std::fs::write(&path, "not json").unwrap();
         let a = args(&format!("trace {}", path.display()));
         assert!(trace(&a).is_err());
+        // Well-formed JSON that breaks the schema: a complete span
+        // without a duration.
+        std::fs::write(
+            &path,
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"name\":\"x\",\"cat\":\"map\",\"ph\":\"X\",\"ts\":0,\
+             \"pid\":1,\"tid\":1,\"args\":{}}],\"registries\":[]}",
+        )
+        .unwrap();
+        let err = trace(&a).expect_err("a span without dur is rejected");
+        assert!(err.contains("\"dur\""), "{err}");
         std::fs::remove_file(path).ok();
         let a = args("trace");
         assert!(trace(&a).is_err(), "missing file argument must fail");

@@ -13,6 +13,7 @@
 
 mod args;
 mod commands;
+mod trace_schema;
 
 use std::process::ExitCode;
 
@@ -43,7 +44,9 @@ COMMANDS:
                [--trace FILE   (write the span timeline: Chrome trace_event
                                 JSON for Perfetto, or JSONL if FILE ends
                                 in .jsonl; MapReduce algorithms only)]
-    trace      Summarize a trace file written by `run --trace`
+    trace      Check a trace file written by `run --trace` against the
+               exporters' schema, then summarize it; any violation is an
+               error that lists them all
                FILE   (either export format is accepted)
     plan       Show the bitstring and independent-group structure
                (--input FILE | --dist … --dim N --card N [--seed N])

@@ -1,96 +1,91 @@
-//! The `trace-schema` task: validate a trace file written by
-//! `skymr-cli run --trace` against the shape the exporters document.
+//! The trace schema: the shape `skymr-cli trace` requires of a file
+//! written by `run --trace` before it summarizes it.
 //!
-//! CI runs an example with `--trace` and feeds the output through this
-//! checker, so a drive-by change to the exporters that breaks Perfetto
-//! compatibility (or the bench harness's JSONL consumer) fails the build
-//! instead of silently producing unloadable files. Both formats are
+//! CI runs the CLI with `--trace` and feeds the output through
+//! `skymr-cli trace`, so a drive-by change to the exporters that breaks
+//! Perfetto compatibility (or the bench harness's JSONL consumer) fails the
+//! build instead of silently producing unloadable files. Both formats are
 //! accepted, keyed on the `.jsonl` extension, and every violation is
 //! reported (not just the first).
 
-use std::process::ExitCode;
+use skymr_mapreduce::telemetry::json::{self, Value};
 
-use skymr_telemetry::json::{self, Value};
+/// A trace that passed the schema: its event objects and its per-job
+/// registry objects, in file order, whichever format it came in.
+#[derive(Debug)]
+pub struct Trace {
+    pub events: Vec<Value>,
+    pub registries: Vec<Value>,
+}
 
-/// Entry point for `cargo xtask trace-schema <file>`.
-pub fn run(args: &[String]) -> ExitCode {
-    let [path] = args else {
-        eprintln!("xtask trace-schema: expected exactly one trace file argument");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask trace-schema: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = if path.ends_with(".jsonl") {
-        check_jsonl(&text)
+/// Parses and checks the trace file `path` whose contents are `text`: JSONL
+/// if the name ends in `.jsonl`, Chrome `trace_event` JSON otherwise.
+pub fn read(path: &str, text: &str) -> Result<Trace, Vec<String>> {
+    if path.ends_with(".jsonl") {
+        parse_jsonl(text)
     } else {
-        check_chrome(&text)
-    };
-    match report {
-        Ok((events, registries)) => {
-            println!("trace-schema: {path} OK ({events} events, {registries} registries)");
-            ExitCode::SUCCESS
-        }
-        Err(errors) => {
-            for e in &errors {
-                eprintln!("trace-schema: {path}: {e}");
-            }
-            eprintln!("trace-schema: {} violation(s)", errors.len());
-            ExitCode::FAILURE
-        }
+        parse_chrome(text)
     }
 }
 
-/// Validates a Chrome `trace_event` JSON document. Returns the event and
-/// registry counts on success.
-fn check_chrome(text: &str) -> Result<(usize, usize), Vec<String>> {
-    let doc = json::parse(text).map_err(|e| vec![e.to_string()])?;
+/// Moves member `key` out of an object (the first one of that name),
+/// leaving `null` in its place.
+fn take(value: &mut Value, key: &str) -> Option<Value> {
+    let Value::Object(members) = value else {
+        return None;
+    };
+    let (_, member) = members.iter_mut().find(|(k, _)| k == key)?;
+    Some(std::mem::replace(member, Value::Null))
+}
+
+/// Checks a Chrome `trace_event` JSON document.
+fn parse_chrome(text: &str) -> Result<Trace, Vec<String>> {
+    let mut doc = json::parse(text).map_err(|e| vec![e.to_string()])?;
     let mut errors = Vec::new();
     if doc.get("displayTimeUnit").and_then(Value::as_str) != Some("ms") {
         errors.push("displayTimeUnit must be the string \"ms\"".to_owned());
     }
-    let events = doc.get("traceEvents").and_then(Value::as_array);
-    match events {
-        Some(events) => {
+    let events = match take(&mut doc, "traceEvents") {
+        Some(Value::Array(events)) => {
             if events.is_empty() {
                 errors.push("traceEvents is empty — a run always emits spans".to_owned());
             }
             for (i, event) in events.iter().enumerate() {
                 check_event(event, &format!("traceEvents[{i}]"), &mut errors);
             }
+            events
         }
-        None => errors.push("missing traceEvents array".to_owned()),
-    }
-    let registries = doc.get("registries").and_then(Value::as_array);
-    match registries {
-        Some(regs) => {
+        _ => {
+            errors.push("missing traceEvents array".to_owned());
+            Vec::new()
+        }
+    };
+    let registries = match take(&mut doc, "registries") {
+        Some(Value::Array(regs)) => {
             for (i, reg) in regs.iter().enumerate() {
                 check_registry(reg, &format!("registries[{i}]"), &mut errors);
             }
+            regs
         }
-        None => errors.push("missing registries array".to_owned()),
-    }
+        _ => {
+            errors.push("missing registries array".to_owned());
+            Vec::new()
+        }
+    };
     if errors.is_empty() {
-        Ok((
-            events.map_or(0, <[Value]>::len),
-            registries.map_or(0, <[Value]>::len),
-        ))
+        Ok(Trace { events, registries })
     } else {
         Err(errors)
     }
 }
 
-/// Validates a JSONL export: one tagged object per line.
-fn check_jsonl(text: &str) -> Result<(usize, usize), Vec<String>> {
+/// Checks a JSONL export: one tagged object per line.
+fn parse_jsonl(text: &str) -> Result<Trace, Vec<String>> {
     let mut errors = Vec::new();
-    let (mut events, mut registries) = (0usize, 0usize);
+    let (mut events, mut registries) = (Vec::new(), Vec::new());
     for (lineno, line) in text.lines().enumerate() {
         let at = format!("line {}", lineno + 1);
-        let value = match json::parse(line) {
+        let mut value = match json::parse(line) {
             Ok(v) => v,
             Err(e) => {
                 errors.push(format!("{at}: {e}"));
@@ -98,26 +93,26 @@ fn check_jsonl(text: &str) -> Result<(usize, usize), Vec<String>> {
             }
         };
         match value.get("type").and_then(Value::as_str) {
-            Some("event") => {
-                events += 1;
-                match value.get("event") {
-                    Some(event) => check_event(event, &at, &mut errors),
-                    None => errors.push(format!("{at}: event record without an event object")),
+            Some("event") => match take(&mut value, "event") {
+                Some(event) => {
+                    check_event(&event, &at, &mut errors);
+                    events.push(event);
                 }
-            }
+                None => errors.push(format!("{at}: event record without an event object")),
+            },
             Some("registry") => {
-                registries += 1;
                 check_registry(&value, &at, &mut errors);
+                registries.push(value);
             }
             Some(other) => errors.push(format!("{at}: unknown record type {other:?}")),
             None => errors.push(format!("{at}: record without a type tag")),
         }
     }
-    if events == 0 {
+    if events.is_empty() {
         errors.push("no event records — a run always emits spans".to_owned());
     }
     if errors.is_empty() {
-        Ok((events, registries))
+        Ok(Trace { events, registries })
     } else {
         Err(errors)
     }
@@ -381,9 +376,19 @@ fn check_registry(reg: &Value, at: &str, errors: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skymr_telemetry::export::{chrome_trace, jsonl};
-    use skymr_telemetry::span::Span;
-    use skymr_telemetry::{Collector, JobTrace, TraceDocument};
+    use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
+    use skymr_mapreduce::telemetry::span::Span;
+    use skymr_mapreduce::telemetry::{Collector, JobTrace, TraceDocument};
+
+    /// The event and registry counts of a Chrome trace that passes.
+    fn check_chrome(text: &str) -> Result<(usize, usize), Vec<String>> {
+        parse_chrome(text).map(|t| (t.events.len(), t.registries.len()))
+    }
+
+    /// The event and registry counts of a JSONL trace that passes.
+    fn check_jsonl(text: &str) -> Result<(usize, usize), Vec<String>> {
+        parse_jsonl(text).map(|t| (t.events.len(), t.registries.len()))
+    }
 
     fn sample_doc() -> TraceDocument {
         let c = Collector::new();

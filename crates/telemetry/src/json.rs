@@ -1,8 +1,9 @@
-//! A minimal JSON parser, used by the trace summarizer and the `xtask`
-//! schema checker. No serde in the workspace (the build is offline), so
-//! this hand-rolled recursive-descent parser covers the subset the
-//! exporters emit — which is all of standard JSON minus exotic number
-//! forms (exponents are accepted; only finite values appear in traces).
+//! A minimal JSON parser, used by `skymr-cli trace` (the trace schema
+//! check and summarizer) and by checkpoint loading. No serde in the
+//! workspace (the build is offline), so this hand-rolled recursive-descent
+//! parser covers the subset the exporters emit — which is all of standard
+//! JSON minus exotic number forms (exponents are accepted; only finite
+//! values appear in traces).
 //!
 //! Hostile input ends in a [`ParseError`], never a panic: parsing is linear
 //! in the input, and nesting deeper than 128 levels is rejected before the

@@ -7,6 +7,11 @@
 //! fixed skyline first, then tuples it dominates — so what is left to grow
 //! with `n` is an allocation inside a loop.
 //!
+//! The dominance, grid and bitstring kernels are also pinned exactly: on
+//! fixed inputs, `kernel_counts_are_exact` asserts each call's comparisons,
+//! output and allocations as literals, so one extra comparison or allocation
+//! fails it where a timing would blur it.
+//!
 //! Counts are per thread, so tests running in parallel do not see each
 //! other's allocations. `realloc` counts as an allocation: a `Vec` growing
 //! inside a loop is exactly what the check is for.
@@ -22,7 +27,8 @@ use skymr::gpmrs::GpmrsReduceFactory;
 use skymr::gpsrs::{GpsrsReduceFactory, PartitionSkylines};
 use skymr::groups::plan_groups;
 use skymr::local::{
-    eliminate_false_positives, insert_into_partition, local_skyline, CmpStats, LocalSkylines,
+    compare_all_partitions, eliminate_false_positives, insert_into_partition, local_skyline,
+    CmpStats, LocalSkylines,
 };
 use skymr::{Bitstring, Grid, LocalAlgo, MergePolicy};
 use skymr_baselines::bnl_skyline;
@@ -31,6 +37,7 @@ use skymr_common::dominance::{compare, CellQuantizer, Window};
 use skymr_common::{
     crc32c_update, dominates, encode_pairs, frame_decode, frame_encode, BitGrid, Tuple, Wire,
 };
+use skymr_datagen::{generate, Distribution};
 use skymr_mapreduce::storage::segment::{verify_frames, write_segment, SegmentWriter};
 use skymr_mapreduce::storage::{KWayMerge, RunSource};
 use skymr_mapreduce::{Counters, OutputCollector, ReduceFactory, ReduceTask, TaskContext};
@@ -542,4 +549,166 @@ fn gpmrs_reduce() {
         });
     }
     assert_eq!(outputs, SKYLINE.len());
+}
+
+// ---------------------------------------------------------------------
+// Exact counts of the dominance, grid and bitstring kernels on fixed
+// inputs: the regression gate for those kernels, in place of timing them.
+// ---------------------------------------------------------------------
+
+/// 2,000 × 4-d tuples at seed 41, on a grid of 4 partitions per dimension
+/// (4⁴ = 256 partitions, the middle of the paper's recommended PPD range).
+const KERNEL_TUPLES: usize = 2_000;
+const KERNEL_DIM: usize = 4;
+const KERNEL_SEED: u64 = 41;
+const KERNEL_PPD: usize = 4;
+
+/// What one kernel call counted: its comparisons where it counts them, its
+/// output (a skyline size, an XOR of partition indices, or a number of set
+/// bits), and its allocations.
+#[derive(Debug, PartialEq)]
+struct Counts {
+    cmps: Option<CmpStats>,
+    output: u64,
+    allocs: u64,
+}
+
+/// One call of each kernel, measured; the same in debug and release builds.
+/// A change that moves a count on purpose pastes in the table the failing
+/// test prints.
+#[rustfmt::skip]
+const KERNEL_COUNTS: [(&str, Counts); 11] = [
+    ("local_skyline_bnl/correlated", Counts { cmps: Some(CmpStats { partition_cmps: 0, tuple_cmps: 2095 }), output: 5, allocs: 2 }),
+    ("grid_assign/correlated", Counts { cmps: None, output: 245, allocs: 0 }),
+    ("bitgrid_assign/correlated", Counts { cmps: None, output: 46, allocs: 1 }),
+    ("local_skyline_bnl/independent", Counts { cmps: Some(CmpStats { partition_cmps: 0, tuple_cmps: 30300 }), output: 87, allocs: 4 }),
+    ("grid_assign/independent", Counts { cmps: None, output: 81, allocs: 0 }),
+    ("bitgrid_assign/independent", Counts { cmps: None, output: 256, allocs: 1 }),
+    ("local_skyline_bnl/anticorrelated", Counts { cmps: Some(CmpStats { partition_cmps: 0, tuple_cmps: 404746 }), output: 550, allocs: 10 }),
+    ("grid_assign/anticorrelated", Counts { cmps: None, output: 162, allocs: 0 }),
+    ("bitgrid_assign/anticorrelated", Counts { cmps: None, output: 187, allocs: 1 }),
+    ("compare_all_partitions/anticorrelated", Counts { cmps: Some(CmpStats { partition_cmps: 1342, tuple_cmps: 20710 }), output: 550, allocs: 15 }),
+    ("bitgrid_or_assign/merge", Counts { cmps: None, output: 120, allocs: 1 }),
+];
+
+/// Runs each kernel once on the fixed inputs, set-up excluded.
+fn kernel_counts() -> Vec<(String, Counts)> {
+    let grid = Grid::new(KERNEL_DIM, KERNEL_PPD).unwrap();
+    let mut rows = Vec::new();
+    for (dist, label) in [
+        (Distribution::Correlated, "correlated"),
+        (Distribution::Independent, "independent"),
+        (Distribution::Anticorrelated, "anticorrelated"),
+    ] {
+        let ds = generate(dist, KERNEL_DIM, KERNEL_TUPLES, KERNEL_SEED);
+        let tuples = ds.tuples().to_vec();
+        let (mut stats, mut size) = (CmpStats::default(), 0);
+        let count = allocs(|| size = local_skyline(tuples, LocalAlgo::Bnl, &mut stats).len());
+        rows.push((
+            format!("local_skyline_bnl/{label}"),
+            Counts {
+                cmps: Some(stats),
+                output: size as u64,
+                allocs: count,
+            },
+        ));
+        // The MR-GPMRS map side: every tuple to its grid partition.
+        let mut acc = 0;
+        let count = allocs(|| {
+            for t in ds.tuples() {
+                acc ^= grid.partition_of(t);
+            }
+        });
+        rows.push((
+            format!("grid_assign/{label}"),
+            Counts {
+                cmps: None,
+                output: acc as u64,
+                allocs: count,
+            },
+        ));
+        // Its reduce side: the partition hits folded into a bitstring.
+        let mut ones = 0;
+        let count = allocs(|| {
+            let mut bits = BitGrid::zeros(grid.num_partitions());
+            for t in ds.tuples() {
+                bits.set(grid.partition_of(t));
+            }
+            ones = bits.count_ones();
+        });
+        rows.push((
+            format!("bitgrid_assign/{label}"),
+            Counts {
+                cmps: None,
+                output: ones as u64,
+                allocs: count,
+            },
+        ));
+    }
+    // Algorithm 5 over one mapper's windows of the anti-correlated data.
+    let mut skylines = LocalSkylines::new();
+    for t in generate(
+        Distribution::Anticorrelated,
+        KERNEL_DIM,
+        KERNEL_TUPLES,
+        KERNEL_SEED,
+    )
+    .tuples()
+    {
+        let p = grid.partition_of(t) as u32;
+        insert_into_partition(&mut skylines, p, t.clone(), &mut CmpStats::default());
+    }
+    let mut stats = CmpStats::default();
+    let count = allocs(|| compare_all_partitions(&grid, &mut skylines, &mut stats));
+    rows.push((
+        "compare_all_partitions/anticorrelated".to_owned(),
+        Counts {
+            cmps: Some(stats),
+            output: skylines.values().map(Window::len).sum::<usize>() as u64,
+            allocs: count,
+        },
+    ));
+    // The MR-GPMRS reducers' bitstring merge, on fixed bit patterns.
+    let (mut lhs, mut rhs) = (
+        BitGrid::zeros(grid.num_partitions()),
+        BitGrid::zeros(grid.num_partitions()),
+    );
+    (0..lhs.len()).step_by(3).for_each(|i| lhs.set(i));
+    (0..rhs.len()).step_by(5).for_each(|i| rhs.set(i));
+    let mut ones = 0;
+    let count = allocs(|| {
+        let mut merged = lhs.clone();
+        merged.or_assign(&rhs);
+        ones = merged.count_ones();
+    });
+    rows.push((
+        "bitgrid_or_assign/merge".to_owned(),
+        Counts {
+            cmps: None,
+            output: ones as u64,
+            allocs: count,
+        },
+    ));
+    rows
+}
+
+#[test]
+fn kernel_counts_are_exact() {
+    let measured = kernel_counts();
+    let pinned: Vec<(String, &Counts)> = KERNEL_COUNTS
+        .iter()
+        .map(|(label, counts)| ((*label).to_owned(), counts))
+        .collect();
+    let same = measured.len() == pinned.len()
+        && measured
+            .iter()
+            .zip(&pinned)
+            .all(|(m, p)| m.0 == p.0 && m.1 == *p.1);
+    if !same {
+        let table: String = measured
+            .iter()
+            .map(|row| format!("    {row:?},\n"))
+            .collect();
+        panic!("kernel counts differ from KERNEL_COUNTS; measured:\n{table}");
+    }
 }
