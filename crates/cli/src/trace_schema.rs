@@ -12,7 +12,6 @@ use skymr_mapreduce::telemetry::json::{self, Value};
 
 /// A trace that passed the schema: its event objects and its per-job
 /// registry objects, in file order, whichever format it came in.
-#[derive(Debug)]
 pub struct Trace {
     pub events: Vec<Value>,
     pub registries: Vec<Value>,
