@@ -22,8 +22,8 @@ use std::f64::consts::FRAC_PI_2;
 
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    map_fn, reduce_fn, run_job, Emitter, JobConfig, ModuloPartitioner, PipelineMetrics,
-    SingleReducerPartitioner,
+    map_fn, reduce_fn, run_job, run_job_from, Emitter, JobConfig, ModuloPartitioner,
+    PipelineMetrics, RoundRobin, SingleReducerPartitioner,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
@@ -64,7 +64,7 @@ pub fn angular_partition(t: &Tuple, splits: &[usize]) -> u32 {
 /// target cells.
 pub fn mr_angle(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Result<BaselineRun> {
     config.validate()?;
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
 
@@ -72,7 +72,7 @@ pub fn mr_angle(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Res
     let cells: usize = angle_config.iter().product::<usize>().max(1);
     let r1 = cells.min(config.cluster.reduce_slots).max(1);
     let job1 = JobConfig::new("mr-angle-local", r1).with_fault_tolerance(ft);
-    let outcome1 = metrics.track(run_job(
+    let outcome1 = metrics.track(run_job_from(
         &config.cluster,
         &job1,
         &splits,

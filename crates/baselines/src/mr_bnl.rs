@@ -24,8 +24,8 @@ use std::collections::BTreeMap;
 use skymr_common::dominance::{compare, DomOrdering, Window};
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    map_fn, reduce_fn, run_job, run_job_from, Emitter, FnSplits, JobConfig, MapFactory, MapTask,
-    ModuloPartitioner, OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask,
+    map_fn, reduce_fn, run_job, run_job_from, Emitter, JobConfig, MapFactory, MapTask,
+    ModuloPartitioner, OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, RoundRobin,
     SingleReducerPartitioner,
 };
 
@@ -227,12 +227,9 @@ pub fn mr_bnl_with_strategy(
     strategy: MergeStrategy,
 ) -> skymr_common::Result<BaselineRun> {
     config.validate()?;
-    // Split `i` is cloned out of the dataset inside the map attempt that
-    // runs it and dropped with it: the driver copies nothing, and only the
-    // in-flight splits are resident beside the dataset.
-    let m = config.mappers;
-    let lens = (0..m).map(|i| dataset.split_part(i, m).len()).collect();
-    let splits = FnSplits::new(lens, |i| dataset.split_part(i, m).cloned().collect());
+    // Each map attempt reads its split's rows in place from the dataset:
+    // no tuple is copied before the shuffle.
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
 

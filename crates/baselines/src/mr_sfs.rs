@@ -11,7 +11,8 @@
 
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    reduce_fn, run_job, JobConfig, ModuloPartitioner, PipelineMetrics, SingleReducerPartitioner,
+    reduce_fn, run_job, run_job_from, JobConfig, ModuloPartitioner, PipelineMetrics, RoundRobin,
+    SingleReducerPartitioner,
 };
 
 use crate::config::{BaselineConfig, BaselineRun};
@@ -23,13 +24,13 @@ use crate::sfs::{sfs_skyline_counted, SfsOrder};
 /// Runs the two-phase MR-SFS pipeline.
 pub fn mr_sfs(dataset: &Dataset, config: &BaselineConfig) -> skymr_common::Result<BaselineRun> {
     config.validate()?;
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
 
     let r1 = phase1_reducers(dataset.dim(), config.cluster.reduce_slots);
     let job1 = JobConfig::new("mr-sfs-local", r1).with_fault_tolerance(ft);
-    let outcome1 = metrics.track(run_job(
+    let outcome1 = metrics.track(run_job_from(
         &config.cluster,
         &job1,
         &splits,

@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use skymr_common::dominance::dominates;
 use skymr_common::{dataset::canonicalize, Dataset, Tuple};
 use skymr_mapreduce::{
-    map_fn, reduce_fn, run_job, ClusterConfig, Emitter, FaultTolerance, JobConfig, MapTask,
-    ModuloPartitioner, PipelineMetrics, TaskContext,
+    map_fn, reduce_fn, run_job_from, ClusterConfig, Emitter, FaultTolerance, JobConfig, MapTask,
+    ModuloPartitioner, PipelineMetrics, RoundRobin, TaskContext,
 };
 
 use crate::config::{validate_mappers, BaselineRun};
@@ -193,7 +193,7 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
     validate_mappers(config.mappers)?;
     let mut metrics = PipelineMetrics::new();
     let ft = &config.fault_tolerance;
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let dim = dataset.dim().max(1);
     let reducers = config.reducers.max(1);
     let split_threshold = config.split_threshold.max(1);
@@ -205,7 +205,7 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
         (dataset.len() / config.sample_size.min(dataset.len().max(1))).max(1) // sample_size != 0 in this branch and .min(len.max(1)) keeps it >= 1
     };
     let sample_job = JobConfig::new("sky-mr-sample", 1).with_fault_tolerance(ft);
-    let outcome1 = metrics.track(run_job(
+    let outcome1 = metrics.track(run_job_from(
         &config.cluster,
         &sample_job,
         &splits,
@@ -235,7 +235,7 @@ pub fn sky_mr(dataset: &Dataset, config: &SkyMrConfig) -> skymr_common::Result<B
     let job = JobConfig::new("sky-mr", reducers)
         .with_cache_bytes(plan.cache_bytes())
         .with_fault_tolerance(ft);
-    let outcome = metrics.track(run_job(
+    let outcome = metrics.track(run_job_from(
         &config.cluster,
         &job,
         &splits,

@@ -12,7 +12,7 @@ use skymr_datagen::{generate as gen_data, io, Distribution};
 use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::telemetry::json;
 use skymr_mapreduce::{
-    BlacklistPolicy, Collector, FaultPlan, FaultTolerance, PipelineMetrics, Placement,
+    BlacklistPolicy, Collector, FaultPlan, FaultTolerance, PipelineMetrics, Placement, RoundRobin,
 };
 
 use crate::args::Args;
@@ -466,7 +466,7 @@ pub fn plan(args: &Args) -> Result<(), String> {
         ..SkylineConfig::default()
     };
     let reducers = args.get_parsed("reducers", config.reducers)?;
-    let splits = data.split(config.mappers);
+    let splits = RoundRobin::new(data.tuples(), config.mappers);
     let (bitstring, info, _) =
         generate_bitstring(&splits, data.dim(), data.len(), &config).map_err(|e| e.to_string())?;
     println!(

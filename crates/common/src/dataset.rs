@@ -78,9 +78,10 @@ impl Dataset {
     }
 
     /// Subset `i` of the round-robin split into `m`: tuples `i`, `i + m`,
-    /// `i + 2m`, … — the one assignment rule behind [`Self::split`] and
-    /// behind jobs that load split `i` only while a map attempt runs it.
-    /// The iterator knows its length, so a split's size costs nothing.
+    /// `i + 2m`, … — the assignment rule behind [`Self::split`], and the
+    /// one the engine's `RoundRobin` split source lends to map attempts in
+    /// place. The iterator knows its length, so a split's size costs
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -92,6 +93,11 @@ impl Dataset {
 
     /// Splits the dataset into `m` disjoint subsets by round-robin
     /// assignment. Subsets differ in size by at most one tuple.
+    ///
+    /// This *copies* every tuple. The pipelines do not call it: their map
+    /// attempts read the same subsets in place through the engine's
+    /// `RoundRobin` source. Only tests and callers that want owned splits
+    /// (such as the benchmark's staged replays) still do.
     ///
     /// # Panics
     ///

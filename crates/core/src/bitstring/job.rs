@@ -3,8 +3,8 @@
 
 use skymr_common::{BitGrid, Counters, Tuple};
 use skymr_mapreduce::{
-    reduce_fn, run_job, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics,
-    MapTask, SingleReducerPartitioner, TaskContext,
+    reduce_fn, run_job_from, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig,
+    JobMetrics, MapTask, SingleReducerPartitioner, SplitSource, TaskContext,
 };
 
 use crate::bitstring::ppd::run_ppd_selection_job;
@@ -63,7 +63,7 @@ pub struct BitstringJobOutput {
 /// retry budget of `ft`.
 pub fn run_bitstring_job(
     cluster: &ClusterConfig,
-    splits: &[Vec<Tuple>],
+    splits: &dyn SplitSource<Tuple>,
     grid: Grid,
     prune: bool,
     ft: &FaultTolerance,
@@ -72,10 +72,10 @@ pub fn run_bitstring_job(
     let config = JobConfig::new("bitstring", 1)
         .with_fault_tolerance(ft)
         .with_collector(telemetry.cloned());
-    let outcome = run_job(
+    let outcome = run_job_from(
         cluster,
         &config,
-        splits,
+        &splits,
         &|ctx: &TaskContext| BitstringMapTask {
             grid,
             local: BitGrid::zeros(grid.num_partitions()),
@@ -136,7 +136,7 @@ pub fn run_bitstring_job(
 ///
 /// `dim`/`cardinality` describe the full dataset the splits were cut from.
 pub fn generate_bitstring(
-    splits: &[Vec<Tuple>],
+    splits: &dyn SplitSource<Tuple>,
     dim: usize,
     cardinality: usize,
     config: &SkylineConfig,

@@ -17,8 +17,8 @@
 
 use skymr_common::{BitGrid, Counters, Error, Tuple};
 use skymr_mapreduce::{
-    run_job, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics, MapTask,
-    OutputCollector, ReduceTask, SingleReducerPartitioner, TaskContext,
+    run_job_from, ClusterConfig, Collector, Emitter, FaultTolerance, JobConfig, JobMetrics,
+    MapTask, OutputCollector, ReduceTask, SingleReducerPartitioner, SplitSource, TaskContext,
 };
 
 use crate::bitstring::job::BitstringInfo;
@@ -170,7 +170,7 @@ impl ReduceTask for MultiPpdReduceTask {
 #[allow(clippy::too_many_arguments)]
 pub fn run_ppd_selection_job(
     cluster: &ClusterConfig,
-    splits: &[Vec<Tuple>],
+    splits: &dyn SplitSource<Tuple>,
     dim: usize,
     cardinality: usize,
     max_ppd: usize,
@@ -190,10 +190,10 @@ pub fn run_ppd_selection_job(
     let config = JobConfig::new("bitstring-ppd", 1)
         .with_fault_tolerance(ft)
         .with_collector(telemetry.cloned());
-    let outcome = run_job(
+    let outcome = run_job_from(
         cluster,
         &config,
-        splits,
+        &splits,
         &|ctx: &TaskContext| MultiPpdMapTask {
             locals: grids
                 .iter()

@@ -19,8 +19,8 @@ use skymr_common::dataset::canonicalize;
 use skymr_common::dominance::Window;
 use skymr_common::{Counters, Dataset, Tuple};
 use skymr_mapreduce::{
-    run_job, ByteSized, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner,
-    OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, TaskContext,
+    run_job_from, ByteSized, Emitter, JobConfig, MapFactory, MapTask, ModuloPartitioner,
+    OutputCollector, PipelineMetrics, ReduceFactory, ReduceTask, RoundRobin, TaskContext,
 };
 
 use crate::bitstring::job::generate_bitstring;
@@ -256,7 +256,7 @@ pub fn mr_gpmrs(dataset: &Dataset, config: &SkylineConfig) -> skymr_common::Resu
         .telemetry
         .as_ref()
         .map(|c| c.scope("algo", "mr-gpmrs"));
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
     let mut counters = std::collections::BTreeMap::new();
     let mut runner = config.checkpoint.runner()?;
@@ -299,7 +299,7 @@ pub fn mr_gpmrs(dataset: &Dataset, config: &SkylineConfig) -> skymr_common::Resu
         .with_fault_tolerance(&config.fault_tolerance)
         .with_collector(config.telemetry.clone());
     let skyline = runner.stage("gpmrs", &mut metrics, |metrics| {
-        let outcome = metrics.track(run_job(
+        let outcome = metrics.track(run_job_from(
             &config.cluster,
             &job_config,
             &splits,

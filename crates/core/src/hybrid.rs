@@ -13,6 +13,7 @@
 //! reducers pay off.
 
 use skymr_common::Dataset;
+use skymr_mapreduce::RoundRobin;
 
 use crate::bitstring::Bitstring;
 use crate::config::SkylineConfig;
@@ -69,7 +70,7 @@ pub const DEFAULT_SURVIVAL_THRESHOLD: f64 = 0.35;
 /// and `choose` is public precisely so callers can do that).
 pub fn mr_hybrid(dataset: &Dataset, config: &SkylineConfig) -> skymr_common::Result<SkylineRun> {
     config.validate()?;
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let (bitstring, info, _probe_metrics) =
         crate::bitstring::job::generate_bitstring(&splits, dataset.dim(), dataset.len(), config)?;
     match choose(

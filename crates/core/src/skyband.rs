@@ -33,8 +33,8 @@ use std::collections::BTreeMap;
 use skymr_common::dominance::dominates;
 use skymr_common::{dataset::canonicalize, ByteSized, Counters, Dataset, Tuple, Wire, WireCursor};
 use skymr_mapreduce::{
-    reduce_fn, run_job, Emitter, JobConfig, JobKey, JobMetrics, MapTask, OutputCollector,
-    PipelineMetrics, SingleReducerPartitioner, TaskContext,
+    reduce_fn, run_job_from, Emitter, JobConfig, JobKey, JobMetrics, MapTask, OutputCollector,
+    PipelineMetrics, RoundRobin, SingleReducerPartitioner, SplitSource, TaskContext,
 };
 
 use crate::config::{PpdPolicy, SkylineConfig};
@@ -288,17 +288,17 @@ impl MapTask for CountMapTask {
 /// every tuple is a potential dominated target).
 pub(crate) fn run_countstring_job(
     config: &SkylineConfig,
-    splits: &[Vec<Tuple>],
+    splits: &dyn SplitSource<Tuple>,
     grid: Grid,
     prune_k: Option<u64>,
 ) -> skymr_common::Result<(Countstring, JobMetrics)> {
     let job = JobConfig::new("countstring", 1)
         .with_fault_tolerance(&config.fault_tolerance)
         .with_collector(config.telemetry.clone());
-    let outcome = run_job(
+    let outcome = run_job_from(
         &config.cluster,
         &job,
-        splits,
+        &splits,
         &|_: &TaskContext| CountMapTask {
             grid,
             local: Countstring::empty(grid),
@@ -505,7 +505,7 @@ pub fn mr_skyband(
         ));
     }
     let grid = skyband_grid(dataset, config)?;
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
 
     let (countstring, cs_metrics) = run_countstring_job(config, &splits, grid, Some(k as u64))?;
@@ -523,7 +523,7 @@ pub fn mr_skyband(
         .with_cache_bytes(countstring.byte_size())
         .with_fault_tolerance(&config.fault_tolerance)
         .with_collector(config.telemetry.clone());
-    let outcome = metrics.track(run_job(
+    let outcome = metrics.track(run_job_from(
         &config.cluster,
         &job,
         &splits,
@@ -574,7 +574,7 @@ pub fn mr_skyband_multi(
         ));
     }
     let grid = skyband_grid(dataset, config)?;
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
 
     let (countstring, cs_metrics) = run_countstring_job(config, &splits, grid, Some(k as u64))?;
@@ -614,7 +614,7 @@ pub fn mr_skyband_multi(
     // Section 5.4.2 generalized: reducer `key` re-counts only the
     // partitions designated to it; every candidate dominator of such a
     // partition lives in its own group, hence in this bucket.
-    let outcome = metrics.track(run_job(
+    let outcome = metrics.track(run_job_from(
         &config.cluster,
         &job,
         &splits,

@@ -33,7 +33,8 @@
 use skymr_common::dominance::dominates;
 use skymr_common::{Dataset, Tuple};
 use skymr_mapreduce::{
-    map_fn, reduce_fn, run_job, Emitter, JobConfig, ModuloPartitioner, PipelineMetrics,
+    map_fn, reduce_fn, run_job_from, Emitter, JobConfig, ModuloPartitioner, PipelineMetrics,
+    RoundRobin,
 };
 
 use crate::config::SkylineConfig;
@@ -205,7 +206,7 @@ pub fn mr_top_k_dominating(
             )?
         }
     };
-    let splits = dataset.split(config.mappers);
+    let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
 
     // Job 1: countstring (no k-pruning — every tuple is a potential
@@ -248,7 +249,7 @@ pub fn mr_top_k_dominating(
         .collect();
     let (plan, candidate_coords) = (&plan, &candidate_coords);
     let mut cell_buf = vec![0usize; grid.dim()];
-    let outcome = metrics.track(run_job(
+    let outcome = metrics.track(run_job_from(
         &config.cluster,
         &job,
         &splits,

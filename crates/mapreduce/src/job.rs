@@ -17,7 +17,7 @@ use crate::fault::{
 };
 use crate::partitioner::Partitioner;
 use crate::pool::run_indexed;
-use crate::splits::{SliceSplits, SplitSource};
+use crate::splits::SplitSource;
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
     segment::{flip_bit, verify_frames, Segment, SegmentWriter, StorageError},
@@ -456,23 +456,24 @@ where
     RF::Task: ReduceTask<K = K, V = V, Out = Out>,
     P: Partitioner<K>,
 {
-    let source = SliceSplits::new(splits);
     run_job_from(
         cluster,
         config,
-        &source,
+        &splits,
         map_factory,
         reduce_factory,
         partitioner,
     )
 }
 
-/// [`run_job`], but fed from a [`SplitSource`] instead of materialized
-/// `Vec` splits: each map attempt materializes only its own split, for
-/// only as long as it runs. This is how queued jobs under the
-/// [`sched`](crate::sched) executor avoid pinning their whole input in
-/// RAM while they wait, and how datasets larger than memory stream in
-/// from a seeded [`FnSplits`](crate::splits::FnSplits) recipe.
+/// [`run_job`], but fed from any [`SplitSource`]: each map attempt asks
+/// for its own split only while it runs. A
+/// [`RoundRobin`](crate::splits::RoundRobin) source lends a dataset's rows
+/// in place, so the pipelines over a `Dataset` copy no input; a seeded
+/// [`FnSplits`](crate::splits::FnSplits) recipe regenerates each split on
+/// demand, which is how queued jobs under the [`sched`](crate::sched)
+/// executor avoid pinning their whole input in RAM while they wait, and
+/// how datasets larger than memory stream in.
 ///
 /// This is the general driver; [`run_job`] delegates here. The body is
 /// the job's table of contents (DESIGN.md §3): each stage is one [`Job`]
@@ -545,10 +546,12 @@ where
 
 /// One job in flight: the read-only context every stage shares. The
 /// stages are its methods, in execution order.
-struct Job<'a, S, MF, RF, P> {
+struct Job<'a, In, MF, RF, P> {
     cluster: &'a ClusterConfig,
     config: &'a JobConfig,
-    source: &'a S,
+    /// Behind `dyn`: the source is consulted once per task, and one driver
+    /// instance per job type serves every kind of source.
+    source: &'a dyn SplitSource<In>,
     map_factory: &'a MF,
     reduce_factory: &'a RF,
     partitioner: &'a P,
@@ -558,13 +561,12 @@ struct Job<'a, S, MF, RF, P> {
     spill: Option<SpillSession>,
 }
 
-impl<'a, In, K, V, Out, S, MF, RF, P> Job<'a, S, MF, RF, P>
+impl<'a, In, K, V, Out, MF, RF, P> Job<'a, In, MF, RF, P>
 where
     In: Send + Sync,
     K: JobKey,
     V: JobValue,
     Out: Send,
-    S: SplitSource<In>,
     MF: MapFactory,
     MF::Task: MapTask<In = In, K = K, V = V>,
     RF: ReduceFactory,
@@ -688,9 +690,9 @@ where
         let ctx = self.task_context(i, self.source.num_splits(), attempt);
         let mut task = self.map_factory.create(&ctx);
         let mut emitter = Emitter::new();
-        // Materialized for this attempt only; dropped once it is mapped.
-        let loaded = self.source.load(i);
-        let split: &[In] = &loaded;
+        // Read in place from a lending source; an on-demand one's records
+        // live for this attempt only and are dropped once it is mapped.
+        let split = self.source.load(i);
         let mut result = MapResult::new(self.config.num_reducers, ctx.counters.clone());
         let spill =
             |session: &SpillSession, emitter: &mut Emitter<K, V>, result: &mut MapResult<K>| {
@@ -745,7 +747,7 @@ where
             }
         }
         task.finish(&mut emitter);
-        drop(loaded);
+        drop(split);
         result.work = emitter.work();
         match budget {
             // The tail batch always goes to disk too — with a budget set,

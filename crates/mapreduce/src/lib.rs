@@ -76,7 +76,7 @@ pub use sched::{
     JobCompletion, JobHandle, JobSpec, PriorityScheduler, Reservation, SchedOutcome, SchedReport,
     Scheduler, TenantStats,
 };
-pub use splits::{FnSplits, SliceSplits, SplitData, SplitSource};
+pub use splits::{FnSplits, RoundRobin, SplitData, SplitSource};
 pub use storage::{parse_byte_size, StorageConfig};
 pub use task::{
     map_fn, reduce_fn, Emitter, JobKey, JobValue, MapFactory, MapFn, MapTask, OutputCollector,

@@ -1,44 +1,66 @@
 //! Split sources: how map tasks get their input.
 //!
-//! Historically [`run_job`](crate::run_job) took `&[Vec<In>]` — every
-//! split fully materialized in RAM for the job's whole lifetime. That is
-//! fine for one job, but a multi-tenant executor holds *queued* jobs for
-//! arbitrarily long simulated stretches, and a hundred queued jobs each
-//! pinning their whole input defeats the out-of-core storage plane.
+//! [`SplitSource`] gives the job a *recipe* for each split instead of the
+//! splits themselves: the driver asks for split `i` only while a map
+//! attempt is executing it, and the attempt reads the records through the
+//! returned [`SplitData`] in place. Because map inputs must be replayable
+//! for the retry/speculation/re-execution ladder, a source must return
+//! the same records in the same order for the same index on every call —
+//! the same purity contract UDFs already obey.
 //!
-//! [`SplitSource`] inverts the ownership: the job carries a *recipe* for
-//! each split, and the driver materializes a split only while a map
-//! attempt is actually executing it (the attempt's copy is dropped when
-//! the attempt finishes). Because map inputs must be replayable for the
-//! retry/speculation/re-execution ladder, a source must return
-//! byte-identical data for the same index on every call — the same purity
-//! contract UDFs already obey.
+//! Three sources cover the workspace:
 //!
-//! Two implementations cover the workspace:
-//!
-//! * [`SliceSplits`] — adapts the classic pre-materialized `&[Vec<In>]`
-//!   (borrowed, zero-copy; this is what `run_job` wraps internally).
+//! * [`RoundRobin`] — lends split `i` of an in-memory slice as its rows
+//!   `i, i + m, i + 2m, …` (the paper's `R_i`, read where it lies, as a
+//!   Hadoop mapper reads its HDFS block). Every pipeline over a
+//!   [`Dataset`](skymr_common::Dataset) uses it; nothing is copied.
+//! * `[Vec<In>]` / `Vec<Vec<In>>` — pre-split input, one `Vec` per split,
+//!   also lent in place (what [`run_job`](crate::run_job) takes, and how a
+//!   second job reads the first one's reducer outputs).
 //! * [`FnSplits`] — regenerates a split on demand from a deterministic
-//!   recipe, e.g. a seeded [`skymr_datagen::stream`] chunk. Queued jobs
-//!   hold only the recipe.
+//!   recipe, e.g. a seeded `skymr_datagen::stream` chunk. Queued jobs
+//!   hold only the recipe, and an attempt's copy is dropped when it ends.
 
-/// One split's data, borrowed from a materialized source or owned by an
-/// on-demand one. Derefs to `[In]` so the driver reads both the same way.
+use std::iter::StepBy;
+use std::slice::Iter;
+
+/// One split's records, lent by an in-memory source or owned by an
+/// on-demand one. The driver reads both through [`Self::len`] and
+/// [`Self::iter`].
 #[derive(Debug)]
 pub enum SplitData<'a, In> {
-    /// A view into a pre-materialized split.
-    Borrowed(&'a [In]),
+    /// `rows[0]`, `rows[step]`, `rows[2·step]`, … read in place: a
+    /// strided view of the source's rows starting at the split's first
+    /// one (`step == 1` lends a whole slice).
+    Borrowed {
+        /// The source's rows from the split's first record on.
+        rows: &'a [In],
+        /// Distance between consecutive records of the split (≥ 1).
+        step: usize,
+    },
     /// A split regenerated for this attempt; dropped when it finishes.
     Owned(Vec<In>),
 }
 
-impl<In> std::ops::Deref for SplitData<'_, In> {
-    type Target = [In];
-
-    fn deref(&self) -> &[In] {
+impl<In> SplitData<'_, In> {
+    /// Record count of the split.
+    pub fn len(&self) -> usize {
         match self {
-            SplitData::Borrowed(s) => s,
-            SplitData::Owned(v) => v,
+            SplitData::Borrowed { rows, step } => rows.len().div_ceil(*step),
+            SplitData::Owned(v) => v.len(),
+        }
+    }
+
+    /// `true` iff the split holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The split's records, in split order.
+    pub fn iter(&self) -> StepBy<Iter<'_, In>> {
+        match self {
+            SplitData::Borrowed { rows, step } => rows.iter().step_by(*step),
+            SplitData::Owned(v) => v.iter().step_by(1),
         }
     }
 }
@@ -53,38 +75,103 @@ pub trait SplitSource<In>: Sync {
     /// Number of splits (= map tasks).
     fn num_splits(&self) -> usize;
 
-    /// Record count of split `index` without materializing it. The skip-
+    /// Record count of split `index` without loading it. The skip-
     /// bad-records protocol and the task model need lengths cheaply.
     fn split_len(&self, index: usize) -> usize;
 
-    /// Materializes split `index` for one map attempt.
+    /// Split `index`, for one map attempt.
     fn load(&self, index: usize) -> SplitData<'_, In>;
 }
 
-/// The classic fully-materialized input: one `Vec` per split.
+/// Round-robin splits of a slice, lent in place: split `i` of `m` is rows
+/// `i`, `i + m`, `i + 2m`, … — the rule of
+/// [`Dataset::split_part`](skymr_common::Dataset::split_part), so a job
+/// over `RoundRobin::new(dataset.tuples(), m)` sees exactly the records,
+/// in the same order, that one over `dataset.split(m)` does, without a
+/// second copy of the input.
 #[derive(Debug)]
-pub struct SliceSplits<'a, In> {
-    splits: &'a [Vec<In>],
+pub struct RoundRobin<'a, In> {
+    rows: &'a [In],
+    m: usize,
 }
 
-impl<'a, In> SliceSplits<'a, In> {
-    /// Wraps pre-split input.
-    pub fn new(splits: &'a [Vec<In>]) -> Self {
-        Self { splits }
+impl<'a, In> RoundRobin<'a, In> {
+    /// `m` splits of `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0`.
+    pub fn new(rows: &'a [In], m: usize) -> Self {
+        assert!(m > 0, "cannot split into zero subsets");
+        Self { rows, m }
     }
 }
 
-impl<In: Sync> SplitSource<In> for SliceSplits<'_, In> {
+impl<In: Sync> SplitSource<In> for RoundRobin<'_, In> {
     fn num_splits(&self) -> usize {
-        self.splits.len()
+        self.m
     }
 
     fn split_len(&self, index: usize) -> usize {
-        self.splits[index].len()
+        self.rows.len().saturating_sub(index).div_ceil(self.m)
     }
 
     fn load(&self, index: usize) -> SplitData<'_, In> {
-        SplitData::Borrowed(&self.splits[index])
+        SplitData::Borrowed {
+            rows: self.rows.get(index..).unwrap_or_default(),
+            step: self.m,
+        }
+    }
+}
+
+/// Pre-split input: split `i` is `self[i]`, lent whole.
+impl<In: Sync> SplitSource<In> for [Vec<In>] {
+    fn num_splits(&self) -> usize {
+        self.len()
+    }
+
+    fn split_len(&self, index: usize) -> usize {
+        self[index].len()
+    }
+
+    fn load(&self, index: usize) -> SplitData<'_, In> {
+        SplitData::Borrowed {
+            rows: &self[index],
+            step: 1,
+        }
+    }
+}
+
+/// The same, owned: a `&Vec<Vec<In>>` coerces to a `&dyn SplitSource<In>`,
+/// which is how `generate_bitstring(&dataset.split(m), …)` still compiles.
+impl<In: Sync> SplitSource<In> for Vec<Vec<In>> {
+    fn num_splits(&self) -> usize {
+        self.as_slice().num_splits()
+    }
+
+    fn split_len(&self, index: usize) -> usize {
+        self.as_slice().split_len(index)
+    }
+
+    fn load(&self, index: usize) -> SplitData<'_, In> {
+        self.as_slice().load(index)
+    }
+}
+
+/// A borrowed source is a source. `run_job_from` stores its source as a
+/// `&dyn SplitSource`, which needs a sized type: `run_job` hands it
+/// `&splits`, a `&[Vec<In>]`.
+impl<In, T: SplitSource<In> + ?Sized> SplitSource<In> for &T {
+    fn num_splits(&self) -> usize {
+        (**self).num_splits()
+    }
+
+    fn split_len(&self, index: usize) -> usize {
+        (**self).split_len(index)
+    }
+
+    fn load(&self, index: usize) -> SplitData<'_, In> {
+        (**self).load(index)
     }
 }
 
@@ -140,16 +227,42 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skymr_common::{Dataset, Tuple};
+
+    fn collect<In: Clone>(split: &SplitData<'_, In>) -> Vec<In> {
+        split.iter().cloned().collect()
+    }
 
     #[test]
     fn slice_splits_borrow_without_copying() {
         let data = vec![vec![1u32, 2], vec![3]];
-        let source = SliceSplits::new(&data);
-        assert_eq!(source.num_splits(), 2);
-        assert_eq!(source.split_len(0), 2);
-        assert_eq!(source.split_len(1), 1);
-        assert_eq!(&*source.load(0), &[1, 2]);
-        assert!(matches!(source.load(1), SplitData::Borrowed(_)));
+        assert_eq!(data.num_splits(), 2);
+        assert_eq!(data.split_len(0), 2);
+        assert_eq!(data.split_len(1), 1);
+        assert_eq!(collect(&data.load(0)), [1, 2]);
+        assert!(matches!(
+            data.as_slice().load(1),
+            SplitData::Borrowed { step: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn round_robin_lends_exactly_what_dataset_split_copies() {
+        for n in 0..=40u64 {
+            let tuples = (0..n).map(|id| Tuple::new(id, vec![0.5])).collect();
+            let ds = Dataset::new_unchecked(1, tuples);
+            for m in 1..=n as usize + 2 {
+                let copied = ds.split(m);
+                let lent = RoundRobin::new(ds.tuples(), m);
+                assert_eq!(lent.num_splits(), copied.len(), "n={n} m={m}");
+                for (i, want) in copied.iter().enumerate() {
+                    let split = lent.load(i);
+                    assert!(matches!(split, SplitData::Borrowed { .. }));
+                    assert_eq!(&collect(&split), want, "n={n} m={m} split {i}");
+                    assert_eq!(lent.split_len(i), split.len(), "n={n} m={m} split {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -158,13 +271,10 @@ mod tests {
             (0..(3 - i)).map(|n| (i * 10 + n) as u32).collect()
         });
         assert_eq!(source.num_splits(), 2);
-        let first = source.load(0);
-        let again = source.load(0);
-        assert_eq!(
-            &*first, &*again,
-            "replayed attempts must see identical input"
-        );
-        assert_eq!(&*source.load(1), &[10, 11]);
+        let first = collect(&source.load(0));
+        let again = collect(&source.load(0));
+        assert_eq!(first, again, "replayed attempts must see identical input");
+        assert_eq!(collect(&source.load(1)), [10, 11]);
         assert!(matches!(source.load(1), SplitData::Owned(_)));
     }
 }

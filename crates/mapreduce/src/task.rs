@@ -247,15 +247,30 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> Emitter<K, V> {
     /// is encoded, never cloned, so a map UDF that forwards its input
     /// record pays for its bytes only.
     pub fn emit_ref(&mut self, key: K, value: &V) {
+        let size = (key.byte_size() + value.byte_size()) as usize;
+        if self.bytes.capacity() - self.bytes.len() < size {
+            self.grow(size);
+        }
         let start = self.bytes.len();
         key.wire_encode(&mut self.bytes);
         value.wire_encode(&mut self.bytes);
-        debug_assert_eq!(
-            (self.bytes.len() - start) as u64,
-            key.byte_size() + value.byte_size(),
-            "ByteSized ≠ Wire length"
-        );
+        debug_assert_eq!(self.bytes.len() - start, size, "ByteSized ≠ Wire length");
         self.index.push((key, start));
+    }
+
+    /// Doubles the byte buffer, or more if `more` bytes need it, with a
+    /// fresh allocation and a copy instead of `realloc`. Map attempts keep
+    /// dropping multi-MiB buffers and growing new ones; grown by `realloc`,
+    /// glibc put some of them in the main thread's arena, whose freed space
+    /// then stayed resident (`malloc_stats()` on `indep3d_shuffle`: main
+    /// arena 70.7 MB for 53.5 MB in use, peak RSS +17 MiB). Fresh
+    /// allocations stay in the worker thread's own arena.
+    #[cold]
+    fn grow(&mut self, more: usize) {
+        let capacity = (2 * self.bytes.capacity()).max(self.bytes.len() + more);
+        let mut grown = Vec::with_capacity(capacity);
+        grown.extend_from_slice(&self.bytes);
+        self.bytes = grown;
     }
 
     /// Number of pairs emitted so far.

@@ -23,7 +23,7 @@ use skymr_datagen::{generate, Distribution};
 use skymr_mapreduce::{
     AdmissionConfig, BlacklistPolicy, ClusterConfig, ClusterExecutor, FaultPlan, FaultProfile,
     FaultTolerance, JobCompletion, JobSpec, PipelineMetrics, Placement, PriorityScheduler,
-    SpeculationPolicy,
+    RoundRobin, SpeculationPolicy,
 };
 
 fn sweep(name: &str, data: &Dataset) {
@@ -55,7 +55,7 @@ fn sweep(name: &str, data: &Dataset) {
 
     // What would the hybrid planner have chosen, from the bitstring alone?
     let config = SkylineConfig::default();
-    let splits = data.split(config.mappers);
+    let splits = RoundRobin::new(data.tuples(), config.mappers);
     let (bitstring, info, _) =
         generate_bitstring(&splits, data.dim(), data.len(), &config).expect("valid configuration");
     let choice = choose(

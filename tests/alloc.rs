@@ -13,14 +13,17 @@
 //! fails it where a timing would blur it.
 //!
 //! Counts are per thread, so tests running in parallel do not see each
-//! other's allocations. `realloc` counts as an allocation: a `Vec` growing
-//! inside a loop is exactly what the check is for.
+//! other's allocations. The one row that runs a whole job also counts the
+//! engine's worker threads, through a sink its map task sets on them.
+//! `realloc` counts as an allocation: a `Vec` growing inside a loop is
+//! exactly what the check is for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use skymr::gpmrs::GpmrsReduceFactory;
@@ -40,17 +43,24 @@ use skymr_common::{
 use skymr_datagen::{generate, Distribution};
 use skymr_mapreduce::storage::segment::{verify_frames, write_segment, SegmentWriter};
 use skymr_mapreduce::storage::{KWayMerge, RunSource};
-use skymr_mapreduce::{Counters, OutputCollector, ReduceFactory, ReduceTask, TaskContext};
+use skymr_mapreduce::{
+    reduce_fn, run_job_from, ClusterConfig, Counters, Emitter, JobConfig, MapTask, OutputCollector,
+    ReduceFactory, ReduceTask, RoundRobin, SingleReducerPartitioner, TaskContext,
+};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Set on an engine worker thread while a row's map task runs there:
+    /// that thread's allocations also count into the row's total.
+    static SINK: Cell<Option<&'static AtomicU64>> = const { Cell::new(None) };
 }
 
 fn bump() {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = SINK.try_with(|s| s.get().map(|sink| sink.fetch_add(1, Ordering::Relaxed)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments.
@@ -504,6 +514,56 @@ fn storage_kway_merge_next_pair() {
         count
     });
     assert_eq!(count, 0);
+}
+
+// ---------------------------------------------------------------------
+// The engine's map attempt, on its worker threads.
+// ---------------------------------------------------------------------
+
+/// Allocations the `map_attempt_reads_split_in_place` job's map tasks make
+/// from their creation to their `finish`, over all worker threads.
+static ATTEMPT_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// A map task that emits nothing and counts its attempt's allocations:
+/// created (by the factory below) before the attempt loads its split,
+/// finished after the last record.
+struct SilentMap;
+
+impl MapTask for SilentMap {
+    type In = Tuple;
+    type K = u8;
+    type V = u8;
+
+    fn map(&mut self, _: &Tuple, _: &mut Emitter<u8, u8>) {}
+
+    fn finish(&mut self, _: &mut Emitter<u8, u8>) {
+        SINK.with(|s| s.set(None));
+    }
+}
+
+#[test]
+fn map_attempt_reads_split_in_place() {
+    let cluster = ClusterConfig::test();
+    let config = JobConfig::new("lend", 1);
+    let count = assert_flat("map attempt over RoundRobin", N, |n| {
+        let rows = skyline_then_dominated(n);
+        ATTEMPT_ALLOCS.store(0, Ordering::Relaxed);
+        let outcome = run_job_from(
+            &cluster,
+            &config,
+            &RoundRobin::new(&rows, 4),
+            &|_: &TaskContext| {
+                SINK.with(|s| s.set(Some(&ATTEMPT_ALLOCS)));
+                SilentMap
+            },
+            &reduce_fn(|_: u8, _: Vec<u8>, _: &mut OutputCollector<()>| {}),
+            &SingleReducerPartitioner,
+        )
+        .expect("a fault-free job succeeds");
+        assert_eq!(outcome.metrics.map_tasks, 4);
+        ATTEMPT_ALLOCS.load(Ordering::Relaxed)
+    });
+    assert!(count > 0, "the sink saw no map attempt");
 }
 
 // ---------------------------------------------------------------------

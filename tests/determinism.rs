@@ -17,7 +17,7 @@ use skymr_integration_tests::scenario;
 use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::{
     run_job, run_job_from, ClusterConfig, ClusterExecutor, Collector, FaultPlan, FaultTolerance,
-    FnSplits, JobConfig, JobMetrics, JobSpec, ModuloPartitioner, PipelineMetrics, Placement,
+    JobConfig, JobMetrics, JobSpec, ModuloPartitioner, PipelineMetrics, Placement, RoundRobin,
     SingleReducerPartitioner, SpeculationPolicy, TaskFault,
 };
 
@@ -349,13 +349,13 @@ fn metrics_and_exports_are_byte_identical_in_every_mode() {
     }
 }
 
-/// MR-BNL's phase-1 job clones split `i` out of the dataset inside the map
-/// attempt that runs it instead of materializing `Dataset::split` up
-/// front. That is a memory-footprint change only: the pipeline assembled
-/// here over materialized splits — same factories, same job names — must
+/// MR-BNL's phase-1 map attempts read split `i` in place from the dataset
+/// (a `RoundRobin` source) instead of a materialized `Dataset::split`.
+/// That is a memory-footprint change only: the pipeline assembled here
+/// over materialized splits — same factories, same job names — must
 /// report the same skyline, the same registry and every `JobMetrics` field
 /// but `host_wall`, clean and under a seeded fault plan (where retries,
-/// lost partitions and re-execution waves reload the lazy splits).
+/// lost partitions and re-execution waves reload the lent splits).
 #[test]
 fn mr_bnl_over_lazy_splits_equals_mr_bnl_over_materialized_splits() {
     let data = scenario(Distribution::Independent, 3, 900, 311);
@@ -376,8 +376,7 @@ fn mr_bnl_over_lazy_splits_equals_mr_bnl_over_materialized_splits() {
         let reducers = lazy.metrics.jobs[0].reduce_tasks;
         let job1 = JobConfig::new("mr-bnl-local", reducers).with_fault_tolerance(ft);
         let local = |lazily: bool| {
-            let lens = splits.iter().map(Vec::len).collect();
-            let source = FnSplits::new(lens, |i| data.split_part(i, mappers).cloned().collect());
+            let source = RoundRobin::new(data.tuples(), mappers);
             let (cluster, map, reduce) =
                 (&config.cluster, &partition_map(), &local_skyline_reduce());
             match lazily {

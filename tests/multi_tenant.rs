@@ -57,9 +57,11 @@ fn synthetic_plane(
     map_ms: Vec<u64>,
 ) -> impl FnOnce(&ClusterConfig) -> Result<(u64, Vec<JobMetrics>), Error> {
     move |_| {
-        let mut m = JobMetrics::empty("p", map_ms.len(), 0);
-        m.map_task_durations = map_ms.iter().map(|&v| Duration::from_millis(v)).collect();
-        Ok((value, vec![m]))
+        let map: Vec<Duration> = map_ms.iter().map(|&v| Duration::from_millis(v)).collect();
+        Ok((
+            value,
+            vec![JobMetrics::priced("p", &map, Duration::ZERO, &[])],
+        ))
     }
 }
 
