@@ -187,11 +187,6 @@ fn skyline_config(args: &Args) -> Result<SkylineConfig, String> {
     if args.get("kill-after").is_some() {
         config.checkpoint.kill_after = Some(args.get_parsed("kill-after", 0usize)?);
     }
-    // Gate the pipeline's stages behind an admission queue of this depth;
-    // resumed stages re-enter the queue rather than bypassing it.
-    if args.get("admission-queue").is_some() {
-        config.checkpoint.admission_queue = Some(args.get_parsed("admission-queue", 0usize)?);
-    }
     Ok(config)
 }
 
@@ -290,7 +285,6 @@ const RUN_OPTS: &[&str] = &[
     "checkpoint",
     "resume",
     "kill-after",
-    "admission-queue",
     "memory-budget",
     "spill-dir",
 ];
@@ -869,17 +863,6 @@ mod tests {
         assert!(killed.contains("killed"), "unexpected error: {killed}");
         run(&args(&format!("{base} --resume --verify"))).unwrap();
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn run_admission_queue_gates_the_pipeline() {
-        let base = "run --algo gpsrs --dist independent --dim 3 --card 200 --seed 5";
-        // Depth 1 admits the sequential two-stage chain one stage at a time.
-        run(&args(&format!("{base} --admission-queue 1 --verify"))).unwrap();
-        // Depth 0 rejects the very first stage with the structured error.
-        let err = run(&args(&format!("{base} --admission-queue 0")))
-            .expect_err("zero-depth admission queue must reject");
-        assert!(err.contains("admission"), "unexpected error: {err}");
     }
 
     #[test]

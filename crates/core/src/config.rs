@@ -4,10 +4,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use skymr_common::{Error, Result};
-use skymr_mapreduce::{
-    AdmissionConfig, AdmissionController, Checkpoint, ClusterConfig, Collector, FaultTolerance,
-    Runner,
-};
+use skymr_mapreduce::{Checkpoint, ClusterConfig, Collector, FaultTolerance, Runner};
 
 use crate::groups::MergePolicy;
 use crate::local::LocalAlgo;
@@ -33,12 +30,6 @@ pub struct CheckpointConfig {
     /// [`Error::PipelineKilled`] when entering the
     /// stage after this many completed jobs.
     pub kill_after: Option<usize>,
-    /// Admission-queue depth for the chain's stages. When set, every
-    /// stage — including stages replayed from a checkpoint on resume —
-    /// re-enters an admission gate of this depth instead of bypassing
-    /// capacity checks; overflow surfaces
-    /// [`Error::AdmissionRejected`](skymr_common::Error::AdmissionRejected).
-    pub admission_queue: Option<usize>,
 }
 
 impl CheckpointConfig {
@@ -58,11 +49,6 @@ impl CheckpointConfig {
         }
         if let Some(path) = &self.file {
             runner = runner.with_checkpoint_file(path);
-        }
-        if let Some(depth) = self.admission_queue {
-            runner = runner.with_admission(AdmissionController::new(
-                AdmissionConfig::with_queue_depth(depth),
-            ));
         }
         Ok(runner)
     }
@@ -250,13 +236,6 @@ impl SkylineConfig {
         self
     }
 
-    /// Gates every pipeline stage (replayed or executed) behind an
-    /// admission queue of the given depth.
-    pub fn with_admission_queue(mut self, depth: usize) -> Self {
-        self.checkpoint.admission_queue = Some(depth);
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.mappers == 0 {
@@ -300,15 +279,7 @@ mod tests {
             .with_skip_bad_records(true)
             .with_progress_timeout(Duration::from_millis(9))
             .with_memory_budget(Some(1 << 20))
-            .with_spill_dir("/tmp/spills")
-            .with_admission_queue(2);
-        assert_eq!(c.checkpoint.admission_queue, Some(2));
-        assert!(c
-            .checkpoint
-            .runner()
-            .expect("runner builds")
-            .admission()
-            .is_some());
+            .with_spill_dir("/tmp/spills");
         assert_eq!(c.ppd, PpdPolicy::Fixed(5));
         assert_eq!(c.mappers, 2);
         assert_eq!(c.reducers, 3);

@@ -150,7 +150,7 @@ pub fn check_skyline(skyline: &[Tuple]) -> InvariantResult {
 /// Debug-build hook used by the job driver after fetch/verify, over the
 /// runs actually handed to the reducers. Every run — memory or disk —
 /// must account for its share of the `produced` map output records (for a
-/// disk run that is its manifest's record count, so a dropped, duplicated,
+/// disk run that is its segment's recorded count, so a dropped, duplicated,
 /// or mis-sized spill partition shows up before it is read), and every run
 /// — a decoded frame or a spill partition streamed off disk — is checked
 /// pair by pair against the per-key counts the mappers `emitted` (tallied

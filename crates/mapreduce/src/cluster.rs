@@ -335,7 +335,8 @@ pub struct JobMetrics {
     pub preemptions: u64,
     /// The job's priced steps, as [`run_job`](crate::run_job) laid them
     /// out: what a [`sched::ClusterExecutor`](crate::sched::ClusterExecutor)
-    /// replays. Empty for metrics built by hand.
+    /// replays. Empty for metrics built from [`JobMetrics::empty`], which
+    /// an executor replays as no work.
     pub(crate) steps: Vec<Step>,
 }
 

@@ -20,7 +20,7 @@ use crate::pool::run_indexed;
 use crate::splits::SplitSource;
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
-    segment::{flip_bit, verify_frames, Segment, SegmentWriter, StorageError},
+    segment::{verify_frames, Segment, SegmentWriter, StorageError},
     SpillSession,
 };
 use crate::task::{
@@ -282,7 +282,7 @@ struct ReduceInput {
     /// every group; [`Job::keys_in`] counts on demand before that.
     keys: OnceLock<u64>,
     /// Closed-form merge-cascade cost of the disk runs (jobs under a
-    /// memory budget only) — a pure function of the manifests, identical
+    /// memory budget only) — a pure function of the segments, identical
     /// for every attempt of the reducer.
     merge: Option<MergeStats>,
 }
@@ -986,10 +986,10 @@ where
 
     /// Delivers one corrupted copy of partition `j` of a map output and
     /// requires verification to reject it; returns the partition's bytes
-    /// at rest (what each failed fetch re-transfers). A frame is flipped
-    /// in a scratch copy. A spill partition is flipped on disk, and the
-    /// clean re-fetch is modeled by flipping the same bit back (XOR
-    /// restores the byte).
+    /// at rest (what each failed fetch re-transfers). The copy is of the
+    /// frame, or of the first spill segment's bytes of the partition, with
+    /// bit `bit_seed % (len·8)` flipped. Nothing at rest changes, so the
+    /// clean re-fetch reads the same bytes the producer wrote.
     fn deliver_corrupt_copy(
         &self,
         frame: Option<&[u8]>,
@@ -997,39 +997,28 @@ where
         j: usize,
         bit_seed: u64,
     ) -> u64 {
+        let flipped = |mut bytes: Vec<u8>| {
+            let bit = bit_seed % (bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            bytes
+        };
         if let Some(frame) = frame {
-            let bit = bit_seed % (frame.len() as u64 * 8);
-            let byte = (bit / 8) as usize;
-            let mut bad = frame.to_vec();
-            bad[byte] ^= 1 << (bit % 8);
             assert!(
-                decode_pairs::<K, V>(&bad).is_err(),
+                decode_pairs::<K, V>(&flipped(frame.to_vec())).is_err(),
                 "a single-bit flip must never pass frame verification"
             );
             return frame.len() as u64;
         }
         let holds_bytes = |s: &&Segment| s.parts.get(j).is_some_and(|p| p.len > 0);
         if let Some(seg) = segments.iter().find(holds_bytes) {
-            let meta = &seg.parts[j];
-            #[expect(
-                clippy::expect_used,
-                reason = "scripted-fault machinery; a failing injection must abort the experiment loudly"
-            )]
-            flip_bit(&seg.path, meta.offset, meta.len, bit_seed)
-                .expect("storage plane: corruption injection failed");
-            #[expect(
-                clippy::expect_used,
-                reason = "asserts the CRC invariant the chaos test exists to prove"
-            )]
-            let err = verify_frames(seg, j)
-                .expect_err("a flipped bit must never pass frame verification");
-            let restored = flip_bit(&seg.path, meta.offset, meta.len, bit_seed);
-            #[expect(
-                clippy::expect_used,
-                reason = "scripted-fault machinery; a failing restore must abort the experiment loudly"
-            )]
-            restored.expect("storage plane: corruption restore failed");
-            assert!(err.is_corruption(), "flip must read as corruption: {err}");
+            let copy = seg
+                .read_partition(j)
+                .unwrap_or_else(|e| storage_fault("copy of a spilled partition", e));
+            let checked = verify_frames(&flipped(copy)[..], &seg.parts[j]);
+            assert!(
+                checked.as_ref().is_err_and(StorageError::is_corruption),
+                "a flipped bit must read as corruption: {checked:?}"
+            );
         }
         let part_len = |s: &Segment| s.parts.get(j).map(|p| p.len);
         segments.iter().filter_map(part_len).sum()
@@ -1044,7 +1033,10 @@ where
         let scan = |i: usize| {
             for (s, seg) in spills[i].iter().enumerate() {
                 for j in 0..self.config.num_reducers {
-                    if let Err(e) = verify_frames(seg, j) {
+                    let verified = seg
+                        .open_partition(j)
+                        .and_then(|(file, meta)| verify_frames(file, meta));
+                    if let Err(e) = verified {
                         return Some((s, j, e));
                     }
                 }
@@ -1442,6 +1434,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use crate::partitioner::{HashPartitioner, ModuloPartitioner};
+    use crate::storage::segment::tests::rot;
     use crate::task::{map_fn, reduce_fn};
 
     /// Word-count: the canonical MapReduce smoke test.
@@ -2555,8 +2548,9 @@ mod tests {
         }
     }
 
-    /// Spill-mode corruption physically bit-flips the on-disk segment; the
-    /// CRC scan must catch it and route into the re-fetch → re-exec ladder.
+    /// Spill-mode corruption delivers a bit-flipped copy of a spilled
+    /// partition; the frame check must reject it and route into the
+    /// re-fetch → re-exec ladder.
     #[test]
     fn spill_segment_corruption_routes_into_the_recovery_ladder() {
         let cluster = spill_cluster(1);
@@ -2564,8 +2558,8 @@ mod tests {
             word_count_on(&cluster, &JobConfig::new("wc", 2).with_faults(plan))
                 .expect("spill run must survive")
         };
-        // Transient: the first fetch hits the flipped bit, the re-fetch
-        // (bit restored — a clean replica) passes the scan.
+        // Transient: the first fetch delivers a copy with a flipped bit, the
+        // re-fetch reads the untouched segment and passes the scan.
         let transient = run(FaultPlan::none().with_corrupt_shuffle(0, 0, 1));
         assert_eq!(transient.metrics.corrupt_fetches, 1);
         assert_eq!(transient.registry.counter("shuffle.corrupt_partitions"), 1);
@@ -2591,9 +2585,10 @@ mod tests {
     }
 
     /// A word-count mapper that, once its split is mapped and spilled,
-    /// flips a bit in chosen spill segments of its own — at-rest corruption
-    /// the fault plan knows nothing about, so no recovery is scheduled and
-    /// only the integrity scan stands between it and the reducers.
+    /// flips a bit in the first frame of chosen spill segments of its own —
+    /// at-rest corruption the fault plan knows nothing about, so no
+    /// recovery is scheduled and only the integrity scan stands between it
+    /// and the reducers.
     struct Sabotage {
         root: std::path::PathBuf,
         /// (map task, spill sequence) pairs to corrupt.
@@ -2628,10 +2623,16 @@ mod tests {
             }
             mine.sort();
             for &(_, spill) in self.plan.targets.iter().filter(|t| t.0 == self.map) {
-                let seg = Segment::read_manifest(&mine[spill].1).expect("manifest");
-                let part = seg.parts.iter().position(|p| p.len > 0).expect("bytes");
-                let meta = &seg.parts[part];
-                flip_bit(&seg.path, meta.offset, meta.len, 0xBAD5EED).expect("flip");
+                // Partitions lie in reducer order, so the file's first
+                // frame belongs to the lowest partition holding bytes; its
+                // own keys say which one that is.
+                let path = &mine[spill].1;
+                let bytes = std::fs::read(path).expect("segment bytes");
+                let header = bytes[..4].try_into().expect("frame header");
+                let len = u32::from_le_bytes(header) as usize + skymr_common::bytes::FRAME_OVERHEAD;
+                let pairs: Vec<(String, u64)> = decode_pairs(&bytes[..len]).expect("first frame");
+                let part = HashPartitioner.partition(&pairs[0].0, 2);
+                rot(path, 0, len as u64, 0xBAD5EED);
                 self.plan.hit.lock().push((self.map, spill, part));
             }
         }
@@ -3023,15 +3024,10 @@ mod tests {
             panic!("{tag}: one spill writes one segment")
         };
         let read = |path: &std::path::Path| std::fs::read(path).expect("segment bytes");
-        assert_eq!(segment.parts, reference.parts, "{tag}: manifest entries");
+        assert_eq!(segment.parts, reference.parts, "{tag}: partition directory");
         assert!(
             read(&segment.path) == read(&reference.path),
             "{tag}: segment bytes"
-        );
-        assert_eq!(
-            read(&segment.manifest_path()),
-            read(&reference.manifest_path()),
-            "{tag}: manifest bytes"
         );
         assert_eq!(spilled.bucket_bytes, bucket_bytes, "{tag}: spill bytes");
     }

@@ -24,7 +24,7 @@ use skymr_common::{crc32c, Error, Tuple, Wire, WireCursor};
 use crate::cluster::JobMetrics;
 use crate::fault::JobError;
 use crate::job::JobOutcome;
-use crate::sched::{AdmissionController, Reservation, Step};
+use crate::sched::Step;
 use crate::trace::ticks_of;
 
 /// Metrics of a chain of MapReduce jobs executed one after another.
@@ -318,11 +318,6 @@ pub struct Runner {
     kill_after: Option<usize>,
     /// Checkpoint file rewritten after every completed stage.
     file: Option<PathBuf>,
-    /// Admission gate consulted before every stage, replayed or executed;
-    /// `None` leaves the chain ungated.
-    admission: Option<AdmissionController>,
-    /// The reservation each stage presents to the admission gate.
-    reservation: Reservation,
 }
 
 impl Runner {
@@ -354,32 +349,6 @@ impl Runner {
     pub fn with_checkpoint_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.file = Some(path.into());
         self
-    }
-
-    /// Routes every stage through `admission` before it may run.
-    ///
-    /// Crucially, *replayed* stages are gated too: a chain resumed from a
-    /// checkpoint re-enters the admission queue like any fresh submission
-    /// instead of bypassing capacity checks. A stage the controller turns
-    /// away surfaces the structured
-    /// [`Error::AdmissionRejected`](skymr_common::Error::AdmissionRejected)
-    /// and the chain aborts with its checkpoint intact, so the caller can
-    /// back off and resume later.
-    pub fn with_admission(mut self, admission: AdmissionController) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
-    /// The reservation each stage presents to the admission gate.
-    /// Defaults to [`Reservation::minimal`].
-    pub fn with_reservation(mut self, reservation: Reservation) -> Self {
-        self.reservation = reservation;
-        self
-    }
-
-    /// The admission gate's current state, when one is configured.
-    pub fn admission(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
     }
 
     /// The checkpoint of everything completed so far.
@@ -416,13 +385,6 @@ impl Runner {
                 after_jobs: self.completed.len(),
             });
         }
-        // The gate sees replayed and executed stages alike: resuming from
-        // a checkpoint must not bypass capacity checks.
-        let reservation = self.reservation;
-        if let Some(gate) = &mut self.admission {
-            gate.admit(name, "pipeline", &reservation)?;
-            gate.start();
-        }
         if let Some(front) = self.pending.front() {
             if front.name == name {
                 if let Some(value) = T::decode(&front.payload) {
@@ -433,27 +395,13 @@ impl Runner {
                         metrics.push(stub);
                         self.completed.push(snap);
                         self.persist();
-                        if let Some(gate) = &mut self.admission {
-                            gate.release(&reservation, true);
-                        }
                         return Ok(value);
                     }
                 }
             }
             self.pending.clear();
         }
-        let value = match run(metrics) {
-            Ok(value) => value,
-            Err(err) => {
-                if let Some(gate) = &mut self.admission {
-                    gate.release(&reservation, true);
-                }
-                return Err(err);
-            }
-        };
-        if let Some(gate) = &mut self.admission {
-            gate.release(&reservation, true);
-        }
+        let value = run(metrics)?;
         let sim_runtime = metrics
             .jobs
             .last()
@@ -749,53 +697,6 @@ mod tests {
             })
             .expect("corrupt stage re-runs");
         assert!(ran, "undecodable payload must not replay");
-    }
-
-    #[test]
-    fn admission_gate_covers_fresh_and_replayed_stages() {
-        use crate::sched::{AdmissionConfig, AdmissionController, Reservation};
-
-        // A zero-depth queue rejects every stage — fresh or replayed —
-        // with the structured error, leaving the checkpoint intact.
-        let shut = AdmissionController::new(AdmissionConfig::with_queue_depth(0));
-        let mut metrics = PipelineMetrics::new();
-        let mut runner = Runner::new().with_admission(shut.clone());
-        let mut ran = false;
-        let err = runner
-            .stage("first", &mut metrics, |_| {
-                ran = true;
-                Ok(tuples())
-            })
-            .expect_err("zero-depth queue rejects");
-        assert!(matches!(err, Error::AdmissionRejected { ref job, .. } if job == "first"));
-        assert!(!ran, "a rejected stage must not execute");
-        assert_eq!(runner.checkpoint().jobs.len(), 0);
-
-        // With capacity, the chain runs; memory is refunded per stage so a
-        // two-stage chain fits in a one-stage memory budget.
-        let open = AdmissionController::new(
-            AdmissionConfig::with_queue_depth(1).with_memory_capacity(100),
-        );
-        let mut runner = Runner::new()
-            .with_admission(open)
-            .with_reservation(Reservation::minimal().with_memory(80));
-        runner
-            .stage("first", &mut metrics, |_| Ok(tuples()))
-            .expect("gated stage runs");
-        runner
-            .stage("second", &mut metrics, |_| Ok(tuples()))
-            .expect("memory refunded between stages");
-        let gate = runner.admission().expect("gate configured");
-        assert_eq!((gate.queued(), gate.reserved_memory()), (0, 0));
-
-        // A resumed chain re-enters the admission queue: replaying against
-        // a closed gate is rejected, not silently skipped past the gate.
-        let checkpoint = runner.checkpoint();
-        let mut resumed = Runner::resume(checkpoint).with_admission(shut);
-        let err = resumed
-            .stage("first", &mut PipelineMetrics::new(), |_| Ok(tuples()))
-            .expect_err("replay is gated too");
-        assert!(matches!(err, Error::AdmissionRejected { .. }));
     }
 
     #[test]

@@ -558,51 +558,18 @@ impl JobMetrics {
         m.map_task_durations = map.to_vec();
         m.reduce_task_durations = reduce.to_vec();
         m.shuffle_time = shuffle;
-        m.steps = duration_steps(&m);
+        let wave = |kind, durations: &[Duration]| Step::Wave {
+            kind,
+            cap: usize::MAX,
+            tasks: durations.iter().map(|d| ticks_of(*d)).collect(),
+        };
+        m.steps = vec![wave(TaskKind::Map, map)];
+        if !reduce.is_empty() {
+            m.steps.push(Step::Wait(ticks_of(shuffle)));
+            m.steps.push(wave(TaskKind::Reduce, reduce));
+        }
         m
     }
-}
-
-/// The steps of one MapReduce job: those it carries. `run_job` results and
-/// [`JobMetrics::priced`] always carry steps. Metrics built field by field
-/// from [`JobMetrics::empty`] carry none and are read as their durations
-/// instead ([`duration_steps`]); nothing in this workspace builds them that
-/// way any more. The benchmark's `sched_probe` overwrites the task
-/// durations of `run_job` metrics, but those carry steps, so that branch
-/// does not see them either.
-fn steps_of(m: &JobMetrics) -> Vec<Step> {
-    if m.steps.is_empty() {
-        duration_steps(m)
-    } else {
-        m.steps.clone()
-    }
-}
-
-/// A job read as its map durations, a shuffle wait and its reduce
-/// durations, with startup and broadcast riding on the first task.
-fn duration_steps(m: &JobMetrics) -> Vec<Step> {
-    let ticks =
-        |durations: &[Duration]| -> Vec<Ticks> { durations.iter().map(|d| ticks_of(*d)).collect() };
-    let (mut map, mut reduce) = (
-        ticks(&m.map_task_durations),
-        ticks(&m.reduce_task_durations),
-    );
-    if let Some(first) = map.first_mut().or_else(|| reduce.first_mut()) {
-        *first += ticks_of(m.startup_time) + ticks_of(m.broadcast_time);
-    }
-    let wave = |kind, tasks| Step::Wave {
-        kind,
-        cap: usize::MAX,
-        tasks,
-    };
-    if reduce.is_empty() {
-        return vec![wave(TaskKind::Map, map)];
-    }
-    vec![
-        wave(TaskKind::Map, map),
-        Step::Wait(ticks_of(m.shuffle_time)),
-        wave(TaskKind::Reduce, reduce),
-    ]
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -988,7 +955,8 @@ impl<'a> Engine<'a> {
         if let Some(plane) = self.sims[j].plane.take() {
             match plane(self.cluster) {
                 Ok((output, jobs)) => {
-                    self.sims[j].steps = jobs.iter().flat_map(steps_of).collect();
+                    self.sims[j].steps =
+                        jobs.iter().flat_map(|m| m.steps.iter().cloned()).collect();
                     self.sims[j].output = Some(output);
                     self.sims[j].jobs = jobs;
                 }

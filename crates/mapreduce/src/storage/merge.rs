@@ -37,7 +37,7 @@ use std::path::PathBuf;
 
 use skymr_common::{ByteSized, Wire};
 
-use super::segment::{manifest_path_for, PartitionReader, Segment, SegmentWriter, StorageError};
+use super::segment::{PartitionReader, Segment, SegmentWriter, StorageError};
 use super::SpillSession;
 
 /// One input run for the merge, in priority order.
@@ -56,7 +56,8 @@ pub enum RunSource<K, V> {
 }
 
 impl<K, V> RunSource<K, V> {
-    /// Pairs in the run (for a disk run a manifest fact — nothing is read).
+    /// Pairs in the run (for a disk run read off its [`Segment`] — no
+    /// file is touched).
     pub(crate) fn records(&self) -> u64 {
         match self {
             RunSource::Mem(pairs) => pairs.len() as u64,
@@ -64,7 +65,8 @@ impl<K, V> RunSource<K, V> {
         }
     }
 
-    /// On-disk bytes of a disk run (a manifest fact); `None` for a memory run.
+    /// On-disk bytes of a disk run (read off its [`Segment`]); `None` for a
+    /// memory run.
     fn disk_bytes(&self) -> Option<u64> {
         match self {
             RunSource::Mem(_) => None,
@@ -90,15 +92,14 @@ pub struct MergeStats {
     pub seeks: u64,
 }
 
-/// An intermediate merge run, removed (manifest included) when its only
-/// reader is done with it — best-effort, like the session's own cleanup.
+/// An intermediate merge run, removed when its only reader is done with
+/// it — best-effort, like the session's own cleanup.
 #[derive(Debug)]
 struct TempRun(PathBuf);
 
 impl Drop for TempRun {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(manifest_path_for(&self.0));
     }
 }
 
@@ -368,7 +369,7 @@ pub fn external_merge<K: Wire + Ord + ByteSized, V: Wire + ByteSized>(
 }
 
 /// The cost accounting [`external_merge`] produces for all-disk runs of
-/// the given on-disk sizes: the same walk over the manifests alone, which
+/// the given on-disk sizes: the same walk over the sizes alone, which
 /// is what the simulated clock and the trace model charge (attempt replays
 /// re-run the same merge; the model charges it once). `runs`, `passes` and
 /// `seeks` are the executed ones exactly. A merged run is charged its
@@ -568,11 +569,23 @@ mod tests {
     }
     type Sources = (Vec<RunSource<u64, u64>>, Vec<Vec<(u64, u64)>>);
 
-    /// Files in the session directory whose name ends with `suffix`.
-    fn files_ending(session: &SpillSession, suffix: &str) -> usize {
-        let entries = std::fs::read_dir(session.dir()).expect("spill dir");
-        let names = entries.map(|e| e.expect("entry").file_name().into_string().expect("utf-8"));
-        names.filter(|n| n.ends_with(suffix)).count()
+    /// The session directory's files, counted as (`.seg` files, `.run`
+    /// files, anything else).
+    fn files(session: &SpillSession) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for entry in std::fs::read_dir(session.dir()).expect("spill dir") {
+            let name = entry
+                .expect("entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8");
+            match name.rsplit_once('.').map(|(_, ext)| ext) {
+                Some("seg") => counts.0 += 1,
+                Some("run") => counts.1 += 1,
+                _ => counts.2 += 1,
+            }
+        }
+        counts
     }
 
     /// The plan's invariants, checked by running it over unit-weight runs:
@@ -637,12 +650,10 @@ mod tests {
         // Level one writes four runs; level two reads (and retires) two.
         let (merge, stats) = external_merge(&session, 0, sources, 3, 64).expect("merge");
         assert_eq!((stats.passes, stats.seeks), (6, 3 + 4 + 4 + 4 + 3 + 3));
-        assert_eq!(files_ending(&session, ".run"), 3);
-        assert_eq!(files_ending(&session, ".run.manifest"), 3);
+        // One file per segment and one per live run, and nothing else.
+        assert_eq!(files(&session), (11, 3, 0));
         assert_eq!(drain_groups(merge), reference_groups(&runs));
-        assert_eq!(files_ending(&session, ".run"), 0);
-        assert_eq!(files_ending(&session, ".run.manifest"), 0);
-        assert_eq!(files_ending(&session, ".seg"), 11, "map output is not ours");
+        assert_eq!(files(&session), (11, 0, 0), "map output is not ours");
 
         // A pass that fails takes what the cascade wrote with it.
         let (sources, _) = disk_runs(&session, 11, 30, 64);
@@ -650,11 +661,10 @@ mod tests {
             unreachable!("all-disk sources")
         };
         let meta = &segment.parts[0];
-        super::super::segment::flip_bit(&segment.path, meta.offset, meta.len, 7).expect("flip");
+        super::super::segment::tests::rot(&segment.path, meta.offset, meta.len, 7);
         let err = external_merge(&session, 0, sources, 3, 64).expect_err("corrupt input");
         assert!(err.is_corruption(), "{err}");
-        assert_eq!(files_ending(&session, ".run"), 0);
-        assert_eq!(files_ending(&session, ".run.manifest"), 0);
+        assert_eq!(files(&session), (22, 0, 0));
     }
 
     proptest::proptest! {
@@ -695,7 +705,7 @@ mod tests {
             assert_eq!(stats.runs, disk.len() as u64);
         }
 
-        /// What `cascade_stats` prices from the manifests is what
+        /// What `cascade_stats` prices from the segments' sizes is what
         /// `external_merge` does: runs, passes and seeks exactly, bytes up
         /// to the re-framing of merged runs — one frame's framing per
         /// `io_chunk` moved, plus one per run tail a pass covers.

@@ -14,7 +14,8 @@
 //! * [`segment`] — sorted spill files (`mrtmp.<job>-m<i>-…​.seg`, the
 //!   shape of the exemplar MapReduce implementation's `mrtmp.<job>-<map>-
 //!   <reduce>` intermediates) written as chunked CRC32C frames with a
-//!   per-partition manifest, and a streaming, checksum-verifying reader.
+//!   partition directory kept in memory (one file per spill), and a
+//!   streaming, checksum-verifying reader.
 //! * [`merge`] — the reduce-side k-way external merge over disk and
 //!   in-memory runs, with multi-pass merging when the run count exceeds
 //!   the configured fan-in.

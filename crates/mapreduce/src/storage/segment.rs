@@ -7,19 +7,19 @@
 //! of encoded key/value pairs. Readers therefore verify and buffer one
 //! bounded chunk at a time — memory stays O(io_chunk), not O(partition).
 //!
-//! Alongside `<segment>.seg` the writer persists `<segment>.seg.manifest`
-//! (itself one checksummed frame) recording each partition's byte range,
-//! frame count, record count, and wire size, so a reader can locate a
-//! partition without scanning and tooling can audit spill files offline.
+//! A spill is one file. Each partition's byte range, frame count, record
+//! count and wire size live on the in-memory [`Segment`] the writer
+//! returns, which is all a reader needs to locate a partition without
+//! scanning — as Hadoop keeps a spill's partition index in memory and
+//! writes `spill<N>.out.index` only when its index cache overflows.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use skymr_common::bytes::{
-    decode_pairs, frame_begin, frame_decode_exact, frame_encode, frame_end, FrameError, Wire,
-    WireCursor, FRAME_OVERHEAD,
+    decode_pairs, frame_begin, frame_decode_exact, frame_end, FrameError, Wire, FRAME_OVERHEAD,
 };
 use skymr_common::ByteSized;
 
@@ -91,7 +91,7 @@ pub struct PartitionMeta {
     pub wire_bytes: u64,
 }
 
-/// One spill file: its path plus per-partition manifest.
+/// One spill file: its path plus the partition directory, kept in memory.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The `.seg` file.
@@ -106,64 +106,32 @@ impl Segment {
         self.parts.iter().map(|p| p.len).sum()
     }
 
-    /// Path of the segment's manifest file.
-    pub fn manifest_path(&self) -> PathBuf {
-        manifest_path_for(&self.path)
-    }
-
-    /// Reloads a segment's manifest from disk (tooling and tests; the
-    /// engine keeps manifests in memory).
-    pub fn read_manifest(seg_path: &Path) -> Result<Self, StorageError> {
-        let bytes = std::fs::read(manifest_path_for(seg_path))
-            .map_err(|e| StorageError::io("read manifest", e))?;
-        let payload = frame_decode_exact(&bytes).map_err(|e| StorageError::frame("manifest", e))?;
-        let mut r = WireCursor::new(payload);
-        let parse = |r: &mut WireCursor<'_>| -> Option<Vec<PartitionMeta>> {
-            let count = u32::wire_decode(r)? as usize;
-            // 36 = the encoded size of one entry below (8 + 8 + 4 + 8 + 8).
-            let mut parts = Vec::with_capacity(r.capacity_for(count, 36));
-            for _ in 0..count {
-                parts.push(PartitionMeta {
-                    offset: u64::wire_decode(r)?,
-                    len: u64::wire_decode(r)?,
-                    frames: u32::wire_decode(r)?,
-                    records: u64::wire_decode(r)?,
-                    wire_bytes: u64::wire_decode(r)?,
-                });
-            }
-            r.is_empty().then_some(parts)
-        };
-        let parts = parse(&mut r).ok_or(StorageError::Frame {
-            context: "manifest",
+    /// Opens the file at partition `part`'s first frame: the one lookup,
+    /// open and seek behind every read of a partition.
+    pub fn open_partition(
+        &self,
+        part: usize,
+    ) -> Result<(BufReader<File>, &PartitionMeta), StorageError> {
+        let meta = self.parts.get(part).ok_or(StorageError::Frame {
+            context: "open partition",
             source: FrameError::Malformed,
         })?;
-        Ok(Self {
-            path: seg_path.to_owned(),
-            parts,
-        })
+        let file = File::open(&self.path).map_err(|e| StorageError::io("open segment", e))?;
+        let mut file = BufReader::new(file);
+        file.seek(SeekFrom::Start(meta.offset))
+            .map_err(|e| StorageError::io("seek partition", e))?;
+        Ok((file, meta))
     }
 
-    fn write_manifest(&self) -> Result<(), StorageError> {
-        let mut payload = Vec::new();
-        (self.parts.len() as u32).wire_encode(&mut payload);
-        for p in &self.parts {
-            p.offset.wire_encode(&mut payload);
-            p.len.wire_encode(&mut payload);
-            p.frames.wire_encode(&mut payload);
-            p.records.wire_encode(&mut payload);
-            p.wire_bytes.wire_encode(&mut payload);
-        }
-        let mut framed = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        frame_encode(&payload, &mut framed);
-        std::fs::write(self.manifest_path(), framed)
-            .map_err(|e| StorageError::io("write manifest", e))
+    /// Partition `part`'s on-disk bytes, every frame included, as one
+    /// buffer: the copy a corrupted delivery is made from.
+    pub(crate) fn read_partition(&self, part: usize) -> Result<Vec<u8>, StorageError> {
+        let (mut file, meta) = self.open_partition(part)?;
+        let mut bytes = vec![0; meta.len as usize];
+        file.read_exact(&mut bytes)
+            .map_err(|e| StorageError::io("read partition", e))?;
+        Ok(bytes)
     }
-}
-
-pub(super) fn manifest_path_for(seg_path: &Path) -> PathBuf {
-    let mut os = seg_path.as_os_str().to_owned();
-    os.push(".manifest");
-    PathBuf::from(os)
 }
 
 /// Streaming writer for one segment: partitions are written in order,
@@ -245,7 +213,7 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     }
 
     /// Closes the current partition: flushes its tail chunk and records
-    /// its manifest entry. Partitions must be closed in reducer order;
+    /// its directory entry. Partitions must be closed in reducer order;
     /// an empty partition yields a zero-length byte range (no frames).
     pub fn end_partition(&mut self) -> Result<(), StorageError> {
         if self.chunk_pairs > 0 {
@@ -256,17 +224,15 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
         Ok(())
     }
 
-    /// Flushes the file, writes the manifest, and returns the segment.
+    /// Flushes the file and returns the segment.
     pub fn finish(mut self) -> Result<Segment, StorageError> {
         self.file
             .flush()
             .map_err(|e| StorageError::io("flush segment", e))?;
-        let segment = Segment {
+        Ok(Segment {
             path: self.path,
             parts: self.parts,
-        };
-        segment.write_manifest()?;
-        Ok(segment)
+        })
     }
 
     fn flush_chunk(&mut self) -> Result<(), StorageError> {
@@ -332,14 +298,7 @@ pub struct PartitionReader<K, V> {
 impl<K: Wire, V: Wire> PartitionReader<K, V> {
     /// Opens partition `part` of `segment` (one seek).
     pub fn open(segment: &Segment, part: usize) -> Result<Self, StorageError> {
-        let meta = segment.parts.get(part).ok_or(StorageError::Frame {
-            context: "open partition",
-            source: FrameError::Malformed,
-        })?;
-        let file = File::open(&segment.path).map_err(|e| StorageError::io("open segment", e))?;
-        let mut file = BufReader::new(file);
-        file.seek(SeekFrom::Start(meta.offset))
-            .map_err(|e| StorageError::io("seek partition", e))?;
+        let (file, meta) = segment.open_partition(part)?;
         Ok(Self {
             file,
             remaining: meta.len,
@@ -379,7 +338,7 @@ impl<K: Wire, V: Wire> PartitionReader<K, V> {
 /// Reads one full frame (header, payload, checksum) from `file` into
 /// `framed`, bounded by `remaining` partition bytes.
 fn read_frame(
-    file: &mut BufReader<File>,
+    file: &mut impl Read,
     remaining: &mut u64,
     framed: &mut Vec<u8>,
 ) -> Result<(), StorageError> {
@@ -390,9 +349,9 @@ fn read_frame(
             got: got as usize,
         },
     };
-    // A file shorter than its manifest claims is at-rest corruption
-    // (truncation), not a host I/O fault — route it into the recovery
-    // ladder like a checksum mismatch.
+    // Bytes that end before the partition's recorded length are at-rest
+    // corruption (truncation), not a host I/O fault — route them into the
+    // recovery ladder like a checksum mismatch.
     let eof_is_truncation = |got: u64| {
         move |e: std::io::Error| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -423,23 +382,17 @@ fn read_frame(
 }
 
 /// Checksum-verifies every frame of one partition without decoding pairs —
-/// the shuffle-phase integrity scan that decides whether a partition
-/// enters the re-fetch → re-execute ladder. The inner loop is the CRC32C
-/// kernel over reused buffers; `tests/alloc.rs` pins it allocation-free.
-pub fn verify_frames(segment: &Segment, part: usize) -> Result<(), StorageError> {
-    let meta = segment.parts.get(part).ok_or(StorageError::Frame {
-        context: "verify partition",
-        source: FrameError::Malformed,
-    })?;
-    let file = File::open(&segment.path).map_err(|e| StorageError::io("open segment", e))?;
-    let mut file = BufReader::new(file);
-    file.seek(SeekFrom::Start(meta.offset))
-        .map_err(|e| StorageError::io("seek partition", e))?;
+/// the check that decides whether a partition enters the re-fetch →
+/// re-execute ladder. `src` yields the partition's `meta.len` bytes: a file
+/// at [`Segment::open_partition`], or a delivered copy in memory. The inner
+/// loop is the CRC32C kernel over a reused buffer; `tests/alloc.rs` pins it
+/// allocation-free.
+pub fn verify_frames(mut src: impl Read, meta: &PartitionMeta) -> Result<(), StorageError> {
     let mut remaining = meta.len;
     let mut framed = Vec::new();
     let mut frames = 0u32;
     while remaining > 0 {
-        read_frame(&mut file, &mut remaining, &mut framed)?;
+        read_frame(&mut src, &mut remaining, &mut framed)?;
         frame_decode_exact(&framed).map_err(|e| StorageError::frame("verify frame", e))?;
         frames += 1;
     }
@@ -452,39 +405,26 @@ pub fn verify_frames(segment: &Segment, part: usize) -> Result<(), StorageError>
     Ok(())
 }
 
-/// Flips one deterministic bit inside a byte range of a file — the
-/// at-rest corruption injection used by the fault plan and the chaos
-/// suite. The bit index is `bit_seed % (len * 8)` over the range, exactly
-/// mirroring the in-memory shuffle-frame injection. Returns the absolute
-/// byte offset flipped; calling again with the same arguments restores
-/// the original byte (XOR is an involution), which is how a transient
-/// fault's clean re-fetch is modeled.
-pub fn flip_bit(path: &Path, offset: u64, len: u64, bit_seed: u64) -> Result<u64, StorageError> {
-    assert!(len > 0, "cannot corrupt an empty byte range");
-    let bit = bit_seed % (len * 8);
-    let at = offset + bit / 8;
-    let mask = 1u8 << (bit % 8);
-    let mut file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(path)
-        .map_err(|e| StorageError::io("open for corruption", e))?;
-    file.seek(SeekFrom::Start(at))
-        .map_err(|e| StorageError::io("seek for corruption", e))?;
-    let mut byte = [0u8; 1];
-    file.read_exact(&mut byte)
-        .map_err(|e| StorageError::io("read for corruption", e))?;
-    byte[0] ^= mask;
-    file.seek(SeekFrom::Start(at))
-        .map_err(|e| StorageError::io("seek for corruption", e))?;
-    file.write_all(&byte)
-        .map_err(|e| StorageError::io("write corruption", e))?;
-    Ok(at)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Flips bit `bit_seed % (len·8)` of the byte range `offset..offset +
+    /// len` of the file at `path`: bytes rotting at rest behind the
+    /// engine's back. Rotting the same range with the same seed again
+    /// restores the file.
+    pub(crate) fn rot(path: &std::path::Path, offset: u64, len: u64, bit_seed: u64) {
+        let mut bytes = std::fs::read(path).expect("file to rot");
+        let bit = bit_seed % (len * 8);
+        bytes[(offset + bit / 8) as usize] ^= 1 << (bit % 8);
+        std::fs::write(path, bytes).expect("rotted file");
+    }
+
+    /// [`verify_frames`] over partition `part` of the file on disk.
+    fn verify_on_disk(segment: &Segment, part: usize) -> Result<(), StorageError> {
+        let (file, meta) = segment.open_partition(part)?;
+        verify_frames(file, meta)
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("skymr-segtest-{}", std::process::id()));
@@ -516,16 +456,17 @@ mod tests {
                 got.push(pair);
             }
             assert_eq!(&got, expect, "partition {j}");
-            verify_frames(&seg, j).expect("verify");
+            verify_on_disk(&seg, j).expect("verify");
         }
     }
 
-    /// The on-disk format is frozen by test: file and manifest bytes were
-    /// captured from the writer as of commit 3b5523e (two buffers per
-    /// chunk, byte-at-a-time CRC) and the single-buffer writer must
-    /// reproduce them — same chunk boundaries, same frames, same manifest.
+    /// The on-disk format is frozen by test: the file's bytes and the
+    /// partition directory were captured from the writer as of commit
+    /// 3b5523e (two buffers per chunk, byte-at-a-time CRC) and the
+    /// single-buffer writer must reproduce them — same chunk boundaries,
+    /// same frames, same directory.
     #[test]
-    fn segment_and_manifest_match_golden_bytes_captured_at_the_parent() {
+    fn segment_and_partition_directory_match_golden_bytes_captured_at_the_parent() {
         use skymr_common::Tuple;
         let tuple = |i: u32| Tuple::new(u64::from(i), vec![f64::from(i) / 16.0, 0.5]);
         let parts: Vec<Vec<(u32, Tuple)>> = vec![
@@ -549,12 +490,6 @@ mod tests {
              2a1085fb24000000010000000700000064000000000000000200000000000000\
              0000ec3f000000000000c03f82140f23"
         );
-        assert_eq!(
-            hex(std::fs::read(seg.manifest_path()).expect("manifest")),
-            "4c00000002000000000000000000000044010000000000000300000009000000\
-             00000000200100000000000044010000000000002c0000000000000001000000\
-             0100000000000000200000000000000072760a5b"
-        );
         let meta = |offset, len, frames, records, wire_bytes| PartitionMeta {
             offset,
             len,
@@ -567,15 +502,8 @@ mod tests {
             [meta(0, 324, 3, 9, 288), meta(324, 44, 1, 1, 32)]
         );
         for j in 0..2 {
-            verify_frames(&seg, j).expect("verify");
+            verify_on_disk(&seg, j).expect("verify");
         }
-    }
-
-    #[test]
-    fn manifest_round_trips() {
-        let seg = write_segment(tmp("mani.seg"), &sample_parts(), 128).expect("write");
-        let loaded = Segment::read_manifest(&seg.path).expect("manifest");
-        assert_eq!(loaded.parts, seg.parts);
     }
 
     #[test]
@@ -596,8 +524,8 @@ mod tests {
         let parts = sample_parts();
         let seg = write_segment(tmp("flip.seg"), &parts, 256).expect("write");
         let meta = seg.parts[0].clone();
-        flip_bit(&seg.path, meta.offset, meta.len, 0xBADC0DE).expect("flip");
-        let err = verify_frames(&seg, 0).expect_err("must detect corruption");
+        rot(&seg.path, meta.offset, meta.len, 0xBADC0DE);
+        let err = verify_on_disk(&seg, 0).expect_err("must detect corruption");
         assert!(err.is_corruption(), "{err}");
         // Reading routes the same detection through the decode path.
         let mut r: PartitionReader<u64, String> = PartitionReader::open(&seg, 0).expect("open");
@@ -610,10 +538,34 @@ mod tests {
         };
         assert!(read_err.is_corruption());
         // Untouched partitions still verify.
-        verify_frames(&seg, 2).expect("partition 2 clean");
+        verify_on_disk(&seg, 2).expect("partition 2 clean");
         // Flip back: everything verifies again.
-        flip_bit(&seg.path, meta.offset, meta.len, 0xBADC0DE).expect("restore");
-        verify_frames(&seg, 0).expect("restored");
+        rot(&seg.path, meta.offset, meta.len, 0xBADC0DE);
+        verify_on_disk(&seg, 0).expect("restored");
+    }
+
+    /// A scripted corrupt fetch of a spilled partition flips a bit in a
+    /// copy of its bytes: the frame check rejects the copy, and the file
+    /// it was read from is never written.
+    #[test]
+    fn a_corrupted_copy_fails_the_frame_check_and_leaves_the_file_clean() {
+        let seg = write_segment(tmp("copy.seg"), &sample_parts(), 256).expect("write");
+        let before = std::fs::read(&seg.path).expect("segment bytes");
+        for part in [0, 2] {
+            let meta = &seg.parts[part];
+            let clean = seg.read_partition(part).expect("copy");
+            assert_eq!(clean.len() as u64, meta.len);
+            verify_frames(&clean[..], meta).expect("a clean copy verifies");
+            for bit_seed in [0, 7, 0xBADC0DE, u64::MAX] {
+                let mut bad = clean.clone();
+                let bit = bit_seed % (meta.len * 8);
+                bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+                let err = verify_frames(&bad[..], meta).expect_err("a flipped copy fails");
+                assert!(err.is_corruption(), "{err}");
+            }
+            verify_on_disk(&seg, part).expect("the file stays clean");
+        }
+        assert!(std::fs::read(&seg.path).expect("segment bytes") == before);
     }
 
     #[test]

@@ -163,10 +163,10 @@ pub struct TaskModel {
     /// Straggler slowdown from the fault plan (deterministic).
     pub slowdown: f64,
     /// On-disk bytes of each spill segment the task wrote (map tasks in
-    /// spill mode; empty otherwise). Pure manifest facts, never measured.
+    /// spill mode; empty otherwise). Recorded by the writer, never measured.
     pub spills: Vec<u64>,
     /// External-merge cascade cost (reduce tasks in spill mode; `None`
-    /// otherwise) — the closed-form accounting from the run manifests.
+    /// otherwise) — the closed-form accounting from the runs' sizes.
     pub merge: Option<MergeStats>,
     /// The speculative backup the task was given, if any.
     pub backup: Option<Backup>,
