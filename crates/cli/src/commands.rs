@@ -323,10 +323,20 @@ pub fn generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The algorithms whose jobs record spans into a `--trace` collector.
+const TRACED_ALGOS: &[&str] = &["gpsrs", "gpmrs", "hybrid", "skyband", "topk"];
+
 /// `skymr-cli run`
 pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(RUN_OPTS)?;
     let algo = args.require("algo")?.to_string();
+    // A trace with no spans would fail `skymr-cli trace`: refuse it up front.
+    if args.get("trace").is_some() && !TRACED_ALGOS.contains(&algo.as_str()) {
+        return Err(format!(
+            "--trace records spans only for {}; {algo} records none",
+            TRACED_ALGOS.join(", ")
+        ));
+    }
     let data = load_dataset(args)?;
     println!("dataset: {} tuples, {} dimensions", data.len(), data.dim());
     // With --trace, the MapReduce algorithms record their span timelines
@@ -738,6 +748,33 @@ mod tests {
         assert!(run(&a).is_err());
         let a = args("run --algo bnl --dist independent --dim 2 --card 10 --bogus 1");
         assert!(run(&a).unwrap_err().contains("--bogus"));
+    }
+
+    #[test]
+    fn run_rejects_trace_for_algorithms_without_spans() {
+        // The unwritable path shows the run never got as far as exporting.
+        for algo in [
+            "mr-bnl",
+            "mr-sfs",
+            "mr-angle",
+            "sky-mr",
+            "mr-bitmap",
+            "bnl",
+            "sfs",
+            "dnc",
+        ] {
+            let a = args(&format!(
+                "run --algo {algo} --dist anticorrelated --dim 3 --card 200 \
+                 --trace /nonexistent-dir/x.json"
+            ));
+            assert_eq!(
+                run(&a).unwrap_err(),
+                format!(
+                    "--trace records spans only for gpsrs, gpmrs, hybrid, skyband, topk; \
+                     {algo} records none"
+                )
+            );
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! checkpoint without re-running the pre-job — and the chaos suite asserts
 //! the resumed skyline is byte-identical to a fresh run's.
 
-use skymr_common::BitGrid;
+use skymr_common::{BitGrid, Dataset};
 use skymr_mapreduce::Snapshot;
 
 use crate::bitstring::job::BitstringInfo;
 use crate::bitstring::Bitstring;
+use crate::config::PpdPolicy;
 use crate::grid::Grid;
 
 /// The bitstring pre-job's forward-flowing value: the (pruned) global
@@ -25,6 +26,21 @@ pub struct BitstringStage {
     pub bitstring: Bitstring,
     /// PPD/occupancy statistics reported in [`crate::result::RunInfo`].
     pub info: BitstringInfo,
+}
+
+impl BitstringStage {
+    /// Whether a snapshot payload's grid is one a run over `dataset` under
+    /// `ppd` could build: the dataset's dimensionality and a PPD the policy
+    /// allows. Reads the header alone, so a grid no run would build is
+    /// turned away before anything is allocated for it.
+    pub(crate) fn fits(payload: &[u8], dataset: &Dataset, ppd: &PpdPolicy) -> bool {
+        let field = |k: usize| {
+            let bytes = payload.get(k * 8..k * 8 + 8)?.try_into().ok()?;
+            usize::try_from(u64::from_le_bytes(bytes)).ok()
+        };
+        field(0) == Some(dataset.dim())
+            && field(1).is_some_and(|p| ppd.ppds(dataset.len(), dataset.dim()).contains(&p))
+    }
 }
 
 /// Layout (all `u64` little-endian): grid dim and PPD, the three
@@ -170,6 +186,46 @@ mod tests {
             resumed.info.surviving_partitions,
             fresh.info.surviving_partitions
         );
+    }
+
+    #[test]
+    fn a_grid_the_run_could_not_build_falls_back_to_execution() {
+        use skymr_mapreduce::{Checkpoint, JobSnapshot};
+        // 56 bytes with an intact CRC: dim 1, PPD 2^40, 2^40 bits, none
+        // set. Decoding it would ask for 2^40 bits.
+        let mut payload = Vec::new();
+        for field in [1u64, 1 << 40, 1 << 40, 0, 0, 1 << 40, 0] {
+            payload.extend_from_slice(&field.to_le_bytes());
+        }
+        assert_eq!(payload.len(), 56);
+        let checkpoint = Checkpoint {
+            jobs: vec![JobSnapshot {
+                name: "bitstring".into(),
+                payload,
+                sim_runtime: std::time::Duration::from_millis(1),
+            }],
+        };
+        // A 3-d run rejects the grid's dimensionality, a 1-d run its PPD.
+        for dim in [3, 1] {
+            let ds = generate(Distribution::Independent, dim, 500, 11);
+            let fresh = mr_gpsrs(&ds, &SkylineConfig::test()).unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "skymr-core-huge-grid-test-{}-{dim}.json",
+                std::process::id()
+            ));
+            std::fs::write(&path, checkpoint.to_json()).unwrap();
+            let resumed = mr_gpsrs(
+                &ds,
+                &SkylineConfig::test()
+                    .with_checkpoint_file(&path)
+                    .with_resume(true),
+            );
+            let _ = std::fs::remove_file(&path);
+            let resumed = resumed.unwrap();
+            assert_eq!(resumed.skyline, fresh.skyline);
+            // The bitstring stage ran again instead of replaying.
+            assert!(resumed.metrics.jobs[0].map_tasks > 0);
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Configuration for the skyline pipelines.
 
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use skymr_common::{Error, Result};
+use skymr_common::{Dataset, Error, Result};
 use skymr_mapreduce::{Checkpoint, ClusterConfig, Collector, FaultTolerance, Runner};
 
+use crate::bitstring::ppd::candidate_ppds;
+use crate::checkpoint::BitstringStage;
 use crate::groups::MergePolicy;
 use crate::local::LocalAlgo;
 
@@ -33,15 +36,24 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Builds the [`Runner`] these controls describe.
+    /// Builds the [`Runner`] these controls describe for a run over
+    /// `dataset` under `ppd`. A restored bitstring snapshot whose grid
+    /// that run could not build is stale: it and every later snapshot are
+    /// dropped, so those stages execute again.
     ///
     /// # Errors
     ///
     /// [`Error::CheckpointCorrupt`] when resuming from a checkpoint file
     /// whose payloads fail CRC32C verification.
-    pub fn runner(&self) -> Result<Runner> {
+    pub(crate) fn runner(&self, dataset: &Dataset, ppd: &PpdPolicy) -> Result<Runner> {
         let mut runner = match (self.resume, self.file.as_deref()) {
-            (true, Some(path)) => Checkpoint::load(path)?.map_or_else(Runner::new, Runner::resume),
+            (true, Some(path)) => Checkpoint::load(path)?.map_or_else(Runner::new, |mut cp| {
+                let stale = cp.jobs.iter().position(|s| {
+                    s.name == "bitstring" && !BitstringStage::fits(&s.payload, dataset, ppd)
+                });
+                cp.jobs.truncate(stale.unwrap_or(cp.jobs.len()));
+                Runner::resume(cp)
+            }),
             _ => Runner::new(),
         };
         if let Some(n) = self.kill_after {
@@ -80,6 +92,21 @@ impl PpdPolicy {
         PpdPolicy::Auto {
             max_ppd: 32,
             max_partitions: 1 << 18,
+        }
+    }
+
+    /// The PPDs a run over `cardinality` tuples in `dim` dimensions may
+    /// use: the fixed value, or the Section 3.3 candidates.
+    pub(crate) fn ppds(&self, cardinality: usize, dim: usize) -> RangeInclusive<usize> {
+        match *self {
+            PpdPolicy::Fixed(n) => n..=n,
+            PpdPolicy::Auto {
+                max_ppd,
+                max_partitions,
+            } => {
+                let candidates = candidate_ppds(cardinality, dim, max_ppd, max_partitions);
+                2..=candidates.last().copied().unwrap_or(2)
+            }
         }
     }
 }

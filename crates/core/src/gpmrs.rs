@@ -259,7 +259,7 @@ pub fn mr_gpmrs(dataset: &Dataset, config: &SkylineConfig) -> skymr_common::Resu
     let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
     let mut counters = std::collections::BTreeMap::new();
-    let mut runner = config.checkpoint.runner()?;
+    let mut runner = config.checkpoint.runner(dataset, &config.ppd)?;
 
     let BitstringStage {
         bitstring,

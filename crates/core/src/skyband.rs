@@ -456,24 +456,16 @@ fn recount_band(
     }
 }
 
-fn skyband_grid(dataset: &Dataset, config: &SkylineConfig) -> skymr_common::Result<Grid> {
-    match config.ppd {
-        PpdPolicy::Fixed(n) => Grid::new(dataset.dim(), n),
-        // The Section 3.3 heuristic targets occupancy, which counts also
-        // capture; reuse its candidate rule on the fixed-size path.
-        PpdPolicy::Auto {
-            max_ppd,
-            max_partitions,
-        } => {
-            let candidates = crate::bitstring::ppd::candidate_ppds(
-                dataset.len(),
-                dataset.dim(),
-                max_ppd,
-                max_partitions,
-            );
-            Grid::new(dataset.dim(), candidates.last().copied().unwrap_or(2))
-        }
-    }
+/// The grid the countstring pipelines (k-skyband, top-k dominating)
+/// count on: the largest PPD `ppd` allows. The Section 3.3 heuristic
+/// targets occupancy, which counts also capture; its candidate rule is
+/// reused here on the fixed-size path.
+pub(crate) fn count_grid(
+    cardinality: usize,
+    dim: usize,
+    ppd: &PpdPolicy,
+) -> skymr_common::Result<Grid> {
+    Grid::new(dim, *ppd.ppds(cardinality, dim).end())
 }
 
 /// Runs the k-skyband pipeline: countstring job, then a single-reducer
@@ -504,7 +496,7 @@ pub fn mr_skyband(
             "k must be at least 1".into(),
         ));
     }
-    let grid = skyband_grid(dataset, config)?;
+    let grid = count_grid(dataset.len(), dataset.dim(), &config.ppd)?;
     let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
 
@@ -573,7 +565,7 @@ pub fn mr_skyband_multi(
             "k must be at least 1".into(),
         ));
     }
-    let grid = skyband_grid(dataset, config)?;
+    let grid = count_grid(dataset.len(), dataset.dim(), &config.ppd)?;
     let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
 

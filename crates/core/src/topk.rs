@@ -38,7 +38,6 @@ use skymr_mapreduce::{
 };
 
 use crate::config::SkylineConfig;
-use crate::grid::Grid;
 use crate::result::RunInfo;
 use crate::skyband::Countstring;
 
@@ -188,24 +187,8 @@ pub fn mr_top_k_dominating(
             "k must be at least 1".into(),
         ));
     }
-    let grid = match config.ppd {
-        crate::config::PpdPolicy::Fixed(n) => Grid::new(dataset.dim().max(1), n)?,
-        crate::config::PpdPolicy::Auto {
-            max_ppd,
-            max_partitions,
-        } => {
-            let candidates = crate::bitstring::ppd::candidate_ppds(
-                dataset.len(),
-                dataset.dim().max(1),
-                max_ppd,
-                max_partitions,
-            );
-            Grid::new(
-                dataset.dim().max(1),
-                candidates.last().copied().unwrap_or(2),
-            )?
-        }
-    };
+    // `Dataset::new_unchecked` admits d = 0; count on a 1-d grid then.
+    let grid = crate::skyband::count_grid(dataset.len(), dataset.dim().max(1), &config.ppd)?;
     let splits = RoundRobin::new(dataset.tuples(), config.mappers);
     let mut metrics = PipelineMetrics::new();
 

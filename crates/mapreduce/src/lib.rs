@@ -72,9 +72,8 @@ pub use job::{run_job, run_job_from, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};
 pub use pipeline::{Checkpoint, JobSnapshot, PipelineMetrics, Runner, Snapshot};
 pub use sched::{
-    AdmissionConfig, AdmissionController, ClusterExecutor, FairShareScheduler, FifoScheduler,
-    JobCompletion, JobHandle, JobSpec, PriorityScheduler, Reservation, SchedOutcome, SchedReport,
-    Scheduler, TenantStats,
+    AdmissionConfig, ClusterExecutor, FairShareScheduler, FifoScheduler, JobCompletion, JobHandle,
+    JobSpec, PriorityScheduler, Reservation, SchedOutcome, SchedReport, Scheduler, TenantStats,
 };
 pub use splits::{FnSplits, RoundRobin, SplitData, SplitSource};
 pub use storage::{parse_byte_size, StorageConfig};

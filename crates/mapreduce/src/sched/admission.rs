@@ -70,7 +70,7 @@ impl Reservation {
     }
 }
 
-/// Limits the [`AdmissionController`] enforces.
+/// Limits a [`ClusterExecutor`](super::ClusterExecutor) admits jobs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum jobs waiting for their first slot. Submissions beyond
@@ -115,7 +115,7 @@ impl AdmissionConfig {
 /// returned). A job rejected by [`admit`](Self::admit) holds nothing and
 /// needs no release.
 #[derive(Debug, Clone)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     config: AdmissionConfig,
     queued: usize,
     reserved_memory: u64,
@@ -129,7 +129,7 @@ impl Default for AdmissionController {
 
 impl AdmissionController {
     /// Creates a controller with the given limits.
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new(config: AdmissionConfig) -> Self {
         Self {
             config,
             queued: 0,
@@ -137,25 +137,10 @@ impl AdmissionController {
         }
     }
 
-    /// The configured limits.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
-    /// Jobs currently waiting in the admission queue.
-    pub fn queued(&self) -> usize {
-        self.queued
-    }
-
-    /// Memory currently reserved by admitted jobs, in bytes.
-    pub fn reserved_memory(&self) -> u64 {
-        self.reserved_memory
-    }
-
     /// Checks the limits that do not depend on current load: a
     /// reservation no cluster of this shape could ever satisfy is
     /// rejected here, synchronously at submit time.
-    pub fn check_static(
+    pub(crate) fn check_static(
         &self,
         job: &str,
         tenant: &str,
@@ -193,7 +178,7 @@ impl AdmissionController {
     /// Attempts to admit a job against the current load: bounded queue
     /// depth and the memory ledger. On success the job occupies a queue
     /// slot and its memory is reserved.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         job: &str,
         tenant: &str,
@@ -230,7 +215,7 @@ impl AdmissionController {
 
     /// Marks an admitted job as running: it leaves the queue but keeps
     /// its memory reservation.
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         debug_assert!(self.queued > 0, "start() without a queued job");
         self.queued = self.queued.saturating_sub(1);
     }
@@ -238,7 +223,7 @@ impl AdmissionController {
     /// Returns a job's resources once it leaves the cluster. `started`
     /// says whether [`start`](Self::start) was already called for it (a
     /// job cancelled while still queued must also free its queue slot).
-    pub fn release(&mut self, reservation: &Reservation, started: bool) {
+    pub(crate) fn release(&mut self, reservation: &Reservation, started: bool) {
         if !started {
             self.queued = self.queued.saturating_sub(1);
         }
@@ -292,8 +277,7 @@ mod tests {
         ctl.release(&res, false);
         ctl.release(&res, false);
         ctl.release(&res, true);
-        assert_eq!(ctl.queued(), 0);
-        assert_eq!(ctl.reserved_memory(), 0);
+        assert_eq!((ctl.queued, ctl.reserved_memory), (0, 0));
     }
 
     #[test]
@@ -307,7 +291,7 @@ mod tests {
             if reason.contains("exceeds remaining capacity")));
         ctl.release(&big, false);
         ctl.admit("b", "t", &big).unwrap();
-        assert_eq!(ctl.reserved_memory(), 60);
+        assert_eq!(ctl.reserved_memory, 60);
         // Statically impossible regardless of load.
         let never = Reservation::default().with_memory(101);
         let cluster = ClusterConfig::default();

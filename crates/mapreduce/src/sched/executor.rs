@@ -29,12 +29,16 @@ use crate::fault::{AttemptFailure, FailureCause, JobError, RetryPolicy, TaskKind
 use crate::trace::{from_ticks, ticks_of};
 
 use super::admission::{AdmissionConfig, AdmissionController, Reservation};
-use super::scheduler::{AttemptView, CandidateView, FifoScheduler, SchedView, Scheduler};
+use super::scheduler::{AttemptView, CandidateView, FifoScheduler, Scheduler};
 
 /// Type-erased data plane: computes the job's output and reports the
 /// modeled metrics of the MapReduce jobs it ran.
 type Plane =
     Box<dyn FnOnce(&ClusterConfig) -> Result<(Box<dyn Any + Send>, Vec<JobMetrics>), Error> + Send>;
+
+/// A job's terminal state before [`ClusterExecutor::take`] restores its
+/// output type.
+type Erased = JobCompletion<Box<dyn Any + Send>>;
 
 /// Everything the scheduler needs to know about a job besides its data
 /// plane: identity, tenancy, timing, and resource demands.
@@ -274,17 +278,6 @@ impl SchedReport {
     }
 }
 
-enum RawCompletion {
-    Finished {
-        output: Box<dyn Any + Send>,
-        jobs: Vec<JobMetrics>,
-        stats: JobSchedStats,
-    },
-    Rejected(Error),
-    Cancelled(Box<JobError>),
-    Failed(Error),
-}
-
 struct Submission {
     spec: JobSpec,
     plane: Plane,
@@ -303,7 +296,7 @@ pub struct ClusterExecutor {
     scheduler: Box<dyn Scheduler>,
     collector: Option<Collector>,
     submissions: Vec<Submission>,
-    results: Vec<Option<RawCompletion>>,
+    results: Vec<Option<Erased>>,
     ran: bool,
 }
 
@@ -400,15 +393,15 @@ impl ClusterExecutor {
     /// taken, or `T` does not match the submitted plane's output type.
     pub fn take<T: Send + 'static>(&mut self, handle: JobHandle<T>) -> JobCompletion<T> {
         assert!(self.ran, "take() before run()");
-        let Some(raw) = self.results[handle.submit_idx].take() else {
+        let Some(erased) = self.results[handle.submit_idx].take() else {
             panic!("job result already taken")
         };
-        match raw {
-            RawCompletion::Finished {
+        match erased {
+            JobCompletion::Finished(SchedOutcome {
                 output,
                 jobs,
                 stats,
-            } => {
+            }) => {
                 let Ok(output) = output.downcast::<T>() else {
                     panic!("JobHandle output type mismatch")
                 };
@@ -418,9 +411,9 @@ impl ClusterExecutor {
                     stats,
                 })
             }
-            RawCompletion::Rejected(e) => JobCompletion::Rejected(e),
-            RawCompletion::Cancelled(e) => JobCompletion::Cancelled(e),
-            RawCompletion::Failed(e) => JobCompletion::Failed(e),
+            JobCompletion::Rejected(e) => JobCompletion::Rejected(e),
+            JobCompletion::Cancelled(e) => JobCompletion::Cancelled(e),
+            JobCompletion::Failed(e) => JobCompletion::Failed(e),
         }
     }
 
@@ -489,7 +482,7 @@ pub fn run_alone(cluster: &ClusterConfig, steps: Vec<Step>) -> Vec<Wave> {
     engine.run(&mut FifoScheduler);
     let sim = engine.sims.swap_remove(0);
     assert!(
-        matches!(sim.result, Some(RawCompletion::Finished { .. })),
+        matches!(sim.result, Some(JobCompletion::Finished(_))),
         "a job alone on the cluster finishes unless it has no slot to run on"
     );
     sim.log
@@ -591,12 +584,8 @@ enum TaskState {
     Done,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct TaskCell {
-    state: TaskState,
-    backup: bool,
-}
-
+/// One job's facts. The report, the `sched.*` counters and fair share's
+/// tenant usage are all folds over these.
 struct Sim {
     spec: JobSpec,
     submit_idx: usize,
@@ -614,16 +603,17 @@ struct Sim {
     /// When the running wait ends.
     wait_until: Option<u64>,
     /// The running wave's tasks.
-    tasks: Vec<TaskCell>,
-    remaining: usize,
-    started_at: u64,
+    tasks: Vec<TaskState>,
     /// Queue wait in ticks, recorded at the first grant (or at
-    /// cancellation for jobs that never start). `None` until then.
+    /// cancellation for jobs that never start). `None` until then, and
+    /// for a job rejected at arrival.
     queued_wait: Option<u64>,
     preemptions: u64,
     wasted_ticks: u64,
+    /// Slot-ticks charged to the job: completed attempts at full
+    /// duration, killed attempts at elapsed duration.
     slot_ticks: u64,
-    result: Option<RawCompletion>,
+    result: Option<Erased>,
 }
 
 impl Sim {
@@ -644,8 +634,6 @@ impl Sim {
             log: Vec::new(),
             wait_until: None,
             tasks: Vec::new(),
-            remaining: 0,
-            started_at: 0,
             queued_wait: None,
             preemptions: 0,
             wasted_ticks: 0,
@@ -665,6 +653,14 @@ impl Sim {
             _ => None,
         }
     }
+
+    /// Writes the job's scheduling story into `m`: queue wait,
+    /// preemptions, and the slot time its killed attempts wasted.
+    fn patch_story(&self, m: &mut JobMetrics) {
+        m.queue_wait_time = from_ticks(self.queued_wait.unwrap_or(0));
+        m.preemptions = self.preemptions;
+        m.wasted_task_time += from_ticks(self.wasted_ticks);
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -677,8 +673,14 @@ struct Attempt {
     attempt_no: u32,
     speculative: bool,
     started: u64,
-    ticks: u64,
     finish: u64,
+}
+
+impl Attempt {
+    /// The attempt's whole modeled slot time.
+    fn ticks(&self) -> u64 {
+        self.finish - self.started
+    }
 }
 
 struct PreemptEvent {
@@ -695,17 +697,6 @@ struct Engine<'a> {
     running: Vec<Attempt>,
     events: BTreeSet<u64>,
     next_attempt_id: u64,
-    tenant_charged: BTreeMap<String, u64>,
-    tenant_wait: BTreeMap<String, u64>,
-    tenant_jobs: BTreeMap<String, u64>,
-    admitted: u64,
-    rejected: u64,
-    completed: u64,
-    cancelled: u64,
-    failed: u64,
-    preemptions: u64,
-    queue_wait_ticks: u64,
-    slot_ticks: u64,
     preempt_log: Vec<PreemptEvent>,
     makespan: u64,
 }
@@ -726,17 +717,6 @@ impl<'a> Engine<'a> {
             running: Vec::new(),
             events,
             next_attempt_id: 0,
-            tenant_charged: BTreeMap::new(),
-            tenant_wait: BTreeMap::new(),
-            tenant_jobs: BTreeMap::new(),
-            admitted: 0,
-            rejected: 0,
-            completed: 0,
-            cancelled: 0,
-            failed: 0,
-            preemptions: 0,
-            queue_wait_ticks: 0,
-            slot_ticks: 0,
             preempt_log: Vec::new(),
             makespan: 0,
         }
@@ -809,7 +789,7 @@ impl<'a> Engine<'a> {
         }
         let sim = &self.sims[j];
         let (_, costs) = sim.wave(kind)?;
-        let ready = |(_, t): &(usize, &TaskCell)| matches!(t.state, TaskState::Pending { ready, .. } if ready <= now);
+        let ready = |(_, t): &(usize, &TaskState)| matches!(t, TaskState::Pending { ready, .. } if *ready <= now);
         sim.tasks
             .iter()
             .enumerate()
@@ -818,24 +798,14 @@ impl<'a> Engine<'a> {
             .map(|(i, _)| i)
     }
 
-    /// Charges slot-ticks to a job and its tenant.
-    fn charge(&mut self, job: usize, ticks: u64) {
-        self.sims[job].slot_ticks += ticks;
-        let tenant = self.sims[job].spec.tenant.clone();
-        *self.tenant_charged.entry(tenant).or_insert(0) += ticks;
-        self.slot_ticks += ticks;
-    }
-
-    /// Removes a running attempt, charging its elapsed slot time and
-    /// adding it to the job's wasted total.
+    /// Removes a running attempt, charging its elapsed slot time to the
+    /// job as waste.
     fn kill_attempt(&mut self, running_idx: usize, now: u64) -> Attempt {
         let a = self.running.remove(running_idx);
         let elapsed = now.saturating_sub(a.started);
-        self.charge(a.job, elapsed);
-        self.sims[a.job].wasted_ticks += elapsed;
-        if a.speculative {
-            self.sims[a.job].tasks[a.task].backup = false;
-        }
+        let sim = &mut self.sims[a.job];
+        sim.slot_ticks += elapsed;
+        sim.wasted_ticks += elapsed;
         a
     }
 
@@ -864,31 +834,23 @@ impl<'a> Engine<'a> {
     }
 
     fn complete_attempt(&mut self, a: Attempt, now: u64) {
-        self.charge(a.job, a.ticks);
         let sim = &mut self.sims[a.job];
+        sim.slot_ticks += a.ticks();
         if sim.state != SimState::Running {
             return;
         }
-        if a.speculative {
-            sim.tasks[a.task].backup = false;
+        if sim.tasks[a.task] == TaskState::Done {
+            // A duplicate finished in the same tick as the winner: its
+            // full duration is wasted work.
+            sim.wasted_ticks += a.ticks();
+            return;
         }
-        match sim.tasks[a.task].state {
-            TaskState::Done => {
-                // A duplicate finished in the same tick as the winner:
-                // its full duration is wasted work.
-                sim.wasted_ticks += a.ticks;
-                return;
-            }
-            TaskState::Pending { .. } | TaskState::Running => {
-                sim.tasks[a.task].state = TaskState::Done;
-                sim.remaining -= 1;
-                sim.log[sim.step].slots[a.task] = Slot {
-                    slot: a.slot,
-                    start: a.started,
-                    end: now,
-                };
-            }
-        }
+        sim.tasks[a.task] = TaskState::Done;
+        sim.log[sim.step].slots[a.task] = Slot {
+            slot: a.slot,
+            start: a.started,
+            end: now,
+        };
         // Kill losing duplicates of the now-complete task.
         while let Some(idx) = self
             .running
@@ -897,7 +859,7 @@ impl<'a> Engine<'a> {
         {
             self.kill_attempt(idx, now);
         }
-        if self.sims[a.job].remaining == 0 {
+        if self.sims[a.job].tasks.iter().all(|t| *t == TaskState::Done) {
             self.complete_step(a.job, now);
         }
     }
@@ -918,22 +880,13 @@ impl<'a> Engine<'a> {
             if self.sims[j].arrival != now || self.sims[j].state != SimState::Future {
                 continue;
             }
-            let (name, tenant, reservation) = {
-                let s = &self.sims[j].spec;
-                (s.name.clone(), s.tenant.clone(), s.reservation)
-            };
-            *self.tenant_jobs.entry(tenant.clone()).or_insert(0) += 1;
-            match self.admission.admit(&name, &tenant, &reservation) {
-                Ok(()) => {
-                    self.sims[j].state = SimState::Queued;
-                    self.admitted += 1;
-                }
-                Err(e) => {
-                    self.sims[j].state = SimState::Terminal;
-                    self.sims[j].result = Some(RawCompletion::Rejected(e));
-                    self.rejected += 1;
-                    self.makespan = self.makespan.max(now);
-                }
+            let spec = &self.sims[j].spec;
+            match self
+                .admission
+                .admit(&spec.name, &spec.tenant, &spec.reservation)
+            {
+                Ok(()) => self.sims[j].state = SimState::Queued,
+                Err(e) => self.end_job(j, now, JobCompletion::Rejected(e)),
             }
         }
     }
@@ -946,32 +899,19 @@ impl<'a> Engine<'a> {
     fn start_job(&mut self, j: usize, now: u64) {
         debug_assert_eq!(self.sims[j].state, SimState::Queued);
         self.admission.start();
-        let wait = now.saturating_sub(self.sims[j].arrival);
-        self.queue_wait_ticks += wait;
-        let tenant = self.sims[j].spec.tenant.clone();
-        *self.tenant_wait.entry(tenant).or_insert(0) += wait;
-        self.sims[j].started_at = now;
-        self.sims[j].queued_wait = Some(wait);
-        if let Some(plane) = self.sims[j].plane.take() {
+        let sim = &mut self.sims[j];
+        sim.state = SimState::Running;
+        sim.queued_wait = Some(now.saturating_sub(sim.arrival));
+        if let Some(plane) = sim.plane.take() {
             match plane(self.cluster) {
                 Ok((output, jobs)) => {
-                    self.sims[j].steps =
-                        jobs.iter().flat_map(|m| m.steps.iter().cloned()).collect();
-                    self.sims[j].output = Some(output);
-                    self.sims[j].jobs = jobs;
+                    sim.steps = jobs.iter().flat_map(|m| m.steps.iter().cloned()).collect();
+                    sim.output = Some(output);
+                    sim.jobs = jobs;
                 }
-                Err(e) => {
-                    self.sims[j].state = SimState::Terminal;
-                    self.sims[j].result = Some(RawCompletion::Failed(e));
-                    self.failed += 1;
-                    let reservation = self.sims[j].spec.reservation;
-                    self.admission.release(&reservation, true);
-                    self.makespan = self.makespan.max(now);
-                    return;
-                }
+                Err(e) => return self.end_job(j, now, JobCompletion::Failed(e)),
             }
         }
-        let sim = &mut self.sims[j];
         // The job starts on the map slot it was granted: a leading wait
         // (startup and broadcast) holds that slot, or every queued job
         // would start in the same tick.
@@ -985,7 +925,6 @@ impl<'a> Engine<'a> {
             }
         }
         sim.log = vec![Wave::default(); sim.steps.len()];
-        sim.state = SimState::Running;
         self.enter_step(j, now);
     }
 
@@ -1003,22 +942,40 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 Step::Wave { tasks, .. } if !tasks.is_empty() => {
-                    let pending = TaskCell {
-                        state: TaskState::Pending {
-                            ready: now,
-                            attempt: 0,
-                        },
-                        backup: false,
+                    let pending = TaskState::Pending {
+                        ready: now,
+                        attempt: 0,
                     };
                     sim.tasks = vec![pending; tasks.len()];
-                    sim.remaining = tasks.len();
                     log.slots = vec![Slot::default(); tasks.len()];
                     return;
                 }
                 _ => sim.step += 1,
             }
         }
-        self.finish_job(j, now);
+        let wait = sim.queued_wait.unwrap_or(0);
+        let stats = JobSchedStats {
+            arrival: from_ticks(sim.arrival),
+            started: from_ticks(sim.arrival + wait),
+            finished: from_ticks(now),
+            queue_wait: from_ticks(wait),
+            preemptions: sim.preemptions,
+            wasted: from_ticks(sim.wasted_ticks),
+            slot_ticks: sim.slot_ticks,
+        };
+        let mut jobs = std::mem::take(&mut sim.jobs);
+        if let Some(first) = jobs.first_mut() {
+            sim.patch_story(first);
+        }
+        let Some(output) = sim.output.take() else {
+            unreachable!("a job only finishes after its plane succeeded")
+        };
+        let outcome = SchedOutcome {
+            output,
+            jobs,
+            stats,
+        };
+        self.end_job(j, now, JobCompletion::Finished(outcome));
     }
 
     /// Ends the job's running step at `now` and begins the next.
@@ -1029,74 +986,27 @@ impl<'a> Engine<'a> {
         self.enter_step(j, now);
     }
 
-    fn finish_job(&mut self, j: usize, now: u64) {
-        let sim = &mut self.sims[j];
-        sim.state = SimState::Terminal;
-        let stats = JobSchedStats {
-            arrival: from_ticks(sim.arrival),
-            started: from_ticks(sim.started_at),
-            finished: from_ticks(now),
-            queue_wait: from_ticks(sim.started_at.saturating_sub(sim.arrival)),
-            preemptions: sim.preemptions,
-            wasted: from_ticks(sim.wasted_ticks),
-            slot_ticks: sim.slot_ticks,
-        };
-        let mut jobs = std::mem::take(&mut sim.jobs);
-        if let Some(first) = jobs.first_mut() {
-            first.queue_wait_time = stats.queue_wait;
-            first.preemptions = stats.preemptions;
-            first.wasted_task_time += stats.wasted;
-        }
-        let Some(output) = sim.output.take() else {
-            unreachable!("a job only finishes after its plane succeeded")
-        };
-        sim.result = Some(RawCompletion::Finished {
-            output,
-            jobs,
-            stats,
-        });
-        let reservation = sim.spec.reservation;
-        self.completed += 1;
-        self.admission.release(&reservation, true);
-        self.makespan = self.makespan.max(now);
-    }
-
     fn cancel_job(&mut self, j: usize, now: u64, reason: &str) {
-        let started = self.sims[j].state == SimState::Running;
-        // Account queue wait for jobs cancelled before their first grant.
-        if self.sims[j].state == SimState::Queued {
-            let wait = now.saturating_sub(self.sims[j].arrival);
-            self.queue_wait_ticks += wait;
-            self.sims[j].queued_wait = Some(wait);
-            let tenant = self.sims[j].spec.tenant.clone();
-            *self.tenant_wait.entry(tenant).or_insert(0) += wait;
-        }
-        // Kill anything still on a slot, charging elapsed time.
-        let killed: Vec<Attempt> = {
-            let mut out = Vec::new();
-            while let Some(idx) = self.running.iter().position(|a| a.job == j) {
-                out.push(self.kill_attempt(idx, now));
-            }
-            out
-        };
         let sim = &mut self.sims[j];
-        sim.state = SimState::Terminal;
-        let (task, index, attempts) = killed.first().map_or((TaskKind::Map, 0, 0), |a| {
+        // A job cancelled before its first grant waited until now.
+        sim.queued_wait
+            .get_or_insert_with(|| now.saturating_sub(sim.arrival));
+        // Kill anything still on a slot, charging elapsed time.
+        let mut first_killed = None;
+        while let Some(idx) = self.running.iter().position(|a| a.job == j) {
+            let a = self.kill_attempt(idx, now);
+            first_killed.get_or_insert(a);
+        }
+        let sim = &self.sims[j];
+        let (task, index, attempts) = first_killed.map_or((TaskKind::Map, 0, 0), |a| {
             (a.kind, a.task, a.attempt_no + 1)
         });
-        let metrics = if started {
-            let mut m = sim
-                .jobs
-                .first()
-                .cloned()
-                .unwrap_or_else(|| JobMetrics::empty(&sim.spec.name, 0, 0));
-            m.queue_wait_time = from_ticks(sim.started_at.saturating_sub(sim.arrival));
-            m.preemptions = sim.preemptions;
-            m.wasted_task_time += from_ticks(sim.wasted_ticks);
-            m
-        } else {
-            JobMetrics::empty(&sim.spec.name, 0, 0)
-        };
+        let mut metrics = sim
+            .jobs
+            .first()
+            .cloned()
+            .unwrap_or_else(|| JobMetrics::empty(&sim.spec.name, 0, 0));
+        sim.patch_story(&mut metrics);
         let err = JobError {
             job: sim.spec.name.clone(),
             task,
@@ -1112,12 +1022,21 @@ impl<'a> Engine<'a> {
             metrics: Box::new(metrics),
             payload: None,
         };
-        sim.result = Some(RawCompletion::Cancelled(Box::new(err)));
-        let reservation = sim.spec.reservation;
-        self.cancelled += 1;
-        // A cancelled job was always admitted (deadlines fire only for
-        // Queued/Running jobs): free its queue slot and memory.
-        self.admission.release(&reservation, started);
+        self.end_job(j, now, JobCompletion::Cancelled(Box::new(err)));
+    }
+
+    /// The one way a job ends — rejected at arrival, plane failed,
+    /// cancelled, or finished: stores its result, returns what admission
+    /// holds for it, and advances the makespan.
+    fn end_job(&mut self, j: usize, now: u64, result: Erased) {
+        let sim = &mut self.sims[j];
+        // A job rejected at arrival holds nothing.
+        if sim.state != SimState::Future {
+            let started = sim.state == SimState::Running;
+            self.admission.release(&sim.spec.reservation, started);
+        }
+        sim.state = SimState::Terminal;
+        sim.result = Some(result);
         self.makespan = self.makespan.max(now);
     }
 
@@ -1129,10 +1048,10 @@ impl<'a> Engine<'a> {
             for kind in [TaskKind::Map, TaskKind::Reduce] {
                 // Regular fill: offer each free slot to the policy.
                 while self.free_slot(kind, now).is_some() {
-                    let Some(j) = self.pick_candidate(scheduler, kind, now) else {
+                    let Some(c) = self.pick(scheduler, kind, now) else {
                         break;
                     };
-                    self.grant(j, kind, now);
+                    self.grant(c.seq, kind, now);
                     progress = true;
                 }
                 // Speculation: duplicate running attempts of opted-in
@@ -1158,22 +1077,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn pick_candidate(
-        &mut self,
+    /// The candidate the policy picks for a free `kind` slot, if any.
+    fn pick(
+        &self,
         scheduler: &mut dyn Scheduler,
         kind: TaskKind,
         now: u64,
-    ) -> Option<usize> {
+    ) -> Option<CandidateView> {
         let cands = self.candidate_views(kind, now);
         if cands.is_empty() {
             return None;
         }
-        let view = SchedView {
-            now,
-            kind,
-            candidates: &cands,
-        };
-        scheduler.pick(&view).map(|i| cands[i].seq)
+        scheduler.pick(&cands).map(|i| cands[i].clone())
     }
 
     fn grant(&mut self, j: usize, kind: TaskKind, now: u64) {
@@ -1186,11 +1101,11 @@ impl<'a> Engine<'a> {
         let TaskState::Pending {
             attempt: attempt_no,
             ..
-        } = self.sims[j].tasks[task].state
+        } = self.sims[j].tasks[task]
         else {
             unreachable!("ready_task returned a non-pending task");
         };
-        self.sims[j].tasks[task].state = TaskState::Running;
+        self.sims[j].tasks[task] = TaskState::Running;
         self.launch(j, kind, task, attempt_no, false, now);
     }
 
@@ -1222,7 +1137,6 @@ impl<'a> Engine<'a> {
             attempt_no,
             speculative,
             started: now,
-            ticks,
             finish,
         });
         self.events.insert(finish);
@@ -1233,18 +1147,22 @@ impl<'a> Engine<'a> {
         // speculate-enabled jobs with room in their wave, no dispatchable
         // pending work and no existing backup for the task. Longest
         // remaining first.
+        let has_backup = |a: &Attempt| {
+            self.running
+                .iter()
+                .any(|r| r.speculative && r.job == a.job && r.kind == kind && r.task == a.task)
+        };
         let pick = self
             .running
             .iter()
             .filter(|a| {
-                let sim = &self.sims[a.job];
                 a.kind == kind
                     && !a.speculative
                     && Self::holds(a, now)
-                    && sim.spec.speculate
+                    && self.sims[a.job].spec.speculate
                     && self.has_room(a.job, kind, now)
                     && self.ready_task(a.job, kind, now).is_none()
-                    && !sim.tasks[a.task].backup
+                    && !has_backup(a)
             })
             .max_by_key(|a| {
                 (
@@ -1257,38 +1175,26 @@ impl<'a> Engine<'a> {
         let Some((job, task, attempt_no)) = pick else {
             return false;
         };
-        self.sims[job].tasks[task].backup = true;
         self.launch(job, kind, task, attempt_no, true, now);
         true
     }
 
     fn try_preempt(&mut self, scheduler: &mut dyn Scheduler, kind: TaskKind, now: u64) -> bool {
-        let cands = self.candidate_views(kind, now);
-        if cands.is_empty() {
-            return false;
-        }
-        let view = SchedView {
-            now,
-            kind,
-            candidates: &cands,
-        };
-        let Some(claimant) = scheduler.pick(&view).map(|i| &cands[i]) else {
+        let Some(claimant) = self.pick(scheduler, kind, now) else {
             return false;
         };
         let (views, indices) = self.attempt_views(kind, now);
-        let Some(victim) = scheduler.preempt(claimant, &views).map(|i| indices[i]) else {
+        let Some(victim) = scheduler.preempt(&claimant, &views).map(|i| indices[i]) else {
             return false;
         };
-        let claimant = claimant.seq;
         self.preempt_attempt(victim, now);
-        self.grant(claimant, kind, now);
+        self.grant(claimant.seq, kind, now);
         true
     }
 
     fn preempt_attempt(&mut self, running_idx: usize, now: u64) {
         let a = self.kill_attempt(running_idx, now);
         self.sims[a.job].preemptions += 1;
-        self.preemptions += 1;
         self.preempt_log.push(PreemptEvent {
             at: now,
             job: self.sims[a.job].spec.name.clone(),
@@ -1315,7 +1221,7 @@ impl<'a> Engine<'a> {
         }
         let backoff = ticks_of(self.sims[a.job].spec.retry.backoff_after(a.attempt_no));
         let ready = now + backoff;
-        self.sims[a.job].tasks[a.task].state = TaskState::Pending {
+        self.sims[a.job].tasks[a.task] = TaskState::Pending {
             ready,
             attempt: next_attempt,
         };
@@ -1327,12 +1233,13 @@ impl<'a> Engine<'a> {
     /// full committed duration of running attempts — commitments are what
     /// stop a tenant with many short tasks from starving one with few long
     /// tasks.
-    fn candidate_views(&self, kind: TaskKind, now: u64) -> Vec<CandidateView<'_>> {
-        let used = |tenant: &str| {
-            let running = self.running.iter();
-            let committed = running.filter(|a| self.sims[a.job].spec.tenant == tenant);
-            let charged = self.tenant_charged.get(tenant).copied().unwrap_or(0);
-            charged + committed.map(|a| a.ticks).sum::<u64>()
+    fn candidate_views(&self, kind: TaskKind, now: u64) -> Vec<CandidateView> {
+        let used = |tenant: &str| -> u64 {
+            let of_tenant = |j: usize| self.sims[j].spec.tenant == tenant;
+            let charged = (0..self.sims.len()).filter(|&j| of_tenant(j));
+            let committed = self.running.iter().filter(|a| of_tenant(a.job));
+            charged.map(|j| self.sims[j].slot_ticks).sum::<u64>()
+                + committed.map(Attempt::ticks).sum::<u64>()
         };
         self.sims
             .iter()
@@ -1346,8 +1253,6 @@ impl<'a> Engine<'a> {
             })
             .map(|(seq, sim)| CandidateView {
                 seq,
-                name: &sim.spec.name,
-                tenant: &sim.spec.tenant,
                 arrival: sim.arrival,
                 priority: sim.spec.priority,
                 tenant_used: used(&sim.spec.tenant),
@@ -1357,7 +1262,7 @@ impl<'a> Engine<'a> {
 
     /// The policy's view of the attempts holding `kind` slots, in
     /// canonical order, alongside each view's index into `running`.
-    fn attempt_views(&self, kind: TaskKind, now: u64) -> (Vec<AttemptView<'_>>, Vec<usize>) {
+    fn attempt_views(&self, kind: TaskKind, now: u64) -> (Vec<AttemptView>, Vec<usize>) {
         let running = &self.running;
         let mut order: Vec<usize> = (0..running.len())
             .filter(|&i| running[i].kind == kind && Self::holds(&running[i], now))
@@ -1372,21 +1277,11 @@ impl<'a> Engine<'a> {
         });
         let views = order
             .iter()
-            .map(|&i| {
-                let a = &running[i];
-                let sim = &self.sims[a.job];
-                AttemptView {
-                    seq: a.job,
-                    name: &sim.spec.name,
-                    tenant: &sim.spec.tenant,
-                    priority: sim.spec.priority,
-                    kind: a.kind,
-                    task_index: a.task,
-                    attempt: a.attempt_no,
-                    speculative: a.speculative,
-                    started: a.started,
-                    remaining: a.finish.saturating_sub(now),
-                }
+            .map(|&i| AttemptView {
+                seq: running[i].job,
+                priority: self.sims[running[i].job].spec.priority,
+                task_index: running[i].task,
+                speculative: running[i].speculative,
             })
             .collect();
         (views, order)
@@ -1394,54 +1289,62 @@ impl<'a> Engine<'a> {
 
     // --- reporting -------------------------------------------------------
 
+    /// Folds the jobs' facts into the report and its `sched.*` counters.
     fn build_report(&self, policy: &'static str) -> SchedReport {
-        let mut registry = MetricsRegistry::new();
-        registry.add("sched.submitted", self.sims.len() as u64);
-        registry.add("sched.admitted", self.admitted);
-        registry.add("sched.rejected", self.rejected);
-        registry.add("sched.completed", self.completed);
-        registry.add("sched.cancelled", self.cancelled);
-        registry.add("sched.failed", self.failed);
-        registry.add("sched.preemptions", self.preemptions);
-        registry.add("sched.queue_wait_ticks", self.queue_wait_ticks);
-        registry.add("sched.slot_ticks", self.slot_ticks);
-        let mut tenants = BTreeMap::new();
-        for (tenant, &jobs) in &self.tenant_jobs {
-            let slot_ticks = self.tenant_charged.get(tenant).copied().unwrap_or(0);
-            let wait = self.tenant_wait.get(tenant).copied().unwrap_or(0);
-            registry.add(&format!("sched.tenant.{tenant}.jobs"), jobs);
-            registry.add(&format!("sched.tenant.{tenant}.slot_ticks"), slot_ticks);
-            registry.add(&format!("sched.tenant.{tenant}.queue_wait_ticks"), wait);
-            tenants.insert(
-                tenant.clone(),
-                TenantStats {
-                    jobs,
-                    slot_ticks,
-                    queue_wait: from_ticks(wait),
-                },
-            );
-        }
-        SchedReport {
+        let mut r = SchedReport {
             policy,
             submitted: self.sims.len() as u64,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            completed: self.completed,
-            cancelled: self.cancelled,
-            failed: self.failed,
-            preemptions: self.preemptions,
+            admitted: 0,
+            rejected: 0,
+            completed: 0,
+            cancelled: 0,
+            failed: 0,
+            preemptions: 0,
             makespan: from_ticks(self.makespan),
-            tenants,
-            registry,
+            tenants: BTreeMap::new(),
+            registry: MetricsRegistry::new(),
+        };
+        let (mut queue_wait_ticks, mut slot_ticks) = (0, 0);
+        for sim in &self.sims {
+            match sim.result {
+                Some(JobCompletion::Finished(_)) => r.completed += 1,
+                Some(JobCompletion::Rejected(_)) => r.rejected += 1,
+                Some(JobCompletion::Cancelled(_)) => r.cancelled += 1,
+                Some(JobCompletion::Failed(_)) => r.failed += 1,
+                None => unreachable!("run() drains stranded jobs, so every sim is terminal"),
+            }
+            let wait = sim.queued_wait.unwrap_or(0);
+            r.preemptions += sim.preemptions;
+            queue_wait_ticks += wait;
+            slot_ticks += sim.slot_ticks;
+            let t = r.tenants.entry(sim.spec.tenant.clone()).or_default();
+            t.jobs += 1;
+            t.slot_ticks += sim.slot_ticks;
+            t.queue_wait += from_ticks(wait);
         }
+        r.admitted = r.submitted - r.rejected;
+        let registry = &mut r.registry;
+        registry.add("sched.submitted", r.submitted);
+        registry.add("sched.admitted", r.admitted);
+        registry.add("sched.rejected", r.rejected);
+        registry.add("sched.completed", r.completed);
+        registry.add("sched.cancelled", r.cancelled);
+        registry.add("sched.failed", r.failed);
+        registry.add("sched.preemptions", r.preemptions);
+        registry.add("sched.queue_wait_ticks", queue_wait_ticks);
+        registry.add("sched.slot_ticks", slot_ticks);
+        for (tenant, t) in &r.tenants {
+            registry.add(&format!("sched.tenant.{tenant}.jobs"), t.jobs);
+            registry.add(&format!("sched.tenant.{tenant}.slot_ticks"), t.slot_ticks);
+            let wait = ticks_of(t.queue_wait);
+            registry.add(&format!("sched.tenant.{tenant}.queue_wait_ticks"), wait);
+        }
+        r
     }
 
-    fn commit_results(&mut self, results: &mut [Option<RawCompletion>]) {
+    fn commit_results(&mut self, results: &mut [Option<Erased>]) {
         for sim in &mut self.sims {
-            let Some(result) = sim.result.take() else {
-                unreachable!("run() drains stranded jobs, so every sim is terminal")
-            };
-            results[sim.submit_idx] = Some(result);
+            results[sim.submit_idx] = sim.result.take();
         }
     }
 

@@ -4,8 +4,8 @@
 //! [`run_job`](crate::run_job) owns its whole cluster for exactly one job,
 //! and lays that job out with this module's loop run for it alone. The
 //! same loop gives the production shape: a [`ClusterExecutor`] accepts
-//! job submissions from many tenants, pushes them through an
-//! [`AdmissionController`] (bounded queue, slot/memory reservations
+//! job submissions from many tenants, pushes them through admission
+//! control ([`AdmissionConfig`]: bounded queue, slot/memory reservations
 //! checked against capacity, deterministic rejection via
 //! [`skymr_common::Error::AdmissionRejected`]), and interleaves the
 //! admitted jobs' tasks over the cluster's shared map/reduce slot pools
@@ -50,12 +50,11 @@ mod admission;
 mod executor;
 mod scheduler;
 
-pub use admission::{AdmissionConfig, AdmissionController, Reservation};
+pub use admission::{AdmissionConfig, Reservation};
 pub use executor::{
     run_alone, ClusterExecutor, JobCompletion, JobHandle, JobSchedStats, JobSpec, SchedOutcome,
     SchedReport, Slot, Step, TenantStats, Wave,
 };
 pub use scheduler::{
-    AttemptView, CandidateView, FairShareScheduler, FifoScheduler, PriorityScheduler, SchedView,
-    Scheduler,
+    AttemptView, CandidateView, FairShareScheduler, FifoScheduler, PriorityScheduler, Scheduler,
 };

@@ -13,18 +13,12 @@
 //! iteration order — so a policy decision is reproducible across worker
 //! counts and submission interleavings.
 
-use crate::fault::TaskKind;
-
-/// A queued job eligible for the slot being offered.
+/// A job eligible for the slot being offered.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CandidateView<'a> {
+pub struct CandidateView {
     /// Canonical job rank: jobs sorted by (arrival, tenant, name,
     /// submission index). All tie-breaks bottom out here.
     pub seq: usize,
-    /// Job name (unique per executor run).
-    pub name: &'a str,
-    /// Owning tenant.
-    pub tenant: &'a str,
     /// Arrival time on the simulated clock, in ticks.
     pub arrival: u64,
     /// Scheduling priority; larger is more urgent. Only
@@ -38,40 +32,17 @@ pub struct CandidateView<'a> {
 /// A running attempt, offered to [`Scheduler::preempt`] as a potential
 /// victim.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttemptView<'a> {
+pub struct AttemptView {
     /// Canonical rank of the job the attempt belongs to.
     pub seq: usize,
-    /// Job name.
-    pub name: &'a str,
-    /// Owning tenant.
-    pub tenant: &'a str,
     /// The job's scheduling priority.
     pub priority: i32,
-    /// Map or reduce slot the attempt occupies.
-    pub kind: TaskKind,
-    /// Task index within its phase.
+    /// Task index within its wave.
     pub task_index: usize,
-    /// Attempt number for that task (0-based).
-    pub attempt: u32,
     /// Whether this is a speculative backup of a still-running original.
     /// Backups are always preferred as victims: killing one wastes work
     /// but never loses a task.
     pub speculative: bool,
-    /// Tick at which the attempt started.
-    pub started: u64,
-    /// Modeled ticks left until the attempt completes.
-    pub remaining: u64,
-}
-
-/// Everything a policy may consult when picking the next job.
-#[derive(Debug)]
-pub struct SchedView<'a> {
-    /// Current simulated time, in ticks.
-    pub now: u64,
-    /// Which slot pool the free slot belongs to.
-    pub kind: TaskKind,
-    /// Jobs with a runnable task of this kind, in canonical rank order.
-    pub candidates: &'a [CandidateView<'a>],
 }
 
 /// A scheduling policy.
@@ -85,18 +56,15 @@ pub trait Scheduler: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Picks the candidate to grant the free slot, as an index into
-    /// `view.candidates`, or `None` to leave the slot idle.
-    fn pick(&mut self, view: &SchedView<'_>) -> Option<usize>;
+    /// `candidates` (the jobs with a runnable task for the slot's pool,
+    /// in canonical rank order), or `None` to leave the slot idle.
+    fn pick(&mut self, candidates: &[CandidateView]) -> Option<usize>;
 
     /// Given a queued job that found no free slot, picks a running
     /// attempt to evict for it, as an index into `running`, or `None`
     /// to let the job wait. `running` holds only attempts on slots of
     /// the kind the claimant needs, in canonical order.
-    fn preempt(
-        &mut self,
-        claimant: &CandidateView<'_>,
-        running: &[AttemptView<'_>],
-    ) -> Option<usize> {
+    fn preempt(&mut self, claimant: &CandidateView, running: &[AttemptView]) -> Option<usize> {
         let _ = (claimant, running);
         None
     }
@@ -112,8 +80,8 @@ impl Scheduler for FifoScheduler {
         "fifo"
     }
 
-    fn pick(&mut self, view: &SchedView<'_>) -> Option<usize> {
-        view.candidates
+    fn pick(&mut self, candidates: &[CandidateView]) -> Option<usize> {
+        candidates
             .iter()
             .enumerate()
             .min_by_key(|(_, c)| (c.arrival, c.seq))
@@ -135,8 +103,8 @@ impl Scheduler for FairShareScheduler {
         "fair"
     }
 
-    fn pick(&mut self, view: &SchedView<'_>) -> Option<usize> {
-        view.candidates
+    fn pick(&mut self, candidates: &[CandidateView]) -> Option<usize> {
+        candidates
             .iter()
             .enumerate()
             .min_by_key(|(_, c)| (c.tenant_used, c.arrival, c.seq))
@@ -160,19 +128,15 @@ impl Scheduler for PriorityScheduler {
         "priority"
     }
 
-    fn pick(&mut self, view: &SchedView<'_>) -> Option<usize> {
-        view.candidates
+    fn pick(&mut self, candidates: &[CandidateView]) -> Option<usize> {
+        candidates
             .iter()
             .enumerate()
             .min_by_key(|(_, c)| (std::cmp::Reverse(c.priority), c.arrival, c.seq))
             .map(|(i, _)| i)
     }
 
-    fn preempt(
-        &mut self,
-        claimant: &CandidateView<'_>,
-        running: &[AttemptView<'_>],
-    ) -> Option<usize> {
+    fn preempt(&mut self, claimant: &CandidateView, running: &[AttemptView]) -> Option<usize> {
         running
             .iter()
             .enumerate()
@@ -195,61 +159,45 @@ impl Scheduler for PriorityScheduler {
 mod tests {
     use super::*;
 
-    fn cand(seq: usize, arrival: u64, priority: i32, used: u64) -> CandidateView<'static> {
+    fn cand(seq: usize, arrival: u64, priority: i32, used: u64) -> CandidateView {
         CandidateView {
             seq,
-            name: "j",
-            tenant: "t",
             arrival,
             priority,
             tenant_used: used,
         }
     }
 
-    fn view<'a>(candidates: &'a [CandidateView<'a>]) -> SchedView<'a> {
-        SchedView {
-            now: 0,
-            kind: TaskKind::Map,
-            candidates,
-        }
-    }
-
     #[test]
     fn fifo_orders_by_arrival_then_rank() {
         let cs = [cand(2, 10, 0, 0), cand(0, 5, 0, 0), cand(1, 5, 0, 0)];
-        assert_eq!(FifoScheduler.pick(&view(&cs)), Some(1));
-        assert_eq!(FifoScheduler.pick(&view(&[])), None);
+        assert_eq!(FifoScheduler.pick(&cs), Some(1));
+        assert_eq!(FifoScheduler.pick(&[]), None);
     }
 
     #[test]
     fn fair_share_favors_the_most_underserved_tenant_per_weight() {
         // Every tenant weighs the same: the least-served one wins.
         let cs = [cand(0, 0, 0, 300), cand(1, 0, 0, 150)];
-        assert_eq!(FairShareScheduler.pick(&view(&cs)), Some(1));
+        assert_eq!(FairShareScheduler.pick(&cs), Some(1));
         // Exact ties fall back to FIFO order.
         let tie = [cand(1, 7, 0, 100), cand(0, 3, 0, 100)];
-        assert_eq!(FairShareScheduler.pick(&view(&tie)), Some(1));
+        assert_eq!(FairShareScheduler.pick(&tie), Some(1));
     }
 
     #[test]
     fn priority_picks_highest_band_then_fifo() {
         let cs = [cand(0, 0, 1, 0), cand(1, 9, 5, 0), cand(2, 4, 5, 0)];
-        assert_eq!(PriorityScheduler.pick(&view(&cs)), Some(2));
+        assert_eq!(PriorityScheduler.pick(&cs), Some(2));
     }
 
     #[test]
     fn preemption_prefers_speculative_then_lowest_priority_newest_work() {
         let attempt = |seq, priority, task_index, speculative| AttemptView {
             seq,
-            name: "j",
-            tenant: "t",
             priority,
-            kind: TaskKind::Map,
             task_index,
-            attempt: 0,
             speculative,
-            started: 0,
-            remaining: 10,
         };
         let claimant = cand(9, 0, 5, 0);
         // A speculative backup beats an even lower-priority regular attempt.

@@ -426,10 +426,11 @@ pub(crate) mod tests {
         verify_frames(file, meta)
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("skymr-segtest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("test dir");
-        dir.join(name)
+    /// A directory of the test's own, removed with its files on drop:
+    /// tests run in parallel, so a shared one could vanish under a sibling.
+    fn tmp() -> crate::storage::SpillSession {
+        let storage = crate::storage::StorageConfig::default();
+        crate::storage::SpillSession::create(&storage, "segtest").expect("test dir")
     }
 
     fn sample_parts() -> Vec<Vec<(u64, String)>> {
@@ -443,7 +444,8 @@ pub(crate) mod tests {
     #[test]
     fn segment_round_trips_all_partitions() {
         let parts = sample_parts();
-        let seg = write_segment(tmp("round.seg"), &parts, 256).expect("write");
+        let dir = tmp();
+        let seg = write_segment(dir.dir().join("round.seg"), &parts, 256).expect("write");
         assert_eq!(seg.parts.len(), 3);
         assert_eq!(seg.parts[0].records, 500);
         assert!(seg.parts[0].frames > 1, "chunking must split 500 pairs");
@@ -473,7 +475,8 @@ pub(crate) mod tests {
             (0..9u32).map(|i| (i / 3, tuple(i))).collect(),
             vec![(7, Tuple::new(100, vec![0.875, 0.125]))],
         ];
-        let seg = write_segment(tmp("golden.seg"), &parts, 96).expect("write");
+        let dir = tmp();
+        let seg = write_segment(dir.dir().join("golden.seg"), &parts, 96).expect("write");
         let hex = |bytes: Vec<u8>| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
         assert_eq!(
             hex(std::fs::read(&seg.path).expect("segment")),
@@ -509,7 +512,8 @@ pub(crate) mod tests {
     #[test]
     fn wire_bytes_match_bytesized_accounting() {
         let parts = sample_parts();
-        let seg = write_segment(tmp("acct.seg"), &parts, 256).expect("write");
+        let dir = tmp();
+        let seg = write_segment(dir.dir().join("acct.seg"), &parts, 256).expect("write");
         for (j, pairs) in parts.iter().enumerate() {
             let expect: u64 = pairs
                 .iter()
@@ -522,7 +526,8 @@ pub(crate) mod tests {
     #[test]
     fn flipped_bit_fails_verification_and_restores() {
         let parts = sample_parts();
-        let seg = write_segment(tmp("flip.seg"), &parts, 256).expect("write");
+        let dir = tmp();
+        let seg = write_segment(dir.dir().join("flip.seg"), &parts, 256).expect("write");
         let meta = seg.parts[0].clone();
         rot(&seg.path, meta.offset, meta.len, 0xBADC0DE);
         let err = verify_on_disk(&seg, 0).expect_err("must detect corruption");
@@ -549,7 +554,8 @@ pub(crate) mod tests {
     /// it was read from is never written.
     #[test]
     fn a_corrupted_copy_fails_the_frame_check_and_leaves_the_file_clean() {
-        let seg = write_segment(tmp("copy.seg"), &sample_parts(), 256).expect("write");
+        let dir = tmp();
+        let seg = write_segment(dir.dir().join("copy.seg"), &sample_parts(), 256).expect("write");
         let before = std::fs::read(&seg.path).expect("segment bytes");
         for part in [0, 2] {
             let meta = &seg.parts[part];
@@ -570,7 +576,8 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_segment_is_corruption_not_panic() {
-        let seg = write_segment(tmp("trunc.seg"), &sample_parts(), 256).expect("write");
+        let dir = tmp();
+        let seg = write_segment(dir.dir().join("trunc.seg"), &sample_parts(), 256).expect("write");
         let full = std::fs::read(&seg.path).expect("read");
         std::fs::write(&seg.path, &full[..full.len() - 3]).expect("truncate");
         let mut r: PartitionReader<u64, String> = PartitionReader::open(&seg, 2).expect("open");

@@ -5,6 +5,7 @@
 //! be byte-identical — outputs *and* `sched.*` counters — no matter what
 //! order the jobs were submitted in.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,7 +20,8 @@ use skymr_mapreduce::{
     assert_schedule_independent, run_job, run_job_from, AdmissionConfig, ClusterConfig,
     ClusterExecutor, Emitter, FairShareScheduler, FaultPlan, FaultTolerance, FnSplits,
     HashPartitioner, JobCompletion, JobConfig, JobHandle, JobMetrics, JobSpec, MapFactory, MapTask,
-    OutputCollector, ReduceFactory, ReduceTask, TaskContext,
+    OutputCollector, PriorityScheduler, ReduceFactory, ReduceTask, Scheduler, TaskContext,
+    TenantStats,
 };
 
 /// Serializes the id-sorted skyline to a canonical byte string so the
@@ -255,12 +257,14 @@ fn streamed_splits_match_in_memory_splits() {
 }
 
 /// A sustained 120-job load — bursty arrivals, three tenants, a bounded
-/// admission queue, scattered deadlines — must produce byte-identical
+/// admission queue, scattered deadlines, and high-priority jobs that
+/// preempt under [`PriorityScheduler`] — must produce byte-identical
 /// results (terminal states, outputs, scheduling stats, and the full
-/// `sched.*` counter registry) regardless of submission order.
+/// `sched.*` counter registry) regardless of submission order, under fair
+/// share and priority alike. Every run also checks that the report and
+/// its counters are the fold of the taken completions.
 #[test]
 fn sustained_load_is_submission_order_independent() {
-    const JOBS: usize = 120;
     let mut base = ClusterConfig::test();
     base.map_slots = 3;
     base.reduce_slots = 2;
@@ -268,54 +272,139 @@ fn sustained_load_is_submission_order_independent() {
     // sched.* metrics are themselves a function of the cluster shape, so
     // only submission order (and host threads) may vary.
     assert_schedule_independent(4, 0xA11CE, |case| {
-        let mut order: Vec<usize> = (0..JOBS).collect();
+        let mut order: Vec<usize> = (0..LOAD_JOBS).collect();
         case.permute(&mut order);
-        let mut exec = ClusterExecutor::new(base.clone())
-            .with_admission(AdmissionConfig::with_queue_depth(12))
-            .with_scheduler(FairShareScheduler);
-        let mut handles: Vec<Option<JobHandle<u64>>> = (0..JOBS).map(|_| None).collect();
-        for &i in &order {
-            let tenant = ["a", "b", "c"][i % 3];
-            let mut spec = JobSpec::new(format!("job-{i:03}"), tenant)
-                .arriving_at(Duration::from_millis((i as u64 / 6) * 5));
-            if i % 7 == 0 {
-                spec = spec.with_deadline(Duration::from_millis((i as u64 / 6) * 5 + 40));
-            }
-            let plane = synthetic_plane(i as u64, vec![4 + (i % 5) as u64, 3]);
-            handles[i] = Some(exec.submit(spec, plane).expect("statically feasible"));
-        }
-        let report = exec.run();
-        let mut bytes = report.render().into_bytes();
-        for (name, value) in report.registry.counters() {
-            bytes.extend_from_slice(name.as_bytes());
-            bytes.extend_from_slice(&value.to_le_bytes());
-        }
-        for handle in handles
-            .into_iter()
-            .map(|h| h.expect("every index submitted"))
-        {
-            match exec.take(handle) {
-                JobCompletion::Finished(outcome) => {
-                    bytes.push(b'F');
-                    bytes.extend_from_slice(&outcome.output.to_le_bytes());
-                    bytes.extend_from_slice(format!("{:?}", outcome.stats).as_bytes());
-                }
-                JobCompletion::Rejected(e) => {
-                    bytes.push(b'R');
-                    bytes.extend_from_slice(e.to_string().as_bytes());
-                }
-                JobCompletion::Cancelled(e) => {
-                    bytes.push(b'C');
-                    bytes.extend_from_slice(e.to_string().as_bytes());
-                }
-                JobCompletion::Failed(e) => {
-                    bytes.push(b'X');
-                    bytes.extend_from_slice(e.to_string().as_bytes());
-                }
-            }
-        }
+        let mut bytes = run_load(&base, &order, FairShareScheduler);
+        bytes.extend(run_load(&base, &order, PriorityScheduler));
         bytes
     });
+}
+
+const LOAD_JOBS: usize = 120;
+
+/// Runs the sustained load under `policy`, submitting jobs in `order`;
+/// returns its fingerprint after checking the accounting identity.
+fn run_load(base: &ClusterConfig, order: &[usize], policy: impl Scheduler + 'static) -> Vec<u8> {
+    let tenant_of = |i: usize| ["a", "b", "c"][i % 3];
+    let mut exec = ClusterExecutor::new(base.clone())
+        .with_admission(AdmissionConfig::with_queue_depth(12))
+        .with_scheduler(policy);
+    let mut handles: Vec<Option<JobHandle<u64>>> = (0..LOAD_JOBS).map(|_| None).collect();
+    for &i in order {
+        let mut spec = JobSpec::new(format!("job-{i:03}"), tenant_of(i))
+            .arriving_at(Duration::from_millis((i as u64 / 6) * 5));
+        if i % 7 == 0 {
+            spec = spec.with_deadline(Duration::from_millis((i as u64 / 6) * 5 + 40));
+        }
+        if i % 11 == 5 {
+            spec = spec.with_priority(5);
+        }
+        let plane = synthetic_plane(i as u64, vec![4 + (i % 5) as u64, 3]);
+        handles[i] = Some(exec.submit(spec, plane).expect("statically feasible"));
+    }
+    let report = exec.run();
+    let mut bytes = report.render().into_bytes();
+    for (name, value) in report.registry.counters() {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.extend_from_slice(&value.to_le_bytes());
+    }
+    // The fold: (completed, rejected, cancelled, failed) and per-tenant
+    // rows, rebuilt from what each handle hands back.
+    let mut counts = [0u64; 4];
+    let mut preemptions = 0;
+    let mut tenants: BTreeMap<String, TenantStats> = BTreeMap::new();
+    for (i, handle) in handles.into_iter().enumerate() {
+        let row = tenants.entry(tenant_of(i).to_owned()).or_default();
+        row.jobs += 1;
+        match exec.take(handle.expect("every index submitted")) {
+            JobCompletion::Finished(outcome) => {
+                counts[0] += 1;
+                preemptions += outcome.stats.preemptions;
+                row.slot_ticks += outcome.stats.slot_ticks;
+                row.queue_wait += outcome.stats.queue_wait;
+                bytes.push(b'F');
+                bytes.extend_from_slice(&outcome.output.to_le_bytes());
+                bytes.extend_from_slice(format!("{:?}", outcome.stats).as_bytes());
+            }
+            JobCompletion::Rejected(e) => {
+                counts[1] += 1;
+                bytes.push(b'R');
+                bytes.extend_from_slice(e.to_string().as_bytes());
+            }
+            JobCompletion::Cancelled(e) => {
+                counts[2] += 1;
+                // A cancelled job's metrics carry its scheduling story.
+                // They price only its killed attempts, which is all of its
+                // slot time unless an attempt finished before the cancel:
+                // none does in this load, and the identity would show one.
+                preemptions += e.metrics.preemptions;
+                row.slot_ticks += micros(e.metrics.wasted_task_time);
+                row.queue_wait += e.metrics.queue_wait_time;
+                bytes.push(b'C');
+                bytes.extend_from_slice(e.to_string().as_bytes());
+            }
+            JobCompletion::Failed(e) => {
+                counts[3] += 1;
+                bytes.push(b'X');
+                bytes.extend_from_slice(e.to_string().as_bytes());
+            }
+        }
+    }
+    let reported = [
+        report.completed,
+        report.rejected,
+        report.cancelled,
+        report.failed,
+    ];
+    assert_eq!(reported, counts, "{}", report.render());
+    assert_eq!(report.submitted, LOAD_JOBS as u64);
+    assert_eq!(report.admitted, report.submitted - report.rejected);
+    assert_eq!(report.preemptions, preemptions);
+    assert_eq!(report.tenants, tenants);
+    let mut expected = BTreeMap::new();
+    for (name, value) in [
+        ("submitted", report.submitted),
+        ("admitted", report.admitted),
+        ("completed", counts[0]),
+        ("rejected", counts[1]),
+        ("cancelled", counts[2]),
+        ("failed", counts[3]),
+        ("preemptions", preemptions),
+    ] {
+        expected.insert(format!("sched.{name}"), value);
+    }
+    let sum = |f: fn(&TenantStats) -> u64| tenants.values().map(f).sum::<u64>();
+    expected.insert("sched.slot_ticks".into(), sum(|t| t.slot_ticks));
+    expected.insert(
+        "sched.queue_wait_ticks".into(),
+        sum(|t| micros(t.queue_wait)),
+    );
+    for (tenant, t) in &tenants {
+        let key = |field: &str| format!("sched.tenant.{tenant}.{field}");
+        expected.insert(key("jobs"), t.jobs);
+        expected.insert(key("slot_ticks"), t.slot_ticks);
+        expected.insert(key("queue_wait_ticks"), micros(t.queue_wait));
+    }
+    let registry: BTreeMap<String, u64> = report
+        .registry
+        .counters()
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect();
+    assert_eq!(registry, expected);
+    if report.policy == "priority" {
+        assert!(report.preemptions > 0, "the load preempts under priority");
+    }
+    assert!(
+        report.rejected > 0 && report.cancelled > 0,
+        "{}",
+        report.render()
+    );
+    bytes
+}
+
+/// A duration in the executor's ticks.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).expect("fits in u64")
 }
 
 proptest! {
