@@ -8,18 +8,18 @@
 //!   2003): presort by a monotone score, then a single filtering pass.
 //! * [`dnc`] — centralized divide-and-conquer skyline (Börzsönyi et al.'s
 //!   second algorithm), strong on large (anti-correlated) skylines.
-//! * [`sky_mr`] — SKY-MR (Park et al., PVLDB 2013): a sample-built
+//! * [`sky_mr`](mod@sky_mr) — SKY-MR (Park et al., PVLDB 2013): a sample-built
 //!   [`quadtree`] ("sky-quadtree") prunes dominated regions up front and
 //!   its leaves drive multi-reducer parallelism; the sample-based
 //!   competitor the paper's related-work section contrasts the bitstring
 //!   against.
-//! * [`mr_bnl`] — MR-BNL (Zhang et al., DASFAA 2011 workshops): each
+//! * [`mr_bnl`](mod@mr_bnl) — MR-BNL (Zhang et al., DASFAA 2011 workshops): each
 //!   dimension split into two halves (2^d cells), BNL local skylines on the
 //!   mappers, single merging reducer with cell-code pruning.
-//! * [`mr_sfs`] — MR-SFS (same partitioning, SFS local skylines). The
+//! * [`mr_sfs`](mod@mr_sfs) — MR-SFS (same partitioning, SFS local skylines). The
 //!   paper omits it from plots as strictly slower than MR-BNL; included for
 //!   completeness.
-//! * [`mr_angle`] — MR-Angle (Chen et al., IPDPS workshops 2012 /
+//! * [`mr_angle`](mod@mr_angle) — MR-Angle (Chen et al., IPDPS workshops 2012 /
 //!   Vlachou et al., SIGMOD 2008): angular partitioning of the data space,
 //!   BNL local skylines per angular partition, single merging reducer.
 //!

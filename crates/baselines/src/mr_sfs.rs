@@ -1,6 +1,6 @@
 //! MR-SFS (Zhang, Zhou, Guan — DASFAA 2011 workshops).
 //!
-//! The same two-phase pipeline as [`crate::mr_bnl`] — shuffle every tuple
+//! The same two-phase pipeline as [`crate::mr_bnl`](mod@crate::mr_bnl) — shuffle every tuple
 //! to its `2^d` midpoint cell, local skylines in parallel reducers, then a
 //! single-reducer merge — but the phase-1 reducers compute their local
 //! skylines with Sort-Filter-Skyline: buffer, presort by the entropy

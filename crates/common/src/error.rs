@@ -64,17 +64,25 @@ pub enum Error {
         /// Why admission refused it (queue depth, reservation vs capacity).
         reason: String,
     },
-    /// A checkpoint file failed its integrity check — a snapshot payload's
+    /// A checkpoint file failed its integrity check — a snapshot frame's
     /// CRC32C no longer matches what was recorded at write time (bit rot at
-    /// rest), or the document itself is unreadable. Unlike a *stale*
-    /// checkpoint (job-name mismatch, which silently falls back to
+    /// rest), or the file cannot be read or is not a checkpoint. Unlike a
+    /// *stale* checkpoint (job-name mismatch, which silently falls back to
     /// execution), rot is surfaced: resuming from a damaged file aborts so
     /// the operator can discard it deliberately.
     CheckpointCorrupt {
         /// Name of the job whose snapshot failed verification, or
-        /// `"<document>"` when the file as a whole is unreadable.
+        /// `"<document>"` when the file as a whole failed.
         job: String,
         /// What failed to verify.
+        detail: String,
+    },
+    /// A pipeline runner could not write its checkpoint file; the run
+    /// stops rather than leave a checkpoint a later resume cannot use.
+    CheckpointWrite {
+        /// The checkpoint file.
+        path: std::path::PathBuf,
+        /// The host I/O error.
         detail: String,
     },
 }
@@ -123,6 +131,9 @@ impl fmt::Display for Error {
                 f,
                 "checkpoint for job `{job}` failed verification: {detail}"
             ),
+            Error::CheckpointWrite { path, detail } => {
+                write!(f, "cannot write checkpoint {}: {detail}", path.display())
+            }
         }
     }
 }

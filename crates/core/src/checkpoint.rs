@@ -1,16 +1,15 @@
 //! Checkpoint/resume wiring for the two-job skyline drivers.
 //!
 //! The engine's [`Runner`](skymr_mapreduce::Runner) snapshots each stage's
-//! forward-flowing value via [`Snapshot`]. For the skyline pipelines those
-//! values are the bitstring pre-job's result ([`BitstringStage`], encoded
-//! here) and the final tuple list (covered by the engine's
-//! `impl Snapshot for Vec<Tuple>`). With both in place, a driver killed
-//! between the bitstring job and the skyline job resumes from the
-//! checkpoint without re-running the pre-job — and the chaos suite asserts
-//! the resumed skyline is byte-identical to a fresh run's.
+//! forward-flowing value through its [`Wire`] encoding. For the skyline
+//! pipelines those values are the bitstring pre-job's result
+//! ([`BitstringStage`], encoded here) and the final tuple list. With both
+//! in place, a driver killed between the bitstring job and the skyline job
+//! resumes from the checkpoint without re-running the pre-job — and the
+//! chaos suite asserts the resumed skyline is byte-identical to a fresh
+//! run's.
 
-use skymr_common::{BitGrid, Dataset};
-use skymr_mapreduce::Snapshot;
+use skymr_common::{BitGrid, Dataset, Wire, WireCursor};
 
 use crate::bitstring::job::BitstringInfo;
 use crate::bitstring::Bitstring;
@@ -34,75 +33,41 @@ impl BitstringStage {
     /// allows. Reads the header alone, so a grid no run would build is
     /// turned away before anything is allocated for it.
     pub(crate) fn fits(payload: &[u8], dataset: &Dataset, ppd: &PpdPolicy) -> bool {
-        let field = |k: usize| {
-            let bytes = payload.get(k * 8..k * 8 + 8)?.try_into().ok()?;
-            usize::try_from(u64::from_le_bytes(bytes)).ok()
-        };
-        field(0) == Some(dataset.dim())
-            && field(1).is_some_and(|p| ppd.ppds(dataset.len(), dataset.dim()).contains(&p))
+        let mut r = WireCursor::new(payload);
+        usize::wire_decode(&mut r) == Some(dataset.dim())
+            && usize::wire_decode(&mut r)
+                .is_some_and(|p| ppd.ppds(dataset.len(), dataset.dim()).contains(&p))
     }
 }
 
-/// Layout (all `u64` little-endian): grid dim and PPD, the three
-/// [`BitstringInfo`] statistics, the bit count, then one index per set
-/// bit in ascending order. Set-bit indices rather than raw words keep the
-/// encoding independent of [`BitGrid`]'s internal packing.
-impl Snapshot for BitstringStage {
-    fn encode(&self) -> Vec<u8> {
+/// Layout: grid dim and PPD (the header a resume checks first),
+/// the three [`BitstringInfo`] statistics, then the bit pattern.
+impl Wire for BitstringStage {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         let grid = self.bitstring.grid();
-        let bits = self.bitstring.bits();
-        let mut out = Vec::with_capacity(56 + bits.count_ones() * 8);
         for field in [
-            grid.dim() as u64,
-            grid.ppd() as u64,
-            self.info.ppd as u64,
-            self.info.non_empty as u64,
-            self.info.surviving as u64,
-            bits.len() as u64,
-            bits.count_ones() as u64,
+            grid.dim(),
+            grid.ppd(),
+            self.info.ppd,
+            self.info.non_empty,
+            self.info.surviving,
         ] {
-            out.extend_from_slice(&field.to_le_bytes());
+            field.wire_encode(out);
         }
-        for i in bits.iter_ones() {
-            out.extend_from_slice(&(i as u64).to_le_bytes());
-        }
-        out
+        self.bitstring.bits().wire_encode(out);
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut fields = [0u64; 7];
-        if bytes.len() < 56 {
-            return None;
-        }
-        for (k, field) in fields.iter_mut().enumerate() {
-            *field = u64::from_le_bytes(bytes.get(k * 8..k * 8 + 8)?.try_into().ok()?);
-        }
-        let [dim, grid_ppd, info_ppd, non_empty, surviving, bit_len, ones] = fields;
-        let grid = Grid::new(usize::try_from(dim).ok()?, usize::try_from(grid_ppd).ok()?).ok()?;
-        if grid.num_partitions() as u64 != bit_len {
-            return None;
-        }
-        let ones = usize::try_from(ones).ok()?;
-        if bytes.len() != 56 + ones * 8 {
-            return None;
-        }
-        let mut bits = BitGrid::zeros(grid.num_partitions());
-        for k in 0..ones {
-            let at = 56 + k * 8;
-            let i = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?);
-            let i = usize::try_from(i).ok()?;
-            if i >= bits.len() {
-                return None;
-            }
-            bits.set(i);
-        }
-        Some(Self {
+    fn wire_decode(r: &mut WireCursor<'_>) -> Option<Self> {
+        let grid = Grid::new(usize::wire_decode(r)?, usize::wire_decode(r)?).ok()?;
+        let info = BitstringInfo {
+            ppd: usize::wire_decode(r)?,
+            non_empty: usize::wire_decode(r)?,
+            surviving: usize::wire_decode(r)?,
+        };
+        let bits = BitGrid::wire_decode(r)?;
+        (bits.len() == grid.num_partitions()).then(|| Self {
             bitstring: Bitstring::from_parts(grid, bits),
-            info: BitstringInfo {
-                ppd: usize::try_from(info_ppd).ok()?,
-                non_empty: usize::try_from(non_empty).ok()?,
-                surviving: usize::try_from(surviving).ok()?,
-            },
+            info,
         })
     }
 }
@@ -131,21 +96,32 @@ mod tests {
         }
     }
 
+    fn decode(bytes: &[u8]) -> Option<BitstringStage> {
+        let mut r = WireCursor::new(bytes);
+        BitstringStage::wire_decode(&mut r).filter(|_| r.is_empty())
+    }
+
     #[test]
     fn bitstring_stage_round_trips() {
         let original = stage();
-        let bytes = original.encode();
-        assert_eq!(BitstringStage::decode(&bytes).as_ref(), Some(&original));
-        assert_eq!(bytes, original.encode(), "encoding must be deterministic");
-        // Truncation, padding, and out-of-range bits are all rejected.
-        assert!(BitstringStage::decode(&bytes[..bytes.len() - 1]).is_none());
+        let mut bytes = Vec::new();
+        original.wire_encode(&mut bytes);
+        assert_eq!(decode(&bytes).as_ref(), Some(&original));
+        let mut again = Vec::new();
+        original.wire_encode(&mut again);
+        assert_eq!(bytes, again, "encoding must be deterministic");
+        // Truncation, padding, a bit pattern of the wrong length, and a
+        // set bit past the grid are all rejected.
+        assert!(decode(&bytes[..bytes.len() - 1]).is_none());
         let mut padded = bytes.clone();
         padded.extend_from_slice(&[0; 8]);
-        assert!(BitstringStage::decode(&padded).is_none());
-        let mut bad = bytes;
-        let at = bad.len() - 8;
-        bad[at..].copy_from_slice(&99u64.to_le_bytes());
-        assert!(BitstringStage::decode(&bad).is_none());
+        assert!(decode(&padded).is_none());
+        let mut wrong_len = bytes.clone();
+        wrong_len[40] = 10;
+        assert!(decode(&wrong_len).is_none());
+        let mut past_end = bytes;
+        past_end[45] |= 0x80;
+        assert!(decode(&past_end).is_none());
     }
 
     #[test]
@@ -154,7 +130,7 @@ mod tests {
         let fresh = mr_gpsrs(&ds, &SkylineConfig::test()).unwrap();
 
         let path = std::env::temp_dir().join(format!(
-            "skymr-core-resume-test-{}.json",
+            "skymr-core-resume-test-{}.ckpt",
             std::process::id()
         ));
         let killed = mr_gpsrs(
@@ -191,8 +167,8 @@ mod tests {
     #[test]
     fn a_grid_the_run_could_not_build_falls_back_to_execution() {
         use skymr_mapreduce::{Checkpoint, JobSnapshot};
-        // 56 bytes with an intact CRC: dim 1, PPD 2^40, 2^40 bits, none
-        // set. Decoding it would ask for 2^40 bits.
+        // 56 bytes in a frame with an intact CRC: dim 1, PPD 2^40, then
+        // fields no run would write. `fits` turns it away from the header.
         let mut payload = Vec::new();
         for field in [1u64, 1 << 40, 1 << 40, 0, 0, 1 << 40, 0] {
             payload.extend_from_slice(&field.to_le_bytes());
@@ -210,10 +186,10 @@ mod tests {
             let ds = generate(Distribution::Independent, dim, 500, 11);
             let fresh = mr_gpsrs(&ds, &SkylineConfig::test()).unwrap();
             let path = std::env::temp_dir().join(format!(
-                "skymr-core-huge-grid-test-{}-{dim}.json",
+                "skymr-core-huge-grid-test-{}-{dim}.ckpt",
                 std::process::id()
             ));
-            std::fs::write(&path, checkpoint.to_json()).unwrap();
+            std::fs::write(&path, checkpoint.to_bytes()).unwrap();
             let resumed = mr_gpsrs(
                 &ds,
                 &SkylineConfig::test()
@@ -232,7 +208,7 @@ mod tests {
     fn resuming_from_a_bit_rotted_checkpoint_aborts_with_a_structured_error() {
         let ds = generate(Distribution::Independent, 2, 200, 7);
         let path =
-            std::env::temp_dir().join(format!("skymr-core-rot-test-{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("skymr-core-rot-test-{}.ckpt", std::process::id()));
         mr_gpsrs(
             &ds,
             &SkylineConfig::test()
@@ -241,18 +217,12 @@ mod tests {
         )
         .expect_err("kill-point fires");
 
-        // Rot one payload bit in the file: swap the first hex digit of the
-        // bitstring snapshot's payload.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let at = text.find("\"payload\":\"").unwrap() + 11;
-        let swapped = if text.as_bytes()[at] == b'0' {
-            "1"
-        } else {
-            "0"
-        };
-        let mut rotted = text;
-        rotted.replace_range(at..at + 1, swapped);
-        std::fs::write(&path, rotted).unwrap();
+        // Rot one bit of the bitstring snapshot's payload: past the file
+        // header (12 bytes), the frame length (4), the name (4 + 9) and
+        // the simulated µs (8).
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[37] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
 
         let err = mr_gpsrs(
             &ds,
@@ -272,5 +242,31 @@ mod tests {
             }
             other => panic!("expected CheckpointCorrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn checkpoint_io_errors_fail_the_run() {
+        let ds = generate(Distribution::Independent, 2, 200, 7);
+        let missing = std::env::temp_dir()
+            .join(format!("skymr-core-no-dir-{}", std::process::id()))
+            .join("checkpoint");
+        let err = mr_gpsrs(&ds, &SkylineConfig::test().with_checkpoint_file(&missing))
+            .expect_err("a checkpoint that cannot be written fails the run");
+        assert!(
+            matches!(&err, Error::CheckpointWrite { path, .. } if *path == missing),
+            "{err:?}"
+        );
+        // A directory given to resume from is an error, not a fresh run.
+        let err = mr_gpsrs(
+            &ds,
+            &SkylineConfig::test()
+                .with_checkpoint_file(std::env::temp_dir())
+                .with_resume(true),
+        )
+        .expect_err("an unreadable checkpoint aborts the resume");
+        assert!(
+            matches!(&err, Error::CheckpointCorrupt { job, .. } if job == "<document>"),
+            "{err:?}"
+        );
     }
 }

@@ -24,8 +24,8 @@ pub struct CheckpointConfig {
     /// on resume). `None` keeps checkpoints in memory only.
     pub file: Option<PathBuf>,
     /// Resume from `file` when it holds a valid checkpoint. A missing file
-    /// falls back to a fresh run; a file that fails its CRC32C payload
-    /// verification aborts with
+    /// falls back to a fresh run; a file that cannot be read or fails its
+    /// CRC32C frame verification aborts with
     /// [`Error::CheckpointCorrupt`] instead — bit rot
     /// is surfaced, never silently re-run over.
     pub resume: bool,
@@ -44,7 +44,7 @@ impl CheckpointConfig {
     /// # Errors
     ///
     /// [`Error::CheckpointCorrupt`] when resuming from a checkpoint file
-    /// whose payloads fail CRC32C verification.
+    /// that cannot be read or fails CRC32C verification.
     pub(crate) fn runner(&self, dataset: &Dataset, ppd: &PpdPolicy) -> Result<Runner> {
         let mut runner = match (self.resume, self.file.as_deref()) {
             (true, Some(path)) => Checkpoint::load(path)?.map_or_else(Runner::new, |mut cp| {

@@ -1,5 +1,5 @@
 //! Constrained skyline queries in MapReduce (the query class of the
-//! paper's reference [5], Chen, Cui, Lu — TKDE 2011).
+//! paper's reference \[5\], Chen, Cui, Lu — TKDE 2011).
 //!
 //! A *constrained* skyline restricts both candidates and dominators to an
 //! axis-aligned range [`Constraint`]: "the best hotels **under €150 within

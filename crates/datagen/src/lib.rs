@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on "synthetic data sets of independent and
 //! anti-correlated distributions … generated according to the existing
-//! methods [4]" (Börzsönyi, Kossmann, Stocker: *The Skyline Operator*,
+//! methods \[4\]" (Börzsönyi, Kossmann, Stocker: *The Skyline Operator*,
 //! ICDE 2001). This crate implements those generators plus the correlated
 //! and clustered distributions commonly used alongside them:
 //!

@@ -476,10 +476,10 @@ where
 /// how datasets larger than memory stream in.
 ///
 /// This is the general driver; [`run_job`] delegates here. The body is
-/// the job's table of contents (DESIGN.md §3): each stage is one [`Job`]
+/// the job's table of contents (DESIGN.md §3): each stage is one `Job`
 /// method, the stages accumulate the job's deterministic facts into one
 /// [`JobRecord`], and every exit — success or abort — reports them
-/// through [`Job::close`].
+/// through `Job::close`.
 pub fn run_job_from<In, K, V, Out, S, MF, RF, P>(
     cluster: &ClusterConfig,
     config: &JobConfig,

@@ -70,7 +70,7 @@ pub use fault::{
 };
 pub use job::{run_job, run_job_from, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};
-pub use pipeline::{Checkpoint, JobSnapshot, PipelineMetrics, Runner, Snapshot};
+pub use pipeline::{Checkpoint, JobSnapshot, PipelineMetrics, Runner};
 pub use sched::{
     AdmissionConfig, ClusterExecutor, FairShareScheduler, FifoScheduler, JobCompletion, JobHandle,
     JobSpec, PriorityScheduler, Reservation, SchedOutcome, SchedReport, Scheduler, TenantStats,

@@ -9,17 +9,18 @@
 //!
 //! [`Runner`] adds Hadoop-JobControl-style durability to such chains: after
 //! each job completes, its forward-flowing output is snapshotted into a
-//! [`Checkpoint`] (in memory, and optionally to a JSON file). A chain
+//! [`Checkpoint`] (in memory, and optionally to a file of CRC32C frames). A chain
 //! killed between jobs — simulated deterministically with
 //! [`Runner::with_kill_after`] — can be restarted from the last completed
 //! job with [`Runner::resume`]; because UDFs are pure, the resumed chain
 //! produces byte-identical outputs to an uninterrupted run.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use skymr_common::{crc32c, Error, Tuple, Wire, WireCursor};
+use skymr_common::bytes::{frame_begin, frame_decode, frame_end};
+use skymr_common::{Error, Wire, WireCursor};
 
 use crate::cluster::JobMetrics;
 use crate::fault::JobError;
@@ -97,67 +98,14 @@ impl PipelineMetrics {
     }
 }
 
-/// A value that can cross a pipeline checkpoint: encoded to bytes after
-/// its job completes, decoded when a killed chain resumes. Encodings must
-/// be self-contained and deterministic (byte-identical for equal values) —
-/// the chaos suite diffs checkpoint files across runs.
-pub trait Snapshot {
-    /// Serializes the value. Must be deterministic.
-    fn encode(&self) -> Vec<u8>;
-    /// Recovers a value from [`encode`](Self::encode)'s output; `None` on
-    /// any structural mismatch (a corrupt or foreign payload).
-    fn decode(bytes: &[u8]) -> Option<Self>
-    where
-        Self: Sized;
-}
-
-/// Tuples are the forward-flowing value of every skyline job, so the
-/// canonical snapshot payload is a tuple list: `[count, dim]` header then
-/// `id` + `dim` values per tuple, all little-endian fixed-width.
-impl Snapshot for Vec<Tuple> {
-    fn encode(&self) -> Vec<u8> {
-        let dim = self.first().map_or(0, Tuple::dim);
-        let mut out = Vec::with_capacity(16 + self.len() * (8 + dim * 8));
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(dim as u64).to_le_bytes());
-        for t in self {
-            out.extend_from_slice(&t.id.to_le_bytes());
-            for v in t.values.iter() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Reservations are capped by what the remaining bytes can hold
-    /// ([`WireCursor::capacity_for`]), so a header that declares more than
-    /// the payload carries costs O(payload) before it is rejected.
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = WireCursor::new(bytes);
-        let count = usize::try_from(u64::wire_decode(&mut r)?).ok()?;
-        let dim = usize::try_from(u64::wire_decode(&mut r)?).ok()?;
-        let tuple_bytes = dim.saturating_add(1).saturating_mul(8);
-        let mut tuples = Vec::with_capacity(r.capacity_for(count, tuple_bytes));
-        for _ in 0..count {
-            let id = u64::wire_decode(&mut r)?;
-            let mut values = Vec::with_capacity(r.capacity_for(dim, 8));
-            for _ in 0..dim {
-                values.push(f64::wire_decode(&mut r)?);
-            }
-            tuples.push(Tuple::new(id, values));
-        }
-        r.is_empty().then_some(tuples)
-    }
-}
-
-/// One completed job's checkpoint entry: the encoded forward-flowing value
-/// plus the simulated time the job cost (restored into the pipeline clock
-/// on resume).
+/// One completed job's checkpoint entry: the `Wire`-encoded
+/// forward-flowing value plus the simulated time the job cost (restored
+/// into the pipeline clock on resume).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSnapshot {
     /// The stage name (must match the [`Runner::stage`] call on resume).
     pub name: String,
-    /// The stage value, encoded via [`Snapshot::encode`].
+    /// The stage value's [`Wire`] encoding.
     pub payload: Vec<u8>,
     /// The job's simulated runtime when it originally ran.
     pub sim_runtime: Duration,
@@ -171,117 +119,69 @@ pub struct Checkpoint {
     pub jobs: Vec<JobSnapshot>,
 }
 
+/// The first bytes of every checkpoint file.
+const MAGIC: &[u8; 8] = b"SKYMRCKP";
+/// The file format's version, written after [`MAGIC`].
+const VERSION: u32 = 3;
+
 impl Checkpoint {
-    /// Renders the checkpoint as versioned JSON. Each payload is
-    /// hex-encoded and accompanied by its CRC32C (the shuffle-frame
-    /// checksum, [`skymr_common::crc32c`]), so bit rot at rest is caught at
-    /// parse time. The format is deterministic: equal checkpoints render to
-    /// equal bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"version\":2,\"jobs\":[");
-        for (i, job) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            for c in job.name.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\",\"payload\":\"");
-            for b in &job.payload {
-                out.push_str(&format!("{b:02x}"));
-            }
-            out.push_str(&format!("\",\"crc\":{}", crc32c(&job.payload)));
-            out.push_str(&format!(
-                ",\"sim_us\":{}}}",
-                u64::try_from(job.sim_runtime.as_micros()).unwrap_or(u64::MAX)
-            ));
+    /// Renders the checkpoint file: the magic `SKYMRCKP` and a `u32`
+    /// version (3), then one CRC32C frame (the shuffle's, [`frame_begin`])
+    /// per snapshot holding its name, its simulated µs and its payload.
+    /// Equal checkpoints render to equal bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        VERSION.wire_encode(&mut out);
+        for job in &self.jobs {
+            let start = frame_begin(&mut out);
+            job.name.wire_encode(&mut out);
+            u64::try_from(job.sim_runtime.as_micros())
+                .unwrap_or(u64::MAX)
+                .wire_encode(&mut out);
+            out.extend_from_slice(&job.payload);
+            frame_end(&mut out, start);
         }
-        out.push_str("]}");
         out
     }
 
-    /// Parses and verifies a checkpoint rendered by
-    /// [`to_json`](Self::to_json).
+    /// Parses and verifies a file rendered by [`to_bytes`](Self::to_bytes).
     ///
-    /// Every snapshot payload is checked against its recorded CRC32C; a
-    /// mismatch — a bit-rotted file — is a structured
-    /// [`Error::CheckpointCorrupt`] naming the damaged job, never a silent
-    /// fallback. Unreadable documents and unknown versions are reported the
-    /// same way under the pseudo-job `"<document>"`.
-    pub fn from_json(text: &str) -> skymr_common::Result<Self> {
-        fn corrupt(job: &str, detail: impl Into<String>) -> Error {
-            Error::CheckpointCorrupt {
-                job: job.into(),
-                detail: detail.into(),
-            }
+    /// A frame that fails its CRC32C check is [`Error::CheckpointCorrupt`]
+    /// naming the damaged snapshot by the name it claims (`#k`, its
+    /// position, when even that is unreadable); a bad magic or version —
+    /// an older JSON checkpoint included — is reported under the
+    /// pseudo-job `"<document>"`. Nothing is reserved beyond the input.
+    pub fn from_bytes(bytes: &[u8]) -> skymr_common::Result<Self> {
+        let corrupt = |job: &str, detail: String| Error::CheckpointCorrupt {
+            job: job.into(),
+            detail,
+        };
+        let mut r = WireCursor::new(bytes);
+        let (magic, version) = (r.take(MAGIC.len()), u32::wire_decode(&mut r));
+        if magic != Some(MAGIC.as_slice()) || version != Some(VERSION) {
+            let detail = format!("not a version-{VERSION} checkpoint file");
+            return Err(corrupt("<document>", detail));
         }
-        let value = skymr_telemetry::json::parse(text)
-            .map_err(|_| corrupt("<document>", "not valid JSON"))?;
-        let version = value
-            .get("version")
-            .and_then(skymr_telemetry::json::Value::as_u64)
-            .ok_or_else(|| corrupt("<document>", "missing version field"))?;
-        if version != 2 {
-            return Err(corrupt(
-                "<document>",
-                format!("unsupported checkpoint version {version} (expected 2)"),
-            ));
-        }
-        let entries = value
-            .get("jobs")
-            .and_then(skymr_telemetry::json::Value::as_array)
-            .ok_or_else(|| corrupt("<document>", "missing jobs array"))?;
+        let mut rest = r.take(r.remaining()).unwrap_or_default();
         let mut jobs = Vec::new();
-        for job in entries {
-            let name = job
-                .get("name")
-                .and_then(skymr_telemetry::json::Value::as_str)
-                .ok_or_else(|| corrupt("<document>", "snapshot without a name"))?
-                .to_owned();
-            let hex = job
-                .get("payload")
-                .and_then(skymr_telemetry::json::Value::as_str)
-                .ok_or_else(|| corrupt(&name, "snapshot without a payload"))?;
-            if hex.len() % 2 != 0 {
-                return Err(corrupt(&name, "payload hex has odd length"));
-            }
-            let mut payload = Vec::with_capacity(hex.len() / 2);
-            for i in (0..hex.len()).step_by(2) {
-                let pair = hex.get(i..i + 2).unwrap_or_default();
-                payload.push(
-                    u8::from_str_radix(pair, 16)
-                        .map_err(|_| corrupt(&name, format!("non-hex payload byte `{pair}`")))?,
-                );
-            }
-            let recorded = job
-                .get("crc")
-                .and_then(skymr_telemetry::json::Value::as_u64)
-                .ok_or_else(|| corrupt(&name, "snapshot without a crc"))?;
-            let actual = u64::from(crc32c(&payload));
-            if actual != recorded {
-                return Err(corrupt(
-                    &name,
-                    format!(
-                        "payload CRC32C {actual:#010x} != recorded {recorded:#010x}; \
-                         the snapshot bit-rotted at rest"
-                    ),
-                ));
-            }
-            let sim_us = job
-                .get("sim_us")
-                .and_then(skymr_telemetry::json::Value::as_u64)
-                .ok_or_else(|| corrupt(&name, "snapshot without sim_us"))?;
+        while !rest.is_empty() {
+            let k = jobs.len();
+            let (frame, tail) = frame_decode(rest).map_err(|e| {
+                let mut claimed = WireCursor::new(rest.get(4..).unwrap_or_default());
+                corrupt(
+                    &String::wire_decode(&mut claimed).unwrap_or_else(|| format!("#{k}")),
+                    format!("snapshot {k} failed its CRC32C frame check: {e}"),
+                )
+            })?;
+            let mut r = WireCursor::new(frame);
+            let (name, sim_us) = <(String, u64)>::wire_decode(&mut r)
+                .ok_or_else(|| corrupt(&format!("#{k}"), "snapshot frame holds no name".into()))?;
             jobs.push(JobSnapshot {
                 name,
-                payload,
+                payload: r.take(r.remaining()).unwrap_or_default().to_vec(),
                 sim_runtime: Duration::from_micros(sim_us),
             });
+            rest = tail;
         }
         Ok(Self { jobs })
     }
@@ -290,12 +190,17 @@ impl Checkpoint {
     /// [`with_checkpoint_file`](Runner::with_checkpoint_file).
     ///
     /// `Ok(None)` when the file does not exist (a fresh run is the correct
-    /// fallback); [`Error::CheckpointCorrupt`] when it exists but fails
-    /// verification — damage is surfaced, never silently re-run over.
-    pub fn load(path: impl AsRef<std::path::Path>) -> skymr_common::Result<Option<Self>> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::from_json(&text).map(Some),
-            Err(_) => Ok(None),
+    /// fallback); [`Error::CheckpointCorrupt`] when it cannot be read or
+    /// fails verification — damage is surfaced, never silently re-run over.
+    pub fn load(path: impl AsRef<Path>) -> skymr_common::Result<Option<Self>> {
+        let path = path.as_ref();
+        match std::fs::read(path) {
+            Ok(bytes) => Self::from_bytes(&bytes).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(Error::CheckpointCorrupt {
+                job: "<document>".into(),
+                detail: format!("cannot read {}: {e}", path.display()),
+            }),
         }
     }
 }
@@ -360,16 +265,21 @@ impl Runner {
 
     /// Runs (or replays) one job of the chain.
     ///
-    /// If the next restored snapshot matches `name`, its value is decoded
-    /// and returned without executing `run`; a stub [`JobMetrics`] carrying
-    /// the snapshotted `sim_runtime`, as its `sim_runtime` and as one wait
-    /// for an executor to replay, keeps the pipeline clock truthful. (A
-    /// replayed stage re-runs no tasks, so it contributes no counters.)
-    /// Otherwise `run` executes, and on success its value is snapshotted
-    /// (and persisted, when a checkpoint file is configured). A name
-    /// mismatch or undecodable payload discards the rest of the restored
-    /// state and falls back to executing — a stale checkpoint can slow a
-    /// chain down but never corrupt it.
+    /// If the next restored snapshot matches `name` and its payload decodes
+    /// to exactly one `T`, that value is returned without executing `run`;
+    /// a stub [`JobMetrics`] carrying the snapshotted `sim_runtime`, as its
+    /// `sim_runtime` and as one wait for an executor to replay, keeps the
+    /// pipeline clock truthful. (A replayed stage re-runs no tasks, so it
+    /// contributes no counters.) Otherwise `run` executes, and on success
+    /// its value is snapshotted. A name mismatch, an undecodable payload or
+    /// one with trailing bytes discards the rest of the restored state and
+    /// falls back to executing — a stale checkpoint can slow a chain down
+    /// but never corrupt it.
+    ///
+    /// # Errors
+    ///
+    /// `run`'s error; [`Error::CheckpointWrite`] when a configured
+    /// checkpoint file cannot be written.
     pub fn stage<T, F>(
         &mut self,
         name: &str,
@@ -377,7 +287,7 @@ impl Runner {
         run: F,
     ) -> skymr_common::Result<T>
     where
-        T: Snapshot,
+        T: Wire,
         F: FnOnce(&mut PipelineMetrics) -> skymr_common::Result<T>,
     {
         if self.kill_after == Some(self.completed.len()) {
@@ -386,47 +296,56 @@ impl Runner {
             });
         }
         if let Some(front) = self.pending.front() {
-            if front.name == name {
-                if let Some(value) = T::decode(&front.payload) {
-                    if let Some(snap) = self.pending.pop_front() {
-                        let mut stub = JobMetrics::empty(name, 0, 0);
-                        stub.sim_runtime = snap.sim_runtime;
-                        stub.steps = vec![Step::Wait(ticks_of(snap.sim_runtime))];
-                        metrics.push(stub);
-                        self.completed.push(snap);
-                        self.persist();
-                        return Ok(value);
-                    }
+            let mut r = WireCursor::new(&front.payload);
+            let restored = (front.name == name)
+                .then(|| T::wire_decode(&mut r))
+                .flatten()
+                .filter(|_| r.is_empty());
+            match (restored, self.pending.pop_front()) {
+                (Some(value), Some(snap)) => {
+                    let mut stub = JobMetrics::empty(name, 0, 0);
+                    stub.sim_runtime = snap.sim_runtime;
+                    stub.steps = vec![Step::Wait(ticks_of(snap.sim_runtime))];
+                    metrics.push(stub);
+                    self.completed.push(snap);
+                    self.persist()?;
+                    return Ok(value);
                 }
+                _ => self.pending.clear(),
             }
-            self.pending.clear();
         }
         let value = run(metrics)?;
         let sim_runtime = metrics
             .jobs
             .last()
             .map_or(Duration::ZERO, |j| j.sim_runtime);
+        let mut payload = Vec::new();
+        value.wire_encode(&mut payload);
         self.completed.push(JobSnapshot {
             name: name.to_owned(),
-            payload: value.encode(),
+            payload,
             sim_runtime,
         });
-        self.persist();
+        self.persist()?;
         Ok(value)
     }
 
-    /// Best-effort checkpoint-file write; the in-memory checkpoint is the
-    /// source of truth, and a resume from a missing file simply re-runs.
-    fn persist(&self) {
-        if let Some(path) = &self.file {
-            let _ = std::fs::write(path, self.checkpoint().to_json());
-        }
+    /// Rewrites the checkpoint file, when one is configured.
+    fn persist(&self) -> skymr_common::Result<()> {
+        let Some(path) = &self.file else {
+            return Ok(());
+        };
+        std::fs::write(path, self.checkpoint().to_bytes()).map_err(|e| Error::CheckpointWrite {
+            path: path.clone(),
+            detail: e.to_string(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skymr_common::Tuple;
 
     fn dummy(name: &str, sim_ms: u64, bytes: u64) -> JobMetrics {
         let mut m = JobMetrics::empty(name, 1, 1);
@@ -502,44 +421,35 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn tuple_snapshot_round_trips() {
-        let original = tuples();
-        let bytes = original.encode();
-        assert_eq!(Vec::<Tuple>::decode(&bytes).as_ref(), Some(&original));
-        // Deterministic: equal values, equal bytes.
-        assert_eq!(bytes, original.encode());
-        // Empty list round-trips too.
-        let empty: Vec<Tuple> = Vec::new();
-        assert_eq!(Vec::<Tuple>::decode(&empty.encode()), Some(Vec::new()));
-        // Truncated and over-long payloads are rejected, not mis-decoded.
-        assert!(Vec::<Tuple>::decode(&bytes[..bytes.len() - 1]).is_none());
-        let mut padded = bytes;
-        padded.push(0);
-        assert!(Vec::<Tuple>::decode(&padded).is_none());
+    fn wire<T: Wire>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.wire_encode(&mut out);
+        out
     }
 
-    #[test]
-    fn tuple_snapshot_rejects_headers_its_bytes_cannot_hold() {
-        // One tuple of 2^60 dimensions, carrying only its id: sized from
-        // the header, the value reservation alone overflows.
-        let mut huge_dim = Vec::new();
-        for field in [1u64, 1 << 60, 7] {
-            huge_dim.extend_from_slice(&field.to_le_bytes());
-        }
-        assert_eq!(huge_dim.len(), 24);
-        assert!(Vec::<Tuple>::decode(&huge_dim).is_none());
-        // 2^20 tuples declared, none present.
-        let mut huge_count = Vec::new();
-        for field in [1u64 << 20, 2] {
-            huge_count.extend_from_slice(&field.to_le_bytes());
-        }
-        assert!(Vec::<Tuple>::decode(&huge_count).is_none());
+    /// Resumes a `Vec<Tuple>` stage named `first` from `payload`; `None`
+    /// when the stage executed instead of replaying.
+    fn replay(payload: Vec<u8>) -> Option<Vec<Tuple>> {
+        let mut runner = Runner::resume(Checkpoint {
+            jobs: vec![JobSnapshot {
+                name: "first".into(),
+                payload,
+                sim_runtime: Duration::from_millis(3),
+            }],
+        });
+        let mut ran = false;
+        let value = runner
+            .stage("first", &mut PipelineMetrics::new(), |_| {
+                ran = true;
+                Ok(Vec::new())
+            })
+            .expect("stage runs or replays");
+        (!ran).then_some(value)
     }
 
-    #[test]
-    fn checkpoint_json_round_trips() {
-        let cp = Checkpoint {
+    /// Two snapshots, as a two-job skyline chain leaves them.
+    fn two_jobs() -> Checkpoint {
+        Checkpoint {
             jobs: vec![
                 JobSnapshot {
                     name: "bitstring".into(),
@@ -548,37 +458,73 @@ mod tests {
                 },
                 JobSnapshot {
                     name: "gpsrs".into(),
-                    payload: tuples().encode(),
+                    payload: wire(&tuples()),
                     sim_runtime: Duration::from_millis(9),
                 },
             ],
-        };
-        let json = cp.to_json();
-        assert_eq!(Checkpoint::from_json(&json).as_ref(), Ok(&cp));
+        }
+    }
+
+    #[test]
+    fn tuple_snapshot_round_trips() {
+        let original = tuples();
+        let bytes = wire(&original);
+        assert_eq!(replay(bytes.clone()), Some(original));
+        assert_eq!(replay(wire(&Vec::<Tuple>::new())), Some(Vec::new()));
+        // Truncated and over-long payloads re-run, they are not mis-decoded.
+        assert_eq!(replay(bytes[..bytes.len() - 1].to_vec()), None);
+        let mut padded = bytes;
+        padded.push(0);
+        assert_eq!(replay(padded), None);
+    }
+
+    #[test]
+    fn tuple_snapshot_rejects_headers_its_bytes_cannot_hold() {
+        // One tuple of u32::MAX dimensions carrying only its id, then
+        // u32::MAX tuples declared and one present: sized from the header,
+        // either reservation alone would abort. Both re-run.
+        let mut huge_dim = wire(&1u32);
+        huge_dim.extend(wire(&(7u64, u32::MAX)));
+        assert_eq!(replay(huge_dim), None);
+        let mut huge_count = wire(&u32::MAX);
+        huge_count.extend(wire(&tuples()[0]));
+        assert_eq!(replay(huge_count), None);
+    }
+
+    #[test]
+    fn checkpoint_file_round_trips() {
+        let cp = two_jobs();
+        let bytes = cp.to_bytes();
+        assert_eq!(Checkpoint::from_bytes(&bytes).as_ref(), Ok(&cp));
         // Deterministic rendering (the chaos suite diffs checkpoint files).
-        assert_eq!(json, cp.clone().to_json());
-        assert!(Checkpoint::from_json("{\"version\":1,\"jobs\":[]}").is_err());
-        assert!(Checkpoint::from_json("not json").is_err());
+        assert_eq!(bytes, cp.clone().to_bytes());
+        let empty = Checkpoint::default();
+        assert_eq!(Checkpoint::from_bytes(&empty.to_bytes()), Ok(empty));
+        // The JSON format this one replaced is not read, nor is garbage.
+        for foreign in [
+            br#"{"version":2,"jobs":[]}"#.as_slice(),
+            b"not a checkpoint",
+            b"",
+        ] {
+            assert!(matches!(
+                Checkpoint::from_bytes(foreign),
+                Err(Error::CheckpointCorrupt { job, .. }) if job == "<document>"
+            ));
+        }
+        let mut future = bytes;
+        future[8] += 1;
+        assert!(Checkpoint::from_bytes(&future).is_err(), "unknown version");
     }
 
     #[test]
     fn bit_rotted_checkpoint_is_rejected_with_a_structured_error() {
-        let cp = Checkpoint {
-            jobs: vec![JobSnapshot {
-                name: "gpsrs".into(),
-                payload: tuples().encode(),
-                sim_runtime: Duration::from_millis(9),
-            }],
-        };
-        let json = cp.to_json();
-        // Flip one payload bit by swapping a hex digit in place — exactly
-        // what at-rest corruption of the file looks like.
-        let start = json.find("\"payload\":\"").expect("payload field") + 11;
-        let byte = json.as_bytes()[start];
-        let flipped = if byte == b'0' { '1' } else { '0' };
-        let mut rotted = json.clone();
-        rotted.replace_range(start..start + 1, &flipped.to_string());
-        match Checkpoint::from_json(&rotted) {
+        let bytes = two_jobs().to_bytes();
+        // Flip the last payload bit of the second snapshot: what at-rest
+        // corruption of the file looks like.
+        let mut rotted = bytes.clone();
+        let at = rotted.len() - 5;
+        rotted[at] ^= 1;
+        match Checkpoint::from_bytes(&rotted) {
             Err(Error::CheckpointCorrupt { job, detail }) => {
                 assert_eq!(job, "gpsrs");
                 assert!(
@@ -588,21 +534,70 @@ mod tests {
             }
             other => panic!("bit rot must be CheckpointCorrupt, got {other:?}"),
         }
-        // Tampering with the recorded CRC itself is caught the same way.
-        let with_bad_crc = json.replace("\"crc\":", "\"crc\":1");
+        // Tampering with a stored CRC, or cutting the file short, is
+        // caught the same way.
+        let mut bad_crc = bytes.clone();
+        let last = bad_crc.len() - 1;
+        bad_crc[last] ^= 0x80;
         assert!(matches!(
-            Checkpoint::from_json(&with_bad_crc),
+            Checkpoint::from_bytes(&bad_crc),
+            Err(Error::CheckpointCorrupt { job, .. }) if job == "gpsrs"
+        ));
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes[..bytes.len() - 1]),
             Err(Error::CheckpointCorrupt { .. })
         ));
-        // A missing crc field (e.g. a hand-edited file) is also rejected.
-        let cut = json.find(",\"sim_us\"").expect("sim_us field");
-        let crc_start = json.find("\"crc\":").expect("crc field") - 1;
-        let mut without_crc = json.clone();
-        without_crc.replace_range(crc_start..cut, "");
-        assert!(matches!(
-            Checkpoint::from_json(&without_crc),
-            Err(Error::CheckpointCorrupt { .. })
-        ));
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_checkpoint_file_is_caught() {
+        let bytes = two_jobs().to_bytes();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let result = Checkpoint::from_bytes(&flipped);
+            assert!(
+                matches!(result, Err(Error::CheckpointCorrupt { .. })),
+                "bit {bit}: {result:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Hostile input: the checkpoint decoder never panics, and what it
+        /// returns holds at most a constant multiple of the input.
+        #[test]
+        fn arbitrary_bytes_never_panic_and_never_over_reserve(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            mode in 0u8..3,
+            at in proptest::prelude::any::<usize>()
+        ) {
+            // Raw noise; noise in a valid frame behind a valid header, so
+            // the snapshot parser (not just the checksum) faces it; or a
+            // valid file with one byte overwritten.
+            let valid = two_jobs().to_bytes();
+            let input = match mode {
+                0 => noise,
+                1 => {
+                    let mut bytes = valid[..12].to_vec();
+                    skymr_common::frame_encode(&noise, &mut bytes);
+                    bytes
+                }
+                _ => {
+                    let mut bytes = valid;
+                    let at = at % bytes.len();
+                    bytes[at] = noise.first().copied().unwrap_or(0xFF);
+                    bytes
+                }
+            };
+            if let Ok(cp) = Checkpoint::from_bytes(&input) {
+                let held = cp.jobs.capacity() * size_of::<JobSnapshot>()
+                    + cp.jobs.iter().map(|j| j.name.capacity() + j.payload.capacity()).sum::<usize>();
+                proptest::prop_assert!(held <= 16 * input.len());
+            }
+        }
     }
 
     #[test]
@@ -626,7 +621,7 @@ mod tests {
         let replayed = resumed
             .stage("first", &mut metrics2, |_| {
                 ran += 1;
-                Ok(Vec::new())
+                Ok(Vec::<Tuple>::new())
             })
             .expect("replay succeeds");
         assert_eq!(ran, 1, "replayed stage must not execute");
@@ -637,7 +632,7 @@ mod tests {
             .stage("second", &mut metrics2, |m| {
                 ran += 1;
                 m.push(dummy("second", 5, 0));
-                Ok(Vec::new())
+                Ok(Vec::<Tuple>::new())
             })
             .expect("fresh stage runs");
         assert_eq!((ran, second.len()), (2, 0));
@@ -652,7 +647,7 @@ mod tests {
             .stage("first", &mut metrics, |_| Ok(tuples()))
             .expect("stage before the kill-point runs");
         let err = runner
-            .stage("second", &mut metrics, |_| Ok(Vec::new()))
+            .stage("second", &mut metrics, |_| Ok(Vec::<Tuple>::new()))
             .expect_err("kill-point fires");
         assert_eq!(err, Error::PipelineKilled { after_jobs: 1 });
         // The checkpoint of the completed prefix survives the kill.
@@ -665,7 +660,7 @@ mod tests {
         let cp = Checkpoint {
             jobs: vec![JobSnapshot {
                 name: "other".into(),
-                payload: tuples().encode(),
+                payload: wire(&tuples()),
                 sim_runtime: Duration::from_millis(3),
             }],
         };
@@ -680,29 +675,14 @@ mod tests {
             .expect("mismatched stage re-runs");
         assert!(ran, "stale checkpoint must not replay");
 
-        // Corrupt payload: likewise discarded.
-        let cp = Checkpoint {
-            jobs: vec![JobSnapshot {
-                name: "first".into(),
-                payload: vec![1, 2, 3],
-                sim_runtime: Duration::ZERO,
-            }],
-        };
-        let mut runner = Runner::resume(cp);
-        let mut ran = false;
-        runner
-            .stage("first", &mut PipelineMetrics::new(), |_| {
-                ran = true;
-                Ok(tuples())
-            })
-            .expect("corrupt stage re-runs");
-        assert!(ran, "undecodable payload must not replay");
+        // Undecodable payload: likewise discarded.
+        assert_eq!(replay(vec![1, 2, 3]), None);
     }
 
     #[test]
     fn checkpoint_file_persists_and_loads() {
         let path =
-            std::env::temp_dir().join(format!("skymr-checkpoint-test-{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("skymr-checkpoint-test-{}", std::process::id()));
         let mut metrics = PipelineMetrics::new();
         let mut runner = Runner::new().with_checkpoint_file(&path);
         runner
@@ -721,5 +701,25 @@ mod tests {
             Ok(None),
             "a missing file is a fresh run, not an error"
         );
+    }
+
+    #[test]
+    fn checkpoint_io_errors_are_reported() {
+        let missing =
+            std::env::temp_dir().join(format!("skymr-no-such-dir-{}", std::process::id()));
+        let path = missing.join("checkpoint");
+        let mut runner = Runner::new().with_checkpoint_file(&path);
+        let err = runner
+            .stage("first", &mut PipelineMetrics::new(), |_| Ok(tuples()))
+            .expect_err("an unwritable checkpoint fails the stage");
+        assert!(
+            matches!(&err, Error::CheckpointWrite { path: p, .. } if *p == path),
+            "{err:?}"
+        );
+        // A directory is not a missing file: loading it is an error.
+        assert!(matches!(
+            Checkpoint::load(std::env::temp_dir()),
+            Err(Error::CheckpointCorrupt { job, .. }) if job == "<document>"
+        ));
     }
 }

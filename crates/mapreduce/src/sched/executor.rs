@@ -178,7 +178,9 @@ pub enum JobCompletion<T> {
     Rejected(Error),
     /// The scheduler cancelled the job — deadline expiry, preemption
     /// retry budget exhaustion, or executor drain — with partial metrics
-    /// and a [`FailureCause::Cancelled`] attempt history.
+    /// (all the slot time the job consumed counted as
+    /// `wasted_task_time`) and a [`FailureCause::Cancelled`] attempt
+    /// history.
     Cancelled(Box<JobError>),
     /// The job's own data plane failed (e.g. a fault plan exhausted a
     /// task's retries). Other jobs are unaffected.
@@ -655,7 +657,7 @@ impl Sim {
     }
 
     /// Writes the job's scheduling story into `m`: queue wait,
-    /// preemptions, and the slot time its killed attempts wasted.
+    /// preemptions, and the slot time it wasted.
     fn patch_story(&self, m: &mut JobMetrics) {
         m.queue_wait_time = from_ticks(self.queued_wait.unwrap_or(0));
         m.preemptions = self.preemptions;
@@ -997,7 +999,9 @@ impl<'a> Engine<'a> {
             let a = self.kill_attempt(idx, now);
             first_killed.get_or_insert(a);
         }
-        let sim = &self.sims[j];
+        // No output of a cancelled job survives: all its slot time is waste.
+        let sim = &mut self.sims[j];
+        sim.wasted_ticks = sim.slot_ticks;
         let (task, index, attempts) = first_killed.map_or((TaskKind::Map, 0, 0), |a| {
             (a.kind, a.task, a.attempt_no + 1)
         });

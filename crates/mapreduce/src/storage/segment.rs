@@ -85,10 +85,6 @@ pub struct PartitionMeta {
     pub frames: u32,
     /// Number of key/value pairs in the partition.
     pub records: u64,
-    /// Wire-size accounting of the pairs ([`ByteSized`]) — the same
-    /// figure the in-memory engine charges the shuffle model, kept so
-    /// spilling never changes simulated network accounting.
-    pub wire_bytes: u64,
 }
 
 /// One spill file: its path plus the partition directory, kept in memory.
@@ -182,13 +178,12 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
         let start = self.frame.len();
         k.wire_encode(&mut self.frame);
         v.wire_encode(&mut self.frame);
-        let len = self.frame.len() - start;
         debug_assert_eq!(
-            len as u64,
+            (self.frame.len() - start) as u64,
             k.byte_size() + v.byte_size(),
             "ByteSized ≠ Wire length"
         );
-        self.pushed(len)
+        self.pushed()
     }
 
     /// [`Self::push`] for a pair already encoded: `pair` is one key's
@@ -197,15 +192,14 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     /// `push` would have written it.
     pub fn push_encoded(&mut self, pair: &[u8]) -> Result<(), StorageError> {
         self.frame.extend_from_slice(pair);
-        self.pushed(pair.len())
+        self.pushed()
     }
 
-    /// Counts the pair of `len` bytes just appended to the chunk and
-    /// flushes the chunk once it reaches the budget.
-    fn pushed(&mut self, len: usize) -> Result<(), StorageError> {
+    /// Counts the pair just appended to the chunk and flushes the chunk
+    /// once it reaches the budget.
+    fn pushed(&mut self) -> Result<(), StorageError> {
         self.chunk_pairs += 1;
         self.cur.records += 1;
-        self.cur.wire_bytes += len as u64;
         if self.frame.len() - COUNT_AT >= self.io_chunk {
             self.flush_chunk()?;
         }
@@ -260,7 +254,6 @@ fn empty_meta(offset: u64) -> PartitionMeta {
         len: 0,
         frames: 0,
         records: 0,
-        wire_bytes: 0,
     }
 }
 
@@ -408,6 +401,7 @@ pub fn verify_frames(mut src: impl Read, meta: &PartitionMeta) -> Result<(), Sto
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use skymr_common::bytes::PAIRS_OVERHEAD;
 
     /// Flips bit `bit_seed % (len·8)` of the byte range `offset..offset +
     /// len` of the file at `path`: bytes rotting at rest behind the
@@ -493,17 +487,13 @@ pub(crate) mod tests {
              2a1085fb24000000010000000700000064000000000000000200000000000000\
              0000ec3f000000000000c03f82140f23"
         );
-        let meta = |offset, len, frames, records, wire_bytes| PartitionMeta {
+        let meta = |offset, len, frames, records| PartitionMeta {
             offset,
             len,
             frames,
             records,
-            wire_bytes,
         };
-        assert_eq!(
-            seg.parts,
-            [meta(0, 324, 3, 9, 288), meta(324, 44, 1, 1, 32)]
-        );
+        assert_eq!(seg.parts, [meta(0, 324, 3, 9), meta(324, 44, 1, 1)]);
         for j in 0..2 {
             verify_on_disk(&seg, j).expect("verify");
         }
@@ -519,7 +509,8 @@ pub(crate) mod tests {
                 .iter()
                 .map(|(k, v)| k.byte_size() + v.byte_size())
                 .sum();
-            assert_eq!(seg.parts[j].wire_bytes, expect, "partition {j}");
+            let framing = u64::from(seg.parts[j].frames) * PAIRS_OVERHEAD as u64;
+            assert_eq!(seg.parts[j].len, expect + framing, "partition {j}");
         }
     }
 

@@ -20,7 +20,7 @@
 //! tenant take the same time. No host clock is involved, so the metrics
 //! and the exports are byte-identical across runs, host thread counts and
 //! schedule shakes — speculative runs included: backups are planned and
-//! won on model ticks ([`JobRecord::plan_backups`]).
+//! won on model ticks (`JobRecord::plan_backups`).
 
 use std::time::Duration;
 
@@ -462,7 +462,7 @@ impl JobRecord<'_> {
         ]
     }
 
-    /// Lays the job out on the simulated cluster: its [`steps`](Self::steps)
+    /// Lays the job out on the simulated cluster: its steps
     /// run through the executor's loop with this job alone. The only place
     /// wave start and end times are computed.
     pub fn timeline(&self) -> Timeline {

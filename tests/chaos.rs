@@ -376,7 +376,7 @@ fn crash_between_jobs_then_resume_matches_the_fresh_run() {
     let data = chaos_data();
     let fresh = run_core(&data, FaultTolerance::none(), mr_gpsrs);
 
-    let path = std::env::temp_dir().join(format!("skymr-chaos-resume-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("skymr-chaos-resume-{}.ckpt", std::process::id()));
     let err = mr_gpsrs(
         &data,
         &SkylineConfig::test()

@@ -516,7 +516,7 @@ fn sim_runtime_is_the_single_tenant_makespan() {
 fn a_resumed_pipeline_is_charged_its_replayed_stage() {
     let data = scenario(Distribution::Anticorrelated, 3, 500, 31);
     let path = std::env::temp_dir().join(format!(
-        "skymr-determinism-resume-{}.json",
+        "skymr-determinism-resume-{}.ckpt",
         std::process::id()
     ));
     let checkpointed = SkylineConfig::test().with_checkpoint_file(&path);

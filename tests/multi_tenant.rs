@@ -256,7 +256,7 @@ fn streamed_splits_match_in_memory_splits() {
     assert_eq!(a, b, "streamed splits changed the job output");
 }
 
-/// A sustained 120-job load — bursty arrivals, three tenants, a bounded
+/// A sustained 121-job load — bursty arrivals, three tenants, a bounded
 /// admission queue, scattered deadlines, and high-priority jobs that
 /// preempt under [`PriorityScheduler`] — must produce byte-identical
 /// results (terminal states, outputs, scheduling stats, and the full
@@ -280,7 +280,11 @@ fn sustained_load_is_submission_order_independent() {
     });
 }
 
-const LOAD_JOBS: usize = 120;
+const LOAD_JOBS: usize = 121;
+
+/// The load's last job arrives after the rest have drained and meets its
+/// deadline after its 1 ms map attempt finished, 10 ms into its 50 ms one.
+const LATE: usize = LOAD_JOBS - 1;
 
 /// Runs the sustained load under `policy`, submitting jobs in `order`;
 /// returns its fingerprint after checking the accounting identity.
@@ -291,15 +295,26 @@ fn run_load(base: &ClusterConfig, order: &[usize], policy: impl Scheduler + 'sta
         .with_scheduler(policy);
     let mut handles: Vec<Option<JobHandle<u64>>> = (0..LOAD_JOBS).map(|_| None).collect();
     for &i in order {
+        let arrival = if i == LATE {
+            10_000
+        } else {
+            (i as u64 / 6) * 5
+        };
         let mut spec = JobSpec::new(format!("job-{i:03}"), tenant_of(i))
-            .arriving_at(Duration::from_millis((i as u64 / 6) * 5));
-        if i % 7 == 0 {
-            spec = spec.with_deadline(Duration::from_millis((i as u64 / 6) * 5 + 40));
+            .arriving_at(Duration::from_millis(arrival));
+        if i % 7 == 0 || i == LATE {
+            let slack = if i == LATE { 10 } else { 40 };
+            spec = spec.with_deadline(Duration::from_millis(arrival + slack));
         }
         if i % 11 == 5 {
             spec = spec.with_priority(5);
         }
-        let plane = synthetic_plane(i as u64, vec![4 + (i % 5) as u64, 3]);
+        let map_ms = if i == LATE {
+            vec![1, 50]
+        } else {
+            vec![4 + (i % 5) as u64, 3]
+        };
+        let plane = synthetic_plane(i as u64, map_ms);
         handles[i] = Some(exec.submit(spec, plane).expect("statically feasible"));
     }
     let report = exec.run();
@@ -313,6 +328,7 @@ fn run_load(base: &ClusterConfig, order: &[usize], policy: impl Scheduler + 'sta
     let mut counts = [0u64; 4];
     let mut preemptions = 0;
     let mut tenants: BTreeMap<String, TenantStats> = BTreeMap::new();
+    let mut late_wasted = None;
     for (i, handle) in handles.into_iter().enumerate() {
         let row = tenants.entry(tenant_of(i).to_owned()).or_default();
         row.jobs += 1;
@@ -333,10 +349,12 @@ fn run_load(base: &ClusterConfig, order: &[usize], policy: impl Scheduler + 'sta
             }
             JobCompletion::Cancelled(e) => {
                 counts[2] += 1;
-                // A cancelled job's metrics carry its scheduling story.
-                // They price only its killed attempts, which is all of its
-                // slot time unless an attempt finished before the cancel:
-                // none does in this load, and the identity would show one.
+                // A cancelled job's metrics carry its scheduling story, and
+                // all of its slot time is waste: its finished attempts'
+                // (the late job's 1 ms) as well as its killed ones'.
+                if i == LATE {
+                    late_wasted = Some(e.metrics.wasted_task_time);
+                }
                 preemptions += e.metrics.preemptions;
                 row.slot_ticks += micros(e.metrics.wasted_task_time);
                 row.queue_wait += e.metrics.queue_wait_time;
@@ -357,6 +375,7 @@ fn run_load(base: &ClusterConfig, order: &[usize], policy: impl Scheduler + 'sta
         report.failed,
     ];
     assert_eq!(reported, counts, "{}", report.render());
+    assert_eq!(late_wasted, Some(Duration::from_millis(11)));
     assert_eq!(report.submitted, LOAD_JOBS as u64);
     assert_eq!(report.admitted, report.submitted - report.rejected);
     assert_eq!(report.preemptions, preemptions);
