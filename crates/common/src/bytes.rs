@@ -1065,10 +1065,10 @@ mod tests {
             #[test]
             fn any_single_bit_flip_is_caught(
                 pairs in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8),
-                bit_seed in any::<u64>()
+                seed in any::<u64>()
             ) {
                 let frame = encode_pairs(&pairs);
-                let bit = (bit_seed % (frame.len() as u64 * 8)) as usize;
+                let bit = (seed % (frame.len() as u64 * 8)) as usize;
                 let mut corrupted = frame.clone();
                 corrupted[bit / 8] ^= 1 << (bit % 8);
                 prop_assert!(

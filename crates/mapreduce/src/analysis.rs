@@ -17,7 +17,9 @@
 //! [`run_job`](crate::run_job) checks the first two after its fetch stage
 //! in debug builds (`debug_assertions`), over the runs it is about to hand
 //! to the reducers — in memory or spilled — so every unit/integration
-//! test run exercises them for free; release benchmarks pay nothing.
+//! test run exercises them for free; release benchmarks pay nothing. A
+//! spilled run that cannot be read is left to the reduce attempt that
+//! reads it, as in a release build.
 //!
 //! # The schedule shaker
 //!
@@ -147,15 +149,17 @@ pub fn check_skyline(skyline: &[Tuple]) -> InvariantResult {
     })
 }
 
-/// Debug-build hook used by the job driver after fetch/verify, over the
-/// runs actually handed to the reducers. Every run — memory or disk —
-/// must account for its share of the `produced` map output records (for a
-/// disk run that is its segment's recorded count, so a dropped, duplicated,
-/// or mis-sized spill partition shows up before it is read), and every run
-/// — a decoded frame or a spill partition streamed off disk — is checked
+/// Debug-build hook used by the job driver after fetch, over the runs
+/// actually handed to the reducers. Every run — memory or disk — must
+/// account for its share of the `produced` map output records (for a disk
+/// run that is its segment's recorded count, so a dropped, duplicated, or
+/// mis-sized spill partition shows up before it is read), and every run —
+/// a decoded frame or a spill partition streamed off disk — is checked
 /// pair by pair against the per-key counts the mappers `emitted` (tallied
 /// in `route`, before anything was encoded or written), and for
-/// key-disjointness across reducers. Panics with the violation.
+/// key-disjointness across reducers. Panics with the violation. A disk
+/// run that fails to read stops the pair-by-pair check without a verdict:
+/// the storage failure belongs to the reduce attempt that reads the run.
 pub(crate) fn assert_shuffle_invariants<K: Wire + Ord + Clone + fmt::Debug, V: Wire>(
     emitted: &BTreeMap<K, u64>,
     produced: u64,
@@ -172,13 +176,17 @@ pub(crate) fn assert_shuffle_invariants<K: Wire + Ord + Clone + fmt::Debug, V: W
     let group_of = |runs: Vec<RunSource<K, V>>| {
         let mut group: BTreeMap<K, Vec<()>> = BTreeMap::new();
         for run in runs {
-            if let Err(e) = tally_run(run, &mut group) {
-                panic!("shuffle invariant check: a scanned spill run failed to read: {e}");
-            }
+            tally_run(run, &mut group)?;
         }
-        group
+        Ok::<_, StorageError>(group)
     };
-    let groups: Vec<BTreeMap<K, Vec<()>>> = inputs.into_iter().map(group_of).collect();
+    let Ok(groups) = inputs
+        .into_iter()
+        .map(group_of)
+        .collect::<Result<Vec<_>, _>>()
+    else {
+        return;
+    };
     if let Err(v) = check_shuffle_partition(emitted, &groups) {
         panic!("{v}");
     }

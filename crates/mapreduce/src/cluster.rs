@@ -210,34 +210,32 @@ impl ClusterConfig {
         Duration::from_secs_f64(secs)
     }
 
-    /// Time for reducers to pull their shuffle inputs. Reducers are placed
-    /// round-robin on nodes; each node's downlink carries the bytes of the
-    /// reducers it hosts, in parallel with other nodes.
-    pub fn shuffle_time(&self, per_reducer_bytes: &[u64]) -> Duration {
-        if per_reducer_bytes.is_empty() {
-            return Duration::ZERO;
+    /// Share of a fetch's bytes that crosses the network
+    /// ([`Self::shuffle_time`]).
+    pub(crate) fn fetched_fraction(&self) -> f64 {
+        match self.placement {
+            Some(_) => 1.0,
+            None => self.remote_fraction(),
         }
-        let node_count = self.nodes.max(1);
-        let mut per_node = vec![0u64; node_count];
-        for (r, &b) in per_reducer_bytes.iter().enumerate() {
-            per_node[r % node_count] += b; // node_count = nodes.max(1) >= 1 and r % node_count < per_node.len()
+    }
+
+    /// Time for reducers to pull their shuffle inputs. `fetches` holds,
+    /// per reducer, the node whose downlink carries its fetch and the
+    /// bytes fetched — with a [`Placement`] only those of maps homed on
+    /// other nodes, all of which cross the network; without one all of
+    /// them, of which the closed-form
+    /// [`remote_fraction`](Self::remote_fraction) crosses. Downlinks run in
+    /// parallel, and the busiest sets the pace.
+    pub fn shuffle_time(&self, fetches: &[(usize, u64)]) -> Duration {
+        let nodes = self.nodes.max(1);
+        let mut per_node = vec![0u64; nodes];
+        for &(node, bytes) in fetches {
+            per_node[node % nodes] += bytes;
         }
         let bottleneck = per_node.into_iter().max().unwrap_or(0);
         Duration::from_secs_f64(
-            bottleneck as f64 * self.remote_fraction() / self.network_bytes_per_sec,
+            bottleneck as f64 * self.fetched_fraction() / self.network_bytes_per_sec,
         )
-    }
-
-    /// Shuffle time from a real [`Placement`]: `remote_per_node[n]` is the
-    /// byte total that reducers homed on node `n` must pull from *other*
-    /// nodes (buckets whose producing map task is homed elsewhere). The
-    /// bottleneck downlink carries exactly those bytes — no
-    /// [`remote_fraction`](Self::remote_fraction) estimate. The closed-form
-    /// [`shuffle_time`](Self::shuffle_time) remains the documented
-    /// fallback when `placement` is `None`.
-    pub fn shuffle_time_placed(&self, remote_per_node: &[u64]) -> Duration {
-        let bottleneck = remote_per_node.iter().copied().max().unwrap_or(0);
-        Duration::from_secs_f64(bottleneck as f64 / self.network_bytes_per_sec)
     }
 }
 
@@ -559,7 +557,7 @@ mod tests {
         c.nodes = 2;
         c.network_bytes_per_sec = 1000.0;
         // Reducers 0 and 2 land on node 0 (2000 bytes), reducer 1 on node 1.
-        let t = c.shuffle_time(&[1000, 500, 1000]);
+        let t = c.shuffle_time(&[(0, 1000), (1, 500), (0, 1000)]);
         let expected = 2000.0 * 0.5 / 1000.0;
         assert!((t.as_secs_f64() - expected).abs() < 1e-9);
     }
@@ -568,7 +566,7 @@ mod tests {
     fn shuffle_time_zero_for_single_node() {
         let mut c = ClusterConfig::test();
         c.nodes = 1;
-        assert_eq!(c.shuffle_time(&[1_000_000]), Duration::ZERO);
+        assert_eq!(c.shuffle_time(&[(0, 1_000_000)]), Duration::ZERO);
     }
 
     #[test]
@@ -608,12 +606,12 @@ mod tests {
 
     #[test]
     fn placed_shuffle_charges_only_remote_bytes() {
-        let mut c = ClusterConfig::test();
+        let mut c = ClusterConfig::test_placed(1);
         c.network_bytes_per_sec = 1000.0;
         // Busiest node pulls 2000 remote bytes -> 2 s, no remote_fraction.
-        let t = c.shuffle_time_placed(&[2000, 500]);
+        let t = c.shuffle_time(&[(0, 1500), (1, 500), (0, 500)]);
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-9);
-        assert_eq!(c.shuffle_time_placed(&[]), Duration::ZERO);
+        assert_eq!(c.shuffle_time(&[]), Duration::ZERO);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use crate::pool::catch_attempt;
+use crate::storage::StorageError;
 
 use super::plan::{FaultKind, TaskFault};
 use super::retry::RetryPolicy;
@@ -30,6 +31,14 @@ pub enum FailureCause {
         /// Best-effort text of the panic payload.
         message: String,
     },
+    /// A storage-plane read or write of the attempt failed: host I/O (a
+    /// spill directory it cannot use, a full disk) or spilled bytes that
+    /// fail their frame check. The data is not to blame, so the
+    /// skip-bad-records protocol never fires on it.
+    Storage {
+        /// The [`StorageError`], naming the operation that failed.
+        message: String,
+    },
     /// The attempt made no progress and was killed by the progress-timeout
     /// detector after `timeout` of simulated time.
     Hang {
@@ -51,6 +60,7 @@ impl std::fmt::Display for FailureCause {
         match self {
             FailureCause::LostOutput => f.write_str("output lost after completion"),
             FailureCause::Panic { message } => write!(f, "panicked: {message}"),
+            FailureCause::Storage { message } => f.write_str(message),
             FailureCause::Hang { timeout } => {
                 write!(f, "made no progress for {timeout:?}; killed")
             }
@@ -119,6 +129,9 @@ impl<T> TaskExecution<T> {
 /// * Genuine (uninjected) panics from the UDF are caught the same way and
 ///   consume budget like injected ones, so a deterministic always-failing
 ///   task degrades into a structured failure, never a job-wide unwind.
+/// * An attempt whose storage plane fails returns the [`StorageError`];
+///   it is recorded as [`FailureCause::Storage`] and retried like any
+///   other failure, with no panic payload.
 /// * A [`FaultKind::Hang`] attempt never runs at all: the progress-timeout
 ///   detector waits out `hang_timeout` of simulated time and kills it
 ///   before the retry launches.
@@ -126,7 +139,7 @@ pub fn run_attempts<T>(
     fault: &TaskFault,
     policy: &RetryPolicy,
     hang_timeout: Duration,
-    mut run: impl FnMut(u32, Inject) -> T,
+    mut run: impl FnMut(u32, Inject) -> Result<T, StorageError>,
 ) -> TaskExecution<T> {
     let cap = policy.attempt_budget();
     let mut failures = Vec::new();
@@ -150,7 +163,7 @@ pub fn run_attempts<T>(
             Inject::None
         };
         match catch_attempt(|| run(attempt, inject)) {
-            Ok(value) if !scheduled => {
+            Ok(Ok(value)) if !scheduled => {
                 return TaskExecution {
                     value: Some(value),
                     attempts: attempt + 1,
@@ -160,9 +173,15 @@ pub fn run_attempts<T>(
             }
             // Scheduled lost-output failure: the work happened, the
             // result is gone.
-            Ok(_) => failures.push(AttemptFailure {
+            Ok(Ok(_)) => failures.push(AttemptFailure {
                 attempt,
                 cause: FailureCause::LostOutput,
+            }),
+            Ok(Err(e)) => failures.push(AttemptFailure {
+                attempt,
+                cause: FailureCause::Storage {
+                    message: e.to_string(),
+                },
             }),
             Err(caught) => {
                 failures.push(AttemptFailure {
@@ -197,7 +216,7 @@ mod tests {
         let calls = AtomicU32::new(0);
         let exec = run_attempts(&TaskFault::hangs(2), &RetryPolicy::new(), HANG, |a, _| {
             calls.fetch_add(1, Ordering::Relaxed);
-            a
+            Ok(a)
         });
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -223,7 +242,7 @@ mod tests {
             HANG,
             |_, _| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                1
+                Ok(1)
             },
         );
         assert!(!exec.succeeded());
@@ -236,7 +255,7 @@ mod tests {
     fn healthy_task_runs_once_with_no_overheads() {
         let exec = run_attempts(&TaskFault::none(), &RetryPolicy::new(), HANG, |a, i| {
             assert_eq!((a, i), (0, Inject::None));
-            7
+            Ok(7)
         });
         assert_eq!(exec.value, Some(7));
         assert_eq!(exec.attempts, 1);
@@ -249,7 +268,7 @@ mod tests {
         let calls = AtomicU32::new(0);
         let exec = run_attempts(&TaskFault::lost(2), &RetryPolicy::new(), HANG, |a, _| {
             calls.fetch_add(1, Ordering::Relaxed);
-            a
+            Ok(a)
         });
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -276,7 +295,7 @@ mod tests {
                 if inject == Inject::MidTaskPanic {
                     panic!("injected crash on attempt {a}");
                 }
-                "ok"
+                Ok("ok")
             },
         );
         assert_eq!(exec.value, Some("ok"));
@@ -296,7 +315,7 @@ mod tests {
             &TaskFault::none(),
             &RetryPolicy::new().with_max_attempts(3),
             HANG,
-            |_, _| -> u32 { panic!("always broken") },
+            |_, _| -> Result<u32, StorageError> { panic!("always broken") },
         );
         assert!(!exec.succeeded());
         assert_eq!(exec.attempts, 3);
@@ -310,7 +329,7 @@ mod tests {
             &TaskFault::lost(10),
             &RetryPolicy::new().with_max_attempts(2),
             HANG,
-            |_, _| 1,
+            |_, _| Ok(1),
         );
         assert!(!exec.succeeded());
         assert_eq!(exec.attempts, 2);
@@ -319,5 +338,27 @@ mod tests {
             exec.payload.is_none(),
             "lost output carries no panic payload"
         );
+    }
+
+    #[test]
+    fn storage_failures_are_retried_without_a_payload() {
+        let exec = run_attempts(&TaskFault::none(), &RetryPolicy::new(), HANG, |a, _| {
+            if a == 0 {
+                let gone = std::io::Error::from(std::io::ErrorKind::NotFound);
+                return Err(StorageError::io("create segment", gone));
+            }
+            Ok(a)
+        });
+        assert_eq!(exec.value, Some(1));
+        assert_eq!(exec.attempts, 2);
+        let cause = &exec.failures[0].cause;
+        assert!(matches!(cause, FailureCause::Storage { .. }), "{cause:?}");
+        assert!(
+            cause
+                .to_string()
+                .starts_with("storage I/O (create segment)"),
+            "{cause}"
+        );
+        assert!(exec.payload.is_none(), "a storage failure is not a panic");
     }
 }

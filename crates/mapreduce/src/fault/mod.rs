@@ -14,7 +14,11 @@
 //!   chaotic schedule is replayable.
 //! * **How the engine recovers** — a [`RetryPolicy`] bounds attempts per
 //!   task and charges exponential backoff to the simulated clock; the
-//!   per-task loop lives in [`run_attempts`]. A task that exhausts its
+//!   per-task loop lives in [`run_attempts`]. Every spill write and spill
+//!   read happens inside a task attempt, and a failing one (host I/O, or
+//!   spilled bytes that fail their frame check) is an ordinary attempt
+//!   failure, [`FailureCause::Storage`]: retried, priced like a mid-task
+//!   crash, and never blamed on a record. A task that exhausts its
 //!   budget surfaces as a structured [`JobError`] from
 //!   [`crate::job::run_job`], never as a panic escaping the engine.
 //!   [`SpeculationPolicy`] adds Hadoop-style backup attempts for

@@ -175,9 +175,9 @@ const CORRUPT_SALT: u64 = 0xDA7A_0001;
 /// frame: `1` models a transient transfer error (the re-fetch succeeds);
 /// `2` or more models at-rest corruption of the materialized map output —
 /// the re-fetch fails too, and the engine re-executes the producing map
-/// task. `bit_seed` picks the flipped bit deterministically
-/// (`bit_seed % (frame_len * 8)`), so the corruption is replayable
-/// bit-for-bit.
+/// task. The corruption is modelled, not performed: each failed fetch
+/// re-transfers the partition's bytes, and that a corrupted frame fails
+/// its CRC32C check is the codec's own tested property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptFetch {
     /// Producing map task.
@@ -186,8 +186,6 @@ pub struct CorruptFetch {
     pub reducer: usize,
     /// Consecutive fetch attempts that deliver corrupted bytes.
     pub fetches: u32,
-    /// Seed for the flipped bit position within the encoded frame.
-    pub bit_seed: u64,
 }
 
 /// Fault rates for seeded plans, in permille (0–1000) so profiles stay
@@ -526,14 +524,12 @@ impl FaultPlan {
 
     /// All corrupted shuffle fetches of a job with `m` map and `r` reduce
     /// tasks: scripted entries (which override the seeded layer per
-    /// partition) plus seeded draws, sorted by `(map, reducer)`. The bit
-    /// the flip lands on is itself a pure function of the decision hash,
-    /// so a corrupted frame is byte-identical across replays.
+    /// partition) plus seeded draws, sorted by `(map, reducer)`.
     pub fn corrupt_fetches_for(&self, job: &str, m: usize, r: usize) -> Vec<CorruptFetch> {
         if !self.applies_to(job) {
             return Vec::new();
         }
-        let mut by_key: BTreeMap<(usize, usize), (u32, u64)> = BTreeMap::new();
+        let mut by_key: BTreeMap<(usize, usize), u32> = BTreeMap::new();
         if let Some(seeded) = &self.seeded {
             let rate = seeded.profile.corrupt_shuffle_permille;
             if rate > 0 {
@@ -541,9 +537,8 @@ impl FaultPlan {
                     for j in 0..r {
                         let h = decision(seeded.seed, job, CORRUPT_SALT, i as u64, j as u64);
                         if permille(h) < rate {
-                            let (h, count_draw) = next(h);
-                            let (_, bit_draw) = next(h);
-                            by_key.insert((i, j), (1 + (count_draw % 2) as u32, bit_draw));
+                            let (_, count_draw) = next(h);
+                            by_key.insert((i, j), 1 + (count_draw % 2) as u32);
                         }
                     }
                 }
@@ -551,20 +546,15 @@ impl FaultPlan {
         }
         for (&(i, j), &fetches) in &self.corrupt_shuffle {
             if i < m && j < r && fetches > 0 {
-                // Scripted plans may have no seed; the bit position still
-                // has to be deterministic, so derive it from the partition
-                // coordinates alone.
-                let bit_seed = decision(0xDA7A, job, CORRUPT_SALT, i as u64, j as u64);
-                by_key.insert((i, j), (fetches, bit_seed));
+                by_key.insert((i, j), fetches);
             }
         }
         by_key
             .into_iter()
-            .map(|((map, reducer), (fetches, bit_seed))| CorruptFetch {
+            .map(|((map, reducer), fetches)| CorruptFetch {
                 map,
                 reducer,
                 fetches,
-                bit_seed,
             })
             .collect()
     }

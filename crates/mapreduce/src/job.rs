@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use skymr_common::bytes::{frame_encoded_pairs_into, PAIRS_OVERHEAD};
@@ -20,7 +19,7 @@ use crate::pool::run_indexed;
 use crate::splits::SplitSource;
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
-    segment::{verify_frames, Segment, SegmentWriter, StorageError},
+    segment::{Segment, SegmentWriter, StorageError},
     SpillSession,
 };
 use crate::task::{
@@ -253,6 +252,8 @@ impl<K: JobKey> MapResult<K> {
 /// One reduce attempt's output.
 struct ReduceResult<Out> {
     records: Vec<Out>,
+    /// Distinct keys the attempt streamed through the UDF.
+    keys: u64,
     /// Work the attempt charged ([`OutputCollector::charge`]).
     work: u64,
     /// The attempt's own counters.
@@ -278,9 +279,6 @@ struct ReduceInput {
     parts: Vec<Fetched>,
     /// Values across all partitions.
     records: u64,
-    /// Distinct keys — a by-product of the first attempt that streams
-    /// every group; [`Job::keys_in`] counts on demand before that.
-    keys: OnceLock<u64>,
     /// Closed-form merge-cascade cost of the disk runs (jobs under a
     /// memory budget only) — a pure function of the segments, identical
     /// for every attempt of the reducer.
@@ -288,22 +286,17 @@ struct ReduceInput {
 }
 
 impl ReduceInput {
-    /// Opens every partition as a merge run.
-    fn open<K: Wire, V: Wire>(&self) -> Vec<RunSource<K, V>> {
-        let open = |p: &Fetched| {
-            match p {
-                Fetched::Frame(frame) => match decode_pairs(frame) {
-                    Ok(pairs) => RunSource::Mem(pairs),
-                    // Injected corruption only ever touches a delivered copy.
-                    Err(e) => {
-                        unreachable!("a frame at rest since its map attempt always verifies: {e}")
-                    }
-                },
-                Fetched::Spill { segment, part } => RunSource::Disk {
-                    segment: segment.clone(),
-                    part: *part,
-                },
-            }
+    /// Opens every partition as a merge run: a frame is CRC-checked and
+    /// decoded, a spill partition is read (and checked) by the merge.
+    fn open<K: Wire, V: Wire>(&self) -> Result<Vec<RunSource<K, V>>, StorageError> {
+        let open = |p: &Fetched| match p {
+            Fetched::Frame(frame) => decode_pairs(frame)
+                .map(RunSource::Mem)
+                .map_err(|e| StorageError::frame("decode fetched frame", e)),
+            Fetched::Spill { segment, part } => Ok(RunSource::Disk {
+                segment: segment.clone(),
+                part: *part,
+            }),
         };
         self.parts.iter().map(open).collect()
     }
@@ -385,13 +378,6 @@ fn fail_kinds<T>(exec: &TaskExecution<T>) -> Vec<FailKind> {
     exec.failures.iter().map(kind).collect()
 }
 
-/// A storage-plane failure inside a task attempt. Unwinding *is* the
-/// recovery path: `run_attempts` catches the panic per attempt and the
-/// retry ladder replays the task.
-fn storage_fault(doing: &str, e: StorageError) -> ! {
-    panic!("storage plane: {doing} failed: {e}")
-}
-
 /// Nodes whose strike count has reached the blacklist budget.
 fn over_budget(strikes: &BTreeMap<usize, u32>, policy: &BlacklistPolicy) -> BTreeSet<usize> {
     strikes
@@ -408,10 +394,11 @@ fn over_budget(strikes: &BTreeMap<usize, u32>, policy: &BlacklistPolicy) -> BTre
 /// runs `config.num_reducers` tasks; keys are routed by `partitioner`,
 /// sorted, and grouped.
 ///
-/// Task attempts that fail (injected via [`JobConfig::faults`] or a
-/// genuinely panicking UDF) are retried under [`JobConfig::retry`]; a task
-/// that exhausts its budget aborts the job with a structured [`JobError`]
-/// carrying the attempt history and partial metrics.
+/// Task attempts that fail (injected via [`JobConfig::faults`], a
+/// genuinely panicking UDF, or a failing spill read or write) are retried
+/// under [`JobConfig::retry`]; a task that exhausts its budget aborts the
+/// job with a structured [`JobError`] carrying the attempt history and
+/// partial metrics.
 ///
 /// ```
 /// use skymr_mapreduce::*;
@@ -503,8 +490,8 @@ where
     assert!(config.num_reducers > 0, "a job needs at least one reducer");
     // Input: the context every stage shares. With a memory budget set, map
     // output spills to sorted on-disk segments; the session owns the job's
-    // spill directory and removes it on every exit path. Failing to create
-    // it is an environment fault the job cannot work around.
+    // spill directory, which the first spill creates, and removes it on
+    // every exit path.
     let job = Job {
         cluster,
         config,
@@ -518,14 +505,10 @@ where
             reason = "feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model"
         )]
         started: Instant::now(),
-        #[expect(
-            clippy::expect_used,
-            reason = "an unusable spill root is an environment fault with no in-job recovery"
-        )]
-        spill: cluster.storage.enabled().then(|| {
-            SpillSession::create(&cluster.storage, &config.name)
-                .expect("storage plane: cannot create spill directory")
-        }),
+        spill: cluster
+            .storage
+            .enabled()
+            .then(|| SpillSession::new(&cluster.storage, &config.name)),
     };
     let mut run = job.start();
     // Map: every split through the attempt ladder, the skip-bad-records
@@ -533,10 +516,10 @@ where
     job.map_stage(&mut run)?;
     // Map-output recovery: lost partitions and dead nodes re-execute their
     // producers before the shuffle can start.
-    job.recover_map_outputs(&mut run);
-    // Fetch/verify: every partition crosses to its reducer as checksummed
-    // bytes; corruption re-fetches or re-executes the producer.
-    let inputs = job.fetch(&mut run);
+    job.recover_map_outputs(&mut run)?;
+    // Fetch: every partition crosses to its reducer as checksummed bytes;
+    // corruption re-fetches or re-executes the producer.
+    let inputs = job.fetch(&mut run)?;
     // Reduce: each attempt merges its reducer's runs and streams the
     // groups through the UDF.
     let outputs = job.reduce_stage(&inputs, &mut run)?;
@@ -595,7 +578,9 @@ where
             broadcast_attempts: transfers,
             broadcast_time: self.cluster.broadcast_time(config.cache_bytes) * transfers,
             shuffle_time: Duration::ZERO,
+            shuffle_stall: Duration::ZERO,
             per_reducer_bytes: Vec::new(),
+            fetches: Vec::new(),
             map: Vec::new(),
             reduce: Vec::new(),
             recovery: Vec::new(),
@@ -649,14 +634,16 @@ where
     /// committed. Counters: the committed attempts' are folded into the
     /// job's — Hadoop's semantics: a failed attempt, a discarded
     /// `LostOutput` run, a backup and a re-execution never count twice, so
-    /// user counters under any fault plan equal the clean run's. Returns
-    /// the first task that exhausted its budget, if any.
+    /// user counters under any fault plan equal the clean run's. A backup
+    /// whose storage plane fails commits nothing: the original's output,
+    /// complete and identical, stands. Returns the lowest-indexed task
+    /// that exhausted its budget, if any, whatever the thread count.
     fn settle<T: Send + AsRef<Counters>>(
         &self,
         kind: TaskKind,
         execs: &mut [Exec<T>],
         record: &mut JobRecord<'a>,
-        rerun: impl Fn(usize, u32) -> T + Sync,
+        rerun: impl Fn(usize, u32) -> Result<T, StorageError> + Sync,
     ) -> Option<usize> {
         let failed = execs.iter().position(|(e, _)| !e.succeeded());
         if let (None, Some(spec)) = (failed, &self.config.speculation) {
@@ -666,7 +653,7 @@ where
                 rerun(planned[c].0, next[c])
             });
             for (&(i, wins), value) in planned.iter().zip(backups) {
-                if wins {
+                if let (true, Ok(value)) = (wins, value) {
                     execs[i].0.value = Some(value);
                 }
             }
@@ -686,7 +673,7 @@ where
         inject: Inject,
         skips: &BTreeSet<usize>,
         progress: &AtomicUsize,
-    ) -> MapResult<K> {
+    ) -> Result<MapResult<K>, StorageError> {
         let ctx = self.task_context(i, self.source.num_splits(), attempt);
         let mut task = self.map_factory.create(&ctx);
         let mut emitter = Emitter::new();
@@ -696,11 +683,9 @@ where
         let mut result = MapResult::new(self.config.num_reducers, ctx.counters.clone());
         let spill =
             |session: &SpillSession, emitter: &mut Emitter<K, V>, result: &mut MapResult<K>| {
-                let path = session.segment_path(i, attempt);
+                let path = session.segment_path(i, attempt)?;
                 let io_chunk = self.cluster.storage.io_chunk;
-                result
-                    .spill(emitter, self.partitioner, path, io_chunk)
-                    .unwrap_or_else(|e| storage_fault("spill write", e));
+                result.spill(emitter, self.partitioner, path, io_chunk)
             };
         let crash = || -> ! {
             crate::pool::raise_injected_panic(format!(
@@ -742,7 +727,7 @@ where
             task.map(record, &mut emitter);
             if let Some((session, budget)) = budget {
                 if emitter.buffered_bytes() >= budget {
-                    spill(session, &mut emitter, &mut result);
+                    spill(session, &mut emitter, &mut result)?;
                 }
             }
         }
@@ -752,16 +737,21 @@ where
         match budget {
             // The tail batch always goes to disk too — with a budget set,
             // map RAM never holds the task's full output.
-            Some((session, _)) if !emitter.is_empty() => spill(session, &mut emitter, &mut result),
+            Some((session, _)) if !emitter.is_empty() => spill(session, &mut emitter, &mut result)?,
             Some(_) => {}
             None => result.frame_tail(&emitter, self.partitioner),
         }
-        result
+        Ok(result)
     }
 
     /// A clean replay of map task `i` (speculative backups and the
     /// re-execution waves): no injection, the task's skip set honoured.
-    fn replay_map(&self, i: usize, attempt: u32, skips: &BTreeSet<usize>) -> MapResult<K> {
+    fn replay_map(
+        &self,
+        i: usize,
+        attempt: u32,
+        skips: &BTreeSet<usize>,
+    ) -> Result<MapResult<K>, StorageError> {
         let progress = AtomicUsize::new(usize::MAX);
         self.map_attempt(i, attempt, Inject::None, skips, &progress)
     }
@@ -772,7 +762,8 @@ where
     /// enters the skip set and the task re-runs without it. Scripted
     /// attempt failures were consumed by the first round, so later rounds
     /// face only the data. Each round retires one record, bounding the
-    /// loop by the split length.
+    /// loop by the split length. A storage failure names no record: the
+    /// spill that failed holds whatever the buffer held.
     fn run_map_task(&self, i: usize) -> (Exec<MapResult<K>>, BTreeSet<usize>) {
         let (config, cluster) = (self.config, self.cluster);
         let fault = config.faults.task_fault(&config.name, TaskKind::Map, i);
@@ -795,8 +786,8 @@ where
             if exec.succeeded() || !cluster.skip_bad_records {
                 break;
             }
-            // Only a panicking attempt names a record; lost outputs and
-            // hangs are the node's fault, not the data's.
+            // Only a panicking attempt names a record; lost outputs, hangs
+            // and storage failures are the host's fault, not the data's.
             let panicked = matches!(
                 exec.failures.last().map(|f| &f.cause),
                 Some(FailureCause::Panic { .. })
@@ -891,20 +882,28 @@ where
     /// and replaces their materialized outputs wholesale (byte-identical
     /// because UDFs are pure, so the tasks' models stand). Serves the
     /// lost-partition, node-loss, and at-rest-corruption waves; the caller
-    /// names the wave in the record and the timeline prices it.
-    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K>) {
+    /// names the wave in the record and the timeline prices it. A rerun
+    /// whose storage plane fails retries under the job's policy; the
+    /// lowest-indexed task that exhausts it aborts the job.
+    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K>) -> Result<(), JobError> {
         let (attempts, skips) = (&run.attempts, &run.skips);
         let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
             let i = tasks[c];
-            self.replay_map(i, attempts[i], &skips[i])
+            let replay = |a, _| self.replay_map(i, attempts[i] + a, &skips[i]);
+            let (retry, timeout) = (&self.config.retry, self.cluster.progress_timeout);
+            run_attempts(&TaskFault::none(), retry, timeout, replay)
         });
-        run.record.map_attempts += tasks.len() as u64;
-        for (&i, result) in tasks.iter().zip(reruns) {
-            run.outputs[i] = result;
+        run.record.map_attempts += reruns.iter().map(|e| u64::from(e.attempts)).sum::<u64>();
+        for (&i, mut exec) in tasks.iter().zip(reruns) {
+            match exec.value.take() {
+                Some(output) => run.outputs[i] = output,
+                None => return Err(self.fail(TaskKind::Map, i, exec, run)),
+            }
         }
+        Ok(())
     }
 
-    fn recover_map_outputs(&self, run: &mut Run<'a, K>) {
+    fn recover_map_outputs(&self, run: &mut Run<'a, K>) -> Result<(), JobError> {
         let (cluster, config) = (self.cluster, self.config);
         // Lost shuffle partitions: the affected map tasks re-execute
         // (their inputs are replayable) in a second wave.
@@ -912,14 +911,15 @@ where
         run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
         let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
         let affected: Vec<usize> = affected.into_iter().collect();
-        self.rerun_maps(&affected, run);
+        self.rerun_maps(&affected, run)?;
         run.record.map_retries += affected.len() as u64;
         run.record.recovery = affected;
 
-        self.resolve_node_losses(run);
+        self.resolve_node_losses(run)?;
         // Dead and blacklisted nodes took their slots with them: whatever
         // re-executes from here on runs on what survived.
         run.record.surviving_map_slots = run.surviving_slots(cluster.map_slots);
+        Ok(())
     }
 
     /// Node losses are resolved against the map wave of the job's
@@ -927,14 +927,14 @@ where
     /// re-execute before the shuffle can finish, in-flight attempts die
     /// and retry, and the timeline charges the heartbeat timeout plus the
     /// re-execution wave (folded into the map phase).
-    fn resolve_node_losses(&self, run: &mut Run<'a, K>) {
+    fn resolve_node_losses(&self, run: &mut Run<'a, K>) -> Result<(), JobError> {
         let (cluster, config) = (self.cluster, self.config);
         let Some(placement) = &cluster.placement else {
-            return;
+            return Ok(());
         };
         let losses = config.faults.node_losses_for(&config.name, cluster.nodes);
         if losses.is_empty() {
-            return;
+            return Ok(());
         }
         let map_wave = JobRecord::timeline(&run.record).map;
         let heartbeat = ticks_of(cluster.heartbeat_timeout);
@@ -978,93 +978,27 @@ where
         for &i in &affected {
             run.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
         }
-        self.rerun_maps(&affected, run);
+        self.rerun_maps(&affected, run)?;
         run.record.reexecuted = affected;
+        Ok(())
     }
 
-    // ---- Fetch/verify ----------------------------------------------------
+    // ---- Fetch -----------------------------------------------------------
 
-    /// Delivers one corrupted copy of partition `j` of a map output and
-    /// requires verification to reject it; returns the partition's bytes
-    /// at rest (what each failed fetch re-transfers). The copy is of the
-    /// frame, or of the first spill segment's bytes of the partition, with
-    /// bit `bit_seed % (len·8)` flipped. Nothing at rest changes, so the
-    /// clean re-fetch reads the same bytes the producer wrote.
-    fn deliver_corrupt_copy(
-        &self,
-        frame: Option<&[u8]>,
-        segments: &[Segment],
-        j: usize,
-        bit_seed: u64,
-    ) -> u64 {
-        let flipped = |mut bytes: Vec<u8>| {
-            let bit = bit_seed % (bytes.len() as u64 * 8);
-            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-            bytes
-        };
-        if let Some(frame) = frame {
-            assert!(
-                decode_pairs::<K, V>(&flipped(frame.to_vec())).is_err(),
-                "a single-bit flip must never pass frame verification"
-            );
-            return frame.len() as u64;
-        }
-        let holds_bytes = |s: &&Segment| s.parts.get(j).is_some_and(|p| p.len > 0);
-        if let Some(seg) = segments.iter().find(holds_bytes) {
-            let copy = seg
-                .read_partition(j)
-                .unwrap_or_else(|e| storage_fault("copy of a spilled partition", e));
-            let checked = verify_frames(&flipped(copy)[..], &seg.parts[j]);
-            assert!(
-                checked.as_ref().is_err_and(StorageError::is_corruption),
-                "a flipped bit must read as corruption: {checked:?}"
-            );
-        }
-        let part_len = |s: &Segment| s.parts.get(j).map(|p| p.len);
-        segments.iter().filter_map(part_len).sum()
-    }
-
-    /// The shuffle-phase integrity scan: every frame of every partition of
-    /// every spill segment is checksum-verified at rest before any merge
-    /// opens it — one pool task per map output, and the lowest-indexed
-    /// failing (map, spill, reducer) stops the job, whatever the timing.
-    fn scan_spills(&self, outputs: &[MapResult<K>]) {
-        let spills: Vec<&[Segment]> = outputs.iter().map(|o| &o.segments[..]).collect();
-        let scan = |i: usize| {
-            for (s, seg) in spills[i].iter().enumerate() {
-                for j in 0..self.config.num_reducers {
-                    let verified = seg
-                        .open_partition(j)
-                        .and_then(|(file, meta)| verify_frames(file, meta));
-                    if let Err(e) = verified {
-                        return Some((s, j, e));
-                    }
-                }
-            }
-            None
-        };
-        let scanned = run_indexed(spills.len(), self.cluster.host_threads, scan);
-        for (i, bad) in scanned.into_iter().enumerate() {
-            if let Some((s, j, e)) = bad {
-                let unit = format!("integrity scan of map {i} spill {s} partition {j}");
-                storage_fault(&unit, e)
-            }
-        }
-    }
-
-    fn fetch(&self, run: &mut Run<'a, K>) -> Vec<ReduceInput> {
+    fn fetch(&self, run: &mut Run<'a, K>) -> Result<Vec<ReduceInput>, JobError> {
         let (cluster, config) = (self.cluster, self.config);
         let (m, r) = (self.source.num_splits(), config.num_reducers);
         // With a placement, reducers get homes too (over surviving nodes),
         // and only buckets whose producing map task is homed elsewhere
-        // cross the network; without one, the closed-form remote fraction
-        // applies.
+        // cross the network; without one, reducers sit round-robin on the
+        // nodes and the closed-form remote fraction applies.
         let survivors = run.survivors();
-        let reducer_homes: Option<Vec<usize>> = cluster.placement.as_ref().map(|p| {
-            (0..r)
+        let homes: Vec<usize> = match &cluster.placement {
+            Some(p) => (0..r)
                 .map(|j| p.task_home(&config.name, TaskKind::Reduce, j, &survivors))
-                .collect()
-        });
+                .collect(),
+            None => (0..r).map(|j| j % cluster.nodes.max(1)).collect(),
+        };
         // Partition fetches whose frames arrive corrupted, keyed by
         // (map, reducer). One bad fetch is transient: the reducer
         // re-fetches and the second copy verifies. Two bad fetches mean
@@ -1080,11 +1014,12 @@ where
         let at_rest = corrupt_plan.values().filter(|c| c.fetches >= 2);
         let rotten: BTreeSet<usize> = at_rest.map(|c| c.map).collect();
         let rotten: Vec<usize> = rotten.into_iter().collect();
-        self.rerun_maps(&rotten, run);
+        self.rerun_maps(&rotten, run)?;
         run.record.map_retries += rotten.len() as u64;
         run.record.rotten = rotten;
 
-        let mut remote_per_node = vec![0u64; run.all_nodes.len()];
+        // Bytes each reducer's fetch carries to its home.
+        let mut fetched = vec![0u64; r];
         let mut per_reducer_bytes = vec![0u64; r];
         let mut inputs: Vec<ReduceInput> = (0..r).map(|_| ReduceInput::default()).collect();
         // Debug builds fold the mapper-side per-key tallies so the shuffle
@@ -1100,10 +1035,8 @@ where
             let mut tail = std::mem::take(&mut result.tail).into_iter();
             for (j, input) in inputs.iter_mut().enumerate() {
                 per_reducer_bytes[j] += result.bucket_bytes[j];
-                if let Some(homes) = &reducer_homes {
-                    if run.map_homes[i] != homes[j] {
-                        remote_per_node[homes[j]] += result.bucket_bytes[j];
-                    }
+                if cluster.placement.is_none() || run.map_homes[i] != homes[j] {
+                    fetched[j] += result.bucket_bytes[j];
                 }
                 // Every partition crosses the shuffle boundary as
                 // checksummed bytes: the unspilled tail as the frame its
@@ -1114,14 +1047,15 @@ where
                     frame
                 });
                 if let Some(c) = corrupt_plan.get(&(i, j)) {
-                    // At-rest corruption (two bad fetches) already
+                    // Each failed fetch re-transfers the partition's bytes
+                    // at rest. At-rest corruption (two bad fetches) already
                     // escalated to re-executing the producer above, so the
                     // bytes in hand are clean either way.
                     let failed = c.fetches.min(2);
-                    let segments = &result.segments;
-                    let at_rest =
-                        self.deliver_corrupt_copy(frame.as_deref(), segments, j, c.bit_seed);
-                    refetch_bytes += at_rest * u64::from(failed);
+                    let part_len = |s: &Segment| s.parts.get(j).map(|p| p.len);
+                    let spilled: u64 = result.segments.iter().filter_map(part_len).sum();
+                    let bytes = frame.as_ref().map_or(spilled, |f| f.len() as u64);
+                    refetch_bytes += bytes * u64::from(failed);
                     run.record.corrupt.push(CorruptEvent {
                         map: i,
                         reducer: j,
@@ -1141,9 +1075,8 @@ where
                 input.parts.extend(frame.map(Fetched::Frame));
             }
         }
-        let outputs = std::mem::take(&mut run.outputs);
+        run.outputs.clear();
         if self.spill.is_some() {
-            self.scan_spills(&outputs);
             let disk_len = |p: &Fetched| match p {
                 Fetched::Spill { segment, part } => segment.parts.get(*part).map(|m| m.len),
                 Fetched::Frame(_) => None,
@@ -1154,14 +1087,22 @@ where
             }
         }
         if cfg!(debug_assertions) {
-            let runs: Vec<Vec<RunSource<K, V>>> = inputs.iter().map(ReduceInput::open).collect();
-            crate::analysis::assert_shuffle_invariants(&emitted, produced, runs);
+            // A run that cannot be read is left to the reduce attempt that
+            // reads it, so debug and release builds end a fault alike.
+            let runs: Result<Vec<Vec<RunSource<K, V>>>, _> =
+                inputs.iter().map(ReduceInput::open).collect();
+            if let Ok(runs) = runs {
+                crate::analysis::assert_shuffle_invariants(&emitted, produced, runs);
+            }
         }
 
-        // Transient node partitions stall the shuffle barrier for their
-        // duration (model ticks). Corrupted fetches charge the same way:
-        // each failed fetch re-transfers its whole partition (always
+        // Transfers first: each reducer's fetch over its home node's
+        // downlink, the busiest downlink setting the pace. Then the stalls:
+        // transient node partitions for their duration (model ticks), and
+        // each failed fetch re-transferring its whole partition (always
         // remote — the local copy is the bad one).
+        let fetches: Vec<(usize, u64)> = homes.into_iter().zip(fetched).collect();
+        let transfer = cluster.shuffle_time(&fetches);
         let stalls = match &cluster.placement {
             Some(_) => config
                 .faults
@@ -1171,47 +1112,27 @@ where
         let partition_stall = Duration::from_micros(stalls.iter().map(|p| p.for_ticks).sum());
         let refetch_stall =
             Duration::from_secs_f64(refetch_bytes as f64 / cluster.network_bytes_per_sec);
-        let transfer = match reducer_homes {
-            Some(_) => self.cluster.shuffle_time_placed(&remote_per_node),
-            None => self.cluster.shuffle_time(&per_reducer_bytes),
-        };
-        run.record.shuffle_time = transfer + partition_stall + refetch_stall;
+        run.record.shuffle_stall = partition_stall + refetch_stall;
+        run.record.shuffle_time = transfer + run.record.shuffle_stall;
         run.record.per_reducer_bytes = per_reducer_bytes;
-        inputs
+        run.record.fetches = fetches;
+        Ok(inputs)
     }
 
     // ---- Reduce ----------------------------------------------------------
 
-    /// Distinct keys in a reducer's input. Free once any attempt has
-    /// streamed every group; before that (an injected mid-task crash
-    /// needs the midpoint up front, an abort reports the figure without a
-    /// finished attempt) one counting pass over the runs supplies it.
-    fn keys_in(&self, input: &ReduceInput) -> u64 {
-        *input.keys.get_or_init(|| {
-            let mut merge = KWayMerge::<K, V>::open(input.open())
-                .unwrap_or_else(|e| storage_fault("opening runs to count keys", e));
-            let mut keys = 0u64;
-            while let Some(_group) = merge
-                .next_group()
-                .unwrap_or_else(|e| storage_fault("counting merge", e))
-            {
-                keys += 1;
-            }
-            keys
-        })
-    }
-
     /// The one reduce-attempt body: open the reducer's runs, merge them
     /// (cascading through disk first when more spill runs than the fan-in
     /// are open), and stream `(key, values)` groups through the UDF in
-    /// key order, values in run priority order.
+    /// key order, values in run priority order. Every spilled byte is
+    /// CRC-checked here, by the merge that reads it.
     fn reduce_attempt(
         &self,
         j: usize,
         input: &ReduceInput,
         attempt: u32,
         inject: Inject,
-    ) -> ReduceResult<Out> {
+    ) -> Result<ReduceResult<Out>, StorageError> {
         let ctx = self.task_context(j, self.config.num_reducers, attempt);
         let mut task = self.reduce_factory.create(&ctx);
         let mut out = OutputCollector::default();
@@ -1220,58 +1141,50 @@ where
                 "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
             ))
         };
-        // An injected mid-task crash fires halfway through the key groups.
+        // An injected mid-task crash fires at the group that crosses the
+        // input's middle record.
         let crash_at = match inject {
-            Inject::MidTaskPanic => Some(self.keys_in(input) / 2),
+            Inject::MidTaskPanic => Some(input.records / 2),
             Inject::None => None,
         };
-        if crash_at.is_some() && self.keys_in(input) == 0 {
+        if crash_at.is_some() && input.records == 0 {
             crash();
         }
         let storage = &self.cluster.storage;
+        let runs = input.open()?;
         let mut merge = match &self.spill {
             // Disk runs exist only under a budget, and so does the session
             // their cascade writes into; memory runs never cascade.
-            Some(session) => external_merge(
-                session,
-                j,
-                input.open(),
-                storage.merge_fan_in,
-                storage.io_chunk,
-            )
-            .map(|(merge, ran)| {
-                // What fetch priced is what ran (under a budget every run
-                // is a disk run: the map tail spills too).
-                let facts = |m: MergeStats| (m.runs, m.passes, m.seeks);
-                debug_assert_eq!(input.merge.map(facts), Some(facts(ran)));
-                merge
-            }),
-            None => KWayMerge::open(input.open()),
-        }
-        .unwrap_or_else(|e| storage_fault("external merge", e));
-        let mut keys = 0u64;
-        while let Some((k, vs)) = merge
-            .next_group()
-            .unwrap_or_else(|e| storage_fault("merge read", e))
-        {
-            if crash_at == Some(keys) {
+            Some(session) => {
+                external_merge(session, j, runs, storage.merge_fan_in, storage.io_chunk).map(
+                    |(merge, ran)| {
+                        // What fetch priced is what ran (under a budget every run
+                        // is a disk run: the map tail spills too).
+                        let facts = |m: MergeStats| (m.runs, m.passes, m.seeks);
+                        debug_assert_eq!(input.merge.map(facts), Some(facts(ran)));
+                        merge
+                    },
+                )
+            }
+            None => KWayMerge::open(runs),
+        }?;
+        let (mut keys, mut streamed) = (0u64, 0u64);
+        while let Some((k, vs)) = merge.next_group()? {
+            streamed += vs.len() as u64;
+            if crash_at.is_some_and(|middle| streamed > middle) {
                 crash();
             }
             keys += 1;
             task.reduce(k, vs, &mut out);
         }
-        let counted = *input.keys.get_or_init(|| keys);
-        debug_assert_eq!(
-            counted, keys,
-            "reducer {j}: counted and streamed groups disagree"
-        );
         task.finish(&mut out);
         let (records, work) = out.into_parts();
-        ReduceResult {
+        Ok(ReduceResult {
             records,
+            keys,
             work,
             counters: ctx.counters,
-        }
+        })
     }
 
     fn reduce_stage(
@@ -1297,7 +1210,7 @@ where
             let output = exec.value.as_ref();
             TaskModel {
                 records_in: input.records,
-                keys_in: self.keys_in(input),
+                keys_in: output.map_or(0, |o| o.keys),
                 records_out: output.map_or(0, |o| o.records.len() as u64),
                 bytes: run.record.per_reducer_bytes[j],
                 work: output.map_or(0, |o| o.work),
@@ -2282,6 +2195,61 @@ mod tests {
         assert_eq!(sorted_counts(stalled), sorted_counts(clean));
     }
 
+    /// The trace draws the shuffle the model charged: each reducer's fetch
+    /// on its placed home's downlink, then one stall span for the node
+    /// partition and the corrupt re-fetches — so the busiest downlink plus
+    /// the stall ends where the reduce wave starts.
+    #[test]
+    fn the_trace_draws_the_shuffle_the_model_charged() {
+        use skymr_telemetry::EventKind;
+        let mut cluster = ClusterConfig::test_placed(0xBEEF);
+        cluster.network_bytes_per_sec = 1e4;
+        let mut plan = FaultPlan::none().with_node_partition(0, 0, 700);
+        for reducer in 0..3 {
+            plan = plan.with_corrupt_shuffle(0, reducer, 1);
+        }
+        let collector = Collector::new();
+        let config = JobConfig::new("wc", 3)
+            .with_faults(plan)
+            .with_collector(Some(collector.clone()));
+        let job = run_job(
+            &cluster,
+            &config,
+            &many_spills(),
+            &WcMap,
+            &WcReduce,
+            &HashPartitioner,
+        );
+        job.expect("the job must survive");
+        let doc = collector.finish();
+        let spans = |cat: &'static str| {
+            let complete = move |e: &&skymr_telemetry::TraceEvent| {
+                e.kind == EventKind::Complete && e.cat == cat
+            };
+            doc.events.iter().filter(complete)
+        };
+        let reduce_start = spans("reduce").map(|e| e.ts).min().expect("reduce spans");
+        let stall = spans("shuffle")
+            .find(|e| e.name == "shuffle stall")
+            .expect("the stall is drawn");
+        assert!(stall.dur > 700, "the partition and the re-fetch both stall");
+        assert_eq!(stall.ts + stall.dur, reduce_start);
+        // Per downlink: where its last transfer ends, and how many it drew.
+        let mut lanes: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for e in spans("shuffle").filter(|e| e.name.starts_with("shuffle→")) {
+            let (end, count) = lanes.entry(e.tid).or_default();
+            *end = (*end).max(e.ts + e.dur);
+            *count += 1;
+        }
+        let &(end, count) = lanes.values().max().expect("transfers are drawn");
+        let drawn = end + stall.dur;
+        assert!(
+            drawn.abs_diff(reduce_start) <= count + 1,
+            "busiest downlink ends at {end}, plus a {}-tick stall, against a reduce start of {reduce_start}",
+            stall.dur
+        );
+    }
+
     #[test]
     fn failing_nodes_are_blacklisted() {
         let cluster = ClusterConfig::test_placed(9);
@@ -2548,9 +2516,8 @@ mod tests {
         }
     }
 
-    /// Spill-mode corruption delivers a bit-flipped copy of a spilled
-    /// partition; the frame check must reject it and route into the
-    /// re-fetch → re-exec ladder.
+    /// Spill-mode corruption is priced from the spilled partition's bytes
+    /// and routes into the re-fetch → re-exec ladder.
     #[test]
     fn spill_segment_corruption_routes_into_the_recovery_ladder() {
         let cluster = spill_cluster(1);
@@ -2558,15 +2525,15 @@ mod tests {
             word_count_on(&cluster, &JobConfig::new("wc", 2).with_faults(plan))
                 .expect("spill run must survive")
         };
-        // Transient: the first fetch delivers a copy with a flipped bit, the
-        // re-fetch reads the untouched segment and passes the scan.
+        // Transient: the first fetch delivers corrupted bytes, the re-fetch
+        // reads the untouched segment.
         let transient = run(FaultPlan::none().with_corrupt_shuffle(0, 0, 1));
         assert_eq!(transient.metrics.corrupt_fetches, 1);
         assert_eq!(transient.registry.counter("shuffle.corrupt_partitions"), 1);
         assert_eq!(transient.metrics.map_retries, 0);
         assert_eq!(sorted_counts(transient), expected_counts());
-        // At rest: both fetches fail the scan, the producing map re-executes
-        // and rewrites its segments.
+        // At rest: both fetches fail, the producing map re-executes and
+        // rewrites its segments.
         let at_rest = run(FaultPlan::none().with_corrupt_shuffle(1, 0, 2));
         assert_eq!(at_rest.metrics.corrupt_fetches, 2);
         assert_eq!(at_rest.metrics.map_retries, 1);
@@ -2587,8 +2554,8 @@ mod tests {
     /// A word-count mapper that, once its split is mapped and spilled,
     /// flips a bit in the first frame of chosen spill segments of its own —
     /// at-rest corruption the fault plan knows nothing about, so no
-    /// recovery is scheduled and only the integrity scan stands between it
-    /// and the reducers.
+    /// recovery is scheduled and only the reducers' frame checks stand
+    /// between it and the UDF.
     struct Sabotage {
         root: std::path::PathBuf,
         /// (map task, spill sequence) pairs to corrupt.
@@ -2648,16 +2615,26 @@ mod tests {
         }
     }
 
-    /// Two spill partitions rot on disk behind the plan's back. The pooled
-    /// scan must stop the job before any merge opens them, and name the
-    /// lowest-indexed one — the same message whatever the thread count.
+    /// A spill root of the test's own, under the OS temp directory.
+    fn test_root(tag: &str, host_threads: usize) -> std::path::PathBuf {
+        let pid = std::process::id();
+        std::env::temp_dir().join(format!("skymr-{tag}-{pid}-{host_threads}"))
+    }
+
+    /// What an aborted job's error says, for comparing thread counts.
+    fn failure_of(err: &JobError) -> (TaskKind, usize, u32, String) {
+        (err.task, err.index, err.attempts, err.last_cause())
+    }
+
+    /// Two spill partitions rot on disk behind the plan's back. No
+    /// recovery is scheduled for them: every attempt of a reducer that
+    /// reads one fails its frame check, and the job ends on the
+    /// lowest-indexed failing reducer — the same error whatever the
+    /// thread count, and no panic.
     #[test]
-    fn the_pooled_integrity_scan_names_the_lowest_corrupt_partition() {
-        let message = |host_threads: usize| {
-            let root = std::env::temp_dir().join(format!(
-                "skymr-scan-test-{}-{host_threads}",
-                std::process::id()
-            ));
+    fn rotten_spill_data_fails_the_lowest_reducer_that_reads_it() {
+        let failure = |host_threads: usize| {
+            let root = test_root("rot-test", host_threads);
             std::fs::create_dir_all(&root).expect("spill root");
             let mut cluster = spill_cluster(1);
             cluster.host_threads = host_threads;
@@ -2667,40 +2644,158 @@ mod tests {
                 targets: vec![(2, 0), (0, 1)],
                 hit: parking_lot::Mutex::new(Vec::new()),
             };
-            let job = || {
-                let config = JobConfig::new("wc", 2);
-                let factory = Saboteur(&plan);
-                run_job(
-                    &cluster,
-                    &config,
-                    &splits(),
-                    &factory,
-                    &WcReduce,
-                    &HashPartitioner,
-                )
-            };
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
-                .expect_err("rotten spill data must never reach a merge");
+            let config = JobConfig::new("wc", 2);
+            let factory = Saboteur(&plan);
+            let job = run_job(
+                &cluster,
+                &config,
+                &splits(),
+                &factory,
+                &WcReduce,
+                &HashPartitioner,
+            );
             let _ = std::fs::remove_dir_all(&root);
-            let mut hit = plan.hit.lock().clone();
-            hit.sort_unstable();
+            let err = job.expect_err("rotten spill data must fail its reducer");
+            let hit = plan.hit.lock().clone();
             assert_eq!(hit.len(), 2, "both partitions were corrupted");
-            assert_eq!((hit[0].0, hit[0].1), (0, 1));
-            let (map, spill, part) = hit[0];
-            let text = panic.downcast_ref::<String>().expect("message").clone();
-            let unit = format!("integrity scan of map {map} spill {spill} partition {part} failed");
-            assert!(text.starts_with("storage plane: "), "{text}");
-            assert!(text.contains(&unit), "{text}");
-            assert!(text.contains("spill data corrupt"), "{text}");
-            text
+            let lowest = hit.iter().map(|&(_, _, part)| part).min();
+            assert_eq!((err.task, Some(err.index)), (TaskKind::Reduce, lowest));
+            assert_eq!(err.attempts, config.retry.attempt_budget());
+            assert!(err.last_cause().starts_with("spill data corrupt"), "{err}");
+            assert!(err.payload.is_none(), "a storage failure is not a panic");
+            failure_of(&err)
         };
-        assert_eq!(message(1), message(4));
+        assert_eq!(failure(1), failure(4));
+    }
+
+    /// A spill root that is a regular file: the first spill of every map
+    /// task fails, and the job ends on map task 0 with the I/O error — the
+    /// same error whatever the thread count.
+    #[test]
+    fn an_unusable_spill_root_fails_the_first_spilling_map_task() {
+        let failure = |host_threads: usize| {
+            let root = test_root("root-file-test", host_threads);
+            std::fs::write(&root, b"not a directory").expect("root file");
+            let mut cluster = spill_cluster(1);
+            cluster.host_threads = host_threads;
+            cluster.storage.spill_dir = Some(root.clone());
+            let job = word_count_on(&cluster, &JobConfig::new("wc", 2));
+            std::fs::remove_file(&root).expect("root file");
+            let err = job.expect_err("no spill can land");
+            assert_eq!((err.task, err.index), (TaskKind::Map, 0));
+            assert!(err.last_cause().starts_with("storage I/O"), "{err}");
+            let failure = failure_of(&err);
+            let common: skymr_common::Error = err.into();
+            assert!(common.to_string().contains("storage I/O"), "{common}");
+            failure
+        };
+        assert_eq!(failure(1), failure(4));
+    }
+
+    /// Word count whose map task 0, on its first attempt, replaces the
+    /// job's spill directory with a regular file right after its first
+    /// spill: a spill directory gone bad under a running job.
+    struct Evict<'a> {
+        root: &'a std::path::Path,
+        map: usize,
+        attempt: u32,
+        mapped: usize,
+    }
+    impl MapTask for Evict<'_> {
+        type In = String;
+        type K = String;
+        type V = u64;
+        fn map(&mut self, input: &String, out: &mut Emitter<String, u64>) {
+            if (self.map, self.attempt, self.mapped) == (0, 0, 1) {
+                for session in std::fs::read_dir(self.root).expect("spill root") {
+                    let dir = session.expect("entry").path();
+                    std::fs::remove_dir_all(&dir).expect("spill dir");
+                    std::fs::write(&dir, b"evicted").expect("a file in its place");
+                }
+            }
+            self.mapped += 1;
+            WcMapTask.map(input, out);
+        }
+    }
+
+    /// A storage failure names no record: with skip-bad-records on, a spill
+    /// directory gone bad fails map task 0 through its retry budget and
+    /// the job aborts with nothing skipped.
+    #[test]
+    fn a_storage_failure_never_retires_a_record() {
+        let root = test_root("evict-test", 1);
+        std::fs::create_dir_all(&root).expect("spill root");
+        let mut cluster = spill_cluster(1);
+        cluster.host_threads = 1;
+        cluster.skip_bad_records = true;
+        cluster.storage.spill_dir = Some(root.clone());
+        let config = JobConfig::new("wc", 2);
+        let factory = |ctx: &TaskContext| Evict {
+            root: &root,
+            map: ctx.task_index,
+            attempt: ctx.attempt,
+            mapped: 0,
+        };
+        let job = run_job(
+            &cluster,
+            &config,
+            &splits(),
+            &factory,
+            &WcReduce,
+            &HashPartitioner,
+        );
+        let _ = std::fs::remove_dir_all(&root);
+        let err = job.expect_err("the spill directory is gone");
+        assert_eq!((err.task, err.index), (TaskKind::Map, 0));
+        assert!(err.attempts <= config.retry.attempt_budget(), "{err}");
+        assert_eq!(err.metrics.records_skipped, 0, "no record was to blame");
+        assert!(err.last_cause().starts_with("storage I/O"), "{err}");
+    }
+
+    /// One tenant's job hits an unusable spill root; it fails alone and
+    /// the healthy tenant's job completes with its output intact.
+    #[test]
+    fn a_storage_failure_is_isolated_to_its_own_tenant() {
+        use crate::sched::{ClusterExecutor, JobSpec};
+        let root = test_root("tenant-root-file", 1);
+        std::fs::write(&root, b"not a directory").expect("root file");
+        let mut exec = ClusterExecutor::new(ClusterConfig::test());
+        let word_count_plane = |cluster: &ClusterConfig| -> Result<_, skymr_common::Error> {
+            let out = word_count_on(cluster, &JobConfig::new("wc", 2))?;
+            let metrics = out.metrics.clone();
+            Ok((sorted_counts(out), vec![metrics]))
+        };
+        let bad_root = root.clone();
+        let bad = exec
+            .submit(
+                JobSpec::new("spills", "a"),
+                move |cluster: &ClusterConfig| {
+                    let mut cluster = cluster.clone();
+                    cluster.storage.memory_budget = Some(1);
+                    cluster.storage.spill_dir = Some(bad_root);
+                    word_count_plane(&cluster)
+                },
+            )
+            .expect("submitted");
+        let good = exec
+            .submit(JobSpec::new("in-memory", "b"), word_count_plane)
+            .expect("submitted");
+        let report = exec.run();
+        std::fs::remove_file(&root).expect("root file");
+        assert_eq!((report.failed, report.completed), (1, 1));
+        match exec.take(bad) {
+            crate::sched::JobCompletion::Failed(e) => {
+                assert!(e.to_string().contains("storage I/O"), "{e}");
+            }
+            other => panic!("the spilling tenant must fail: {other:?}"),
+        }
+        assert_eq!(exec.take(good).unwrap().output, expected_counts());
     }
 
     /// Frames sit at rest from the end of their map attempt; scripted
-    /// corruption — transient or escalated — only ever touches a delivered
-    /// copy, so every reduce attempt (retries included) still opens clean
-    /// frames and `ReduceInput::open` stays unreachable-on-error.
+    /// corruption — transient or escalated — is a priced fetch, never a
+    /// change to them, so every reduce attempt (retries included) still
+    /// opens clean frames.
     #[test]
     fn injected_corruption_never_touches_a_frame_at_rest() {
         let mut plan = FaultPlan::fail_reduces([0, 1]);

@@ -561,7 +561,7 @@ mod tests {
     fn disk_runs(session: &SpillSession, n: u64, len: u64, io_chunk: usize) -> Sources {
         let runs: Vec<Vec<(u64, u64)>> = (0..n).map(|s| scramble(len + s % 3, s)).collect();
         let on_disk = |run| {
-            let path = session.segment_path(0, 0);
+            let path = session.segment_path(0, 0).expect("segment path");
             let segment = write_segment(path, std::slice::from_ref(run), io_chunk).expect("write");
             RunSource::Disk { segment, part: 0 }
         };
@@ -663,7 +663,7 @@ mod tests {
         let meta = &segment.parts[0];
         super::super::segment::tests::rot(&segment.path, meta.offset, meta.len, 7);
         let err = external_merge(&session, 0, sources, 3, 64).expect_err("corrupt input");
-        assert!(err.is_corruption(), "{err}");
+        assert!(matches!(err, StorageError::Frame { .. }), "{err}");
         assert_eq!(files(&session), (22, 0, 0));
     }
 

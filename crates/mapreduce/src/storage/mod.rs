@@ -180,8 +180,10 @@ pub struct SpillSession {
 }
 
 impl SpillSession {
-    /// Creates the unique spill directory for one job run.
-    pub fn create(config: &StorageConfig, job_name: &str) -> Result<Self, StorageError> {
+    /// Names the unique spill directory of one job run without touching
+    /// the filesystem: the first [`Self::segment_path`] makes it, so an
+    /// unusable spill root fails the first spill, inside its task attempt.
+    pub(crate) fn new(config: &StorageConfig, job_name: &str) -> Self {
         let root = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
         let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
         let job = sanitize(job_name);
@@ -189,12 +191,23 @@ impl SpillSession {
             "skymr-spill-{pid}-{run}-{job}",
             pid = std::process::id()
         ));
-        std::fs::create_dir_all(&dir).map_err(|e| StorageError::io("create spill dir", e))?;
-        Ok(Self {
+        Self {
             dir,
             job,
             seq: AtomicU64::new(0),
-        })
+        }
+    }
+
+    /// Names the unique spill directory of one job run and makes it now,
+    /// for callers that write their own files into [`Self::dir`].
+    pub fn create(config: &StorageConfig, job_name: &str) -> Result<Self, StorageError> {
+        let session = Self::new(config, job_name);
+        session.make_dir()?;
+        Ok(session)
+    }
+
+    fn make_dir(&self) -> Result<(), StorageError> {
+        std::fs::create_dir_all(&self.dir).map_err(|e| StorageError::io("create spill dir", e))
     }
 
     /// The session's spill directory.
@@ -204,13 +217,15 @@ impl SpillSession {
 
     /// Path for the next spill segment of map task `map`, attempt
     /// `attempt` (`mrtmp.<job>-m<map>-a<attempt>-<uniq>.seg`, following
-    /// the exemplar's `mrtmp.<job>-<map>-<reduce>` naming). The session
-    /// counter keeps paths unique even when a task re-executes with a
-    /// repeated attempt number (node-loss and corrupt-escalation waves).
-    pub fn segment_path(&self, map: usize, attempt: u32) -> PathBuf {
+    /// the exemplar's `mrtmp.<job>-<map>-<reduce>` naming), with the
+    /// session's directory made if it does not exist. The session counter
+    /// keeps paths unique even when a task re-executes with a repeated
+    /// attempt number (node-loss and corrupt-escalation waves).
+    pub fn segment_path(&self, map: usize, attempt: u32) -> Result<PathBuf, StorageError> {
+        self.make_dir()?;
         let uniq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.dir
-            .join(format!("mrtmp.{}-m{map}-a{attempt}-{uniq}.seg", self.job))
+        let name = format!("mrtmp.{}-m{map}-a{attempt}-{uniq}.seg", self.job);
+        Ok(self.dir.join(name))
     }
 
     /// Path for an intermediate merge run of reducer `reduce`.
@@ -296,16 +311,43 @@ mod tests {
         let session = SpillSession::create(&cfg, "wc phase/1").expect("session");
         let dir = session.dir().to_owned();
         assert!(dir.exists());
-        let seg = session.segment_path(3, 1);
+        let seg = session.segment_path(3, 1).expect("segment path");
         let name = seg.file_name().and_then(|n| n.to_str()).expect("name");
         assert!(name.starts_with("mrtmp.wc-phase-1-m3-a1-"), "{name}");
         drop(session);
         assert!(!dir.exists());
     }
 
+    /// An unusable root fails the first path handed out, not the session.
+    #[test]
+    fn a_session_makes_its_directory_at_the_first_segment() {
+        let root = std::env::temp_dir().join(format!("skymr-root-file-{}", std::process::id()));
+        std::fs::write(&root, b"not a directory").expect("root file");
+        let cfg = StorageConfig {
+            spill_dir: Some(root.clone()),
+            ..StorageConfig::test()
+        };
+        let session = SpillSession::new(&cfg, "j");
+        let err = session
+            .segment_path(0, 0)
+            .expect_err("a file cannot hold a directory");
+        assert!(
+            err.to_string()
+                .starts_with("storage I/O (create spill dir)"),
+            "{err}"
+        );
+        drop(session);
+        std::fs::remove_file(&root).expect("root file");
+        let session = SpillSession::new(&StorageConfig::test(), "j");
+        assert!(!session.dir().exists());
+        session.segment_path(0, 0).expect("segment path");
+        assert!(session.dir().is_dir());
+    }
+
     #[test]
     fn segment_paths_are_unique_per_call() {
         let session = SpillSession::create(&StorageConfig::test(), "j").expect("session");
-        assert_ne!(session.segment_path(0, 0), session.segment_path(0, 0));
+        let path = || session.segment_path(0, 0).expect("segment path");
+        assert_ne!(path(), path());
     }
 }

@@ -18,9 +18,7 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::PathBuf;
 
-use skymr_common::bytes::{
-    decode_pairs, frame_begin, frame_decode_exact, frame_end, FrameError, Wire, FRAME_OVERHEAD,
-};
+use skymr_common::bytes::{decode_pairs, frame_begin, frame_end, FrameError, Wire, FRAME_OVERHEAD};
 use skymr_common::ByteSized;
 
 /// A storage-plane failure: host I/O or frame verification.
@@ -50,13 +48,6 @@ impl StorageError {
 
     pub(crate) fn frame(context: &'static str, source: FrameError) -> Self {
         Self::Frame { context, source }
-    }
-
-    /// `true` iff this is data corruption (checksum/structure), which the
-    /// engine routes into the re-fetch → re-execute recovery ladder
-    /// rather than the generic retry path.
-    pub fn is_corruption(&self) -> bool {
-        matches!(self, Self::Frame { .. })
     }
 }
 
@@ -117,16 +108,6 @@ impl Segment {
         file.seek(SeekFrom::Start(meta.offset))
             .map_err(|e| StorageError::io("seek partition", e))?;
         Ok((file, meta))
-    }
-
-    /// Partition `part`'s on-disk bytes, every frame included, as one
-    /// buffer: the copy a corrupted delivery is made from.
-    pub(crate) fn read_partition(&self, part: usize) -> Result<Vec<u8>, StorageError> {
-        let (mut file, meta) = self.open_partition(part)?;
-        let mut bytes = vec![0; meta.len as usize];
-        file.read_exact(&mut bytes)
-            .map_err(|e| StorageError::io("read partition", e))?;
-        Ok(bytes)
     }
 }
 
@@ -304,8 +285,8 @@ impl<K: Wire, V: Wire> PartitionReader<K, V> {
     ///
     /// # Errors
     ///
-    /// Host I/O failures and checksum/structure corruption
-    /// ([`StorageError::is_corruption`]).
+    /// Host I/O failures ([`StorageError::Io`]) and checksum/structure
+    /// corruption ([`StorageError::Frame`]).
     pub fn next_pair(&mut self) -> Result<Option<(K, V)>, StorageError> {
         loop {
             if let Some(pair) = self.chunk.next() {
@@ -374,50 +355,35 @@ fn read_frame(
     Ok(())
 }
 
-/// Checksum-verifies every frame of one partition without decoding pairs —
-/// the check that decides whether a partition enters the re-fetch →
-/// re-execute ladder. `src` yields the partition's `meta.len` bytes: a file
-/// at [`Segment::open_partition`], or a delivered copy in memory. The inner
-/// loop is the CRC32C kernel over a reused buffer; `tests/alloc.rs` pins it
-/// allocation-free.
-pub fn verify_frames(mut src: impl Read, meta: &PartitionMeta) -> Result<(), StorageError> {
-    let mut remaining = meta.len;
-    let mut framed = Vec::new();
-    let mut frames = 0u32;
-    while remaining > 0 {
-        read_frame(&mut src, &mut remaining, &mut framed)?;
-        frame_decode_exact(&framed).map_err(|e| StorageError::frame("verify frame", e))?;
-        frames += 1;
-    }
-    if frames != meta.frames {
-        return Err(StorageError::Frame {
-            context: "verify partition",
-            source: FrameError::Malformed,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skymr_common::bytes::PAIRS_OVERHEAD;
 
-    /// Flips bit `bit_seed % (len·8)` of the byte range `offset..offset +
+    /// Flips bit `seed % (len·8)` of the byte range `offset..offset +
     /// len` of the file at `path`: bytes rotting at rest behind the
     /// engine's back. Rotting the same range with the same seed again
     /// restores the file.
-    pub(crate) fn rot(path: &std::path::Path, offset: u64, len: u64, bit_seed: u64) {
+    pub(crate) fn rot(path: &std::path::Path, offset: u64, len: u64, seed: u64) {
         let mut bytes = std::fs::read(path).expect("file to rot");
-        let bit = bit_seed % (len * 8);
+        let bit = seed % (len * 8);
         bytes[(offset + bit / 8) as usize] ^= 1 << (bit % 8);
         std::fs::write(path, bytes).expect("rotted file");
     }
 
-    /// [`verify_frames`] over partition `part` of the file on disk.
-    fn verify_on_disk(segment: &Segment, part: usize) -> Result<(), StorageError> {
-        let (file, meta) = segment.open_partition(part)?;
-        verify_frames(file, meta)
+    /// Every pair of partition `part`, streamed through a
+    /// [`PartitionReader`] — which CRC-checks each frame it reads.
+    fn read_all<K: Wire, V: Wire>(
+        segment: &Segment,
+        part: usize,
+    ) -> Result<Vec<(K, V)>, StorageError> {
+        let mut reader = PartitionReader::open(segment, part)?;
+        let mut pairs = Vec::new();
+        while let Some(pair) = reader.next_pair()? {
+            pairs.push(pair);
+        }
+        Ok(pairs)
     }
 
     /// A directory of the test's own, removed with its files on drop:
@@ -446,13 +412,8 @@ pub(crate) mod tests {
         assert_eq!(seg.parts[1].records, 0);
         assert_eq!(seg.parts[1].len, 0);
         for (j, expect) in parts.iter().enumerate() {
-            let mut r: PartitionReader<u64, String> = PartitionReader::open(&seg, j).expect("open");
-            let mut got = Vec::new();
-            while let Some(pair) = r.next_pair().expect("read") {
-                got.push(pair);
-            }
+            let got: Vec<(u64, String)> = read_all(&seg, j).expect("read");
             assert_eq!(&got, expect, "partition {j}");
-            verify_on_disk(&seg, j).expect("verify");
         }
     }
 
@@ -494,8 +455,8 @@ pub(crate) mod tests {
             records,
         };
         assert_eq!(seg.parts, [meta(0, 324, 3, 9), meta(324, 44, 1, 1)]);
-        for j in 0..2 {
-            verify_on_disk(&seg, j).expect("verify");
+        for (j, pairs) in parts.iter().enumerate() {
+            assert_eq!(&read_all::<u32, Tuple>(&seg, j).expect("read"), pairs);
         }
     }
 
@@ -521,52 +482,41 @@ pub(crate) mod tests {
         let seg = write_segment(dir.dir().join("flip.seg"), &parts, 256).expect("write");
         let meta = seg.parts[0].clone();
         rot(&seg.path, meta.offset, meta.len, 0xBADC0DE);
-        let err = verify_on_disk(&seg, 0).expect_err("must detect corruption");
-        assert!(err.is_corruption(), "{err}");
-        // Reading routes the same detection through the decode path.
-        let mut r: PartitionReader<u64, String> = PartitionReader::open(&seg, 0).expect("open");
-        let read_err = loop {
-            match r.next_pair() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("corruption not detected by reader"),
-                Err(e) => break e,
-            }
-        };
-        assert!(read_err.is_corruption());
-        // Untouched partitions still verify.
-        verify_on_disk(&seg, 2).expect("partition 2 clean");
-        // Flip back: everything verifies again.
+        let err = read_all::<u64, String>(&seg, 0).expect_err("must detect corruption");
+        assert!(matches!(err, StorageError::Frame { .. }), "{err}");
+        // Untouched partitions still read.
+        assert_eq!(read_all(&seg, 2).expect("partition 2 clean"), parts[2]);
+        // Flip back: everything reads again.
         rot(&seg.path, meta.offset, meta.len, 0xBADC0DE);
-        verify_on_disk(&seg, 0).expect("restored");
+        assert_eq!(read_all(&seg, 0).expect("restored"), parts[0]);
     }
 
-    /// A scripted corrupt fetch of a spilled partition flips a bit in a
-    /// copy of its bytes: the frame check rejects the copy, and the file
-    /// it was read from is never written.
-    #[test]
-    fn a_corrupted_copy_fails_the_frame_check_and_leaves_the_file_clean() {
-        let dir = tmp();
-        let seg = write_segment(dir.dir().join("copy.seg"), &sample_parts(), 256).expect("write");
-        let before = std::fs::read(&seg.path).expect("segment bytes");
-        for part in [0, 2] {
-            let meta = &seg.parts[part];
-            let clean = seg.read_partition(part).expect("copy");
-            assert_eq!(clean.len() as u64, meta.len);
-            verify_frames(&clean[..], meta).expect("a clean copy verifies");
-            for bit_seed in [0, 7, 0xBADC0DE, u64::MAX] {
-                let mut bad = clean.clone();
-                let bit = bit_seed % (meta.len * 8);
-                bad[(bit / 8) as usize] ^= 1 << (bit % 8);
-                let err = verify_frames(&bad[..], meta).expect_err("a flipped copy fails");
-                assert!(err.is_corruption(), "{err}");
-            }
-            verify_on_disk(&seg, part).expect("the file stays clean");
+    proptest! {
+        /// Any single-bit flip anywhere in a multi-frame partition fails
+        /// the reader's frame check — an error, never a panic and never a
+        /// silently wrong pair.
+        #[test]
+        fn any_bit_flip_in_a_partition_fails_the_reader(
+            pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 20..120),
+            seed in any::<u64>(),
+        ) {
+            let dir = tmp();
+            let parts = vec![Vec::new(), pairs];
+            let seg = write_segment(dir.dir().join("prop.seg"), &parts, 64).expect("write");
+            let meta = &seg.parts[1];
+            prop_assert!(meta.frames > 1, "{} frame(s)", meta.frames);
+            rot(&seg.path, meta.offset, meta.len, seed);
+            let read = std::panic::catch_unwind(|| read_all::<u64, u64>(&seg, 1));
+            let read = read.map_err(|_| "the reader panicked");
+            prop_assert!(
+                matches!(read, Ok(Err(StorageError::Frame { .. }))),
+                "{:?}", read
+            );
         }
-        assert!(std::fs::read(&seg.path).expect("segment bytes") == before);
     }
 
     #[test]
-    fn truncated_segment_is_corruption_not_panic() {
+    fn truncated_segment_is_a_frame_error_not_a_panic() {
         let dir = tmp();
         let seg = write_segment(dir.dir().join("trunc.seg"), &sample_parts(), 256).expect("write");
         let full = std::fs::read(&seg.path).expect("read");
@@ -579,6 +529,6 @@ pub(crate) mod tests {
                 Err(e) => break e,
             }
         };
-        assert!(err.is_corruption(), "{err}");
+        assert!(matches!(err, StorageError::Frame { .. }), "{err}");
     }
 }

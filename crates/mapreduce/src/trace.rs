@@ -79,6 +79,9 @@ pub enum FailKind {
     /// Crashed mid-task — costs roughly half the attempt's input scan and
     /// charged work, with nothing emitted.
     Panic,
+    /// Its storage plane failed (host I/O, or spilled bytes failing their
+    /// frame check) — priced like a mid-task crash.
+    Storage,
     /// Made no progress; killed after the carried timeout (model ticks).
     /// The cost is the timeout itself, never scaled by a straggler factor —
     /// a wedged attempt does no work to slow down.
@@ -96,6 +99,7 @@ impl FailKind {
         match cause {
             FailureCause::LostOutput => FailKind::LostOutput,
             FailureCause::Panic { .. } => FailKind::Panic,
+            FailureCause::Storage { .. } => FailKind::Storage,
             FailureCause::Hang { timeout } => FailKind::Hang(ticks_of(*timeout)),
             FailureCause::Cancelled { .. } => FailKind::Cancelled,
         }
@@ -105,6 +109,7 @@ impl FailKind {
         match self {
             FailKind::LostOutput => "lost_output",
             FailKind::Panic => "panic",
+            FailKind::Storage => "storage",
             FailKind::Hang(_) => "hang",
             FailKind::Cancelled => "cancelled",
         }
@@ -144,7 +149,8 @@ pub struct Backup {
 pub struct TaskModel {
     /// Input records consumed (map: split length; reduce: values).
     pub records_in: u64,
-    /// Distinct input keys (reduce only; 0 for map tasks).
+    /// Distinct input keys the committed attempt streamed (reduce only; 0
+    /// for map tasks and for a reducer that never succeeded).
     pub keys_in: u64,
     /// Output records emitted.
     pub records_out: u64,
@@ -247,8 +253,15 @@ pub struct JobRecord<'a> {
     /// Modeled shuffle time: bottleneck-node transfer, partition stalls
     /// and corrupt re-fetches.
     pub shuffle_time: Duration,
+    /// The part of `shuffle_time` spent after the transfers: transient
+    /// node partitions and corrupt re-fetches.
+    pub shuffle_stall: Duration,
     /// Shuffle bytes routed to each reducer.
     pub per_reducer_bytes: Vec<u64>,
+    /// Per reducer, as the shuffle was priced
+    /// ([`ClusterConfig::shuffle_time`]): the node whose downlink carries
+    /// its fetch, and the bytes fetched.
+    pub fetches: Vec<(usize, u64)>,
     /// Per-map-task facts.
     pub map: Vec<TaskModel>,
     /// Per-reduce-task facts.
@@ -329,7 +342,7 @@ impl JobRecord<'_> {
     fn failure_ticks(&self, task: &TaskModel, kind: FailKind) -> Ticks {
         match kind {
             FailKind::LostOutput => self.winner_ticks(task),
-            FailKind::Panic => model::scaled(
+            FailKind::Panic | FailKind::Storage => model::scaled(
                 model::attempt_ticks(task.records_in / 2, 0, 0, task.work / 2),
                 task.slowdown,
             ),
@@ -651,17 +664,17 @@ impl JobRecord<'_> {
                 &args,
             );
         }
-        // Shuffle: reducers pull their partitions; reducer j's transfer
-        // lands on node j % nodes, transfers on one node are sequential,
-        // and the phase ends at the bottleneck node's finish — the same
-        // accounting as `ClusterConfig::shuffle_time`.
+        // Shuffle: reducers pull their partitions over their home node's
+        // downlink, transfers on one node are sequential, and the stalls
+        // (node partitions, corrupt re-fetches) close the phase — the
+        // transfers and stalls the shuffle was priced from.
         if timeline.shuffle > 0 {
-            let nodes = cluster.nodes.max(1);
             // Per-node download cursor and whether the lane is named yet.
-            let mut node_state: Vec<(Ticks, bool)> = vec![(timeline.corrupt.end, false); nodes];
-            for (j, &bytes) in self.per_reducer_bytes.iter().enumerate() {
-                let node = j % nodes; // nodes is .max(1) two lines up, so the remainder cannot panic
-                let secs = bytes as f64 * cluster.remote_fraction() / cluster.network_bytes_per_sec;
+            let start = (timeline.corrupt.end, false);
+            let mut node_state: Vec<(Ticks, bool)> = vec![start; cluster.nodes.max(1)];
+            for (j, &(node, bytes)) in self.fetches.iter().enumerate() {
+                let secs =
+                    bytes as f64 * cluster.fetched_fraction() / cluster.network_bytes_per_sec;
                 let dur = ticks_of(Duration::from_secs_f64(secs));
                 let Some((cursor, named)) = node_state.get_mut(node).filter(|_| dur > 0) else {
                     continue;
@@ -676,6 +689,19 @@ impl JobRecord<'_> {
                 let span = Span::new(&path, name, "shuffle", lane, *cursor, dur);
                 job.span(span.with_arg("bytes", bytes).with_arg("reducer", j as u64));
                 *cursor += dur;
+            }
+            let stall = ticks_of(self.shuffle_stall);
+            if stall > 0 {
+                let at = timeline.reduce.start.saturating_sub(stall);
+                let tag = "shuffle stall";
+                job.span(Span::new(
+                    &[self.name, tag],
+                    tag,
+                    "shuffle",
+                    DRIVER_LANE,
+                    at,
+                    stall,
+                ));
             }
         }
 
@@ -882,7 +908,13 @@ mod tests {
             broadcast_attempts: 1,
             broadcast_time: Duration::ZERO,
             shuffle_time: Duration::from_micros(40),
+            shuffle_stall: Duration::ZERO,
             per_reducer_bytes: per_reducer_bytes.to_vec(),
+            fetches: per_reducer_bytes
+                .iter()
+                .enumerate()
+                .map(|(j, &b)| (j % cluster.nodes.max(1), b))
+                .collect(),
             map: vec![
                 TaskModel {
                     records_in: 10,

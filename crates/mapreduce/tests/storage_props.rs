@@ -89,7 +89,7 @@ proptest! {
             // Mix disk and in-memory runs: both cross the same merge.
             if disk_mask & (1 << (i % 32)) != 0 {
                 let segment = write_segment(
-                    session.segment_path(i, 0),
+                    session.segment_path(i, 0).expect("segment path"),
                     std::slice::from_ref(run),
                     256,
                 )

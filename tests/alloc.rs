@@ -41,7 +41,7 @@ use skymr_common::{
     crc32c_update, dominates, encode_pairs, frame_decode, frame_encode, BitGrid, Tuple, Wire,
 };
 use skymr_datagen::{generate, Distribution};
-use skymr_mapreduce::storage::segment::{verify_frames, write_segment, SegmentWriter};
+use skymr_mapreduce::storage::segment::SegmentWriter;
 use skymr_mapreduce::storage::{KWayMerge, RunSource};
 use skymr_mapreduce::{
     reduce_fn, run_job_from, ClusterConfig, Counters, Emitter, JobConfig, MapTask, OutputCollector,
@@ -438,21 +438,6 @@ fn codec_encode_pairs_into() {
 /// Spill frame payload size for the storage rows: `n` and `4n` pairs span
 /// many frames, all full ones the same size.
 const IO_CHUNK: usize = 1024;
-
-#[test]
-fn storage_verify_frames() {
-    assert_flat("verify_frames", 16 * N, |n| {
-        let path = spill_path("verify", n);
-        let segment = write_segment(path.clone(), &[pairs(n)], IO_CHUNK).unwrap();
-        assert!(segment.parts[0].frames > 1);
-        let count = allocs(|| {
-            let (file, meta) = segment.open_partition(0).unwrap();
-            verify_frames(file, meta).unwrap();
-        });
-        std::fs::remove_file(&path).ok();
-        count
-    });
-}
 
 #[test]
 fn storage_segment_writer_push() {

@@ -667,8 +667,8 @@ fn spilled_chaos_preserves_every_algorithm_output() {
 #[test]
 fn corrupt_spilled_segments_route_into_the_recovery_ladder() {
     // With the storage plane on, reducer input lives in on-disk spill
-    // segments, and the corruption plan delivers copies of their
-    // partitions with a bit flipped; the files are never written. A
+    // segments, and the corruption plan's bad fetches re-transfer their
+    // partitions' bytes; the files are never written. A
     // transient hit must heal via a clean re-fetch; an at-rest hit must
     // escalate to re-executing the producing map — and the skyline must
     // still come out byte-identical to the fault-free in-memory run.
