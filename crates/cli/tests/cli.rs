@@ -1,6 +1,7 @@
 //! End-to-end checks of the `skymr-cli` binary: exit status and stderr.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 /// Zero mappers is a configuration error for every MapReduce baseline, as
 /// it is for the paper's algorithms: exit 1 with the structured message,
@@ -26,5 +27,164 @@ fn baselines_reject_zero_mappers_with_an_error() {
             stderr, "error: invalid configuration: mappers must be >= 1\n",
             "{algo}"
         );
+    }
+}
+
+/// A scratch directory of one test's own, emptied first.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("skymr-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    dir
+}
+
+/// `skymr-cli` with `args`, every file it writes capped at `kib` KiB by
+/// the shell's `ulimit -f`. `SIGXFSZ` is ignored, so a write past the cap
+/// fails with `EFBIG` — a real host fault, with no injection.
+fn limited(kib: u64, args: &[&str]) -> Output {
+    let script = format!("ulimit -f {kib}; trap '' XFSZ; exec \"$0\" \"$@\"");
+    Command::new("bash")
+        .args(["-c", &script, env!("CARGO_BIN_EXE_skymr-cli")])
+        .args(args)
+        .output()
+        .expect("bash runs the CLI")
+}
+
+fn words(line: &str) -> Vec<&str> {
+    line.split_whitespace().collect()
+}
+
+/// `base` followed by `extra`.
+fn with<'a>(base: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
+    [base, extra].concat()
+}
+
+fn cli(args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_skymr-cli"))
+        .args(args)
+        .output();
+    out.expect("the CLI binary runs")
+}
+
+/// A checkpoint write that fails (here: a zero file-size limit) leaves the
+/// previous checkpoint byte for byte, and a later resume completes it to
+/// the fresh run's output.
+#[test]
+fn a_failed_checkpoint_write_keeps_the_previous_checkpoint() {
+    let dir = scratch("checkpoint");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (ckpt, fresh, resumed) = (path("k.ckpt"), path("fresh.csv"), path("resumed.csv"));
+    let run = words("run --algo gpsrs --dist anticorrelated --dim 4 --card 5000 --seed 7");
+
+    let killed = cli(&with(&run, &["--checkpoint", &ckpt, "--kill-after", "1"]));
+    assert_eq!(killed.status.code(), Some(1), "the kill ends the run");
+    let kept = std::fs::read(&ckpt).expect("the kill leaves a checkpoint");
+
+    let denied = limited(0, &with(&run, &["--checkpoint", &ckpt, "--resume"]));
+    let stderr = String::from_utf8_lossy(&denied.stderr);
+    assert_eq!(denied.status.code(), Some(1), "{stderr}");
+    let expected = format!("error: cannot write checkpoint {ckpt}: ");
+    assert!(stderr.starts_with(&expected), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert_eq!(
+        std::fs::read(&ckpt).ok(),
+        Some(kept),
+        "the checkpoint is intact"
+    );
+    assert!(
+        !Path::new(&format!("{ckpt}.tmp")).exists(),
+        "no temporary file left"
+    );
+
+    let resume = cli(&with(
+        &run,
+        &["--checkpoint", &ckpt, "--resume", "--out", &resumed],
+    ));
+    assert_eq!(resume.status.code(), Some(0), "{resume:?}");
+    assert_eq!(cli(&with(&run, &["--out", &fresh])).status.code(), Some(0));
+    let read = |p: &str| std::fs::read(p).expect("a skyline file");
+    assert_eq!(
+        read(&resumed),
+        read(&fresh),
+        "the resume matches a fresh run"
+    );
+    std::fs::remove_dir_all(&dir).expect("scratch directory");
+}
+
+/// Every file the run writes — spill segments, merge runs, the checkpoint,
+/// the skyline — capped at N KiB, for N from 0 up to the largest of them:
+/// the run completes with the unconstrained output, or exits 1 with one
+/// `error:` line naming what it was doing and to which path, never a
+/// panic. Either way the spill root is left empty, and a checkpoint left
+/// behind resumes to the unconstrained output. (Default thread count.)
+#[test]
+fn every_file_size_limit_ends_in_the_fresh_output_or_one_error() {
+    for algo in ["gpsrs", "gpmrs"] {
+        let dir = scratch(&format!("sweep-{algo}"));
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (spill, ckpt, out) = (path("spill"), path("k.ckpt"), path("out.csv"));
+        std::fs::create_dir(&spill).expect("spill root");
+        let run = format!(
+            "run --algo {algo} --dist anticorrelated --dim 4 --card 2000 --seed 7 \
+             --memory-budget 1k"
+        );
+        let run = with(
+            &words(&run),
+            &["--spill-dir", &spill, "--checkpoint", &ckpt],
+        );
+        let clear = || {
+            let _ = std::fs::remove_file(&ckpt);
+            let _ = std::fs::remove_file(&out);
+        };
+
+        assert_eq!(cli(&with(&run, &["--out", &out])).status.code(), Some(0));
+        let fresh = std::fs::read(&out).expect("the unconstrained skyline");
+        let largest = fresh
+            .len()
+            .max(std::fs::metadata(&ckpt).expect("checkpoint").len() as usize);
+        let mut completed = None;
+        for kib in 0..=(largest as u64 / 1024 + 64) {
+            clear();
+            let ran = limited(kib, &with(&run, &["--out", &out]));
+            let stderr = String::from_utf8_lossy(&ran.stderr);
+            let at = format!("{algo}, {kib} KiB");
+            assert!(!stderr.contains("panicked at"), "{at}: {stderr}");
+            let left = std::fs::read_dir(&spill).expect("spill root").count();
+            assert_eq!(left, 0, "{at}: the spill root is left empty");
+            let tmp = format!("{ckpt}.tmp");
+            assert!(
+                !Path::new(&tmp).exists(),
+                "{at}: no temporary checkpoint left"
+            );
+            if ran.status.success() {
+                assert_eq!(std::fs::read(&out).ok().as_ref(), Some(&fresh), "{at}");
+                completed = Some(kib);
+                break;
+            }
+            assert_eq!(ran.status.code(), Some(1), "{at}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{at}: {stderr}");
+            let operation = stderr.contains("storage I/O (") || stderr.contains("cannot write");
+            assert!(stderr.starts_with("error: ") && operation, "{at}: {stderr}");
+            assert!(
+                stderr.contains(&*dir.to_string_lossy()),
+                "{at}: names the path: {stderr}"
+            );
+            if Path::new(&ckpt).exists() {
+                let _ = std::fs::remove_file(&out);
+                let resumed = cli(&with(&run, &["--resume", "--out", &out]));
+                assert_eq!(resumed.status.code(), Some(0), "{at}: {resumed:?}");
+                assert_eq!(
+                    std::fs::read(&out).ok().as_ref(),
+                    Some(&fresh),
+                    "{at}: resumed"
+                );
+            }
+        }
+        let kib = completed.expect("a limit above every file completes the run");
+        assert!(
+            kib * 1024 >= largest as u64,
+            "{algo}: completed under {kib} KiB"
+        );
+        std::fs::remove_dir_all(&dir).expect("scratch directory");
     }
 }

@@ -345,7 +345,8 @@ mod tests {
         let exec = run_attempts(&TaskFault::none(), &RetryPolicy::new(), HANG, |a, _| {
             if a == 0 {
                 let gone = std::io::Error::from(std::io::ErrorKind::NotFound);
-                return Err(StorageError::io("create segment", gone));
+                let path = std::path::Path::new("gone.seg");
+                return Err(StorageError::io("create segment", path, gone));
             }
             Ok(a)
         });
@@ -356,7 +357,7 @@ mod tests {
         assert!(
             cause
                 .to_string()
-                .starts_with("storage I/O (create segment)"),
+                .starts_with("storage I/O (create segment gone.seg)"),
             "{cause}"
         );
         assert!(exec.payload.is_none(), "a storage failure is not a panic");

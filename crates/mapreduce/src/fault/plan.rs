@@ -113,12 +113,6 @@ impl TaskFault {
         }
     }
 
-    /// This fault, additionally straggling by `factor`.
-    pub fn with_slowdown(mut self, factor: f64) -> Self {
-        self.slowdown = factor.max(1.0);
-        self
-    }
-
     /// `true` iff the task is completely healthy.
     pub fn is_none(&self) -> bool {
         self.failures == 0 && self.slowdown <= 1.0
@@ -983,6 +977,5 @@ mod tests {
     fn straggler_builder_clamps_to_at_least_one() {
         assert_eq!(TaskFault::straggler(0.25).slowdown, 1.0);
         assert_eq!(TaskFault::straggler(4.0).slowdown, 4.0);
-        assert!(TaskFault::straggler(4.0).with_slowdown(0.0).is_none());
     }
 }

@@ -334,9 +334,6 @@ struct Run<'a, K> {
     /// Materialized map outputs: patched by the re-execution waves,
     /// consumed by fetch.
     outputs: Vec<MapResult<K>>,
-    /// Attempts each map task has used — the attempt number its next
-    /// re-execution runs under.
-    attempts: Vec<u32>,
     /// Records retired by the skip protocol, per map task.
     skips: Vec<BTreeSet<usize>>,
     all_nodes: Vec<usize>,
@@ -603,7 +600,6 @@ where
         Run {
             record,
             outputs: Vec::new(),
-            attempts: Vec::new(),
             skips: Vec::new(),
             all_nodes,
             map_homes,
@@ -744,18 +740,6 @@ where
         Ok(result)
     }
 
-    /// A clean replay of map task `i` (speculative backups and the
-    /// re-execution waves): no injection, the task's skip set honoured.
-    fn replay_map(
-        &self,
-        i: usize,
-        attempt: u32,
-        skips: &BTreeSet<usize>,
-    ) -> Result<MapResult<K>, StorageError> {
-        let progress = AtomicUsize::new(usize::MAX);
-        self.map_attempt(i, attempt, Inject::None, skips, &progress)
-    }
-
     /// One map task through the retry ladder, then Hadoop's
     /// skip-bad-records protocol: when the budget exhausts with a panic,
     /// the tracker's last progress report names the suspect record; it
@@ -807,6 +791,27 @@ where
         ((exec, fault), skips)
     }
 
+    /// The facts the clock reads off map task `i`'s execution, whichever
+    /// wave ran it. Split lengths are model facts the source reports
+    /// without materializing records; a task that never succeeded
+    /// contributes only its failures.
+    fn map_model(&self, i: usize, (exec, fault): &Exec<MapResult<K>>) -> TaskModel {
+        let output = exec.value.as_ref();
+        let disk_bytes = |o: &MapResult<K>| o.segments.iter().map(Segment::disk_bytes).collect();
+        TaskModel {
+            records_in: self.source.split_len(i) as u64,
+            keys_in: 0,
+            records_out: output.map_or(0, |o| o.records),
+            bytes: output.map_or(0, |o| o.bucket_bytes.iter().sum()),
+            work: output.map_or(0, |o| o.work),
+            failures: fail_kinds(exec),
+            slowdown: fault.slowdown,
+            spills: output.map_or_else(Vec::new, disk_bytes),
+            merge: None,
+            backup: None,
+        }
+    }
+
     fn map_stage(&self, run: &mut Run<'a, K>) -> Result<(), JobError> {
         let cluster = self.cluster;
         let m = self.source.num_splits();
@@ -821,37 +826,18 @@ where
             .enumerate()
             .flat_map(|(i, s)| s.iter().map(move |&n| (i, n)))
             .collect();
-        // Per-task facts for the clock. Split lengths are model
-        // facts the source reports without materializing records. UDFs are
-        // pure, so whichever attempt ends up backing the shuffle (a
-        // speculative backup, a re-execution) reproduces the output facts
-        // byte for byte; a task that never succeeded contributes only its
-        // failures.
-        let disk_bytes = |o: &MapResult<K>| o.segments.iter().map(Segment::disk_bytes).collect();
-        let model = |(i, (exec, fault)): (usize, &Exec<MapResult<K>>)| {
-            let output = exec.value.as_ref();
-            TaskModel {
-                records_in: self.source.split_len(i) as u64,
-                keys_in: 0,
-                records_out: output.map_or(0, |o| o.records),
-                bytes: output.map_or(0, |o| o.bucket_bytes.iter().sum()),
-                work: output.map_or(0, |o| o.work),
-                failures: fail_kinds(exec),
-                slowdown: fault.slowdown,
-                spills: output.map_or_else(Vec::new, disk_bytes),
-                merge: None,
-                backup: None,
-            }
-        };
+        let model = |(i, exec)| self.map_model(i, exec);
         run.record.map = execs.iter().enumerate().map(model).collect();
         (run.record.map_attempts, run.record.map_retries) = tally(&execs);
         self.strike_nodes(TaskKind::Map, &execs, run);
-        let rerun = |i, attempt| self.replay_map(i, attempt, &skips[i]);
+        // A backup runs clean, its skip set honoured; no skip protocol
+        // reads its progress.
+        let progress = AtomicUsize::new(usize::MAX);
+        let rerun = |i, a| self.map_attempt(i, a, Inject::None, &skips[i], &progress);
         let failed = self.settle(TaskKind::Map, &mut execs, &mut run.record, rerun);
         if let Some(index) = failed {
             return Err(self.fail(TaskKind::Map, index, execs.swap_remove(index).0, run));
         }
-        run.attempts = execs.iter().map(|(exec, _)| exec.attempts).collect();
         run.outputs = winners(&mut execs);
         run.skips = skips;
         Ok(())
@@ -878,23 +864,37 @@ where
 
     // ---- Map-output recovery ---------------------------------------------
 
-    /// Re-executes `tasks` — one clean attempt each, skip sets honoured —
-    /// and replaces their materialized outputs wholesale (byte-identical
-    /// because UDFs are pure, so the tasks' models stand). Serves the
-    /// lost-partition, node-loss, and at-rest-corruption waves; the caller
-    /// names the wave in the record and the timeline prices it. A rerun
-    /// whose storage plane fails retries under the job's policy; the
-    /// lowest-indexed task that exhausts it aborts the job.
-    fn rerun_maps(&self, tasks: &[usize], run: &mut Run<'a, K>) -> Result<(), JobError> {
-        let (attempts, skips) = (&run.attempts, &run.skips);
+    /// Re-executes `tasks` through the retry ladder — no injection, skip
+    /// sets honoured — and replaces their materialized outputs wholesale
+    /// (byte-identical because UDFs are pure). Serves the lost-partition,
+    /// node-loss, and at-rest-corruption waves: each re-execution's own
+    /// model goes into the record's `wave`, where the timeline prices,
+    /// counts and draws it like a phase task. The lowest-indexed task that
+    /// exhausts its budget aborts the job.
+    fn rerun_maps(
+        &self,
+        tasks: &BTreeSet<usize>,
+        run: &mut Run<'a, K>,
+        wave: for<'r> fn(&'r mut JobRecord<'a>) -> &'r mut Vec<(usize, TaskModel)>,
+    ) -> Result<(), JobError> {
+        let tasks: Vec<usize> = tasks.iter().copied().collect();
+        let (map, skips) = (&run.record.map, &run.skips);
         let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
             let i = tasks[c];
-            let replay = |a, _| self.replay_map(i, attempts[i] + a, &skips[i]);
+            // The map wave's attempts all ran: the re-execution numbers on.
+            let first = map[i].failures.len() as u32 + 1;
+            let progress = AtomicUsize::new(usize::MAX);
+            let replay = |a, inject| self.map_attempt(i, first + a, inject, &skips[i], &progress);
             let (retry, timeout) = (&self.config.retry, self.cluster.progress_timeout);
-            run_attempts(&TaskFault::none(), retry, timeout, replay)
+            let fault = TaskFault::none();
+            (run_attempts(&fault, retry, timeout, replay), fault)
         });
-        run.record.map_attempts += reruns.iter().map(|e| u64::from(e.attempts)).sum::<u64>();
-        for (&i, mut exec) in tasks.iter().zip(reruns) {
+        let (attempts, retries) = tally(&reruns);
+        run.record.map_attempts += attempts;
+        run.record.map_retries += retries;
+        let model = |(&i, exec)| (i, self.map_model(i, exec));
+        *wave(&mut run.record) = tasks.iter().zip(&reruns).map(model).collect();
+        for (&i, (mut exec, _)) in tasks.iter().zip(reruns) {
             match exec.value.take() {
                 Some(output) => run.outputs[i] = output,
                 None => return Err(self.fail(TaskKind::Map, i, exec, run)),
@@ -910,10 +910,8 @@ where
         let (m, r) = (self.source.num_splits(), config.num_reducers);
         run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
         let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
-        let affected: Vec<usize> = affected.into_iter().collect();
-        self.rerun_maps(&affected, run)?;
+        self.rerun_maps(&affected, run, |record| &mut record.recovery)?;
         run.record.map_retries += affected.len() as u64;
-        run.record.recovery = affected;
 
         self.resolve_node_losses(run)?;
         // Dead and blacklisted nodes took their slots with them: whatever
@@ -972,15 +970,12 @@ where
                 wasted,
             });
         }
-        let affected: Vec<usize> = affected.into_iter().collect();
         // Replacement outputs materialize on surviving nodes.
         let survivors = run.survivors();
         for &i in &affected {
             run.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
         }
-        self.rerun_maps(&affected, run)?;
-        run.record.reexecuted = affected;
-        Ok(())
+        self.rerun_maps(&affected, run, |record| &mut record.reexecuted)
     }
 
     // ---- Fetch -----------------------------------------------------------
@@ -1013,10 +1008,8 @@ where
             .collect();
         let at_rest = corrupt_plan.values().filter(|c| c.fetches >= 2);
         let rotten: BTreeSet<usize> = at_rest.map(|c| c.map).collect();
-        let rotten: Vec<usize> = rotten.into_iter().collect();
-        self.rerun_maps(&rotten, run)?;
+        self.rerun_maps(&rotten, run, |record| &mut record.rotten)?;
         run.record.map_retries += rotten.len() as u64;
-        run.record.rotten = rotten;
 
         // Bytes each reducer's fetch carries to its home.
         let mut fetched = vec![0u64; r];
@@ -1060,7 +1053,6 @@ where
                         map: i,
                         reducer: j,
                         fetches: failed,
-                        reexecuted: c.fetches >= 2,
                     });
                 }
                 for seg in &result.segments {
@@ -2621,9 +2613,16 @@ mod tests {
         std::env::temp_dir().join(format!("skymr-{tag}-{pid}-{host_threads}"))
     }
 
-    /// What an aborted job's error says, for comparing thread counts.
+    /// What an aborted job's error says, for comparing thread counts. The
+    /// spill path an I/O error names differs run to run, so it is cut.
     fn failure_of(err: &JobError) -> (TaskKind, usize, u32, String) {
-        (err.task, err.index, err.attempts, err.last_cause())
+        let mut cause = err.last_cause();
+        let tmp = std::env::temp_dir().to_string_lossy().into_owned();
+        if let Some(at) = cause.find(&tmp) {
+            let end = cause[at..].find("): ").map_or(cause.len(), |n| at + n);
+            cause.replace_range(at..end, "<path>");
+        }
+        (err.task, err.index, err.attempts, cause)
     }
 
     /// Two spill partitions rot on disk behind the plan's back. No
@@ -2684,6 +2683,8 @@ mod tests {
             let err = job.expect_err("no spill can land");
             assert_eq!((err.task, err.index), (TaskKind::Map, 0));
             assert!(err.last_cause().starts_with("storage I/O"), "{err}");
+            let root = root.to_string_lossy();
+            assert!(err.last_cause().contains(&*root), "names the path: {err}");
             let failure = failure_of(&err);
             let common: skymr_common::Error = err.into();
             assert!(common.to_string().contains("storage I/O"), "{common}");
@@ -2811,45 +2812,61 @@ mod tests {
         assert_eq!(sorted_counts(out), expected_counts());
     }
 
+    /// Attempt spans (`attempt k` and speculative `backup`) in a trace.
+    fn attempts_drawn(doc: &skymr_telemetry::TraceDocument) -> u64 {
+        let attempt = |e: &&skymr_telemetry::TraceEvent| e.cat == "attempt";
+        doc.events.iter().filter(attempt).count() as u64
+    }
+
     /// The trace and the metrics are read off one timeline, so the drawn
-    /// job is exactly as long as the reported one — in every mode that
-    /// adds a wave or takes slots away.
+    /// job is exactly as long as the reported one, and draws every attempt
+    /// it counts — in every mode that adds a wave or takes slots away.
     #[test]
     fn the_trace_is_as_long_as_sim_runtime_in_every_mode() {
         let placed = ClusterConfig::test_placed(0xBEEF);
         let alive: Vec<usize> = (0..placed.nodes).collect();
         let victim = Placement::new(0xBEEF).task_home("wc", TaskKind::Map, 0, &alive);
+        let wc = |plan| JobConfig::new("wc", 3).with_faults(plan);
         let none = FaultPlan::none;
-        let cases: Vec<(&str, ClusterConfig, FaultPlan)> = vec![
-            ("clean", ClusterConfig::test(), none()),
+        let straggler = none().with_map_fault(0, TaskFault::straggler(1000.0));
+        let cases: Vec<(&str, ClusterConfig, JobConfig)> = vec![
+            ("clean", ClusterConfig::test(), wc(none())),
             (
                 "lost partition",
                 ClusterConfig::test(),
-                none().with_lost_partition(0, 0),
+                wc(none().with_lost_partition(0, 0)),
             ),
             (
                 "node loss",
                 placed.clone(),
-                none().with_node_loss(victim, u64::MAX / 2),
+                wc(none().with_node_loss(victim, u64::MAX / 2)),
             ),
             (
                 "corrupt x1",
                 ClusterConfig::test(),
-                none().with_corrupt_shuffle(0, 0, 1),
+                wc(none().with_corrupt_shuffle(0, 0, 1)),
             ),
             (
                 "corrupt x2",
                 ClusterConfig::test(),
-                none().with_corrupt_shuffle(1, 0, 2),
+                wc(none().with_corrupt_shuffle(1, 0, 2)),
             ),
-            ("memory budget", spill_cluster(1), none()),
+            ("memory budget", spill_cluster(1), wc(none())),
+            (
+                "seeded chaos",
+                ClusterConfig::test(),
+                wc(FaultPlan::seeded(23)),
+            ),
+            (
+                "speculative",
+                ClusterConfig::test(),
+                wc(straggler).with_speculation(SpeculationPolicy::new()),
+            ),
         ];
         let mut runtimes = BTreeMap::new();
-        for (case, cluster, plan) in cases {
+        for (case, cluster, config) in cases {
             let collector = Collector::new();
-            let config = JobConfig::new("wc", 3)
-                .with_faults(plan)
-                .with_collector(Some(collector.clone()));
+            let config = config.with_collector(Some(collector.clone()));
             let out = word_count_on(&cluster, &config).expect("the job must survive");
             let m = &out.metrics;
             assert_eq!(collector.cursor(), ticks_of(m.sim_runtime), "{case}");
@@ -2858,7 +2875,10 @@ mod tests {
                 m.startup_time + m.broadcast_time + m.map_phase + m.shuffle_time + m.reduce_phase,
                 "{case}"
             );
-            let trace = skymr_telemetry::export::chrome_trace(&collector.finish());
+            let doc = collector.finish();
+            let counted = out.registry.counter("task.attempts");
+            assert_eq!(attempts_drawn(&doc), counted, "{case}: attempts drawn");
+            let trace = skymr_telemetry::export::chrome_trace(&doc);
             assert_eq!(
                 trace.contains("(re-exec)"),
                 matches!(case, "node loss" | "corrupt x2"),
@@ -2869,6 +2889,101 @@ mod tests {
         for case in ["lost partition", "node loss", "corrupt x2", "memory budget"] {
             assert!(runtimes[case] > runtimes["clean"], "{case} costs time");
         }
+    }
+
+    /// A re-execution is priced, counted and drawn like any map task: map
+    /// 0 loses a partition, and its re-execution's first attempt (attempt
+    /// 1 — the map wave ran attempt 0) panics.
+    #[test]
+    fn a_failing_re_execution_is_priced_counted_and_drawn() {
+        /// Word count whose attempt `panics_on` panics on its first record.
+        struct FlakyWc {
+            panics_on: u32,
+        }
+        struct FlakyWcTask {
+            panics: bool,
+        }
+        impl MapTask for FlakyWcTask {
+            type In = String;
+            type K = String;
+            type V = u64;
+            fn map(&mut self, input: &String, out: &mut Emitter<String, u64>) {
+                if self.panics {
+                    panic!("the re-execution's first attempt fails");
+                }
+                WcMapTask.map(input, out);
+            }
+        }
+        impl MapFactory for FlakyWc {
+            type Task = FlakyWcTask;
+            fn create(&self, ctx: &TaskContext) -> FlakyWcTask {
+                FlakyWcTask {
+                    panics: ctx.attempt == self.panics_on,
+                }
+            }
+        }
+        let cluster = ClusterConfig::test();
+        let run = |panics_on| {
+            let collector = Collector::new();
+            let config = JobConfig::new("wc", 2)
+                .with_faults(FaultPlan::none().with_lost_partition(0, 0))
+                .with_collector(Some(collector.clone()));
+            let map = FlakyWc { panics_on };
+            let out = run_job(
+                &cluster,
+                &config,
+                &splits(),
+                &map,
+                &WcReduce,
+                &HashPartitioner,
+            )
+            .expect("the job must survive");
+            assert_eq!(collector.cursor(), ticks_of(out.metrics.sim_runtime));
+            (out, collector.finish())
+        };
+        let (clean, _) = run(u32::MAX);
+        let (flaky, doc) = run(1);
+
+        // A panic is priced as half of map 0's two records, with no work.
+        let failure = skymr_telemetry::model::attempt_ticks(1, 0, 0, 0);
+        let backoff = ticks_of(RetryPolicy::new().backoff_after(0));
+        let grew = |f: fn(&JobMetrics) -> Duration| {
+            ticks_of(f(&flaky.metrics)) - ticks_of(f(&clean.metrics))
+        };
+        let overhead = ticks_of(cluster.task_overhead);
+        assert_eq!(grew(|m| m.sim_runtime), failure + backoff + overhead);
+        assert_eq!(grew(|m| m.wasted_task_time), failure);
+        assert_eq!(grew(|m| m.backoff_time), backoff);
+        assert_eq!(flaky.registry.counter("map.failures.panic"), 1);
+        assert_eq!(flaky.metrics.attempts, clean.metrics.attempts + 1);
+        assert_eq!(
+            attempts_drawn(&doc),
+            flaky.registry.counter("task.attempts")
+        );
+
+        // Under the re-execution's span: the panicking attempt, then the
+        // winner.
+        let complete = |name: &str| {
+            let named = |e: &&skymr_telemetry::TraceEvent| e.name == name && e.dur > 0;
+            doc.events.iter().filter(named).collect::<Vec<_>>()
+        };
+        let arg = |e: &skymr_telemetry::TraceEvent, key: &str| {
+            let (_, value) = e.args.iter().find(|(k, _)| k == key)?;
+            Some(value.clone())
+        };
+        let recovery = complete("map[0] (recovery)");
+        assert_eq!(recovery.len(), 1, "one re-execution span");
+        let parent = arg(recovery[0], "span_id");
+        let outcome = |name: &str| {
+            let child = complete(name)
+                .into_iter()
+                .find(|e| arg(e, "parent_id") == parent);
+            child.and_then(|e| arg(e, "outcome"))
+        };
+        let label = |s: &str| Some(skymr_telemetry::ArgValue::Str(s.to_owned()));
+        assert_eq!(outcome("attempt 0"), label("panic"));
+        assert_eq!(outcome("attempt 1"), label("winner"));
+        assert_eq!(sorted_counts(flaky), sorted_counts(clean));
     }
 
     #[test]

@@ -330,14 +330,23 @@ impl Runner {
         Ok(value)
     }
 
-    /// Rewrites the checkpoint file, when one is configured.
+    /// Rewrites the checkpoint file, when one is configured: the bytes go
+    /// to `<path>.tmp` beside it, which is then renamed over `<path>`, so
+    /// a failed write or a killed process leaves the previous checkpoint
+    /// whole. Nothing is fsynced: durability across power loss is not
+    /// claimed.
     fn persist(&self) -> skymr_common::Result<()> {
         let Some(path) = &self.file else {
             return Ok(());
         };
-        std::fs::write(path, self.checkpoint().to_bytes()).map_err(|e| Error::CheckpointWrite {
-            path: path.clone(),
-            detail: e.to_string(),
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let renamed = std::fs::write(&tmp, self.checkpoint().to_bytes())
+            .and_then(|()| std::fs::rename(&tmp, path));
+        renamed.map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            let (path, detail) = (path.clone(), e.to_string());
+            Error::CheckpointWrite { path, detail }
         })
     }
 }

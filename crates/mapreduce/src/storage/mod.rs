@@ -207,7 +207,8 @@ impl SpillSession {
     }
 
     fn make_dir(&self) -> Result<(), StorageError> {
-        std::fs::create_dir_all(&self.dir).map_err(|e| StorageError::io("create spill dir", e))
+        std::fs::create_dir_all(&self.dir)
+            .map_err(|e| StorageError::io("create spill dir", &self.dir, e))
     }
 
     /// The session's spill directory.
@@ -331,11 +332,8 @@ mod tests {
         let err = session
             .segment_path(0, 0)
             .expect_err("a file cannot hold a directory");
-        assert!(
-            err.to_string()
-                .starts_with("storage I/O (create spill dir)"),
-            "{err}"
-        );
+        let context = format!("storage I/O (create spill dir {}", root.display());
+        assert!(err.to_string().starts_with(&context), "{err}");
         drop(session);
         std::fs::remove_file(&root).expect("root file");
         let session = SpillSession::new(&StorageConfig::test(), "j");

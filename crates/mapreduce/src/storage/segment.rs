@@ -16,7 +16,7 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use skymr_common::bytes::{decode_pairs, frame_begin, frame_end, FrameError, Wire, FRAME_OVERHEAD};
 use skymr_common::ByteSized;
@@ -28,6 +28,8 @@ pub enum StorageError {
     Io {
         /// What the plane was doing.
         context: &'static str,
+        /// The file or directory it was doing it to.
+        path: PathBuf,
         /// The OS error.
         source: std::io::Error,
     },
@@ -42,8 +44,13 @@ pub enum StorageError {
 }
 
 impl StorageError {
-    pub(crate) fn io(context: &'static str, source: std::io::Error) -> Self {
-        Self::Io { context, source }
+    pub(crate) fn io(context: &'static str, path: &Path, source: std::io::Error) -> Self {
+        let path = path.to_path_buf();
+        Self::Io {
+            context,
+            path,
+            source,
+        }
     }
 
     pub(crate) fn frame(context: &'static str, source: FrameError) -> Self {
@@ -54,7 +61,11 @@ impl StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io { context, source } => write!(f, "storage I/O ({context}): {source}"),
+            Self::Io {
+                context,
+                path,
+                source,
+            } => write!(f, "storage I/O ({context} {}): {source}", path.display()),
             Self::Frame { context, source } => {
                 write!(f, "spill data corrupt ({context}): {source}")
             }
@@ -103,10 +114,11 @@ impl Segment {
             context: "open partition",
             source: FrameError::Malformed,
         })?;
-        let file = File::open(&self.path).map_err(|e| StorageError::io("open segment", e))?;
+        let io = |context| move |e| StorageError::io(context, &self.path, e);
+        let file = File::open(&self.path).map_err(io("open segment"))?;
         let mut file = BufReader::new(file);
         file.seek(SeekFrom::Start(meta.offset))
-            .map_err(|e| StorageError::io("seek partition", e))?;
+            .map_err(io("seek partition"))?;
         Ok((file, meta))
     }
 }
@@ -134,7 +146,7 @@ pub struct SegmentWriter<K, V> {
 impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     /// Opens `path` for writing.
     pub fn create(path: PathBuf, io_chunk: usize) -> Result<Self, StorageError> {
-        let file = File::create(&path).map_err(|e| StorageError::io("create segment", e))?;
+        let file = File::create(&path).map_err(|e| StorageError::io("create segment", &path, e))?;
         let mut frame = Vec::with_capacity(io_chunk + 1024);
         frame_begin(&mut frame);
         frame.extend_from_slice(&[0u8; 4]);
@@ -203,7 +215,7 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
     pub fn finish(mut self) -> Result<Segment, StorageError> {
         self.file
             .flush()
-            .map_err(|e| StorageError::io("flush segment", e))?;
+            .map_err(|e| StorageError::io("flush segment", &self.path, e))?;
         Ok(Segment {
             path: self.path,
             parts: self.parts,
@@ -215,7 +227,7 @@ impl<K: Wire + ByteSized, V: Wire + ByteSized> SegmentWriter<K, V> {
         frame_end(&mut self.frame, 0);
         self.file
             .write_all(&self.frame)
-            .map_err(|e| StorageError::io("write segment frame", e))?;
+            .map_err(|e| StorageError::io("write segment frame", &self.path, e))?;
         self.offset += self.frame.len() as u64;
         self.cur.len += self.frame.len() as u64;
         self.cur.frames += 1;
@@ -261,6 +273,8 @@ pub fn write_segment<K: Wire + ByteSized, V: Wire + ByteSized>(
 #[derive(Debug)]
 pub struct PartitionReader<K, V> {
     file: BufReader<File>,
+    /// The segment file, named in I/O errors.
+    path: PathBuf,
     /// On-disk bytes of the partition not yet consumed.
     remaining: u64,
     /// Reused frame buffer.
@@ -275,6 +289,7 @@ impl<K: Wire, V: Wire> PartitionReader<K, V> {
         let (file, meta) = segment.open_partition(part)?;
         Ok(Self {
             file,
+            path: segment.path.clone(),
             remaining: meta.len,
             framed: Vec::new(),
             chunk: Vec::new().into_iter(),
@@ -299,60 +314,50 @@ impl<K: Wire, V: Wire> PartitionReader<K, V> {
         }
     }
 
-    /// Reads and verifies the next frame, decoding its pairs.
+    /// Reads and verifies the next frame — header, payload, checksum,
+    /// bounded by the partition bytes remaining — and decodes its pairs.
     fn refill(&mut self) -> Result<(), StorageError> {
-        read_frame(&mut self.file, &mut self.remaining, &mut self.framed)?;
+        let (path, remaining) = (&self.path, self.remaining);
+        let truncated = |needed: u64| StorageError::Frame {
+            context: "read frame",
+            source: FrameError::Truncated {
+                needed: needed as usize,
+                got: remaining as usize,
+            },
+        };
+        // Bytes that end before the partition's recorded length are at-rest
+        // corruption (truncation), not a host I/O fault — route them into
+        // the recovery ladder like a checksum mismatch.
+        let eof_is_truncation = |needed: u64| {
+            move |e: std::io::Error| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => truncated(needed),
+                _ => StorageError::io("read frame", path, e),
+            }
+        };
+        let overhead = FRAME_OVERHEAD as u64;
+        if remaining < 4 {
+            return Err(truncated(overhead));
+        }
+        let mut header = [0u8; 4];
+        let read = self.file.read_exact(&mut header);
+        read.map_err(eof_is_truncation(overhead))?;
+        // From here on the frame's full length is known, and is what a
+        // short partition falls short of.
+        let total = u64::from(u32::from_le_bytes(header)) + overhead;
+        if remaining < total {
+            return Err(truncated(total));
+        }
+        self.framed.clear();
+        self.framed.extend_from_slice(&header);
+        self.framed.resize(total as usize, 0);
+        let read = self.file.read_exact(&mut self.framed[4..]);
+        read.map_err(eof_is_truncation(total))?;
+        self.remaining -= total;
         let pairs =
             decode_pairs::<K, V>(&self.framed).map_err(|e| StorageError::frame("read chunk", e))?;
         self.chunk = pairs.into_iter();
         Ok(())
     }
-}
-
-/// Reads one full frame (header, payload, checksum) from `file` into
-/// `framed`, bounded by `remaining` partition bytes.
-fn read_frame(
-    file: &mut impl Read,
-    remaining: &mut u64,
-    framed: &mut Vec<u8>,
-) -> Result<(), StorageError> {
-    let truncated = |got: u64| StorageError::Frame {
-        context: "read frame",
-        source: FrameError::Truncated {
-            needed: FRAME_OVERHEAD,
-            got: got as usize,
-        },
-    };
-    // Bytes that end before the partition's recorded length are at-rest
-    // corruption (truncation), not a host I/O fault — route them into the
-    // recovery ladder like a checksum mismatch.
-    let eof_is_truncation = |got: u64| {
-        move |e: std::io::Error| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                truncated(got)
-            } else {
-                StorageError::io("read frame", e)
-            }
-        }
-    };
-    if *remaining < 4 {
-        return Err(truncated(*remaining));
-    }
-    let mut header = [0u8; 4];
-    file.read_exact(&mut header)
-        .map_err(eof_is_truncation(*remaining))?;
-    let len = u32::from_le_bytes(header) as u64;
-    let total = len + FRAME_OVERHEAD as u64;
-    if *remaining < total {
-        return Err(truncated(*remaining));
-    }
-    framed.clear();
-    framed.extend_from_slice(&header);
-    framed.resize(total as usize, 0);
-    file.read_exact(&mut framed[4..])
-        .map_err(eof_is_truncation(*remaining))?;
-    *remaining -= total;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -365,7 +370,7 @@ pub(crate) mod tests {
     /// len` of the file at `path`: bytes rotting at rest behind the
     /// engine's back. Rotting the same range with the same seed again
     /// restores the file.
-    pub(crate) fn rot(path: &std::path::Path, offset: u64, len: u64, seed: u64) {
+    pub(crate) fn rot(path: &Path, offset: u64, len: u64, seed: u64) {
         let mut bytes = std::fs::read(path).expect("file to rot");
         let bit = seed % (len * 8);
         bytes[(offset + bit / 8) as usize] ^= 1 << (bit % 8);
@@ -530,5 +535,42 @@ pub(crate) mod tests {
             }
         };
         assert!(matches!(err, StorageError::Frame { .. }), "{err}");
+    }
+
+    /// A partition that ends inside a frame falls short of that frame's
+    /// full length, not of the length prefix it already read.
+    #[test]
+    fn a_frame_past_its_partition_needs_its_full_length() {
+        let dir = tmp();
+        let mut seg =
+            write_segment(dir.dir().join("short.seg"), &sample_parts(), 256).expect("write");
+        let bytes = std::fs::read(&seg.path).expect("read");
+        let prefix: [u8; 4] = bytes[..4].try_into().expect("a length prefix");
+        let total = u32::from_le_bytes(prefix) as usize + FRAME_OVERHEAD;
+        seg.parts[0].len = 10;
+        let mut r: PartitionReader<u64, String> = PartitionReader::open(&seg, 0).expect("open");
+        let err = r
+            .next_pair()
+            .expect_err("the frame runs past the partition");
+        let StorageError::Frame {
+            source: FrameError::Truncated { needed, got },
+            ..
+        } = err
+        else {
+            panic!("not a truncation: {err}");
+        };
+        assert_eq!((needed, got), (total, 10));
+    }
+
+    /// A host I/O failure names the file it failed on.
+    #[test]
+    fn io_errors_name_their_path() {
+        let dir = tmp();
+        let path = dir.dir().join("missing").join("x.seg");
+        let err = write_segment(path.clone(), &sample_parts(), 256).expect_err("no such directory");
+        assert!(matches!(err, StorageError::Io { .. }), "{err}");
+        let shown = err.to_string();
+        assert!(shown.starts_with("storage I/O (create segment "), "{shown}");
+        assert!(shown.contains(&*path.to_string_lossy()), "{shown}");
     }
 }

@@ -9,7 +9,9 @@
 //! [`TaskModel`] prices a task's attempts with the
 //! [`skymr_telemetry::model`] cost table and the cluster's configured
 //! hardware rates, `JobRecord::steps` turns the priced tasks into waits
-//! and waves, and [`JobRecord::timeline`] runs those steps through the
+//! and waves — the map and reduce phases and the three map re-execution
+//! waves alike, each task priced, counted and drawn from its own
+//! execution — and [`JobRecord::timeline`] runs those steps through the
 //! executor's loop ([`crate::sched`]) with this job alone. Every consumer
 //! reads that one event log: `Job::close` takes `sim_runtime` and every
 //! phase duration of [`crate::cluster::JobMetrics`] off it, node-loss
@@ -30,18 +32,20 @@ use skymr_telemetry::{ArgValue, Collector, JobTrace, MetricsRegistry, Span, Tick
 
 use crate::cluster::{ClusterConfig, Placement};
 use crate::fault::{FailureCause, RetryPolicy, SpeculationPolicy, TaskKind};
-use crate::sched::{run_alone, Step, Wave};
+use crate::sched::{run_alone, Slot, Step, Wave};
 use crate::storage::MergeStats;
 
 /// Lane 0 of every job: startup, broadcast, and shuffle-wide spans.
 pub const DRIVER_LANE: u64 = 0;
 
-fn map_lane(slot: usize) -> u64 {
-    1 + slot as u64
-}
-
-fn reduce_lane(cluster: &ClusterConfig, slot: usize) -> u64 {
-    1 + (cluster.map_slots + slot) as u64
+/// The lane of `kind`'s slot `slot`: the map slots follow the driver
+/// lane, the reduce slots follow the map slots.
+fn slot_lane(cluster: &ClusterConfig, kind: TaskKind, slot: usize) -> u64 {
+    let first = match kind {
+        TaskKind::Map => 1,
+        TaskKind::Reduce => 1 + cluster.map_slots,
+    };
+    (first + slot) as u64
 }
 
 fn network_lane(cluster: &ClusterConfig, node: usize) -> u64 {
@@ -127,8 +131,6 @@ pub struct CorruptEvent {
     /// Fetch attempts that delivered corrupted bytes (1 = transient,
     /// recovered by re-fetch; 2 = at-rest, escalated to map re-execution).
     pub fetches: u32,
-    /// `true` iff the corruption escalated to re-executing the producer.
-    pub reexecuted: bool,
 }
 
 /// A speculative backup attempt, planned on model ticks.
@@ -266,24 +268,25 @@ pub struct JobRecord<'a> {
     pub map: Vec<TaskModel>,
     /// Per-reduce-task facts.
     pub reduce: Vec<TaskModel>,
-    /// Map tasks re-executed in the lost-partition recovery wave.
-    pub recovery: Vec<usize>,
+    /// Map tasks re-executed in the lost-partition recovery wave, each
+    /// with the facts of its own re-execution.
+    pub recovery: Vec<(usize, TaskModel)>,
     /// Lost `(map_task, reducer)` shuffle partitions.
     pub lost: Vec<(usize, usize)>,
     /// Shuffle partitions whose frames failed checksum verification, in
     /// `(map, reducer)` order.
     pub corrupt: Vec<CorruptEvent>,
     /// Map tasks re-executed because a partition of theirs was corrupt at
-    /// rest.
-    pub rotten: Vec<usize>,
+    /// rest, likewise.
+    pub rotten: Vec<(usize, TaskModel)>,
     /// Records skipped by the skip-bad-records policy, as
     /// `(map_task, record)` pairs in increasing order.
     pub skipped: Vec<(usize, usize)>,
     /// Node losses resolved this job, in event order.
     pub node_losses: Vec<NodeLossEvent>,
     /// Map tasks re-executed because their home node died (completed
-    /// outputs invalidated or in-flight attempts killed).
-    pub reexecuted: Vec<usize>,
+    /// outputs invalidated or in-flight attempts killed), likewise.
+    pub reexecuted: Vec<(usize, TaskModel)>,
     /// Completed map outputs invalidated by node loss (the subset of
     /// `reexecuted` whose attempt had already finished).
     pub maps_reexecuted: u64,
@@ -323,8 +326,7 @@ impl JobRecord<'_> {
         ticks_of(self.cluster.storage.io_time(bytes, seeks))
     }
 
-    /// One full attempt at full speed: what a re-execution or a backup
-    /// costs.
+    /// One full attempt at full speed: what a backup costs.
     fn clean_ticks(&self, task: &TaskModel) -> Ticks {
         let spills: Ticks = task.spills.iter().map(|&b| self.io_ticks(b, 1)).sum();
         let merge = task.merge.as_ref().map_or(0, |m| {
@@ -443,35 +445,45 @@ impl JobRecord<'_> {
         }
     }
 
+    /// The tasks of every re-execution wave, in wave order.
+    fn reruns(&self) -> impl Iterator<Item = &TaskModel> {
+        let waves = [&self.recovery, &self.reexecuted, &self.rotten];
+        waves.into_iter().flat_map(|wave| models(wave))
+    }
+
+    /// One wave of `tasks` on `cap` slots: each task costs the launch
+    /// overhead plus its slot time.
+    fn wave<'t>(
+        &self,
+        kind: TaskKind,
+        cap: usize,
+        tasks: impl Iterator<Item = &'t TaskModel>,
+    ) -> Step {
+        let cost = |t| self.overhead() + self.slot_ticks(t);
+        let tasks = tasks.map(cost).collect();
+        Step::Wave { kind, cap, tasks }
+    }
+
     /// The job's priced steps, in order: startup and broadcast (a wait),
     /// the map wave, the lost-partition wave, the heartbeat wait, the
     /// node-loss and at-rest-corruption waves on the surviving map slots,
     /// the shuffle (a wait) and the reduce wave on the surviving reduce
-    /// slots. A phase wave charges each task's slot time, a re-execution
-    /// wave one clean attempt per task, each plus the launch overhead.
+    /// slots. Every wave charges each task the launch overhead plus its
+    /// slot time, priced from what its own execution did — a re-execution's
+    /// failed attempts and backoff included.
     pub(crate) fn steps(&self) -> Vec<Step> {
         let cluster = self.cluster;
-        let overhead = self.overhead();
-        let held = |tasks: &[TaskModel]| {
-            let cost = |t| overhead + self.slot_ticks(t);
-            tasks.iter().map(cost).collect()
-        };
-        let rerun = |wave: &[usize]| {
-            let cost = |&i: &usize| overhead + self.map.get(i).map_or(0, |t| self.clean_ticks(t));
-            wave.iter().map(cost).collect()
-        };
-        let wave = |kind, cap, tasks| Step::Wave { kind, cap, tasks };
         let (map, reduce) = (TaskKind::Map, TaskKind::Reduce);
         let heartbeat = ticks_of(cluster.heartbeat_timeout) * self.node_losses.len() as u64;
         vec![
             Step::Wait(ticks_of(cluster.job_startup) + ticks_of(self.broadcast_time)),
-            wave(map, cluster.map_slots, held(&self.map)),
-            wave(map, cluster.map_slots, rerun(&self.recovery)),
+            self.wave(map, cluster.map_slots, self.map.iter()),
+            self.wave(map, cluster.map_slots, models(&self.recovery)),
             Step::Wait(heartbeat),
-            wave(map, self.surviving_map_slots, rerun(&self.reexecuted)),
-            wave(map, self.surviving_map_slots, rerun(&self.rotten)),
+            self.wave(map, self.surviving_map_slots, models(&self.reexecuted)),
+            self.wave(map, self.surviving_map_slots, models(&self.rotten)),
             Step::Wait(ticks_of(self.shuffle_time)),
-            wave(reduce, self.surviving_reduce_slots, held(&self.reduce)),
+            self.wave(reduce, self.surviving_reduce_slots, self.reduce.iter()),
         ]
     }
 
@@ -485,7 +497,7 @@ impl JobRecord<'_> {
         else {
             unreachable!("the loop logs each of the job's eight steps")
         };
-        let tasks = || self.map.iter().chain(&self.reduce);
+        let tasks = || self.map.iter().chain(&self.reduce).chain(self.reruns());
         let killed: Ticks = self.node_losses.iter().map(|l| l.wasted).sum();
         Timeline {
             startup: ticks_of(self.cluster.job_startup),
@@ -511,9 +523,6 @@ impl JobRecord<'_> {
             reg.add("map.records_out", task.records_out);
             reg.add("map.bytes_out", task.bytes);
             reg.add("map.work", task.work);
-            for &kind in &task.failures {
-                reg.add(&format!("map.failures.{}", kind.label()), 1);
-            }
             // Storage-plane counters exist only for jobs that spilled, so
             // unspilled registries (and their exports) carry none.
             if !task.spills.is_empty() {
@@ -522,6 +531,12 @@ impl JobRecord<'_> {
                 reg.add("storage.seeks", task.spills.len() as u64);
             }
             reg.record("map.task_ticks", TICK_BUCKETS, self.slot_ticks(task));
+        }
+        // Failures fold over every map wave; a re-execution adds nothing
+        // else, since the phase already counted the output it commits.
+        let tasks = self.map.iter().chain(self.reruns());
+        for kind in tasks.flat_map(|t| &t.failures) {
+            reg.add(&format!("map.failures.{}", kind.label()), 1);
         }
         for task in &self.reduce {
             reg.add("reduce.records_in", task.records_in);
@@ -598,11 +613,12 @@ impl JobRecord<'_> {
             None => String::new(),
         };
         for slot in 0..cluster.map_slots {
-            job.name_lane(map_lane(slot), format!("map slot {slot}{}", home(slot)));
+            let name = format!("map slot {slot}{}", home(slot));
+            job.name_lane(slot_lane(cluster, TaskKind::Map, slot), name);
         }
         for slot in 0..cluster.reduce_slots {
             let name = format!("reduce slot {slot}{}", home(slot));
-            job.name_lane(reduce_lane(cluster, slot), name);
+            job.name_lane(slot_lane(cluster, TaskKind::Reduce, slot), name);
         }
 
         // Driver lane: startup, then the cache broadcast.
@@ -615,7 +631,8 @@ impl JobRecord<'_> {
             job.span(span.with_arg("transfers", u64::from(self.broadcast_attempts)));
         }
 
-        self.emit_wave(&mut job, "map", &self.map, &timeline.map, map_lane);
+        let (map, drawn) = (self.map.iter().enumerate(), ("map", "map", ""));
+        self.emit_wave(&mut job, TaskKind::Map, drawn, map, &timeline.map);
 
         // Skip-bad-records outcomes: one instant per skipped record, at
         // the map phase start (the narrowing happened inside the map wave).
@@ -631,20 +648,15 @@ impl JobRecord<'_> {
             let args = [("node", loss.node as u64), ("at_tick", loss.at_tick)];
             fault_instant(&mut job, "node-loss", DRIVER_LANE, at, &args);
         }
-        // The three re-execution waves: one clean attempt per task.
+        // The three re-execution waves, drawn like the map wave.
         let reruns = [
-            (&self.recovery, &timeline.recovery, "recovery", "map"),
-            (&self.reexecuted, &timeline.reexec, "re-exec", "reexec"),
-            (&self.rotten, &timeline.corrupt, "re-exec", "reexec"),
+            (&self.recovery, &timeline.recovery, RECOVERY),
+            (&self.reexecuted, &timeline.reexec, REEXEC),
+            (&self.rotten, &timeline.corrupt, ROTTEN),
         ];
-        for (wave_no, (tasks, wave, label, cat)) in reruns.into_iter().enumerate() {
-            for (&i, p) in tasks.iter().zip(&wave.slots) {
-                let path = [self.name, "map-rerun", &wave_no.to_string(), &i.to_string()];
-                let name = format!("map[{i}] ({label})");
-                let (at, dur) = (p.start, p.end - p.start);
-                let span = Span::new(&path, name, cat, map_lane(p.slot), at, dur);
-                job.span(span.with_arg("rerun_task", i as u64));
-            }
+        for (tasks, wave, drawn) in reruns {
+            let tasks = tasks.iter().map(|(i, task)| (*i, task));
+            self.emit_wave(&mut job, TaskKind::Map, drawn, tasks, wave);
         }
 
         // Corrupted partition fetches: one instant per partition whose
@@ -705,30 +717,31 @@ impl JobRecord<'_> {
             }
         }
 
-        let lane = |slot| reduce_lane(cluster, slot);
-        self.emit_wave(&mut job, "reduce", &self.reduce, &timeline.reduce, lane);
+        let (reduce, drawn) = (self.reduce.iter().enumerate(), ("reduce", "reduce", ""));
+        self.emit_wave(&mut job, TaskKind::Reduce, drawn, reduce, &timeline.reduce);
 
         job.set_total(timeline.total());
         collector.commit(job);
         timeline.total()
     }
 
-    /// One placed wave of a phase's tasks plus its slot-occupancy counter.
-    fn emit_wave(
+    /// One placed wave of `kind` — its `(task index, task)` pairs in wave
+    /// order — plus its slot-occupancy counter.
+    fn emit_wave<'t>(
         &self,
         job: &mut JobTrace,
-        phase: &str,
-        tasks: &[TaskModel],
+        kind: TaskKind,
+        drawn: Drawn,
+        tasks: impl Iterator<Item = (usize, &'t TaskModel)>,
         wave: &Wave,
-        lane: impl Fn(usize) -> u64,
     ) {
         let mut occupancy: Vec<(Ticks, i64)> = Vec::new();
-        for (i, (task, p)) in tasks.iter().zip(&wave.slots).enumerate() {
-            self.emit_task(job, phase, i, task, lane(p.slot), p.start);
+        for ((i, task), p) in tasks.zip(&wave.slots) {
+            self.emit_task(job, kind, drawn, i, task, p);
             occupancy.push((p.start, 1));
             occupancy.push((p.end, -1));
         }
-        emit_occupancy(job, &format!("{phase} running"), occupancy);
+        emit_occupancy(job, &format!("{} running", drawn.0), occupancy);
     }
 
     /// One task's span with nested attempt children, fault instants,
@@ -736,31 +749,24 @@ impl JobRecord<'_> {
     fn emit_task(
         &self,
         job: &mut JobTrace,
-        phase: &str,
+        kind: TaskKind,
+        (key, cat, label): Drawn,
         index: usize,
         task: &TaskModel,
-        lane: u64,
-        start: Ticks,
+        &Slot { slot, start, end }: &Slot,
     ) {
         let overhead = self.overhead();
+        let lane = slot_lane(self.cluster, kind, slot);
         let idx = index.to_string();
-        let task_id = job.id(&[phase, &idx]);
-        let end = start + overhead + self.slot_ticks(task);
-        let name = format!("{phase}[{index}]");
-        let span = Span::new(
-            &[self.name, phase, &idx],
-            name,
-            phase,
-            lane,
-            start,
-            end - start,
-        )
-        .with_arg("records_in", task.records_in)
-        .with_arg("records_out", task.records_out)
-        .with_arg("bytes", task.bytes)
-        .with_arg("work", task.work)
-        .with_arg("attempts", task.failures.len() as u64 + 1)
-        .with_arg("slowdown_pct", (task.slowdown.max(1.0) * 100.0) as u64);
+        let task_id = job.id(&[key, &idx]);
+        let name = format!("{}[{index}]{label}", kind.name());
+        let span = Span::new(&[self.name, key, &idx], name, cat, lane, start, end - start)
+            .with_arg("records_in", task.records_in)
+            .with_arg("records_out", task.records_out)
+            .with_arg("bytes", task.bytes)
+            .with_arg("work", task.work)
+            .with_arg("attempts", task.failures.len() as u64 + 1)
+            .with_arg("slowdown_pct", (task.slowdown.max(1.0) * 100.0) as u64);
         job.span(span);
         // Children are clipped to the task span: when a backup wins, the
         // original is killed at `end` and what it had left never ran.
@@ -772,18 +778,11 @@ impl JobRecord<'_> {
         };
         // A child of kind `tag` (and ordinal `k`, if it has one).
         let part = |tag: &str, k: &str, name: String, cat: &str, at: Ticks, dur: Ticks| {
-            Span::new(&[self.name, phase, &idx, tag, k], name, cat, lane, at, dur)
+            Span::new(&[self.name, key, &idx, tag, k], name, cat, lane, at, dur)
         };
-        let attempt = |k: usize, at: Ticks, dur: Ticks, outcome: &str| {
-            let span = part(
-                "attempt",
-                &k.to_string(),
-                format!("attempt {k}"),
-                "attempt",
-                at,
-                dur,
-            );
-            span.with_arg("outcome", outcome)
+        let attempt = |k: usize, at, dur, outcome: &str| {
+            let (id, name) = (k.to_string(), format!("attempt {k}"));
+            part("attempt", &id, name, "attempt", at, dur).with_arg("outcome", outcome)
         };
         let wins = task.backup.is_some_and(|b| b.wins);
         if let Some(backup) = task.backup {
@@ -818,23 +817,15 @@ impl JobRecord<'_> {
             }
             let backoff = ticks_of(self.retry.backoff_after(k as u32));
             if backoff > 0 {
-                let name = "backoff".to_owned();
-                nest(
-                    job,
-                    part("backoff", &k.to_string(), name, "backoff", cursor, backoff),
-                );
+                let (id, name) = (k.to_string(), "backoff".to_owned());
+                nest(job, part("backoff", &id, name, "backoff", cursor, backoff));
                 cursor += backoff;
             }
         }
         cursor += overhead;
         let outcome = if wins { "killed" } else { "winner" };
-        let last = attempt(
-            task.failures.len(),
-            cursor,
-            self.winner_ticks(task),
-            outcome,
-        );
-        nest(job, last);
+        let winner = self.winner_ticks(task);
+        nest(job, attempt(task.failures.len(), cursor, winner, outcome));
         // Storage-plane children (spill mode only), inside the committed
         // attempt after its compute: each spill file it wrote, then the
         // reduce-side merge cascade.
@@ -863,6 +854,22 @@ impl JobRecord<'_> {
         }
     }
 }
+
+/// The tasks of one re-execution wave, without their indices.
+fn models(wave: &[(usize, TaskModel)]) -> impl Iterator<Item = &TaskModel> {
+    wave.iter().map(|(_, task)| task)
+}
+
+/// How a wave's tasks are drawn: the key their span ids and the wave's
+/// occupancy counter hang off, their category, and the label after
+/// `map[i]`.
+type Drawn = (&'static str, &'static str, &'static str);
+
+// How the three map re-execution waves are drawn: lost partitions, node
+// loss, and corruption at rest.
+const RECOVERY: Drawn = ("recovery", "map", " (recovery)");
+const REEXEC: Drawn = ("reexec", "reexec", " (re-exec)");
+const ROTTEN: Drawn = ("rotten", "reexec", " (re-exec)");
 
 /// One `fault`-category instant with integer arguments.
 fn fault_instant(job: &mut JobTrace, name: &str, lane: u64, at: Ticks, args: &[(&str, u64)]) {
@@ -1024,13 +1031,11 @@ mod tests {
                 map: 0,
                 reducer: 0,
                 fetches: 1,
-                reexecuted: false,
             },
             CorruptEvent {
                 map: 1,
                 reducer: 0,
                 fetches: 2,
-                reexecuted: true,
             },
         ];
         rec.skipped = vec![(1, 3)];
@@ -1155,9 +1160,16 @@ mod tests {
         let cluster = ClusterConfig::test();
         let retry = RetryPolicy::new();
         let mut rec = test_record(&cluster, &retry, &[384]);
-        rec.recovery = vec![1];
-        rec.reexecuted = vec![0];
-        rec.rotten = vec![0, 1];
+        // Each re-execution runs clean: the phase's model less its failures.
+        let rerun = |i: usize| {
+            let task = TaskModel {
+                failures: Vec::new(),
+                ..rec.map[i].clone()
+            };
+            (i, task)
+        };
+        (rec.recovery, rec.reexecuted) = (vec![rerun(1)], vec![rerun(0)]);
+        rec.rotten = vec![rerun(0), rerun(1)];
         rec.node_losses = vec![NodeLossEvent {
             node: 2,
             at_tick: 5,

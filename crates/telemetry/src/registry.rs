@@ -90,25 +90,6 @@ impl Histogram {
             .chain(std::iter::once(None))
             .zip(self.counts.iter().copied())
     }
-
-    /// The smallest bound whose cumulative count reaches `q`-per-mille of
-    /// the samples (`None` for an empty histogram or when the quantile
-    /// lands in the overflow bucket). Integer arithmetic only.
-    pub fn quantile_bound(&self, q_per_mille: u64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (total * q_per_mille).div_ceil(1000).max(1);
-        let mut seen = 0;
-        for (bound, count) in self.buckets() {
-            seen += count;
-            if seen >= target {
-                return bound;
-            }
-        }
-        None
-    }
 }
 
 /// A per-job metrics registry.
@@ -232,18 +213,6 @@ mod tests {
         assert_eq!(counts, vec![2, 2, 2]);
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 5222);
-    }
-
-    #[test]
-    fn quantile_bound_walks_cumulative_counts() {
-        let mut h = Histogram::new(&[10, 100, 1000]);
-        for _ in 0..9 {
-            h.record(5);
-        }
-        h.record(500);
-        assert_eq!(h.quantile_bound(500), Some(10));
-        assert_eq!(h.quantile_bound(1000), Some(1000));
-        assert_eq!(Histogram::new(&[10]).quantile_bound(500), None);
     }
 
     #[test]
