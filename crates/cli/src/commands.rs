@@ -251,10 +251,23 @@ fn print_metrics(metrics: &PipelineMetrics) {
 fn write_skyline(args: &Args, skyline: &[Tuple], dim: usize) -> Result<(), String> {
     if let Some(path) = args.get("out") {
         let ds = Dataset::new_unchecked(dim, skyline.to_vec());
-        io::write_csv(&ds, path).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_whole(path, |tmp| io::write_csv(&ds, tmp))?;
         println!("wrote skyline to {path}");
     }
     Ok(())
+}
+
+/// Writes `path` as `<path>.tmp` renamed into place, so that a failed write
+/// leaves no partial file that reads like a result. The temporary file is
+/// removed on failure.
+fn write_whole(path: &str, write: impl FnOnce(&str) -> std::io::Result<()>) -> Result<(), String> {
+    let tmp = format!("{path}.tmp");
+    write(&tmp)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("cannot write {path}: {e}")
+        })
 }
 
 const GENERATE_OPTS: &[&str] = &["dist", "dim", "card", "seed", "clusters", "out", "format"];
@@ -308,10 +321,8 @@ pub fn generate(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
     let ds = gen_data(dist, dim, card, seed);
     match args.get("format").unwrap_or("csv") {
-        "csv" => io::write_csv(&ds, out).map_err(|e| format!("cannot write {out}: {e}"))?,
-        "binary" | "bin" => {
-            io::write_binary(&ds, out).map_err(|e| format!("cannot write {out}: {e}"))?;
-        }
+        "csv" => write_whole(out, |tmp| io::write_csv(&ds, tmp))?,
+        "binary" | "bin" => write_whole(out, |tmp| io::write_binary(&ds, tmp))?,
         other => return Err(format!("unknown format {other:?} (csv|binary)")),
     }
     println!(

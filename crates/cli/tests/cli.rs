@@ -111,6 +111,30 @@ fn a_failed_checkpoint_write_keeps_the_previous_checkpoint() {
     std::fs::remove_dir_all(&dir).expect("scratch directory");
 }
 
+/// A `generate --out` that cannot finish its file (here: a 1 KiB file-size
+/// limit) leaves neither a partial file nor its temporary, in either
+/// format.
+#[test]
+fn a_failed_generate_leaves_no_partial_file() {
+    let dir = scratch("generate");
+    let generate = words("generate --dist independent --dim 4 --card 2000 --seed 7");
+    for format in ["csv", "binary"] {
+        let out = dir
+            .join(format!("d.{format}"))
+            .to_string_lossy()
+            .into_owned();
+        let ran = limited(1, &with(&generate, &["--format", format, "--out", &out]));
+        let stderr = String::from_utf8_lossy(&ran.stderr);
+        assert_eq!(ran.status.code(), Some(1), "{format}: {stderr}");
+        let expected = format!("error: cannot write {out}: ");
+        assert!(stderr.starts_with(&expected), "{format}: {stderr}");
+        assert!(!Path::new(&out).exists(), "{format}: no partial file");
+        let tmp = format!("{out}.tmp");
+        assert!(!Path::new(&tmp).exists(), "{format}: no temporary file");
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch directory");
+}
+
 /// Every file the run writes — spill segments, merge runs, the checkpoint,
 /// the skyline — capped at N KiB, for N from 0 up to the largest of them:
 /// the run completes with the unconstrained output, or exits 1 with one
@@ -169,6 +193,9 @@ fn every_file_size_limit_ends_in_the_fresh_output_or_one_error() {
                 stderr.contains(&*dir.to_string_lossy()),
                 "{at}: names the path: {stderr}"
             );
+            assert!(!Path::new(&out).exists(), "{at}: no partial skyline");
+            let tmp = format!("{out}.tmp");
+            assert!(!Path::new(&tmp).exists(), "{at}: no temporary skyline");
             if Path::new(&ckpt).exists() {
                 let _ = std::fs::remove_file(&out);
                 let resumed = cli(&with(&run, &["--resume", "--out", &out]));

@@ -274,12 +274,18 @@ pub struct JobMetrics {
     pub reduce_input_keys: u64,
     /// Output records produced by all reducers.
     pub output_records: u64,
-    /// Map task executions that were failed and retried (failure injection).
+    /// Map attempts that retried a task, over every map wave: all but each
+    /// task's first attempt, its speculative backup and the re-execution of
+    /// a completed output lost with its node. Re-executing a lost or
+    /// rotten partition's producer, or an attempt a node loss killed in
+    /// flight, is a retry.
     pub map_retries: u64,
-    /// Reduce task executions that were failed and retried.
+    /// Reduce attempts that retried a task: every reduce attempt that is
+    /// neither a task's first nor a speculative backup.
     pub reduce_retries: u64,
-    /// Total task attempts executed, across both phases: regular attempts,
-    /// retries, lost-partition re-executions, and speculative backups.
+    /// Task attempts across both phases: the failed and committed attempts
+    /// of every wave (re-executions included) plus the speculative backups.
+    /// An aborted task's last, denied attempt is priced but not counted.
     pub attempts: u64,
     /// Simulated task time that produced no surviving output: failed
     /// attempts (straggler slowdown included) and losing halves of

@@ -110,12 +110,6 @@ impl<T> TaskExecution<T> {
     pub fn succeeded(&self) -> bool {
         self.value.is_some()
     }
-
-    /// Failed attempts that were followed by a retry (the quantity the
-    /// engine has always reported as `map_retries` / `reduce_retries`).
-    pub fn retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
-    }
 }
 
 /// Runs one task under `fault` and `policy` until an attempt succeeds or
@@ -259,7 +253,6 @@ mod tests {
         });
         assert_eq!(exec.value, Some(7));
         assert_eq!(exec.attempts, 1);
-        assert_eq!(exec.retries(), 0);
         assert!(exec.failures.is_empty());
     }
 
@@ -277,7 +270,6 @@ mod tests {
         );
         assert_eq!(exec.value, Some(2));
         assert_eq!(exec.attempts, 3);
-        assert_eq!(exec.retries(), 2);
         assert_eq!(exec.failures.len(), 2);
         assert!(exec
             .failures

@@ -317,14 +317,6 @@ impl<Out> AsRef<Counters> for ReduceResult<Out> {
 /// One task's execution with the fault it ran under.
 type Exec<T> = (TaskExecution<T>, TaskFault);
 
-/// Attempts executed and failures retried by a phase's first pass
-/// through the retry ladder.
-fn tally<T>(execs: &[Exec<T>]) -> (u64, u64) {
-    let attempts = execs.iter().map(|(e, _)| u64::from(e.attempts)).sum();
-    let retries = execs.iter().map(|(e, _)| u64::from(e.retries())).sum();
-    (attempts, retries)
-}
-
 /// What the stages hand down the line — the driver's mutable state: the
 /// [`JobRecord`] of facts they accumulate into (everything timed is derived
 /// from it, [`JobRecord::timeline`]), the map outputs until fetch consumes
@@ -368,6 +360,11 @@ fn winners<T>(execs: &mut [Exec<T>]) -> Vec<T> {
         None => unreachable!("task failures abort the job before their phase's values are read"),
     };
     execs.iter_mut().map(win).collect()
+}
+
+/// Attempts a wave ran of a task, its backup included.
+fn attempts_ran(task: &TaskModel) -> u32 {
+    task.failures.len() as u32 + 1 + u32::from(task.backup.is_some())
 }
 
 fn fail_kinds<T>(exec: &TaskExecution<T>) -> Vec<FailKind> {
@@ -591,10 +588,6 @@ where
             nodes_blacklisted: 0,
             surviving_map_slots: self.cluster.map_slots,
             surviving_reduce_slots: self.cluster.reduce_slots,
-            map_attempts: 0,
-            map_retries: 0,
-            reduce_attempts: 0,
-            reduce_retries: 0,
             user_counters: Vec::new(),
         };
         Run {
@@ -805,6 +798,7 @@ where
             bytes: output.map_or(0, |o| o.bucket_bytes.iter().sum()),
             work: output.map_or(0, |o| o.work),
             failures: fail_kinds(exec),
+            denied: output.is_none(),
             slowdown: fault.slowdown,
             spills: output.map_or_else(Vec::new, disk_bytes),
             merge: None,
@@ -828,7 +822,6 @@ where
             .collect();
         let model = |(i, exec)| self.map_model(i, exec);
         run.record.map = execs.iter().enumerate().map(model).collect();
-        (run.record.map_attempts, run.record.map_retries) = tally(&execs);
         self.strike_nodes(TaskKind::Map, &execs, run);
         // A backup runs clean, its skip set honoured; no skip protocol
         // reads its progress.
@@ -878,20 +871,21 @@ where
         wave: for<'r> fn(&'r mut JobRecord<'a>) -> &'r mut Vec<(usize, TaskModel)>,
     ) -> Result<(), JobError> {
         let tasks: Vec<usize> = tasks.iter().copied().collect();
-        let (map, skips) = (&run.record.map, &run.skips);
+        let (record, skips) = (&run.record, &run.skips);
+        // Every attempt of an earlier wave ran, a backup included: the
+        // re-execution numbers on from the last of them.
+        let earlier = [&record.recovery, &record.reexecuted, &record.rotten];
         let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
             let i = tasks[c];
-            // The map wave's attempts all ran: the re-execution numbers on.
-            let first = map[i].failures.len() as u32 + 1;
+            let waves = earlier.iter().flat_map(|wave| wave.iter());
+            let reran = waves.filter(|(j, _)| *j == i).map(|(_, t)| attempts_ran(t));
+            let first = attempts_ran(&record.map[i]) + reran.sum::<u32>();
             let progress = AtomicUsize::new(usize::MAX);
             let replay = |a, inject| self.map_attempt(i, first + a, inject, &skips[i], &progress);
             let (retry, timeout) = (&self.config.retry, self.cluster.progress_timeout);
             let fault = TaskFault::none();
             (run_attempts(&fault, retry, timeout, replay), fault)
         });
-        let (attempts, retries) = tally(&reruns);
-        run.record.map_attempts += attempts;
-        run.record.map_retries += retries;
         let model = |(&i, exec)| (i, self.map_model(i, exec));
         *wave(&mut run.record) = tasks.iter().zip(&reruns).map(model).collect();
         for (&i, (mut exec, _)) in tasks.iter().zip(reruns) {
@@ -911,7 +905,6 @@ where
         run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
         let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
         self.rerun_maps(&affected, run, |record| &mut record.recovery)?;
-        run.record.map_retries += affected.len() as u64;
 
         self.resolve_node_losses(run)?;
         // Dead and blacklisted nodes took their slots with them: whatever
@@ -954,7 +947,6 @@ where
                     affected.insert(i);
                 } else if start < at {
                     // In-flight: the attempt dies with the node.
-                    run.record.map_retries += 1;
                     wasted += at - start;
                     affected.insert(i);
                 }
@@ -1009,7 +1001,6 @@ where
         let at_rest = corrupt_plan.values().filter(|c| c.fetches >= 2);
         let rotten: BTreeSet<usize> = at_rest.map(|c| c.map).collect();
         self.rerun_maps(&rotten, run, |record| &mut record.rotten)?;
-        run.record.map_retries += rotten.len() as u64;
 
         // Bytes each reducer's fetch carries to its home.
         let mut fetched = vec![0u64; r];
@@ -1207,6 +1198,7 @@ where
                 bytes: run.record.per_reducer_bytes[j],
                 work: output.map_or(0, |o| o.work),
                 failures: fail_kinds(exec),
+                denied: output.is_none(),
                 slowdown: fault.slowdown,
                 spills: Vec::new(),
                 // The external-merge cascade's disk traffic: a closed-form
@@ -1216,7 +1208,6 @@ where
             }
         };
         run.record.reduce = (0..r).map(model).collect();
-        (run.record.reduce_attempts, run.record.reduce_retries) = tally(&execs);
         // Dead and blacklisted nodes took their slots with them: the
         // reduce phase runs on what survived the map side. (This phase's
         // own strikes only reach the final blacklist count.)
@@ -1318,12 +1309,7 @@ where
     fn commit(&self, mut run: Run<'a, K>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
         let (registry, metrics, timeline) = self.close(&mut run);
         if let Some(collector) = &self.config.collector {
-            let drawn = JobRecord::emit(&run.record, &timeline, collector, registry.clone());
-            debug_assert_eq!(
-                drawn,
-                ticks_of(metrics.sim_runtime),
-                "the trace and the metrics disagree about the job's length"
-            );
+            JobRecord::emit(&run.record, &timeline, collector, registry.clone());
         }
         JobOutcome {
             outputs,
@@ -2818,9 +2804,73 @@ mod tests {
         doc.events.iter().filter(attempt).count() as u64
     }
 
+    /// Checks that every task span of `doc` is exactly its terms: from the
+    /// span's start, a launch gap of `overhead` before each attempt child,
+    /// the backoff children between them, back to back to the span's end
+    /// (where a backup wins, the original's children are clipped there).
+    /// A lost output costs a full attempt, so each `lost_output` child is
+    /// as long as its task's committed attempt unless a backup won. Returns
+    /// whether a backup won anywhere.
+    fn assert_spans_are_their_terms(doc: &skymr_telemetry::TraceDocument, overhead: u64) -> bool {
+        use skymr_telemetry::{ArgValue, EventKind, TraceEvent};
+        let arg = |e: &TraceEvent, key: &str| {
+            let (_, value) = e.args.iter().find(|(k, _)| k == key)?;
+            Some(value.clone())
+        };
+        let outcome = |e: &TraceEvent| match arg(e, "outcome") {
+            Some(ArgValue::Str(s)) => s,
+            _ => String::new(),
+        };
+        let mut backup_won = false;
+        let tasks = doc.events.iter().filter(|e| {
+            e.kind == EventKind::Complete && ["map", "reduce", "reexec"].contains(&e.cat.as_str())
+        });
+        for task in tasks {
+            let id = arg(task, "span_id");
+            let mut children: Vec<&TraceEvent> = doc
+                .events
+                .iter()
+                .filter(|e| arg(e, "parent_id") == id)
+                .collect();
+            let won = |e: &&TraceEvent| e.name == "backup" && outcome(e) == "winner";
+            backup_won |= children.iter().any(won);
+            children.retain(|e| e.cat == "backoff" || (e.cat == "attempt" && e.name != "backup"));
+            children.sort_by_key(|e| e.ts);
+            let mut cursor = task.ts;
+            for child in &children {
+                let gap = if child.cat == "attempt" { overhead } else { 0 };
+                assert_eq!(
+                    child.ts,
+                    cursor + gap,
+                    "{}: {} starts",
+                    task.name,
+                    child.name
+                );
+                cursor = child.ts + child.dur;
+            }
+            assert_eq!(
+                cursor,
+                task.ts + task.dur,
+                "{}: its terms end it",
+                task.name
+            );
+            // A winning backup kills the committed attempt: it is drawn
+            // `killed` and clipped, and nothing is compared.
+            let Some(committed) = children.iter().find(|e| outcome(e) == "winner") else {
+                continue;
+            };
+            for lost in children.iter().filter(|e| outcome(e) == "lost_output") {
+                let name = (&task.name, &lost.name);
+                assert_eq!(lost.dur, committed.dur, "{name:?} is a full attempt");
+            }
+        }
+        backup_won
+    }
+
     /// The trace and the metrics are read off one timeline, so the drawn
-    /// job is exactly as long as the reported one, and draws every attempt
-    /// it counts — in every mode that adds a wave or takes slots away.
+    /// job is exactly as long as the reported one, draws every attempt it
+    /// counts, and draws each task as exactly its priced terms — in every
+    /// mode that adds a wave, retries a task or takes slots away.
     #[test]
     fn the_trace_is_as_long_as_sim_runtime_in_every_mode() {
         let placed = ClusterConfig::test_placed(0xBEEF);
@@ -2840,6 +2890,17 @@ mod tests {
                 "node loss",
                 placed.clone(),
                 wc(none().with_node_loss(victim, u64::MAX / 2)),
+            ),
+            // The node dies one tick into the map wave, under map 0's run.
+            (
+                "node loss in flight",
+                placed.clone(),
+                wc(none().with_node_loss(victim, 1)),
+            ),
+            (
+                "reduce retry",
+                ClusterConfig::test(),
+                wc(none().with_reduce_fault(0, TaskFault::lost(1))),
             ),
             (
                 "corrupt x1",
@@ -2878,15 +2939,37 @@ mod tests {
             let doc = collector.finish();
             let counted = out.registry.counter("task.attempts");
             assert_eq!(attempts_drawn(&doc), counted, "{case}: attempts drawn");
+            match case {
+                "node loss in flight" => {
+                    let killed = (m.maps_reexecuted, m.map_retries);
+                    assert_eq!(killed, (0, 1), "{case}: the killed attempt is a retry");
+                }
+                "reduce retry" => assert_eq!(m.reduce_retries, 1, "{case}"),
+                _ => {}
+            }
+            let overhead = ticks_of(cluster.task_overhead);
+            if !assert_spans_are_their_terms(&doc, overhead) {
+                let backoff = doc.events.iter().filter(|e| e.cat == "backoff");
+                let drawn: u64 = backoff.map(|e| e.dur).sum();
+                assert_eq!(drawn, ticks_of(m.backoff_time), "{case}: backoff drawn");
+            }
             let trace = skymr_telemetry::export::chrome_trace(&doc);
             assert_eq!(
                 trace.contains("(re-exec)"),
-                matches!(case, "node loss" | "corrupt x2"),
+                case.starts_with("node loss") || case == "corrupt x2",
                 "{case}: every re-execution wave is drawn"
             );
             runtimes.insert(case, m.sim_runtime);
         }
-        for case in ["lost partition", "node loss", "corrupt x2", "memory budget"] {
+        let costly = [
+            "lost partition",
+            "node loss",
+            "node loss in flight",
+            "reduce retry",
+            "corrupt x2",
+            "memory budget",
+        ];
+        for case in costly {
             assert!(runtimes[case] > runtimes["clean"], "{case} costs time");
         }
     }
@@ -2984,6 +3067,46 @@ mod tests {
         assert_eq!(outcome("attempt 0"), label("panic"));
         assert_eq!(outcome("attempt 1"), label("winner"));
         assert_eq!(sorted_counts(flaky), sorted_counts(clean));
+    }
+
+    /// A task re-executed in two waves numbers its attempts on across
+    /// them: map 0 loses a partition and its home node is lost after the
+    /// map wave, so it runs in the map wave, the lost-partition wave and
+    /// the node-loss wave, and its UDF sees a new attempt number each time.
+    #[test]
+    fn a_task_re_executed_twice_never_repeats_an_attempt_number() {
+        struct Census(parking_lot::Mutex<Vec<u32>>);
+        impl MapFactory for Census {
+            type Task = WcMapTask;
+            fn create(&self, ctx: &TaskContext) -> WcMapTask {
+                if ctx.task_index == 0 {
+                    self.0.lock().push(ctx.attempt);
+                }
+                WcMapTask
+            }
+        }
+        let cluster = ClusterConfig::test_placed(0xBEEF);
+        let alive: Vec<usize> = (0..cluster.nodes).collect();
+        let victim = Placement::new(0xBEEF).task_home("wc", TaskKind::Map, 0, &alive);
+        let plan = FaultPlan::none()
+            .with_lost_partition(0, 0)
+            .with_node_loss(victim, u64::MAX / 2);
+        let config = JobConfig::new("wc", 2).with_faults(plan);
+        let census = Census(parking_lot::Mutex::new(Vec::new()));
+        let out = run_job(
+            &cluster,
+            &config,
+            &splits(),
+            &census,
+            &WcReduce,
+            &HashPartitioner,
+        )
+        .expect("the job must survive");
+        assert_eq!(out.registry.counter("map.recovery_tasks"), 1);
+        assert!(out.metrics.maps_reexecuted >= 1, "map 0 lived there");
+        let seen = census.0.into_inner();
+        assert_eq!(seen, vec![0, 1, 2], "one attempt number per wave");
+        assert_eq!(sorted_counts(out), expected_counts());
     }
 
     #[test]

@@ -5,24 +5,22 @@
 //! The driver's stages (`job.rs`) establish *facts* — record, byte and
 //! comparison counts per task, attempt histories, which outputs were lost
 //! and re-executed — and put them in a [`JobRecord`]. Everything timed is
-//! derived here, after the fact, on the driver thread:
-//! [`TaskModel`] prices a task's attempts with the
-//! [`skymr_telemetry::model`] cost table and the cluster's configured
-//! hardware rates, `JobRecord::steps` turns the priced tasks into waits
-//! and waves — the map and reduce phases and the three map re-execution
-//! waves alike, each task priced, counted and drawn from its own
-//! execution — and [`JobRecord::timeline`] runs those steps through the
-//! executor's loop ([`crate::sched`]) with this job alone. Every consumer
-//! reads that one event log: `Job::close` takes `sim_runtime` and every
-//! phase duration of [`crate::cluster::JobMetrics`] off it, node-loss
-//! resolution reads which map tasks had finished or were running, and
-//! [`JobRecord::emit`] draws its spans from it. A multi-tenant
+//! derived here, after the fact, on the driver thread. A task's price is
+//! one ordered list of terms built from its [`TaskModel`]: a launch, each
+//! failed attempt and the backoff after it, then a launch and the committed
+//! attempt with its spill and merge parts, priced with the
+//! [`skymr_telemetry::model`] cost table and the cluster's hardware rates.
+//! Everything else folds over that list: the waves `JobRecord::steps`
+//! hands the executor's loop ([`crate::sched`]) — the map and reduce
+//! phases and the three map re-execution waves alike — the wasted and
+//! backoff time, the speculative backups (planned and won on model ticks),
+//! the registry's attempt and retry counts, and the spans
+//! [`JobRecord::emit`] draws with one cursor. [`JobRecord::timeline`] runs
+//! the steps with this job alone; `Job::close` reads every simulated time
+//! of [`crate::cluster::JobMetrics`] off it, and a multi-tenant
 //! [`ClusterExecutor`](crate::sched::ClusterExecutor) replays the same
-//! steps, so a job run alone and the same job as the executor's only
-//! tenant take the same time. No host clock is involved, so the metrics
-//! and the exports are byte-identical across runs, host thread counts and
-//! schedule shakes — speculative runs included: backups are planned and
-//! won on model ticks (`JobRecord::plan_backups`).
+//! steps. No host clock is involved, so the metrics and the exports are
+//! byte-identical across runs, host thread counts and schedule shakes.
 
 use std::time::Duration;
 
@@ -164,10 +162,11 @@ pub struct TaskModel {
     /// [`OutputCollector::charge`](crate::OutputCollector::charge) — for
     /// the skyline algorithms, dominance comparisons.
     pub work: u64,
-    /// Failed attempts, in order. The winning attempt follows them (a task
-    /// that exhausted its budget is priced with the attempt it was denied,
-    /// at zero output — partial metrics of an aborted job).
+    /// Failed attempts, in order. The committed attempt follows them.
     pub failures: Vec<FailKind>,
+    /// `true` iff the task exhausted its attempt budget: its last attempt is
+    /// the one it was denied, priced at zero output but not counted.
+    pub denied: bool,
     /// Straggler slowdown from the fault plan (deterministic).
     pub slowdown: f64,
     /// On-disk bytes of each spill segment the task wrote (map tasks in
@@ -297,14 +296,6 @@ pub struct JobRecord<'a> {
     pub surviving_map_slots: usize,
     /// Reduce slots still schedulable, likewise.
     pub surviving_reduce_slots: usize,
-    /// Map attempts executed (recovery waves and backups included).
-    pub map_attempts: u64,
-    /// Failed-and-retried map executions.
-    pub map_retries: u64,
-    /// Reduce attempts executed.
-    pub reduce_attempts: u64,
-    /// Failed-and-retried reduce executions.
-    pub reduce_retries: u64,
     /// Snapshot of the job's user counters (already sorted).
     pub user_counters: Vec<(String, u64)>,
 }
@@ -314,111 +305,117 @@ impl JobRecord<'_> {
         ticks_of(self.cluster.task_overhead)
     }
 
-    /// CPU ticks of one full, unslowed attempt of `task`.
-    fn cpu_ticks(&self, task: &TaskModel) -> Ticks {
-        model::attempt_ticks(task.records_in, task.records_out, task.bytes, task.work)
-    }
-
-    /// Ticks of the storage-plane I/O one full attempt performs: a create
-    /// per spill file written plus the external-merge cascade, on the
-    /// configured disk. Zero unless the job ran under a memory budget.
-    fn io_ticks(&self, bytes: u64, seeks: u64) -> Ticks {
-        ticks_of(self.cluster.storage.io_time(bytes, seeks))
-    }
-
-    /// One full attempt at full speed: what a backup costs.
-    fn clean_ticks(&self, task: &TaskModel) -> Ticks {
-        let spills: Ticks = task.spills.iter().map(|&b| self.io_ticks(b, 1)).sum();
-        let merge = task.merge.as_ref().map_or(0, |m| {
-            self.io_ticks(m.bytes_read + m.bytes_written, m.seeks)
+    /// The task's price: its [`Term`]s in slot order, each handed to
+    /// `term`. Each retry is a launch, the failed attempt (priced by its
+    /// [`FailKind`]) and the backoff after it; then come a launch, the last
+    /// attempt and its parts — compute, then the storage I/O on the
+    /// configured disk. A straggler's slowdown stretches a full attempt,
+    /// compute and I/O alike.
+    fn terms<'t>(&self, task: &'t TaskModel, mut term: impl FnMut(Term<'t>)) {
+        let overhead = self.overhead();
+        let cpu = model::attempt_ticks(task.records_in, task.records_out, task.bytes, task.work);
+        let io = |bytes, seeks| ticks_of(self.cluster.storage.io_time(bytes, seeks));
+        let merge = |m: &MergeStats| io(m.bytes_read + m.bytes_written, m.seeks);
+        let spills: Ticks = task.spills.iter().map(|&b| io(b, 1)).sum();
+        let clean = cpu + spills + task.merge.map_or(0, |m| merge(&m));
+        let full = model::scaled(clean, task.slowdown);
+        let half = model::attempt_ticks(task.records_in / 2, 0, 0, task.work / 2);
+        for (k, &kind) in task.failures.iter().enumerate() {
+            let ticks = match kind {
+                FailKind::LostOutput => full,
+                FailKind::Panic | FailKind::Storage => model::scaled(half, task.slowdown),
+                FailKind::Hang(timeout) => timeout,
+                FailKind::Cancelled => 0,
+            };
+            let backoff = ticks_of(self.retry.backoff_after(k as u32));
+            term(Term::Launch(overhead));
+            term(Term::Failed(k, kind, ticks));
+            term(Term::Backoff(k, backoff));
+        }
+        let k = task.failures.len();
+        term(Term::Launch(overhead));
+        term(if task.denied {
+            Term::Denied(k, full)
+        } else {
+            Term::Committed(k, full)
         });
-        self.cpu_ticks(task) + spills + merge
-    }
-
-    /// The committed attempt: a full attempt under the task's straggler
-    /// slowdown, which stretches compute and I/O alike.
-    fn winner_ticks(&self, task: &TaskModel) -> Ticks {
-        model::scaled(self.clean_ticks(task), task.slowdown)
-    }
-
-    fn failure_ticks(&self, task: &TaskModel, kind: FailKind) -> Ticks {
-        match kind {
-            FailKind::LostOutput => self.winner_ticks(task),
-            FailKind::Panic | FailKind::Storage => model::scaled(
-                model::attempt_ticks(task.records_in / 2, 0, 0, task.work / 2),
-                task.slowdown,
-            ),
-            FailKind::Hang(timeout) => timeout,
-            FailKind::Cancelled => 0,
+        term(Term::Compute(cpu));
+        for (k, &bytes) in task.spills.iter().enumerate() {
+            term(Term::Spill(k, bytes, io(bytes, 1)));
+        }
+        if let Some(m) = &task.merge {
+            term(Term::Merge(m, merge(m)));
         }
     }
 
-    fn lost_ticks(&self, task: &TaskModel) -> Ticks {
-        let lost = |&kind| self.failure_ticks(task, kind);
-        task.failures.iter().map(lost).sum()
+    /// The sums the clock and the registry read off the task's terms.
+    fn price(&self, task: &TaskModel) -> Price {
+        let mut price = Price::default();
+        self.terms(task, |term| match term {
+            Term::Launch(ticks) | Term::Denied(_, ticks) => price.run += ticks,
+            Term::Failed(_, _, ticks) => {
+                price.run += ticks;
+                price.lost += ticks;
+                price.attempts += 1;
+            }
+            Term::Committed(_, ticks) => {
+                price.run += ticks;
+                price.attempts += 1;
+            }
+            Term::Backoff(_, ticks) => {
+                price.run += ticks;
+                price.backoff += ticks;
+            }
+            Term::Compute(ticks) | Term::Spill(_, _, ticks) | Term::Merge(_, ticks) => {
+                price.clean += ticks;
+            }
+        });
+        // Placement charges the first launch.
+        price.run -= self.overhead();
+        price
     }
 
-    fn backoff_ticks(&self, task: &TaskModel) -> Ticks {
-        let after = |k| ticks_of(self.retry.backoff_after(k as u32));
-        (0..task.failures.len()).map(after).sum()
-    }
-
-    /// Ticks the task's own attempts occupy its slot: every attempt, the
-    /// backoff gaps between them, and the extra launch overheads of
-    /// retries. (The first attempt's launch overhead is charged by
-    /// placement.)
-    fn attempts_ticks(&self, task: &TaskModel) -> Ticks {
-        self.winner_ticks(task)
-            + self.lost_ticks(task)
-            + self.backoff_ticks(task)
-            + self.overhead() * task.failures.len() as u64
-    }
-
-    /// Ticks the task holds its slot on the timeline: its own attempts,
-    /// or — when a speculative backup beat them — up to the moment the
-    /// backup commits and the original is killed.
+    /// Ticks the task holds its slot on the timeline after its first
+    /// launch: its own attempts, or — when a speculative backup beat them
+    /// — up to the moment the backup commits and the original is killed.
     pub fn slot_ticks(&self, task: &TaskModel) -> Ticks {
         match task.backup {
             Some(backup) if backup.wins => backup.finish,
-            _ => self.attempts_ticks(task),
+            _ => self.price(task).run,
         }
     }
 
     /// Slot ticks of the task that produced no surviving output: failed
     /// attempts, and the losing half of a speculative pair — the killed
-    /// original's whole run, or the backup's run from its launch until
-    /// the original committed (or to completion, whichever came first).
-    fn wasted_ticks(&self, task: &TaskModel) -> Ticks {
+    /// original's run, or the backup's until the original committed.
+    fn wasted_ticks(&self, task: &TaskModel, price: &Price) -> Ticks {
         let speculation = match task.backup {
             Some(backup) if backup.wins => backup.finish,
-            Some(backup) => self
-                .attempts_ticks(task)
-                .min(backup.finish)
-                .saturating_sub(backup.launch),
+            Some(backup) => price.run.min(backup.finish).saturating_sub(backup.launch),
             None => 0,
         };
-        self.lost_ticks(task) + speculation
+        price.lost + speculation
     }
 
-    /// Plans the phase's speculative backups on model ticks, records them
-    /// on the tasks and counts them as attempts; returns the tasks to back
-    /// up and whether each backup wins. Any task whose attempts run longer
-    /// than `policy.slowdown_threshold` × the phase median gets a backup
-    /// launched at the median mark; it wins iff it commits strictly before
-    /// the original would have.
+    /// Plans the phase's speculative backups on model ticks, records them on
+    /// the tasks, and returns which tasks get one and whether it wins. A task
+    /// whose attempts run past `policy.slowdown_threshold` × the phase median
+    /// is backed up at the median mark; the backup wins iff it commits
+    /// strictly before the original would have.
     pub(crate) fn plan_backups(
         &mut self,
         kind: TaskKind,
         policy: &SpeculationPolicy,
     ) -> Vec<(usize, bool)> {
         let mut tasks = std::mem::take(self.phase_mut(kind));
-        let ticks: Vec<Ticks> = tasks.iter().map(|t| self.attempts_ticks(t)).collect();
+        let prices: Vec<Price> = tasks.iter().map(|t| self.price(t)).collect();
+        let ticks: Vec<Ticks> = prices.iter().map(|p| p.run).collect();
         let launch = model::median(&ticks);
         let threshold = model::scaled(launch, policy.slowdown_threshold);
         let mut planned = Vec::new();
         if tasks.len() >= policy.min_phase_tasks && launch > 0 {
             for (i, task) in tasks.iter_mut().enumerate() {
-                let finish = model::backup_finish(launch, self.clean_ticks(task), self.overhead());
+                let finish = model::backup_finish(launch, prices[i].clean, self.overhead());
                 if ticks[i] > threshold {
                     let wins = finish < ticks[i];
                     task.backup = Some(Backup {
@@ -431,10 +428,6 @@ impl JobRecord<'_> {
             }
         }
         *self.phase_mut(kind) = tasks;
-        match kind {
-            TaskKind::Map => self.map_attempts += planned.len() as u64,
-            TaskKind::Reduce => self.reduce_attempts += planned.len() as u64,
-        }
         planned
     }
 
@@ -451,39 +444,28 @@ impl JobRecord<'_> {
         waves.into_iter().flat_map(|wave| models(wave))
     }
 
-    /// One wave of `tasks` on `cap` slots: each task costs the launch
-    /// overhead plus its slot time.
-    fn wave<'t>(
-        &self,
-        kind: TaskKind,
-        cap: usize,
-        tasks: impl Iterator<Item = &'t TaskModel>,
-    ) -> Step {
-        let cost = |t| self.overhead() + self.slot_ticks(t);
-        let tasks = tasks.map(cost).collect();
-        Step::Wave { kind, cap, tasks }
-    }
-
     /// The job's priced steps, in order: startup and broadcast (a wait),
     /// the map wave, the lost-partition wave, the heartbeat wait, the
     /// node-loss and at-rest-corruption waves on the surviving map slots,
     /// the shuffle (a wait) and the reduce wave on the surviving reduce
-    /// slots. Every wave charges each task the launch overhead plus its
-    /// slot time, priced from what its own execution did — a re-execution's
-    /// failed attempts and backoff included.
+    /// slots. A task costs its terms, cut short by a winning backup.
     pub(crate) fn steps(&self) -> Vec<Step> {
-        let cluster = self.cluster;
-        let (map, reduce) = (TaskKind::Map, TaskKind::Reduce);
+        let (cluster, map, reduce) = (self.cluster, TaskKind::Map, TaskKind::Reduce);
+        let cost = |t: &TaskModel| self.overhead() + self.slot_ticks(t);
+        let wave = |kind, cap, tasks: &mut dyn Iterator<Item = &TaskModel>| {
+            let tasks = tasks.map(cost).collect();
+            Step::Wave { kind, cap, tasks }
+        };
         let heartbeat = ticks_of(cluster.heartbeat_timeout) * self.node_losses.len() as u64;
         vec![
             Step::Wait(ticks_of(cluster.job_startup) + ticks_of(self.broadcast_time)),
-            self.wave(map, cluster.map_slots, self.map.iter()),
-            self.wave(map, cluster.map_slots, models(&self.recovery)),
+            wave(map, cluster.map_slots, &mut self.map.iter()),
+            wave(map, cluster.map_slots, &mut models(&self.recovery)),
             Step::Wait(heartbeat),
-            self.wave(map, self.surviving_map_slots, models(&self.reexecuted)),
-            self.wave(map, self.surviving_map_slots, models(&self.rotten)),
+            wave(map, self.surviving_map_slots, &mut models(&self.reexecuted)),
+            wave(map, self.surviving_map_slots, &mut models(&self.rotten)),
             Step::Wait(ticks_of(self.shuffle_time)),
-            self.wave(reduce, self.surviving_reduce_slots, self.reduce.iter()),
+            wave(reduce, self.surviving_reduce_slots, &mut self.reduce.iter()),
         ]
     }
 
@@ -497,8 +479,14 @@ impl JobRecord<'_> {
         else {
             unreachable!("the loop logs each of the job's eight steps")
         };
-        let tasks = || self.map.iter().chain(&self.reduce).chain(self.reruns());
-        let killed: Ticks = self.node_losses.iter().map(|l| l.wasted).sum();
+        // The in-flight attempts a node loss killed are waste too.
+        let mut wasted: Ticks = self.node_losses.iter().map(|l| l.wasted).sum();
+        let mut backoff = 0;
+        for task in self.map.iter().chain(&self.reduce).chain(self.reruns()) {
+            let price = self.price(task);
+            wasted += self.wasted_ticks(task, &price);
+            backoff += price.backoff;
+        }
         Timeline {
             startup: ticks_of(self.cluster.job_startup),
             broadcast: ticks_of(self.broadcast_time),
@@ -509,8 +497,8 @@ impl JobRecord<'_> {
             corrupt,
             shuffle: shuffle.span(),
             reduce,
-            wasted: tasks().map(|t| self.wasted_ticks(t)).sum::<Ticks>() + killed,
-            backoff: tasks().map(|t| self.backoff_ticks(t)).sum(),
+            wasted,
+            backoff,
         }
     }
 
@@ -561,11 +549,22 @@ impl JobRecord<'_> {
             tasks.iter().filter(won).count() as u64
         };
         let (map_wins, reduce_wins) = (wins(&self.map), wins(&self.reduce));
-        reg.add("map.attempts", self.map_attempts);
-        reg.add("map.retries", self.map_retries);
-        reg.add("reduce.attempts", self.reduce_attempts);
-        reg.add("reduce.retries", self.reduce_retries);
-        reg.add("task.attempts", self.map_attempts + self.reduce_attempts);
+        // Attempts: the failed and committed terms of every wave, and the
+        // backups. A retry is an attempt that is none of a task's first, a
+        // backup, or the re-execution of an output lost with its node.
+        let tried = |t: &TaskModel| self.price(t).attempts;
+        let backups = |tasks: &[TaskModel]| tasks.iter().filter(|t| t.backup.is_some()).count();
+        let map_tried: u64 = self.map.iter().chain(self.reruns()).map(tried).sum();
+        let reduce_tried: u64 = self.reduce.iter().map(tried).sum();
+        let map_attempts = map_tried + backups(&self.map) as u64;
+        let reduce_attempts = reduce_tried + backups(&self.reduce) as u64;
+        let map_firsts = self.map.len() as u64 + self.maps_reexecuted;
+        let reduce_firsts = self.reduce.len() as u64;
+        reg.add("map.attempts", map_attempts);
+        reg.add("map.retries", map_tried.saturating_sub(map_firsts));
+        reg.add("reduce.attempts", reduce_attempts);
+        reg.add("reduce.retries", reduce_tried.saturating_sub(reduce_firsts));
+        reg.add("task.attempts", map_attempts + reduce_attempts);
         reg.add("map.speculative_wins", map_wins);
         reg.add("reduce.speculative_wins", reduce_wins);
         reg.add("task.speculative_wins", map_wins + reduce_wins);
@@ -591,48 +590,39 @@ impl JobRecord<'_> {
         reg
     }
 
-    /// Draws the job's [`Timeline`] (what [`timeline`](Self::timeline)
-    /// returned) as spans and commits them (with `registry` attached) to
-    /// `collector`, advancing the pipeline model clock by the timeline's
-    /// total, which it returns.
-    pub fn emit(
-        &self,
-        timeline: &Timeline,
-        collector: &Collector,
-        registry: MetricsRegistry,
-    ) -> Ticks {
+    /// Draws the job's [`Timeline`] as spans and commits them, `registry`
+    /// attached, to `collector`, whose model clock advances by the total.
+    pub fn emit(&self, timeline: &Timeline, collector: &Collector, registry: MetricsRegistry) {
         let mut job = JobTrace::new(self.name);
         *job.registry_mut() = registry;
         let cluster = self.cluster;
         job.name_lane(DRIVER_LANE, "driver");
         // With a placement, slot lanes carry their home node so node-loss
         // instants can be read against the lanes they hit.
-        let placed_nodes = cluster.placement.as_ref().map(|_| cluster.nodes.max(1));
-        let home = |slot| match placed_nodes {
-            Some(n) => format!(" @n{}", Placement::node_of_slot(slot, n)),
+        let home = |slot| match &cluster.placement {
+            Some(_) => format!(" @n{}", Placement::node_of_slot(slot, cluster.nodes.max(1))),
             None => String::new(),
         };
-        for slot in 0..cluster.map_slots {
-            let name = format!("map slot {slot}{}", home(slot));
-            job.name_lane(slot_lane(cluster, TaskKind::Map, slot), name);
-        }
-        for slot in 0..cluster.reduce_slots {
-            let name = format!("reduce slot {slot}{}", home(slot));
-            job.name_lane(slot_lane(cluster, TaskKind::Reduce, slot), name);
+        let (map, reduce) = (TaskKind::Map, TaskKind::Reduce);
+        for (kind, slots) in [(map, cluster.map_slots), (reduce, cluster.reduce_slots)] {
+            for slot in 0..slots {
+                let name = format!("{} slot {slot}{}", kind.name(), home(slot));
+                job.name_lane(slot_lane(cluster, kind, slot), name);
+            }
         }
 
         // Driver lane: startup, then the cache broadcast.
         let driver =
-            |tag, at, dur| Span::new(&[self.name, tag], tag, "driver", DRIVER_LANE, at, dur);
-        job.span(driver("startup", 0, timeline.startup).with_arg("job", self.name));
+            |tag, cat, at, dur| Span::new(&[self.name, tag], tag, cat, DRIVER_LANE, at, dur);
+        job.span(driver("startup", "driver", 0, timeline.startup).with_arg("job", self.name));
         if timeline.broadcast > 0 {
-            let span = driver("broadcast", timeline.startup, timeline.broadcast);
+            let span = driver("broadcast", "driver", timeline.startup, timeline.broadcast);
             let span = span.with_arg("bytes", self.cache_bytes);
             job.span(span.with_arg("transfers", u64::from(self.broadcast_attempts)));
         }
 
-        let (map, drawn) = (self.map.iter().enumerate(), ("map", "map", ""));
-        self.emit_wave(&mut job, TaskKind::Map, drawn, map, &timeline.map);
+        let (tasks, drawn) = (self.map.iter().enumerate(), ("map", "map", ""));
+        self.emit_wave(&mut job, map, drawn, tasks, &timeline.map);
 
         // Skip-bad-records outcomes: one instant per skipped record, at
         // the map phase start (the narrowing happened inside the map wave).
@@ -642,11 +632,17 @@ impl JobRecord<'_> {
             fault_instant(&mut job, "skip-record", DRIVER_LANE, at, &args);
         }
         // Each loss fires a `node-loss` instant when detected; the
-        // invalidated map tasks re-run after the heartbeat timeouts expire.
+        // invalidated map tasks re-run after the heartbeat timeouts expire,
+        // which the driver lane draws as one wait.
         for loss in &self.node_losses {
             let at = timeline.map.start.saturating_add(loss.detect_tick);
             let args = [("node", loss.node as u64), ("at_tick", loss.at_tick)];
             fault_instant(&mut job, "node-loss", DRIVER_LANE, at, &args);
+        }
+        if timeline.heartbeat > 0 {
+            let (at, dur) = (timeline.recovery.end, timeline.heartbeat);
+            let span = driver("heartbeat", "driver", at, dur);
+            job.span(span.with_arg("losses", self.node_losses.len() as u64));
         }
         // The three re-execution waves, drawn like the map wave.
         let reruns = [
@@ -656,25 +652,16 @@ impl JobRecord<'_> {
         ];
         for (tasks, wave, drawn) in reruns {
             let tasks = tasks.iter().map(|(i, task)| (*i, task));
-            self.emit_wave(&mut job, TaskKind::Map, drawn, tasks, wave);
+            self.emit_wave(&mut job, map, drawn, tasks, wave);
         }
 
         // Corrupted partition fetches: one instant per partition whose
         // frame failed checksum verification, when the scan found it.
+        let at = timeline.reexec.end;
         for c in &self.corrupt {
-            let fetches = ("fetches", u64::from(c.fetches));
-            let args = [
-                ("map", c.map as u64),
-                ("reducer", c.reducer as u64),
-                fetches,
-            ];
-            fault_instant(
-                &mut job,
-                "fault:corrupt",
-                DRIVER_LANE,
-                timeline.reexec.end,
-                &args,
-            );
+            let (map, reducer, fetches) = (c.map as u64, c.reducer as u64, u64::from(c.fetches));
+            let args = [("map", map), ("reducer", reducer), ("fetches", fetches)];
+            fault_instant(&mut job, "fault:corrupt", DRIVER_LANE, at, &args);
         }
         // Shuffle: reducers pull their partitions over their home node's
         // downlink, transfers on one node are sequential, and the stalls
@@ -705,24 +692,15 @@ impl JobRecord<'_> {
             let stall = ticks_of(self.shuffle_stall);
             if stall > 0 {
                 let at = timeline.reduce.start.saturating_sub(stall);
-                let tag = "shuffle stall";
-                job.span(Span::new(
-                    &[self.name, tag],
-                    tag,
-                    "shuffle",
-                    DRIVER_LANE,
-                    at,
-                    stall,
-                ));
+                job.span(driver("shuffle stall", "shuffle", at, stall));
             }
         }
 
-        let (reduce, drawn) = (self.reduce.iter().enumerate(), ("reduce", "reduce", ""));
-        self.emit_wave(&mut job, TaskKind::Reduce, drawn, reduce, &timeline.reduce);
+        let (tasks, drawn) = (self.reduce.iter().enumerate(), ("reduce", "reduce", ""));
+        self.emit_wave(&mut job, reduce, drawn, tasks, &timeline.reduce);
 
         job.set_total(timeline.total());
         collector.commit(job);
-        timeline.total()
     }
 
     /// One placed wave of `kind` — its `(task index, task)` pairs in wave
@@ -755,7 +733,6 @@ impl JobRecord<'_> {
         task: &TaskModel,
         &Slot { slot, start, end }: &Slot,
     ) {
-        let overhead = self.overhead();
         let lane = slot_lane(self.cluster, kind, slot);
         let idx = index.to_string();
         let task_id = job.id(&[key, &idx]);
@@ -785,74 +762,100 @@ impl JobRecord<'_> {
             part("attempt", &id, name, "attempt", at, dur).with_arg("outcome", outcome)
         };
         let wins = task.backup.is_some_and(|b| b.wins);
+        let (committed, backed) = if wins {
+            ("killed", "winner")
+        } else {
+            ("winner", "killed")
+        };
         if let Some(backup) = task.backup {
-            // The backup launches at the median mark of the task's own
-            // run; whichever attempt loses is killed when the other
-            // commits.
-            let launched = start + overhead + backup.launch;
+            // The backup launches at the median mark of the task's own run;
+            // whichever attempt loses is killed when the other commits.
+            let launched = start + self.overhead() + backup.launch;
             let ran = backup.finish - backup.launch;
-            let outcome = if wins { "winner" } else { "killed" };
             let span = part("backup", "", "backup".to_owned(), "attempt", launched, ran);
-            nest(job, span.with_arg("outcome", outcome));
+            nest(job, span.with_arg("outcome", backed));
         }
+        // One cursor walks the slot; the last attempt's parts walk inside it.
         let mut cursor = start;
-        for (k, &kind) in task.failures.iter().enumerate() {
-            cursor += overhead;
-            let ticks = self.failure_ticks(task, kind);
-            nest(job, attempt(k, cursor, ticks, kind.label()));
-            cursor += ticks;
-            if cursor > end {
-                break;
-            }
-            // A hung attempt is killed by the progress-timeout detector,
-            // not observed failing; its instant carries the timeout so the
-            // kill decision is auditable from the trace alone.
-            let args = [("task", index as u64), ("attempt", k as u64)];
-            match kind {
-                FailKind::Hang(timeout) => {
-                    let args = [args[0], args[1], ("timeout_ticks", timeout)];
-                    fault_instant(job, "hang-kill", lane, cursor, &args);
+        self.terms(task, |term| match term {
+            // A launch gap, or the last attempt's compute ahead of its
+            // storage-plane children (spill mode only): each spill file it
+            // wrote, then the reduce-side merge cascade.
+            Term::Launch(ticks) | Term::Compute(ticks) => cursor += ticks,
+            Term::Failed(k, kind, ticks) => {
+                nest(job, attempt(k, cursor, ticks, kind.label()));
+                cursor += ticks;
+                // A hung attempt is killed by the progress-timeout detector:
+                // its instant carries the timeout, so the kill is auditable.
+                let args = [("task", index as u64), ("attempt", k as u64)];
+                let fault = format!("fault:{}", kind.label());
+                match kind {
+                    _ if cursor > end => {}
+                    FailKind::Hang(timeout) => {
+                        let args = [args[0], args[1], ("timeout_ticks", timeout)];
+                        fault_instant(job, "hang-kill", lane, cursor, &args);
+                    }
+                    _ => fault_instant(job, &fault, lane, cursor, &args),
                 }
-                _ => fault_instant(job, &format!("fault:{}", kind.label()), lane, cursor, &args),
             }
-            let backoff = ticks_of(self.retry.backoff_after(k as u32));
-            if backoff > 0 {
-                let (id, name) = (k.to_string(), "backoff".to_owned());
-                nest(job, part("backoff", &id, name, "backoff", cursor, backoff));
-                cursor += backoff;
+            Term::Backoff(k, ticks) => {
+                if ticks > 0 {
+                    let (id, name) = (k.to_string(), "backoff".to_owned());
+                    nest(job, part("backoff", &id, name, "backoff", cursor, ticks));
+                }
+                cursor += ticks;
             }
-        }
-        cursor += overhead;
-        let outcome = if wins { "killed" } else { "winner" };
-        let winner = self.winner_ticks(task);
-        nest(job, attempt(task.failures.len(), cursor, winner, outcome));
-        // Storage-plane children (spill mode only), inside the committed
-        // attempt after its compute: each spill file it wrote, then the
-        // reduce-side merge cascade.
-        cursor += self.cpu_ticks(task);
-        for (k, &bytes) in task.spills.iter().enumerate() {
-            let ticks = self.io_ticks(bytes, 1);
-            let span = part(
-                "spill",
-                &k.to_string(),
-                format!("spill[{k}]"),
-                "storage",
-                cursor,
-                ticks,
-            );
-            nest(job, span.with_arg("bytes", bytes));
-            cursor += ticks;
-        }
-        if let Some(m) = &task.merge {
-            let ticks = self.io_ticks(m.bytes_read + m.bytes_written, m.seeks);
-            let span = part("merge", "", "merge".to_owned(), "storage", cursor, ticks)
-                .with_arg("runs", m.runs)
-                .with_arg("passes", m.passes)
-                .with_arg("bytes_read", m.bytes_read)
-                .with_arg("bytes_written", m.bytes_written);
-            nest(job, span);
-        }
+            Term::Committed(k, ticks) => nest(job, attempt(k, cursor, ticks, committed)),
+            Term::Denied(k, ticks) => nest(job, attempt(k, cursor, ticks, "denied")),
+            Term::Spill(k, bytes, ticks) => {
+                let (id, name) = (k.to_string(), format!("spill[{k}]"));
+                let span = part("spill", &id, name, "storage", cursor, ticks);
+                nest(job, span.with_arg("bytes", bytes));
+                cursor += ticks;
+            }
+            Term::Merge(m, ticks) => {
+                let span = part("merge", "", "merge".to_owned(), "storage", cursor, ticks)
+                    .with_arg("runs", m.runs)
+                    .with_arg("passes", m.passes)
+                    .with_arg("bytes_read", m.bytes_read)
+                    .with_arg("bytes_written", m.bytes_written);
+                nest(job, span);
+            }
+        });
     }
+}
+
+/// One term of a task's price, in slot order ([`JobRecord::terms`]): a
+/// launch overhead; failed attempt `k`, its kind and the backoff after it;
+/// the committed attempt `k`, or the one an aborted task was denied (priced,
+/// not counted); then the last attempt's parts, which lie inside it and sum
+/// to its price at full speed — its compute, spill file `k` of so many
+/// on-disk bytes, and its external-merge cascade.
+enum Term<'t> {
+    Launch(Ticks),
+    Failed(usize, FailKind, Ticks),
+    Backoff(usize, Ticks),
+    Committed(usize, Ticks),
+    Denied(usize, Ticks),
+    Compute(Ticks),
+    Spill(usize, u64, Ticks),
+    Merge(&'t MergeStats, Ticks),
+}
+
+/// The sums of a task's terms.
+#[derive(Default)]
+struct Price {
+    /// Launches, attempts and backoffs after the first launch.
+    run: Ticks,
+    /// The failed attempts.
+    lost: Ticks,
+    /// The backoffs.
+    backoff: Ticks,
+    /// The last attempt's parts: a full attempt at full speed, what a
+    /// backup costs.
+    clean: Ticks,
+    /// The failed and committed attempts.
+    attempts: u64,
 }
 
 /// The tasks of one re-execution wave, without their indices.
@@ -878,22 +881,16 @@ fn fault_instant(job: &mut JobTrace, name: &str, lane: u64, at: Ticks, args: &[(
 }
 
 /// Turns start/end deltas into counter samples (a stacked-area track in
-/// the viewer). Ends sort before starts at the same tick so the count
-/// never over-shoots.
+/// the viewer), one per tick. Ends sort before starts at the same tick so
+/// the count never over-shoots.
 fn emit_occupancy(job: &mut JobTrace, name: &str, mut deltas: Vec<(Ticks, i64)>) {
     deltas.sort_unstable();
     let mut running: i64 = 0;
-    let mut iter = deltas.into_iter().peekable();
-    while let Some((tick, delta)) = iter.next() {
+    for (i, &(tick, delta)) in deltas.iter().enumerate() {
         running += delta;
-        while let Some(&(next_tick, next_delta)) = iter.peek() {
-            if next_tick != tick {
-                break;
-            }
-            running += next_delta;
-            iter.next();
+        if deltas.get(i + 1).map_or(true, |&(next, _)| next != tick) {
+            job.counter(name, tick, "tasks", running.max(0) as u64);
         }
-        job.counter(name, tick, "tasks", running.max(0) as u64);
     }
 }
 
@@ -958,10 +955,6 @@ mod tests {
             nodes_blacklisted: 0,
             surviving_map_slots: cluster.map_slots,
             surviving_reduce_slots: cluster.reduce_slots,
-            map_attempts: 3,
-            map_retries: 1,
-            reduce_attempts: 1,
-            reduce_retries: 0,
             user_counters: vec![("gpsrs.map.tuple_cmps".to_owned(), 99)],
         }
     }
@@ -1186,11 +1179,44 @@ mod tests {
         assert_eq!(t.reexecution(), t.heartbeat + t.reexec.span());
         assert_eq!(t.shuffle_phase(), t.corrupt.span() + t.shuffle);
         // Two rotten producers on the one surviving slot run back to back.
-        let clean: Vec<Ticks> = rec.map.iter().map(|m| rec.clean_ticks(m)).collect();
+        let clean: Vec<Ticks> = rec.map.iter().map(|m| rec.price(m).clean).collect();
         assert_eq!(t.corrupt.span(), clean[0] + clean[1] + 2 * rec.overhead());
         // The killed in-flight attempt joins the failed attempt's waste.
-        assert_eq!(t.wasted, rec.winner_ticks(&rec.map[0]) + 3);
+        assert_eq!(t.wasted, clean[0] + 3);
         assert_eq!(t.backoff, ticks_of(retry.backoff_after(0)));
+    }
+
+    #[test]
+    fn the_heartbeat_wait_is_drawn_on_the_driver_lane() {
+        let cluster = ClusterConfig::test();
+        let retry = RetryPolicy::new();
+        let mut rec = test_record(&cluster, &retry, &[384]);
+        let loss = |node| NodeLossEvent {
+            node,
+            at_tick: 5,
+            detect_tick: 2_005,
+            wasted: 0,
+        };
+        rec.node_losses = vec![loss(1), loss(2)];
+        rec.reexecuted = vec![(0, rec.map[0].clone())];
+        let t = rec.timeline();
+        let collector = Collector::new();
+        rec.emit(&t, &collector, rec.build_registry());
+        let doc = collector.finish();
+        let heartbeat = doc
+            .events
+            .iter()
+            .find(|e| e.kind == EventKind::Complete && e.name == "heartbeat")
+            .expect("the heartbeat wait is drawn");
+        assert_eq!(
+            (heartbeat.tid, heartbeat.cat.as_str()),
+            (DRIVER_LANE, "driver")
+        );
+        assert_eq!(heartbeat.ts, t.recovery.end);
+        assert_eq!(heartbeat.ts + heartbeat.dur, t.reexec.start);
+        assert_eq!(heartbeat.dur, t.heartbeat);
+        let losses = heartbeat.args.iter().find(|(k, _)| k == "losses");
+        assert_eq!(losses.map(|(_, v)| v), Some(&ArgValue::U64(2)));
     }
 
     #[test]
@@ -1215,10 +1241,15 @@ mod tests {
         let retry = RetryPolicy::new();
         let mut rec = uniform_record(&cluster, &retry, 1);
         rec.map[0].spills = vec![1 << 20, 1 << 19];
-        let clean = rec.clean_ticks(&rec.map[0]);
-        assert!(clean > rec.cpu_ticks(&rec.map[0]), "spill I/O is priced");
+        let clean = rec.price(&rec.map[0]).clean;
+        let cpu = model::attempt_ticks(1_000, 100, 4_096, 1_000_000);
+        assert!(clean > cpu, "spill I/O is priced");
         rec.map[0].slowdown = 4.0;
-        assert_eq!(rec.winner_ticks(&rec.map[0]), 4 * clean);
+        assert_eq!(
+            rec.price(&rec.map[0]).clean,
+            clean,
+            "a backup runs at full speed"
+        );
         assert_eq!(rec.slot_ticks(&rec.map[0]), 4 * clean);
     }
 
@@ -1227,15 +1258,16 @@ mod tests {
         let cluster = ClusterConfig::test();
         let retry = RetryPolicy::new();
         let mut rec = uniform_record(&cluster, &retry, 1);
-        let clean = rec.clean_ticks(&rec.map[0]);
+        let clean = rec.price(&rec.map[0]).clean;
         rec.map[0].failures = vec![FailKind::LostOutput, FailKind::Hang(700)];
         // 100 ms then 200 ms of backoff; two extra launches.
-        assert_eq!(rec.backoff_ticks(&rec.map[0]), 300_000);
+        let price = rec.price(&rec.map[0]);
+        assert_eq!(price.backoff, 300_000);
         assert_eq!(
             rec.slot_ticks(&rec.map[0]),
             clean + (clean + 700) + 300_000 + 2 * rec.overhead()
         );
-        assert_eq!(rec.wasted_ticks(&rec.map[0]), clean + 700);
+        assert_eq!(rec.wasted_ticks(&rec.map[0], &price), clean + 700);
     }
 
     #[test]
@@ -1250,7 +1282,7 @@ mod tests {
         let policy = SpeculationPolicy::new().with_threshold(1.5);
         let overhead = ticks_of(cluster.task_overhead);
         let mut rec = uniform_record(&cluster, &retry, 3);
-        let clean = rec.clean_ticks(&rec.map[0]);
+        let clean = rec.price(&rec.map[0]).clean;
         // A phase of one task never speculates; neither does a balanced one.
         assert!(uniform_record(&cluster, &retry, 1)
             .plan_backups(TaskKind::Map, &policy)
@@ -1273,7 +1305,8 @@ mod tests {
             // The loser's slot time is waste on top of the hung attempt:
             // the killed original's whole run, or the backup's full run.
             let loser = if wins { finish } else { clean + overhead };
-            assert_eq!(rec.wasted_ticks(&rec.map[2]), hang + loser);
+            let price = rec.price(&rec.map[2]);
+            assert_eq!(rec.wasted_ticks(&rec.map[2], &price), hang + loser);
         }
         let reg = rec.build_registry();
         assert_eq!(reg.counter("map.speculative_wins"), 1);
