@@ -449,7 +449,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         } else {
             chrome_trace(&doc)
         };
-        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_whole(path, |tmp| std::fs::write(tmp, body))?;
         println!("wrote trace ({} events) to {path}", doc.events.len());
     }
     if args.has_flag("verify") && !matches!(algo.as_str(), "mr-bitmap" | "skyband" | "topk") {

@@ -136,17 +136,19 @@ fn a_failed_generate_leaves_no_partial_file() {
 }
 
 /// Every file the run writes — spill segments, merge runs, the checkpoint,
-/// the skyline — capped at N KiB, for N from 0 up to the largest of them:
-/// the run completes with the unconstrained output, or exits 1 with one
-/// `error:` line naming what it was doing and to which path, never a
-/// panic. Either way the spill root is left empty, and a checkpoint left
-/// behind resumes to the unconstrained output. (Default thread count.)
+/// the skyline, the trace — capped at N KiB, for N from 0 up to the
+/// largest of them: the run completes with the unconstrained skyline and
+/// trace, or exits 1 with one `error:` line naming what it was doing and
+/// to which path, never a panic, and leaves no file in part. Either
+/// way the spill root is left empty, and a checkpoint left behind resumes
+/// to the unconstrained output. (Default thread count.)
 #[test]
 fn every_file_size_limit_ends_in_the_fresh_output_or_one_error() {
     for algo in ["gpsrs", "gpmrs"] {
         let dir = scratch(&format!("sweep-{algo}"));
         let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
         let (spill, ckpt, out) = (path("spill"), path("k.ckpt"), path("out.csv"));
+        let trace = path("t.json");
         std::fs::create_dir(&spill).expect("spill root");
         let run = format!(
             "run --algo {algo} --dist anticorrelated --dim 4 --card 2000 --seed 7 \
@@ -159,17 +161,21 @@ fn every_file_size_limit_ends_in_the_fresh_output_or_one_error() {
         let clear = || {
             let _ = std::fs::remove_file(&ckpt);
             let _ = std::fs::remove_file(&out);
+            let _ = std::fs::remove_file(&trace);
         };
+        let outputs = ["--out", &out, "--trace", &trace];
 
-        assert_eq!(cli(&with(&run, &["--out", &out])).status.code(), Some(0));
+        assert_eq!(cli(&with(&run, &outputs)).status.code(), Some(0));
         let fresh = std::fs::read(&out).expect("the unconstrained skyline");
+        let fresh_trace = std::fs::read(&trace).expect("the unconstrained trace");
         let largest = fresh
             .len()
+            .max(fresh_trace.len())
             .max(std::fs::metadata(&ckpt).expect("checkpoint").len() as usize);
         let mut completed = None;
         for kib in 0..=(largest as u64 / 1024 + 64) {
             clear();
-            let ran = limited(kib, &with(&run, &["--out", &out]));
+            let ran = limited(kib, &with(&run, &outputs));
             let stderr = String::from_utf8_lossy(&ran.stderr);
             let at = format!("{algo}, {kib} KiB");
             assert!(!stderr.contains("panicked at"), "{at}: {stderr}");
@@ -182,6 +188,8 @@ fn every_file_size_limit_ends_in_the_fresh_output_or_one_error() {
             );
             if ran.status.success() {
                 assert_eq!(std::fs::read(&out).ok().as_ref(), Some(&fresh), "{at}");
+                let traced = std::fs::read(&trace).ok();
+                assert_eq!(traced.as_ref(), Some(&fresh_trace), "{at}: trace");
                 completed = Some(kib);
                 break;
             }
@@ -196,6 +204,13 @@ fn every_file_size_limit_ends_in_the_fresh_output_or_one_error() {
             assert!(!Path::new(&out).exists(), "{at}: no partial skyline");
             let tmp = format!("{out}.tmp");
             assert!(!Path::new(&tmp).exists(), "{at}: no temporary skyline");
+            // The trace is written before the skyline: a cap between their
+            // sizes leaves it whole.
+            if let Ok(traced) = std::fs::read(&trace) {
+                assert!(traced == fresh_trace, "{at}: no partial trace");
+            }
+            let tmp = format!("{trace}.tmp");
+            assert!(!Path::new(&tmp).exists(), "{at}: no temporary trace");
             if Path::new(&ckpt).exists() {
                 let _ = std::fs::remove_file(&out);
                 let resumed = cli(&with(&run, &["--resume", "--out", &out]));

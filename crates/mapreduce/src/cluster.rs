@@ -122,8 +122,9 @@ pub struct ClusterConfig {
     /// node-scoped fault events are ignored.
     pub placement: Option<Placement>,
     /// How long the job tracker waits after a node's last heartbeat before
-    /// declaring it dead. Charged to the simulated clock once per lost
-    /// node, before re-execution of its map outputs begins.
+    /// declaring it dead. Charged to the simulated clock once per job that
+    /// loses a node (the expiry check sweeps every node together), before
+    /// re-execution of the lost map outputs begins.
     pub heartbeat_timeout: Duration,
     /// How long an attempt may go without reporting progress before the
     /// tracker kills it (Hadoop's `mapred.task.timeout`). A hung attempt
@@ -276,9 +277,8 @@ pub struct JobMetrics {
     pub output_records: u64,
     /// Map attempts that retried a task, over every map wave: all but each
     /// task's first attempt, its speculative backup and the re-execution of
-    /// a completed output lost with its node. Re-executing a lost or
-    /// rotten partition's producer, or an attempt a node loss killed in
-    /// flight, is a retry.
+    /// an output lost with its node. Re-executing a lost or rotten
+    /// partition's producer is a retry.
     pub map_retries: u64,
     /// Reduce attempts that retried a task: every reduce attempt that is
     /// neither a task's first nor a speculative backup.
@@ -304,11 +304,11 @@ pub struct JobMetrics {
     pub reduce_task_durations: Vec<Duration>,
     /// Nodes lost (declared dead) during this job.
     pub nodes_lost: u64,
-    /// Completed map tasks whose materialized outputs were invalidated by
-    /// a node loss and had to re-execute before the shuffle could finish.
+    /// Map tasks whose materialized outputs were homed on a lost node and
+    /// had to re-execute before the shuffle could finish.
     pub maps_reexecuted: u64,
-    /// Simulated time spent detecting node losses (heartbeat timeouts) and
-    /// re-executing invalidated map tasks. Folded into `map_phase`.
+    /// Simulated time spent detecting node losses (one heartbeat timeout)
+    /// and re-executing invalidated map tasks. Folded into `map_phase`.
     pub reexecution_time: Duration,
     /// Nodes removed from scheduling by the blacklist policy.
     pub nodes_blacklisted: u64,

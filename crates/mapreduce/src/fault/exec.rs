@@ -113,7 +113,10 @@ impl<T> TaskExecution<T> {
 }
 
 /// Runs one task under `fault` and `policy` until an attempt succeeds or
-/// the budget runs out.
+/// the budget runs out. Attempts are numbered on from `first`, the number
+/// of attempts the task already ran (in earlier skip rounds or waves), so
+/// no two attempts of a task share a number; `attempts` and the fault's
+/// schedule count this call's attempts only.
 ///
 /// * The first `fault.failures` attempts fail: a [`FaultKind::LostOutput`]
 ///   attempt runs to completion and its output is discarded; a
@@ -130,6 +133,7 @@ impl<T> TaskExecution<T> {
 ///   detector waits out `hang_timeout` of simulated time and kills it
 ///   before the retry launches.
 pub fn run_attempts<T>(
+    first: u32,
     fault: &TaskFault,
     policy: &RetryPolicy,
     hang_timeout: Duration,
@@ -138,8 +142,8 @@ pub fn run_attempts<T>(
     let cap = policy.attempt_budget();
     let mut failures = Vec::new();
     let mut payload = None;
-    for attempt in 0..cap {
-        let scheduled = attempt < fault.failures;
+    for k in 0..cap {
+        let (attempt, scheduled) = (first + k, k < fault.failures);
         if scheduled && fault.kind == FaultKind::Hang {
             // The attempt is wedged: nothing executes, the slot sits idle
             // until the detector declares it dead on the model clock.
@@ -160,7 +164,7 @@ pub fn run_attempts<T>(
             Ok(Ok(value)) if !scheduled => {
                 return TaskExecution {
                     value: Some(value),
-                    attempts: attempt + 1,
+                    attempts: k + 1,
                     failures,
                     payload,
                 };
@@ -208,10 +212,16 @@ mod tests {
     #[test]
     fn hung_attempts_never_run_and_charge_the_timeout() {
         let calls = AtomicU32::new(0);
-        let exec = run_attempts(&TaskFault::hangs(2), &RetryPolicy::new(), HANG, |a, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(a)
-        });
+        let exec = run_attempts(
+            0,
+            &TaskFault::hangs(2),
+            &RetryPolicy::new(),
+            HANG,
+            |a, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Ok(a)
+            },
+        );
         assert_eq!(
             calls.load(Ordering::Relaxed),
             1,
@@ -231,6 +241,7 @@ mod tests {
     fn hangs_beyond_budget_exhaust_the_task_without_running_it() {
         let calls = AtomicU32::new(0);
         let exec = run_attempts(
+            0,
             &TaskFault::hangs(10),
             &RetryPolicy::new().with_max_attempts(2),
             HANG,
@@ -247,7 +258,7 @@ mod tests {
 
     #[test]
     fn healthy_task_runs_once_with_no_overheads() {
-        let exec = run_attempts(&TaskFault::none(), &RetryPolicy::new(), HANG, |a, i| {
+        let exec = run_attempts(0, &TaskFault::none(), &RetryPolicy::new(), HANG, |a, i| {
             assert_eq!((a, i), (0, Inject::None));
             Ok(7)
         });
@@ -259,7 +270,7 @@ mod tests {
     #[test]
     fn lost_output_failures_burn_attempts_then_succeed() {
         let calls = AtomicU32::new(0);
-        let exec = run_attempts(&TaskFault::lost(2), &RetryPolicy::new(), HANG, |a, _| {
+        let exec = run_attempts(0, &TaskFault::lost(2), &RetryPolicy::new(), HANG, |a, _| {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(a)
         });
@@ -280,6 +291,7 @@ mod tests {
     #[test]
     fn mid_task_panics_are_caught_and_retried() {
         let exec = run_attempts(
+            0,
             &TaskFault::panics(1),
             &RetryPolicy::new(),
             HANG,
@@ -304,6 +316,7 @@ mod tests {
     #[test]
     fn exhausted_budget_reports_structured_failure() {
         let exec = run_attempts(
+            0,
             &TaskFault::none(),
             &RetryPolicy::new().with_max_attempts(3),
             HANG,
@@ -318,6 +331,7 @@ mod tests {
     #[test]
     fn injected_failures_beyond_budget_exhaust_the_task() {
         let exec = run_attempts(
+            0,
             &TaskFault::lost(10),
             &RetryPolicy::new().with_max_attempts(2),
             HANG,
@@ -334,7 +348,7 @@ mod tests {
 
     #[test]
     fn storage_failures_are_retried_without_a_payload() {
-        let exec = run_attempts(&TaskFault::none(), &RetryPolicy::new(), HANG, |a, _| {
+        let exec = run_attempts(0, &TaskFault::none(), &RetryPolicy::new(), HANG, |a, _| {
             if a == 0 {
                 let gone = std::io::Error::from(std::io::ErrorKind::NotFound);
                 let path = std::path::Path::new("gone.seg");

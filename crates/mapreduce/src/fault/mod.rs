@@ -43,7 +43,7 @@ mod retry;
 pub use error::JobError;
 pub use exec::{run_attempts, AttemptFailure, FailureCause, Inject, TaskExecution};
 pub use plan::{
-    CorruptFetch, FaultKind, FaultPlan, FaultProfile, NodeLoss, NodePartition, SeededFaults,
-    TaskFault, TaskKind,
+    CorruptFetch, FaultKind, FaultPlan, FaultProfile, NodePartition, SeededFaults, TaskFault,
+    TaskKind,
 };
 pub use retry::{BlacklistPolicy, FaultTolerance, RetryPolicy, SpeculationPolicy};

@@ -125,29 +125,11 @@ impl Default for TaskFault {
     }
 }
 
-/// A node dying for good at a point on the simulated clock.
-///
-/// `at_tick` is in model ticks (microseconds of simulated time) from the
-/// start of the job's map phase. When the loss lands after the map phase
-/// it is clamped to the shuffle barrier — the moment the shuffle discovers
-/// the dead node's materialized map outputs are gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct NodeLoss {
-    /// Model tick (relative to the map phase start) at which the node's
-    /// last heartbeat is sent. Ordered first so scripted losses sort by
-    /// time, then node.
-    pub at_tick: u64,
-    /// The dying node.
-    pub node: usize,
-}
-
 /// A node unreachable for a bounded window (a network partition). The
 /// node's materialized outputs survive, but the shuffle stalls for the
 /// window's duration while reducers wait to pull from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct NodePartition {
-    /// Model tick at which the node becomes unreachable.
-    pub at_tick: u64,
     /// How long the node stays unreachable, in model ticks.
     pub for_ticks: u64,
     /// The partitioned node.
@@ -320,8 +302,9 @@ pub struct FaultPlan {
     pub poison_records: BTreeSet<(usize, usize)>,
     /// Scripted failed broadcast attempts before the cache lands.
     pub broadcast_failures: u32,
-    /// Scripted node deaths (ignored unless the cluster has a placement).
-    pub node_losses: Vec<NodeLoss>,
+    /// Scripted node deaths, by node (ignored unless the cluster has a
+    /// placement). Every loss lands at the shuffle barrier.
+    pub node_losses: BTreeSet<usize>,
     /// Scripted transient node partitions.
     pub node_partitions: Vec<NodePartition>,
     /// Seeded random faults layered under the scripted ones.
@@ -429,21 +412,19 @@ impl FaultPlan {
         self
     }
 
-    /// Kills `node` at `at_tick` model ticks into the job's map phase.
-    /// Only effective when the cluster has a [`Placement`](crate::Placement).
-    pub fn with_node_loss(mut self, node: usize, at_tick: u64) -> Self {
-        self.node_losses.push(NodeLoss { at_tick, node });
+    /// Kills `node` at the job's shuffle barrier, once every map task has
+    /// committed: the map outputs homed there are gone and re-execute on
+    /// the surviving nodes after the heartbeat timeout. Only effective when
+    /// the cluster has a [`Placement`](crate::Placement).
+    pub fn with_node_loss(mut self, node: usize) -> Self {
+        self.node_losses.insert(node);
         self
     }
 
-    /// Makes `node` unreachable for `for_ticks` model ticks starting at
-    /// `at_tick`, stalling the shuffle by the window's duration.
-    pub fn with_node_partition(mut self, node: usize, at_tick: u64, for_ticks: u64) -> Self {
-        self.node_partitions.push(NodePartition {
-            at_tick,
-            for_ticks,
-            node,
-        });
+    /// Makes `node` unreachable for `for_ticks` model ticks, stalling the
+    /// shuffle by the window's duration.
+    pub fn with_node_partition(mut self, node: usize, for_ticks: u64) -> Self {
+        self.node_partitions.push(NodePartition { for_ticks, node });
         self
     }
 
@@ -566,44 +547,37 @@ impl FaultPlan {
             .collect()
     }
 
-    /// All node losses of a job on a cluster with `nodes` machines:
-    /// scripted losses (one per node — the earliest wins) plus seeded
-    /// draws, sorted by `(at_tick, node)` and truncated so at least one
-    /// node always survives. Seeded losses draw an astronomically large
-    /// `at_tick`, so they always land at the shuffle barrier — after every
-    /// map task has completed.
-    pub fn node_losses_for(&self, job: &str, nodes: usize) -> Vec<NodeLoss> {
+    /// The nodes a job on a cluster with `nodes` machines loses, in the
+    /// order they are resolved: the seeded losses in the order of their
+    /// draws, then the scripted ones in node order, truncated so at least
+    /// one node always survives. A scripted node is never drawn too.
+    pub fn node_losses_for(&self, job: &str, nodes: usize) -> Vec<usize> {
         if !self.applies_to(job) || nodes == 0 {
             return Vec::new();
         }
-        let mut by_node: BTreeMap<usize, u64> = BTreeMap::new();
-        for loss in &self.node_losses {
-            if loss.node < nodes {
-                let at = by_node.entry(loss.node).or_insert(loss.at_tick);
-                *at = (*at).min(loss.at_tick);
-            }
-        }
+        let mut drawn: Vec<(u64, usize)> = Vec::new();
         if let Some(seeded) = &self.seeded {
             let rate = seeded.profile.node_loss_permille;
-            for node in 0..nodes {
+            for node in (0..nodes).filter(|n| !self.node_losses.contains(n)) {
                 let h = decision(seeded.seed, job, NODE_LOSS_SALT, node as u64, 0);
                 if permille(h) < rate {
-                    let at = (1u64 << 40) | (splitmix64_once(h) & ((1u64 << 40) - 1));
-                    by_node.entry(node).or_insert(at);
+                    drawn.push((splitmix64_once(h) & ((1u64 << 40) - 1), node));
                 }
             }
         }
-        let mut losses: Vec<NodeLoss> = by_node
+        drawn.sort_unstable();
+        let scripted = self.node_losses.range(..nodes).copied();
+        let mut losses: Vec<usize> = drawn
             .into_iter()
-            .map(|(node, at_tick)| NodeLoss { at_tick, node })
+            .map(|(_, node)| node)
+            .chain(scripted)
             .collect();
-        losses.sort_unstable();
-        losses.truncate(nodes.saturating_sub(1));
+        losses.truncate(nodes - 1);
         losses
     }
 
     /// All transient node partitions of a job, scripted plus seeded,
-    /// sorted by `(at_tick, for_ticks, node)`.
+    /// sorted by `(for_ticks, node)`.
     pub fn node_partitions_for(&self, job: &str, nodes: usize) -> Vec<NodePartition> {
         if !self.applies_to(job) || nodes == 0 {
             return Vec::new();
@@ -619,10 +593,11 @@ impl FaultPlan {
             for node in 0..nodes {
                 let h = decision(seeded.seed, job, NODE_PART_SALT, node as u64, 0);
                 if permille(h) < rate {
-                    let (h, at_draw) = next(h);
+                    // The first draw was the window's start, which nothing
+                    // prices; the length is the draw after it.
+                    let (h, _) = next(h);
                     let (_, len_draw) = next(h);
                     parts.push(NodePartition {
-                        at_tick: at_draw & ((1u64 << 40) - 1),
                         for_ticks: 500 + len_draw % 4500,
                         node,
                     });
@@ -843,31 +818,73 @@ mod tests {
     #[test]
     fn node_losses_dedupe_sort_and_keep_a_survivor() {
         let p = FaultPlan::none()
-            .with_node_loss(2, 500)
-            .with_node_loss(0, 100)
-            .with_node_loss(2, 50); // earlier loss of the same node wins
-        let losses = p.node_losses_for("j", 4);
-        assert_eq!(
-            losses,
-            vec![
-                NodeLoss {
-                    at_tick: 50,
-                    node: 2
-                },
-                NodeLoss {
-                    at_tick: 100,
-                    node: 0
-                },
-            ]
-        );
+            .with_node_loss(2)
+            .with_node_loss(0)
+            .with_node_loss(2); // a node dies once
+        assert_eq!(p.node_losses_for("j", 4), vec![0, 2]);
         // Out-of-range nodes are ignored; a 1-node cluster never loses it.
         assert!(p.node_losses_for("j", 1).is_empty());
         // Losing every node is truncated to leave one alive.
         let all = FaultPlan::none()
-            .with_node_loss(0, 1)
-            .with_node_loss(1, 2)
-            .with_node_loss(2, 3);
-        assert_eq!(all.node_losses_for("j", 3).len(), 2);
+            .with_node_loss(0)
+            .with_node_loss(1)
+            .with_node_loss(2);
+        assert_eq!(all.node_losses_for("j", 3), vec![0, 1]);
+        // Seeded losses resolve first; a scripted node is never drawn.
+        let mixed = FaultPlan::chaos_nodes(0).with_node_loss(0);
+        assert_eq!(mixed.node_losses_for("skyline", 16), [10, 11, 15, 5, 2, 0]);
+    }
+
+    /// The lost nodes and their order, and the partition windows'
+    /// lengths, pinned for seeds 0–63 on clusters of 1–16 nodes: FNV-1a
+    /// over each loss list's length and nodes (two jobs, and a scripted
+    /// node added to every plan, which resolves after the seeded ones), and
+    /// over the partitions' `(node, for_ticks)` pairs in node order. A few
+    /// rows are spelled out.
+    #[test]
+    fn seeded_node_events_are_pinned() {
+        let fnv = |h: u64, words: &[u64]| {
+            let step = |h: u64, &w: &u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            words.iter().fold(h, step)
+        };
+        let list = |losses: Vec<usize>| -> Vec<u64> {
+            let nodes = losses.iter().map(|&n| n as u64);
+            std::iter::once(losses.len() as u64).chain(nodes).collect()
+        };
+        let mut digests = [0xcbf2_9ce4_8422_2325; 4];
+        for seed in 0..64u64 {
+            for nodes in 1..=16usize {
+                let plan = FaultPlan::chaos_nodes(seed);
+                let scripted = plan.clone().with_node_loss(seed as usize % nodes);
+                let losses = [
+                    plan.node_losses_for("skyline", nodes),
+                    plan.node_losses_for("bitstring-ppd", nodes),
+                    scripted.node_losses_for("skyline", nodes),
+                ];
+                for (digest, losses) in digests.iter_mut().zip(losses) {
+                    *digest = fnv(*digest, &list(losses));
+                }
+                let parts = plan.node_partitions_for("skyline", nodes);
+                let mut windows: Vec<[u64; 2]> =
+                    parts.iter().map(|p| [p.node as u64, p.for_ticks]).collect();
+                windows.sort_unstable();
+                digests[3] = fnv(digests[3], windows.as_flattened());
+            }
+        }
+        let pinned = [
+            0x241a_2dba_403a_6101,
+            0x4186_e9ef_8f22_1f9b,
+            0x50b2_fb18_48dc_7641,
+            0xb271_2e7c_5c63_ecad,
+        ];
+        assert_eq!(digests, pinned);
+        let row = |job, seed| FaultPlan::chaos_nodes(seed).node_losses_for(job, 16);
+        assert_eq!(row("skyline", 0), [10, 11, 0, 15, 5, 2]);
+        assert_eq!(row("skyline", 1), [1, 13, 9, 0, 4, 11, 5, 3]);
+        assert_eq!(row("skyline", 2), [12, 4, 14, 10, 1, 13, 6]);
+        assert_eq!(row("bitstring-ppd", 0), [12, 4]);
+        assert_eq!(row("bitstring-ppd", 1), [1, 4, 5]);
+        assert_eq!(row("bitstring-ppd", 2), [10, 2, 12]);
     }
 
     #[test]
@@ -876,12 +893,8 @@ mod tests {
         let b = FaultPlan::chaos_nodes(9);
         assert_eq!(a.node_losses_for("j", 8), b.node_losses_for("j", 8));
         assert_eq!(a.node_partitions_for("j", 8), b.node_partitions_for("j", 8));
-        // Seeded losses always land past any realistic map phase (the
-        // shuffle barrier clamps them), and the default profile stays node
-        //-fault free so pinned seeds replay identically.
-        for loss in a.node_losses_for("j", 8) {
-            assert!(loss.at_tick >= 1 << 40);
-        }
+        // The default profile stays node-fault free so pinned seeds replay
+        // identically.
         assert!(FaultPlan::seeded(9).node_losses_for("j", 8).is_empty());
         assert!(FaultPlan::seeded(9).node_partitions_for("j", 8).is_empty());
         // Over many seeds the nodes() profile actually kills machines.
@@ -893,11 +906,11 @@ mod tests {
 
     #[test]
     fn node_events_respect_the_job_filter() {
-        let p = FaultPlan::none().with_node_loss(1, 5).for_job("skyline");
+        let p = FaultPlan::none().with_node_loss(1).for_job("skyline");
         assert_eq!(p.node_losses_for("skyline", 4).len(), 1);
         assert!(p.node_losses_for("bitstring", 4).is_empty());
         let p = FaultPlan::none()
-            .with_node_partition(1, 5, 10)
+            .with_node_partition(1, 10)
             .for_job("skyline");
         assert_eq!(p.node_partitions_for("skyline", 4).len(), 1);
         assert!(p.node_partitions_for("bitstring", 4).is_empty());

@@ -26,9 +26,7 @@ use crate::task::{
     Emitter, JobKey, JobValue, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask,
     TaskContext,
 };
-use crate::trace::{
-    from_ticks, ticks_of, CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel, Timeline,
-};
+use crate::trace::{from_ticks, CorruptEvent, FailKind, JobRecord, TaskModel, Timeline};
 use skymr_telemetry::{Collector, MetricsRegistry};
 
 /// Per-job configuration.
@@ -331,14 +329,13 @@ struct Run<'a, K> {
     all_nodes: Vec<usize>,
     /// Home node of each map task's materialized output (placed clusters).
     map_homes: Vec<usize>,
-    dead: BTreeSet<usize>,
     strikes: BTreeMap<usize, u32>,
     blacklisted: BTreeSet<usize>,
 }
 
 impl<K> Run<'_, K> {
     fn survivors(&self) -> Vec<usize> {
-        let alive = |n: &usize| !self.dead.contains(n);
+        let alive = |n: &usize| !self.record.node_losses.contains(n);
         self.all_nodes.iter().copied().filter(alive).collect()
     }
 
@@ -348,7 +345,8 @@ impl<K> Run<'_, K> {
     /// the job can limp home rather than deadlock.
     fn surviving_slots(&self, total: usize) -> usize {
         let node = |s: usize| Placement::node_of_slot(s, self.all_nodes.len());
-        let gone = |n: usize| self.dead.contains(&n) || self.blacklisted.contains(&n);
+        let dead = &self.record.node_losses;
+        let gone = |n: usize| dead.contains(&n) || self.blacklisted.contains(&n);
         (0..total).filter(|&s| !gone(node(s))).count().max(1)
     }
 }
@@ -584,7 +582,6 @@ where
             skipped: Vec::new(),
             node_losses: Vec::new(),
             reexecuted: Vec::new(),
-            maps_reexecuted: 0,
             nodes_blacklisted: 0,
             surviving_map_slots: self.cluster.map_slots,
             surviving_reduce_slots: self.cluster.reduce_slots,
@@ -596,7 +593,6 @@ where
             skips: Vec::new(),
             all_nodes,
             map_homes,
-            dead: BTreeSet::new(),
             strikes: BTreeMap::new(),
             blacklisted: BTreeSet::new(),
         }
@@ -747,16 +743,17 @@ where
         let split_len = self.source.split_len(i);
         let mut skips: BTreeSet<usize> = BTreeSet::new();
         let progress = AtomicUsize::new(usize::MAX);
-        let round = |fault: &TaskFault, skips: &BTreeSet<usize>| {
+        let round = |first, fault: &TaskFault, skips: &BTreeSet<usize>| {
             progress.store(usize::MAX, Ordering::Relaxed);
             run_attempts(
+                first,
                 fault,
                 &config.retry,
                 cluster.progress_timeout,
                 |attempt, inject| self.map_attempt(i, attempt, inject, skips, &progress),
             )
         };
-        let mut exec = round(&fault, &skips);
+        let mut exec = round(0, &fault, &skips);
         let mut round_fault = fault;
         round_fault.failures = 0;
         for _round in 0..split_len {
@@ -773,7 +770,7 @@ where
             if !panicked || suspect >= split_len || !skips.insert(suspect) {
                 break;
             }
-            let next = round(&round_fault, &skips);
+            let next = round(exec.attempts, &round_fault, &skips);
             exec.attempts += next.attempts;
             exec.failures.extend(next.failures);
             exec.value = next.value;
@@ -881,10 +878,10 @@ where
             let reran = waves.filter(|(j, _)| *j == i).map(|(_, t)| attempts_ran(t));
             let first = attempts_ran(&record.map[i]) + reran.sum::<u32>();
             let progress = AtomicUsize::new(usize::MAX);
-            let replay = |a, inject| self.map_attempt(i, first + a, inject, &skips[i], &progress);
+            let replay = |a, inject| self.map_attempt(i, a, inject, &skips[i], &progress);
             let (retry, timeout) = (&self.config.retry, self.cluster.progress_timeout);
             let fault = TaskFault::none();
-            (run_attempts(&fault, retry, timeout, replay), fault)
+            (run_attempts(first, &fault, retry, timeout, replay), fault)
         });
         let model = |(&i, exec)| (i, self.map_model(i, exec));
         *wave(&mut run.record) = tasks.iter().zip(&reruns).map(model).collect();
@@ -913,56 +910,19 @@ where
         Ok(())
     }
 
-    /// Node losses are resolved against the map wave of the job's
-    /// timeline: completed map outputs on a dead node are invalidated and
-    /// re-execute before the shuffle can finish, in-flight attempts die
-    /// and retry, and the timeline charges the heartbeat timeout plus the
-    /// re-execution wave (folded into the map phase).
+    /// Node losses land at the shuffle barrier, once every map task has
+    /// committed: the map outputs homed on a lost node are gone and
+    /// re-execute on the surviving nodes, where their replacements
+    /// materialize. The timeline charges the heartbeat wait before that
+    /// wave (folded into the map phase).
     fn resolve_node_losses(&self, run: &mut Run<'a, K>) -> Result<(), JobError> {
         let (cluster, config) = (self.cluster, self.config);
         let Some(placement) = &cluster.placement else {
             return Ok(());
         };
-        let losses = config.faults.node_losses_for(&config.name, cluster.nodes);
-        if losses.is_empty() {
-            return Ok(());
-        }
-        let map_wave = JobRecord::timeline(&run.record).map;
-        let heartbeat = ticks_of(cluster.heartbeat_timeout);
-        let mut affected: BTreeSet<usize> = BTreeSet::new();
-        for loss in &losses {
-            run.dead.insert(loss.node);
-            // Losses past the end of the map phase land at the shuffle
-            // barrier — the moment the missing outputs are discovered.
-            let at = loss.at_tick.min(map_wave.span());
-            let mut wasted = 0;
-            for (i, p) in map_wave.slots.iter().enumerate() {
-                if run.map_homes[i] != loss.node {
-                    continue;
-                }
-                let (start, end) = (p.start - map_wave.start, p.end - map_wave.start);
-                if end <= at {
-                    // Completed: the materialized output is gone.
-                    run.record.maps_reexecuted += 1;
-                    affected.insert(i);
-                } else if start < at {
-                    // In-flight: the attempt dies with the node.
-                    wasted += at - start;
-                    affected.insert(i);
-                }
-                // Pending tasks simply launch on a surviving node.
-            }
-            // Detection is charged once per loss, unconditionally: the
-            // tracker waits out the heartbeat timeout before declaring
-            // the node dead and rescheduling its work.
-            run.record.node_losses.push(NodeLossEvent {
-                node: loss.node,
-                at_tick: at,
-                detect_tick: at.saturating_add(heartbeat),
-                wasted,
-            });
-        }
-        // Replacement outputs materialize on surviving nodes.
+        run.record.node_losses = config.faults.node_losses_for(&config.name, cluster.nodes);
+        let lost = |&i: &usize| run.record.node_losses.contains(&run.map_homes[i]);
+        let affected: BTreeSet<usize> = (0..run.map_homes.len()).filter(lost).collect();
         let survivors = run.survivors();
         for &i in &affected {
             run.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
@@ -1180,6 +1140,7 @@ where
         let mut execs: Vec<Exec<ReduceResult<Out>>> = run_indexed(r, cluster.host_threads, |j| {
             let fault = config.faults.task_fault(&config.name, TaskKind::Reduce, j);
             let exec = run_attempts(
+                0,
                 &fault,
                 &config.retry,
                 cluster.progress_timeout,
@@ -1327,6 +1288,7 @@ mod tests {
     use crate::partitioner::{HashPartitioner, ModuloPartitioner};
     use crate::storage::segment::tests::rot;
     use crate::task::{map_fn, reduce_fn};
+    use crate::trace::ticks_of;
 
     /// Word-count: the canonical MapReduce smoke test.
     struct WcMap;
@@ -2128,7 +2090,7 @@ mod tests {
         let placement = Placement::new(0xBEEF);
         let alive: Vec<usize> = (0..cluster.nodes).collect();
         let victim = placement.task_home("wc", TaskKind::Map, 0, &alive);
-        let faulty = run(FaultPlan::none().with_node_loss(victim, u64::MAX / 2));
+        let faulty = run(FaultPlan::none().with_node_loss(victim));
         assert_eq!(faulty.metrics.nodes_lost, 1);
         assert!(faulty.metrics.maps_reexecuted >= 1, "map 0 lived there");
         assert!(faulty.metrics.reexecution_time >= cluster.heartbeat_timeout);
@@ -2147,8 +2109,8 @@ mod tests {
     #[test]
     fn node_events_are_inert_without_a_placement() {
         let plan = FaultPlan::none()
-            .with_node_loss(0, 0)
-            .with_node_partition(1, 0, 500);
+            .with_node_loss(0)
+            .with_node_partition(1, 500);
         let out = word_count(&splits(), 2, plan);
         assert_eq!(out.metrics.nodes_lost, 0);
         assert_eq!(out.metrics.maps_reexecuted, 0);
@@ -2164,7 +2126,7 @@ mod tests {
                 .expect("job must survive a partition")
         };
         let clean = run(FaultPlan::none());
-        let stalled = run(FaultPlan::none().with_node_partition(0, 0, 700));
+        let stalled = run(FaultPlan::none().with_node_partition(0, 700));
         assert_eq!(
             stalled.metrics.shuffle_time,
             clean.metrics.shuffle_time + Duration::from_micros(700),
@@ -2182,7 +2144,7 @@ mod tests {
         use skymr_telemetry::EventKind;
         let mut cluster = ClusterConfig::test_placed(0xBEEF);
         cluster.network_bytes_per_sec = 1e4;
-        let mut plan = FaultPlan::none().with_node_partition(0, 0, 700);
+        let mut plan = FaultPlan::none().with_node_partition(0, 700);
         for reducer in 0..3 {
             plan = plan.with_corrupt_shuffle(0, reducer, 1);
         }
@@ -2423,7 +2385,7 @@ mod tests {
             ),
             (
                 "node loss".into(),
-                none().with_node_loss(victim, u64::MAX / 2),
+                none().with_node_loss(victim),
                 false,
                 Some((0, 0)),
             ),
@@ -2867,10 +2829,51 @@ mod tests {
         backup_won
     }
 
+    /// Checks that every fault instant of `doc` sits where its cause does:
+    /// each `node-loss` instant at the start of the `(re-exec)` wave it
+    /// causes, and each `hang-kill` instant at the end of a hung attempt
+    /// span on its lane that is exactly `progress_timeout` long. Returns
+    /// how many instants were checked.
+    fn assert_fault_instants_are_causal(
+        doc: &skymr_telemetry::TraceDocument,
+        progress_timeout: Duration,
+    ) -> usize {
+        use skymr_telemetry::{ArgValue, EventKind, TraceEvent};
+        let instants = |name: &'static str| {
+            let named = move |e: &&TraceEvent| e.kind == EventKind::Instant && e.name == name;
+            doc.events.iter().filter(named)
+        };
+        let reexec = doc.events.iter().filter(|e| e.name.ends_with(" (re-exec)"));
+        let wave_start = reexec.map(|e| e.ts).min();
+        for loss in instants("node-loss") {
+            assert_eq!(Some(loss.ts), wave_start, "node-loss at the re-exec wave");
+        }
+        let timeout = ticks_of(progress_timeout);
+        let hung = Some(ArgValue::Str("hang".to_owned()));
+        for kill in instants("hang-kill") {
+            let ends_here = |e: &&TraceEvent| {
+                let outcome = e.args.iter().find(|(k, _)| k == "outcome");
+                e.cat == "attempt"
+                    && e.tid == kill.tid
+                    && e.ts + e.dur == kill.ts
+                    && outcome.map(|(_, v)| v.clone()) == hung
+            };
+            let attempt = doc.events.iter().find(ends_here);
+            let attempt =
+                attempt.unwrap_or_else(|| panic!("hang-kill at {} ends no attempt", kill.ts));
+            assert_eq!(
+                attempt.dur, timeout,
+                "a hung attempt lasts progress_timeout"
+            );
+        }
+        instants("node-loss").count() + instants("hang-kill").count()
+    }
+
     /// The trace and the metrics are read off one timeline, so the drawn
     /// job is exactly as long as the reported one, draws every attempt it
-    /// counts, and draws each task as exactly its priced terms — in every
-    /// mode that adds a wave, retries a task or takes slots away.
+    /// counts, draws each task as exactly its priced terms and each fault
+    /// instant where its cause is — in every mode that adds a wave,
+    /// retries a task or takes slots away.
     #[test]
     fn the_trace_is_as_long_as_sim_runtime_in_every_mode() {
         let placed = ClusterConfig::test_placed(0xBEEF);
@@ -2889,18 +2892,17 @@ mod tests {
             (
                 "node loss",
                 placed.clone(),
-                wc(none().with_node_loss(victim, u64::MAX / 2)),
-            ),
-            // The node dies one tick into the map wave, under map 0's run.
-            (
-                "node loss in flight",
-                placed.clone(),
-                wc(none().with_node_loss(victim, 1)),
+                wc(none().with_node_loss(victim)),
             ),
             (
                 "reduce retry",
                 ClusterConfig::test(),
                 wc(none().with_reduce_fault(0, TaskFault::lost(1))),
+            ),
+            (
+                "hang",
+                ClusterConfig::test(),
+                wc(none().with_map_fault(0, TaskFault::hangs(1))),
             ),
             (
                 "corrupt x1",
@@ -2939,13 +2941,12 @@ mod tests {
             let doc = collector.finish();
             let counted = out.registry.counter("task.attempts");
             assert_eq!(attempts_drawn(&doc), counted, "{case}: attempts drawn");
-            match case {
-                "node loss in flight" => {
-                    let killed = (m.maps_reexecuted, m.map_retries);
-                    assert_eq!(killed, (0, 1), "{case}: the killed attempt is a retry");
-                }
-                "reduce retry" => assert_eq!(m.reduce_retries, 1, "{case}"),
-                _ => {}
+            if case == "reduce retry" {
+                assert_eq!(m.reduce_retries, 1, "{case}");
+            }
+            let causal = assert_fault_instants_are_causal(&doc, cluster.progress_timeout);
+            if ["node loss", "hang"].contains(&case) {
+                assert!(causal > 0, "{case}: its fault instant is drawn");
             }
             let overhead = ticks_of(cluster.task_overhead);
             if !assert_spans_are_their_terms(&doc, overhead) {
@@ -2956,7 +2957,7 @@ mod tests {
             let trace = skymr_telemetry::export::chrome_trace(&doc);
             assert_eq!(
                 trace.contains("(re-exec)"),
-                case.starts_with("node loss") || case == "corrupt x2",
+                case == "node loss" || case == "corrupt x2",
                 "{case}: every re-execution wave is drawn"
             );
             runtimes.insert(case, m.sim_runtime);
@@ -2964,8 +2965,8 @@ mod tests {
         let costly = [
             "lost partition",
             "node loss",
-            "node loss in flight",
             "reduce retry",
+            "hang",
             "corrupt x2",
             "memory budget",
         ];
@@ -3069,30 +3070,33 @@ mod tests {
         assert_eq!(sorted_counts(flaky), sorted_counts(clean));
     }
 
+    /// Word count whose factory records the attempt number of each map 0
+    /// attempt it creates.
+    struct AttemptCensus(parking_lot::Mutex<Vec<u32>>);
+    impl MapFactory for AttemptCensus {
+        type Task = WcMapTask;
+        fn create(&self, ctx: &TaskContext) -> WcMapTask {
+            if ctx.task_index == 0 {
+                self.0.lock().push(ctx.attempt);
+            }
+            WcMapTask
+        }
+    }
+
     /// A task re-executed in two waves numbers its attempts on across
     /// them: map 0 loses a partition and its home node is lost after the
     /// map wave, so it runs in the map wave, the lost-partition wave and
     /// the node-loss wave, and its UDF sees a new attempt number each time.
     #[test]
     fn a_task_re_executed_twice_never_repeats_an_attempt_number() {
-        struct Census(parking_lot::Mutex<Vec<u32>>);
-        impl MapFactory for Census {
-            type Task = WcMapTask;
-            fn create(&self, ctx: &TaskContext) -> WcMapTask {
-                if ctx.task_index == 0 {
-                    self.0.lock().push(ctx.attempt);
-                }
-                WcMapTask
-            }
-        }
         let cluster = ClusterConfig::test_placed(0xBEEF);
         let alive: Vec<usize> = (0..cluster.nodes).collect();
         let victim = Placement::new(0xBEEF).task_home("wc", TaskKind::Map, 0, &alive);
         let plan = FaultPlan::none()
             .with_lost_partition(0, 0)
-            .with_node_loss(victim, u64::MAX / 2);
+            .with_node_loss(victim);
         let config = JobConfig::new("wc", 2).with_faults(plan);
-        let census = Census(parking_lot::Mutex::new(Vec::new()));
+        let census = AttemptCensus(parking_lot::Mutex::new(Vec::new()));
         let out = run_job(
             &cluster,
             &config,
@@ -3107,6 +3111,30 @@ mod tests {
         let seen = census.0.into_inner();
         assert_eq!(seen, vec![0, 1, 2], "one attempt number per wave");
         assert_eq!(sorted_counts(out), expected_counts());
+    }
+
+    /// The skip-bad-records rounds of a map task number their attempts on
+    /// from the rounds before: map 0 exhausts its budget on a poisoned
+    /// record, and the round that skips it runs the next attempt number.
+    #[test]
+    fn skip_rounds_number_their_attempts_on() {
+        let mut cluster = ClusterConfig::test();
+        cluster.skip_bad_records = true;
+        let plan = FaultPlan::none().with_poison_record(0, 1);
+        let config = JobConfig::new("wc", 2).with_faults(plan);
+        let census = AttemptCensus(parking_lot::Mutex::new(Vec::new()));
+        let out = run_job(
+            &cluster,
+            &config,
+            &splits()[..2],
+            &census,
+            &WcReduce,
+            &HashPartitioner,
+        )
+        .expect("the skip round completes the task");
+        assert_eq!(out.metrics.records_skipped, 1);
+        let seen = census.0.into_inner();
+        assert_eq!(seen, vec![0, 1, 2, 3, 4], "strictly increasing");
     }
 
     #[test]

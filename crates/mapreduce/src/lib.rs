@@ -66,7 +66,7 @@ pub use analysis::{assert_schedule_independent, schedule_shake, ShakeCase, Shake
 pub use cluster::{ClusterConfig, JobMetrics, Placement};
 pub use fault::{
     BlacklistPolicy, CorruptFetch, FaultKind, FaultPlan, FaultProfile, FaultTolerance, JobError,
-    NodeLoss, NodePartition, RetryPolicy, SpeculationPolicy, TaskFault, TaskKind,
+    NodePartition, RetryPolicy, SpeculationPolicy, TaskFault, TaskKind,
 };
 pub use job::{run_job, run_job_from, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};

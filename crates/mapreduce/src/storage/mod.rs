@@ -220,8 +220,7 @@ impl SpillSession {
     /// `attempt` (`mrtmp.<job>-m<map>-a<attempt>-<uniq>.seg`, following
     /// the exemplar's `mrtmp.<job>-<map>-<reduce>` naming), with the
     /// session's directory made if it does not exist. The session counter
-    /// keeps paths unique even when a task re-executes with a repeated
-    /// attempt number (node-loss and corrupt-escalation waves).
+    /// keeps paths unique whatever the attempt number.
     pub fn segment_path(&self, map: usize, attempt: u32) -> Result<PathBuf, StorageError> {
         self.make_dir()?;
         let uniq = self.seq.fetch_add(1, Ordering::Relaxed);

@@ -58,20 +58,6 @@ pub(crate) fn from_ticks(t: Ticks) -> Duration {
     Duration::from_micros(t)
 }
 
-/// One node loss as resolved by the driver on the map wave's timeline:
-/// when the node died and when the heartbeat detector declared it dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeLossEvent {
-    /// The node that died.
-    pub node: usize,
-    /// Model tick (within the map phase) the node went down.
-    pub at_tick: Ticks,
-    /// Model tick the heartbeat timeout expired and recovery began.
-    pub detect_tick: Ticks,
-    /// Slot ticks of the in-flight map attempts that died with the node.
-    pub wasted: Ticks,
-}
-
 /// How one failed attempt failed (the deterministic projection of
 /// [`FailureCause`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,7 +178,8 @@ pub struct Timeline {
     pub map: Wave,
     /// Producers of lost shuffle partitions, re-executed.
     pub recovery: Wave,
-    /// Heartbeat timeouts waited out before node-loss recovery starts.
+    /// The heartbeat timeout waited out, once, before node-loss recovery
+    /// starts (zero when no node is lost).
     pub heartbeat: Ticks,
     /// Map outputs that died with their node, re-executed on the
     /// surviving map slots.
@@ -281,14 +268,11 @@ pub struct JobRecord<'a> {
     /// Records skipped by the skip-bad-records policy, as
     /// `(map_task, record)` pairs in increasing order.
     pub skipped: Vec<(usize, usize)>,
-    /// Node losses resolved this job, in event order.
-    pub node_losses: Vec<NodeLossEvent>,
-    /// Map tasks re-executed because their home node died (completed
-    /// outputs invalidated or in-flight attempts killed), likewise.
+    /// Nodes lost at the shuffle barrier this job, in resolution order.
+    pub node_losses: Vec<usize>,
+    /// Map tasks whose output was homed on a lost node, re-executed,
+    /// likewise.
     pub reexecuted: Vec<(usize, TaskModel)>,
-    /// Completed map outputs invalidated by node loss (the subset of
-    /// `reexecuted` whose attempt had already finished).
-    pub maps_reexecuted: u64,
     /// Nodes blacklisted by the end of the job.
     pub nodes_blacklisted: u64,
     /// Map slots still schedulable once the map phase's dead and
@@ -456,7 +440,13 @@ impl JobRecord<'_> {
             let tasks = tasks.map(cost).collect();
             Step::Wave { kind, cap, tasks }
         };
-        let heartbeat = ticks_of(cluster.heartbeat_timeout) * self.node_losses.len() as u64;
+        // Every loss lands at the shuffle barrier, and the tracker-expiry
+        // check sweeps every node together: one timeout detects them all.
+        let heartbeat = if self.node_losses.is_empty() {
+            0
+        } else {
+            ticks_of(cluster.heartbeat_timeout)
+        };
         vec![
             Step::Wait(ticks_of(cluster.job_startup) + ticks_of(self.broadcast_time)),
             wave(map, cluster.map_slots, &mut self.map.iter()),
@@ -479,9 +469,7 @@ impl JobRecord<'_> {
         else {
             unreachable!("the loop logs each of the job's eight steps")
         };
-        // The in-flight attempts a node loss killed are waste too.
-        let mut wasted: Ticks = self.node_losses.iter().map(|l| l.wasted).sum();
-        let mut backoff = 0;
+        let (mut wasted, mut backoff) = (0, 0);
         for task in self.map.iter().chain(&self.reduce).chain(self.reruns()) {
             let price = self.price(task);
             wasted += self.wasted_ticks(task, &price);
@@ -558,7 +546,7 @@ impl JobRecord<'_> {
         let reduce_tried: u64 = self.reduce.iter().map(tried).sum();
         let map_attempts = map_tried + backups(&self.map) as u64;
         let reduce_attempts = reduce_tried + backups(&self.reduce) as u64;
-        let map_firsts = self.map.len() as u64 + self.maps_reexecuted;
+        let map_firsts = (self.map.len() + self.reexecuted.len()) as u64;
         let reduce_firsts = self.reduce.len() as u64;
         reg.add("map.attempts", map_attempts);
         reg.add("map.retries", map_tried.saturating_sub(map_firsts));
@@ -576,7 +564,7 @@ impl JobRecord<'_> {
         }
         reg.add("map.records_skipped", self.skipped.len() as u64);
         reg.add("node.lost", self.node_losses.len() as u64);
-        reg.add("map.reexecuted", self.maps_reexecuted);
+        reg.add("map.reexecuted", self.reexecuted.len() as u64);
         reg.add("node.blacklisted", self.nodes_blacklisted);
         reg.add("shuffle.bytes", self.per_reducer_bytes.iter().sum());
         reg.add("broadcast.bytes", self.cache_bytes);
@@ -631,12 +619,13 @@ impl JobRecord<'_> {
             let args = [("task", task as u64), ("record", record as u64)];
             fault_instant(&mut job, "skip-record", DRIVER_LANE, at, &args);
         }
-        // Each loss fires a `node-loss` instant when detected; the
-        // invalidated map tasks re-run after the heartbeat timeouts expire,
-        // which the driver lane draws as one wait.
-        for loss in &self.node_losses {
-            let at = timeline.map.start.saturating_add(loss.detect_tick);
-            let args = [("node", loss.node as u64), ("at_tick", loss.at_tick)];
+        // Each loss lands at the shuffle barrier, `at_tick` into the map
+        // wave. The driver lane draws the heartbeat wait that detects them,
+        // and a `node-loss` instant per loss where it ends: the invalidated
+        // map tasks re-run from there.
+        let (at, at_tick) = (timeline.reexec.start, timeline.map.span());
+        for &node in &self.node_losses {
+            let args = [("node", node as u64), ("at_tick", at_tick)];
             fault_instant(&mut job, "node-loss", DRIVER_LANE, at, &args);
         }
         if timeline.heartbeat > 0 {
@@ -951,7 +940,6 @@ mod tests {
             skipped: Vec::new(),
             node_losses: Vec::new(),
             reexecuted: Vec::new(),
-            maps_reexecuted: 0,
             nodes_blacklisted: 0,
             surviving_map_slots: cluster.map_slots,
             surviving_reduce_slots: cluster.reduce_slots,
@@ -1163,26 +1151,21 @@ mod tests {
         };
         (rec.recovery, rec.reexecuted) = (vec![rerun(1)], vec![rerun(0)]);
         rec.rotten = vec![rerun(0), rerun(1)];
-        rec.node_losses = vec![NodeLossEvent {
-            node: 2,
-            at_tick: 5,
-            detect_tick: 2_005,
-            wasted: 3,
-        }];
+        rec.node_losses = vec![2, 3];
         rec.surviving_map_slots = 1;
         let t = rec.timeline();
         assert_eq!(
             t.total(),
             t.startup + t.broadcast + t.map_phase() + t.shuffle_phase() + t.reduce.span()
         );
-        assert_eq!(t.heartbeat, 2_000, "one heartbeat timeout per loss");
+        assert_eq!(t.heartbeat, 2_000, "one heartbeat timeout for both losses");
         assert_eq!(t.reexecution(), t.heartbeat + t.reexec.span());
         assert_eq!(t.shuffle_phase(), t.corrupt.span() + t.shuffle);
         // Two rotten producers on the one surviving slot run back to back.
         let clean: Vec<Ticks> = rec.map.iter().map(|m| rec.price(m).clean).collect();
         assert_eq!(t.corrupt.span(), clean[0] + clean[1] + 2 * rec.overhead());
-        // The killed in-flight attempt joins the failed attempt's waste.
-        assert_eq!(t.wasted, clean[0] + 3);
+        // Only the failed attempt is waste.
+        assert_eq!(t.wasted, clean[0]);
         assert_eq!(t.backoff, ticks_of(retry.backoff_after(0)));
     }
 
@@ -1191,13 +1174,7 @@ mod tests {
         let cluster = ClusterConfig::test();
         let retry = RetryPolicy::new();
         let mut rec = test_record(&cluster, &retry, &[384]);
-        let loss = |node| NodeLossEvent {
-            node,
-            at_tick: 5,
-            detect_tick: 2_005,
-            wasted: 0,
-        };
-        rec.node_losses = vec![loss(1), loss(2)];
+        rec.node_losses = vec![1, 2];
         rec.reexecuted = vec![(0, rec.map[0].clone())];
         let t = rec.timeline();
         let collector = Collector::new();
@@ -1217,6 +1194,21 @@ mod tests {
         assert_eq!(heartbeat.dur, t.heartbeat);
         let losses = heartbeat.args.iter().find(|(k, _)| k == "losses");
         assert_eq!(losses.map(|(_, v)| v), Some(&ArgValue::U64(2)));
+        // Each loss is detected where the wait ends, in resolution order.
+        let instants: Vec<_> = doc
+            .events
+            .iter()
+            .filter(|e| e.name == "node-loss")
+            .collect();
+        assert_eq!(instants.len(), 2);
+        for (instant, node) in instants.into_iter().zip([1, 2]) {
+            assert_eq!(instant.ts, heartbeat.ts + heartbeat.dur);
+            let args = [
+                ("node".to_owned(), ArgValue::U64(node)),
+                ("at_tick".to_owned(), ArgValue::U64(t.map.span())),
+            ];
+            assert_eq!(instant.args, args);
+        }
     }
 
     #[test]

@@ -104,9 +104,10 @@ fn fault_sweep(name: &str, data: &Dataset) {
     println!();
 }
 
-/// Whole machines fail too: place tasks on nodes, kill some of them
-/// mid-run, and show the node-level recovery bill — nodes lost, completed
-/// map outputs re-executed, and nodes the blacklist took out of scheduling.
+/// Whole machines fail too: place tasks on nodes, kill some of them at
+/// each job's shuffle barrier, and show the node-level recovery bill —
+/// nodes lost, map outputs re-executed after the one heartbeat wait, and
+/// nodes the blacklist took out of scheduling.
 fn node_chaos_sweep(name: &str, data: &Dataset) {
     println!("--- {name}, node failures (placement + loss + blacklist) ---");
     let clean = mr_gpmrs(data, &SkylineConfig::default()).expect("fault-free run");

@@ -331,9 +331,7 @@ fn node_loss_reexecutes_maps_and_preserves_the_skyline() {
     let cluster = ClusterConfig::test_placed(seed);
     let alive: Vec<usize> = (0..cluster.nodes).collect();
     let victim = Placement::new(seed).task_home("gpsrs", TaskKind::Map, 0, &alive);
-    let plan = FaultPlan::none()
-        .with_node_loss(victim, u64::MAX / 2)
-        .for_job("gpsrs");
+    let plan = FaultPlan::none().with_node_loss(victim).for_job("gpsrs");
 
     let collector = Collector::new();
     let mut config = SkylineConfig::test()
@@ -393,9 +391,7 @@ fn crash_between_jobs_then_resume_matches_the_fresh_run() {
         .with_checkpoint_file(&path)
         .with_resume(true)
         .with_fault_tolerance(FaultTolerance::with_plan(
-            FaultPlan::none()
-                .with_node_loss(victim, u64::MAX / 2)
-                .for_job("gpsrs"),
+            FaultPlan::none().with_node_loss(victim).for_job("gpsrs"),
         ));
     config.cluster = ClusterConfig::test_placed(seed);
     let resumed = mr_gpsrs(&data, &config).expect("resume + node loss is recoverable");
@@ -964,7 +960,7 @@ proptest! {
             let expected = (0..job.map_tasks)
                 .filter(|&i| {
                     let home = placement.task_home(&job.name, TaskKind::Map, i, &alive);
-                    losses.iter().any(|l| l.node == home)
+                    losses.contains(&home)
                 })
                 .count() as u64;
             prop_assert_eq!(job.nodes_lost, losses.len() as u64, "job {}", job.name);

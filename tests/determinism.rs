@@ -230,7 +230,7 @@ fn matrix() -> Vec<Mode> {
             // Node 1 dies at the shuffle barrier of every job.
             ..mode(
                 "node loss",
-                FaultTolerance::with_plan(FaultPlan::none().with_node_loss(1, u64::MAX / 2)),
+                FaultTolerance::with_plan(FaultPlan::none().with_node_loss(1)),
             )
         },
         mode(
