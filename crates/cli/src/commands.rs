@@ -134,6 +134,10 @@ fn skyline_config(args: &Args) -> Result<SkylineConfig, String> {
         Some("dnc") => skymr::LocalAlgo::Dnc,
         Some(other) => return Err(format!("unknown local kernel {other:?} (bnl|sfs|dnc)")),
     };
+    if args.get("chaos-nodes").is_some() && args.get("chaos-corrupt").is_some() {
+        let both = "--chaos-nodes and --chaos-corrupt cannot be combined";
+        return Err(format!("{both}: a fault plan holds one seeded layer"));
+    }
     // Node-hostile chaos: a seeded placement plus a node-loss/partition
     // fault plan, with Hadoop-style blacklisting. The skyline must come out
     // byte-identical regardless (pair with --verify to check).
@@ -148,35 +152,24 @@ fn skyline_config(args: &Args) -> Result<SkylineConfig, String> {
     // Data-plane chaos: seeded shuffle-frame corruption and hung attempts.
     // The frame CRC plus the progress timeout must recover to a
     // byte-identical skyline (pair with --verify to check).
-    let data_plan = match args.get("chaos-corrupt") {
-        Some(seed) => {
-            let seed: u64 = seed
-                .parse()
-                .map_err(|e| format!("bad --chaos-corrupt seed: {e}"))?;
-            Some(FaultPlan::chaos_data(seed))
-        }
-        None => None,
-    };
-    // A scripted poison record `MAP:RECORD`: that map task panics
-    // deterministically on that record every attempt; pair with
-    // --skip-bad-records to complete (degraded) instead of aborting.
-    let data_plan = match args.get("poison") {
-        Some(spec) => {
-            let (m, n) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("bad --poison {spec:?}, expected MAP:RECORD"))?;
-            let m: usize = m.parse().map_err(|e| format!("bad --poison map: {e}"))?;
-            let n: usize = n.parse().map_err(|e| format!("bad --poison record: {e}"))?;
-            Some(
-                data_plan
-                    .unwrap_or_else(FaultPlan::none)
-                    .with_poison_record(m, n),
-            )
-        }
-        None => data_plan,
-    };
-    if let Some(plan) = data_plan {
-        config.fault_tolerance = FaultTolerance::with_plan(plan);
+    if let Some(seed) = args.get("chaos-corrupt") {
+        let seed: u64 = seed
+            .parse()
+            .map_err(|e| format!("bad --chaos-corrupt seed: {e}"))?;
+        config.fault_tolerance.plan = FaultPlan::chaos_data(seed);
+    }
+    // A scripted poison record `MAP:RECORD`, layered onto whichever plan
+    // is set: that map task panics deterministically on that record every
+    // attempt; pair with --skip-bad-records to complete (degraded) instead
+    // of aborting.
+    if let Some(spec) = args.get("poison") {
+        let (m, n) = spec
+            .split_once(':')
+            .ok_or_else(|| format!("bad --poison {spec:?}, expected MAP:RECORD"))?;
+        let m: usize = m.parse().map_err(|e| format!("bad --poison map: {e}"))?;
+        let n: usize = n.parse().map_err(|e| format!("bad --poison record: {e}"))?;
+        let plan = &mut config.fault_tolerance.plan;
+        *plan = std::mem::take(plan).with_poison_record(m, n);
     }
     config.cluster.skip_bad_records = args.has_flag("skip-bad-records");
     apply_storage(args, &mut config.cluster)?;

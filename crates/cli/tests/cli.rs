@@ -66,6 +66,30 @@ fn cli(args: &[&str]) -> Output {
     out.expect("the CLI binary runs")
 }
 
+/// `--poison` layers onto the node-chaos plan, blacklist and all, instead
+/// of replacing it; `--chaos-nodes` with `--chaos-corrupt` is refused with
+/// an error naming both, since a fault plan holds one seeded layer.
+#[test]
+fn node_chaos_keeps_its_plan_beside_the_data_fault_flags() {
+    let run = words(
+        "run --algo gpmrs --dist anticorrelated --dim 4 --card 2000 --seed 7 \
+         --mappers 4 --reducers 5 --chaos-nodes 1",
+    );
+    let both = cli(&with(&run, &["--poison", "1:5", "--skip-bad-records"]));
+    let stdout = String::from_utf8_lossy(&both.stdout);
+    assert_eq!(both.status.code(), Some(0), "{both:?}");
+    assert!(stdout.contains("node faults: 3 lost"), "{stdout}");
+    assert!(stdout.contains("1 bad records skipped"), "{stdout}");
+
+    let refused = cli(&with(&run, &["--chaos-corrupt", "2"]));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    for flag in ["--chaos-nodes", "--chaos-corrupt"] {
+        assert!(stderr.contains(flag), "{stderr}");
+    }
+}
+
 /// A checkpoint write that fails (here: a zero file-size limit) leaves the
 /// previous checkpoint byte for byte, and a later resume completes it to
 /// the fresh run's output.

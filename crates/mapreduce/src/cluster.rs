@@ -211,13 +211,15 @@ impl ClusterConfig {
         Duration::from_secs_f64(secs)
     }
 
-    /// Share of a fetch's bytes that crosses the network
-    /// ([`Self::shuffle_time`]).
-    pub(crate) fn fetched_fraction(&self) -> f64 {
-        match self.placement {
+    /// Time for one downlink to carry a fetch of `bytes`
+    /// ([`Self::shuffle_time`]): with a placement all of them cross the
+    /// network, without one the remote fraction does.
+    pub(crate) fn fetch_time(&self, bytes: u64) -> Duration {
+        let fetched = match self.placement {
             Some(_) => 1.0,
             None => self.remote_fraction(),
-        }
+        };
+        Duration::from_secs_f64(bytes as f64 * fetched / self.network_bytes_per_sec)
     }
 
     /// Time for reducers to pull their shuffle inputs. `fetches` holds,
@@ -233,10 +235,7 @@ impl ClusterConfig {
         for &(node, bytes) in fetches {
             per_node[node % nodes] += bytes;
         }
-        let bottleneck = per_node.into_iter().max().unwrap_or(0);
-        Duration::from_secs_f64(
-            bottleneck as f64 * self.fetched_fraction() / self.network_bytes_per_sec,
-        )
+        self.fetch_time(per_node.into_iter().max().unwrap_or(0))
     }
 }
 

@@ -16,6 +16,7 @@ use crate::fault::{
 };
 use crate::partitioner::Partitioner;
 use crate::pool::run_indexed;
+use crate::sched::Wave;
 use crate::splits::SplitSource;
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
@@ -26,7 +27,7 @@ use crate::task::{
     Emitter, JobKey, JobValue, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask,
     TaskContext,
 };
-use crate::trace::{from_ticks, CorruptEvent, FailKind, JobRecord, TaskModel, Timeline};
+use crate::trace::{from_ticks, ticks_of, CorruptEvent, FailKind, JobRecord, Phase, TaskModel};
 use skymr_telemetry::{Collector, MetricsRegistry};
 
 /// Per-job configuration.
@@ -360,9 +361,16 @@ fn winners<T>(execs: &mut [Exec<T>]) -> Vec<T> {
     execs.iter_mut().map(win).collect()
 }
 
-/// Attempts a wave ran of a task, its backup included.
-fn attempts_ran(task: &TaskModel) -> u32 {
-    task.failures.len() as u32 + 1 + u32::from(task.backup.is_some())
+/// Attempts map task `i` ran so far, in the map wave and in every
+/// re-execution, backups included: a re-execution numbers on from there.
+fn attempts_ran(record: &JobRecord<'_>, i: usize) -> u32 {
+    let reruns = record
+        .reruns
+        .iter()
+        .filter(|(_, j, _)| *j == i)
+        .map(|(.., task)| task);
+    let ran = |task: &TaskModel| task.failures.len() as u32 + 1 + u32::from(task.backup.is_some());
+    std::iter::once(&record.map[i]).chain(reruns).map(ran).sum()
 }
 
 fn fail_kinds<T>(exec: &TaskExecution<T>) -> Vec<FailKind> {
@@ -575,13 +583,11 @@ where
             fetches: Vec::new(),
             map: Vec::new(),
             reduce: Vec::new(),
-            recovery: Vec::new(),
+            reruns: Vec::new(),
             lost: Vec::new(),
             corrupt: Vec::new(),
-            rotten: Vec::new(),
             skipped: Vec::new(),
             node_losses: Vec::new(),
-            reexecuted: Vec::new(),
             nodes_blacklisted: 0,
             surviving_map_slots: self.cluster.map_slots,
             surviving_reduce_slots: self.cluster.reduce_slots,
@@ -858,33 +864,29 @@ where
     /// sets honoured — and replaces their materialized outputs wholesale
     /// (byte-identical because UDFs are pure). Serves the lost-partition,
     /// node-loss, and at-rest-corruption waves: each re-execution's own
-    /// model goes into the record's `wave`, where the timeline prices,
-    /// counts and draws it like a phase task. The lowest-indexed task that
-    /// exhausts its budget aborts the job.
+    /// model goes into the record's reruns under `phase`, where the
+    /// timeline prices, counts and draws it like a phase task. The
+    /// lowest-indexed task that exhausts its budget aborts the job.
     fn rerun_maps(
         &self,
         tasks: &BTreeSet<usize>,
         run: &mut Run<'a, K>,
-        wave: for<'r> fn(&'r mut JobRecord<'a>) -> &'r mut Vec<(usize, TaskModel)>,
+        phase: Phase,
     ) -> Result<(), JobError> {
         let tasks: Vec<usize> = tasks.iter().copied().collect();
         let (record, skips) = (&run.record, &run.skips);
-        // Every attempt of an earlier wave ran, a backup included: the
-        // re-execution numbers on from the last of them.
-        let earlier = [&record.recovery, &record.reexecuted, &record.rotten];
         let reruns = run_indexed(tasks.len(), self.cluster.host_threads, |c| {
             let i = tasks[c];
-            let waves = earlier.iter().flat_map(|wave| wave.iter());
-            let reran = waves.filter(|(j, _)| *j == i).map(|(_, t)| attempts_ran(t));
-            let first = attempts_ran(&record.map[i]) + reran.sum::<u32>();
+            let first = attempts_ran(record, i);
             let progress = AtomicUsize::new(usize::MAX);
             let replay = |a, inject| self.map_attempt(i, a, inject, &skips[i], &progress);
             let (retry, timeout) = (&self.config.retry, self.cluster.progress_timeout);
             let fault = TaskFault::none();
             (run_attempts(first, &fault, retry, timeout, replay), fault)
         });
-        let model = |(&i, exec)| (i, self.map_model(i, exec));
-        *wave(&mut run.record) = tasks.iter().zip(&reruns).map(model).collect();
+        let model = |(&i, exec)| (phase, i, self.map_model(i, exec));
+        let models = tasks.iter().zip(&reruns).map(model);
+        run.record.reruns.extend(models);
         for (&i, (mut exec, _)) in tasks.iter().zip(reruns) {
             match exec.value.take() {
                 Some(output) => run.outputs[i] = output,
@@ -901,7 +903,7 @@ where
         let (m, r) = (self.source.num_splits(), config.num_reducers);
         run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
         let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
-        self.rerun_maps(&affected, run, |record| &mut record.recovery)?;
+        self.rerun_maps(&affected, run, Phase::Recovery)?;
 
         self.resolve_node_losses(run)?;
         // Dead and blacklisted nodes took their slots with them: whatever
@@ -927,7 +929,7 @@ where
         for &i in &affected {
             run.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
         }
-        self.rerun_maps(&affected, run, |record| &mut record.reexecuted)
+        self.rerun_maps(&affected, run, Phase::Reexec)
     }
 
     // ---- Fetch -----------------------------------------------------------
@@ -960,7 +962,7 @@ where
             .collect();
         let at_rest = corrupt_plan.values().filter(|c| c.fetches >= 2);
         let rotten: BTreeSet<usize> = at_rest.map(|c| c.map).collect();
-        self.rerun_maps(&rotten, run, |record| &mut record.rotten)?;
+        self.rerun_maps(&rotten, run, Phase::Rotten)?;
 
         // Bytes each reducer's fetch carries to its home.
         let mut fetched = vec![0u64; r];
@@ -1187,16 +1189,21 @@ where
 
     /// The one place a [`JobMetrics`] is built, for the success exit and
     /// both abort exits alike: lays the record out on its timeline and
-    /// reads every simulated time off it, derives the registry from the
-    /// record, and reads the countable fields off the registry (they are a
-    /// facade over its counters), so an abort reports every fact the
-    /// stages before it established. The timeline is returned for the
-    /// trace to be drawn from.
-    fn close(&self, run: &mut Run<'a, K>) -> (MetricsRegistry, JobMetrics, Timeline) {
+    /// reads every simulated time off its log, derives the registry from
+    /// the record, and reads the countable fields off the registry (they
+    /// are a facade over its counters), so an abort reports every fact the
+    /// stages before it established. The log is returned for the trace to
+    /// be drawn from.
+    fn close(&self, run: &mut Run<'a, K>) -> (MetricsRegistry, JobMetrics, Vec<Wave>) {
         let record = &mut run.record;
         record.user_counters = self.counters.snapshot().into_iter().collect();
-        let timeline = JobRecord::timeline(record);
+        let log = JobRecord::timeline(record);
         let registry = JobRecord::build_registry(record);
+        let at = |phase: Phase| &log[phase as usize];
+        // The map phase ends with the node-loss wave, where the shuffle
+        // phase starts: the at-rest-corruption wave is the shuffle's.
+        let (map, reexec, reduce) = (at(Phase::Map), at(Phase::Reexec), at(Phase::Reduce));
+        let startup = ticks_of(self.cluster.job_startup);
         let durations = |tasks: &[TaskModel]| -> Vec<Duration> {
             let held = |t| from_ticks(record.slot_ticks(t));
             tasks.iter().map(held).collect()
@@ -1205,15 +1212,15 @@ where
             name: self.config.name.clone(),
             map_tasks: self.source.num_splits(),
             reduce_tasks: self.config.num_reducers,
-            map_phase: from_ticks(timeline.map_phase()),
-            reduce_phase: from_ticks(timeline.reduce.span()),
+            map_phase: from_ticks(reexec.end - map.start),
+            reduce_phase: from_ticks(reduce.span()),
             shuffle_bytes: registry.counter("shuffle.bytes"),
             per_reducer_bytes: record.per_reducer_bytes.clone(),
-            shuffle_time: from_ticks(timeline.shuffle_phase()),
+            shuffle_time: from_ticks(reduce.start - reexec.end),
             cache_bytes: record.cache_bytes,
-            broadcast_time: from_ticks(timeline.broadcast),
-            startup_time: from_ticks(timeline.startup),
-            sim_runtime: from_ticks(timeline.total()),
+            broadcast_time: from_ticks(at(Phase::Setup).span() - startup),
+            startup_time: from_ticks(startup),
+            sim_runtime: from_ticks(reduce.end),
             host_wall: self.started.elapsed(),
             map_output_records: registry.counter("map.records_out"),
             reduce_input_keys: registry.counter("reduce.input_keys"),
@@ -1221,12 +1228,12 @@ where
             map_retries: registry.counter("map.retries"),
             reduce_retries: registry.counter("reduce.retries"),
             attempts: registry.counter("task.attempts"),
-            wasted_task_time: from_ticks(timeline.wasted),
+            wasted_task_time: from_ticks(record.wasted()),
             speculative_wins: registry.counter("task.speculative_wins"),
-            backoff_time: from_ticks(timeline.backoff),
+            backoff_time: from_ticks(record.backoff()),
             nodes_lost: registry.counter("node.lost"),
             maps_reexecuted: registry.counter("map.reexecuted"),
-            reexecution_time: from_ticks(timeline.reexecution()),
+            reexecution_time: from_ticks(reexec.end - at(Phase::Recovery).end),
             nodes_blacklisted: registry.counter("node.blacklisted"),
             corrupt_fetches: registry.counter("shuffle.corrupt_fetches"),
             records_skipped: registry.counter("map.records_skipped"),
@@ -1242,7 +1249,7 @@ where
             preemptions: 0,
             steps: record.steps(),
         };
-        (registry, metrics, timeline)
+        (registry, metrics, log)
     }
 
     /// The abort exit: task `index` of phase `task` exhausted its budget.
@@ -1268,9 +1275,9 @@ where
     /// The success exit: the registry is built either way; the span
     /// timeline is emitted only if a collector is attached.
     fn commit(&self, mut run: Run<'a, K>, outputs: Vec<Vec<Out>>) -> JobOutcome<Out> {
-        let (registry, metrics, timeline) = self.close(&mut run);
+        let (registry, metrics, log) = self.close(&mut run);
         if let Some(collector) = &self.config.collector {
-            JobRecord::emit(&run.record, &timeline, collector, registry.clone());
+            JobRecord::emit(&run.record, &log, collector, registry.clone());
         }
         JobOutcome {
             outputs,
@@ -1288,7 +1295,6 @@ mod tests {
     use crate::partitioner::{HashPartitioner, ModuloPartitioner};
     use crate::storage::segment::tests::rot;
     use crate::task::{map_fn, reduce_fn};
-    use crate::trace::ticks_of;
 
     /// Word-count: the canonical MapReduce smoke test.
     struct WcMap;
@@ -2106,6 +2112,46 @@ mod tests {
         assert_eq!(sorted_counts(faulty), sorted_counts(clean));
     }
 
+    /// A loss that homed no map output re-executes nothing, so nothing
+    /// waits on the heartbeat — the reducers are homed over the survivors —
+    /// yet the loss is counted and drawn where the map wave ends.
+    #[test]
+    fn a_loss_that_homes_no_map_output_waits_out_no_heartbeat() {
+        use skymr_telemetry::EventKind;
+        let cluster = ClusterConfig::test_placed(0xBEEF);
+        let placement = Placement::new(0xBEEF);
+        let alive: Vec<usize> = (0..cluster.nodes).collect();
+        let home = |i| placement.task_home("wc", TaskKind::Map, i, &alive);
+        let homes: BTreeSet<usize> = (0..splits().len()).map(home).collect();
+        let idle = alive.into_iter().find(|n| !homes.contains(n));
+        let idle = idle.expect("some node homes no map output");
+        let collector = Collector::new();
+        let config = JobConfig::new("wc", 2)
+            .with_faults(FaultPlan::none().with_node_loss(idle))
+            .with_collector(Some(collector.clone()));
+        let out = word_count_on(&cluster, &config).expect("job must survive a node loss");
+        assert_eq!(out.metrics.nodes_lost, 1);
+        assert_eq!(out.metrics.maps_reexecuted, 0);
+        assert_eq!(out.metrics.reexecution_time, Duration::ZERO);
+        let doc = collector.finish();
+        assert!(doc.events.iter().all(|e| e.name != "heartbeat"));
+        let complete = |e: &&skymr_telemetry::TraceEvent| e.kind == EventKind::Complete;
+        let maps = doc
+            .events
+            .iter()
+            .filter(complete)
+            .filter(|e| e.cat == "map");
+        let map_end = maps.map(|e| e.ts + e.dur).max();
+        let losses: Vec<_> = doc
+            .events
+            .iter()
+            .filter(|e| e.name == "node-loss")
+            .collect();
+        assert_eq!(losses.len(), 1, "the loss is drawn");
+        assert_eq!(Some(losses[0].ts), map_end);
+        assert_eq!(sorted_counts(out), expected_counts());
+    }
+
     #[test]
     fn node_events_are_inert_without_a_placement() {
         let plan = FaultPlan::none()
@@ -2869,6 +2915,34 @@ mod tests {
         instants("node-loss").count() + instants("hang-kill").count()
     }
 
+    /// Checks that the driver-lane and slot-lane spans of `doc`'s one job
+    /// cover `[0, total]` with no gap: every phase is drawn, a wait on the
+    /// driver lane and a wave on the slots.
+    fn assert_spans_cover(
+        doc: &skymr_telemetry::TraceDocument,
+        total: u64,
+        cluster: &ClusterConfig,
+        case: &str,
+    ) {
+        use skymr_telemetry::EventKind;
+        let lanes = 1 + cluster.map_slots + cluster.reduce_slots;
+        let mut spans: Vec<(u64, u64)> = doc
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Complete && e.tid < lanes as u64)
+            .map(|e| (e.ts, e.ts + e.dur))
+            .collect();
+        spans.sort_unstable();
+        let covered = spans.into_iter().fold(0, |reached, (start, end)| {
+            assert!(
+                start <= reached,
+                "{case}: nothing drawn in [{reached}, {start})"
+            );
+            reached.max(end)
+        });
+        assert_eq!(covered, total, "{case}: the spans cover the job");
+    }
+
     /// The trace and the metrics are read off one timeline, so the drawn
     /// job is exactly as long as the reported one, draws every attempt it
     /// counts, draws each task as exactly its priced terms and each fault
@@ -2927,7 +3001,9 @@ mod tests {
             ),
         ];
         let mut runtimes = BTreeMap::new();
-        for (case, cluster, config) in cases {
+        for (case, mut cluster, config) in cases {
+            // A network slow enough that every shuffle lasts ticks.
+            cluster.network_bytes_per_sec = 1e6;
             let collector = Collector::new();
             let config = config.with_collector(Some(collector.clone()));
             let out = word_count_on(&cluster, &config).expect("the job must survive");
@@ -2954,6 +3030,7 @@ mod tests {
                 let drawn: u64 = backoff.map(|e| e.dur).sum();
                 assert_eq!(drawn, ticks_of(m.backoff_time), "{case}: backoff drawn");
             }
+            assert_spans_cover(&doc, ticks_of(m.sim_runtime), &cluster, case);
             let trace = skymr_telemetry::export::chrome_trace(&doc);
             assert_eq!(
                 trace.contains("(re-exec)"),

@@ -12,12 +12,14 @@
 //! [`skymr_telemetry::model`] cost table and the cluster's hardware rates.
 //! Everything else folds over that list: the waves `JobRecord::steps`
 //! hands the executor's loop ([`crate::sched`]) — the map and reduce
-//! phases and the three map re-execution waves alike — the wasted and
-//! backoff time, the speculative backups (planned and won on model ticks),
-//! the registry's attempt and retry counts, and the spans
-//! [`JobRecord::emit`] draws with one cursor. [`JobRecord::timeline`] runs
-//! the steps with this job alone; `Job::close` reads every simulated time
-//! of [`crate::cluster::JobMetrics`] off it, and a multi-tenant
+//! phases and the map re-executions alike — the wasted and backoff time,
+//! the speculative backups (planned and won on model ticks), the
+//! registry's attempt and retry counts, and the spans [`JobRecord::emit`]
+//! draws with one cursor. A job is its phases: one ordered list of waits
+//! and waves, each step one phase. [`JobRecord::timeline`] runs the steps
+//! with this job alone; `Job::close` reads every simulated time of
+//! [`crate::cluster::JobMetrics`] off its log, `emit` draws the log one
+//! phase at a time, and a multi-tenant
 //! [`ClusterExecutor`](crate::sched::ClusterExecutor) replays the same
 //! steps. No host clock is involved, so the metrics and the exports are
 //! byte-identical across runs, host thread counts and schedule shakes.
@@ -74,22 +76,20 @@ pub enum FailKind {
     /// The cost is the timeout itself, never scaled by a straggler factor —
     /// a wedged attempt does no work to slow down.
     Hang(Ticks),
-    /// Stopped by the scheduler (deadline or preemption budget). Costs
-    /// nothing here: the multi-tenant executor charges the elapsed slot
-    /// time to the job's `wasted_task_time` at the moment of the kill, so
-    /// the model would double-count it.
-    Cancelled,
 }
 
 impl FailKind {
     /// Projects an execution failure cause onto the model vocabulary.
-    pub fn from_cause(cause: &FailureCause) -> Self {
+    pub(crate) fn from_cause(cause: &FailureCause) -> Self {
         match cause {
             FailureCause::LostOutput => FailKind::LostOutput,
             FailureCause::Panic { .. } => FailKind::Panic,
             FailureCause::Storage { .. } => FailKind::Storage,
             FailureCause::Hang { timeout } => FailKind::Hang(ticks_of(*timeout)),
-            FailureCause::Cancelled { .. } => FailKind::Cancelled,
+            FailureCause::Cancelled { .. } => unreachable!(
+                "run_attempts never fails an attempt as cancelled: only the executor's \
+                 cancel_job builds a cancellation, and it goes into a JobError"
+            ),
         }
     }
 
@@ -99,7 +99,6 @@ impl FailKind {
             FailKind::Panic => "panic",
             FailKind::Storage => "storage",
             FailKind::Hang(_) => "hang",
-            FailKind::Cancelled => "cancelled",
         }
     }
 }
@@ -165,59 +164,67 @@ pub struct TaskModel {
     pub backup: Option<Backup>,
 }
 
-/// A job laid out on the simulated cluster, start to finish — the single
-/// source of every simulated time the engine reports or draws. Each wave
-/// is the loop's log of that step, in absolute ticks.
-#[derive(Debug, Clone)]
-pub struct Timeline {
-    /// Job startup: `[0, startup)`.
-    pub startup: Ticks,
-    /// Cache broadcast, right after startup.
-    pub broadcast: Ticks,
+/// The steps of a job, in the order they run ([`JobRecord::steps`]): the
+/// waits pass on no slot and are drawn on the driver lane, the waves run
+/// on the slots. [`JobRecord::timeline`] logs one [`Wave`] per phase,
+/// indexed by the phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Job startup, then the cache broadcast (a wait).
+    Setup,
     /// Every map task's attempts, on the map slots.
-    pub map: Wave,
+    Map,
     /// Producers of lost shuffle partitions, re-executed.
-    pub recovery: Wave,
-    /// The heartbeat timeout waited out, once, before node-loss recovery
-    /// starts (zero when no node is lost).
-    pub heartbeat: Ticks,
+    Recovery,
+    /// The heartbeat timeout that detects the lost nodes (a wait), waited
+    /// out once when a map output died with its node.
+    Heartbeat,
     /// Map outputs that died with their node, re-executed on the
     /// surviving map slots.
-    pub reexec: Wave,
+    Reexec,
     /// Producers of partitions found corrupt at rest, re-executed on the
     /// surviving map slots before the shuffle barrier lifts.
-    pub corrupt: Wave,
-    /// Shuffle transfers, stalls and re-fetches, right after `corrupt`.
-    pub shuffle: Ticks,
+    Rotten,
+    /// Shuffle transfers, stalls and re-fetches (a wait).
+    Shuffle,
     /// Every reduce task's attempts, on the surviving reduce slots.
-    pub reduce: Wave,
-    /// Slot ticks that produced no surviving output.
-    pub wasted: Ticks,
-    /// Retry backoff charged across all tasks.
-    pub backoff: Ticks,
+    Reduce,
 }
 
-impl Timeline {
-    /// The job's simulated runtime.
-    pub fn total(&self) -> Ticks {
-        self.reduce.end
+impl Phase {
+    const ALL: [Phase; 8] = [
+        Phase::Setup,
+        Phase::Map,
+        Phase::Recovery,
+        Phase::Heartbeat,
+        Phase::Reexec,
+        Phase::Rotten,
+        Phase::Shuffle,
+        Phase::Reduce,
+    ];
+
+    /// How the phase is drawn: the key its span ids and a wave's occupancy
+    /// counter hang off (a wait's span name), the category, and the label
+    /// after a task's `map[i]`.
+    fn drawn(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Phase::Setup => ("startup", "driver", ""),
+            Phase::Map => ("map", "map", ""),
+            Phase::Recovery => ("recovery", "map", " (recovery)"),
+            Phase::Heartbeat => ("heartbeat", "driver", ""),
+            Phase::Reexec => ("reexec", "reexec", " (re-exec)"),
+            Phase::Rotten => ("rotten", "reexec", " (re-exec)"),
+            Phase::Shuffle => ("shuffle", "driver", ""),
+            Phase::Reduce => ("reduce", "reduce", ""),
+        }
     }
 
-    /// Map phase as `JobMetrics` reports it: the map wave plus both
-    /// map-output recovery waves and the heartbeat wait.
-    pub fn map_phase(&self) -> Ticks {
-        self.reexec.end - self.map.start
-    }
-
-    /// Node-loss detection plus re-execution (folded into the map phase).
-    pub fn reexecution(&self) -> Ticks {
-        self.reexec.end - self.recovery.end
-    }
-
-    /// Shuffle as `JobMetrics` reports it: the at-rest-corruption wave
-    /// plus transfers, stalls and re-fetches.
-    pub fn shuffle_phase(&self) -> Ticks {
-        self.reduce.start - self.reexec.end
+    /// The slot pool a wave runs on.
+    fn kind(self) -> TaskKind {
+        match self {
+            Phase::Reduce => TaskKind::Reduce,
+            _ => TaskKind::Map,
+        }
     }
 }
 
@@ -254,25 +261,20 @@ pub struct JobRecord<'a> {
     pub map: Vec<TaskModel>,
     /// Per-reduce-task facts.
     pub reduce: Vec<TaskModel>,
-    /// Map tasks re-executed in the lost-partition recovery wave, each
-    /// with the facts of its own re-execution.
-    pub recovery: Vec<(usize, TaskModel)>,
+    /// Map tasks re-executed, in phase order: each with its
+    /// [`Phase::Recovery`], [`Phase::Reexec`] or [`Phase::Rotten`] wave,
+    /// its index, and the facts of its own re-execution.
+    pub(crate) reruns: Vec<(Phase, usize, TaskModel)>,
     /// Lost `(map_task, reducer)` shuffle partitions.
     pub lost: Vec<(usize, usize)>,
     /// Shuffle partitions whose frames failed checksum verification, in
     /// `(map, reducer)` order.
     pub corrupt: Vec<CorruptEvent>,
-    /// Map tasks re-executed because a partition of theirs was corrupt at
-    /// rest, likewise.
-    pub rotten: Vec<(usize, TaskModel)>,
     /// Records skipped by the skip-bad-records policy, as
     /// `(map_task, record)` pairs in increasing order.
     pub skipped: Vec<(usize, usize)>,
     /// Nodes lost at the shuffle barrier this job, in resolution order.
     pub node_losses: Vec<usize>,
-    /// Map tasks whose output was homed on a lost node, re-executed,
-    /// likewise.
-    pub reexecuted: Vec<(usize, TaskModel)>,
     /// Nodes blacklisted by the end of the job.
     pub nodes_blacklisted: u64,
     /// Map slots still schedulable once the map phase's dead and
@@ -309,7 +311,6 @@ impl JobRecord<'_> {
                 FailKind::LostOutput => full,
                 FailKind::Panic | FailKind::Storage => model::scaled(half, task.slowdown),
                 FailKind::Hang(timeout) => timeout,
-                FailKind::Cancelled => 0,
             };
             let backoff = ticks_of(self.retry.backoff_after(k as u32));
             term(Term::Launch(overhead));
@@ -422,72 +423,77 @@ impl JobRecord<'_> {
         }
     }
 
-    /// The tasks of every re-execution wave, in wave order.
-    fn reruns(&self) -> impl Iterator<Item = &TaskModel> {
-        let waves = [&self.recovery, &self.reexecuted, &self.rotten];
-        waves.into_iter().flat_map(|wave| models(wave))
+    /// The tasks of wave `phase`, as `(task index, task)` pairs in wave
+    /// order (none for a wait).
+    fn tasks(&self, phase: Phase) -> Vec<(usize, &TaskModel)> {
+        match phase {
+            Phase::Map => self.map.iter().enumerate().collect(),
+            Phase::Reduce => self.reduce.iter().enumerate().collect(),
+            _ => {
+                let rerun = self.reruns.iter().filter(|(p, ..)| *p == phase);
+                rerun.map(|(_, i, task)| (*i, task)).collect()
+            }
+        }
     }
 
-    /// The job's priced steps, in order: startup and broadcast (a wait),
-    /// the map wave, the lost-partition wave, the heartbeat wait, the
-    /// node-loss and at-rest-corruption waves on the surviving map slots,
-    /// the shuffle (a wait) and the reduce wave on the surviving reduce
-    /// slots. A task costs its terms, cut short by a winning backup.
+    /// Every task the job ran: the map and reduce phases' and the
+    /// re-executions'.
+    fn every_task(&self) -> impl Iterator<Item = &TaskModel> {
+        let reruns = self.reruns.iter().map(|(.., task)| task);
+        self.map.iter().chain(&self.reduce).chain(reruns)
+    }
+
+    /// The job's priced steps, one per [`Phase`] in order. A wave's task
+    /// costs its terms, cut short by a winning backup; the re-executions
+    /// after the heartbeat run on the surviving slots.
     pub(crate) fn steps(&self) -> Vec<Step> {
-        let (cluster, map, reduce) = (self.cluster, TaskKind::Map, TaskKind::Reduce);
-        let cost = |t: &TaskModel| self.overhead() + self.slot_ticks(t);
-        let wave = |kind, cap, tasks: &mut dyn Iterator<Item = &TaskModel>| {
-            let tasks = tasks.map(cost).collect();
-            Step::Wave { kind, cap, tasks }
+        let cluster = self.cluster;
+        let step = |phase| {
+            let cap = match phase {
+                Phase::Setup => {
+                    let setup = ticks_of(cluster.job_startup) + ticks_of(self.broadcast_time);
+                    return Step::Wait(setup);
+                }
+                // Every loss lands at the shuffle barrier, and the
+                // tracker-expiry check sweeps every node together: one
+                // timeout detects them all. Only a re-execution waits on it
+                // (the reducers are homed over the surviving nodes).
+                Phase::Heartbeat if self.tasks(Phase::Reexec).is_empty() => return Step::Wait(0),
+                Phase::Heartbeat => return Step::Wait(ticks_of(cluster.heartbeat_timeout)),
+                Phase::Shuffle => return Step::Wait(ticks_of(self.shuffle_time)),
+                Phase::Map | Phase::Recovery => cluster.map_slots,
+                Phase::Reexec | Phase::Rotten => self.surviving_map_slots,
+                Phase::Reduce => self.surviving_reduce_slots,
+            };
+            let cost = |(_, task)| self.overhead() + self.slot_ticks(task);
+            let tasks = self.tasks(phase).into_iter().map(cost).collect();
+            Step::Wave {
+                kind: phase.kind(),
+                cap,
+                tasks,
+            }
         };
-        // Every loss lands at the shuffle barrier, and the tracker-expiry
-        // check sweeps every node together: one timeout detects them all.
-        let heartbeat = if self.node_losses.is_empty() {
-            0
-        } else {
-            ticks_of(cluster.heartbeat_timeout)
-        };
-        vec![
-            Step::Wait(ticks_of(cluster.job_startup) + ticks_of(self.broadcast_time)),
-            wave(map, cluster.map_slots, &mut self.map.iter()),
-            wave(map, cluster.map_slots, &mut models(&self.recovery)),
-            Step::Wait(heartbeat),
-            wave(map, self.surviving_map_slots, &mut models(&self.reexecuted)),
-            wave(map, self.surviving_map_slots, &mut models(&self.rotten)),
-            Step::Wait(ticks_of(self.shuffle_time)),
-            wave(reduce, self.surviving_reduce_slots, &mut self.reduce.iter()),
-        ]
+        Phase::ALL.into_iter().map(step).collect()
     }
 
-    /// Lays the job out on the simulated cluster: its steps
-    /// run through the executor's loop with this job alone. The only place
-    /// wave start and end times are computed.
-    pub fn timeline(&self) -> Timeline {
-        let log = run_alone(self.cluster, self.steps());
-        let Ok([_, map, recovery, heartbeat, reexec, corrupt, shuffle, reduce]) =
-            <[Wave; 8]>::try_from(log)
-        else {
-            unreachable!("the loop logs each of the job's eight steps")
-        };
-        let (mut wasted, mut backoff) = (0, 0);
-        for task in self.map.iter().chain(&self.reduce).chain(self.reruns()) {
-            let price = self.price(task);
-            wasted += self.wasted_ticks(task, &price);
-            backoff += price.backoff;
-        }
-        Timeline {
-            startup: ticks_of(self.cluster.job_startup),
-            broadcast: ticks_of(self.broadcast_time),
-            map,
-            recovery,
-            heartbeat: heartbeat.span(),
-            reexec,
-            corrupt,
-            shuffle: shuffle.span(),
-            reduce,
-            wasted,
-            backoff,
-        }
+    /// Lays the job out on the simulated cluster: its steps run through the
+    /// executor's loop with this job alone. The log holds one wave per
+    /// [`Phase`], indexed by it, in absolute ticks — the only place wave
+    /// start and end times are computed, and the single source of every
+    /// simulated time the engine reports or draws.
+    pub fn timeline(&self) -> Vec<Wave> {
+        run_alone(self.cluster, self.steps())
+    }
+
+    /// Slot ticks that produced no surviving output, across every task.
+    pub(crate) fn wasted(&self) -> Ticks {
+        let wasted = |task| self.wasted_ticks(task, &self.price(task));
+        self.every_task().map(wasted).sum()
+    }
+
+    /// Retry backoff charged across every task.
+    pub(crate) fn backoff(&self) -> Ticks {
+        self.every_task().map(|task| self.price(task).backoff).sum()
     }
 
     /// Builds the job's metrics registry — the structured source of truth
@@ -510,8 +516,8 @@ impl JobRecord<'_> {
         }
         // Failures fold over every map wave; a re-execution adds nothing
         // else, since the phase already counted the output it commits.
-        let tasks = self.map.iter().chain(self.reruns());
-        for kind in tasks.flat_map(|t| &t.failures) {
+        let reruns = || self.reruns.iter().map(|(.., task)| task);
+        for kind in self.map.iter().chain(reruns()).flat_map(|t| &t.failures) {
             reg.add(&format!("map.failures.{}", kind.label()), 1);
         }
         for task in &self.reduce {
@@ -542,11 +548,12 @@ impl JobRecord<'_> {
         // backup, or the re-execution of an output lost with its node.
         let tried = |t: &TaskModel| self.price(t).attempts;
         let backups = |tasks: &[TaskModel]| tasks.iter().filter(|t| t.backup.is_some()).count();
-        let map_tried: u64 = self.map.iter().chain(self.reruns()).map(tried).sum();
+        let map_tried: u64 = self.map.iter().chain(reruns()).map(tried).sum();
         let reduce_tried: u64 = self.reduce.iter().map(tried).sum();
         let map_attempts = map_tried + backups(&self.map) as u64;
         let reduce_attempts = reduce_tried + backups(&self.reduce) as u64;
-        let map_firsts = (self.map.len() + self.reexecuted.len()) as u64;
+        let reexecuted = self.tasks(Phase::Reexec).len() as u64;
+        let map_firsts = self.map.len() as u64 + reexecuted;
         let reduce_firsts = self.reduce.len() as u64;
         reg.add("map.attempts", map_attempts);
         reg.add("map.retries", map_tried.saturating_sub(map_firsts));
@@ -556,7 +563,8 @@ impl JobRecord<'_> {
         reg.add("map.speculative_wins", map_wins);
         reg.add("reduce.speculative_wins", reduce_wins);
         reg.add("task.speculative_wins", map_wins + reduce_wins);
-        reg.add("map.recovery_tasks", self.recovery.len() as u64);
+        let recovered = self.tasks(Phase::Recovery).len() as u64;
+        reg.add("map.recovery_tasks", recovered);
         reg.add("shuffle.lost_partitions", self.lost.len() as u64);
         reg.add("shuffle.corrupt_partitions", self.corrupt.len() as u64);
         for c in &self.corrupt {
@@ -564,7 +572,7 @@ impl JobRecord<'_> {
         }
         reg.add("map.records_skipped", self.skipped.len() as u64);
         reg.add("node.lost", self.node_losses.len() as u64);
-        reg.add("map.reexecuted", self.reexecuted.len() as u64);
+        reg.add("map.reexecuted", reexecuted);
         reg.add("node.blacklisted", self.nodes_blacklisted);
         reg.add("shuffle.bytes", self.per_reducer_bytes.iter().sum());
         reg.add("broadcast.bytes", self.cache_bytes);
@@ -578,9 +586,11 @@ impl JobRecord<'_> {
         reg
     }
 
-    /// Draws the job's [`Timeline`] as spans and commits them, `registry`
-    /// attached, to `collector`, whose model clock advances by the total.
-    pub fn emit(&self, timeline: &Timeline, collector: &Collector, registry: MetricsRegistry) {
+    /// Draws the job's [`timeline`](Self::timeline) log as spans, one
+    /// phase at a time, and commits them, `registry` attached, to
+    /// `collector`, whose model clock advances by the total. A wave draws
+    /// its tasks on their slots; a wait draws one driver-lane span.
+    pub fn emit(&self, log: &[Wave], collector: &Collector, registry: MetricsRegistry) {
         let mut job = JobTrace::new(self.name);
         *job.registry_mut() = registry;
         let cluster = self.cluster;
@@ -599,116 +609,120 @@ impl JobRecord<'_> {
             }
         }
 
-        // Driver lane: startup, then the cache broadcast.
         let driver =
             |tag, cat, at, dur| Span::new(&[self.name, tag], tag, cat, DRIVER_LANE, at, dur);
-        job.span(driver("startup", "driver", 0, timeline.startup).with_arg("job", self.name));
-        if timeline.broadcast > 0 {
-            let span = driver("broadcast", "driver", timeline.startup, timeline.broadcast);
-            let span = span.with_arg("bytes", self.cache_bytes);
-            job.span(span.with_arg("transfers", u64::from(self.broadcast_attempts)));
-        }
-
-        let (tasks, drawn) = (self.map.iter().enumerate(), ("map", "map", ""));
-        self.emit_wave(&mut job, map, drawn, tasks, &timeline.map);
-
-        // Skip-bad-records outcomes: one instant per skipped record, at
-        // the map phase start (the narrowing happened inside the map wave).
-        let at = timeline.map.start;
-        for &(task, record) in &self.skipped {
-            let args = [("task", task as u64), ("record", record as u64)];
-            fault_instant(&mut job, "skip-record", DRIVER_LANE, at, &args);
-        }
-        // Each loss lands at the shuffle barrier, `at_tick` into the map
-        // wave. The driver lane draws the heartbeat wait that detects them,
-        // and a `node-loss` instant per loss where it ends: the invalidated
-        // map tasks re-run from there.
-        let (at, at_tick) = (timeline.reexec.start, timeline.map.span());
-        for &node in &self.node_losses {
-            let args = [("node", node as u64), ("at_tick", at_tick)];
-            fault_instant(&mut job, "node-loss", DRIVER_LANE, at, &args);
-        }
-        if timeline.heartbeat > 0 {
-            let (at, dur) = (timeline.recovery.end, timeline.heartbeat);
-            let span = driver("heartbeat", "driver", at, dur);
-            job.span(span.with_arg("losses", self.node_losses.len() as u64));
-        }
-        // The three re-execution waves, drawn like the map wave.
-        let reruns = [
-            (&self.recovery, &timeline.recovery, RECOVERY),
-            (&self.reexecuted, &timeline.reexec, REEXEC),
-            (&self.rotten, &timeline.corrupt, ROTTEN),
-        ];
-        for (tasks, wave, drawn) in reruns {
-            let tasks = tasks.iter().map(|(i, task)| (*i, task));
-            self.emit_wave(&mut job, map, drawn, tasks, wave);
-        }
-
-        // Corrupted partition fetches: one instant per partition whose
-        // frame failed checksum verification, when the scan found it.
-        let at = timeline.reexec.end;
-        for c in &self.corrupt {
-            let (map, reducer, fetches) = (c.map as u64, c.reducer as u64, u64::from(c.fetches));
-            let args = [("map", map), ("reducer", reducer), ("fetches", fetches)];
-            fault_instant(&mut job, "fault:corrupt", DRIVER_LANE, at, &args);
-        }
-        // Shuffle: reducers pull their partitions over their home node's
-        // downlink, transfers on one node are sequential, and the stalls
-        // (node partitions, corrupt re-fetches) close the phase — the
-        // transfers and stalls the shuffle was priced from.
-        if timeline.shuffle > 0 {
-            // Per-node download cursor and whether the lane is named yet.
-            let start = (timeline.corrupt.end, false);
-            let mut node_state: Vec<(Ticks, bool)> = vec![start; cluster.nodes.max(1)];
-            for (j, &(node, bytes)) in self.fetches.iter().enumerate() {
-                let secs =
-                    bytes as f64 * cluster.fetched_fraction() / cluster.network_bytes_per_sec;
-                let dur = ticks_of(Duration::from_secs_f64(secs));
-                let Some((cursor, named)) = node_state.get_mut(node).filter(|_| dur > 0) else {
-                    continue;
-                };
-                let lane = network_lane(cluster, node);
-                if !*named {
-                    job.name_lane(lane, format!("node {node} downlink"));
-                    *named = true;
+        for (phase, wave) in Phase::ALL.into_iter().zip(log) {
+            let (tag, cat, _) = phase.drawn();
+            let wait = || driver(tag, cat, wave.start, wave.span());
+            match phase {
+                // Startup, then the cache broadcast.
+                Phase::Setup => {
+                    let startup = ticks_of(cluster.job_startup);
+                    job.span(driver(tag, cat, 0, startup).with_arg("job", self.name));
+                    let broadcast = wave.span() - startup;
+                    if broadcast > 0 {
+                        let span = driver("broadcast", cat, startup, broadcast);
+                        let span = span.with_arg("bytes", self.cache_bytes);
+                        job.span(span.with_arg("transfers", u64::from(self.broadcast_attempts)));
+                    }
                 }
-                let path = [self.name, "shuffle", &j.to_string()];
-                let name = format!("shuffle→reduce[{j}]");
-                let span = Span::new(&path, name, "shuffle", lane, *cursor, dur);
-                job.span(span.with_arg("bytes", bytes).with_arg("reducer", j as u64));
-                *cursor += dur;
-            }
-            let stall = ticks_of(self.shuffle_stall);
-            if stall > 0 {
-                let at = timeline.reduce.start.saturating_sub(stall);
-                job.span(driver("shuffle stall", "shuffle", at, stall));
+                // Each loss lands at the shuffle barrier, `at_tick` into the
+                // map wave. The heartbeat wait detects them, and a
+                // `node-loss` instant per loss marks where it ends: the
+                // invalidated map tasks re-run from there.
+                Phase::Heartbeat => {
+                    let at_tick = log[Phase::Map as usize].span();
+                    for &node in &self.node_losses {
+                        let args = [("node", node as u64), ("at_tick", at_tick)];
+                        fault_instant(&mut job, "node-loss", DRIVER_LANE, wave.end, &args);
+                    }
+                    if wave.span() > 0 {
+                        job.span(wait().with_arg("losses", self.node_losses.len() as u64));
+                    }
+                }
+                // Reducers pull their partitions over their home node's
+                // downlink, transfers on one node are sequential, and the
+                // stalls (node partitions, corrupt re-fetches) close the
+                // phase — the transfers and stalls the shuffle was priced
+                // from.
+                Phase::Shuffle if wave.span() > 0 => {
+                    job.span(wait());
+                    self.emit_fetches(&mut job, wave.start);
+                    let stall = ticks_of(self.shuffle_stall);
+                    if stall > 0 {
+                        let at = wave.end.saturating_sub(stall);
+                        job.span(driver("shuffle stall", "shuffle", at, stall));
+                    }
+                }
+                Phase::Shuffle => {}
+                // Skip-bad-records outcomes: one instant per skipped record
+                // at the map phase start (the narrowing happened inside the
+                // map wave).
+                Phase::Map => {
+                    for &(task, record) in &self.skipped {
+                        let args = [("task", task as u64), ("record", record as u64)];
+                        let at = wave.start;
+                        fault_instant(&mut job, "skip-record", DRIVER_LANE, at, &args);
+                    }
+                    self.emit_wave(&mut job, phase, wave);
+                }
+                // Corrupted partition fetches: one instant per partition
+                // whose frame failed checksum verification, where the scan
+                // found it — ahead of the producers it sends back.
+                Phase::Rotten => {
+                    for c in &self.corrupt {
+                        let (map, reducer) = (c.map as u64, c.reducer as u64);
+                        let fetches = u64::from(c.fetches);
+                        let args = [("map", map), ("reducer", reducer), ("fetches", fetches)];
+                        let at = wave.start;
+                        fault_instant(&mut job, "fault:corrupt", DRIVER_LANE, at, &args);
+                    }
+                    self.emit_wave(&mut job, phase, wave);
+                }
+                Phase::Recovery | Phase::Reexec | Phase::Reduce => {
+                    self.emit_wave(&mut job, phase, wave);
+                }
             }
         }
 
-        let (tasks, drawn) = (self.reduce.iter().enumerate(), ("reduce", "reduce", ""));
-        self.emit_wave(&mut job, reduce, drawn, tasks, &timeline.reduce);
-
-        job.set_total(timeline.total());
+        job.set_total(log[Phase::Reduce as usize].end);
         collector.commit(job);
     }
 
-    /// One placed wave of `kind` — its `(task index, task)` pairs in wave
-    /// order — plus its slot-occupancy counter.
-    fn emit_wave<'t>(
-        &self,
-        job: &mut JobTrace,
-        kind: TaskKind,
-        drawn: Drawn,
-        tasks: impl Iterator<Item = (usize, &'t TaskModel)>,
-        wave: &Wave,
-    ) {
+    /// The shuffle's transfers from `start`: one span per reducer's fetch
+    /// on its node's downlink lane, each node's back to back.
+    fn emit_fetches(&self, job: &mut JobTrace, start: Ticks) {
+        let cluster = self.cluster;
+        // Per-node download cursor and whether the lane is named yet.
+        let mut node_state: Vec<(Ticks, bool)> = vec![(start, false); cluster.nodes.max(1)];
+        for (j, &(node, bytes)) in self.fetches.iter().enumerate() {
+            let dur = ticks_of(cluster.fetch_time(bytes));
+            let Some((cursor, named)) = node_state.get_mut(node).filter(|_| dur > 0) else {
+                continue;
+            };
+            let lane = network_lane(cluster, node);
+            if !*named {
+                job.name_lane(lane, format!("node {node} downlink"));
+                *named = true;
+            }
+            let path = [self.name, "shuffle", &j.to_string()];
+            let name = format!("shuffle→reduce[{j}]");
+            let span = Span::new(&path, name, "shuffle", lane, *cursor, dur);
+            job.span(span.with_arg("bytes", bytes).with_arg("reducer", j as u64));
+            *cursor += dur;
+        }
+    }
+
+    /// One placed wave — its tasks in wave order — plus its slot-occupancy
+    /// counter.
+    fn emit_wave(&self, job: &mut JobTrace, phase: Phase, wave: &Wave) {
         let mut occupancy: Vec<(Ticks, i64)> = Vec::new();
-        for ((i, task), p) in tasks.zip(&wave.slots) {
-            self.emit_task(job, kind, drawn, i, task, p);
+        for ((i, task), p) in self.tasks(phase).into_iter().zip(&wave.slots) {
+            self.emit_task(job, phase, i, task, p);
             occupancy.push((p.start, 1));
             occupancy.push((p.end, -1));
         }
-        emit_occupancy(job, &format!("{} running", drawn.0), occupancy);
+        emit_occupancy(job, &format!("{} running", phase.drawn().0), occupancy);
     }
 
     /// One task's span with nested attempt children, fault instants,
@@ -716,12 +730,12 @@ impl JobRecord<'_> {
     fn emit_task(
         &self,
         job: &mut JobTrace,
-        kind: TaskKind,
-        (key, cat, label): Drawn,
+        phase: Phase,
         index: usize,
         task: &TaskModel,
         &Slot { slot, start, end }: &Slot,
     ) {
+        let (kind, (key, cat, label)) = (phase.kind(), phase.drawn());
         let lane = slot_lane(self.cluster, kind, slot);
         let idx = index.to_string();
         let task_id = job.id(&[key, &idx]);
@@ -847,22 +861,6 @@ struct Price {
     attempts: u64,
 }
 
-/// The tasks of one re-execution wave, without their indices.
-fn models(wave: &[(usize, TaskModel)]) -> impl Iterator<Item = &TaskModel> {
-    wave.iter().map(|(_, task)| task)
-}
-
-/// How a wave's tasks are drawn: the key their span ids and the wave's
-/// occupancy counter hang off, their category, and the label after
-/// `map[i]`.
-type Drawn = (&'static str, &'static str, &'static str);
-
-// How the three map re-execution waves are drawn: lost partitions, node
-// loss, and corruption at rest.
-const RECOVERY: Drawn = ("recovery", "map", " (recovery)");
-const REEXEC: Drawn = ("reexec", "reexec", " (re-exec)");
-const ROTTEN: Drawn = ("rotten", "reexec", " (re-exec)");
-
 /// One `fault`-category instant with integer arguments.
 fn fault_instant(job: &mut JobTrace, name: &str, lane: u64, at: Ticks, args: &[(&str, u64)]) {
     let arg = |&(key, value): &(&str, u64)| (key.to_owned(), ArgValue::U64(value));
@@ -933,13 +931,11 @@ mod tests {
                 slowdown: 1.0,
                 ..Default::default()
             }],
-            recovery: Vec::new(),
+            reruns: Vec::new(),
             lost: Vec::new(),
             corrupt: Vec::new(),
-            rotten: Vec::new(),
             skipped: Vec::new(),
             node_losses: Vec::new(),
-            reexecuted: Vec::new(),
             nodes_blacklisted: 0,
             surviving_map_slots: cluster.map_slots,
             surviving_reduce_slots: cluster.reduce_slots,
@@ -984,6 +980,13 @@ mod tests {
         let reduce0 = span("reduce[0]");
         assert!(map0.ts >= startup.ts + startup.dur);
         assert!(reduce0.ts >= map0.ts + map0.dur);
+        // The shuffle wait is drawn on the driver lane, up to the reduces.
+        let shuffle = span("shuffle");
+        assert_eq!(
+            (shuffle.tid, shuffle.cat.as_str(), shuffle.dur),
+            (DRIVER_LANE, "driver", ticks_of(rec.shuffle_time))
+        );
+        assert_eq!(shuffle.ts + shuffle.dur, reduce0.ts);
         // map[0]: one failed + one winning attempt; map[1] and reduce[0]:
         // one winning attempt each.
         let attempts = doc
@@ -1136,37 +1139,56 @@ mod tests {
         rec
     }
 
+    /// The job's simulated runtime: where its reduce wave ends.
+    fn total(rec: &JobRecord<'_>) -> Ticks {
+        rec.timeline()[Phase::Reduce as usize].end
+    }
+
     #[test]
     fn timeline_phases_add_up_to_the_total() {
         let cluster = ClusterConfig::test();
         let retry = RetryPolicy::new();
         let mut rec = test_record(&cluster, &retry, &[384]);
         // Each re-execution runs clean: the phase's model less its failures.
-        let rerun = |i: usize| {
+        let rerun = |phase, i: usize| {
             let task = TaskModel {
                 failures: Vec::new(),
                 ..rec.map[i].clone()
             };
-            (i, task)
+            (phase, i, task)
         };
-        (rec.recovery, rec.reexecuted) = (vec![rerun(1)], vec![rerun(0)]);
-        rec.rotten = vec![rerun(0), rerun(1)];
+        let reruns = vec![
+            rerun(Phase::Recovery, 1),
+            rerun(Phase::Reexec, 0),
+            rerun(Phase::Rotten, 0),
+            rerun(Phase::Rotten, 1),
+        ];
+        rec.reruns = reruns;
         rec.node_losses = vec![2, 3];
         rec.surviving_map_slots = 1;
-        let t = rec.timeline();
+        let log = rec.timeline();
+        // One wave per phase, back to back from tick 0 to the total.
+        assert_eq!(log.len(), Phase::ALL.len());
+        assert_eq!(log[0].start, 0);
+        for pair in log.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        let span = |phase: Phase| log[phase as usize].span();
+        assert_eq!(total(&rec), Phase::ALL.into_iter().map(span).sum());
         assert_eq!(
-            t.total(),
-            t.startup + t.broadcast + t.map_phase() + t.shuffle_phase() + t.reduce.span()
+            span(Phase::Heartbeat),
+            2_000,
+            "one heartbeat timeout for both losses"
         );
-        assert_eq!(t.heartbeat, 2_000, "one heartbeat timeout for both losses");
-        assert_eq!(t.reexecution(), t.heartbeat + t.reexec.span());
-        assert_eq!(t.shuffle_phase(), t.corrupt.span() + t.shuffle);
         // Two rotten producers on the one surviving slot run back to back.
         let clean: Vec<Ticks> = rec.map.iter().map(|m| rec.price(m).clean).collect();
-        assert_eq!(t.corrupt.span(), clean[0] + clean[1] + 2 * rec.overhead());
+        assert_eq!(
+            span(Phase::Rotten),
+            clean[0] + clean[1] + 2 * rec.overhead()
+        );
         // Only the failed attempt is waste.
-        assert_eq!(t.wasted, clean[0]);
-        assert_eq!(t.backoff, ticks_of(retry.backoff_after(0)));
+        assert_eq!(rec.wasted(), clean[0]);
+        assert_eq!(rec.backoff(), ticks_of(retry.backoff_after(0)));
     }
 
     #[test]
@@ -1175,8 +1197,9 @@ mod tests {
         let retry = RetryPolicy::new();
         let mut rec = test_record(&cluster, &retry, &[384]);
         rec.node_losses = vec![1, 2];
-        rec.reexecuted = vec![(0, rec.map[0].clone())];
+        rec.reruns = vec![(Phase::Reexec, 0, rec.map[0].clone())];
         let t = rec.timeline();
+        let at = |phase: Phase| &t[phase as usize];
         let collector = Collector::new();
         rec.emit(&t, &collector, rec.build_registry());
         let doc = collector.finish();
@@ -1189,9 +1212,9 @@ mod tests {
             (heartbeat.tid, heartbeat.cat.as_str()),
             (DRIVER_LANE, "driver")
         );
-        assert_eq!(heartbeat.ts, t.recovery.end);
-        assert_eq!(heartbeat.ts + heartbeat.dur, t.reexec.start);
-        assert_eq!(heartbeat.dur, t.heartbeat);
+        assert_eq!(heartbeat.ts, at(Phase::Recovery).end);
+        assert_eq!(heartbeat.ts + heartbeat.dur, at(Phase::Reexec).start);
+        assert_eq!(heartbeat.dur, at(Phase::Heartbeat).span());
         let losses = heartbeat.args.iter().find(|(k, _)| k == "losses");
         assert_eq!(losses.map(|(_, v)| v), Some(&ArgValue::U64(2)));
         // Each loss is detected where the wait ends, in resolution order.
@@ -1205,7 +1228,7 @@ mod tests {
             assert_eq!(instant.ts, heartbeat.ts + heartbeat.dur);
             let args = [
                 ("node".to_owned(), ArgValue::U64(node)),
-                ("at_tick".to_owned(), ArgValue::U64(t.map.span())),
+                ("at_tick".to_owned(), ArgValue::U64(at(Phase::Map).span())),
             ];
             assert_eq!(instant.args, args);
         }
@@ -1216,14 +1239,14 @@ mod tests {
         let cluster = ClusterConfig::test();
         let retry = RetryPolicy::new();
         let mut rec = uniform_record(&cluster, &retry, 3);
-        let mut last = rec.timeline().total();
+        let mut last = total(&rec);
         // One tick's worth of comparisons at a time, on the critical path.
         let tick = 1_000_000 / model::PS_PER_COMPARISON + 1;
         for _ in 0..5 {
             rec.map[1].work += tick;
-            let total = rec.timeline().total();
-            assert!(total > last, "{total} after {last}");
-            last = total;
+            let now = total(&rec);
+            assert!(now > last, "{now} after {last}");
+            last = now;
         }
     }
 
