@@ -28,8 +28,7 @@ use skymr_baselines::{mr_angle, mr_bnl, BaselineConfig};
 use skymr_common::Dataset;
 use skymr_datagen::{generate, Distribution};
 use skymr_mapreduce::telemetry::export::json_escape;
-use skymr_mapreduce::telemetry::JobPhaseSummary;
-use skymr_mapreduce::JobMetrics;
+use skymr_mapreduce::{JobMetrics, PipelineMetrics};
 
 /// Benchmark scale profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,14 +176,28 @@ pub struct Measurement {
     pub counters: BTreeMap<String, u64>,
     /// PPD the grid algorithms used (0 for baselines).
     pub ppd: usize,
-    /// Per-job phase breakdown (map / shuffle / reduce / overhead), in
-    /// pipeline order.
-    pub phases: Vec<JobPhaseSummary>,
+    /// Per-job metrics (map / shuffle / reduce / overhead), in pipeline
+    /// order.
+    pub phases: Vec<JobMetrics>,
 }
 
-/// Per-job phase rows for a finished pipeline.
-fn phase_rows(metrics: &skymr_mapreduce::PipelineMetrics) -> Vec<JobPhaseSummary> {
-    metrics.jobs.iter().map(JobMetrics::phase_summary).collect()
+impl Measurement {
+    /// A finished pipeline's data point.
+    fn of(
+        metrics: PipelineMetrics,
+        skyline_size: usize,
+        counters: BTreeMap<String, u64>,
+        ppd: usize,
+    ) -> Self {
+        Self {
+            sim_runtime: metrics.sim_runtime(),
+            host_wall: metrics.host_wall(),
+            skyline_size,
+            counters,
+            ppd,
+            phases: metrics.jobs,
+        }
+    }
 }
 
 /// Runs one algorithm on one dataset with paper-default parameters.
@@ -197,47 +210,19 @@ pub fn run_algo(algo: Algo, dataset: &Dataset, reducers: usize) -> Measurement {
     match algo {
         Algo::MrGpsrs => {
             let run = mr_gpsrs(dataset, &skyline_cfg()).expect("valid config");
-            Measurement {
-                sim_runtime: run.metrics.sim_runtime(),
-                host_wall: run.metrics.host_wall(),
-                skyline_size: run.skyline.len(),
-                phases: phase_rows(&run.metrics),
-                counters: run.counters,
-                ppd: run.info.ppd,
-            }
+            Measurement::of(run.metrics, run.skyline.len(), run.counters, run.info.ppd)
         }
         Algo::MrGpmrs => {
             let run = mr_gpmrs(dataset, &skyline_cfg()).expect("valid config");
-            Measurement {
-                sim_runtime: run.metrics.sim_runtime(),
-                host_wall: run.metrics.host_wall(),
-                skyline_size: run.skyline.len(),
-                phases: phase_rows(&run.metrics),
-                counters: run.counters,
-                ppd: run.info.ppd,
-            }
+            Measurement::of(run.metrics, run.skyline.len(), run.counters, run.info.ppd)
         }
         Algo::MrBnl => {
             let run = mr_bnl(dataset, &BaselineConfig::default()).expect("fault-free run");
-            Measurement {
-                sim_runtime: run.metrics.sim_runtime(),
-                host_wall: run.metrics.host_wall(),
-                skyline_size: run.skyline.len(),
-                phases: phase_rows(&run.metrics),
-                counters: BTreeMap::new(),
-                ppd: 0,
-            }
+            Measurement::of(run.metrics, run.skyline.len(), BTreeMap::new(), 0)
         }
         Algo::MrAngle => {
             let run = mr_angle(dataset, &BaselineConfig::default()).expect("fault-free run");
-            Measurement {
-                sim_runtime: run.metrics.sim_runtime(),
-                host_wall: run.metrics.host_wall(),
-                skyline_size: run.skyline.len(),
-                phases: phase_rows(&run.metrics),
-                counters: BTreeMap::new(),
-                ppd: 0,
-            }
+            Measurement::of(run.metrics, run.skyline.len(), BTreeMap::new(), 0)
         }
     }
 }
@@ -434,24 +419,26 @@ impl PhaseLog {
                 }
                 out.push_str(&format!(
                     "{{\"job\":\"{}\",\"map_tasks\":{},\"reduce_tasks\":{},",
-                    json_escape(&p.job),
+                    json_escape(&p.name),
                     p.map_tasks,
                     p.reduce_tasks
                 ));
                 for (key, d) in [
-                    ("overhead_us", p.overhead),
-                    ("map_us", p.map),
-                    ("shuffle_us", p.shuffle),
-                    ("reduce_us", p.reduce),
-                    ("total_us", p.total),
-                    ("wasted_us", p.wasted),
+                    ("overhead_us", p.startup_time + p.broadcast_time),
+                    ("map_us", p.map_phase),
+                    ("shuffle_us", p.shuffle_time),
+                    ("reduce_us", p.reduce_phase),
+                    ("total_us", p.sim_runtime),
+                    ("wasted_us", p.wasted_task_time),
                 ] {
                     push_json_duration(&mut out, key, d);
                     out.push(',');
                 }
                 out.push_str(&format!(
                     "\"attempts\":{},\"retries\":{},\"speculative_wins\":{}}}",
-                    p.attempts, p.retries, p.speculative_wins
+                    p.attempts,
+                    p.map_retries + p.reduce_retries,
+                    p.speculative_wins
                 ));
             }
             out.push_str("]}");

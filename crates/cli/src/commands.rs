@@ -108,21 +108,12 @@ fn parse_ppd(args: &Args) -> Result<PpdPolicy, String> {
     }
 }
 
-/// Applies `--memory-budget SIZE` / `--spill-dir DIR` — the out-of-core
-/// storage plane — to a simulated cluster. SIZE takes `k`/`m`/`g`
-/// suffixes (powers of 1024).
-fn apply_storage(args: &Args, cluster: &mut skymr_mapreduce::ClusterConfig) -> Result<(), String> {
-    if let Some(v) = args.get("memory-budget") {
-        let bytes =
-            skymr_mapreduce::parse_byte_size(v).map_err(|e| format!("bad --memory-budget: {e}"))?;
-        cluster.storage.memory_budget = Some(bytes);
-    }
-    if let Some(dir) = args.get("spill-dir") {
-        cluster.storage.spill_dir = Some(dir.into());
-    }
-    Ok(())
-}
-
+/// The configuration every MapReduce `--algo` runs under, parsed once
+/// before any data is loaded: mappers and reducers, the grid knobs, the
+/// checkpoint controls, and the engine's flags — one simulated cluster
+/// (storage plane, node placement, skip-bad-records) and one fault
+/// tolerance. The baselines and SKY-MR take the same cluster and fault
+/// tolerance.
 fn skyline_config(args: &Args) -> Result<SkylineConfig, String> {
     let mut config = SkylineConfig::default();
     config.mappers = args.get_parsed("mappers", config.mappers)?;
@@ -172,7 +163,16 @@ fn skyline_config(args: &Args) -> Result<SkylineConfig, String> {
         *plan = std::mem::take(plan).with_poison_record(m, n);
     }
     config.cluster.skip_bad_records = args.has_flag("skip-bad-records");
-    apply_storage(args, &mut config.cluster)?;
+    // The out-of-core storage plane: SIZE takes `k`/`m`/`g` suffixes
+    // (powers of 1024).
+    if let Some(v) = args.get("memory-budget") {
+        let bytes =
+            skymr_mapreduce::parse_byte_size(v).map_err(|e| format!("bad --memory-budget: {e}"))?;
+        config.cluster.storage.memory_budget = Some(bytes);
+    }
+    if let Some(dir) = args.get("spill-dir") {
+        config.cluster.storage.spill_dir = Some(dir.into());
+    }
     if let Some(path) = args.get("checkpoint") {
         config.checkpoint.file = Some(path.into());
     }
@@ -180,13 +180,6 @@ fn skyline_config(args: &Args) -> Result<SkylineConfig, String> {
     if args.get("kill-after").is_some() {
         config.checkpoint.kill_after = Some(args.get_parsed("kill-after", 0usize)?);
     }
-    Ok(config)
-}
-
-fn baseline_config(args: &Args) -> Result<BaselineConfig, String> {
-    let mut config = BaselineConfig::default();
-    config.mappers = args.get_parsed("mappers", config.mappers)?;
-    apply_storage(args, &mut config.cluster)?;
     Ok(config)
 }
 
@@ -205,6 +198,13 @@ fn print_metrics(metrics: &PipelineMetrics) {
             println!(
                 "      node faults: {} lost, {} blacklisted; {} maps re-executed ({:.2?})",
                 job.nodes_lost, job.nodes_blacklisted, job.maps_reexecuted, job.reexecution_time
+            );
+        }
+        let retries = job.map_retries + job.reduce_retries;
+        if retries > 0 || !job.wasted_task_time.is_zero() || !job.backoff_time.is_zero() {
+            println!(
+                "      retries: {} map, {} reduce; {:.2?} wasted, {:.2?} backoff",
+                job.map_retries, job.reduce_retries, job.wasted_task_time, job.backoff_time
             );
         }
         if job.spill_files > 0 {
@@ -327,35 +327,95 @@ pub fn generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The algorithms whose jobs record spans into a `--trace` collector.
-const TRACED_ALGOS: &[&str] = &["gpsrs", "gpmrs", "hybrid", "skyband", "topk"];
+/// `run`'s algorithms, each with what it honours, in [`COLUMNS`] order:
+/// it runs on the MapReduce engine; it records spans for `--trace`; it
+/// checkpoints its pipeline; it answers the plain skyline `--verify`
+/// checks (mr-bitmap answers for the discretized dataset, skyband for
+/// k ≥ 1 bands, topk ranks). `--mappers`/`--reducers` suit them all.
+const ALGOS: &[(&str, [bool; 4])] = &[
+    ("gpsrs", [true, true, true, true]),
+    ("gpmrs", [true, true, true, true]),
+    ("hybrid", [true, true, true, true]),
+    ("skyband", [true, true, false, false]),
+    ("topk", [true, true, false, false]),
+    ("mr-bnl", [true, false, false, true]),
+    ("mr-sfs", [true, false, false, true]),
+    ("mr-angle", [true, false, false, true]),
+    ("sky-mr", [true, false, false, true]),
+    ("mr-bitmap", [true, false, false, false]),
+    ("bnl", [false, false, false, true]),
+    ("sfs", [false, false, false, true]),
+    ("dnc", [false, false, false, true]),
+];
+
+/// The flags each column of [`ALGOS`] governs, what they do, and what an
+/// algorithm without the column does instead.
+const COLUMNS: [(&[&str], &str, &str); 4] = [
+    (
+        &[
+            "chaos-nodes",
+            "chaos-corrupt",
+            "poison",
+            "skip-bad-records",
+            "memory-budget",
+            "spill-dir",
+        ],
+        "configures the MapReduce engine",
+        "runs without it",
+    ),
+    (&["trace"], "records spans", "records none"),
+    (
+        &["checkpoint", "resume", "kill-after"],
+        "drives pipeline checkpoints",
+        "keeps none",
+    ),
+    (
+        &["verify"],
+        "checks against the BNL oracle",
+        "answers another query",
+    ),
+];
+
+/// Refuses a flag `algo` cannot honour, naming the algorithms that can.
+fn check_flags(args: &Args, (algo, honours): &(&str, [bool; 4])) -> Result<(), String> {
+    for (c, (flags, what, none)) in COLUMNS.iter().enumerate() {
+        let given = args.supplied_keys().find(|key| flags.contains(key));
+        if let (Some(flag), false) = (given, honours[c]) {
+            let able: Vec<&str> = ALGOS.iter().filter(|a| a.1[c]).map(|a| a.0).collect();
+            let able = able.join(", ");
+            return Err(format!("--{flag} {what} only for {able}; {algo} {none}"));
+        }
+    }
+    Ok(())
+}
 
 /// `skymr-cli run`
 pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(RUN_OPTS)?;
-    let algo = args.require("algo")?.to_string();
-    // A trace with no spans would fail `skymr-cli trace`: refuse it up front.
-    if args.get("trace").is_some() && !TRACED_ALGOS.contains(&algo.as_str()) {
-        return Err(format!(
-            "--trace records spans only for {}; {algo} records none",
-            TRACED_ALGOS.join(", ")
-        ));
-    }
-    let data = load_dataset(args)?;
-    println!("dataset: {} tuples, {} dimensions", data.len(), data.dim());
+    let algo = args.require("algo")?;
+    let row = ALGOS.iter().find(|(name, _)| *name == algo);
+    let row = row.ok_or_else(|| format!("unknown algorithm {algo:?}"))?;
+    // Every flag is checked before the data is loaded or generated.
+    check_flags(args, row)?;
     // With --trace, the MapReduce algorithms record their span timelines
     // into this collector; it is exported after the run completes.
     let collector = args.get("trace").map(|_| Collector::new());
-    let sky_config = || -> Result<SkylineConfig, String> {
-        Ok(skyline_config(args)?.with_telemetry(collector.clone()))
+    let config = skyline_config(args)?.with_telemetry(collector.clone());
+    let baseline = BaselineConfig {
+        mappers: config.mappers,
+        cluster: config.cluster.clone(),
+        fault_tolerance: config.fault_tolerance.clone(),
+        ..BaselineConfig::default()
     };
-    let (skyline, metrics): (Vec<Tuple>, Option<PipelineMetrics>) = match algo.as_str() {
+    let data = load_dataset(args)?;
+    println!("dataset: {} tuples, {} dimensions", data.len(), data.dim());
+    let (skyline, metrics): (Vec<Tuple>, Option<PipelineMetrics>) = match algo {
         "gpsrs" => {
-            let run = mr_gpsrs(&data, &sky_config()?).map_err(|e| e.to_string())?;
+            let run = mr_gpsrs(&data, &config).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "gpmrs" => {
-            let run = mr_gpmrs(&data, &sky_config()?).map_err(|e| e.to_string())?;
+            let run = mr_gpmrs(&data, &config).map_err(|e| e.to_string())?;
             println!(
                 "grid: PPD {}, {} surviving of {} non-empty partitions, {} groups -> {} buckets",
                 run.info.ppd,
@@ -367,19 +427,18 @@ pub fn run(args: &Args) -> Result<(), String> {
             (run.skyline, Some(run.metrics))
         }
         "hybrid" => {
-            let run = mr_hybrid(&data, &sky_config()?).map_err(|e| e.to_string())?;
+            let run = mr_hybrid(&data, &config).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "skyband" => {
             let k = args.get_parsed("k", 2u32)?;
             println!("note: computing the {k}-skyband (tuples dominated by fewer than {k} others)");
-            let run = mr_skyband(&data, k, &sky_config()?).map_err(|e| e.to_string())?;
+            let run = mr_skyband(&data, k, &config).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "topk" => {
             let k = args.get_parsed("k", 10usize)?;
-            let run =
-                skymr::mr_top_k_dominating(&data, k, &sky_config()?).map_err(|e| e.to_string())?;
+            let run = skymr::mr_top_k_dominating(&data, k, &config).map_err(|e| e.to_string())?;
             println!("top-{k} dominating tuples (score = tuples dominated):");
             for (t, score) in &run.ranked {
                 println!("  #{:<8} score {score}", t.id);
@@ -390,21 +449,25 @@ pub fn run(args: &Args) -> Result<(), String> {
             )
         }
         "mr-bnl" => {
-            let run = mr_bnl(&data, &baseline_config(args)?).map_err(|e| e.to_string())?;
+            let run = mr_bnl(&data, &baseline).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "mr-sfs" => {
-            let run = mr_sfs(&data, &baseline_config(args)?).map_err(|e| e.to_string())?;
+            let run = mr_sfs(&data, &baseline).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "mr-angle" => {
-            let run = mr_angle(&data, &baseline_config(args)?).map_err(|e| e.to_string())?;
+            let run = mr_angle(&data, &baseline).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "sky-mr" => {
-            let mut config = SkyMrConfig::default();
-            config.mappers = args.get_parsed("mappers", config.mappers)?;
-            config.reducers = args.get_parsed("reducers", config.reducers)?;
+            let config = SkyMrConfig {
+                mappers: config.mappers,
+                reducers: config.reducers,
+                cluster: config.cluster,
+                fault_tolerance: config.fault_tolerance,
+                ..SkyMrConfig::default()
+            };
             let run = sky_mr(&data, &config).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
@@ -412,8 +475,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             let distinct = args.get_parsed("distinct", 16usize)?;
             let discretized = discretize(&data, distinct);
             println!("note: mr-bitmap runs on data discretized to {distinct} values/dimension");
-            let run =
-                mr_bitmap(&discretized, &baseline_config(args)?).map_err(|e| e.to_string())?;
+            let run = mr_bitmap(&discretized, &baseline).map_err(|e| e.to_string())?;
             (run.skyline, Some(run.metrics))
         }
         "bnl" => (bnl_skyline(data.tuples()), None),
@@ -445,9 +507,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         write_whole(path, |tmp| std::fs::write(tmp, body))?;
         println!("wrote trace ({} events) to {path}", doc.events.len());
     }
-    if args.has_flag("verify") && !matches!(algo.as_str(), "mr-bitmap" | "skyband" | "topk") {
-        // (mr-bitmap answers for the discretized dataset and skyband for
-        // k ≥ 1 bands, so the plain BNL oracle does not apply to them.)
+    if args.has_flag("verify") {
         let oracle = bnl_skyline(data.tuples());
         let mut got: Vec<u64> = skyline.iter().map(|t| t.id).collect();
         got.sort_unstable();

@@ -88,6 +88,94 @@ fn node_chaos_keeps_its_plan_beside_the_data_fault_flags() {
     for flag in ["--chaos-nodes", "--chaos-corrupt"] {
         assert!(stderr.contains(flag), "{stderr}");
     }
+    let stdout = String::from_utf8_lossy(&refused.stdout);
+    assert!(
+        !stdout.contains("dataset:"),
+        "refused before loading: {stdout}"
+    );
+}
+
+/// The engine flags reach the baselines: node chaos re-executes MR-BNL's
+/// map outputs, and the skyline still verifies.
+#[test]
+fn mr_bnl_runs_under_node_chaos() {
+    let run = words(
+        "run --algo mr-bnl --dist anticorrelated --dim 4 --card 2000 --seed 7 \
+         --mappers 4 --chaos-nodes 7 --verify",
+    );
+    let out = cli(&run);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout.contains("node faults:"), "{stdout}");
+    assert!(stdout.contains("verify: OK"), "{stdout}");
+}
+
+/// The engine flags reach SKY-MR: a memory budget spills its jobs.
+#[test]
+fn sky_mr_spills_under_a_memory_budget() {
+    let run = words(
+        "run --algo sky-mr --dist anticorrelated --dim 4 --card 2000 --seed 7 \
+         --mappers 4 --memory-budget 1k",
+    );
+    let out = cli(&run);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout.contains("storage:"), "{stdout}");
+}
+
+/// A flag the chosen algorithm cannot honour is an error, raised before
+/// the data is generated: a checkpoint for a pipeline that keeps none,
+/// the engine's flags for a centralized algorithm, and `--verify` for an
+/// answer the BNL oracle does not check.
+#[test]
+fn a_flag_the_algorithm_cannot_honour_is_refused_before_loading() {
+    let dir = scratch("refused");
+    let ckpt = dir.join("k.ckpt").to_string_lossy().into_owned();
+    let data = "--dist anticorrelated --dim 4 --card 2000 --seed 7";
+    for (algo, flags) in [
+        ("skyband", vec!["--checkpoint", &ckpt, "--kill-after", "1"]),
+        ("bnl", vec!["--memory-budget", "1k"]),
+        ("dnc", vec!["--chaos-nodes", "7"]),
+        ("topk", vec!["--verify"]),
+    ] {
+        let run = format!("run --algo {algo} {data}");
+        let run = with(&words(&run), &flags);
+        let out = cli(&run);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{algo}: {stderr}");
+        let named = format!("error: {} ", flags[0]);
+        assert!(stderr.starts_with(&named), "{algo}: {stderr}");
+        assert!(stderr.contains(&format!("; {algo} ")), "{algo}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("dataset:"), "{algo}: {stdout}");
+    }
+    assert!(!Path::new(&ckpt).exists(), "no checkpoint written");
+    std::fs::remove_dir_all(&dir).expect("scratch directory");
+}
+
+/// `run` names the retry cost by default: each job of a data-chaos run
+/// reports its retries, the task time they wasted (the hung attempts'
+/// progress timeouts) and the backoff.
+#[test]
+fn the_default_report_names_the_retry_cost() {
+    let run = words(
+        "run --algo gpmrs --dist anticorrelated --dim 4 --card 2000 --seed 7 \
+         --mappers 4 --reducers 5 --chaos-corrupt 2",
+    );
+    let out = cli(&run);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let lines: Vec<&str> = stdout.lines().filter(|l| l.contains("retries:")).collect();
+    assert_eq!(
+        lines,
+        [
+            "      retries: 0 map, 1 reduce; 600.00s wasted, 100.00ms backoff",
+            "      retries: 3 map, 1 reduce; 600.00s wasted, 200.00ms backoff",
+        ],
+        "{stdout}"
+    );
+    let clean = cli(&run[..run.len() - 2]);
+    assert!(!String::from_utf8_lossy(&clean.stdout).contains("retries:"));
 }
 
 /// A checkpoint write that fails (here: a zero file-size limit) leaves the

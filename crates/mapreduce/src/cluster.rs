@@ -387,27 +387,6 @@ impl JobMetrics {
             steps: Vec::new(),
         }
     }
-
-    /// This job's row for the telemetry phase table
-    /// ([`skymr_telemetry::phase_table`]).
-    pub fn phase_summary(&self) -> skymr_telemetry::JobPhaseSummary {
-        skymr_telemetry::JobPhaseSummary {
-            job: self.name.clone(),
-            map_tasks: self.map_tasks,
-            reduce_tasks: self.reduce_tasks,
-            overhead: self.startup_time + self.broadcast_time,
-            map: self.map_phase,
-            shuffle: self.shuffle_time,
-            reduce: self.reduce_phase,
-            total: self.sim_runtime,
-            attempts: self.attempts,
-            retries: self.map_retries + self.reduce_retries,
-            speculative_wins: self.speculative_wins,
-            wasted: self.wasted_task_time,
-            queued: self.queue_wait_time,
-            preemptions: self.preemptions,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -538,11 +517,14 @@ mod tests {
         m.attempts = 5;
         m.map_retries = 1;
         m.reduce_retries = 1;
-        let row = m.phase_summary();
-        assert_eq!(row.job, "wc");
-        assert_eq!(row.overhead, ms(2));
-        assert_eq!(row.retries, 2);
-        assert_eq!(row.total, ms(18));
+        let table = crate::summary::phase_table(&[m]);
+        let row: Vec<&str> = table.lines().nth(2).unwrap().split_whitespace().collect();
+        // job, tasks, overhead (startup + broadcast), map, shuffle, reduce,
+        // total, attempts, retries (map + reduce).
+        assert_eq!(
+            row[..9],
+            ["wc", "3m/2r", "2.0ms", "10.0ms", "2.0ms", "4.0ms", "18.0ms", "5", "2"]
+        );
     }
 
     #[test]

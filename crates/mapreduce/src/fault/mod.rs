@@ -13,15 +13,15 @@
 //!   or derived from a single `u64` seed ([`FaultPlan::seeded`]), so any
 //!   chaotic schedule is replayable.
 //! * **How the engine recovers** — a [`RetryPolicy`] bounds attempts per
-//!   task and charges exponential backoff to the simulated clock; the
-//!   per-task loop lives in [`run_attempts`]. Every spill write and spill
+//!   task and charges Hadoop's exponential backoff to the simulated clock;
+//!   the per-task loop lives in [`run_attempts`]. Every spill write and spill
 //!   read happens inside a task attempt, and a failing one (host I/O, or
 //!   spilled bytes that fail their frame check) is an ordinary attempt
 //!   failure, [`FailureCause::Storage`]: retried, priced like a mid-task
 //!   crash, and never blamed on a record. A task that exhausts its
 //!   budget surfaces as a structured [`JobError`] from
 //!   [`crate::job::run_job`], never as a panic escaping the engine.
-//!   [`SpeculationPolicy`] adds Hadoop-style backup attempts for
+//!   [`FaultTolerance::speculation`] adds Hadoop-style backup attempts for
 //!   stragglers, with a deterministic winner rule.
 //! * **What it costs** — every failed attempt, backoff interval, straggler
 //!   slowdown, re-execution, and speculative loser is folded into
@@ -46,4 +46,4 @@ pub use plan::{
     CorruptFetch, FaultKind, FaultPlan, FaultProfile, NodePartition, SeededFaults, TaskFault,
     TaskKind,
 };
-pub use retry::{BlacklistPolicy, FaultTolerance, RetryPolicy, SpeculationPolicy};
+pub use retry::{BlacklistPolicy, FaultTolerance, RetryPolicy};

@@ -1,46 +1,32 @@
-//! Retry, backoff, and speculative-execution policies.
+//! Retry, blacklisting and the fault-tolerance bundle a job runs under.
 
 use std::time::Duration;
 
 use super::plan::FaultPlan;
 
-/// Bounded-retry policy with exponential backoff.
+/// Backoff charged after a task's first failed attempt (Hadoop's 100 ms).
+const BACKOFF_BASE: Duration = Duration::from_millis(100);
+
+/// Upper bound on a single backoff interval.
+const BACKOFF_CAP: Duration = Duration::from_secs(10);
+
+/// Bounded retries with Hadoop's exponential backoff.
 ///
 /// A task is attempted up to `max_attempts` times; each failed attempt that
-/// is followed by another one charges `backoff_after(attempt)` of idle time
-/// to the simulated clock (the slot waits before relaunching, as a real
-/// scheduler would to avoid hammering a flaky node).
+/// is followed by another one charges [`RetryPolicy::backoff_after`] of idle
+/// time to the simulated clock (the slot waits before relaunching, as a
+/// real scheduler would to avoid hammering a flaky node).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed per task (including the first). Clamped to
     /// at least 1 at resolution time.
     pub max_attempts: u32,
-    /// Backoff charged after the first failed attempt.
-    pub backoff_base: Duration,
-    /// Multiplier applied per subsequent failure (exponential backoff).
-    pub backoff_multiplier: f64,
-    /// Upper bound on a single backoff interval.
-    pub backoff_cap: Duration,
 }
 
 impl RetryPolicy {
-    /// Hadoop's default of 4 attempts, 100 ms doubling backoff capped at
-    /// 10 s.
+    /// Hadoop's default of 4 attempts.
     pub fn new() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(100),
-            backoff_multiplier: 2.0,
-            backoff_cap: Duration::from_secs(10),
-        }
-    }
-
-    /// No retries: the first failure aborts the job.
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::new()
-        }
+        Self { max_attempts: 4 }
     }
 
     /// Sets the attempt budget (clamped to at least 1).
@@ -55,59 +41,15 @@ impl RetryPolicy {
     }
 
     /// Backoff charged after failed attempt number `attempt` (0-based),
-    /// before attempt `attempt + 1` launches.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        let factor = self
-            .backoff_multiplier
-            .max(1.0)
-            .powi(attempt.min(62) as i32);
-        let backoff = self.backoff_base.mul_f64(factor);
-        backoff.min(self.backoff_cap)
+    /// before attempt `attempt + 1` launches: 100 ms, doubling, capped at
+    /// 10 s.
+    pub fn backoff_after(attempt: u32) -> Duration {
+        let factor = 2.0_f64.powi(attempt.min(62) as i32);
+        BACKOFF_BASE.mul_f64(factor).min(BACKOFF_CAP)
     }
 }
 
 impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Speculative-execution policy (Hadoop-style backup tasks).
-///
-/// After a phase's regular attempts finish, any task whose *modeled*
-/// duration (straggler slowdown included) exceeded
-/// `slowdown_threshold` × the phase median is re-run as a full-speed
-/// backup attempt. The winner is chosen deterministically: the backup wins
-/// iff it would have finished (launching at the median mark) before the
-/// straggling original — simulated time only, so the choice is replayable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeculationPolicy {
-    /// A task is a straggler when its modeled duration exceeds this
-    /// multiple of the phase median.
-    pub slowdown_threshold: f64,
-    /// Phases with fewer tasks than this never speculate (a median over
-    /// one task is meaningless).
-    pub min_phase_tasks: usize,
-}
-
-impl SpeculationPolicy {
-    /// Hadoop-flavoured default: back up tasks running 3× the median, in
-    /// phases of at least 2 tasks.
-    pub fn new() -> Self {
-        Self {
-            slowdown_threshold: 3.0,
-            min_phase_tasks: 2,
-        }
-    }
-
-    /// Sets the straggler threshold (clamped to at least 1.0).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.slowdown_threshold = threshold.max(1.0);
-        self
-    }
-}
-
-impl Default for SpeculationPolicy {
     fn default() -> Self {
         Self::new()
     }
@@ -146,16 +88,18 @@ impl Default for BlacklistPolicy {
 }
 
 /// The full fault-tolerance configuration of a job or pipeline: what to
-/// inject ([`FaultPlan`]), how to recover ([`RetryPolicy`]), and whether to
-/// launch backup attempts for stragglers ([`SpeculationPolicy`]).
+/// inject ([`FaultPlan`]), how to recover ([`RetryPolicy`]), whether to
+/// launch backup attempts for stragglers, and whether to blacklist nodes.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTolerance {
     /// Injected faults (empty by default).
     pub plan: FaultPlan,
-    /// Retry budget and backoff.
+    /// Retry budget.
     pub retry: RetryPolicy,
-    /// Speculative execution (off by default).
-    pub speculation: Option<SpeculationPolicy>,
+    /// Speculative execution of straggling tasks (off by default): after a
+    /// phase's regular attempts, a task running past 3× the phase median
+    /// is re-run as a full-speed backup (`JobRecord::plan_backups`).
+    pub speculation: bool,
     /// Node blacklisting (off by default; needs a cluster placement).
     pub blacklist: Option<BlacklistPolicy>,
 }
@@ -181,8 +125,8 @@ impl FaultTolerance {
     }
 
     /// Enables speculative execution.
-    pub fn with_speculation(mut self, speculation: SpeculationPolicy) -> Self {
-        self.speculation = Some(speculation);
+    pub fn with_speculation(mut self) -> Self {
+        self.speculation = true;
         self
     }
 
@@ -199,28 +143,21 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let r = RetryPolicy::new();
-        assert_eq!(r.backoff_after(0), Duration::from_millis(100));
-        assert_eq!(r.backoff_after(1), Duration::from_millis(200));
-        assert_eq!(r.backoff_after(2), Duration::from_millis(400));
-        assert_eq!(r.backoff_after(30), Duration::from_secs(10), "capped");
+        assert_eq!(RetryPolicy::backoff_after(0), Duration::from_millis(100));
+        assert_eq!(RetryPolicy::backoff_after(1), Duration::from_millis(200));
+        assert_eq!(RetryPolicy::backoff_after(2), Duration::from_millis(400));
+        assert_eq!(
+            RetryPolicy::backoff_after(30),
+            Duration::from_secs(10),
+            "capped"
+        );
     }
 
     #[test]
     fn attempt_budget_never_zero() {
         assert_eq!(RetryPolicy::new().with_max_attempts(0).attempt_budget(), 1);
-        assert_eq!(RetryPolicy::none().attempt_budget(), 1);
+        assert_eq!(RetryPolicy { max_attempts: 0 }.attempt_budget(), 1);
         assert_eq!(RetryPolicy::new().attempt_budget(), 4);
-    }
-
-    #[test]
-    fn speculation_threshold_clamps() {
-        assert_eq!(
-            SpeculationPolicy::new()
-                .with_threshold(0.5)
-                .slowdown_threshold,
-            1.0
-        );
     }
 
     #[test]
@@ -228,7 +165,7 @@ mod tests {
         let ft = FaultTolerance::none();
         assert!(ft.plan.is_empty());
         assert_eq!(ft.retry.max_attempts, 4);
-        assert!(ft.speculation.is_none());
+        assert!(!ft.speculation);
         assert!(ft.blacklist.is_none());
     }
 

@@ -11,8 +11,7 @@ use skymr_common::{decode_pairs, Counters, Wire};
 use crate::cluster::{ClusterConfig, JobMetrics, Placement};
 use crate::fault::{
     run_attempts, AttemptFailure, BlacklistPolicy, CorruptFetch, FailureCause, FaultPlan,
-    FaultTolerance, Inject, JobError, RetryPolicy, SpeculationPolicy, TaskExecution, TaskFault,
-    TaskKind,
+    FaultTolerance, Inject, JobError, TaskExecution, TaskFault, TaskKind,
 };
 use crate::partitioner::Partitioner;
 use crate::pool::run_indexed;
@@ -41,14 +40,9 @@ pub struct JobConfig {
     /// starts (the Hadoop Distributed Cache; the paper ships the global
     /// bitstring this way). Charged to the simulated clock.
     pub cache_bytes: u64,
-    /// Fault-injection plan (empty by default).
-    pub faults: FaultPlan,
-    /// Retry budget and backoff for failed task attempts.
-    pub retry: RetryPolicy,
-    /// Speculative execution of straggling tasks (off by default).
-    pub speculation: Option<SpeculationPolicy>,
-    /// Node blacklisting (off by default; needs a cluster [`Placement`]).
-    pub blacklist: Option<BlacklistPolicy>,
+    /// Injected faults, retry budget, speculation and blacklisting
+    /// (benign by default).
+    pub fault_tolerance: FaultTolerance,
     /// Telemetry collector the job commits its trace to (off by default).
     /// The metrics registry is built either way; the collector only adds
     /// the span timeline.
@@ -63,10 +57,7 @@ impl JobConfig {
             name: name.into(),
             num_reducers,
             cache_bytes: 0,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::new(),
-            speculation: None,
-            blacklist: None,
+            fault_tolerance: FaultTolerance::none(),
             collector: None,
         }
     }
@@ -79,36 +70,14 @@ impl JobConfig {
 
     /// Sets the fault-injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.fault_tolerance.plan = faults;
         self
     }
 
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Enables speculative execution.
-    pub fn with_speculation(mut self, speculation: SpeculationPolicy) -> Self {
-        self.speculation = Some(speculation);
-        self
-    }
-
-    /// Enables node blacklisting.
-    pub fn with_blacklist(mut self, blacklist: BlacklistPolicy) -> Self {
-        self.blacklist = Some(blacklist);
-        self
-    }
-
-    /// Applies a bundled [`FaultTolerance`] configuration (plan, retry
-    /// policy, speculation, and blacklisting in one go — what the
-    /// algorithm configs carry).
+    /// Sets the fault-tolerance configuration (what the algorithm configs
+    /// carry).
     pub fn with_fault_tolerance(mut self, ft: &FaultTolerance) -> Self {
-        self.faults = ft.plan.clone();
-        self.retry = ft.retry.clone();
-        self.speculation = ft.speculation.clone();
-        self.blacklist = ft.blacklist;
+        self.fault_tolerance = ft.clone();
         self
     }
 
@@ -394,10 +363,10 @@ fn over_budget(strikes: &BTreeMap<usize, u32>, policy: &BlacklistPolicy) -> BTre
 /// runs `config.num_reducers` tasks; keys are routed by `partitioner`,
 /// sorted, and grouped.
 ///
-/// Task attempts that fail (injected via [`JobConfig::faults`], a
-/// genuinely panicking UDF, or a failing spill read or write) are retried
-/// under [`JobConfig::retry`]; a task that exhausts its budget aborts the
-/// job with a structured [`JobError`] carrying the attempt history and
+/// Task attempts that fail (injected by [`JobConfig::fault_tolerance`]'s
+/// plan, a genuinely panicking UDF, or a failing spill read or write) are
+/// retried under its retry budget; a task that exhausts its budget aborts
+/// the job with a structured [`JobError`] carrying the attempt history and
 /// partial metrics.
 ///
 /// ```
@@ -562,8 +531,8 @@ where
     /// output has a home node — a pure hash of (seed, job, kind, index),
     /// never the slot the LPT schedule put it on.
     fn start(&self) -> Run<'a, K> {
-        let config = self.config;
-        let transfers = config.faults.broadcast_failures_for(&config.name) + 1;
+        let (config, ft) = (self.config, &self.config.fault_tolerance);
+        let transfers = ft.plan.broadcast_failures_for(&config.name) + 1;
         let all_nodes: Vec<usize> = (0..self.cluster.nodes.max(1)).collect();
         let home = |p: &Placement, i| p.task_home(&config.name, TaskKind::Map, i, &all_nodes);
         let map_homes = match &self.cluster.placement {
@@ -573,7 +542,6 @@ where
         let record = JobRecord {
             name: &config.name,
             cluster: self.cluster,
-            retry: &config.retry,
             cache_bytes: config.cache_bytes,
             broadcast_attempts: transfers,
             broadcast_time: self.cluster.broadcast_time(config.cache_bytes) * transfers,
@@ -637,8 +605,8 @@ where
         rerun: impl Fn(usize, u32) -> Result<T, StorageError> + Sync,
     ) -> Option<usize> {
         let failed = execs.iter().position(|(e, _)| !e.succeeded());
-        if let (None, Some(spec)) = (failed, &self.config.speculation) {
-            let planned = record.plan_backups(kind, spec);
+        if failed.is_none() && self.config.fault_tolerance.speculation {
+            let planned = record.plan_backups(kind);
             let next: Vec<u32> = planned.iter().map(|&(i, _)| execs[i].0.attempts).collect();
             let backups = run_indexed(planned.len(), self.cluster.host_threads, |c| {
                 rerun(planned[c].0, next[c])
@@ -695,7 +663,8 @@ where
         // Scripted poison records: the UDF deterministically dies on these
         // on every attempt, so only the skip-bad-records protocol can get
         // the task past them.
-        let poison = self.config.faults.poison_records_for(&self.config.name, i);
+        let ft = &self.config.fault_tolerance;
+        let poison = ft.plan.poison_records_for(&self.config.name, i);
         // The spill trigger compares the emitter's wire-size accounting
         // against the budget — a pure function of the emitted data, so
         // spill points are identical on every host and every replay.
@@ -744,8 +713,8 @@ where
     /// loop by the split length. A storage failure names no record: the
     /// spill that failed holds whatever the buffer held.
     fn run_map_task(&self, i: usize) -> (Exec<MapResult<K>>, BTreeSet<usize>) {
-        let (config, cluster) = (self.config, self.cluster);
-        let fault = config.faults.task_fault(&config.name, TaskKind::Map, i);
+        let (config, cluster, ft) = (self.config, self.cluster, &self.config.fault_tolerance);
+        let fault = ft.plan.task_fault(&config.name, TaskKind::Map, i);
         let split_len = self.source.split_len(i);
         let mut skips: BTreeSet<usize> = BTreeSet::new();
         let progress = AtomicUsize::new(usize::MAX);
@@ -754,7 +723,7 @@ where
             run_attempts(
                 first,
                 fault,
-                &config.retry,
+                &ft.retry,
                 cluster.progress_timeout,
                 |attempt, inject| self.map_attempt(i, attempt, inject, skips, &progress),
             )
@@ -843,8 +812,8 @@ where
     /// they ran on; nodes over the strike budget leave scheduling for the
     /// rest of the job.
     fn strike_nodes<T>(&self, kind: TaskKind, execs: &[Exec<T>], run: &mut Run<'a, K>) {
-        let (Some(placement), Some(policy)) = (&self.cluster.placement, &self.config.blacklist)
-        else {
+        let ft = &self.config.fault_tolerance;
+        let (Some(placement), Some(policy)) = (&self.cluster.placement, &ft.blacklist) else {
             return;
         };
         for (i, (exec, _)) in execs.iter().enumerate() {
@@ -880,7 +849,8 @@ where
             let first = attempts_ran(record, i);
             let progress = AtomicUsize::new(usize::MAX);
             let replay = |a, inject| self.map_attempt(i, a, inject, &skips[i], &progress);
-            let (retry, timeout) = (&self.config.retry, self.cluster.progress_timeout);
+            let ft = &self.config.fault_tolerance;
+            let (retry, timeout) = (&ft.retry, self.cluster.progress_timeout);
             let fault = TaskFault::none();
             (run_attempts(first, &fault, retry, timeout, replay), fault)
         });
@@ -901,7 +871,8 @@ where
         // Lost shuffle partitions: the affected map tasks re-execute
         // (their inputs are replayable) in a second wave.
         let (m, r) = (self.source.num_splits(), config.num_reducers);
-        run.record.lost = config.faults.lost_partitions_for(&config.name, m, r);
+        let plan = &config.fault_tolerance.plan;
+        run.record.lost = plan.lost_partitions_for(&config.name, m, r);
         let affected: BTreeSet<usize> = run.record.lost.iter().map(|&(i, _)| i).collect();
         self.rerun_maps(&affected, run, Phase::Recovery)?;
 
@@ -922,7 +893,8 @@ where
         let Some(placement) = &cluster.placement else {
             return Ok(());
         };
-        run.record.node_losses = config.faults.node_losses_for(&config.name, cluster.nodes);
+        let plan = &config.fault_tolerance.plan;
+        run.record.node_losses = plan.node_losses_for(&config.name, cluster.nodes);
         let lost = |&i: &usize| run.record.node_losses.contains(&run.map_homes[i]);
         let affected: BTreeSet<usize> = (0..run.map_homes.len()).filter(lost).collect();
         let survivors = run.survivors();
@@ -955,7 +927,8 @@ where
         // re-executes before anything below consumes it, in a wave of its
         // own ahead of the shuffle, where the corruption was found.
         let corrupt_plan: BTreeMap<(usize, usize), CorruptFetch> = config
-            .faults
+            .fault_tolerance
+            .plan
             .corrupt_fetches_for(&config.name, m, r)
             .into_iter()
             .map(|c| ((c.map, c.reducer), c))
@@ -1050,7 +1023,8 @@ where
         let transfer = cluster.shuffle_time(&fetches);
         let stalls = match &cluster.placement {
             Some(_) => config
-                .faults
+                .fault_tolerance
+                .plan
                 .node_partitions_for(&config.name, cluster.nodes),
             None => Vec::new(),
         };
@@ -1140,11 +1114,12 @@ where
         let (cluster, config) = (self.cluster, self.config);
         let r = config.num_reducers;
         let mut execs: Vec<Exec<ReduceResult<Out>>> = run_indexed(r, cluster.host_threads, |j| {
-            let fault = config.faults.task_fault(&config.name, TaskKind::Reduce, j);
+            let ft = &config.fault_tolerance;
+            let fault = ft.plan.task_fault(&config.name, TaskKind::Reduce, j);
             let exec = run_attempts(
                 0,
                 &fault,
-                &config.retry,
+                &ft.retry,
                 cluster.progress_timeout,
                 |attempt, inject| self.reduce_attempt(j, &inputs[j], attempt, inject),
             );
@@ -1291,7 +1266,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
+    use crate::fault::{FaultKind, RetryPolicy};
     use crate::partitioner::{HashPartitioner, ModuloPartitioner};
     use crate::storage::segment::tests::rot;
     use crate::task::{map_fn, reduce_fn};
@@ -1501,8 +1476,7 @@ mod tests {
     fn speculation_rescues_a_straggler() {
         let plan = FaultPlan::none().with_map_fault(0, TaskFault::straggler(1000.0));
         let config = JobConfig::new("wc", 2)
-            .with_faults(plan.clone())
-            .with_speculation(SpeculationPolicy::new());
+            .with_fault_tolerance(&FaultTolerance::with_plan(plan.clone()).with_speculation());
         let speculative = word_count_config(&splits(), &config).expect("job must succeed");
         let plain = word_count(&splits(), 2, plan);
         assert_eq!(speculative.metrics.speculative_wins, 1);
@@ -1580,8 +1554,7 @@ mod tests {
         // two, the median *is* the straggler and nothing speculates).
         let plan = FaultPlan::none().with_reduce_fault(0, TaskFault::straggler(1000.0));
         let config = JobConfig::new("wc", 3)
-            .with_faults(plan.clone())
-            .with_speculation(SpeculationPolicy::new());
+            .with_fault_tolerance(&FaultTolerance::with_plan(plan.clone()).with_speculation());
         let speculative = word_count_config(&splits(), &config).expect("job must succeed");
         let plain = word_count(&splits(), 3, plan);
         assert_eq!(speculative.registry.counter("map.speculative_wins"), 0);
@@ -1650,9 +1623,9 @@ mod tests {
                 slowdown: 1.0,
             },
         );
-        let config = JobConfig::new("wc", 2)
-            .with_faults(plan)
-            .with_retry(RetryPolicy::new().with_max_attempts(3));
+        let config = JobConfig::new("wc", 2).with_fault_tolerance(
+            &FaultTolerance::with_plan(plan).with_retry(RetryPolicy::new().with_max_attempts(3)),
+        );
         let err = word_count_config(&splits(), &config).expect_err("job must abort");
         assert_eq!(err.task, TaskKind::Map);
         assert_eq!(err.index, 1);
@@ -1668,9 +1641,9 @@ mod tests {
     #[test]
     fn exhausted_reduce_retries_return_structured_error() {
         let plan = FaultPlan::none().with_reduce_fault(0, TaskFault::lost(u32::MAX));
-        let config = JobConfig::new("wc", 1)
-            .with_faults(plan)
-            .with_retry(RetryPolicy::new().with_max_attempts(2));
+        let config = JobConfig::new("wc", 1).with_fault_tolerance(
+            &FaultTolerance::with_plan(plan).with_retry(RetryPolicy::new().with_max_attempts(2)),
+        );
         let err = word_count_config(&splits(), &config).expect_err("job must abort");
         assert_eq!(err.task, TaskKind::Reduce);
         assert_eq!(err.index, 0);
@@ -1697,7 +1670,7 @@ mod tests {
         }
         let cluster = ClusterConfig::test();
         let config = JobConfig::new("wc", 2);
-        assert!(config.speculation.is_none());
+        assert!(!config.fault_tolerance.speculation);
         let (splits, map) = (splits(), &WcMap);
         let flaky = run_job(
             &cluster,
@@ -1739,7 +1712,11 @@ mod tests {
         }
         let splits: Vec<Vec<u32>> = vec![vec![1, 2], vec![3, 4]];
         let cluster = ClusterConfig::test();
-        let config = JobConfig::new("bad", 1).with_retry(RetryPolicy::new().with_max_attempts(2));
+        let retry = RetryPolicy::new().with_max_attempts(2);
+        let config = JobConfig::new("bad", 1).with_fault_tolerance(&FaultTolerance {
+            retry,
+            ..FaultTolerance::none()
+        });
         let err = run_job(
             &cluster,
             &config,
@@ -2036,9 +2013,9 @@ mod tests {
     #[test]
     fn poison_record_without_skip_policy_aborts_the_job() {
         let plan = FaultPlan::none().with_poison_record(1, 0);
-        let config = JobConfig::new("wc", 2)
-            .with_faults(plan)
-            .with_retry(RetryPolicy::new().with_max_attempts(3));
+        let config = JobConfig::new("wc", 2).with_fault_tolerance(
+            &FaultTolerance::with_plan(plan).with_retry(RetryPolicy::new().with_max_attempts(3)),
+        );
         let err = word_count_config(&splits(), &config).expect_err("poison must abort");
         assert_eq!((err.task, err.index, err.attempts), (TaskKind::Map, 1, 3));
         assert!(err.last_cause().contains("poisoned at record 0"));
@@ -2242,9 +2219,10 @@ mod tests {
         let plan = FaultPlan::none()
             .with_map_fault(0, TaskFault::lost(2))
             .with_map_fault(1, TaskFault::lost(1));
-        let config = JobConfig::new("wc", 2)
-            .with_faults(plan)
-            .with_blacklist(BlacklistPolicy::new().with_max_failures(1));
+        let config = JobConfig::new("wc", 2).with_fault_tolerance(
+            &FaultTolerance::with_plan(plan)
+                .with_blacklist(BlacklistPolicy::new().with_max_failures(1)),
+        );
         let out = word_count_on(&cluster, &config).expect("job must succeed");
         assert!(out.metrics.nodes_blacklisted >= 1, "strikes were recorded");
         assert_eq!(
@@ -2253,15 +2231,10 @@ mod tests {
         );
         // A reduce-phase abort reports the blacklist the map phase already
         // established (it used to report zero), plus its own strikes.
-        let doomed = config
-            .clone()
-            .with_faults(
-                config
-                    .faults
-                    .clone()
-                    .with_reduce_fault(0, TaskFault::lost(u32::MAX)),
-            )
-            .with_retry(RetryPolicy::new().with_max_attempts(3));
+        let mut doomed = config.clone();
+        let ft = &mut doomed.fault_tolerance;
+        ft.plan = std::mem::take(&mut ft.plan).with_reduce_fault(0, TaskFault::lost(u32::MAX));
+        ft.retry = RetryPolicy::new().with_max_attempts(3);
         let err = word_count_on(&cluster, &doomed).expect_err("reduce 0 must abort the job");
         assert_eq!((err.task, err.index), (TaskKind::Reduce, 0));
         assert!(err.metrics.nodes_blacklisted >= out.metrics.nodes_blacklisted);
@@ -2360,9 +2333,12 @@ mod tests {
 
         // A map-phase abort still reports the segments its surviving map
         // tasks wrote (it used to report zero).
-        let doomed = JobConfig::new("wc", 2)
-            .with_faults(FaultPlan::none().with_map_fault(1, TaskFault::lost(u32::MAX)))
-            .with_retry(RetryPolicy::new().with_max_attempts(2));
+        let doomed = JobConfig::new("wc", 2).with_fault_tolerance(
+            &FaultTolerance::with_plan(
+                FaultPlan::none().with_map_fault(1, TaskFault::lost(u32::MAX)),
+            )
+            .with_retry(RetryPolicy::new().with_max_attempts(2)),
+        );
         let err = word_count_on(&cluster, &doomed).expect_err("map 1 must abort the job");
         assert_eq!((err.task, err.index), (TaskKind::Map, 1));
         assert!(err.metrics.spill_files > 0 && err.metrics.spilled_bytes > 0);
@@ -2454,9 +2430,7 @@ mod tests {
                 let mut cluster = placed.clone();
                 cluster.storage.memory_budget = budget;
                 let mut config = JobConfig::new("wc", 3).with_faults(plan.clone());
-                if speculate {
-                    config = config.with_speculation(SpeculationPolicy::new());
-                }
+                config.fault_tolerance.speculation = speculate;
                 word_count_on(&cluster, &config).expect("the job must survive")
             };
             let (memory, spilled) = (run(None), run(Some(1)));
@@ -2653,7 +2627,7 @@ mod tests {
             assert_eq!(hit.len(), 2, "both partitions were corrupted");
             let lowest = hit.iter().map(|&(_, _, part)| part).min();
             assert_eq!((err.task, Some(err.index)), (TaskKind::Reduce, lowest));
-            assert_eq!(err.attempts, config.retry.attempt_budget());
+            assert_eq!(err.attempts, config.fault_tolerance.retry.attempt_budget());
             assert!(err.last_cause().starts_with("spill data corrupt"), "{err}");
             assert!(err.payload.is_none(), "a storage failure is not a panic");
             failure_of(&err)
@@ -2742,7 +2716,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let err = job.expect_err("the spill directory is gone");
         assert_eq!((err.task, err.index), (TaskKind::Map, 0));
-        assert!(err.attempts <= config.retry.attempt_budget(), "{err}");
+        assert!(
+            err.attempts <= config.fault_tolerance.retry.attempt_budget(),
+            "{err}"
+        );
         assert_eq!(err.metrics.records_skipped, 0, "no record was to blame");
         assert!(err.last_cause().starts_with("storage I/O"), "{err}");
     }
@@ -2997,7 +2974,8 @@ mod tests {
             (
                 "speculative",
                 ClusterConfig::test(),
-                wc(straggler).with_speculation(SpeculationPolicy::new()),
+                JobConfig::new("wc", 3)
+                    .with_fault_tolerance(&FaultTolerance::with_plan(straggler).with_speculation()),
             ),
         ];
         let mut runtimes = BTreeMap::new();
@@ -3107,7 +3085,7 @@ mod tests {
 
         // A panic is priced as half of map 0's two records, with no work.
         let failure = skymr_telemetry::model::attempt_ticks(1, 0, 0, 0);
-        let backoff = ticks_of(RetryPolicy::new().backoff_after(0));
+        let backoff = ticks_of(RetryPolicy::backoff_after(0));
         let grew = |f: fn(&JobMetrics) -> Duration| {
             ticks_of(f(&flaky.metrics)) - ticks_of(f(&clean.metrics))
         };

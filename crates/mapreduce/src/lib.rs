@@ -59,6 +59,7 @@ pub mod pool;
 pub mod sched;
 pub mod splits;
 pub mod storage;
+mod summary;
 pub mod task;
 pub mod trace;
 
@@ -66,7 +67,7 @@ pub use analysis::{assert_schedule_independent, schedule_shake, ShakeCase, Shake
 pub use cluster::{ClusterConfig, JobMetrics, Placement};
 pub use fault::{
     BlacklistPolicy, CorruptFetch, FaultKind, FaultPlan, FaultProfile, FaultTolerance, JobError,
-    NodePartition, RetryPolicy, SpeculationPolicy, TaskFault, TaskKind,
+    NodePartition, RetryPolicy, TaskFault, TaskKind,
 };
 pub use job::{run_job, run_job_from, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};

@@ -91,10 +91,10 @@ impl PipelineMetrics {
     }
 
     /// Renders the per-phase breakdown of every job in the chain as an
-    /// aligned text table (see [`skymr_telemetry::phase_table`]).
+    /// aligned text table: one row per job with its phases and its
+    /// fault-tolerance story, in model time.
     pub fn phase_table(&self) -> String {
-        let rows: Vec<_> = self.jobs.iter().map(JobMetrics::phase_summary).collect();
-        skymr_telemetry::phase_table(&rows)
+        crate::summary::phase_table(&self.jobs)
     }
 }
 

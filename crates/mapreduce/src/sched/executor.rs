@@ -62,9 +62,6 @@ pub struct JobSpec {
     /// instant is cancelled — cleanly, with partial metrics — whether it
     /// is still queued or already running.
     pub deadline: Option<Duration>,
-    /// Retry policy governing the backoff a preempted task attempt pays
-    /// before re-queueing, and how many attempts it gets in total.
-    pub retry: RetryPolicy,
     /// Launch speculative backup attempts on otherwise-idle slots. A
     /// backup duplicates a running attempt; it is the preferred
     /// preemption victim (killing it loses no task) and keeps the task
@@ -83,7 +80,6 @@ impl JobSpec {
             arrival: Duration::ZERO,
             reservation: Reservation::default(),
             deadline: None,
-            retry: RetryPolicy::new(),
             speculate: false,
         }
     }
@@ -109,12 +105,6 @@ impl JobSpec {
     /// Sets an absolute simulated-clock deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the retry policy used for preempted attempts.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -1218,12 +1208,14 @@ impl<'a> Engine<'a> {
             return;
         }
         let next_attempt = a.attempt_no + 1;
-        let budget = self.sims[a.job].spec.retry.max_attempts.max(1);
+        // A preempted attempt pays Hadoop's backoff and counts against the
+        // default attempt budget, as a failed one would.
+        let budget = RetryPolicy::new().attempt_budget();
         if next_attempt >= budget {
             self.cancel_job(a.job, now, "preemption exhausted the task retry budget");
             return;
         }
-        let backoff = ticks_of(self.sims[a.job].spec.retry.backoff_after(a.attempt_no));
+        let backoff = ticks_of(RetryPolicy::backoff_after(a.attempt_no));
         let ready = now + backoff;
         self.sims[a.job].tasks[a.task] = TaskState::Pending {
             ready,

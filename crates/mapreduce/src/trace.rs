@@ -31,7 +31,7 @@ use skymr_telemetry::registry::TICK_BUCKETS;
 use skymr_telemetry::{ArgValue, Collector, JobTrace, MetricsRegistry, Span, Ticks};
 
 use crate::cluster::{ClusterConfig, Placement};
-use crate::fault::{FailureCause, RetryPolicy, SpeculationPolicy, TaskKind};
+use crate::fault::{FailureCause, RetryPolicy, TaskKind};
 use crate::sched::{run_alone, Slot, Step, Wave};
 use crate::storage::MergeStats;
 
@@ -237,8 +237,6 @@ pub struct JobRecord<'a> {
     pub name: &'a str,
     /// The cluster the job ran on.
     pub cluster: &'a ClusterConfig,
-    /// The job's retry policy (deterministic backoff schedule).
-    pub retry: &'a RetryPolicy,
     /// Distributed-cache bytes broadcast before the job.
     pub cache_bytes: u64,
     /// Broadcast transfers executed (1 + injected failures).
@@ -286,6 +284,14 @@ pub struct JobRecord<'a> {
     pub user_counters: Vec<(String, u64)>,
 }
 
+/// A task is a straggler, and gets a speculative backup, when its attempts
+/// run past this multiple of its phase's median (Hadoop's default).
+const STRAGGLER_FACTOR: f64 = 3.0;
+
+/// Phases with fewer tasks never speculate: a median over one task is
+/// meaningless.
+const MIN_SPECULATIVE_PHASE: usize = 2;
+
 impl JobRecord<'_> {
     fn overhead(&self) -> Ticks {
         ticks_of(self.cluster.task_overhead)
@@ -312,7 +318,7 @@ impl JobRecord<'_> {
                 FailKind::Panic | FailKind::Storage => model::scaled(half, task.slowdown),
                 FailKind::Hang(timeout) => timeout,
             };
-            let backoff = ticks_of(self.retry.backoff_after(k as u32));
+            let backoff = ticks_of(RetryPolicy::backoff_after(k as u32));
             term(Term::Launch(overhead));
             term(Term::Failed(k, kind, ticks));
             term(Term::Backoff(k, backoff));
@@ -384,21 +390,17 @@ impl JobRecord<'_> {
 
     /// Plans the phase's speculative backups on model ticks, records them on
     /// the tasks, and returns which tasks get one and whether it wins. A task
-    /// whose attempts run past `policy.slowdown_threshold` × the phase median
-    /// is backed up at the median mark; the backup wins iff it commits
-    /// strictly before the original would have.
-    pub(crate) fn plan_backups(
-        &mut self,
-        kind: TaskKind,
-        policy: &SpeculationPolicy,
-    ) -> Vec<(usize, bool)> {
+    /// whose attempts run past [`STRAGGLER_FACTOR`] × the phase median is
+    /// backed up at the median mark; the backup wins iff it commits strictly
+    /// before the original would have.
+    pub(crate) fn plan_backups(&mut self, kind: TaskKind) -> Vec<(usize, bool)> {
         let mut tasks = std::mem::take(self.phase_mut(kind));
         let prices: Vec<Price> = tasks.iter().map(|t| self.price(t)).collect();
         let ticks: Vec<Ticks> = prices.iter().map(|p| p.run).collect();
         let launch = model::median(&ticks);
-        let threshold = model::scaled(launch, policy.slowdown_threshold);
+        let threshold = model::scaled(launch, STRAGGLER_FACTOR);
         let mut planned = Vec::new();
-        if tasks.len() >= policy.min_phase_tasks && launch > 0 {
+        if tasks.len() >= MIN_SPECULATIVE_PHASE && launch > 0 {
             for (i, task) in tasks.iter_mut().enumerate() {
                 let finish = model::backup_finish(launch, prices[i].clean, self.overhead());
                 if ticks[i] > threshold {
@@ -478,7 +480,7 @@ impl JobRecord<'_> {
 
     /// Lays the job out on the simulated cluster: its steps run through the
     /// executor's loop with this job alone. The log holds one wave per
-    /// [`Phase`], indexed by it, in absolute ticks — the only place wave
+    /// `Phase`, indexed by it, in absolute ticks — the only place wave
     /// start and end times are computed, and the single source of every
     /// simulated time the engine reports or draws.
     pub fn timeline(&self) -> Vec<Wave> {
@@ -886,15 +888,10 @@ mod tests {
     use super::*;
     use skymr_telemetry::EventKind;
 
-    fn test_record<'a>(
-        cluster: &'a ClusterConfig,
-        retry: &'a RetryPolicy,
-        per_reducer_bytes: &[u64],
-    ) -> JobRecord<'a> {
+    fn test_record<'a>(cluster: &'a ClusterConfig, per_reducer_bytes: &[u64]) -> JobRecord<'a> {
         JobRecord {
             name: "wc",
             cluster,
-            retry,
             cache_bytes: 0,
             broadcast_attempts: 1,
             broadcast_time: Duration::ZERO,
@@ -946,8 +943,7 @@ mod tests {
     #[test]
     fn registry_derives_phase_counters() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let rec = test_record(&cluster, &retry, &[384]);
+        let rec = test_record(&cluster, &[384]);
         let reg = rec.build_registry();
         assert_eq!(reg.counter("map.records_out"), 14);
         assert_eq!(reg.counter("reduce.input_keys"), 5);
@@ -962,8 +958,7 @@ mod tests {
     #[test]
     fn emit_lays_out_phases_in_order_with_attempt_children() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let rec = test_record(&cluster, &retry, &[384]);
+        let rec = test_record(&cluster, &[384]);
         let collector = Collector::new();
         let registry = rec.build_registry();
         rec.emit(&rec.timeline(), &collector, registry);
@@ -1008,8 +1003,7 @@ mod tests {
     #[test]
     fn data_integrity_events_reach_instants_and_counters() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = test_record(&cluster, &retry, &[384]);
+        let mut rec = test_record(&cluster, &[384]);
         rec.corrupt = vec![
             CorruptEvent {
                 map: 0,
@@ -1056,8 +1050,7 @@ mod tests {
     #[test]
     fn storage_plane_reaches_spans_and_counters() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = test_record(&cluster, &retry, &[384]);
+        let mut rec = test_record(&cluster, &[384]);
         rec.map[0].spills = vec![4096, 2048];
         rec.reduce[0].merge = Some(MergeStats {
             runs: 2,
@@ -1109,8 +1102,7 @@ mod tests {
     #[test]
     fn unspilled_records_emit_no_storage_artifacts() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let rec = test_record(&cluster, &retry, &[384]);
+        let rec = test_record(&cluster, &[384]);
         let reg = rec.build_registry();
         assert_eq!(reg.counter("storage.spill_files"), 0);
         let collector = Collector::new();
@@ -1120,12 +1112,8 @@ mod tests {
     }
 
     /// A record of `n` identical clean map tasks on the test cluster.
-    fn uniform_record<'a>(
-        cluster: &'a ClusterConfig,
-        retry: &'a RetryPolicy,
-        n: usize,
-    ) -> JobRecord<'a> {
-        let mut rec = test_record(cluster, retry, &[]);
+    fn uniform_record(cluster: &ClusterConfig, n: usize) -> JobRecord<'_> {
+        let mut rec = test_record(cluster, &[]);
         let task = TaskModel {
             records_in: 1_000,
             records_out: 100,
@@ -1147,8 +1135,7 @@ mod tests {
     #[test]
     fn timeline_phases_add_up_to_the_total() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = test_record(&cluster, &retry, &[384]);
+        let mut rec = test_record(&cluster, &[384]);
         // Each re-execution runs clean: the phase's model less its failures.
         let rerun = |phase, i: usize| {
             let task = TaskModel {
@@ -1188,14 +1175,13 @@ mod tests {
         );
         // Only the failed attempt is waste.
         assert_eq!(rec.wasted(), clean[0]);
-        assert_eq!(rec.backoff(), ticks_of(retry.backoff_after(0)));
+        assert_eq!(rec.backoff(), ticks_of(RetryPolicy::backoff_after(0)));
     }
 
     #[test]
     fn the_heartbeat_wait_is_drawn_on_the_driver_lane() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = test_record(&cluster, &retry, &[384]);
+        let mut rec = test_record(&cluster, &[384]);
         rec.node_losses = vec![1, 2];
         rec.reruns = vec![(Phase::Reexec, 0, rec.map[0].clone())];
         let t = rec.timeline();
@@ -1237,8 +1223,7 @@ mod tests {
     #[test]
     fn sim_runtime_strictly_increases_with_charged_work() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = uniform_record(&cluster, &retry, 3);
+        let mut rec = uniform_record(&cluster, 3);
         let mut last = total(&rec);
         // One tick's worth of comparisons at a time, on the critical path.
         let tick = 1_000_000 / model::PS_PER_COMPARISON + 1;
@@ -1253,8 +1238,7 @@ mod tests {
     #[test]
     fn a_straggler_slows_work_and_io_alike() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = uniform_record(&cluster, &retry, 1);
+        let mut rec = uniform_record(&cluster, 1);
         rec.map[0].spills = vec![1 << 20, 1 << 19];
         let clean = rec.price(&rec.map[0]).clean;
         let cpu = model::attempt_ticks(1_000, 100, 4_096, 1_000_000);
@@ -1271,8 +1255,7 @@ mod tests {
     #[test]
     fn backoff_follows_every_failure_and_launches_are_charged() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let mut rec = uniform_record(&cluster, &retry, 1);
+        let mut rec = uniform_record(&cluster, 1);
         let clean = rec.price(&rec.map[0]).clean;
         rec.map[0].failures = vec![FailKind::LostOutput, FailKind::Hang(700)];
         // 100 ms then 200 ms of backoff; two extra launches.
@@ -1288,30 +1271,34 @@ mod tests {
     #[test]
     fn a_backup_wins_iff_it_commits_strictly_before_the_original() {
         let cluster = ClusterConfig::test();
-        // No backoff and a low straggler bar, so that a candidate can sit
-        // exactly on the tie.
-        let retry = RetryPolicy {
-            backoff_base: Duration::ZERO,
-            ..RetryPolicy::new()
-        };
-        let policy = SpeculationPolicy::new().with_threshold(1.5);
         let overhead = ticks_of(cluster.task_overhead);
-        let mut rec = uniform_record(&cluster, &retry, 3);
+        let backoff = ticks_of(RetryPolicy::backoff_after(0));
+        // Tasks well past the 100 ms backoff, so that a hung attempt and
+        // the backoff after it can sit exactly on the tie.
+        let mut rec = uniform_record(&cluster, 3);
+        for task in &mut rec.map {
+            task.work = 20_000_000;
+        }
         let clean = rec.price(&rec.map[0]).clean;
+        assert!(clean > backoff);
         // A phase of one task never speculates; neither does a balanced one.
-        assert!(uniform_record(&cluster, &retry, 1)
-            .plan_backups(TaskKind::Map, &policy)
+        assert!(uniform_record(&cluster, 1)
+            .plan_backups(TaskKind::Map)
             .is_empty());
-        assert!(rec.plan_backups(TaskKind::Map, &policy).is_empty());
-        // Stretch task 2 by a hung attempt until its run is exactly the
-        // backup's finish: median + clean + overhead. A tie goes to the
-        // original; one tick more and the backup wins.
-        let finish = model::backup_finish(clean, clean, overhead);
-        let tie = finish - clean - overhead;
+        assert!(rec.plan_backups(TaskKind::Map).is_empty());
+        // Task 2 is three times heavier, so that its stretched run clears
+        // the 3× straggler bar. Stretch it by a hung attempt until its run
+        // (hang, backoff, relaunch, heavy attempt) is exactly the backup's
+        // finish: median + heavy + overhead. A tie goes to the original;
+        // one tick more and the backup wins.
+        rec.map[2].work = 60_000_000;
+        let heavy = rec.price(&rec.map[2]).clean;
+        let finish = model::backup_finish(clean, heavy, overhead);
+        let tie = finish - heavy - overhead - backoff;
         for (hang, wins) in [(tie, false), (tie + 1, true)] {
             rec.map[2].failures = vec![FailKind::Hang(hang)];
             rec.map[2].backup = None;
-            assert_eq!(rec.plan_backups(TaskKind::Map, &policy), vec![(2, wins)]);
+            assert_eq!(rec.plan_backups(TaskKind::Map), vec![(2, wins)]);
             let backup = rec.map[2].backup.expect("task 2 is backed up");
             assert_eq!((backup.launch, backup.wins), (clean, wins), "hang {hang}");
             // Either way the slot is held until the backup's finish: at
@@ -1319,7 +1306,7 @@ mod tests {
             assert_eq!(rec.slot_ticks(&rec.map[2]), finish);
             // The loser's slot time is waste on top of the hung attempt:
             // the killed original's whole run, or the backup's full run.
-            let loser = if wins { finish } else { clean + overhead };
+            let loser = if wins { finish } else { heavy + overhead };
             let price = rec.price(&rec.map[2]);
             assert_eq!(rec.wasted_ticks(&rec.map[2], &price), hang + loser);
         }
@@ -1331,8 +1318,7 @@ mod tests {
     #[test]
     fn emission_is_deterministic() {
         let cluster = ClusterConfig::test();
-        let retry = RetryPolicy::new();
-        let rec = test_record(&cluster, &retry, &[384]);
+        let rec = test_record(&cluster, &[384]);
         let run = || {
             let collector = Collector::new();
             rec.emit(&rec.timeline(), &collector, rec.build_registry());

@@ -11,8 +11,7 @@
 //! * a **metrics registry** ([`MetricsRegistry`]) with typed counters,
 //!   gauges, and fixed-bucket histograms (integer bucket boundaries only);
 //! * **exporters**: Chrome `trace_event` JSON (loadable in Perfetto /
-//!   `chrome://tracing`), machine-readable JSONL, and a plain-text
-//!   per-job phase summary table.
+//!   `chrome://tracing`) and machine-readable JSONL.
 //!
 //! # Determinism rules
 //!
@@ -39,9 +38,7 @@ pub mod json;
 pub mod model;
 pub mod registry;
 pub mod span;
-pub mod summary;
 
 pub use collector::{Collector, JobTrace, SpanGuard, TraceDocument};
 pub use registry::{Histogram, MetricsRegistry};
 pub use span::{span_id, ArgValue, EventKind, Span, Ticks, TraceEvent};
-pub use summary::{phase_table, JobPhaseSummary};

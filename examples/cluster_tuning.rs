@@ -23,7 +23,7 @@ use skymr_datagen::{generate, Distribution};
 use skymr_mapreduce::{
     AdmissionConfig, BlacklistPolicy, ClusterConfig, ClusterExecutor, FaultPlan, FaultProfile,
     FaultTolerance, JobCompletion, JobSpec, PipelineMetrics, Placement, PriorityScheduler,
-    RoundRobin, SpeculationPolicy,
+    RoundRobin,
 };
 
 fn sweep(name: &str, data: &Dataset) {
@@ -84,8 +84,7 @@ fn fault_sweep(name: &str, data: &Dataset) {
     println!("--- {name}, unreliable cluster (seeded faults + speculation) ---");
     let clean = mr_gpmrs(data, &SkylineConfig::default()).expect("fault-free run");
     let config = SkylineConfig::default().with_fault_tolerance(
-        FaultTolerance::with_plan(FaultPlan::seeded(0xC0FFEE))
-            .with_speculation(SpeculationPolicy::new()),
+        FaultTolerance::with_plan(FaultPlan::seeded(0xC0FFEE)).with_speculation(),
     );
     let run = mr_gpmrs(data, &config).expect("seeded faults stay within the retry budget");
     assert_eq!(

@@ -128,8 +128,10 @@ fn plane(recipe: JobRecipe, cluster: &ClusterConfig) -> PlaneOutput {
 }
 
 /// Replays the whole submission set under one policy. When `trace` names
-/// a file, the run's span timeline (admission `queued` spans, `preempt`
-/// instants, task attempts) is exported there as a Chrome trace.
+/// a file, the scheduler's trace is exported there as a Chrome trace: one
+/// admission `queued` span per admitted job, the `preempt` instants and
+/// the `sched.*` registry. Task attempts are not in it: the data planes
+/// run without a collector.
 fn run_policy(
     policy: impl Scheduler + 'static,
     fingerprints: &mut BTreeMap<usize, Vec<(u64, u64)>>,

@@ -28,7 +28,7 @@ use skymr_mapreduce::telemetry::export::chrome_trace;
 use skymr_mapreduce::{
     run_job, ClusterConfig, Collector, Emitter, FaultPlan, FaultProfile, FaultTolerance,
     HashPartitioner, JobConfig, JobMetrics, MapFactory, MapTask, OutputCollector, Placement,
-    ReduceFactory, ReduceTask, RetryPolicy, SpeculationPolicy, TaskContext, TaskFault, TaskKind,
+    ReduceFactory, ReduceTask, RetryPolicy, TaskContext, TaskFault, TaskKind,
 };
 
 /// Fixed seeds locked as a regression suite. Each one exercised a distinct
@@ -260,7 +260,7 @@ fn chaos_with_speculation_preserves_every_algorithm_output() {
     let plans = seeded_plans(&[0xBACC_0FF5, 7], chaos, "speculative chaos");
     let plans: Vec<_> = plans
         .into_iter()
-        .map(|(label, ft)| (label, ft.with_speculation(SpeculationPolicy::new())))
+        .map(|(label, ft)| (label, ft.with_speculation()))
         .collect();
     assert_every_pipeline_reproduces(&plans, &[None, Some(SPILL_BUDGET)]);
 }

@@ -18,7 +18,7 @@ use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::{
     run_job, run_job_from, ClusterConfig, ClusterExecutor, Collector, FaultPlan, FaultTolerance,
     JobConfig, JobMetrics, JobSpec, ModuloPartitioner, PipelineMetrics, Placement, RoundRobin,
-    SingleReducerPartitioner, SpeculationPolicy, TaskFault,
+    SingleReducerPartitioner, TaskFault,
 };
 
 #[test]
@@ -223,7 +223,7 @@ fn matrix() -> Vec<Mode> {
         ),
         mode(
             "speculation",
-            FaultTolerance::with_plan(stragglers).with_speculation(SpeculationPolicy::new()),
+            FaultTolerance::with_plan(stragglers).with_speculation(),
         ),
         Mode {
             placement: Some(Placement::new(0xBEEF)),

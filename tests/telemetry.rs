@@ -8,7 +8,7 @@ use skymr_datagen::Distribution;
 use skymr_integration_tests::scenario;
 use skymr_mapreduce::telemetry::export::{chrome_trace, jsonl};
 use skymr_mapreduce::telemetry::json;
-use skymr_mapreduce::{Collector, FaultPlan, FaultTolerance, SpeculationPolicy, TaskFault};
+use skymr_mapreduce::{Collector, FaultPlan, FaultTolerance, TaskFault};
 
 /// Shape of one traced run, for cross-run comparison.
 struct TracedRun {
@@ -34,7 +34,7 @@ fn traced_gpmrs(host_threads: usize) -> TracedRun {
                     .with_reduce_fault(0, TaskFault::lost(1))
                     .for_job("gpmrs"),
             )
-            .with_speculation(SpeculationPolicy::new()),
+            .with_speculation(),
         )
         .with_telemetry(Some(collector.clone()));
     config.cluster.host_threads = host_threads;
